@@ -7,7 +7,7 @@ verifies the theory's theorems as zero-residual identities.
 """
 
 from .errors import (DegenerateConfigurationError, GeneratorExhaustedError,
-                     IrrationalIntersectionError)
+                     IrrationalIntersectionError, KernelInvariantError)
 from .gauge import (Gauge, Line, MeetResult, Point, da_norm, difference_angle,
                     line_through, meet, midpoint, normalize_chart,
                     slope_between)
@@ -21,7 +21,8 @@ from .triangle import (CenterSet, DATriangle, bisector_at, centers, dabct,
 
 __all__ = [
     "CenterSet", "DATriangle", "DegenerateConfigurationError", "Gauge",
-    "GeneratorExhaustedError", "IrrationalIntersectionError", "Line",
+    "GeneratorExhaustedError", "IrrationalIntersectionError",
+    "KernelInvariantError", "Line",
     "MeetResult", "Parabola", "Point", "QuadraticPoly", "Scalar",
     "bisector_at", "centers", "circumparabola", "da_norm", "dabct", "det3",
     "difference_angle", "foot_of_perpendicular", "format_scalar",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, line_through, meet
 from .parabola import Parabola
 from .scalar import det3
@@ -77,9 +77,12 @@ def classify_pair(t1: DATriangle, t2: DATriangle,
 
     verdict = EquivalenceVerdict(sss, aa, sas, norm_cong, da_cong,
                                  sides, angles)
-    assert not verdict.da_congruent or verdict.norm_congruent
-    assert verdict.sim_sas_signed == verdict.sim_aa
-    assert not verdict.sim_aa or verdict.sim_sss
+    if verdict.da_congruent and not verdict.norm_congruent:
+        raise KernelInvariantError("full congruence without norm congruence")
+    if verdict.sim_sas_signed != verdict.sim_aa:
+        raise KernelInvariantError("signed-SAS and AA similarity disagree")
+    if verdict.sim_aa and not verdict.sim_sss:
+        raise KernelInvariantError("AA similarity without SSS similarity")
     return verdict
 
 
@@ -129,7 +132,8 @@ def shift(t: DATriangle, theta: Fraction) -> DATriangle:
     delta = Fraction(theta) / par.kappa
     moved = [par.point_at(v.x + delta) for v in (t.a, t.b, t.c)]
     image = DATriangle(*moved)
-    assert image.parabola == par
+    if image.parabola != par:
+        raise KernelInvariantError("shift moved the triangle off its parabola")
     return image
 
 

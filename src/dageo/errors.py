@@ -14,3 +14,9 @@ class IrrationalIntersectionError(ValueError):
 class GeneratorExhaustedError(RuntimeError):
     """Rejection sampling hit its retry limit without producing an
     admissible configuration."""
+
+
+class KernelInvariantError(AssertionError):
+    """A certified identity of the theory failed on a concrete instance,
+    so the kernel itself is broken.  Raised explicitly rather than by
+    ``assert``, so the certificates also run under ``python -O``."""

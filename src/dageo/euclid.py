@@ -20,11 +20,14 @@ import math
 import random
 from dataclasses import dataclass
 
+from .errors import GeneratorExhaustedError
+
 Vec = tuple[float, float]
 
 AREA_FLOOR = 1e-12          # triangles flatter than this are rejected outright
 CONDITION_FLOOR = 1e-3      # relative side-length gaps / sines kept above this
 DEFAULT_TOLERANCE = 1e-9
+RETRY_LIMIT = 10_000        # draws random_triangle makes before giving up
 
 
 def _sub(p: Vec, q: Vec) -> Vec:
@@ -136,10 +139,12 @@ def _well_conditioned(a: Vec, b: Vec, c: Vec, min_area: float) -> bool:
 
 
 def random_triangle(rng: random.Random, min_area: float = 1e-6) -> tuple[Vec, Vec, Vec]:
-    while True:
+    for _ in range(RETRY_LIMIT):
         pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
         if _well_conditioned(*pts, min_area=min_area):
             return tuple(pts)
+    raise GeneratorExhaustedError(
+        f"no well-conditioned triangle in {RETRY_LIMIT} draws")
 
 
 def run_euclid_campaign(trials: int, seed: int,

@@ -54,23 +54,21 @@ class Parabola:
 
 def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     """The unique vertical-axis parabola through three points with pairwise
-    distinct x-coordinates (Lagrange interpolation).
+    distinct x-coordinates (Newton divided differences).
 
     Collinear triples have a vanishing quadratic coefficient and are
     rejected, as are shared x-coordinates (a singular side).
     """
-    if len({a.x, b.x, c.x}) != 3:
+    if a.x == b.x or b.x == c.x or a.x == c.x:
         raise DegenerateConfigurationError("shared x-coordinate: singular side")
-    denom = (b.x - a.x) * (c.x - b.x) * (c.x - a.x)
-    kappa = (a.y * (c.x - b.x) + b.y * (a.x - c.x) + c.y * (b.x - a.x)) / denom
+    d_ab = (b.y - a.y) / (b.x - a.x)
+    d_bc = (c.y - b.y) / (c.x - b.x)
+    kappa = (d_bc - d_ab) / (c.x - a.x)
     if kappa == 0:
         raise DegenerateConfigurationError("collinear points: no circumparabola")
-    beta = -(a.y * (c.x * c.x - b.x * b.x)
-             + b.y * (a.x * a.x - c.x * c.x)
-             + c.y * (b.x * b.x - a.x * a.x)) / denom
-    gamma = (b.x * c.x * a.y * (c.x - b.x)
-             + a.x * c.x * b.y * (a.x - c.x)
-             + a.x * b.x * c.y * (b.x - a.x)) / denom
+    # y = a.y + d_ab*(x - a.x) + kappa*(x - a.x)*(x - b.x), expanded.
+    beta = d_ab - kappa * (a.x + b.x)
+    gamma = a.y - a.x * (d_ab - kappa * b.x)
     return Parabola(kappa, beta, gamma)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
                     midpoint, slope_between)
 from .parabola import Parabola, circumparabola
@@ -33,30 +33,55 @@ class DATriangle:
     b: Point
     c: Point
     parabola: Parabola = field(init=False, compare=False)
+    _sorted: tuple[Point, Point, Point] = field(init=False, compare=False,
+                                                repr=False)
+    _angles: tuple[Fraction, Fraction, Fraction] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        if len({p.x for p in pts}) != 3:
+        xs = (self.a.x, self.b.x, self.c.x)
+        if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
-        if det3((self.a.x, self.a.y, 1), (self.b.x, self.b.y, 1),
-                (self.c.x, self.c.y, 1)) == 0:
-            raise DegenerateConfigurationError("collinear vertices")
-        object.__setattr__(self, "parabola", circumparabola(*pts))
+        try:
+            par = circumparabola(*pts)
+        except DegenerateConfigurationError:
+            # With distinct abscissae the only rejection left is kappa == 0,
+            # and det3 of the rows (x, y, 1) is kappa times the Vandermonde
+            # determinant, so kappa == 0 is exactly collinearity.
+            raise DegenerateConfigurationError("collinear vertices") from None
+        object.__setattr__(self, "parabola", par)
+        # i, j, k index the vertices in increasing x; the angle formula is
+        # in the interior_angles docstring.
+        i, j, k = sorted(range(3), key=xs.__getitem__)
+        scale = abs(par.kappa)
+        angles = [None, None, None]
+        angles[i] = scale * (xs[k] - xs[j])
+        angles[j] = scale * (xs[i] - xs[k])
+        angles[k] = scale * (xs[j] - xs[i])
+        angles = tuple(angles)
+        object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
+        object.__setattr__(self, "_angles", angles)
         # Structural certificates; these are theorems, so a failure here
         # means the kernel itself is broken.
-        angles = self.interior_angles()
-        assert sum(angles) == 0
-        assert sum(1 for t in angles if t < 0) == 1
+        if sum(angles) != 0:
+            raise KernelInvariantError("interior angles do not sum to 0")
+        if sum(1 for t in angles if t < 0) != 1:
+            raise KernelInvariantError("negative interior angle count != 1")
         norms = sorted(self.side_norms())
-        assert norms[2] == norms[0] + norms[1]
+        if norms[2] != norms[0] + norms[1]:
+            raise KernelInvariantError("side-norm equation violated")
 
     # -- vertex bookkeeping -------------------------------------------------
 
     def vertex(self, label: str) -> Point:
-        try:
-            return {"A": self.a, "B": self.b, "C": self.c}[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex label {label!r}") from None
+        if label == "A":
+            return self.a
+        if label == "B":
+            return self.b
+        if label == "C":
+            return self.c
+        raise ValueError(f"unknown vertex label {label!r}")
 
     def others(self, label: str) -> tuple[Point, Point]:
         rest = [v for v in VERTICES if v != label]
@@ -65,7 +90,7 @@ class DATriangle:
     def sorted_vertices(self) -> tuple[Point, Point, Point]:
         """Vertices in increasing x-order; the middle one carries the
         negative interior angle."""
-        return tuple(sorted((self.a, self.b, self.c), key=lambda p: p.x))
+        return self._sorted
 
     @property
     def negative_vertex_label(self) -> str:
@@ -108,20 +133,13 @@ class DATriangle:
         middle vertex contains the singular direction, which makes that
         angle the negative one whichever way the parabola opens.
         """
-        scale = abs(self.parabola.kappa)
-        p, q, r = (v.x for v in self.sorted_vertices())
-        by_x = {p: scale * (r - q), q: scale * (p - r), r: scale * (q - p)}
-        return tuple(by_x[self.vertex(lbl).x] for lbl in VERTICES)
+        return self._angles
 
     def angle_at(self, label: str) -> Fraction:
-        return self.interior_angles()[VERTICES.index(label)]
+        return self._angles[VERTICES.index(label)]
 
     def __str__(self) -> str:
         return f"Triangle[A={self.a}, B={self.b}, C={self.c}]"
-
-
-def interior_angles(t: DATriangle) -> tuple[Fraction, Fraction, Fraction]:
-    return t.interior_angles()
 
 
 class SideNormEquation(NamedTuple):

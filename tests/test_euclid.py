@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dageo.errors import GeneratorExhaustedError
 from dageo.euclid import (euclid_bisector_collinearity, random_triangle,
                           run_euclid_campaign, trilinear_identity_witness)
 
@@ -69,3 +70,9 @@ def test_trilinear_identity_exact():
     assert points == [(0, 1, 1), (1, 0, -1), (1, 1, 0)]
     for x, y, z in points:
         assert x - y + z == 0
+
+
+def test_sampler_exhaustion_raises():
+    # No triangle in the [-10, 10]^2 sampling box has area 1000.
+    with pytest.raises(GeneratorExhaustedError):
+        random_triangle(random.Random(0), min_area=1e3)

@@ -12,6 +12,7 @@ from dageo.parabola import (Parabola, circumparabola, conparabolic,
                             opposite_angle_sum, parabola_meet,
                             parabolic_power, second_intersection, tangent_at,
                             tangents_from)
+from dageo.scalar import det3
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -19,6 +20,20 @@ small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 
 def pt(x, y):
     return Point(F(x), F(y))
+
+
+def lagrange_circumparabola(a, b, c):
+    """Reference implementation: the Lagrange form of the interpolating
+    parabola, kept to check the Newton-form kernel against."""
+    denom = (b.x - a.x) * (c.x - b.x) * (c.x - a.x)
+    kappa = (a.y * (c.x - b.x) + b.y * (a.x - c.x) + c.y * (b.x - a.x)) / denom
+    beta = -(a.y * (c.x * c.x - b.x * b.x)
+             + b.y * (a.x * a.x - c.x * c.x)
+             + c.y * (b.x * b.x - a.x * a.x)) / denom
+    gamma = (b.x * c.x * a.y * (c.x - b.x)
+             + a.x * c.x * b.y * (a.x - c.x)
+             + a.x * b.x * c.y * (b.x - a.x)) / denom
+    return Parabola(kappa, beta, gamma)
 
 
 class TestCircumparabola:
@@ -38,6 +53,32 @@ class TestCircumparabola:
     def test_shared_x_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             circumparabola(pt(0, 0), pt(0, 1), pt(2, 2))
+
+    @given(small, small, small, small, small, small)
+    def test_matches_lagrange_reference(self, x1, y1, x2, y2, x3, y3):
+        pts = (Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        if len({x1, x2, x3}) < 3:
+            return
+        if det3(*((p.x, p.y, 1) for p in pts)) == 0:
+            return
+        assert circumparabola(*pts) == lagrange_circumparabola(*pts)
+
+    @given(small, small, small, small, small)
+    def test_collinear_triples_rejected(self, m, k, x1, x2, x3):
+        if len({x1, x2, x3}) < 3:
+            return
+        line = [Point(x, m * x + k) for x in (x1, x2, x3)]
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^collinear points: no circumparabola$"):
+            circumparabola(*line)
+
+    @given(small, small, small, small, small,
+           st.permutations([0, 1, 2]))
+    def test_shared_abscissa_rejected(self, x, x_other, y1, y2, y3, order):
+        pts = [Point(x, y1), Point(x, y2), Point(x_other, y3)]
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^shared x-coordinate: singular side$"):
+            circumparabola(*(pts[i] for i in order))
 
     @given(small, small, small, small, small)
     def test_uniqueness_round_trip(self, kappa, beta, gamma, u, v):

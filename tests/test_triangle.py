@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dageo.errors import DegenerateConfigurationError
-from dageo.gauge import Line, MeetResult, Point
+import dageo
+from dageo.errors import DegenerateConfigurationError, KernelInvariantError
+from dageo.gauge import Line, MeetResult, Point, slope_between
 from dageo.parabola import Parabola
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
@@ -14,6 +19,7 @@ from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             side_norm_equation, simson)
 
 STD = Parabola(F(1), F(0), F(0))
+small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 
 
 def pt(x, y):
@@ -26,17 +32,52 @@ def on_std(*xs):
 
 class TestConstruction:
     def test_rejects_singular_side(self):
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^singular side \\(shared x\\)$"):
             DATriangle(pt(0, 0), pt(0, 1), pt(2, 2))
 
     def test_rejects_collinear(self):
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^collinear vertices$"):
             DATriangle(pt(0, 0), pt(1, 1), pt(2, 2))
+
+    @given(small, small, small, small, small)
+    def test_rejects_collinear_triples(self, m, k, x1, x2, x3):
+        if len({x1, x2, x3}) < 3:
+            return
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^collinear vertices$"):
+            DATriangle(*(Point(x, m * x + k) for x in (x1, x2, x3)))
 
     def test_labels_preserved(self):
         t = DATriangle(pt(2, 4), pt(0, 0), pt(1, 1))
         assert t.vertex("A") == pt(2, 4)
         assert t.negative_vertex_label == "C"  # middle abscissa holds label C
+
+    def test_unknown_label_rejected(self):
+        t = on_std(0, 1, 2)
+        with pytest.raises(ValueError, match="unknown vertex label 'D'"):
+            t.vertex("D")
+        with pytest.raises(ValueError):
+            t.angle_at("D")
+
+    @given(small, small, small, small, small, small)
+    def test_stored_values_match_recomputation(self, x1, y1, x2, y2, x3, y3):
+        pts = (Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        try:
+            t = DATriangle(*pts)
+        except DegenerateConfigurationError:
+            return
+        lo, mid, hi = sorted(pts, key=lambda p: p.x)
+        assert t.sorted_vertices() == (lo, mid, hi)
+        # |kappa| from the slopes alone: the second divided difference.
+        scale = abs((slope_between(mid, hi) - slope_between(lo, mid))
+                    / (hi.x - lo.x))
+        by_x = {lo.x: scale * (hi.x - mid.x), mid.x: scale * (lo.x - hi.x),
+                hi.x: scale * (mid.x - lo.x)}
+        expected = tuple(by_x[p.x] for p in pts)
+        assert t.interior_angles() == expected
+        assert tuple(t.angle_at(lbl) for lbl in "ABC") == expected
 
     def test_interior_angles_standard(self):
         assert on_std(0, 1, 2).interior_angles() == (1, -2, 1)
@@ -67,6 +108,45 @@ class TestConstruction:
         # forced by max = sum of others: three equal norms are impossible
         for t in (on_std(0, 1, 2), on_std(-4, 1, 2), on_std(0, F(1, 3), 5)):
             assert len(set(side_norm_equation(t).norms)) > 1
+
+
+class TestCertificates:
+    def test_broken_norm_equation_raises(self, monkeypatch):
+        monkeypatch.setattr(DATriangle, "side_norms",
+                            lambda self: (F(1), F(1), F(1)))
+        with pytest.raises(KernelInvariantError,
+                           match="side-norm equation") as info:
+            on_std(0, 1, 3)
+        # Callers that catch AssertionError still see certificate failures.
+        assert isinstance(info.value, AssertionError)
+
+    def test_certificates_survive_optimize_flag(self):
+        # Under -O every assert statement is stripped; the triangle
+        # certificates must still raise.
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction as F
+            from dageo.errors import KernelInvariantError
+            from dageo.gauge import Point
+            from dageo.triangle import DATriangle
+            if not sys.flags.optimize:
+                sys.exit(3)
+            DATriangle.side_norms = lambda self: (F(1), F(1), F(1))
+            try:
+                DATriangle(Point(F(0), F(0)), Point(F(1), F(1)),
+                           Point(F(3), F(9)))
+            except KernelInvariantError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(4)
+        """)
+        src = os.path.dirname(os.path.dirname(dageo.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "side-norm equation violated"
 
 
 class TestBisectors:

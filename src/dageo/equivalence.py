@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, line_through, meet
-from .parabola import Parabola
+from .parabola import Parabola, conparabolic
 from .scalar import det3
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
@@ -96,7 +96,8 @@ def coefficient_bridge(t1: DATriangle, t2: DATriangle,
     if not verdict.norm_congruent:
         raise DegenerateConfigurationError("pair is not norm congruent")
     kappas_match = abs(t1.parabola.kappa) == abs(t2.parabola.kappa)
-    assert verdict.da_congruent == kappas_match
+    if verdict.da_congruent != kappas_match:
+        raise KernelInvariantError("congruence disagrees with |kappa| match")
     return kappas_match
 
 
@@ -114,7 +115,8 @@ def sss_not_aa_witness(a: Fraction, b: Fraction, c: Fraction,
     t2 = DATriangle(std.point_at(k * a), std.point_at(k * b),
                     std.point_at(k * c))
     verdict = classify_pair(t1, t2)
-    assert verdict.sim_sss and not verdict.sim_aa
+    if not (verdict.sim_sss and not verdict.sim_aa):
+        raise KernelInvariantError("witness pair does not separate SSS and AA")
     return t1, t2, verdict
 
 
@@ -150,8 +152,6 @@ def diag_section_similarity(a: Point, b: Point, c: Point,
     angle over the chord AB pairs A with D and B with C; the angles at X
     are vertical) and triangle XBC to XAD (B with A, C with D).
     """
-    from .parabola import conparabolic
-
     if not conparabolic(a, b, c, d):
         raise DegenerateConfigurationError("points are not conparabolic")
     if a.x == c.x or b.x == d.x:

@@ -11,8 +11,7 @@ slope arithmetic:
   ``slope(PB) - slope(PA)``, an oriented exact rational;
 * any ray pair involving the singular direction is absorbed to angle 0,
   and so is any straight angle (the absorptive boundary convention --
-  the lift and divergent conventions are documented in
-  :data:`BOUNDARY_POLICIES` but deliberately not implemented);
+  the lift and divergent conventions are deliberately not implemented);
 * the norm of a segment is ``|dx|``: a pseudo-metric that vanishes on
   singular segments and satisfies the triangle inequality with equality.
 
@@ -28,11 +27,6 @@ from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
 from .scalar import det3
-
-#: Boundary conventions for angles touching the singular direction.  Only
-#: "absorptive" (angle collapses to 0) is implemented; the other two are
-#: listed for documentation value only.
-BOUNDARY_POLICIES = ("absorptive", "lift", "divergent")
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -138,10 +132,6 @@ class Line:
 
     m: Slope
     k: Fraction
-
-    @classmethod
-    def sloped(cls, m: Fraction, k: Fraction) -> "Line":
-        return cls(Fraction(m), Fraction(k))
 
     @classmethod
     def singular(cls, x0: Fraction) -> "Line":
@@ -368,28 +358,3 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
 
     return None
 
-
-def angle_axiom_suite(seed: int, trials: int = 1000, bound: int = 50) -> dict:
-    """Self-contained randomized campaign over the angle axioms.
-
-    Deterministic in ``seed``; returns a report dict with the first
-    counterexample (if any assertion ever fails).
-    """
-    # Local import keeps the kernel free of harness machinery on import.
-    from .generators import RandomRationals
-
-    failures = 0
-    first = None
-    for trial in range(trials):
-        rng = RandomRationals(seed, trial, bound)
-        a, p, b = rng.angle_configuration()
-        c_param = rng.fraction_in_unit_interval()
-        k_scale = rng.positive_rational()
-        verdict = angle_axiom_checks(a, p, b, c_param, k_scale)
-        if verdict is not None:
-            failures += 1
-            if first is None:
-                first = {"trial": trial, "assertion": verdict,
-                         "A": str(a), "P": str(p), "B": str(b)}
-    return {"theorem": "angle_axioms", "trials": trials,
-            "failures": failures, "first_counterexample": first}

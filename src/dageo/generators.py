@@ -16,10 +16,11 @@ import random
 from fractions import Fraction
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
-from .gauge import Line, Point, line_through, meet
+from .gauge import Line, Point, line_through, meet, slope_between
 from .parabola import Parabola
 from .scalar import det3
-from .theorems import CevianSpec, CompleteQuadrilateral
+from .theorems import (CevianSpec, CompleteQuadrilateral, cevian_line,
+                       miquel_quadrilateral)
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -133,23 +134,7 @@ class RandomRationals:
         lam = self.fraction_in_unit_interval()
         return Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
 
-    def point_on_line(self, l: Line) -> Point:
-        if l.is_singular:
-            return Point(l.x0, self.rational())
-        return l.point_at(self.rational())
-
-    def nonparallel_line_through(self, p: Point,
-                                 avoid_slopes: set) -> Line:
-        def make():
-            m = self.rational()
-            if m in avoid_slopes:
-                return None
-            return Line(m, p.y - m * p.x)
-        return self.retrying(make, lambda l: l is not None)
-
     def complete_quadrilateral(self) -> CompleteQuadrilateral:
-        from .theorems import miquel_quadrilateral
-
         def make():
             lines = [Line(self.rational(), self.rational()) for _ in range(4)]
             try:
@@ -214,8 +199,6 @@ class RandomRationals:
                     specs[lbl] = CevianSpec((m, n), base=neg)
             return specs
 
-        from .theorems import cevian_line
-
         def make():
             bases = {}
             for lbl in ("A", "B", "C"):
@@ -239,7 +222,6 @@ class RandomRationals:
             far_lbl = next(v for v in ("A", "B")
                            if v != bases["C"] and v != "C")
             # base/far slopes at C
-            from .gauge import slope_between
             s_base = slope_between(cpt, base_pt)
             s_far = slope_between(cpt, t.vertex(far_lbl))
             if s_base == s_far or slope_cq in (s_base, s_far):

@@ -111,7 +111,6 @@ class CampaignConfig:
     trials: int = 1000
     seed: int = 42
     bound: int = 50
-    retry_limit: int = 10_000
 
     def __post_init__(self):
         if self.trials < 1:
@@ -174,13 +173,9 @@ def register(theorem: Theorem) -> Theorem:
 
 
 def generate_config(theorem_id: str, seed: int, trial: int,
-                    bound: int = 50, retry_limit: int = 10_000) -> dict:
+                    bound: int = 50) -> dict:
     """Deterministic admissible configuration for (seed, trial)."""
-    theorem = REGISTRY[theorem_id]
-    rng = RandomRationals(seed, trial, bound, retry_limit)
-    config = theorem.generate(rng)
-    config["_rejections"] = rng.rejections
-    return config
+    return REGISTRY[theorem_id].generate(RandomRationals(seed, trial, bound))
 
 
 def run_campaign(cfg: CampaignConfig) -> TheoremReport:
@@ -191,9 +186,9 @@ def run_campaign(cfg: CampaignConfig) -> TheoremReport:
     kinds: dict[str, int] = {}
     first = None
     for trial in range(cfg.trials):
-        config = generate_config(cfg.theorem, cfg.seed, trial, cfg.bound,
-                                 cfg.retry_limit)
-        rejections += config.pop("_rejections", 0)
+        rng = RandomRationals(cfg.seed, trial, cfg.bound)
+        config = theorem.generate(rng)
+        rejections += rng.rejections
         result = theorem.check(config)
         if result.kind:
             kinds[result.kind] = kinds.get(result.kind, 0) + 1
@@ -498,12 +493,6 @@ register(Theorem("intersecting_parabolas",
                  _gen_intersecting_parabolas, _check_intersecting_parabolas))
 
 
-def _gen_inscribed_angle(rng: RandomRationals) -> dict:
-    curve = rng.parabola()
-    xs = rng.distinct_rationals(4)
-    return {"curve": curve, "xs": xs}
-
-
 def _check_inscribed_angle(cfg: dict) -> TrialResult:
     curve = cfg["curve"]
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
@@ -516,7 +505,7 @@ def _check_inscribed_angle(cfg: dict) -> TrialResult:
 
 register(Theorem("inscribed_angle",
                  "a chord subtends the same angle from every curve point",
-                 _gen_inscribed_angle, _check_inscribed_angle))
+                 _gen_ptolemy, _check_inscribed_angle))
 
 
 def _gen_arc_symmetry(rng: RandomRationals) -> dict:
@@ -720,10 +709,6 @@ register(Theorem("simson",
                  _gen_simson, _check_simson))
 
 
-def _gen_midpoint_lemma(rng: RandomRationals) -> dict:
-    return {"T": rng.triangle()}
-
-
 def _check_midpoint_lemma(cfg: dict) -> TrialResult:
     result = midpoint_lemma_check(cfg["T"])
     if result.skipped:
@@ -737,7 +722,7 @@ def _check_midpoint_lemma(cfg: dict) -> TrialResult:
 register(Theorem("midpoint_lemma",
                  "positive-bisector meets are midpoints of the "
                  "perpendicular feet segments",
-                 _gen_midpoint_lemma, _check_midpoint_lemma))
+                 _gen_bisector_centers, _check_midpoint_lemma))
 
 
 def _gen_dabct(rng: RandomRationals) -> dict:

@@ -72,10 +72,6 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     return Parabola(kappa, beta, gamma)
 
 
-def contains(p: Parabola, pt: Point) -> bool:
-    return p.contains(pt)
-
-
 def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     """The secant invariant of ``pt`` with respect to ``p``.
 

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauge import Gauge, Line, Point, identity_gauge, line_through
+from .harness import CampaignConfig, jsonable, run_campaign
 from .parabola import Parabola, circumparabola, iso_angle_locus
 from .theorems import CompleteQuadrilateral, miquel_quadrilateral, miquel_triangle
 from .triangle import DATriangle, VERTICES, bisector_at, centers, dabct, simson
-from .scalar import format_scalar, parse_scalar
+from .scalar import parse_scalar
 
 
 class SceneError(ValueError):
@@ -143,8 +144,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
     Returns the JSON-able result payload and the drawable primitives for
     figure rendering.
     """
-    from .harness import jsonable
-
     match = _CALL_RE.match(call)
     if not match:
         raise SceneError(f"malformed construction call {call!r}")
@@ -273,8 +272,6 @@ def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
     ``verify=False`` skips the campaigns (used when only a figure is
     wanted).
     """
-    from .harness import CampaignConfig, jsonable, run_campaign
-
     merged = Drawables()
     merged.points.update(scene.points)
     merged.parabolas.update(scene.parabolas)
@@ -300,7 +297,3 @@ def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
         "verified": [json.loads(r) for r in reports],
     }
     return document, merged
-
-
-def scene_scalar(value: Fraction) -> str:
-    return format_scalar(value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
                     line_through, meet, slope_between)
 from .parabola import (Parabola, circumparabola, conparabolic, eliminant,
@@ -56,7 +56,8 @@ def brahmagupta_check(curve: Parabola, e: Point, a: Point, b: Point,
     if curve.chord_slope(d.x, e.x) != curve.chord_slope(a.x, b.x):
         raise DegenerateConfigurationError("DE is not parallel to AB")
     crossing = meet(line_through(a, d), line_through(e, b))
-    assert crossing.is_finite
+    if not crossing.is_finite:
+        raise KernelInvariantError("diagonals AD and EB do not cross")
     return crossing.point.x - (a.x + b.x) / 2
 
 
@@ -256,7 +257,8 @@ def miquel_triangle(t: DATriangle, d: Point, e: Point,
         return MiquelResult(MeetResult.ideal(None), {}, "ideal")
 
     if not (m == via_e == via_d):
-        raise AssertionError("Miquel pairings disagree on the common point")
+        raise KernelInvariantError(
+            "Miquel pairings disagree on the common point")
     memberships = {
         "C_AEF": c_aef.y_at(m.point.x) - m.point.y,
         "C_BFD": c_bfd.y_at(m.point.x) - m.point.y,
@@ -451,5 +453,6 @@ def isogonal_concurrency_check(t: DATriangle,
 
     mirrored = {v: isogonal_spec(s) for v, s in specs.items()}
     round_trip = {v: isogonal_spec(s) for v, s in mirrored.items()}
-    assert round_trip == specs, "isogonal map must be an involution"
+    if round_trip != specs:
+        raise KernelInvariantError("isogonal map must be an involution")
     return IsogonalVerdict(concurrent_for(specs), concurrent_for(mirrored))

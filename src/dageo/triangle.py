@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
                     midpoint, slope_between)
-from .parabola import Parabola, circumparabola
+from .parabola import Parabola, circumparabola, second_intersection
 from .scalar import det3
 
 VERTICES = ("A", "B", "C")
@@ -37,6 +37,7 @@ class DATriangle:
                                                 repr=False)
     _angles: tuple[Fraction, Fraction, Fraction] = field(
         init=False, compare=False, repr=False)
+    _middle: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
@@ -62,6 +63,7 @@ class DATriangle:
         angles = tuple(angles)
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_middle", j)
         # Structural certificates; these are theorems, so a failure here
         # means the kernel itself is broken.
         if sum(angles) != 0:
@@ -94,24 +96,14 @@ class DATriangle:
 
     @property
     def negative_vertex_label(self) -> str:
-        mid = self.sorted_vertices()[1]
-        for label in VERTICES:
-            if self.vertex(label) == mid:
-                return label
-        raise AssertionError("unreachable")
+        return VERTICES[self._middle]
 
-    # -- sides and side slopes ----------------------------------------------
+    # -- sides and side norms ----------------------------------------------
 
     def side(self, label: str) -> Line:
         """Side line opposite the given vertex."""
         u, w = self.others(label)
         return line_through(u, w)
-
-    def side_slopes(self) -> dict[str, Fraction]:
-        """Slopes keyed by the opposite-vertex label (slope of BC under
-        "A" and so on).  No side is singular, so these are plain
-        rationals."""
-        return {label: slope_between(*self.others(label)) for label in VERTICES}
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
         """Norms of (AB, BC, CA)."""
@@ -190,7 +182,9 @@ def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
     v = t.vertex(vertex)
     u, w = t.others(vertex)
     hit = meet(bisector_at(t, vertex, "interior"), t.side(vertex))
-    assert hit.is_finite, "interior bisector cannot miss the opposite side"
+    if not hit.is_finite:
+        raise KernelInvariantError(
+            "interior bisector cannot miss the opposite side")
     d = hit.point
     return da_norm(u, d) * da_norm(v, w) - da_norm(d, w) * da_norm(v, u)
 
@@ -238,12 +232,16 @@ def centers(t: DATriangle) -> CenterSet:
     bis_neg = bisector_at(t, neg, "positive")
 
     incenter = meet(bis_lo, Line.singular(mid.x))
-    assert incenter.is_finite and meet(bis_hi, Line.singular(mid.x)) == incenter
+    if not (incenter.is_finite
+            and meet(bis_hi, Line.singular(mid.x)) == incenter):
+        raise KernelInvariantError("interior bisectors miss a common incenter")
 
     ex_a = meet(bis_lo, bis_neg)   # lands on x = hi.x
     ex_c = meet(bis_hi, bis_neg)   # lands on x = lo.x
-    assert ex_a.is_finite and ex_a.point.x == hi.x
-    assert ex_c.is_finite and ex_c.point.x == lo.x
+    if not (ex_a.is_finite and ex_a.point.x == hi.x):
+        raise KernelInvariantError("excenter off the high vertex axis")
+    if not (ex_c.is_finite and ex_c.point.x == lo.x):
+        raise KernelInvariantError("excenter off the low vertex axis")
     ex_ideal = meet(Line.singular(lo.x), Line.singular(hi.x))
 
     par = t.parabola
@@ -264,7 +262,8 @@ def centers(t: DATriangle) -> CenterSet:
     g = _centroid(t.a, t.b, t.c)
     g_t = _centroid(*(tangent_pts[lbl] for lbl in VERTICES))
     g_i = _centroid(incenter.point, ex_a.point, ex_c.point)
-    assert g_i == midpoint(g, g_t)
+    if g_i != midpoint(g, g_t):
+        raise KernelInvariantError("bisector centroid is not the midpoint")
 
     return CenterSet(incenter.point, ex_a.point, ex_c.point, ex_ideal,
                      g, tangent_triangle, bisector_triangle, g_t, g_i)
@@ -315,8 +314,12 @@ def circum_ortho_at_infinity(t: DATriangle) -> tuple[MeetResult, MeetResult]:
     alts = list(altitudes(t).values())
     circum = meet(pbs[0], pbs[1])
     ortho = meet(alts[0], alts[1])
-    assert circum == meet(pbs[1], pbs[2]) == MeetResult.ideal(None)
-    assert ortho == meet(alts[1], alts[2]) == MeetResult.ideal(None)
+    if not (circum == meet(pbs[1], pbs[2]) == MeetResult.ideal(None)):
+        raise KernelInvariantError("perpendicular bisectors not concurrent "
+                                   "at the singular ideal point")
+    if not (ortho == meet(alts[1], alts[2]) == MeetResult.ideal(None)):
+        raise KernelInvariantError("altitudes not concurrent at the "
+                                   "singular ideal point")
     return circum, ortho
 
 
@@ -329,7 +332,8 @@ def naive_simson(t: DATriangle, p: Point) -> Line:
     if p in (t.a, t.b, t.c):
         raise DegenerateConfigurationError("point coincides with a vertex")
     feet = [foot_of_perpendicular(p, t.side(lbl)) for lbl in VERTICES]
-    assert all(f.x == p.x for f in feet)
+    if not all(f.x == p.x for f in feet):
+        raise KernelInvariantError("perpendicular foot off the point's axis")
     return Line.singular(p.x)
 
 
@@ -349,8 +353,6 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     parallel singular lines (one shared ideal point), and their feet are
     collinear on a line whose slope is exactly m.
     """
-    from .parabola import second_intersection
-
     m = Fraction(m)
     par = t.parabola
     ks = {lbl: second_intersection(par, t.vertex(lbl), m) for lbl in VERTICES}
@@ -362,9 +364,12 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     if len({p.x for p in pts}) < 3:
         raise DegenerateConfigurationError("coincident Simson feet")
     line = line_through(pts[0], pts[1])
-    assert line.contains(pts[2])
-    assert line.m == m
-    assert drop_meet == MeetResult.ideal(None)
+    if not line.contains(pts[2]):
+        raise KernelInvariantError("Simson feet not collinear")
+    if line.m != m:
+        raise KernelInvariantError("Simson line slope differs from m")
+    if drop_meet != MeetResult.ideal(None):
+        raise KernelInvariantError("drop lines not parallel singular lines")
     return SimsonResult(ks, feet, line, drop_meet)
 
 
@@ -434,7 +439,9 @@ def dabct(t: DATriangle) -> DABCTResult:
     feet_chord_for = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
     for lbl in VERTICES:
         hit = meet(t.side(lbl), bis[lbl])
-        assert hit.is_finite, "non-isosceles triangles have finite L points"
+        if not hit.is_finite:
+            raise KernelInvariantError(
+                "non-isosceles triangles have finite L points")
         l_points[lbl] = hit.point
         u, w = feet_chord_for[lbl]
         chord = line_through(feet[u], feet[w])

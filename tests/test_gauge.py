@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Gauge, Line, MeetResult, Point, angle_axiom_checks,
-                         angle_axiom_suite, da_norm, difference_angle,
+                         da_norm, difference_angle,
                          identity_gauge, line_through, meet, normalize_chart,
                          slope_between)
+from dageo.harness import CampaignConfig, run_campaign
 
 small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -156,6 +157,6 @@ class TestAxiomSuite:
         assert difference_angle(pt(0, 0), pt(5, -5), pt(10, 0)) == 2
 
     def test_suite_clean_run(self):
-        report = angle_axiom_suite(seed=7, trials=60, bound=20)
-        assert report["failures"] == 0
-        assert report["first_counterexample"] is None
+        report = run_campaign(CampaignConfig("angle_axioms", 60, 7, 20))
+        assert report.failures == 0
+        assert report.first_counterexample is None

@@ -53,6 +53,11 @@ class TestGenerateConfig:
         shuffled = {i: generate_config("simson", 42, i) for i in order}
         assert all(shuffled[i] == sequential[i] for i in range(12))
 
+    @pytest.mark.parametrize("theorem", sorted(REGISTRY))
+    def test_returns_only_generator_keys(self, theorem):
+        cfg = generate_config(theorem, 42, 3, 20)
+        assert cfg == REGISTRY[theorem].generate(RandomRationals(42, 3, 20))
+
     def test_admissible_ptolemy(self):
         cfg = generate_config("ptolemy", 42, 0)
         assert len(set(cfg["xs"])) == 4

@@ -1,0 +1,50 @@
+"""Certificates and reports under ``python -O``, which strips every
+``assert`` statement: the package must hold no ``assert`` in its source,
+and every registered theorem must report byte for byte what it reports
+without the flag."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import dageo
+from dageo.harness import REGISTRY, CampaignConfig, run_campaign
+
+PACKAGE = Path(dageo.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_reports_identical_under_optimize_flag():
+    script = textwrap.dedent("""
+        import json
+        import sys
+        from dageo.harness import REGISTRY, CampaignConfig, run_campaign
+        if not sys.flags.optimize:
+            sys.exit(3)
+        print(json.dumps({tid: run_campaign(
+            CampaignConfig(tid, 50, 42, 50)).to_json() for tid in REGISTRY}))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    assert sorted(optimized) == sorted(REGISTRY)
+    for tid in REGISTRY:
+        plain = run_campaign(CampaignConfig(tid, 50, 42, 50)).to_json()
+        assert optimized[tid] == plain, tid

@@ -78,6 +78,7 @@ class TestConstruction:
         expected = tuple(by_x[p.x] for p in pts)
         assert t.interior_angles() == expected
         assert tuple(t.angle_at(lbl) for lbl in "ABC") == expected
+        assert t.negative_vertex_label == "ABC"[pts.index(mid)]
 
     def test_interior_angles_standard(self):
         assert on_std(0, 1, 2).interior_angles() == (1, -2, 1)

@@ -106,6 +106,9 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_euclid(args) -> int:
+    if args.trials < 1 or not args.tol > 0:
+        print("error: trials must be >= 1 and tol > 0", file=sys.stderr)
+        return EXIT_INVALID
     report = run_euclid_campaign(args.trials, args.seed, args.tol)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.json:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import det3
+from .scalar import collinear
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -303,7 +303,7 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
             return "subtractive additivity"
 
     # A3 vanishing <=> collinear (no singular ray by construction).
-    if det3((a.x, a.y, 1), (p.x, p.y, 1), (b.x, b.y, 1)) == 0:
+    if collinear(a, p, b):
         if theta != 0:
             return "A3 vanishing on collinear triple"
     elif theta == 0:

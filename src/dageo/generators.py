@@ -4,10 +4,10 @@ campaigns.
 Every generator is a pure function of (campaign seed, trial index, bound):
 the trial seed is derived with a splitmix-style mixer, so campaigns can be
 re-run, resumed or parallelized and still produce identical
-configurations.  Generators rejection-sample until the target theorem's
-preconditions hold and count their rejections; hitting the retry limit
-raises :class:`GeneratorExhaustedError` (a generator bug, never a theorem
-failure).
+configurations.  Generators rejection-sample through
+:meth:`RandomRationals.retrying`, which alone decides that a draw is
+degenerate and counts the rejection; hitting the retry limit raises
+:class:`GeneratorExhaustedError` (a generator bug, never a theorem failure).
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from fractions import Fraction
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Line, Point, line_through, meet, slope_between
 from .parabola import Parabola
-from .scalar import det3
+from .scalar import collinear
 from .theorems import (CevianSpec, CompleteQuadrilateral, cevian_line,
                        miquel_quadrilateral)
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
+RETRY_LIMIT = 10_000        # draws one retrying() call makes before giving up
 
 
 def trial_seed(campaign_seed: int, trial: int) -> int:
@@ -37,12 +38,10 @@ def trial_seed(campaign_seed: int, trial: int) -> int:
 class RandomRationals:
     """Seeded stream of small exact rationals and geometric primitives."""
 
-    def __init__(self, campaign_seed: int, trial: int, bound: int = 50,
-                 retry_limit: int = 10_000):
+    def __init__(self, campaign_seed: int, trial: int, bound: int = 50):
         self.rng = random.Random(trial_seed(campaign_seed, trial))
         self.trial_index = trial
         self.bound = bound
-        self.retry_limit = retry_limit
         self.rejections = 0
 
     # -- scalars ------------------------------------------------------------
@@ -53,7 +52,7 @@ class RandomRationals:
         return Fraction(n, d)
 
     def nonzero_rational(self) -> Fraction:
-        return self.retrying(lambda: self.rational(), lambda v: v != 0)
+        return self.retrying(self.rational, lambda v: v != 0)
 
     def positive_rational(self) -> Fraction:
         n = self.rng.randint(1, self.bound)
@@ -66,24 +65,24 @@ class RandomRationals:
         n = self.rng.randint(1, d - 1)
         return Fraction(n, d)
 
-    def small_positive_int(self, hi: int = 9) -> int:
-        return self.rng.randint(1, hi)
+    def small_positive_int(self) -> int:
+        return self.rng.randint(1, 9)
 
     def distinct_rationals(self, count: int) -> list[Fraction]:
         seen: set[Fraction] = set()
-        while len(seen) < count:
-            v = self.rational()
-            if v in seen:
-                self.rejections += 1
-                if self.rejections > self.retry_limit:
-                    raise GeneratorExhaustedError("distinct rationals")
-            seen.add(v)
+        for _ in range(count):
+            seen.add(self.retrying(self.rational, lambda v: v not in seen))
         return sorted(seen)
 
-    def retrying(self, make, ok):
-        for _ in range(self.retry_limit):
-            value = make()
-            if ok(value):
+    def retrying(self, make, ok=lambda value: True):
+        """First draw of ``make()`` that is not ``None``, not a raised
+        :class:`DegenerateConfigurationError` and not refused by ``ok``."""
+        for _ in range(RETRY_LIMIT):
+            try:
+                value = make()
+            except DegenerateConfigurationError:
+                value = None
+            if value is not None and ok(value):
                 return value
             self.rejections += 1
         raise GeneratorExhaustedError("retry limit exceeded")
@@ -97,15 +96,14 @@ class RandomRationals:
         return Parabola(self.nonzero_rational(), self.rational(),
                         self.rational())
 
-    def triangle(self, curve: Parabola | None = None) -> DATriangle:
-        """Triangle inscribed in a (given or random) parabola."""
-        curve = curve or self.parabola()
+    def triangle(self) -> DATriangle:
+        """Triangle inscribed in a random parabola."""
+        curve = self.parabola()
         xs = self.distinct_rationals(3)
         return DATriangle(*(curve.point_at(x) for x in xs))
 
-    def scalene_triangle(self, curve: Parabola | None = None) -> DATriangle:
-        return self.retrying(lambda: self.triangle(curve),
-                             lambda t: not t.is_isosceles)
+    def scalene_triangle(self) -> DATriangle:
+        return self.retrying(self.triangle, lambda t: not t.is_isosceles)
 
     def free_triangle(self) -> DATriangle:
         """Triangle from free points (not forced onto a given parabola)."""
@@ -113,10 +111,10 @@ class RandomRationals:
             pts = [self.point() for _ in range(3)]
             if len({p.x for p in pts}) != 3:
                 return None
-            if det3(*(((p.x, p.y, 1)) for p in pts)) == 0:
+            if collinear(*pts):
                 return None
             return DATriangle(*pts)
-        return self.retrying(make, lambda t: t is not None)
+        return self.retrying(make)
 
     def angle_configuration(self) -> tuple[Point, Point, Point]:
         """(A, P, B) with P off the line AB and both rays non-singular."""
@@ -124,10 +122,10 @@ class RandomRationals:
             a, p, b = (self.point() for _ in range(3))
             if p.x in (a.x, b.x) or a == b:
                 return None
-            if det3((a.x, a.y, 1), (p.x, p.y, 1), (b.x, b.y, 1)) == 0:
+            if collinear(a, p, b):
                 return None
             return a, p, b
-        return self.retrying(make, lambda v: v is not None)
+        return self.retrying(make)
 
     def point_on_side(self, u: Point, w: Point) -> Point:
         """Strictly interior point of the segment UW (never an endpoint)."""
@@ -137,13 +135,10 @@ class RandomRationals:
     def complete_quadrilateral(self) -> CompleteQuadrilateral:
         def make():
             lines = [Line(self.rational(), self.rational()) for _ in range(4)]
-            try:
-                quad = CompleteQuadrilateral(*lines)
-                miquel_quadrilateral(quad)  # rejects tangent degeneracies
-            except DegenerateConfigurationError:
-                return None
+            quad = CompleteQuadrilateral(*lines)
+            miquel_quadrilateral(quad)  # rejects tangent degeneracies
             return quad
-        return self.retrying(make, lambda q: q is not None)
+        return self.retrying(make)
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
         """Independent feet strictly inside the three sides."""
@@ -166,17 +161,12 @@ class RandomRationals:
                 return None
             feet = []
             for v, lbl in ((t.a, "A"), (t.b, "B"), (t.c, "C")):
-                if v == q:
-                    return None
                 hit = meet(line_through(v, q), t.side(lbl))
                 if not hit.is_finite or hit.point in (t.a, t.b, t.c):
                     return None
-                u, w = t.others(lbl)
-                if hit.point.x in (u.x, w.x):
-                    return None
                 feet.append(hit.point)
             return tuple(feet)
-        return self.retrying(make, lambda v: v is not None)
+        return self.retrying(make)
 
     def cevian_specs(self, t: DATriangle,
                      mixed: bool) -> dict[str, CevianSpec]:
@@ -231,4 +221,4 @@ class RandomRationals:
                 return None
             sc = CevianSpec((gamma, 1 - gamma), base=bases["C"])
             return {"A": sa, "B": sb, "C": sc}
-        return self.retrying(make, lambda v: v is not None)
+        return self.retrying(make)

@@ -25,7 +25,7 @@ from .gauge import (Line, MeetResult, Point, angle_axiom_checks,
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
-from .scalar import format_scalar
+from .scalar import collinear, format_scalar
 from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        centers, circum_ortho_at_infinity, dabct,
                        midpoint_lemma_check, side_norm_equation, simson)
@@ -415,17 +415,14 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
         pa = curve.point_at(a)
         d_off = Point(pa.x + s, pa.y + s * slope_bc)
         pts = (pa, curve.point_at(b), curve.point_at(c), d_off)
-        try:
-            verdict = th.trapezoid_equivalence(*pts)
-        except DegenerateConfigurationError:
-            return None
+        verdict = th.trapezoid_equivalence(*pts)
         if curve.contains(d_off):
             return None
         if verdict.is_isosceles_trapezoid:
             # legs happened to be equal; that would be the inscribed case
             return None
         return d_off
-    d_off = rng.retrying(make_negative, lambda v: v is not None)
+    d_off = rng.retrying(make_negative)
     return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}
 
 
@@ -456,28 +453,17 @@ def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
         x = rng.point()
         if x.x in (xa, xb) or gamma.contains(x):
             return None
-        try:
-            delta = circumparabola(a, b, x)
-        except DegenerateConfigurationError:
-            return None
-        forbidden = set()
-        for curve, at in ((gamma, xa), (delta, xa)):
-            forbidden.add(2 * curve.kappa * at + curve.beta)
+        delta = circumparabola(a, b, x)
+        # Neither chord slope may be tangent to either curve.
         m_a = rng.rational()
-        if m_a in forbidden:
+        if m_a in {2 * c.kappa * xa + c.beta for c in (gamma, delta)}:
             return None
-        forbidden_b = set()
-        for curve, at in ((gamma, xb), (delta, xb)):
-            forbidden_b.add(2 * curve.kappa * at + curve.beta)
         m_b = rng.rational()
-        if m_b in forbidden_b:
+        if m_b in {2 * c.kappa * xb + c.beta for c in (gamma, delta)}:
             return None
-        try:
-            th.intersecting_parabolas_check(gamma, delta, m_a, m_b)
-        except DegenerateConfigurationError:
-            return None
+        th.intersecting_parabolas_check(gamma, delta, m_a, m_b)
         return {"gamma": gamma, "delta": delta, "m_a": m_a, "m_b": m_b}
-    return rng.retrying(make, lambda v: v is not None)
+    return rng.retrying(make)
 
 
 def _check_intersecting_parabolas(cfg: dict) -> TrialResult:
@@ -514,12 +500,9 @@ def _gen_arc_symmetry(rng: RandomRationals) -> dict:
         lo, mid, hi = t.sorted_vertices()
         lam = rng.fraction_in_unit_interval()
         p = mid.x + lam * (hi.x - mid.x)
-        try:
-            th.arc_symmetry_check(t, p)
-        except DegenerateConfigurationError:
-            return None
+        th.arc_symmetry_check(t, p)
         return {"T": t, "p": p}
-    return rng.retrying(make, lambda v: v is not None)
+    return rng.retrying(make)
 
 
 def _check_arc_symmetry(cfg: dict) -> TrialResult:
@@ -543,21 +526,22 @@ def _gen_miquel_triangle(rng: RandomRationals) -> dict:
     def make():
         t = rng.free_triangle()
         d, e, f = rng.cevian_feet(t)
-        try:
-            th.miquel_triangle(t, d, e, f)
-        except DegenerateConfigurationError:
-            return None
+        th.miquel_triangle(t, d, e, f)
         return {"T": t, "D": d, "E": e, "F": f}
-    return rng.retrying(make, lambda v: v is not None)
+    return rng.retrying(make)
 
 
-def _check_miquel_triangle(cfg: dict) -> TrialResult:
-    result = th.miquel_triangle(cfg["T"], cfg["D"], cfg["E"], cfg["F"])
+def _miquel_verdict(result: th.MiquelResult) -> TrialResult:
     if result.kind == "ideal":
         return TrialResult.ok("ideal")
     if any(r != 0 for r in result.memberships.values()):
         return TrialResult.fail("membership residual nonzero", "finite")
     return TrialResult.ok("finite")
+
+
+def _check_miquel_triangle(cfg: dict) -> TrialResult:
+    return _miquel_verdict(
+        th.miquel_triangle(cfg["T"], cfg["D"], cfg["E"], cfg["F"]))
 
 
 register(Theorem("miquel_triangle",
@@ -583,12 +567,7 @@ def _gen_miquel_quadrilateral(rng: RandomRationals) -> dict:
 
 
 def _check_miquel_quadrilateral(cfg: dict) -> TrialResult:
-    result = th.miquel_quadrilateral(cfg["quad"])
-    if result.kind == "ideal":
-        return TrialResult.ok("ideal")
-    if any(r != 0 for r in result.memberships.values()):
-        return TrialResult.fail("membership residual nonzero", "finite")
-    return TrialResult.ok("finite")
+    return _miquel_verdict(th.miquel_quadrilateral(cfg["quad"]))
 
 
 register(Theorem("miquel_quadrilateral",
@@ -602,12 +581,9 @@ def _gen_ceva(rng: RandomRationals) -> dict:
 
     def make_free():
         feet = rng.cevian_feet(t)
-        try:
-            th.ceva_product(t, *feet)
-        except DegenerateConfigurationError:
-            return None
+        th.ceva_product(t, *feet)
         return feet
-    free_feet = rng.retrying(make_free, lambda v: v is not None)
+    free_feet = rng.retrying(make_free)
     return {"T": t, "concurrent": concurrent_feet, "free": free_feet}
 
 
@@ -643,21 +619,15 @@ def _gen_menelaus(rng: RandomRationals) -> dict:
             hit = meet(line, t.side(lbl))
             if not hit.is_finite or hit.point in (t.a, t.b, t.c):
                 return None
-            u, w = t.others(lbl)
-            if hit.point.x in (u.x, w.x):
-                return None
             feet.append(hit.point)
         return tuple(feet)
-    collinear_feet = rng.retrying(make_transversal, lambda v: v is not None)
+    collinear_feet = rng.retrying(make_transversal)
 
     def make_free():
         feet = rng.cevian_feet(t)
-        try:
-            th.menelaus_product(t, *feet)
-        except DegenerateConfigurationError:
-            return None
+        th.menelaus_product(t, *feet)
         return feet
-    free_feet = rng.retrying(make_free, lambda v: v is not None)
+    free_feet = rng.retrying(make_free)
     return {"T": t, "collinear": collinear_feet, "free": free_feet}
 
 
@@ -666,11 +636,11 @@ def _check_menelaus(cfg: dict) -> TrialResult:
     d, e, f = cfg["collinear"]
     if th.menelaus_product(t, d, e, f) != -1:
         return TrialResult.fail("transversal feet with product != -1")
-    if not th.transversal_collinear(d, e, f):
+    if not collinear(d, e, f):
         return TrialResult.fail("det oracle rejected transversal feet")
     d, e, f = cfg["free"]
     minus_one = th.menelaus_product(t, d, e, f) == -1
-    collin = th.transversal_collinear(d, e, f)
+    collin = collinear(d, e, f)
     if minus_one != collin:
         return TrialResult.fail("menelaus biconditional violated")
     return TrialResult.ok()
@@ -761,7 +731,7 @@ def _gen_mn_division(rng: RandomRationals) -> dict:
         if (a + 2 * b) / 3 == p:  # probe point of the linearity check
             return None
         return {"a": a, "b": b, "p": p, "m": m, "n": n}
-    return rng.retrying(make, lambda v: v is not None)
+    return rng.retrying(make)
 
 
 def _check_mn_division(cfg: dict) -> TrialResult:
@@ -905,13 +875,9 @@ def _gen_diag_section(rng: RandomRationals) -> dict:
     def make():
         curve = rng.parabola()
         xs = rng.distinct_rationals(4)
-        pts = [curve.point_at(x) for x in xs]
-        try:
-            eq.diag_section_similarity(*pts)
-        except DegenerateConfigurationError:
-            return None
+        eq.diag_section_similarity(*(curve.point_at(x) for x in xs))
         return {"curve": curve, "xs": xs}
-    return rng.retrying(make, lambda v: v is not None)
+    return rng.retrying(make)
 
 
 def _check_diag_section(cfg: dict) -> TrialResult:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import QuadraticPoly, det3, other_root
+from .scalar import QuadraticPoly, collinear, other_root
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,6 @@ def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
 def conparabolic(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Whether four points (pairwise distinct x) lie on one vertical-axis
     parabola."""
-    if det3((a.x, a.y, 1), (b.x, b.y, 1), (c.x, c.y, 1)) == 0:
+    if collinear(a, b, c):
         return False
     return circumparabola(a, b, c).contains(d)

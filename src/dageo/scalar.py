@@ -39,7 +39,7 @@ def parse_scalar(text: str) -> Fraction:
     if "/" in body:
         num, den = body.split("/")
         if int(den) == 0:
-            raise ZeroDivisionError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(body)
 

@@ -65,6 +65,9 @@ class Scene:
     def from_dict(cls, data: dict) -> "Scene":
         if not isinstance(data, dict):
             raise SceneError("scene must be a JSON object")
+        for key in ("points", "parabolas", "triangles"):
+            if not isinstance(data.get(key, {}), dict):
+                raise SceneError(f"{key!r} must be a JSON object")
         gauge = None
         if "gauge" in data:
             g = data["gauge"]
@@ -264,7 +267,7 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
 
 
 def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
-              bound: int = 50, verify: bool = True) -> tuple[dict, Drawables]:
+              verify: bool = True) -> tuple[dict, Drawables]:
     """Apply every construction and run every requested theorem campaign.
 
     Returns the result document plus the merged drawables of all
@@ -288,7 +291,7 @@ def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
 
     reports = []
     for theorem_id in scene.verify if verify else ():
-        cfg = CampaignConfig(theorem_id, trials=trials, seed=seed, bound=bound)
+        cfg = CampaignConfig(theorem_id, trials=trials, seed=seed)
         reports.append(run_campaign(cfg).to_json())
 
     document = {

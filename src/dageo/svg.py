@@ -16,6 +16,7 @@ _POINT_STYLE = 'fill="#b2182b"'
 _LINE_STYLE = 'stroke="#2166ac" stroke-width="0.7%" fill="none"'
 _CURVE_STYLE = 'stroke="#4d9221" stroke-width="0.7%" fill="none"'
 _TEXT_STYLE = 'font-family="monospace"'
+_WIDTH = 640  # pixels; the height follows the content's aspect ratio
 
 
 def _fmt(value: float) -> str:
@@ -69,7 +70,7 @@ def _parabola_path(curve: Parabola, x_lo: float, x_hi: float) -> str:
             f'{_fmt(p2[0])} {_fmt(p2[1])}')
 
 
-def render_svg(draw: Drawables, width: int = 640) -> str:
+def render_svg(draw: Drawables) -> str:
     """Render drawables into a standalone SVG document string."""
     x_lo, x_hi, y_lo, y_hi = _bounds(draw)
 
@@ -82,7 +83,7 @@ def render_svg(draw: Drawables, width: int = 640) -> str:
                 y_lo, y_hi = min(y_lo, yv), max(y_hi, yv)
 
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
-    scale = width / span_x
+    scale = _WIDTH / span_x
     height = max(span_y * scale, 64.0)
 
     def sx(x: float) -> float:
@@ -92,8 +93,8 @@ def render_svg(draw: Drawables, width: int = 640) -> str:
         return (y_hi - y) * scale  # flip: SVG y grows downward
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {width} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_WIDTH} {_fmt(height)}">'
     ]
     parts.append('<rect width="100%" height="100%" fill="white"/>')
 
@@ -127,7 +128,7 @@ def render_svg(draw: Drawables, width: int = 640) -> str:
             f'x2="{_fmt(seg[2])}" y2="{_fmt(seg[3])}" {_LINE_STYLE}>'
             f'<title>{name}</title></line>')
 
-    radius = max(width, height) * 0.006
+    radius = max(_WIDTH, height) * 0.006
     for name in sorted(draw.points):
         p = draw.points[name]
         cx, cy = sx(float(p.x)), sy(float(p.y))
@@ -145,7 +146,7 @@ def render_svg(draw: Drawables, width: int = 640) -> str:
 
     # Ideal points: labeled arrows pinned to the top frame edge.
     for idx, label in enumerate(sorted(set(draw.ideal))):
-        x = width * (0.15 + 0.2 * idx)
+        x = _WIDTH * (0.15 + 0.2 * idx)
         parts.append(f'<path d="M {_fmt(x)} 24 L {_fmt(x)} 6 '
                      f'M {_fmt(x - 4)} 12 L {_fmt(x)} 6 L {_fmt(x + 4)} 12" '
                      f'stroke="#555555" fill="none" stroke-width="1.5"/>')

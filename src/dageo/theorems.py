@@ -20,7 +20,7 @@ from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
                     line_through, meet, slope_between)
 from .parabola import (Parabola, circumparabola, conparabolic, eliminant,
                        opposite_angle_sum, parabola_meet, second_intersection)
-from .scalar import det3, other_root
+from .scalar import collinear, other_root
 from .triangle import DATriangle, VERTICES
 
 
@@ -167,12 +167,16 @@ def _directed_ratio(u: Point, x: Point, w: Point) -> Fraction:
     return (x.x - u.x) / (w.x - x.x)
 
 
-def _feet_triple_ratio(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
+def _require_feet(t: DATriangle, d: Point, e: Point, f: Point) -> None:
     for foot, lbl in ((d, "A"), (e, "B"), (f, "C")):
         if not t.side(lbl).contains(foot):
             raise DegenerateConfigurationError(f"foot {foot} off side {lbl}")
         if foot in (t.a, t.b, t.c):
             raise DegenerateConfigurationError("foot at a vertex")
+
+
+def _feet_triple_ratio(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
+    _require_feet(t, d, e, f)
     return (_directed_ratio(t.b, d, t.c)
             * _directed_ratio(t.c, e, t.a)
             * _directed_ratio(t.a, f, t.b))
@@ -194,10 +198,6 @@ def menelaus_product(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
     """Same signed product as Ceva over points of the side lines (external
     positions allowed); equals -1 exactly when D, E, F are collinear."""
     return _feet_triple_ratio(t, d, e, f)
-
-
-def transversal_collinear(d: Point, e: Point, f: Point) -> bool:
-    return det3((d.x, d.y, 1), (e.x, e.y, 1), (f.x, f.y, 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,7 @@ def miquel_triangle(t: DATriangle, d: Point, e: Point,
     curve; equal quadratic coefficients put the common point at the axis
     ideal point.  All three pairings are cross-checked for consistency.
     """
-    for foot, lbl in ((d, "A"), (e, "B"), (f, "C")):
-        if not t.side(lbl).contains(foot):
-            raise DegenerateConfigurationError(f"foot {foot} off side {lbl}")
-        if foot in (t.a, t.b, t.c):
-            raise DegenerateConfigurationError("foot at a vertex")
+    _require_feet(t, d, e, f)
     c_aef = circumparabola(t.a, e, f)
     c_bfd = circumparabola(t.b, f, d)
     c_cde = circumparabola(t.c, d, e)
@@ -299,7 +295,7 @@ class CompleteQuadrilateral:
                 raise DegenerateConfigurationError(
                     "shared abscissa in a defining triple; re-normalizing "
                     "the gauge to another chart would restore generality")
-            if det3(*(((p.x, p.y, 1)) for p in triple)) == 0:
+            if collinear(*triple):
                 raise DegenerateConfigurationError(
                     "collinear defining triple")
 

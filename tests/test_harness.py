@@ -6,12 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from dageo.cli import main
-from dageo.errors import GeneratorExhaustedError
-from dageo.generators import RandomRationals, trial_seed
+from dageo.errors import (DegenerateConfigurationError,
+                          GeneratorExhaustedError, KernelInvariantError)
+from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
                            generate_config, jsonable, run_campaign)
 from dageo.scene import Scene, SceneError, apply_construction, run_scene
 from dageo.svg import EmptySceneError, render_svg
+
+
+def _raise(error):
+    def make():
+        raise error("raised inside make")
+    return make
 
 
 class TestSeeding:
@@ -31,10 +38,39 @@ class TestSeeding:
             v = rng.rational()
             assert -7 <= v <= 7 and v.denominator <= 7
 
-    def test_exhaustion_signalled(self):
-        rng = RandomRationals(1, 0, bound=5, retry_limit=3)
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.retrying(lambda: 1, lambda _: False),
+        lambda rng: rng.retrying(lambda: None),
+        lambda rng: rng.retrying(_raise(DegenerateConfigurationError)),
+    ], ids=["refused", "none", "degenerate"])
+    def test_exhaustion_signalled(self, draw):
+        rng = RandomRationals(1, 0, bound=5)
         with pytest.raises(GeneratorExhaustedError):
-            rng.retrying(lambda: 1, lambda _: False)
+            draw(rng)
+        assert rng.rejections == RETRY_LIMIT
+
+    def test_kernel_invariant_error_propagates(self):
+        rng = RandomRationals(1, 0, bound=5)
+        with pytest.raises(KernelInvariantError):
+            rng.retrying(_raise(KernelInvariantError))
+        assert rng.rejections == 0
+
+    def test_rejections_counted_and_accepted_value_returned(self):
+        rng = RandomRationals(1, 0, bound=5)
+        draws = iter([None, 0, 3])
+        assert rng.retrying(lambda: next(draws), lambda v: v != 0) == 3
+        assert rng.rejections == 2
+
+    def test_distinct_rationals_exhausts_past_the_value_count(self):
+        # bound 2 admits only 7 rationals: 0, +-1/2, +-1, +-2
+        with pytest.raises(GeneratorExhaustedError):
+            RandomRationals(1, 0, bound=2).distinct_rationals(8)
+
+    def test_distinct_rationals_limit_is_per_draw(self):
+        # rejections spent by earlier draws of the trial do not exhaust it
+        rng = RandomRationals(1, 0, bound=2)
+        rng.rejections = RETRY_LIMIT
+        assert len(set(rng.distinct_rationals(7))) == 7
 
 
 class TestGenerateConfig:
@@ -144,6 +180,11 @@ class TestScene:
         with pytest.raises(SceneError):
             Scene.from_dict({"triangles": {"T": ["A", "B", "C"]}})
 
+    @pytest.mark.parametrize("key", ["points", "parabolas", "triangles"])
+    def test_namespace_must_be_an_object(self, key):
+        with pytest.raises(SceneError, match=key):
+            Scene.from_dict({key: [["0", "0"]]})
+
     def test_duplicate_names(self):
         data = {"points": {"A": ["0", "0"]},
                 "parabolas": {"A": {"kappa": "1", "beta": "0", "gamma": "0"}}}
@@ -252,6 +293,12 @@ class TestCli:
                      "--svg", str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<svg")
 
+    def test_construct_zero_denominator(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": {"P": ["1/0", "0"]}}))
+        assert main(["construct", "--scene", str(bad)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_construct_invalid_scene(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"triangles\": {\"T\": [\"A\",\"B\",\"C\"]}}")
@@ -260,6 +307,12 @@ class TestCli:
     def test_euclid_export(self, capsys):
         assert main(["euclid-export", "--trials", "50", "--tol", "1e-9"]) == 0
         assert "PASS euclid_export" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--trials=0", "--trials=-3",
+                                        "--tol=0", "--tol=-1e-9"])
+    def test_euclid_export_rejects_vacuous_options(self, option, capsys):
+        assert main(["euclid-export", option]) == 2
+        assert "PASS" not in capsys.readouterr().out
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -1,7 +1,8 @@
 """Certificates and reports under ``python -O``, which strips every
 ``assert`` statement: the package must hold no ``assert`` in its source,
 and every registered theorem must report byte for byte what it reports
-without the flag."""
+without the flag.  A source guard also keeps the generator layer's one
+rejection rule in one place."""
 
 import ast
 import json
@@ -26,6 +27,30 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def _is_rejection_wrapper(node) -> bool:
+    """``except DegenerateConfigurationError: return None``."""
+    caught = node.type
+    name = getattr(caught, "id", None) or getattr(caught, "attr", None)
+    if name != "DegenerateConfigurationError" or len(node.body) != 1:
+        return False
+    body = node.body[0]
+    return isinstance(body, ast.Return) and (
+        body.value is None or (isinstance(body.value, ast.Constant)
+                               and body.value.value is None))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_degenerate_rejection_wrappers(path):
+    # RandomRationals.retrying alone turns a degenerate draw into a
+    # rejection; a generator lets the kernel's error propagate to it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler)
+             and _is_rejection_wrapper(node)]
+    assert lines == [], f"{path.name}: rejection wrapper at lines {lines}"
 
 
 def test_reports_identical_under_optimize_flag():

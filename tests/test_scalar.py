@@ -48,7 +48,7 @@ class TestParseScalar:
     @pytest.mark.parametrize("bad", ["", "1/0", "x", "1e3", "1/2/3", "nan",
                                      "1.2.3", "0x10"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(ValueError):
             parse_scalar(bad)
 
     @given(rationals)

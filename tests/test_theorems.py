@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import Line, Point, line_through, meet
 from dageo.parabola import Parabola, circumparabola
+from dageo.scalar import collinear
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, ceva_product,
                             cevians_concurrent, brahmagupta_check,
                             intersecting_parabolas_check, isogonal_concurrency_check,
                             arc_symmetry_check, menelaus_product,
                             miquel_quadrilateral, miquel_triangle,
                             mn_division_check, ptolemy_residual,
-                            singular_projective_length, transversal_collinear,
-                            trapezoid_equivalence)
+                            singular_projective_length, trapezoid_equivalence)
 from dageo.triangle import DATriangle
 
 STD = Parabola(F(1), F(0), F(0))
@@ -171,7 +171,7 @@ class TestCevaMenelaus:
         assert cevians_concurrent(t, d, e, f)
         # midpoints are never collinear: Menelaus must reject them
         assert menelaus_product(t, d, e, f) == 1
-        assert not transversal_collinear(d, e, f)
+        assert not collinear(d, e, f)
 
     def test_incenter_cevians(self):
         t = on_std(0, 1, 2)
@@ -192,14 +192,14 @@ class TestCevaMenelaus:
         t = on_std(0, 1, 3)
         d, e, f = pt(F(3, 2), 3), pt(-3, -9), pt(F(3, 5), F(3, 5))
         assert menelaus_product(t, d, e, f) == -1
-        assert transversal_collinear(d, e, f)
+        assert collinear(d, e, f)
 
     def test_random_transversal(self):
         t = on_std(-1, 0, 2)
         cut = Line(F(7), F(1))
         feet = [meet(cut, t.side(lbl)).point for lbl in ("A", "B", "C")]
         assert menelaus_product(t, *feet) == -1
-        assert transversal_collinear(*feet)
+        assert collinear(*feet)
 
     def test_vertex_foot_rejected(self):
         t = on_std(0, 1, 2)

@@ -17,9 +17,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import Point, line_through, meet
+from .gauge import Point, da_norm, line_through, meet
 from .parabola import Parabola, conparabolic
 from .scalar import det3
+from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
 Correspondence = dict[str, str]  # vertex label of T1 -> vertex label of T2
@@ -44,10 +45,6 @@ class EquivalenceVerdict:
     angle_pairs: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _side_norm(t: DATriangle, u: str, w: str) -> Fraction:
-    return abs(t.vertex(u).x - t.vertex(w).x)
-
-
 def classify_pair(t1: DATriangle, t2: DATriangle,
                   corr: Correspondence = IDENTITY) -> EquivalenceVerdict:
     """Evaluate every tier for a pair of triangles under an explicit
@@ -55,7 +52,8 @@ def classify_pair(t1: DATriangle, t2: DATriangle,
     _check_correspondence(corr)
     side_labels = [("A", "B"), ("B", "C"), ("C", "A")]
     sides = tuple(
-        (_side_norm(t1, u, w), _side_norm(t2, corr[u], corr[w]))
+        (da_norm(t1.vertex(u), t1.vertex(w)),
+         da_norm(t2.vertex(corr[u]), t2.vertex(corr[w])))
         for u, w in side_labels
     )
     angles1 = {lbl: t1.angle_at(lbl) for lbl in VERTICES}
@@ -211,18 +209,10 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     h_a, h_b, h_c = feet
     residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
 
-    menelaus = None
-    ratios = []
-    cyclic = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
-    for foot, lbl in zip(feet, VERTICES):
-        u, w = cyclic[lbl]
-        du = foot.x - t2.vertex(u).x
-        dw = t2.vertex(w).x - foot.x
-        if dw == 0:
-            break
-        ratios.append(du / dw)
-    else:
-        menelaus = ratios[0] * ratios[1] * ratios[2]
+    try:
+        menelaus = menelaus_product(t2, *feet)
+    except DegenerateConfigurationError:
+        menelaus = None
     return FeetCollinearity(tuple(feet), residual, menelaus)
 
 

@@ -175,7 +175,7 @@ def line_through(a: Point, b: Point) -> Line:
     return Line(m, a.y - m * a.x)
 
 
-class MeetResult:
+class MeetResult(NamedTuple):
     """Uniform answer type for incidence queries.
 
     Variants: a finite point, an ideal point carrying the shared direction
@@ -183,18 +183,14 @@ class MeetResult:
     lines, or an empty intersection.
     """
 
+    kind: str
+    point: Point | None = None
+    direction: Slope = None
+
     AT = "at"
     IDEAL = "ideal"
     COINCIDENT = "coincident"
     EMPTY = "empty"
-
-    __slots__ = ("kind", "point", "direction")
-
-    def __init__(self, kind: str, point: Point | None = None,
-                 direction: Slope = None):
-        self.kind = kind
-        self.point = point
-        self.direction = direction
 
     @classmethod
     def at(cls, p: Point) -> "MeetResult":
@@ -219,15 +215,6 @@ class MeetResult:
     @property
     def is_ideal(self) -> bool:
         return self.kind == self.IDEAL
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MeetResult)
-                and self.kind == other.kind
-                and self.point == other.point
-                and self.direction == other.direction)
-
-    def __hash__(self):
-        return hash((self.kind, self.point, self.direction))
 
     def __repr__(self) -> str:
         if self.kind == self.AT:

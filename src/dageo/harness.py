@@ -13,7 +13,7 @@ mutation control: a healthy harness must catch it within a few trials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -132,34 +132,14 @@ class TheoremReport:
     first_counterexample: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "seed": self.seed,
-            "bound": self.bound,
-            "rejections": self.rejections,
-            "kinds": self.kinds,
-        }
-        if self.first_counterexample is not None:
-            payload["first_counterexample"] = self.first_counterexample
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.first_counterexample is None:
+            del payload["first_counterexample"]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TheoremReport":
-        data = json.loads(text)
-        return cls(
-            theorem=data["theorem"],
-            trials=data["trials"],
-            failures=data["failures"],
-            skipped=data["skipped"],
-            seed=data["seed"],
-            bound=data["bound"],
-            rejections=data["rejections"],
-            kinds=data.get("kinds", {}),
-            first_counterexample=data.get("first_counterexample"),
-        )
+        return cls(**json.loads(text))
 
 
 REGISTRY: dict[str, Theorem] = {}

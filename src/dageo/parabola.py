@@ -144,14 +144,13 @@ def eliminant(p1: Parabola, p2: Parabola) -> QuadraticPoly:
                          p1.gamma - p2.gamma)
 
 
-def parabola_meet(p1: Parabola, p2: Parabola,
-                  known_common: Point | None = None) -> list[MeetResult]:
+def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
     """Intersection of two vertical-axis parabolas.
 
-    Distinct quadratic coefficients give a quadratic eliminant: with a known
-    shared point the second meet comes from Vieta; without one, roots are
-    produced only when the discriminant is a perfect rational square
-    (otherwise :class:`IrrationalIntersectionError`).  Equal coefficients
+    Distinct quadratic coefficients give a quadratic eliminant whose roots
+    are produced only when its discriminant is a perfect rational square
+    (otherwise :class:`IrrationalIntersectionError`); use
+    :func:`second_meet` when a shared point is known.  Equal coefficients
     give at most one finite meet, and the second Miquel-style intersection
     is the ideal point of the common axis direction.
     """
@@ -164,12 +163,6 @@ def parabola_meet(p1: Parabola, p2: Parabola,
             return [MeetResult.empty()]
         x = -q.c0 / q.c1
         return [MeetResult.at(p1.point_at(x)), MeetResult.ideal(None)]
-    if known_common is not None:
-        if not (p1.contains(known_common) and p2.contains(known_common)):
-            raise DegenerateConfigurationError(
-                "known_common is not on both parabolas")
-        x2 = other_root(q, known_common.x)
-        return [MeetResult.at(known_common), MeetResult.at(p1.point_at(x2))]
     roots = q.rational_roots()
     if roots is None:
         raise IrrationalIntersectionError(
@@ -177,6 +170,22 @@ def parabola_meet(p1: Parabola, p2: Parabola,
     if not roots:
         return [MeetResult.empty()]
     return [MeetResult.at(p1.point_at(x)) for x in roots]
+
+
+def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
+    """Companion intersection of two parabolas through their shared point,
+    by Vieta on the eliminant; ideal when the quadratic coefficients
+    agree."""
+    if p1 == p2:
+        raise DegenerateConfigurationError("coincident circumparabolas")
+    q = eliminant(p1, p2)
+    if q.c2 == 0:
+        return MeetResult.ideal(None)
+    x2 = other_root(q, shared.x)
+    if x2 == shared.x:
+        raise DegenerateConfigurationError(
+            "circumparabolas tangent at the shared point")
+    return MeetResult.at(p1.point_at(x2))
 
 
 def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,

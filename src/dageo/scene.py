@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauge import Gauge, Line, Point, identity_gauge, line_through
-from .harness import CampaignConfig, jsonable, run_campaign
+from .harness import REGISTRY, CampaignConfig, jsonable, run_campaign
 from .parabola import Parabola, circumparabola, iso_angle_locus
-from .theorems import CompleteQuadrilateral, miquel_quadrilateral, miquel_triangle
+from .theorems import (CompleteQuadrilateral, MiquelResult,
+                       miquel_quadrilateral, miquel_triangle)
 from .triangle import DATriangle, VERTICES, bisector_at, centers, dabct, simson
 from .scalar import parse_scalar
 
@@ -92,7 +93,8 @@ class Scene:
 
         triangles = {}
         for name, labels in data.get("triangles", {}).items():
-            if not (isinstance(labels, list) and len(labels) == 3):
+            if not (isinstance(labels, list) and len(labels) == 3
+                    and all(isinstance(lbl, str) for lbl in labels)):
                 raise SceneError(f"triangle {name!r} needs 3 point names")
             try:
                 pts = [points[lbl] for lbl in labels]
@@ -105,9 +107,17 @@ class Scene:
         if len(all_names) != len(set(all_names)):
             raise SceneError("names must be unique across the scene")
 
+        calls = {key: data.get(key, []) for key in ("construct", "verify")}
+        for key, items in calls.items():
+            if not (isinstance(items, list)
+                    and all(isinstance(i, str) for i in items)):
+                raise SceneError(f"{key!r} must be a list of strings")
+        unknown = [i for i in calls["verify"] if i not in REGISTRY]
+        if unknown:
+            raise SceneError(f"unknown theorem ids in 'verify': {unknown}")
+
         return cls(gauge, points, parabolas, triangles,
-                   list(data.get("construct", [])),
-                   list(data.get("verify", [])))
+                   list(calls["construct"]), list(calls["verify"]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +170,15 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         if len(args) != len(kinds) or \
                 not all(isinstance(a, k) for a, k in zip(args, kinds)):
             raise SceneError(f"{name} expects {kinds}, got {call!r}")
+
+    def draw_miquel(res: MiquelResult) -> dict:
+        draw.parabolas.update(res.curves)
+        if res.point.is_finite:
+            draw.points["M"] = res.point.point
+        else:
+            draw.ideal.append("M")
+        return {"miquel_point": res.point, "kind": res.kind,
+                "memberships": res.memberships}
 
     if name == "centers":
         expect([DATriangle])
@@ -234,32 +253,15 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
             draw.points[lbl] = t.vertex(lbl)
         for lbl, pt in zip(("D", "E", "F"), (d, e, f)):
             draw.points[lbl] = pt
-        for name2, pts in (("C_AEF", (t.a, e, f)), ("C_BFD", (t.b, f, d)),
-                           ("C_CDE", (t.c, d, e))):
-            draw.parabolas[name2] = circumparabola(*pts)
-        if res.point.is_finite:
-            draw.points["M"] = res.point.point
-        else:
-            draw.ideal.append("M")
-        result = {"miquel_point": res.point, "kind": res.kind,
-                  "memberships": res.memberships}
+        result = draw_miquel(res)
     elif name == "miquel_quadrilateral":
         expect([Point, Point, Point, Point])
         a, b, c, d = args
         quad = CompleteQuadrilateral(
             *(line_through(p, q)
               for p, q in ((a, b), (b, c), (c, d), (d, a))))
-        res = miquel_quadrilateral(quad)
-        for lbl, pt in quad.points().items():
-            draw.points[lbl] = pt
-        for name2, pts in quad.defining_triples().items():
-            draw.parabolas[name2] = circumparabola(*pts)
-        if res.point.is_finite:
-            draw.points["M"] = res.point.point
-        else:
-            draw.ideal.append("M")
-        result = {"miquel_point": res.point, "kind": res.kind,
-                  "memberships": res.memberships}
+        draw.points.update(quad.points())
+        result = draw_miquel(miquel_quadrilateral(quad))
     else:
         raise SceneError(f"unknown construction {name!r}")
 

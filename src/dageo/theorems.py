@@ -11,16 +11,17 @@ stays rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
                     line_through, meet, slope_between)
-from .parabola import (Parabola, circumparabola, conparabolic, eliminant,
-                       opposite_angle_sum, parabola_meet, second_intersection)
-from .scalar import collinear, other_root
+from .parabola import (Parabola, circumparabola, conparabolic,
+                       opposite_angle_sum, parabola_meet, second_intersection,
+                       second_meet)
+from .scalar import collinear
 from .triangle import DATriangle, VERTICES
 
 
@@ -169,7 +170,9 @@ def _directed_ratio(u: Point, x: Point, w: Point) -> Fraction:
 
 def _require_feet(t: DATriangle, d: Point, e: Point, f: Point) -> None:
     for foot, lbl in ((d, "A"), (e, "B"), (f, "C")):
-        if not t.side(lbl).contains(foot):
+        u, w = t.others(lbl)
+        # foot on the side line UW, cross-multiplied (x_U != x_W)
+        if (foot.y - u.y) * (w.x - u.x) != (w.y - u.y) * (foot.x - u.x):
             raise DegenerateConfigurationError(f"foot {foot} off side {lbl}")
         if foot in (t.a, t.b, t.c):
             raise DegenerateConfigurationError("foot at a vertex")
@@ -208,21 +211,17 @@ class MiquelResult(NamedTuple):
     point: MeetResult
     memberships: dict[str, Fraction]   # curve label -> residual (finite case)
     kind: str                          # "finite" | "ideal"
+    curves: dict[str, Parabola]        # curve label -> circumparabola
 
 
-def _second_meet_via(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
-    """Companion intersection of two circumscribing parabolas through their
-    named shared point; ideal when the quadratic coefficients agree."""
-    if p1 == p2:
-        raise DegenerateConfigurationError("coincident circumparabolas")
-    q = eliminant(p1, p2)
-    if q.c2 == 0:
-        return MeetResult.ideal(None)
-    x2 = other_root(q, shared.x)
-    if x2 == shared.x:
-        raise DegenerateConfigurationError(
-            "circumparabolas tangent at the shared point")
-    return MeetResult.at(p1.point_at(x2))
+def _miquel_result(m: MeetResult,
+                   curves: dict[str, Parabola]) -> MiquelResult:
+    """Package a common point with each curve's membership residual."""
+    if m.is_ideal:
+        return MiquelResult(m, {}, "ideal", curves)
+    memberships = {name: curve.y_at(m.point.x) - m.point.y
+                   for name, curve in curves.items()}
+    return MiquelResult(m, memberships, "finite", curves)
 
 
 def miquel_triangle(t: DATriangle, d: Point, e: Point,
@@ -236,13 +235,14 @@ def miquel_triangle(t: DATriangle, d: Point, e: Point,
     ideal point.  All three pairings are cross-checked for consistency.
     """
     _require_feet(t, d, e, f)
-    c_aef = circumparabola(t.a, e, f)
-    c_bfd = circumparabola(t.b, f, d)
-    c_cde = circumparabola(t.c, d, e)
+    curves = {"C_AEF": circumparabola(t.a, e, f),
+              "C_BFD": circumparabola(t.b, f, d),
+              "C_CDE": circumparabola(t.c, d, e)}
+    c_aef, c_bfd, c_cde = curves.values()
 
-    m = _second_meet_via(c_aef, c_bfd, f)
-    via_e = _second_meet_via(c_aef, c_cde, e)
-    via_d = _second_meet_via(c_bfd, c_cde, d)
+    m = second_meet(c_aef, c_bfd, f)
+    via_e = second_meet(c_aef, c_cde, e)
+    via_d = second_meet(c_bfd, c_cde, d)
 
     if m.is_ideal or via_e.is_ideal or via_d.is_ideal:
         # Every vertical-axis parabola passes through the axis ideal point,
@@ -250,17 +250,10 @@ def miquel_triangle(t: DATriangle, d: Point, e: Point,
         if not (m.is_ideal and via_e.is_ideal and via_d.is_ideal):
             raise DegenerateConfigurationError(
                 "inconsistent finite/ideal Miquel pairings")
-        return MiquelResult(MeetResult.ideal(None), {}, "ideal")
-
-    if not (m == via_e == via_d):
+    elif not (m == via_e == via_d):
         raise KernelInvariantError(
             "Miquel pairings disagree on the common point")
-    memberships = {
-        "C_AEF": c_aef.y_at(m.point.x) - m.point.y,
-        "C_BFD": c_bfd.y_at(m.point.x) - m.point.y,
-        "C_CDE": c_cde.y_at(m.point.x) - m.point.y,
-    }
-    return MiquelResult(m, memberships, "finite")
+    return _miquel_result(m, curves)
 
 
 @dataclass(frozen=True)
@@ -277,17 +270,21 @@ class CompleteQuadrilateral:
     l2: Line  # carries B, C
     l3: Line  # carries C, D
     l4: Line  # carries D, A
+    _points: dict[str, Point] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lines = (self.l1, self.l2, self.l3, self.l4)
         if any(l.is_singular for l in lines):
             raise DegenerateConfigurationError("singular line in quadrilateral")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not meet(lines[i], lines[j]).is_finite:
-                    raise DegenerateConfigurationError(
-                        "parallel or coincident lines")
-        pts = self.points()
+        pts = {}
+        for label, (i, j) in (("A", (3, 0)), ("B", (0, 1)), ("C", (1, 2)),
+                              ("D", (2, 3)), ("E", (0, 2)), ("F", (1, 3))):
+            hit = meet(lines[i], lines[j])
+            if not hit.is_finite:
+                raise DegenerateConfigurationError(
+                    "parallel or coincident lines")
+            pts[label] = hit.point
+        object.__setattr__(self, "_points", pts)
         if len(set(pts.values())) != 6:
             raise DegenerateConfigurationError("three lines concurrent")
         for triple in self.defining_triples().values():
@@ -300,17 +297,10 @@ class CompleteQuadrilateral:
                     "collinear defining triple")
 
     def points(self) -> dict[str, Point]:
-        return {
-            "A": meet(self.l4, self.l1).point,
-            "B": meet(self.l1, self.l2).point,
-            "C": meet(self.l2, self.l3).point,
-            "D": meet(self.l3, self.l4).point,
-            "E": meet(self.l1, self.l3).point,
-            "F": meet(self.l2, self.l4).point,
-        }
+        return dict(self._points)
 
     def defining_triples(self) -> dict[str, tuple[Point, Point, Point]]:
-        p = self.points()
+        p = self._points
         return {
             "C_ABF": (p["A"], p["B"], p["F"]),
             "C_BCE": (p["B"], p["C"], p["E"]),
@@ -328,15 +318,10 @@ def miquel_quadrilateral(q: CompleteQuadrilateral) -> MiquelResult:
     certificate.  Pairs with equal quadratic coefficient push the common
     point to the axis ideal point, which all four curves contain.
     """
-    triples = q.defining_triples()
-    curves = {name: circumparabola(*pts) for name, pts in triples.items()}
-    b = q.points()["B"]
-    m = _second_meet_via(curves["C_ABF"], curves["C_BCE"], b)
-    if m.is_ideal:
-        return MiquelResult(m, {}, "ideal")
-    memberships = {name: curve.y_at(m.point.x) - m.point.y
-                   for name, curve in curves.items()}
-    return MiquelResult(m, memberships, "finite")
+    curves = {name: circumparabola(*pts)
+              for name, pts in q.defining_triples().items()}
+    m = second_meet(curves["C_ABF"], curves["C_BCE"], q.points()["B"])
+    return _miquel_result(m, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +381,9 @@ class CevianSpec:
     singular: bool = False
 
     def swapped(self) -> "CevianSpec":
+        """The isogonal image of this spec: the division ratio inverts
+        (reflection across the positive-angle bisector); the singular
+        cevian is a fixed point of the map, making the map an involution."""
         if self.singular:
             return self
         return CevianSpec((self.ratio[1], self.ratio[0]), self.base,
@@ -425,13 +413,6 @@ def cevian_line(t: DATriangle, vertex: str, spec: CevianSpec) -> Line:
     return Line(slope, v.y - slope * v.x)
 
 
-def isogonal_spec(spec: CevianSpec) -> CevianSpec:
-    """The isogonal image of a cevian spec: the division ratio inverts
-    (reflection across the positive-angle bisector); the singular cevian is
-    a fixed point of the map, making the map an involution."""
-    return spec.swapped()
-
-
 class IsogonalVerdict(NamedTuple):
     original_concurrent: bool
     isogonal_concurrent: bool
@@ -447,8 +428,8 @@ def isogonal_concurrency_check(t: DATriangle,
     def concurrent_for(ss: dict[str, CevianSpec]) -> bool:
         return concurrent(*(cevian_line(t, v, ss[v]) for v in VERTICES))
 
-    mirrored = {v: isogonal_spec(s) for v, s in specs.items()}
-    round_trip = {v: isogonal_spec(s) for v, s in mirrored.items()}
+    mirrored = {v: s.swapped() for v, s in specs.items()}
+    round_trip = {v: s.swapped() for v, s in mirrored.items()}
     if round_trip != specs:
         raise KernelInvariantError("isogonal map must be an involution")
     return IsogonalVerdict(concurrent_for(specs), concurrent_for(mirrored))

@@ -174,6 +174,16 @@ class TestFinalTheorem:
                         STD.point_at(F(10)))
         assert final_theorem_feet(t1, t2).det_residual == 0
 
+    def test_foot_over_vertex_has_no_menelaus_product(self):
+        # primed abscissae (3, 2, 0), i.e. t0 = 0 in the campaign generator:
+        # the foot from A is the vertex C' and the foot from C is A', so a
+        # directed ratio has a zero denominator and no product is reported
+        t1 = on_std(0, 1, 3)
+        t2 = on_std(3, 2, 0)
+        result = final_theorem_feet(t1, t2)
+        assert result.det_residual == 0
+        assert result.menelaus_product is None
+
     def test_same_order_translate_rejected(self):
         # same-gap translate is label-congruent but orientation-preserving
         t1 = on_std(0, 1, 3)

@@ -180,6 +180,11 @@ class TestScene:
         with pytest.raises(SceneError):
             Scene.from_dict({"triangles": {"T": ["A", "B", "C"]}})
 
+    def test_triangle_labels_must_be_names(self):
+        with pytest.raises(SceneError, match="3 point names"):
+            Scene.from_dict({"points": {"A": ["0", "0"]},
+                             "triangles": {"T": [["A"], "A", "A"]}})
+
     @pytest.mark.parametrize("key", ["points", "parabolas", "triangles"])
     def test_namespace_must_be_an_object(self, key):
         with pytest.raises(SceneError, match=key):
@@ -303,6 +308,26 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"triangles\": {\"T\": [\"A\",\"B\",\"C\"]}}")
         assert main(["construct", "--scene", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("verify", ["nonsense"]),
+        ("verify", "ptolemy"),
+        ("verify", 5),
+        ("construct", 5),
+        ("construct", [5]),
+    ])
+    def test_construct_rejects_bad_call_lists(self, field, value, tmp_path,
+                                              capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(INCENTER_SCENE, **{field: value})))
+        assert main(["construct", "--scene", str(bad)]) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_plot_rejects_bad_call_list(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(INCENTER_SCENE, construct=5)))
+        assert main(["plot", "--scene", str(bad),
+                     "--svg", str(tmp_path / "figure.svg")]) == 2
 
     def test_euclid_export(self, capsys):
         assert main(["euclid-export", "--trials", "50", "--tol", "1e-9"]) == 0

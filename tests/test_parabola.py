@@ -10,8 +10,8 @@ from dageo.gauge import MeetResult, Point, difference_angle
 from dageo.parabola import (Parabola, circumparabola, conparabolic,
                             inscribed_angle_check, iso_angle_locus,
                             opposite_angle_sum, parabola_meet,
-                            parabolic_power, second_intersection, tangent_at,
-                            tangents_from)
+                            parabolic_power, second_intersection, second_meet,
+                            tangent_at, tangents_from)
 from dageo.scalar import det3
 
 STD = Parabola(F(1), F(0), F(0))
@@ -249,9 +249,29 @@ class TestParabolaMeet:
 
     def test_known_common_routes_vieta(self):
         other = Parabola(F(2), F(-3), F(2))
-        hits = parabola_meet(STD, other, known_common=pt(1, 1))
-        assert hits[1] == MeetResult.at(pt(2, 4))
-        assert STD.contains(hits[1].point) and other.contains(hits[1].point)
+        hit = second_meet(STD, other, pt(1, 1))
+        assert hit == MeetResult.at(pt(2, 4))
+        assert STD.contains(hit.point) and other.contains(hit.point)
+
+
+class TestSecondMeet:
+    def test_coincident_curves_rejected(self):
+        with pytest.raises(DegenerateConfigurationError, match="coincident"):
+            second_meet(STD, Parabola(F(1), F(0), F(0)), pt(1, 1))
+
+    def test_equal_kappa_is_ideal(self):
+        # y = x^2 and y = x^2 + x - 1 share (1, 1); the companion is ideal
+        assert second_meet(STD, Parabola(F(1), F(1), F(-1)), pt(1, 1)) \
+            == MeetResult.ideal(None)
+
+    def test_tangency_at_shared_point_rejected(self):
+        # y = 2x^2 - 2x + 1 touches y = x^2 at (1, 1): double root x = 1
+        with pytest.raises(DegenerateConfigurationError, match="tangent"):
+            second_meet(STD, Parabola(F(2), F(-2), F(1)), pt(1, 1))
+
+    def test_shared_point_must_be_common(self):
+        with pytest.raises(ValueError, match="not a root"):
+            second_meet(STD, Parabola(F(2), F(-3), F(2)), pt(3, 9))
 
 
 class TestCyclicPredicates:

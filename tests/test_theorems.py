@@ -201,6 +201,16 @@ class TestCevaMenelaus:
         assert menelaus_product(t, *feet) == -1
         assert collinear(*feet)
 
+    @pytest.mark.parametrize("label", ["A", "B", "C"])
+    def test_foot_off_its_side_rejected(self, label):
+        t = on_std(0, 1, 3)
+        feet = {lbl: t.side(lbl).point_at(F(-1)) for lbl in "ABC"}
+        off = feet[label]
+        feet[label] = Point(off.x, off.y + 1)
+        with pytest.raises(DegenerateConfigurationError,
+                           match=f"off side {label}"):
+            menelaus_product(t, *feet.values())
+
     def test_vertex_foot_rejected(self):
         t = on_std(0, 1, 2)
         with pytest.raises(DegenerateConfigurationError):
@@ -233,6 +243,17 @@ class TestMiquelTriangle:
         with pytest.raises(DegenerateConfigurationError):
             miquel_triangle(t, t.c, pt(1, 2), pt(F(1, 4), F(1, 4)))
 
+    @pytest.mark.parametrize("xs", [(F(5, 4), F(3, 2), F(1, 4)),
+                                    (F(3, 2), F(1), F(1, 2))])
+    def test_curves_are_the_circumparabolas(self, xs):
+        t = on_std(0, 1, 2)
+        d, e, f = (t.side(lbl).point_at(x) for lbl, x in zip("ABC", xs))
+        result = miquel_triangle(t, d, e, f)
+        triples = {"C_AEF": (t.a, e, f), "C_BFD": (t.b, f, d),
+                   "C_CDE": (t.c, d, e)}
+        assert result.curves == {name: circumparabola(*pts)
+                                 for name, pts in triples.items()}
+
 
 class TestMiquelQuadrilateral:
     def make_quad(self):
@@ -245,6 +266,27 @@ class TestMiquelQuadrilateral:
         assert pts["B"] == pt(0, 0)
         assert pts["E"] == pt(7, 0)  # l1 ^ l3
         assert meet(quad.l2, quad.l4).point == pts["F"]
+
+    def test_points_returns_a_copy(self):
+        quad = self.make_quad()
+        triples = quad.defining_triples()
+        pts = quad.points()
+        pts["B"] = pt(100, 100)
+        del pts["A"]
+        assert quad.defining_triples() == triples
+        assert quad.points()["B"] == pt(0, 0)
+
+    @pytest.mark.parametrize("lines", [
+        (Line(F(0), F(0)), Line(F(1), F(0)), Line(F(-1), F(7)),
+         Line(F(3), F(5))),
+        (Line(F(0), F(0)), Line(F(1), F(0)), Line(F(-1), F(6)),
+         Line(F(2), F(6))),
+    ])
+    def test_curves_are_the_circumparabolas(self, lines):
+        quad = CompleteQuadrilateral(*lines)
+        result = miquel_quadrilateral(quad)
+        assert result.curves == {name: circumparabola(*pts)
+                                 for name, pts in quad.defining_triples().items()}
 
     def test_generic_concurrency(self):
         result = miquel_quadrilateral(self.make_quad())

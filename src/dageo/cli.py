@@ -9,7 +9,7 @@ Subcommands::
     dageo euclid-export --trials N --tol 1e-9 [--seed S] [--json out]
 
 Exit codes: 0 all pass, 1 counterexample found, 2 invalid input or scene,
-3 generator exhaustion.
+or a file could not be read or written, 3 generator exhaustion.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import sys
 from .errors import GeneratorExhaustedError
 from .euclid import run_euclid_campaign
 from .harness import CampaignConfig, list_theorems, run_campaign
-from .scene import Scene, SceneError, run_scene
-from .svg import EmptySceneError, render_svg
+from .scene import Scene, run_scene
+from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -42,14 +42,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        report = run_campaign(cfg)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INVALID
-    except GeneratorExhaustedError as exc:
-        print(f"error: generator exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+    report = run_campaign(cfg)
     text = report.to_json()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -74,12 +67,9 @@ def _cmd_construct(args) -> int:
     try:
         scene = _load_scene(args.scene)
         document, _ = run_scene(scene, trials=args.trials, seed=args.seed)
-    except (SceneError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except GeneratorExhaustedError as exc:
-        print(f"error: generator exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -93,10 +83,9 @@ def _cmd_construct(args) -> int:
 def _cmd_plot(args) -> int:
     try:
         scene = _load_scene(args.scene)
-        _, drawables = run_scene(scene, seed=args.seed, verify=False)
+        _, drawables = run_scene(scene, verify=False)
         svg = render_svg(drawables)
-    except (SceneError, EmptySceneError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     with open(args.svg, "w", encoding="utf-8") as handle:
@@ -149,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a scene to SVG")
     p.add_argument("--scene", required=True)
     p.add_argument("--svg", required=True)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("euclid-export",
@@ -165,7 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except GeneratorExhaustedError as exc:
+        print(f"error: generator exhausted: {exc}", file=sys.stderr)
+        return EXIT_EXHAUSTED
 
 
 if __name__ == "__main__":

@@ -114,12 +114,6 @@ def euclid_bisector_collinearity(a: Vec, b: Vec, c: Vec) -> EuclidReport:
     return EuclidReport(coll, conc)
 
 
-def trilinear_identity_witness() -> list[tuple[int, int, int]]:
-    """The trilinear coordinates of the three J points; each satisfies
-    x - y + z = 0 exactly (integer arithmetic)."""
-    return [(0, 1, 1), (1, 0, -1), (1, 1, 0)]
-
-
 def _well_conditioned(a: Vec, b: Vec, c: Vec, min_area: float) -> bool:
     """Keep configurations where the float construction stays far from its
     own singularities (tiny angles or the near-isosceles case AB ~ BC that
@@ -161,8 +155,6 @@ def run_euclid_campaign(trials: int, seed: int,
         worst_conc = max(worst_conc, *report.concurrency_residuals)
         if not report.within(tol):
             failures += 1
-    trilinear_ok = all(x - y + z == 0
-                       for x, y, z in trilinear_identity_witness())
     return {
         "theorem": "euclid_export",
         "trials": trials,
@@ -171,5 +163,4 @@ def run_euclid_campaign(trials: int, seed: int,
         "tolerance": tol,
         "max_collinearity_residual": worst_coll,
         "max_concurrency_residual": worst_conc,
-        "trilinear_identity": trilinear_ok,
     }

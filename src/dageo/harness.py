@@ -117,6 +117,8 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if self.bound < 2:
             raise ValueError("bound must be >= 2")
+        if self.theorem not in REGISTRY:
+            raise ValueError(f"unknown theorem id {self.theorem!r}")
 
 
 @dataclass
@@ -159,9 +161,7 @@ def generate_config(theorem_id: str, seed: int, trial: int,
 
 
 def run_campaign(cfg: CampaignConfig) -> TheoremReport:
-    theorem = REGISTRY.get(cfg.theorem)
-    if theorem is None:
-        raise KeyError(f"unknown theorem id {cfg.theorem!r}")
+    theorem = REGISTRY[cfg.theorem]
     failures = skipped = rejections = 0
     kinds: dict[str, int] = {}
     first = None

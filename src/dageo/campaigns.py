@@ -1,0 +1,848 @@
+"""The theorem registry: one campaign per result of the theory.
+
+Each :class:`Theorem` pairs a generator, which draws a trial's whole
+configuration from one :class:`RandomRationals` stream, with an exact
+checker.  Generic draws live in :mod:`dageo.generators`; a draw that serves
+one theorem lives in its generator here.  "ptolemy_broken" is a mutation
+control: its checker is deliberately wrong, and a healthy harness must
+catch it within a few trials.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from . import equivalence as eq
+from . import theorems as th
+from .errors import DegenerateConfigurationError
+from .gauge import (Line, Point, angle_axiom_checks, difference_angle,
+                    line_through, meet, midpoint, slope_between)
+from .generators import RandomRationals
+from .parabola import (Parabola, circumparabola, inscribed_angle_check,
+                       iso_angle_locus, parabolic_power)
+from .scalar import collinear
+from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
+                       centers, circum_ortho_at_infinity, dabct,
+                       midpoint_lemma_check, side_norm_equation, simson)
+
+
+@dataclass
+class TrialResult:
+    status: str            # "pass" | "fail" | "skip"
+    kind: str = ""         # optional sub-classification
+    reason: str = ""
+
+    @classmethod
+    def ok(cls, kind: str = "") -> "TrialResult":
+        return cls("pass", kind)
+
+    @classmethod
+    def fail(cls, reason: str, kind: str = "") -> "TrialResult":
+        return cls("fail", kind, reason)
+
+    @classmethod
+    def skip(cls, reason: str) -> "TrialResult":
+        return cls("skip", "", reason)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    id: str
+    description: str
+    generate: Callable[[RandomRationals], dict]
+    check: Callable[[dict], TrialResult]
+
+
+REGISTRY: dict[str, Theorem] = {}
+
+
+def register(theorem: Theorem) -> Theorem:
+    if theorem.id in REGISTRY:
+        raise ValueError(f"duplicate theorem id {theorem.id}")
+    REGISTRY[theorem.id] = theorem
+    return theorem
+
+
+def _gen_angle_axioms(rng: RandomRationals) -> dict:
+    def make():
+        # P off the line AB, and both rays from P non-singular.
+        a, p, b = (rng.point() for _ in range(3))
+        if p.x in (a.x, b.x) or a == b or collinear(a, p, b):
+            return None
+        return a, p, b
+    a, p, b = rng.retrying(make)
+    return {"A": a, "P": p, "B": b,
+            "c_param": rng.fraction_in_unit_interval(),
+            "k_scale": rng.positive_rational()}
+
+
+def _check_angle_axioms(cfg: dict) -> TrialResult:
+    verdict = angle_axiom_checks(cfg["A"], cfg["P"], cfg["B"],
+                                 cfg["c_param"], cfg["k_scale"])
+    return TrialResult.ok() if verdict is None else TrialResult.fail(verdict)
+
+
+register(Theorem("angle_axioms",
+                 "angle axioms: antisymmetry, additivity, vanishing, "
+                 "scaling, bisection, vertical/straight angles, norm triple",
+                 _gen_angle_axioms, _check_angle_axioms))
+
+
+def _gen_parabolic_power(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    p = rng.point()
+    secant_xs = rng.retrying(
+        lambda: rng.distinct_rationals(3),
+        lambda xs: all(x != p.x and curve.point_at(x) != p for x in xs))
+    return {"curve": curve, "P": p, "secant_xs": secant_xs}
+
+
+def _check_parabolic_power(cfg: dict) -> TrialResult:
+    curve, p = cfg["curve"], cfg["P"]
+    power = parabolic_power(curve, p)
+    for x1 in cfg["secant_xs"]:
+        c1 = curve.point_at(x1)
+        m = (c1.y - p.y) / (c1.x - p.x)
+        # Second curve intersection of the secant, via the root sum.
+        x2 = (m - curve.beta) / curve.kappa - x1
+        if (x1 - p.x) * (x2 - p.x) != power:
+            return TrialResult.fail(f"secant through x={x1} disagrees")
+    return TrialResult.ok()
+
+
+register(Theorem("parabolic_power",
+                 "secant product through a point is the parabolic power",
+                 _gen_parabolic_power, _check_parabolic_power))
+
+
+def _gen_iso_angle(rng: RandomRationals) -> dict:
+    a, b = rng.distinct_rationals(2)
+    theta = rng.nonzero_rational()
+    xs = rng.retrying(
+        lambda: rng.distinct_rationals(5),
+        lambda vals: all(v not in (a, b) for v in vals))
+    offsets = [rng.nonzero_rational() for _ in range(5)]
+    return {"a": a, "b": b, "theta": theta, "sample_xs": xs,
+            "offsets": offsets}
+
+
+def _check_iso_angle(cfg: dict) -> TrialResult:
+    a = Point(cfg["a"], Fraction(0))
+    b = Point(cfg["b"], Fraction(0))
+    locus = iso_angle_locus(a, b, cfg["theta"])
+    if not (locus.contains(a) and locus.contains(b)):
+        return TrialResult.fail("endpoints escaped the locus")
+    for x, off in zip(cfg["sample_xs"], cfg["offsets"]):
+        on = locus.point_at(x)
+        if difference_angle(a, on, b) != cfg["theta"]:
+            return TrialResult.fail(f"on-locus angle wrong at x={x}")
+        near = Point(on.x, on.y + off)
+        if difference_angle(a, near, b) == cfg["theta"]:
+            return TrialResult.fail(f"off-locus point matched at x={x}")
+    return TrialResult.ok()
+
+
+register(Theorem("iso_angle_locus",
+                 "constant-angle locus over a base segment is a parabola",
+                 _gen_iso_angle, _check_iso_angle))
+
+
+def _gen_triangle_invariants(rng: RandomRationals) -> dict:
+    return {"T": rng.free_triangle(), "T_inscribed": rng.triangle()}
+
+
+def _check_triangle_invariants(cfg: dict) -> TrialResult:
+    for t in (cfg["T"], cfg["T_inscribed"]):
+        angles = t.interior_angles()
+        if sum(angles) != 0:
+            return TrialResult.fail("angle sum nonzero")
+        if sum(1 for v in angles if v < 0) != 1:
+            return TrialResult.fail("negative-angle count != 1")
+        eqn = side_norm_equation(t)
+        if eqn.residual != 0:
+            return TrialResult.fail("side-norm identity violated")
+        if len(set(eqn.norms)) == 1:
+            return TrialResult.fail("equilateral triangle slipped through")
+        circum, ortho = circum_ortho_at_infinity(t)
+        if not (circum.is_ideal and ortho.is_ideal):
+            return TrialResult.fail("circum/orthocenter not at infinity")
+    return TrialResult.ok()
+
+
+register(Theorem("triangle_invariants",
+                 "angle sum 0, unique negative angle, side-norm equation",
+                 _gen_triangle_invariants, _check_triangle_invariants))
+
+
+def _gen_bisector_centers(rng: RandomRationals) -> dict:
+    return {"T": rng.triangle()}
+
+
+def _check_bisector_centers(cfg: dict) -> TrialResult:
+    t = cfg["T"]
+    for lbl in VERTICES:
+        if bisector_ratio_check(t, lbl) != 0:
+            return TrialResult.fail(f"bisector ratio fails at {lbl}")
+    cs = centers(t)  # internal certificates cover excenters and G_I
+    neg = t.negative_vertex_label
+    if cs.incenter.x != t.vertex(neg).x:
+        return TrialResult.fail("incenter off the negative-vertex axis")
+    for lbl in VERTICES:
+        line = bisector_at(t, lbl, "interior")
+        if not line.contains(cs.incenter):
+            return TrialResult.fail(f"incenter misses bisector at {lbl}")
+    verdict = eq.classify_pair(cs.tangent_triangle, t)
+    if not verdict.sim_sss:
+        return TrialResult.fail("tangent triangle not SSS-similar")
+    return TrialResult.ok()
+
+
+register(Theorem("bisector_centers",
+                 "bisector ratio, incenter/excenters, centroid midpoint",
+                 _gen_bisector_centers, _check_bisector_centers))
+
+
+def _gen_ptolemy(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    xs = rng.distinct_rationals(4)
+    return {"curve": curve, "xs": xs}
+
+
+def _check_ptolemy(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
+    if th.ptolemy_residual(a, b, c, d, curve) != 0:
+        return TrialResult.fail("ptolemy residual nonzero")
+    return TrialResult.ok()
+
+
+register(Theorem("ptolemy",
+                 "oriented product identity for conparabolic quadruples",
+                 _gen_ptolemy, _check_ptolemy))
+
+
+def _check_ptolemy_broken(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
+    # Deliberate sign flip: a mutation control for the harness itself.
+    ab, cd = b.x - a.x, d.x - c.x
+    ad, bc = d.x - a.x, c.x - b.x
+    ac, bd = c.x - a.x, d.x - b.x
+    if ab * cd - ad * bc - ac * bd != 0:
+        return TrialResult.fail("mutant residual nonzero (expected)")
+    return TrialResult.ok()
+
+
+register(Theorem("ptolemy_broken",
+                 "mutation control: sign-flipped product identity "
+                 "(must produce counterexamples)",
+                 _gen_ptolemy, _check_ptolemy_broken))
+
+
+def _gen_brahmagupta(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    e, a, b = rng.distinct_rationals(3)
+    d = a + b - e  # exact parallelism constraint, and d > b automatically
+    return {"curve": curve, "xs": (e, a, b, d)}
+
+
+def _check_brahmagupta(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    e, a, b, d = (curve.point_at(x) for x in cfg["xs"])
+    if th.brahmagupta_check(curve, e, a, b, d) != 0:
+        return TrialResult.fail("crossing is off the midpoint axis")
+    return TrialResult.ok()
+
+
+register(Theorem("brahmagupta",
+                 "parallel-chord crossing bisects the opposite chord",
+                 _gen_brahmagupta, _check_brahmagupta))
+
+
+def _gen_trapezoid(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    a, b, c = rng.distinct_rationals(3)
+    d = b + c - a  # inscribed trapezoid: AD parallel to BC, equal legs
+
+    def make_negative():
+        # A genuine one-parallel-pair quadrilateral that is NOT inscribed:
+        # slide D along the parallel through A, off the curve.
+        s = rng.nonzero_rational()
+        slope_bc = curve.chord_slope(b, c)
+        pa = curve.point_at(a)
+        d_off = Point(pa.x + s, pa.y + s * slope_bc)
+        pts = (pa, curve.point_at(b), curve.point_at(c), d_off)
+        verdict = th.trapezoid_equivalence(*pts)
+        if curve.contains(d_off):
+            return None
+        if verdict.is_isosceles_trapezoid:
+            # legs happened to be equal; that would be the inscribed case
+            return None
+        return d_off
+    d_off = rng.retrying(make_negative)
+    return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}
+
+
+def _check_trapezoid(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    a, b, c, d = cfg["xs"]
+    pts = (curve.point_at(a), curve.point_at(b), curve.point_at(c),
+           curve.point_at(d))
+    verdict = th.trapezoid_equivalence(*pts)
+    if verdict != (True, True):
+        return TrialResult.fail(f"inscribed trapezoid verdict {verdict}")
+    neg = th.trapezoid_equivalence(pts[0], pts[1], pts[2], cfg["D_off"])
+    if neg.is_isosceles_trapezoid or neg.is_inscribed_with_parallel_pair:
+        return TrialResult.fail(f"off-curve trapezoid verdict {neg}")
+    return TrialResult.ok()
+
+
+register(Theorem("trapezoid",
+                 "isosceles trapezoid <=> inscribed with a parallel pair",
+                 _gen_trapezoid, _check_trapezoid))
+
+
+def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
+    def make():
+        gamma = rng.parabola()
+        xa, xb = rng.distinct_rationals(2)
+        a, b = gamma.point_at(xa), gamma.point_at(xb)
+        x = rng.point()
+        if x.x in (xa, xb) or gamma.contains(x):
+            return None
+        delta = circumparabola(a, b, x)
+        # Neither chord slope may be tangent to either curve.
+        m_a = rng.rational()
+        if m_a in {2 * c.kappa * xa + c.beta for c in (gamma, delta)}:
+            return None
+        m_b = rng.rational()
+        if m_b in {2 * c.kappa * xb + c.beta for c in (gamma, delta)}:
+            return None
+        th.intersecting_parabolas_check(gamma, delta, m_a, m_b)
+        return {"gamma": gamma, "delta": delta, "m_a": m_a, "m_b": m_b}
+    return rng.retrying(make)
+
+
+def _check_intersecting_parabolas(cfg: dict) -> TrialResult:
+    residual = th.intersecting_parabolas_check(cfg["gamma"], cfg["delta"],
+                                               cfg["m_a"], cfg["m_b"])
+    if residual != 0:
+        return TrialResult.fail("cross-chords not parallel")
+    return TrialResult.ok()
+
+
+register(Theorem("intersecting_parabolas",
+                 "chords through the two common points stay parallel",
+                 _gen_intersecting_parabolas, _check_intersecting_parabolas))
+
+
+def _check_inscribed_angle(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
+    if inscribed_angle_check(curve, a, b, c, d) != 0:
+        return TrialResult.fail("inscribed angle differs between viewpoints")
+    if curve.kappa * (b.x - a.x) != difference_angle(a, c, b):
+        return TrialResult.fail("inscribed angle value mismatch")
+    return TrialResult.ok()
+
+
+register(Theorem("inscribed_angle",
+                 "a chord subtends the same angle from every curve point",
+                 _gen_ptolemy, _check_inscribed_angle))
+
+
+def _gen_arc_symmetry(rng: RandomRationals) -> dict:
+    def make():
+        t = rng.triangle()
+        lo, mid, hi = t.sorted_vertices()
+        lam = rng.fraction_in_unit_interval()
+        p = mid.x + lam * (hi.x - mid.x)
+        th.arc_symmetry_check(t, p)
+        return {"T": t, "p": p}
+    return rng.retrying(make)
+
+
+def _check_arc_symmetry(cfg: dict) -> TrialResult:
+    if not th.arc_symmetry_check(cfg["T"], cfg["p"]):
+        return TrialResult.fail("reflected crossing left the parabola")
+    return TrialResult.ok()
+
+
+register(Theorem("arc_symmetry",
+                 "arc-reflected cevian crossings stay conparabolic",
+                 _gen_arc_symmetry, _check_arc_symmetry))
+
+
+def _gen_miquel_triangle(rng: RandomRationals) -> dict:
+    if rng.trial_index == 0:
+        # Midpoint cevians force equal coefficients, hence the ideal case.
+        t = rng.free_triangle()
+        return {"T": t, "D": midpoint(t.b, t.c), "E": midpoint(t.c, t.a),
+                "F": midpoint(t.a, t.b)}
+
+    def make():
+        t = rng.free_triangle()
+        d, e, f = rng.cevian_feet(t)
+        th.miquel_triangle(t, d, e, f)
+        return {"T": t, "D": d, "E": e, "F": f}
+    return rng.retrying(make)
+
+
+def _miquel_verdict(result: th.MiquelResult) -> TrialResult:
+    if result.kind == "ideal":
+        return TrialResult.ok("ideal")
+    if any(r != 0 for r in result.memberships.values()):
+        return TrialResult.fail("membership residual nonzero", "finite")
+    return TrialResult.ok("finite")
+
+
+def _check_miquel_triangle(cfg: dict) -> TrialResult:
+    return _miquel_verdict(
+        th.miquel_triangle(cfg["T"], cfg["D"], cfg["E"], cfg["F"]))
+
+
+register(Theorem("miquel_triangle",
+                 "three cevian-feet circumparabolas share a point",
+                 _gen_miquel_triangle, _check_miquel_triangle))
+
+
+#: Complete quadrilateral whose first two circumscribing parabolas share
+#: a quadratic coefficient, forcing the ideal common point.
+EQUAL_KAPPA_QUADRILATERAL = (
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(-1), Fraction(6)),
+    (Fraction(2), Fraction(6)),
+)
+
+
+def _gen_miquel_quadrilateral(rng: RandomRationals) -> dict:
+    if rng.trial_index == 0:
+        lines = [Line(m, k) for m, k in EQUAL_KAPPA_QUADRILATERAL]
+        return {"quad": th.CompleteQuadrilateral(*lines)}
+
+    def make():
+        lines = [Line(rng.rational(), rng.rational()) for _ in range(4)]
+        quad = th.CompleteQuadrilateral(*lines)
+        th.miquel_quadrilateral(quad)  # rejects tangent degeneracies
+        return quad
+    return {"quad": rng.retrying(make)}
+
+
+def _check_miquel_quadrilateral(cfg: dict) -> TrialResult:
+    return _miquel_verdict(th.miquel_quadrilateral(cfg["quad"]))
+
+
+register(Theorem("miquel_quadrilateral",
+                 "four circumparabolas of a complete quadrilateral concur",
+                 _gen_miquel_quadrilateral, _check_miquel_quadrilateral))
+
+
+def _gen_ceva(rng: RandomRationals) -> dict:
+    t = rng.free_triangle()
+
+    def make_concurrent():
+        # Cevians through a barycentric-ish point: positive rational weights.
+        wts = [rng.positive_rational() for _ in range(3)]
+        s = sum(wts)
+        q = Point(
+            sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
+            sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s,
+        )
+        if q in (t.a, t.b, t.c):
+            return None
+        feet = []
+        for v, lbl in ((t.a, "A"), (t.b, "B"), (t.c, "C")):
+            hit = meet(line_through(v, q), t.side(lbl))
+            if not hit.is_finite or hit.point in (t.a, t.b, t.c):
+                return None
+            feet.append(hit.point)
+        return tuple(feet)
+    concurrent_feet = rng.retrying(make_concurrent)
+
+    def make_free():
+        feet = rng.cevian_feet(t)
+        th.ceva_product(t, *feet)
+        return feet
+    free_feet = rng.retrying(make_free)
+    return {"T": t, "concurrent": concurrent_feet, "free": free_feet}
+
+
+def _check_ceva(cfg: dict) -> TrialResult:
+    t = cfg["T"]
+    d, e, f = cfg["concurrent"]
+    if th.ceva_product(t, d, e, f) != 1:
+        return TrialResult.fail("concurrent cevians with product != 1")
+    if not th.cevians_concurrent(t, d, e, f):
+        return TrialResult.fail("meet oracle rejected concurrent cevians")
+    d, e, f = cfg["free"]
+    product_one = th.ceva_product(t, d, e, f) == 1
+    concur = th.cevians_concurrent(t, d, e, f)
+    if product_one != concur:
+        return TrialResult.fail("ceva biconditional violated")
+    return TrialResult.ok()
+
+
+register(Theorem("ceva",
+                 "cevian product is 1 exactly at concurrency",
+                 _gen_ceva, _check_ceva))
+
+
+def _gen_menelaus(rng: RandomRationals) -> dict:
+    t = rng.free_triangle()
+
+    def make_transversal():
+        m = rng.rational()
+        k = rng.rational()
+        line = Line(m, k)
+        feet = []
+        for lbl in VERTICES:
+            hit = meet(line, t.side(lbl))
+            if not hit.is_finite or hit.point in (t.a, t.b, t.c):
+                return None
+            feet.append(hit.point)
+        return tuple(feet)
+    collinear_feet = rng.retrying(make_transversal)
+
+    def make_free():
+        feet = rng.cevian_feet(t)
+        th.menelaus_product(t, *feet)
+        return feet
+    free_feet = rng.retrying(make_free)
+    return {"T": t, "collinear": collinear_feet, "free": free_feet}
+
+
+def _check_menelaus(cfg: dict) -> TrialResult:
+    t = cfg["T"]
+    d, e, f = cfg["collinear"]
+    if th.menelaus_product(t, d, e, f) != -1:
+        return TrialResult.fail("transversal feet with product != -1")
+    if not collinear(d, e, f):
+        return TrialResult.fail("det oracle rejected transversal feet")
+    d, e, f = cfg["free"]
+    minus_one = th.menelaus_product(t, d, e, f) == -1
+    collin = collinear(d, e, f)
+    if minus_one != collin:
+        return TrialResult.fail("menelaus biconditional violated")
+    return TrialResult.ok()
+
+
+register(Theorem("menelaus",
+                 "side-line product is -1 exactly at collinearity",
+                 _gen_menelaus, _check_menelaus))
+
+
+def _gen_simson(rng: RandomRationals) -> dict:
+    std = Parabola(Fraction(1), Fraction(0), Fraction(0))
+    xs = rng.distinct_rationals(3)
+    t = DATriangle(*(std.point_at(x) for x in xs))
+    general = rng.triangle()
+    return {"T": t, "m": rng.rational(), "T_general": general,
+            "m2": rng.rational()}
+
+
+def _check_simson(cfg: dict) -> TrialResult:
+    t, m = cfg["T"], cfg["m"]
+    a, b, c = (v.x for v in t.sorted_vertices())
+    result = simson(t, m)
+    intercept = m * (a + b + c) - m * m - (a * b + b * c + c * a)
+    if result.line.m != m or result.line.k != intercept:
+        return TrialResult.fail("simson line formula mismatch")
+    general = simson(cfg["T_general"], cfg["m2"])
+    if general.line.m != cfg["m2"]:
+        return TrialResult.fail("general-chart simson slope mismatch")
+    return TrialResult.ok()
+
+
+register(Theorem("simson",
+                 "directional Simson line: slope equals the direction, "
+                 "standard-chart intercept closed form",
+                 _gen_simson, _check_simson))
+
+
+def _check_midpoint_lemma(cfg: dict) -> TrialResult:
+    result = midpoint_lemma_check(cfg["T"])
+    if result.skipped:
+        return TrialResult.skip("ideal bisector meet")
+    zero = Point(Fraction(0), Fraction(0))
+    if any(res != zero for res in result.residuals.values()):
+        return TrialResult.fail("bisector meet is not the feet midpoint")
+    return TrialResult.ok()
+
+
+register(Theorem("midpoint_lemma",
+                 "positive-bisector meets are midpoints of the "
+                 "perpendicular feet segments",
+                 _gen_bisector_centers, _check_midpoint_lemma))
+
+
+def _gen_dabct(rng: RandomRationals) -> dict:
+    return {"T": rng.retrying(rng.triangle, lambda t: not t.is_isosceles)}
+
+
+def _check_dabct(cfg: dict) -> TrialResult:
+    result = dabct(cfg["T"])
+    if not result.concurrency_ok:
+        return TrialResult.fail("side/bisector/feet-chord concurrency fails")
+    if result.det_residual != 0:
+        return TrialResult.fail("L points not collinear")
+    feet = [result.l_points[k] for k in VERTICES]
+    try:
+        if th.menelaus_product(cfg["T"], *feet) != -1:
+            return TrialResult.fail("L points fail the Menelaus cross-check")
+    except DegenerateConfigurationError:
+        pass  # an L point over a vertex abscissa: ratio undefined, det covers it
+    return TrialResult.ok()
+
+
+register(Theorem("dabct",
+                 "bisector collinearity: concurrency triples plus a "
+                 "collinear L-point transversal",
+                 _gen_dabct, _check_dabct))
+
+
+def _gen_mn_division(rng: RandomRationals) -> dict:
+    def make():
+        vals = rng.distinct_rationals(3)
+        m = rng.small_positive_int()
+        n = rng.small_positive_int()
+        a, b, p = vals
+        if (n * a + m * b) / (m + n) == p:
+            return None
+        if (a + 2 * b) / 3 == p:  # probe point of the linearity check
+            return None
+        return {"a": a, "b": b, "p": p, "m": m, "n": n}
+    return rng.retrying(make)
+
+
+def _check_mn_division(cfg: dict) -> TrialResult:
+    res_a, res_b = th.mn_division_check(cfg["a"], cfg["b"], cfg["p"],
+                                        cfg["m"], cfg["n"])
+    if res_a != 0 or res_b != 0:
+        return TrialResult.fail("division residual nonzero")
+    # Affine linearity of the singular projective length.
+    lam = Fraction(1, 3)
+    q1, q2 = cfg["a"], cfg["b"]
+    mixed = th.singular_projective_length(cfg["p"], cfg["a"],
+                                          lam * q1 + (1 - lam) * q2)
+    split = (lam * th.singular_projective_length(cfg["p"], cfg["a"], q1)
+             + (1 - lam) * th.singular_projective_length(cfg["p"], cfg["a"], q2))
+    if mixed != split:
+        return TrialResult.fail("projective length is not affine")
+    return TrialResult.ok()
+
+
+register(Theorem("mn_division",
+                 "m:n angle division realizes m:n on the singular line",
+                 _gen_mn_division, _check_mn_division))
+
+
+def _gen_isogonal(rng: RandomRationals) -> dict:
+    t = rng.triangle()
+    mixed = rng.trial_index % 2 == 0
+    if mixed:
+        # Singular at the negative vertex, the same m:n at the two
+        # positive vertices, bases toward the negative vertex.
+        neg = t.negative_vertex_label
+        m = Fraction(rng.small_positive_int())
+        n = Fraction(rng.small_positive_int())
+        specs = {lbl: th.CevianSpec(singular=True) if lbl == neg
+                 else th.CevianSpec((m, n), base=neg) for lbl in VERTICES}
+        return {"T": t, "specs": specs, "mixed": mixed}
+
+    def make():
+        # Two ratios are free; the third is solved from concurrency.
+        bases = {}
+        for lbl in VERTICES:
+            u, w = [v for v in VERTICES if v != lbl]
+            bases[lbl] = u if rng.rng.random() < 0.5 else w
+        alpha = rng.fraction_in_unit_interval()
+        beta = rng.fraction_in_unit_interval()
+        sa = th.CevianSpec((alpha, 1 - alpha), base=bases["A"])
+        sb = th.CevianSpec((beta, 1 - beta), base=bases["B"])
+        la = th.cevian_line(t, "A", sa)
+        lb = th.cevian_line(t, "B", sb)
+        hit = meet(la, lb)
+        if not hit.is_finite:
+            return None
+        q = hit.point
+        cpt = t.vertex("C")
+        if q == cpt or q.x == cpt.x:
+            return None
+        slope_cq = (q.y - cpt.y) / (q.x - cpt.x)
+        base_pt = t.vertex(bases["C"])
+        far_lbl = next(v for v in ("A", "B") if v != bases["C"])
+        # base/far slopes at C
+        s_base = slope_between(cpt, base_pt)
+        s_far = slope_between(cpt, t.vertex(far_lbl))
+        if s_base == s_far or slope_cq in (s_base, s_far):
+            return None
+        gamma = (slope_cq - s_base) / (s_far - s_base)
+        if gamma in (0, 1):
+            return None
+        sc = th.CevianSpec((gamma, 1 - gamma), base=bases["C"])
+        return {"A": sa, "B": sb, "C": sc}
+    return {"T": t, "specs": rng.retrying(make), "mixed": mixed}
+
+
+def _check_isogonal(cfg: dict) -> TrialResult:
+    verdict = th.isogonal_concurrency_check(cfg["T"], cfg["specs"])
+    if not verdict.original_concurrent:
+        return TrialResult.fail("generated cevians not concurrent")
+    if not verdict.isogonal_concurrent:
+        return TrialResult.fail("isogonal cevians lost concurrency")
+    return TrialResult.ok("mixed" if cfg["mixed"] else "common-base")
+
+
+register(Theorem("isogonal",
+                 "isogonal images of concurrent cevians stay concurrent",
+                 _gen_isogonal, _check_isogonal))
+
+
+def _gen_equivalence_chain(rng: RandomRationals) -> dict:
+    std = Parabola(Fraction(1), Fraction(0), Fraction(0))
+    xs = rng.distinct_rationals(3)
+    t1 = DATriangle(*(std.point_at(x) for x in xs))
+    case = rng.trial_index % 4
+    if case == 0:  # x-scaled copy: SSS without AA
+        k = rng.retrying(rng.positive_rational, lambda v: v != 1)
+        t2 = DATriangle(*(std.point_at(k * x) for x in xs))
+    elif case == 1:  # shifted copy: fully congruent
+        t2 = eq.shift(t1, rng.rational())
+    elif case == 2:  # same abscissae, different coefficient
+        k2 = rng.retrying(rng.nonzero_rational, lambda v: abs(v) != 1)
+        curve = Parabola(k2, Fraction(0), Fraction(0))
+        t2 = DATriangle(*(curve.point_at(x) for x in xs))
+    else:  # unrelated pair
+        t2 = rng.free_triangle()
+    return {"T1": t1, "T2": t2, "case": case}
+
+
+def _check_equivalence_chain(cfg: dict) -> TrialResult:
+    verdict = eq.classify_pair(cfg["T1"], cfg["T2"])  # chain asserted inside
+    case = cfg["case"]
+    if case == 0 and not (verdict.sim_sss and not verdict.sim_aa):
+        return TrialResult.fail("scaled pair not SSS-without-AA")
+    if case == 1 and not verdict.da_congruent:
+        return TrialResult.fail("shifted pair not congruent")
+    if case == 2:
+        if not verdict.norm_congruent or verdict.da_congruent:
+            return TrialResult.fail("coefficient bridge case misclassified")
+        if eq.coefficient_bridge(cfg["T1"], cfg["T2"]):
+            return TrialResult.fail("bridge claims equal |kappa|")
+    return TrialResult.ok(f"case{case}")
+
+
+register(Theorem("equivalence_chain",
+                 "similarity/congruence tier chain on generated pairs",
+                 _gen_equivalence_chain, _check_equivalence_chain))
+
+
+def _gen_shift_group(rng: RandomRationals) -> dict:
+    return {"T": rng.triangle(), "theta1": rng.rational(),
+            "theta2": rng.rational()}
+
+
+def _check_shift_group(cfg: dict) -> TrialResult:
+    t = cfg["T"]
+    th1, th2 = cfg["theta1"], cfg["theta2"]
+    moved = eq.shift(t, th1)
+    if not eq.classify_pair(t, moved).da_congruent:
+        return TrialResult.fail("shift image not congruent")
+    if eq.shift(moved, th2) != eq.shift(t, th1 + th2):
+        return TrialResult.fail("shift composition law fails")
+    if eq.shift(t, Fraction(0)) != t:
+        return TrialResult.fail("zero shift is not the identity")
+    if eq.shift(moved, -th1) != t:
+        return TrialResult.fail("shift inverse fails")
+    return TrialResult.ok()
+
+
+register(Theorem("shift_group",
+                 "parabola shifts act as an exact additive group",
+                 _gen_shift_group, _check_shift_group))
+
+
+def _gen_final_collinearity(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    xs = rng.distinct_rationals(3)
+    t1 = DATriangle(*(curve.point_at(x) for x in xs))
+    sign = 1 if rng.trial_index % 2 == 0 else -1
+    delta = Parabola(sign * curve.kappa, rng.rational(), rng.rational())
+    t0 = rng.rational()
+    a, b, c = xs
+    # Mirror congruence: same-letter ranks reverse, so the gap sequence of
+    # the primed abscissae, left to right, is (c-b, b-a).
+    primed = (t0 + (c - a), t0 + (c - b), t0)  # labels A', B', C'
+    t2 = DATriangle(*(delta.point_at(x) for x in primed))
+    return {"T1": t1, "T2": t2, "sign": sign}
+
+
+def _check_final_collinearity(cfg: dict) -> TrialResult:
+    result = eq.final_theorem_feet(cfg["T1"], cfg["T2"])
+    if result.det_residual != 0:
+        return TrialResult.fail("feet not collinear")
+    if result.menelaus_product is not None and result.menelaus_product != -1:
+        return TrialResult.fail("feet transversal fails Menelaus")
+    return TrialResult.ok("reversed" if cfg["sign"] < 0 else "same")
+
+
+register(Theorem("final_collinearity",
+                 "perpendicular feet across a reversed congruent pair "
+                 "are collinear",
+                 _gen_final_collinearity, _check_final_collinearity))
+
+
+def _gen_diag_section(rng: RandomRationals) -> dict:
+    def make():
+        curve = rng.parabola()
+        xs = rng.distinct_rationals(4)
+        eq.diag_section_similarity(*(curve.point_at(x) for x in xs))
+        return {"curve": curve, "xs": xs}
+    return rng.retrying(make)
+
+
+def _check_diag_section(cfg: dict) -> TrialResult:
+    curve = cfg["curve"]
+    pts = [curve.point_at(x) for x in cfg["xs"]]
+    verdict = eq.diag_section_similarity(*pts)
+    if not (verdict.xab_xcd and verdict.xbc_xad):
+        return TrialResult.fail("diagonal sections not angle-similar")
+    bent = pts[:3] + [Point(pts[3].x, pts[3].y + 1)]
+    try:
+        eq.diag_section_similarity(*bent)
+    except DegenerateConfigurationError:
+        return TrialResult.ok()
+    return TrialResult.fail("off-curve quadruple accepted")
+
+
+register(Theorem("diag_section",
+                 "diagonal sections of an inscribed quadrilateral are "
+                 "angle-similar",
+                 _gen_diag_section, _check_diag_section))
+
+
+def _gen_intro_observation(rng: RandomRationals) -> dict:
+    curve = rng.parabola()
+    xs = rng.distinct_rationals(3)
+    a, b, c = xs
+    t1 = DATriangle(*(curve.point_at(x) for x in xs))
+    delta = Parabola(curve.kappa, rng.rational(), rng.rational())
+    t0 = rng.rational()
+    primed = (t0, t0 + (c - b), t0 + (c - a))
+    t2 = DATriangle(*(delta.point_at(x) for x in primed))
+    return {"T1": t1, "T2": t2}
+
+
+def _check_intro_observation(cfg: dict) -> TrialResult:
+    result = eq.intro_observation_check(cfg["T1"], cfg["T2"])
+    if result.det_residual != 0:
+        return TrialResult.fail("sampled side points not collinear")
+    return TrialResult.ok()
+
+
+register(Theorem("intro_observation",
+                 "translated-parabola side samples are collinear",
+                 _gen_intro_observation, _check_intro_observation))

@@ -1,5 +1,5 @@
-"""Deterministic random-configuration generators for the theorem
-campaigns.
+"""Generic seeded draws for the theorem campaigns; a draw that serves one
+theorem lives in that theorem's generator in :mod:`dageo.campaigns`.
 
 Every generator is a pure function of (campaign seed, trial index, bound):
 the trial seed is derived with a splitmix-style mixer, so campaigns can be
@@ -16,11 +16,9 @@ import random
 from fractions import Fraction
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
-from .gauge import Line, Point, line_through, meet, slope_between
+from .gauge import Point
 from .parabola import Parabola
 from .scalar import collinear
-from .theorems import (CevianSpec, CompleteQuadrilateral, cevian_line,
-                       miquel_quadrilateral)
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -102,9 +100,6 @@ class RandomRationals:
         xs = self.distinct_rationals(3)
         return DATriangle(*(curve.point_at(x) for x in xs))
 
-    def scalene_triangle(self) -> DATriangle:
-        return self.retrying(self.triangle, lambda t: not t.is_isosceles)
-
     def free_triangle(self) -> DATriangle:
         """Triangle from free points (not forced onto a given parabola)."""
         def make():
@@ -116,29 +111,10 @@ class RandomRationals:
             return DATriangle(*pts)
         return self.retrying(make)
 
-    def angle_configuration(self) -> tuple[Point, Point, Point]:
-        """(A, P, B) with P off the line AB and both rays non-singular."""
-        def make():
-            a, p, b = (self.point() for _ in range(3))
-            if p.x in (a.x, b.x) or a == b:
-                return None
-            if collinear(a, p, b):
-                return None
-            return a, p, b
-        return self.retrying(make)
-
     def point_on_side(self, u: Point, w: Point) -> Point:
         """Strictly interior point of the segment UW (never an endpoint)."""
         lam = self.fraction_in_unit_interval()
         return Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
-
-    def complete_quadrilateral(self) -> CompleteQuadrilateral:
-        def make():
-            lines = [Line(self.rational(), self.rational()) for _ in range(4)]
-            quad = CompleteQuadrilateral(*lines)
-            miquel_quadrilateral(quad)  # rejects tangent degeneracies
-            return quad
-        return self.retrying(make)
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
         """Independent feet strictly inside the three sides."""
@@ -146,79 +122,3 @@ class RandomRationals:
         e = self.point_on_side(t.c, t.a)
         f = self.point_on_side(t.a, t.b)
         return d, e, f
-
-    def concurrent_cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
-        """Feet of three cevians through a common interior-ish point."""
-        def make():
-            # Barycentric-ish interior point: positive rational weights.
-            wts = [self.positive_rational() for _ in range(3)]
-            s = sum(wts)
-            q = Point(
-                sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
-                sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s,
-            )
-            if q in (t.a, t.b, t.c):
-                return None
-            feet = []
-            for v, lbl in ((t.a, "A"), (t.b, "B"), (t.c, "C")):
-                hit = meet(line_through(v, q), t.side(lbl))
-                if not hit.is_finite or hit.point in (t.a, t.b, t.c):
-                    return None
-                feet.append(hit.point)
-            return tuple(feet)
-        return self.retrying(make)
-
-    def cevian_specs(self, t: DATriangle,
-                     mixed: bool) -> dict[str, CevianSpec]:
-        """Concurrent cevian spec triple.
-
-        ``mixed=True`` builds the singular-at-the-negative-vertex triple
-        (same m:n at the two positive vertices, bases toward the negative
-        vertex); otherwise two ratios are free and the third is solved
-        from the concurrency condition.
-        """
-        neg = t.negative_vertex_label
-        if mixed:
-            m = Fraction(self.small_positive_int())
-            n = Fraction(self.small_positive_int())
-            specs: dict[str, CevianSpec] = {}
-            for lbl in ("A", "B", "C"):
-                if lbl == neg:
-                    specs[lbl] = CevianSpec(singular=True)
-                else:
-                    specs[lbl] = CevianSpec((m, n), base=neg)
-            return specs
-
-        def make():
-            bases = {}
-            for lbl in ("A", "B", "C"):
-                u, w = [v for v in ("A", "B", "C") if v != lbl]
-                bases[lbl] = u if self.rng.random() < 0.5 else w
-            alpha = self.fraction_in_unit_interval()
-            beta = self.fraction_in_unit_interval()
-            sa = CevianSpec((alpha, 1 - alpha), base=bases["A"])
-            sb = CevianSpec((beta, 1 - beta), base=bases["B"])
-            la = cevian_line(t, "A", sa)
-            lb = cevian_line(t, "B", sb)
-            hit = meet(la, lb)
-            if not hit.is_finite:
-                return None
-            q = hit.point
-            cpt = t.vertex("C")
-            if q == cpt or q.x == cpt.x:
-                return None
-            slope_cq = (q.y - cpt.y) / (q.x - cpt.x)
-            base_pt = t.vertex(bases["C"])
-            far_lbl = next(v for v in ("A", "B")
-                           if v != bases["C"] and v != "C")
-            # base/far slopes at C
-            s_base = slope_between(cpt, base_pt)
-            s_far = slope_between(cpt, t.vertex(far_lbl))
-            if s_base == s_far or slope_cq in (s_base, s_far):
-                return None
-            gamma = (slope_cq - s_base) / (s_far - s_base)
-            if gamma in (0, 1):
-                return None
-            sc = CevianSpec((gamma, 1 - gamma), base=bases["C"])
-            return {"A": sa, "B": sb, "C": sc}
-        return self.retrying(make)

@@ -21,7 +21,6 @@ namespaces, and every referenced name must be defined.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,10 +38,10 @@ class SceneError(ValueError):
     """Malformed scene file or dangling reference."""
 
 
-def _parse_point(raw) -> Point:
+def _parse_pair(raw, what: str = "point") -> tuple[Fraction, Fraction]:
     if not (isinstance(raw, list) and len(raw) == 2):
-        raise SceneError(f"point must be a [x, y] pair, got {raw!r}")
-    return Point(parse_scalar(raw[0]), parse_scalar(raw[1]))
+        raise SceneError(f"{what} must be a [x, y] pair, got {raw!r}")
+    return parse_scalar(raw[0]), parse_scalar(raw[1])
 
 
 def _parse_parabola(raw) -> Parabola:
@@ -74,14 +73,15 @@ class Scene:
             g = data["gauge"]
             try:
                 gauge = Gauge(
-                    _parse_point(g["origin"]),
-                    tuple(parse_scalar(v) for v in g["reference_direction"]),
-                    tuple(parse_scalar(v) for v in g["projective_direction"]),
+                    Point(*_parse_pair(g["origin"], "origin")),
+                    _parse_pair(g["reference_direction"], "reference_direction"),
+                    _parse_pair(g["projective_direction"],
+                                "projective_direction"),
                 )
             except (KeyError, TypeError) as exc:
                 raise SceneError(f"malformed gauge: {g!r}") from exc
 
-        points = {name: _parse_point(raw)
+        points = {name: Point(*_parse_pair(raw))
                   for name, raw in data.get("points", {}).items()}
         if gauge is not None and gauge != identity_gauge():
             names = list(points)
@@ -291,11 +291,11 @@ def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
     reports = []
     for theorem_id in scene.verify if verify else ():
         cfg = CampaignConfig(theorem_id, trials=trials, seed=seed)
-        reports.append(run_campaign(cfg).to_json())
+        reports.append(run_campaign(cfg).to_dict())
 
     document = {
         "points": {n: jsonable(p) for n, p in scene.points.items()},
         "constructions": constructions,
-        "verified": [json.loads(r) for r in reports],
+        "verified": reports,
     }
     return document, merged

@@ -38,6 +38,12 @@ def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
         if line.is_singular:
             xs.append(float(line.x0))
     if not xs:
+        # Only curves: frame one unit either side of each vertex.
+        for curve in draw.parabolas.values():
+            vx = -float(curve.beta) / (2 * float(curve.kappa))
+            xs += [vx - 1, vx + 1]
+            ys.append(_float_y(curve)(vx))
+    if not xs:
         raise EmptySceneError("nothing drawable in the scene")
     if not ys:
         ys = [0.0]

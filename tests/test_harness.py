@@ -14,7 +14,7 @@ from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
                            generate_config, jsonable, run_campaign)
 from dageo.parabola import Parabola
 from dageo.scene import Scene, SceneError, apply_construction, run_scene
-from dageo.svg import EmptySceneError, _parabola_arc, render_svg
+from dageo.svg import EmptySceneError, _bounds, _parabola_arc, render_svg
 
 
 def _raise(error):
@@ -182,6 +182,24 @@ class TestScene:
         with pytest.raises(SceneError):
             Scene.from_dict({"triangles": {"T": ["A", "B", "C"]}})
 
+    @pytest.mark.parametrize("key, raw", [
+        ("reference_direction", "10"),
+        ("reference_direction", ["1", "0", "0"]),
+        ("projective_direction", ["1"]),
+        ("origin", "00"),
+        ("origin", ["0", "0", "0"]),
+    ])
+    def test_gauge_entries_must_be_pairs(self, key, raw):
+        gauge = {"origin": ["0", "0"], "reference_direction": ["1", "0"],
+                 "projective_direction": ["1", "1"], key: raw}
+        with pytest.raises(SceneError,
+                           match=f"{key} must be a \\[x, y\\] pair"):
+            Scene.from_dict({"gauge": gauge, "points": {"Q": ["2", "2"]}})
+
+    def test_point_message_kept(self):
+        with pytest.raises(SceneError, match=r"point must be a \[x, y\] pair"):
+            Scene.from_dict({"points": {"Q": ["2"]}})
+
     def test_triangle_labels_must_be_names(self):
         with pytest.raises(SceneError, match="3 point names"):
             Scene.from_dict({"points": {"A": ["0", "0"]},
@@ -220,6 +238,16 @@ class TestScene:
         document, _ = run_scene(Scene.from_dict(data), trials=5)
         assert document["verified"][0]["theorem"] == "ptolemy"
         assert document["verified"][0]["failures"] == 0
+
+    def test_verified_is_the_report_payload(self):
+        data = dict(INCENTER_SCENE, verify=["ptolemy_broken", "dabct"])
+        document, _ = run_scene(Scene.from_dict(data), trials=5, seed=3)
+        expected = [json.loads(run_campaign(
+            CampaignConfig(tid, trials=5, seed=3)).to_json())
+            for tid in ("ptolemy_broken", "dabct")]
+        assert document["verified"] == expected
+        assert "first_counterexample" in document["verified"][0]
+        assert "first_counterexample" not in document["verified"][1]
 
     def test_miquel_quadrilateral_construction(self):
         data = {
@@ -266,6 +294,31 @@ class TestSvg:
         from dageo.scene import Drawables
         with pytest.raises(EmptySceneError):
             render_svg(Drawables())
+
+    @pytest.mark.parametrize("parabolas", [
+        {"G": {"kappa": "1", "beta": "0", "gamma": "0"}},
+        {"G": {"kappa": "-1/2", "beta": "3", "gamma": "1"},
+         "H": {"kappa": "2", "beta": "-8", "gamma": "5"}},
+    ])
+    def test_parabola_only_scene_is_framed(self, parabolas):
+        _, draw = run_scene(Scene.from_dict({"parabolas": parabolas}))
+        x_lo, x_hi, y_lo, y_hi = _bounds(draw)
+        for curve in draw.parabolas.values():
+            vx = -curve.beta / (2 * curve.kappa)
+            assert x_lo < vx - 1 and vx + 1 < x_hi
+            assert y_lo <= curve.y_at(vx) <= y_hi
+        svg = render_svg(draw)
+        for name in parabolas:
+            assert f"<title>{name}</title></path>" in svg
+
+    def test_parabola_only_scene_plots(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(
+            {"parabolas": {"G": {"kappa": "1", "beta": "0", "gamma": "0"}}}))
+        svg_path = tmp_path / "figure.svg"
+        assert main(["plot", "--scene", str(scene_path),
+                     "--svg", str(svg_path)]) == 0
+        assert "<title>G</title>" in svg_path.read_text()
 
     @pytest.mark.parametrize("kappa, beta, gamma, x_lo, x_hi", [
         (1, 0, 0, -2.0, 3.0),

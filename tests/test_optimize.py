@@ -73,3 +73,36 @@ def test_reports_identical_under_optimize_flag():
     for tid in REGISTRY:
         plain = run_campaign(CampaignConfig(tid, 50, 42, 50)).to_json()
         assert optimized[tid] == plain, tid
+
+
+def _imported_modules(tree) -> set[str]:
+    """Last component of every module a file imports from."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            else:  # ``from . import x``
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def _parse(name: str):
+    path = PACKAGE / name
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_generators_hold_only_generic_draws():
+    # A draw that serves one theorem lives in that theorem's generator in
+    # campaigns.py, so the generator layer needs no theorem code.
+    imported = _imported_modules(_parse("generators.py"))
+    assert imported.isdisjoint({"theorems", "campaigns", "harness"}), imported
+
+
+def test_harness_holds_no_theorem_blocks():
+    blocks = [node.name for node in ast.walk(_parse("harness.py"))
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith(("_gen_", "_check_"))]
+    assert blocks == []

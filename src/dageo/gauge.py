@@ -92,11 +92,17 @@ def normalize_chart(g: Gauge, points: list[Point]) -> list[Point]:
 
 def slope_between(a: Point, b: Point) -> Slope:
     """Slope of the segment AB, or None when AB is singular (equal x)."""
-    if a == b:
-        raise DegenerateConfigurationError("slope of a degenerate segment")
-    if a.x == b.x:
+    # With a = (p1/q1, r1/s1) and b = (p2/q2, r2/s2), dx = dxn/(q1*q2)
+    # and dy = dyn/(s1*s2).
+    q1, q2 = a.x.denominator, b.x.denominator
+    s1, s2 = a.y.denominator, b.y.denominator
+    dxn = b.x.numerator * q1 - a.x.numerator * q2
+    dyn = b.y.numerator * s1 - a.y.numerator * s2
+    if dxn == 0:
+        if dyn == 0:
+            raise DegenerateConfigurationError("slope of a degenerate segment")
         return None
-    return (b.y - a.y) / (b.x - a.x)
+    return Fraction(dyn * q1 * q2, dxn * s1 * s2)
 
 
 def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
@@ -118,7 +124,8 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
 
 def da_norm(a: Point, b: Point) -> Fraction:
     """Segment norm |x_B - x_A|; zero exactly on singular segments."""
-    return abs(b.x - a.x)
+    ad, bd = a.x.denominator, b.x.denominator
+    return Fraction(abs(b.x.numerator * ad - a.x.numerator * bd), ad * bd)
 
 
 @dataclass(frozen=True)
@@ -148,9 +155,13 @@ class Line:
         return self.k
 
     def y_at(self, x: Fraction) -> Fraction:
-        if self.m is None:
+        m, k = self.m, self.k
+        if m is None:
             raise ValueError("a singular line has no y(x)")
-        return self.m * x + self.k
+        # m*x + k over md*xd*kd, built once.
+        md, kd, xd = m.denominator, k.denominator, x.denominator
+        return Fraction(m.numerator * x.numerator * kd + k.numerator * md * xd,
+                        md * xd * kd)
 
     def point_at(self, x: Fraction) -> Point:
         return Point(Fraction(x), self.y_at(x))
@@ -158,7 +169,7 @@ class Line:
     def contains(self, p: Point) -> bool:
         if self.m is None:
             return p.x == self.k
-        return p.y == self.m * p.x + self.k
+        return p.y == self.y_at(p.x)
 
     def __str__(self) -> str:
         if self.m is None:
@@ -167,12 +178,19 @@ class Line:
 
 
 def line_through(a: Point, b: Point) -> Line:
-    if a == b:
-        raise DegenerateConfigurationError("two coincident points span no line")
-    if a.x == b.x:
+    # Cross-multiplied as in slope_between; k = a.y - m*a.x.
+    p1, q1 = a.x.numerator, a.x.denominator
+    r1, s1 = a.y.numerator, a.y.denominator
+    q2, s2 = b.x.denominator, b.y.denominator
+    dxn = b.x.numerator * q1 - p1 * q2
+    dyn = b.y.numerator * s1 - r1 * s2
+    if dxn == 0:
+        if dyn == 0:
+            raise DegenerateConfigurationError(
+                "two coincident points span no line")
         return Line.singular(a.x)
-    m = (b.y - a.y) / (b.x - a.x)
-    return Line(m, a.y - m * a.x)
+    return Line(Fraction(dyn * q1 * q2, dxn * s1 * s2),
+                Fraction(r1 * s2 * dxn - dyn * q2 * p1, s1 * s2 * dxn))
 
 
 class MeetResult(NamedTuple):
@@ -239,10 +257,15 @@ def meet(l1: Line, l2: Line) -> MeetResult:
         return MeetResult.at(l2.point_at(l1.x0))
     if l2.is_singular:
         return MeetResult.at(l1.point_at(l2.x0))
-    if l1.m == l2.m:
-        return MeetResult.ideal(l1.m)
-    x = (l2.k - l1.k) / (l1.m - l2.m)
-    return MeetResult.at(l1.point_at(x))
+    # x = (k2 - k1) / (m1 - m2), cross-multiplied.
+    m1, m2, k1, k2 = l1.m, l2.m, l1.k, l2.k
+    dm = m1.numerator * m2.denominator - m2.numerator * m1.denominator
+    if dm == 0:
+        return MeetResult.ideal(m1)
+    dk = k2.numerator * k1.denominator - k1.numerator * k2.denominator
+    x = Fraction(dk * m1.denominator * m2.denominator,
+                 dm * k1.denominator * k2.denominator)
+    return MeetResult.at(Point(x, l1.y_at(x)))
 
 
 def concurrent(l1: Line, l2: Line, l3: Line) -> bool:

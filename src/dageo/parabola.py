@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import QuadraticPoly, collinear, other_root
+from .scalar import QuadraticPoly, other_root
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,14 @@ class Parabola:
             raise DegenerateConfigurationError("kappa must be nonzero")
 
     def y_at(self, x: Fraction) -> Fraction:
-        return (self.kappa * x + self.beta) * x + self.gamma
+        # (kappa*x + beta)*x + gamma over kd*bd*gd*xd^2, built once.
+        kappa, beta, gamma = self.kappa, self.beta, self.gamma
+        kd, bd, gd = kappa.denominator, beta.denominator, gamma.denominator
+        xn, xd = x.numerator, x.denominator
+        linear = kappa.numerator * bd * xn + beta.numerator * kd * xd
+        scale = kd * bd * xd * xd
+        return Fraction(linear * xn * gd + gamma.numerator * scale,
+                        scale * gd)
 
     def point_at(self, x: Fraction) -> Point:
         x = Fraction(x)
@@ -54,22 +62,38 @@ class Parabola:
 
 def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     """The unique vertical-axis parabola through three points with pairwise
-    distinct x-coordinates (Newton divided differences).
+    distinct x-coordinates (the Lagrange form over a common denominator).
 
     Collinear triples have a vanishing quadratic coefficient and are
     rejected, as are shared x-coordinates (a singular side).
     """
-    if a.x == b.x or b.x == c.x or a.x == c.x:
+    # Abscissae as integers X_i over a shared D, ordinates Y_i over E.
+    x1, x2, x3 = a.x, b.x, c.x
+    q1, q2, q3 = x1.denominator, x2.denominator, x3.denominator
+    D = lcm(q1, q2, q3)
+    X1 = x1.numerator * (D // q1)
+    X2 = x2.numerator * (D // q2)
+    X3 = x3.numerator * (D // q3)
+    d21, d31, d32 = X2 - X1, X3 - X1, X3 - X2
+    if not (d21 and d31 and d32):
         raise DegenerateConfigurationError("shared x-coordinate: singular side")
-    d_ab = (b.y - a.y) / (b.x - a.x)
-    d_bc = (c.y - b.y) / (c.x - b.x)
-    kappa = (d_bc - d_ab) / (c.x - a.x)
-    if kappa == 0:
+    y1, y2, y3 = a.y, b.y, c.y
+    s1, s2, s3 = y1.denominator, y2.denominator, y3.denominator
+    E = lcm(s1, s2, s3)
+    # Y_i times the Vandermonde factor that its Lagrange basis term lacks.
+    t1 = y1.numerator * (E // s1) * d32
+    t2 = y2.numerator * (E // s2) * d31
+    t3 = y3.numerator * (E // s3) * d21
+    K = t1 - t2 + t3
+    if K == 0:
         raise DegenerateConfigurationError("collinear points: no circumparabola")
-    # y = a.y + d_ab*(x - a.x) + kappa*(x - a.x)*(x - b.x), expanded.
-    beta = d_ab - kappa * (a.x + b.x)
-    gamma = a.y - a.x * (d_ab - kappa * b.x)
-    return Parabola(kappa, beta, gamma)
+    B = t2 * (X3 + X1) - t1 * (X3 + X2) - t3 * (X2 + X1)
+    G = t1 * X2 * X3 - t2 * X1 * X3 + t3 * X1 * X2
+    # kappa = K*D^2/(E*V), beta = B*D/(E*V), gamma = G/(E*V) with
+    # V = d21*d31*d32.
+    EV = E * d21 * d31 * d32
+    return Parabola(Fraction(K * D * D, EV),
+                    Fraction(B * D, EV), Fraction(G, EV))
 
 
 def parabolic_power(p: Parabola, pt: Point) -> Fraction:
@@ -222,6 +246,10 @@ def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
 def conparabolic(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Whether four points (pairwise distinct x) lie on one vertical-axis
     parabola."""
-    if collinear(a, b, c):
-        return False
-    return circumparabola(a, b, c).contains(d)
+    try:
+        par = circumparabola(a, b, c)
+    except DegenerateConfigurationError:
+        if len({a.x, b.x, c.x}) < 3:
+            raise
+        return False  # kappa == 0: A, B, C are collinear
+    return par.contains(d)

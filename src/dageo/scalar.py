@@ -55,12 +55,24 @@ def det3(r1, r2, r3) -> Fraction:
     """Exact determinant of the 3x3 matrix with rows ``r1, r2, r3``.
 
     With rows ``(x, y, 1)`` this is the collinearity certificate: zero iff
-    the three points are collinear.
+    the three points are collinear.  Each row is lifted to integers over
+    the product of its denominators, so the only ``Fraction`` built is the
+    result: the integer determinant over the product of the row scales.
     """
-    a, b, c = r1
-    d, e, f = r2
-    g, h, i = r3
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    a, b, c, s1 = _lift_row(r1)
+    d, e, f, s2 = _lift_row(r2)
+    g, h, i, s3 = _lift_row(r3)
+    return Fraction(a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g), s1 * s2 * s3)
+
+
+def _lift_row(row) -> tuple[int, int, int, int]:
+    """``(u, v, w)`` as integers ``(U, V, W)`` over a common scale ``s``,
+    returned as ``(U, V, W, s)``; entries may be ``int`` or ``Fraction``."""
+    u, v, w = row
+    du, dv, dw = u.denominator, v.denominator, w.denominator
+    return (u.numerator * dv * dw, v.numerator * du * dw,
+            w.numerator * du * dv, du * dv * dw)
 
 
 def collinear(p, q, r) -> bool:

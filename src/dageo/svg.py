@@ -10,6 +10,7 @@ with a 10% margin; identical input always yields identical bytes.
 from __future__ import annotations
 
 from collections.abc import Callable
+from math import isfinite
 
 from .parabola import Parabola
 from .scene import Drawables
@@ -40,7 +41,7 @@ def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
     if not xs:
         # Only curves: frame one unit either side of each vertex.
         for curve in draw.parabolas.values():
-            vx = -float(curve.beta) / (2 * float(curve.kappa))
+            vx = _vertex_x(curve)
             xs += [vx - 1, vx + 1]
             ys.append(_float_y(curve)(vx))
     if not xs:
@@ -59,6 +60,27 @@ def _float_y(curve: Parabola) -> Callable[[float], float]:
     """The curve's y as a binary64 function of x, for drawing only."""
     k, b, g = float(curve.kappa), float(curve.beta), float(curve.gamma)
     return lambda x: (k * x + b) * x + g
+
+
+def _vertex_x(curve: Parabola) -> float:
+    return -float(curve.beta) / (2 * float(curve.kappa))
+
+
+def _check_drawable(name: str, curve: Parabola) -> None:
+    """Refuse a curve that binary64 cannot draw: a coefficient too large
+    for a float, a kappa that rounds to 0, or a vertex out of range."""
+    try:
+        vx = _vertex_x(curve)
+        finite = isfinite(vx) and isfinite(_float_y(curve)(vx))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise _out_of_range(name)
+
+
+def _out_of_range(name: str) -> ValueError:
+    return ValueError(f"parabola {name!r} is out of the float range used "
+                      "for drawing")
 
 
 def _parabola_arc(curve: Parabola, x_lo: float,
@@ -81,15 +103,22 @@ def _parabola_arc(curve: Parabola, x_lo: float,
 
 
 def render_svg(draw: Drawables) -> str:
-    """Render drawables into a standalone SVG document string."""
+    """Render drawables into a standalone SVG document string.
+
+    A curve that binary64 cannot draw raises ``ValueError`` naming it.
+    """
+    for name in sorted(draw.parabolas):
+        _check_drawable(name, draw.parabolas[name])
     x_lo, x_hi, y_lo, y_hi = _bounds(draw)
 
     # Grow the vertical range so parabola arcs stay in frame.
-    for curve in draw.parabolas.values():
+    for name, curve in draw.parabolas.items():
         y = _float_y(curve)
-        for x in (x_lo, x_hi, -float(curve.beta) / (2 * float(curve.kappa))):
+        for x in (x_lo, x_hi, _vertex_x(curve)):
             if x_lo <= x <= x_hi:
                 yv = y(x)
+                if not isfinite(yv):
+                    raise _out_of_range(name)
                 y_lo, y_hi = min(y_lo, yv), max(y_hi, yv)
 
     span_x, span_y = x_hi - x_lo, y_hi - y_lo

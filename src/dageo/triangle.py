@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
@@ -41,7 +42,11 @@ class DATriangle:
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        xs = (self.a.x, self.b.x, self.c.x)
+        # Abscissae as integers over a shared denominator D.
+        dens = (self.a.x.denominator, self.b.x.denominator,
+                self.c.x.denominator)
+        D = lcm(*dens)
+        xs = tuple(p.x.numerator * (D // d) for p, d in zip(pts, dens))
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
@@ -53,13 +58,15 @@ class DATriangle:
             raise DegenerateConfigurationError("collinear vertices") from None
         object.__setattr__(self, "parabola", par)
         # i, j, k index the vertices in increasing x; the angle formula is
-        # in the interior_angles docstring.
+        # in the interior_angles docstring, here over kappa's denominator
+        # times D.
         i, j, k = sorted(range(3), key=xs.__getitem__)
-        scale = abs(par.kappa)
+        scale = abs(par.kappa.numerator)
+        den = par.kappa.denominator * D
         angles = [None, None, None]
-        angles[i] = scale * (xs[k] - xs[j])
-        angles[j] = scale * (xs[i] - xs[k])
-        angles[k] = scale * (xs[j] - xs[i])
+        angles[i] = Fraction(scale * (xs[k] - xs[j]), den)
+        angles[j] = Fraction(scale * (xs[i] - xs[k]), den)
+        angles[k] = Fraction(scale * (xs[j] - xs[i]), den)
         angles = tuple(angles)
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)

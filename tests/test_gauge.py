@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import bounded
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Gauge, Line, MeetResult, Point, angle_axiom_checks,
                          da_norm, difference_angle,
@@ -16,6 +17,23 @@ small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 def pt(x, y):
     return Point(F(x), F(y))
+
+
+# References: the Fraction chains that the integer-lift primitives
+# replaced.
+
+def fraction_chain_slope(a, b):
+    return (F(b.y) - a.y) / (F(b.x) - a.x)
+
+
+def fraction_chain_line(a, b):
+    m = fraction_chain_slope(a, b)
+    return Line(m, a.y - m * a.x)
+
+
+def fraction_chain_meet_point(l1, l2):
+    x = (l2.k - l1.k) / (l1.m - l2.m)
+    return Point(x, l1.m * x + l1.k)
 
 
 class TestNormalizeChart:
@@ -61,6 +79,26 @@ class TestSlopeAndNorm:
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             slope_between(pt(1, 1), pt(1, 1))
+
+    @given(bounded, bounded, bounded, bounded)
+    def test_slope_matches_fraction_chain(self, x1, y1, x2, y2):
+        a, b = Point(x1, y1), Point(x2, y2)
+        if x1 == x2 and y1 == y2:
+            with pytest.raises(DegenerateConfigurationError,
+                               match="^slope of a degenerate segment$"):
+                slope_between(a, b)
+        elif x1 == x2:
+            assert slope_between(a, b) is None
+        else:
+            got = slope_between(a, b)
+            assert type(got) is F
+            assert got == fraction_chain_slope(a, b)
+
+    @given(bounded, bounded)
+    def test_norm_matches_fraction_chain(self, x1, x2):
+        got = da_norm(Point(x1, 0), Point(x2, 7))
+        assert type(got) is F
+        assert got == abs(F(x2) - x1)
 
     def test_norm_examples(self):
         assert da_norm(pt(0, 5), pt(3, 7)) == 3
@@ -111,6 +149,38 @@ class TestLinesAndMeet:
         assert line_through(pt(0, 0), pt(1, 3)) == Line(F(3), F(0))
         assert line_through(pt(1, 1), pt(2, 4)) == Line(F(3), F(-2))
         assert line_through(pt(4, 0), pt(4, 9)) == Line.singular(F(4))
+
+    @given(bounded, bounded, bounded, bounded)
+    def test_line_through_matches_fraction_chain(self, x1, y1, x2, y2):
+        a, b = Point(x1, y1), Point(x2, y2)
+        if x1 == x2 and y1 == y2:
+            with pytest.raises(DegenerateConfigurationError,
+                               match="^two coincident points span no line$"):
+                line_through(a, b)
+        elif x1 == x2:
+            assert line_through(a, b) == Line.singular(x1)
+        else:
+            got = line_through(a, b)
+            assert (type(got.m), type(got.k)) == (F, F)
+            assert got == fraction_chain_line(a, b)
+            assert got.contains(a) and got.contains(b)
+
+    @given(bounded, bounded, bounded)
+    def test_line_y_at_matches_fraction_chain(self, m, k, x):
+        line = Line(m, k)
+        got = line.y_at(x)
+        assert type(got) is F
+        assert got == F(m) * x + k
+        assert line.contains(Point(x, got))
+        assert not line.contains(Point(x, got + 1))
+
+    @given(bounded, bounded, bounded, bounded)
+    def test_meet_matches_fraction_chain(self, m1, k1, m2, k2):
+        assume(m1 != m2)
+        l1, l2 = Line(F(m1), F(k1)), Line(F(m2), F(k2))
+        hit = meet(l1, l2)
+        assert hit == MeetResult.at(fraction_chain_meet_point(l1, l2))
+        assert (type(hit.point.x), type(hit.point.y)) == (F, F)
 
     def test_meet_bisector_foot(self):
         # the (0,1,2) interior-bisector foot: y = 3x/2 meets y = 3x - 2

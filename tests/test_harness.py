@@ -320,6 +320,25 @@ class TestSvg:
                      "--svg", str(svg_path)]) == 0
         assert "<title>G</title>" in svg_path.read_text()
 
+    @pytest.mark.parametrize("kappa, far_x", [
+        ("1/1" + "0" * 400, "1"),  # rounds to 0.0: the vertex divides by 0
+        ("1" + "0" * 400, "1"),    # too large for a float
+        ("1" + "0" * 200, "1" + "0" * 200),  # y at the frame edge overflows
+    ], ids=["underflow", "overflow", "frame"])
+    def test_undrawable_curve_exits_invalid(self, kappa, far_x, tmp_path,
+                                            capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(
+            {"points": {"P": ["0", "0"], "Q": [far_x, "0"]},
+             "parabolas": {"G": {"kappa": kappa, "beta": "0",
+                                 "gamma": "0"}}}))
+        svg_path = tmp_path / "figure.svg"
+        assert main(["plot", "--scene", str(scene_path),
+                     "--svg", str(svg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parabola 'G' ")
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("kappa, beta, gamma, x_lo, x_hi", [
         (1, 0, 0, -2.0, 3.0),
         (-0.5, 2, 1, -7.25, 4.5),

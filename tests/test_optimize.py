@@ -2,20 +2,27 @@
 ``assert`` statement: the package must hold no ``assert`` in its source,
 and every registered theorem must report byte for byte what it reports
 without the flag.  A source guard also keeps the generator layer's one
-rejection rule in one place."""
+rejection rule in one place, and a cost guard keeps the exact kernel's
+``Fraction`` constructions from creeping back."""
 
 import ast
+import cProfile
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import dageo
+from dageo.gauge import Point, line_through
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
+from dageo.parabola import circumparabola
+from dageo.scalar import det3
+from dageo.triangle import DATriangle
 
 PACKAGE = Path(dageo.__file__).resolve().parent
 
@@ -106,3 +113,36 @@ def test_harness_holds_no_theorem_blocks():
               if isinstance(node, ast.FunctionDef)
               and node.name.startswith(("_gen_", "_check_"))]
     assert blocks == []
+
+
+# A fixed triangle with mixed denominators and negative entries.
+_A, _B, _C = (Point(F(-7, 3), F(5, 2)), Point(F(4, 5), F(-1, 6)),
+              Point(F(9, 2), F(11, 7)))
+
+#: Most ``Fraction.__new__`` calls each exact primitive may make on the
+#: fixed inputs: one per result it returns.  ``DATriangle`` adds to its
+#: circumparabola (3) and angles (3) the certificates' own arithmetic:
+#: the angle sum (3), the side norms (3) and their equation (1).
+FRACTION_BUDGET = {
+    "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
+    "DATriangle": (lambda: DATriangle(_A, _B, _C), 13),
+    "line_through": (lambda: line_through(_A, _B), 2),
+    "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
+             1),
+}
+
+
+def _fraction_constructions(call) -> int:
+    """Calls of ``Fraction.__new__`` made by ``call()``: a cProfile count,
+    which unlike a timing does not drift between runs or hosts."""
+    profiler = cProfile.Profile()
+    profiler.runcall(call)
+    return sum(e.callcount for e in profiler.getstats()
+               if not isinstance(e.code, str) and e.code.co_name == "__new__"
+               and e.code.co_filename.endswith("fractions.py"))
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_BUDGET))
+def test_exact_primitives_build_few_fractions(name):
+    call, budget = FRACTION_BUDGET[name]
+    assert _fraction_constructions(call) <= budget

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import bounded
 from dageo.errors import (DegenerateConfigurationError,
                           IrrationalIntersectionError)
 from dageo.gauge import MeetResult, Point, difference_angle
@@ -92,7 +93,23 @@ class TestCircumparabola:
         assert again == curve
 
 
+def fraction_chain_y_at(p, x):
+    # Reference: the Horner chain that the integer-lift y_at replaced.
+    return (F(p.kappa) * x + p.beta) * x + p.gamma
+
+
 class TestMembershipAndPower:
+    @given(bounded, bounded, bounded, bounded)
+    def test_y_at_matches_fraction_chain(self, kappa, beta, gamma, x):
+        assume(kappa != 0)
+        curve = Parabola(kappa, beta, gamma)
+        y = curve.y_at(x)
+        assert type(y) is F
+        assert y == fraction_chain_y_at(curve, x)
+        assert curve.point_at(x) == Point(F(x), y)
+        assert curve.contains(Point(x, y))
+        assert not curve.contains(Point(x, y + 1))
+
     def test_contains(self):
         assert STD.contains(pt(3, 9))
         assert not STD.contains(pt(3, 8))
@@ -315,3 +332,17 @@ class TestCyclicPredicates:
         assert opposite_angle_sum(*bent) != 0
         assert conparabolic(*quad)
         assert not conparabolic(*bent)
+
+    def test_conparabolic_rejects_collinear_triple(self):
+        assert not conparabolic(pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3))
+        assert not conparabolic(pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 9))
+
+    @pytest.mark.parametrize("quad", [
+        (pt(0, 0), pt(0, 1), pt(2, 4), pt(3, 9)),
+        (pt(0, 0), pt(1, 1), pt(1, 1), pt(3, 9)),
+        (pt(2, 0), pt(2, 1), pt(2, 2), pt(3, 9)),
+    ])
+    def test_conparabolic_shared_abscissa_raises(self, quad):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^shared x-coordinate: singular side$"):
+            conparabolic(*quad)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bounded
 from dageo.scalar import (QuadraticPoly, det3, format_scalar, other_root,
                           parse_scalar)
 
@@ -26,6 +27,15 @@ def det3_oracle(r1, r2, r3):
             term *= rows[i][perm[i]]
         total += sign * term
     return total
+
+
+def fraction_chain_det3(r1, r2, r3):
+    # Reference: the Fraction-chain cofactor expansion that the
+    # integer-lift det3 replaced.
+    a, b, c = (F(v) for v in r1)
+    d, e, f = (F(v) for v in r2)
+    g, h, i = (F(v) for v in r3)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 class TestParseScalar:
@@ -71,6 +81,13 @@ class TestDet3:
     def test_matches_permutation_oracle(self, vals):
         rows = [tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])]
         assert det3(*rows) == det3_oracle(*rows)
+
+    @given(st.lists(bounded, min_size=9, max_size=9))
+    def test_matches_fraction_chain(self, vals):
+        rows = [tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])]
+        got = det3(*rows)
+        assert type(got) is F
+        assert got == fraction_chain_det3(*rows)
 
     @given(st.lists(rationals, min_size=9, max_size=9))
     def test_alternating(self, vals):

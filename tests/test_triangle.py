@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dageo
+from conftest import bounded
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
 from dageo.gauge import Line, MeetResult, Point, slope_between
 from dageo.parabola import Parabola
+from dageo.scalar import det3
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
                             foot_of_perpendicular, midpoint_lemma_check,
@@ -28,6 +30,23 @@ def pt(x, y):
 
 def on_std(*xs):
     return DATriangle(*(STD.point_at(F(x)) for x in xs))
+
+
+def fraction_chain_angles(pts):
+    """Reference: the stored angles by the Fraction chains that the
+    integer-lift constructor replaced, |kappa| * (r-q, p-r, q-p) in
+    x-order with kappa the Newton second divided difference."""
+    xs = [F(p.x) for p in pts]
+    i, j, k = sorted(range(3), key=xs.__getitem__)
+    lo, mid, hi = pts[i], pts[j], pts[k]
+    d_lo = (F(mid.y) - lo.y) / (xs[j] - xs[i])
+    d_hi = (F(hi.y) - mid.y) / (xs[k] - xs[j])
+    scale = abs((d_hi - d_lo) / (xs[k] - xs[i]))
+    angles = [None, None, None]
+    angles[i] = scale * (xs[k] - xs[j])
+    angles[j] = scale * (xs[i] - xs[k])
+    angles[k] = scale * (xs[j] - xs[i])
+    return tuple(angles)
 
 
 class TestConstruction:
@@ -79,6 +98,23 @@ class TestConstruction:
         assert t.interior_angles() == expected
         assert tuple(t.angle_at(lbl) for lbl in "ABC") == expected
         assert t.negative_vertex_label == "ABC"[pts.index(mid)]
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_angles_match_fraction_chain(self, x1, y1, x2, y2, x3, y3):
+        pts = (Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        if len({x1, x2, x3}) < 3:
+            with pytest.raises(DegenerateConfigurationError,
+                               match="^singular side \\(shared x\\)$"):
+                DATriangle(*pts)
+            return
+        if det3(*((p.x, p.y, 1) for p in pts)) == 0:
+            with pytest.raises(DegenerateConfigurationError,
+                               match="^collinear vertices$"):
+                DATriangle(*pts)
+            return
+        angles = DATriangle(*pts).interior_angles()
+        assert all(type(theta) is F for theta in angles)
+        assert angles == fraction_chain_angles(pts)
 
     def test_interior_angles_standard(self):
         assert on_std(0, 1, 2).interior_angles() == (1, -2, 1)

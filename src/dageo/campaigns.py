@@ -95,7 +95,7 @@ def _gen_parabolic_power(rng: RandomRationals) -> dict:
     p = rng.point()
     secant_xs = rng.retrying(
         lambda: rng.distinct_rationals(3),
-        lambda xs: all(x != p.x and curve.point_at(x) != p for x in xs))
+        lambda xs: p.x not in xs)
     return {"curve": curve, "P": p, "secant_xs": secant_xs}
 
 
@@ -443,24 +443,15 @@ register(Theorem("miquel_quadrilateral",
 def _gen_ceva(rng: RandomRationals) -> dict:
     t = rng.free_triangle()
 
-    def make_concurrent():
-        # Cevians through a barycentric-ish point: positive rational weights.
-        wts = [rng.positive_rational() for _ in range(3)]
-        s = sum(wts)
-        q = Point(
-            sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
-            sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s,
-        )
-        if q in (t.a, t.b, t.c):
-            return None
-        feet = []
-        for v, lbl in ((t.a, "A"), (t.b, "B"), (t.c, "C")):
-            hit = meet(line_through(v, q), t.side(lbl))
-            if not hit.is_finite or hit.point in (t.a, t.b, t.c):
-                return None
-            feet.append(hit.point)
-        return tuple(feet)
-    concurrent_feet = rng.retrying(make_concurrent)
+    # Cevians through a point with positive barycentric weights: it lies
+    # strictly inside the triangle, so each foot is finite and strictly
+    # inside its side.
+    wts = [rng.positive_rational() for _ in range(3)]
+    s = sum(wts)
+    q = Point(sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
+              sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s)
+    concurrent_feet = tuple(meet(line_through(t.vertex(lbl), q),
+                                 t.side(lbl)).point for lbl in VERTICES)
 
     def make_free():
         feet = rng.cevian_feet(t)

@@ -8,19 +8,21 @@ Subcommands::
     dageo plot --scene scene.json --svg out.svg
     dageo euclid-export --trials N --tol 1e-9 [--seed S] [--json out]
 
-Exit codes: 0 all pass, 1 counterexample found, 2 invalid input or scene,
-or a file could not be read or written, 3 generator exhaustion.
+Exit codes: 0 all pass, 1 counterexample found, 2 invalid input or scene
+(a figure that binary64 cannot draw and a non-finite --tol included), or a
+file could not be read or written, 3 generator exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import GeneratorExhaustedError
 from .euclid import run_euclid_campaign
-from .harness import CampaignConfig, list_theorems, run_campaign
+from .harness import REGISTRY, CampaignConfig, run_campaign
 from .scene import Scene, run_scene
 from .svg import render_svg
 
@@ -58,8 +60,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    for theorem_id, description in list_theorems():
-        print(f"{theorem_id:24s} {description}")
+    for theorem in REGISTRY.values():
+        print(f"{theorem.id:24s} {theorem.description}")
     return EXIT_OK
 
 
@@ -95,8 +97,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_euclid(args) -> int:
-    if args.trials < 1 or not args.tol > 0:
-        print("error: trials must be >= 1 and tol > 0", file=sys.stderr)
+    if args.trials < 1 or not 0 < args.tol < math.inf:
+        print("error: trials must be >= 1 and 0 < tol < inf", file=sys.stderr)
         return EXIT_INVALID
     report = run_euclid_campaign(args.trials, args.seed, args.tol)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

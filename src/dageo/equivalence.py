@@ -6,8 +6,10 @@ The tiers, from weakest to strongest: side-ratio (SSS) similarity, angle
 (equal side norms), and full congruence (equal side norms and equal
 oriented angles).  Norm congruence upgrades to full congruence exactly
 when the circumparabola quadratic coefficients agree in absolute value.
-Correspondences are always explicit: a congruence is a statement about a
-specific vertex pairing, never a best match.
+A pair is compared label to label (A with A, B with B, C with C): a
+congruence is a statement about that vertex pairing, never a best match.
+To pair the vertices differently, relabel a triangle, e.g.
+``DATriangle(t2.c, t2.b, t2.a)``.
 """
 
 from __future__ import annotations
@@ -17,21 +19,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import Point, da_norm, line_through, meet
+from .gauge import Point, line_through, meet
 from .parabola import Parabola, conparabolic
 from .scalar import det3
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
-
-Correspondence = dict[str, str]  # vertex label of T1 -> vertex label of T2
-
-IDENTITY: Correspondence = {"A": "A", "B": "B", "C": "C"}
-REVERSING: Correspondence = {"A": "C", "B": "B", "C": "A"}
-
-
-def _check_correspondence(corr: Correspondence) -> None:
-    if sorted(corr) != list(VERTICES) or sorted(corr.values()) != list(VERTICES):
-        raise DegenerateConfigurationError(f"invalid correspondence {corr}")
 
 
 @dataclass(frozen=True)
@@ -45,21 +37,11 @@ class EquivalenceVerdict:
     angle_pairs: tuple[tuple[Fraction, Fraction], ...]
 
 
-def classify_pair(t1: DATriangle, t2: DATriangle,
-                  corr: Correspondence = IDENTITY) -> EquivalenceVerdict:
-    """Evaluate every tier for a pair of triangles under an explicit
-    vertex correspondence, asserting the tier-chain invariants."""
-    _check_correspondence(corr)
-    side_labels = [("A", "B"), ("B", "C"), ("C", "A")]
-    sides = tuple(
-        (da_norm(t1.vertex(u), t1.vertex(w)),
-         da_norm(t2.vertex(corr[u]), t2.vertex(corr[w])))
-        for u, w in side_labels
-    )
-    angles1 = {lbl: t1.angle_at(lbl) for lbl in VERTICES}
-    angles2 = {lbl: t2.angle_at(lbl) for lbl in VERTICES}
-    angles = tuple((angles1[lbl], angles2[lbl2])
-                   for lbl, lbl2 in ((v, corr[v]) for v in VERTICES))
+def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
+    """Evaluate every tier for a pair of triangles compared label to
+    label, asserting the tier-chain invariants."""
+    sides = tuple(zip(t1.side_norms(), t2.side_norms()))  # AB, BC, CA
+    angles = tuple(zip(t1.interior_angles(), t2.interior_angles()))
 
     sss = (sides[0][0] * sides[1][1] == sides[1][0] * sides[0][1]
            and sides[1][0] * sides[2][1] == sides[2][0] * sides[1][1])
@@ -84,13 +66,12 @@ def classify_pair(t1: DATriangle, t2: DATriangle,
     return verdict
 
 
-def coefficient_bridge(t1: DATriangle, t2: DATriangle,
-                       corr: Correspondence = IDENTITY) -> bool:
+def coefficient_bridge(t1: DATriangle, t2: DATriangle) -> bool:
     """For a norm-congruent pair: full congruence holds iff the
     circumparabola quadratic coefficients agree in absolute value.
     Verified in both directions on the instance; returns the shared truth
     value."""
-    verdict = classify_pair(t1, t2, corr)
+    verdict = classify_pair(t1, t2)
     if not verdict.norm_congruent:
         raise DegenerateConfigurationError("pair is not norm congruent")
     kappas_match = abs(t1.parabola.kappa) == abs(t2.parabola.kappa)
@@ -193,7 +174,7 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     if abs(t.parabola.kappa) != abs(t2.parabola.kappa):
         raise DegenerateConfigurationError(
             "parabolas must share |kappa| for congruence")
-    verdict = classify_pair(t, t2, IDENTITY)
+    verdict = classify_pair(t, t2)
     if not verdict.da_congruent:
         raise DegenerateConfigurationError(
             "triangles are not congruent label-to-label")

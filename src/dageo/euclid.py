@@ -26,6 +26,7 @@ Vec = tuple[float, float]
 
 AREA_FLOOR = 1e-12          # triangles flatter than this are rejected outright
 CONDITION_FLOOR = 1e-3      # relative side-length gaps / sines kept above this
+MIN_AREA = 1e-6             # random_triangle keeps areas above this
 DEFAULT_TOLERANCE = 1e-9
 RETRY_LIMIT = 10_000        # draws random_triangle makes before giving up
 
@@ -114,12 +115,12 @@ def euclid_bisector_collinearity(a: Vec, b: Vec, c: Vec) -> EuclidReport:
     return EuclidReport(coll, conc)
 
 
-def _well_conditioned(a: Vec, b: Vec, c: Vec, min_area: float) -> bool:
+def _well_conditioned(a: Vec, b: Vec, c: Vec) -> bool:
     """Keep configurations where the float construction stays far from its
     own singularities (tiny angles or the near-isosceles case AB ~ BC that
     sends the external-bisector meets to infinity)."""
     area2 = abs(_cross(_sub(b, a), _sub(c, a)))
-    if area2 / 2 <= min_area:
+    if area2 / 2 <= MIN_AREA:
         return False
     sides = [_norm(_sub(b, a)), _norm(_sub(c, b)), _norm(_sub(a, c))]
     longest = max(sides)
@@ -132,10 +133,10 @@ def _well_conditioned(a: Vec, b: Vec, c: Vec, min_area: float) -> bool:
     return True
 
 
-def random_triangle(rng: random.Random, min_area: float = 1e-6) -> tuple[Vec, Vec, Vec]:
+def random_triangle(rng: random.Random) -> tuple[Vec, Vec, Vec]:
     for _ in range(RETRY_LIMIT):
         pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
-        if _well_conditioned(*pts, min_area=min_area):
+        if _well_conditioned(*pts):
             return tuple(pts)
     raise GeneratorExhaustedError(
         f"no well-conditioned triangle in {RETRY_LIMIT} draws")

@@ -24,7 +24,10 @@ from .triangle import DATriangle
 
 
 def jsonable(obj):
-    """JSON form of a configuration, for counterexample reports."""
+    """JSON form of a configuration, for counterexample reports.
+
+    A type with no JSON form raises ``TypeError`` rather than turning
+    into its ``str``."""
     if isinstance(obj, Fraction):
         return format_scalar(obj)
     if isinstance(obj, Point):
@@ -60,7 +63,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,3 @@ def run_campaign(cfg: CampaignConfig) -> TheoremReport:
                          cfg.seed, cfg.bound, rejections,
                          dict(sorted(kinds.items())), first)
 
-
-def list_theorems() -> list[tuple[str, str]]:
-    return [(t.id, t.description) for t in REGISTRY.values()]

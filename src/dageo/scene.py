@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gauge import Gauge, Line, Point, identity_gauge, line_through
+from .gauge import Gauge, Line, Point, line_through
 from .harness import REGISTRY, CampaignConfig, jsonable, run_campaign
 from .parabola import Parabola, circumparabola, iso_angle_locus
 from .theorems import (CompleteQuadrilateral, MiquelResult,
@@ -83,7 +83,7 @@ class Scene:
 
         points = {name: Point(*_parse_pair(raw))
                   for name, raw in data.get("points", {}).items()}
-        if gauge is not None and gauge != identity_gauge():
+        if gauge is not None:
             names = list(points)
             chart = gauge.normalize_chart([points[n] for n in names])
             points = dict(zip(names, chart))

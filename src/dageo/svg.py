@@ -9,8 +9,8 @@ with a 10% margin; identical input always yields identical bytes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from math import isfinite
+from math import inf, isfinite
+from typing import NamedTuple
 
 from .parabola import Parabola
 from .scene import Drawables
@@ -30,20 +30,63 @@ class EmptySceneError(ValueError):
     pass
 
 
+def _finite(what: str, value) -> float:
+    """``value`` as a finite binary64 number for drawing.
+
+    Every exact-to-float conversion goes through here; a value that floats
+    cannot hold raises ``ValueError`` naming ``what``.
+    """
+    try:
+        out = float(value)
+    except OverflowError:
+        out = inf
+    if not isfinite(out):
+        raise ValueError(f"{what} is out of the float range used for drawing")
+    return out
+
+
+class _Curve(NamedTuple):
+    """A parabola's coefficients in binary64, for drawing only."""
+    k: float
+    b: float
+    g: float
+
+    def y(self, x: float) -> float:
+        return (self.k * x + self.b) * x + self.g
+
+    @property
+    def vertex_x(self) -> float:
+        return -self.b / (2 * self.k)
+
+
+def _float_curve(name: str, curve: Parabola) -> _Curve:
+    """The curve in binary64, refusing one that floats cannot draw: a
+    coefficient too large for a float, a kappa that rounds to 0, or a
+    vertex out of range."""
+    what = f"parabola {name!r}"
+    fc = _Curve(*(_finite(what, c)
+                  for c in (curve.kappa, curve.beta, curve.gamma)))
+    # A kappa that rounds to 0 sends the vertex to infinity.
+    vx = _finite(what, fc.vertex_x if fc.k else inf)
+    _finite(what, fc.y(vx))
+    return fc
+
+
 def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
     xs, ys = [], []
-    for p in draw.points.values():
-        xs.append(float(p.x))
-        ys.append(float(p.y))
-    for line in draw.lines.values():
+    for name, p in draw.points.items():
+        xs.append(_finite(f"point {name!r}", p.x))
+        ys.append(_finite(f"point {name!r}", p.y))
+    for name, line in draw.lines.items():
         if line.is_singular:
-            xs.append(float(line.x0))
+            xs.append(_finite(f"line {name!r}", line.x0))
     if not xs:
         # Only curves: frame one unit either side of each vertex.
-        for curve in draw.parabolas.values():
-            vx = _vertex_x(curve)
+        for name, curve in draw.parabolas.items():
+            fc = _float_curve(name, curve)
+            vx = fc.vertex_x
             xs += [vx - 1, vx + 1]
-            ys.append(_float_y(curve)(vx))
+            ys.append(fc.y(vx))
     if not xs:
         raise EmptySceneError("nothing drawable in the scene")
     if not ys:
@@ -56,34 +99,7 @@ def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
     return lo_x - margin_x, hi_x + margin_x, lo_y - margin_y, hi_y + margin_y
 
 
-def _float_y(curve: Parabola) -> Callable[[float], float]:
-    """The curve's y as a binary64 function of x, for drawing only."""
-    k, b, g = float(curve.kappa), float(curve.beta), float(curve.gamma)
-    return lambda x: (k * x + b) * x + g
-
-
-def _vertex_x(curve: Parabola) -> float:
-    return -float(curve.beta) / (2 * float(curve.kappa))
-
-
-def _check_drawable(name: str, curve: Parabola) -> None:
-    """Refuse a curve that binary64 cannot draw: a coefficient too large
-    for a float, a kappa that rounds to 0, or a vertex out of range."""
-    try:
-        vx = _vertex_x(curve)
-        finite = isfinite(vx) and isfinite(_float_y(curve)(vx))
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise _out_of_range(name)
-
-
-def _out_of_range(name: str) -> ValueError:
-    return ValueError(f"parabola {name!r} is out of the float range used "
-                      "for drawing")
-
-
-def _parabola_arc(curve: Parabola, x_lo: float,
+def _parabola_arc(curve: _Curve, x_lo: float,
                   x_hi: float) -> list[tuple[float, float]]:
     """The four cubic Bezier control points of the arc over [x_lo, x_hi].
 
@@ -91,11 +107,10 @@ def _parabola_arc(curve: Parabola, x_lo: float,
     Bezier whose control point is the tangent intersection at the interval
     midpoint abscissa; elevating to a cubic keeps renderers happy.
     """
-    y = _float_y(curve)
-    p0 = (x_lo, y(x_lo))
-    p2 = (x_hi, y(x_hi))
+    p0 = (x_lo, curve.y(x_lo))
+    p2 = (x_hi, curve.y(x_hi))
     xm = (x_lo + x_hi) / 2
-    slope = 2 * float(curve.kappa) * x_lo + float(curve.beta)
+    slope = 2 * curve.k * x_lo + curve.b
     ctrl = (xm, p0[1] + slope * (xm - x_lo))
     c1 = (p0[0] + 2 * (ctrl[0] - p0[0]) / 3, p0[1] + 2 * (ctrl[1] - p0[1]) / 3)
     c2 = (p2[0] + 2 * (ctrl[0] - p2[0]) / 3, p2[1] + 2 * (ctrl[1] - p2[1]) / 3)
@@ -105,25 +120,25 @@ def _parabola_arc(curve: Parabola, x_lo: float,
 def render_svg(draw: Drawables) -> str:
     """Render drawables into a standalone SVG document string.
 
-    A curve that binary64 cannot draw raises ``ValueError`` naming it.
+    A figure that binary64 cannot draw raises ``ValueError`` naming the
+    object out of range, or the frame.
     """
-    for name in sorted(draw.parabolas):
-        _check_drawable(name, draw.parabolas[name])
+    curves = {name: _float_curve(name, draw.parabolas[name])
+              for name in sorted(draw.parabolas)}
     x_lo, x_hi, y_lo, y_hi = _bounds(draw)
 
     # Grow the vertical range so parabola arcs stay in frame.
-    for name, curve in draw.parabolas.items():
-        y = _float_y(curve)
-        for x in (x_lo, x_hi, _vertex_x(curve)):
+    for name, curve in curves.items():
+        for x in (x_lo, x_hi, curve.vertex_x):
             if x_lo <= x <= x_hi:
-                yv = y(x)
-                if not isfinite(yv):
-                    raise _out_of_range(name)
+                yv = _finite(f"parabola {name!r}", curve.y(x))
                 y_lo, y_hi = min(y_lo, yv), max(y_hi, yv)
 
-    span_x, span_y = x_hi - x_lo, y_hi - y_lo
-    scale = _WIDTH / span_x
-    height = max(span_y * scale, 64.0)
+    # The frame needs a finite, nonzero width (rounding can collapse a
+    # frame far from the origin to zero width) and a finite height.
+    span_x = _finite("the frame", x_hi - x_lo)
+    scale = _finite("the frame", _WIDTH / span_x if span_x else inf)
+    height = _finite("the frame", max((y_hi - y_lo) * scale, 64.0))
 
     def sx(x: float) -> float:
         return (x - x_lo) * scale
@@ -137,23 +152,24 @@ def render_svg(draw: Drawables) -> str:
     ]
     parts.append('<rect width="100%" height="100%" fill="white"/>')
 
-    for name in sorted(draw.parabolas):
+    for name, curve in curves.items():
         # Rounding to 6 digits in chart coordinates before the pixel map
         # is part of the figure's bytes; keep it.
-        arc = _parabola_arc(draw.parabolas[name], x_lo, x_hi)
+        arc = _parabola_arc(curve, x_lo, x_hi)
         p0, *rest = [f"{_fmt(sx(float(_fmt(x))))} {_fmt(sy(float(_fmt(y))))}"
                      for x, y in arc]
         parts.append(f'<path d="M {p0} C {" ".join(rest)}" {_CURVE_STYLE}>'
                      f'<title>{name}</title></path>')
 
     for name in sorted(draw.lines):
-        line = draw.lines[name]
+        line, what = draw.lines[name], f"line {name!r}"
         if line.is_singular:
-            x = float(line.x0)
+            x = _finite(what, line.x0)
             seg = (sx(x), sy(y_lo), sx(x), sy(y_hi))
         else:
-            m, k = float(line.m), float(line.k)
+            m, k = _finite(what, line.m), _finite(what, line.k)
             seg = (sx(x_lo), sy(m * x_lo + k), sx(x_hi), sy(m * x_hi + k))
+        seg = [_finite(what, v) for v in seg]  # a steep line can overflow
         parts.append(
             f'<line x1="{_fmt(seg[0])}" y1="{_fmt(seg[1])}" '
             f'x2="{_fmt(seg[2])}" y2="{_fmt(seg[3])}" {_LINE_STYLE}>'
@@ -162,7 +178,8 @@ def render_svg(draw: Drawables) -> str:
     radius = max(_WIDTH, height) * 0.006
     for name in sorted(draw.points):
         p = draw.points[name]
-        cx, cy = sx(float(p.x)), sy(float(p.y))
+        what = f"point {name!r}"
+        cx, cy = sx(_finite(what, p.x)), sy(_finite(what, p.y))
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                      f'r="{_fmt(radius)}" {_POINT_STYLE}/>')
         parts.append(f'<text x="{_fmt(cx + 2 * radius)}" '
@@ -170,7 +187,8 @@ def render_svg(draw: Drawables) -> str:
                      f'{_TEXT_STYLE}>{name}</text>')
 
     for label, (anchor, theta) in sorted(draw.angle_labels.items()):
-        cx, cy = sx(float(anchor.x)), sy(float(anchor.y))
+        what = f"angle label {label!r}"
+        cx, cy = sx(_finite(what, anchor.x)), sy(_finite(what, anchor.y))
         parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy + 5 * radius)}" '
                      f'font-size="{_fmt(3 * radius)}" {_TEXT_STYLE}>'
                      f'angle({label}) = {theta}</text>')

@@ -77,7 +77,6 @@ def trapezoid_equivalence(a: Point, b: Point, c: Point,
     that equivalent to being inscribed in a vertical-axis parabola with a
     parallel pair of opposite sides.
     """
-    pts = (a, b, c, d)
     sides = [(a, b), (b, c), (c, d), (d, a)]
     diagonals = [(a, c), (b, d)]
     for p, q in sides + diagonals:
@@ -93,7 +92,7 @@ def trapezoid_equivalence(a: Point, b: Point, c: Point,
     else:
         is_iso = False
         one_pair = False
-    inscribed = (len({p.x for p in pts}) == 4 and conparabolic(a, b, c, d))
+    inscribed = conparabolic(a, b, c, d)
     return TrapezoidVerdict(is_iso, inscribed and one_pair)
 
 

@@ -1,17 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dageo.equivalence import (IDENTITY, REVERSING, classify_pair,
-                               coefficient_bridge, diag_section_similarity,
-                               final_theorem_feet, intro_observation_check,
-                               shift, sss_not_aa_witness)
+from dageo.equivalence import (classify_pair, coefficient_bridge,
+                               diag_section_similarity, final_theorem_feet,
+                               intro_observation_check, shift,
+                               sss_not_aa_witness)
 from dageo.errors import DegenerateConfigurationError
-from dageo.gauge import Point
+from dageo.gauge import Point, da_norm
 from dageo.parabola import Parabola
-from dageo.triangle import DATriangle
+from dageo.triangle import VERTICES, DATriangle
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -23,6 +23,36 @@ def on_curve(curve, *xs):
 
 def on_std(*xs):
     return on_curve(STD, *xs)
+
+
+@st.composite
+def _triangle(draw):
+    pts = [Point(draw(small), draw(small)) for _ in range(3)]
+    try:
+        return DATriangle(*pts)
+    except DegenerateConfigurationError:
+        assume(False)
+
+
+triangles = _triangle()
+
+
+def label_lookup_tiers(t1, t2):
+    """The tiers read through vertex labels, side by side and angle by
+    angle, as classify_pair once computed them under the identity pairing."""
+    sides = tuple((da_norm(t1.vertex(u), t1.vertex(w)),
+                   da_norm(t2.vertex(u), t2.vertex(w)))
+                  for u, w in (("A", "B"), ("B", "C"), ("C", "A")))
+    angles = tuple((t1.angle_at(lbl), t2.angle_at(lbl)) for lbl in VERTICES)
+    sss = (sides[0][0] * sides[1][1] == sides[1][0] * sides[0][1]
+           and sides[1][0] * sides[2][1] == sides[2][0] * sides[1][1])
+    aa = sum(1 for x, y in angles if x == y) >= 2
+    sas = any(sides[i][0] * sides[j][1] == sides[j][0] * sides[i][1]
+              and angles[k][0] == angles[k][1]
+              for k, (i, j) in ((0, (0, 2)), (1, (0, 1)), (2, (1, 2))))
+    norm_cong = all(x == y for x, y in sides)
+    da_cong = norm_cong and all(x == y for x, y in angles)
+    return sss, aa, sas, norm_cong, da_cong, sides, angles
 
 
 class TestClassifyPair:
@@ -52,10 +82,18 @@ class TestClassifyPair:
         assert (v12.sim_sss, v12.sim_aa, v12.norm_congruent) \
             == (v21.sim_sss, v21.sim_aa, v21.norm_congruent)
 
-    def test_invalid_correspondence(self):
-        with pytest.raises(DegenerateConfigurationError):
-            classify_pair(on_std(0, 1, 2), on_std(0, 1, 2),
-                          {"A": "A", "B": "A", "C": "C"})
+    @given(st.data())
+    def test_matches_label_lookup(self, data):
+        t1 = data.draw(triangles)
+        t2 = data.draw(st.one_of(
+            triangles,
+            small.filter(bool).map(lambda theta: shift(t1, theta)),
+            st.just(DATriangle(t1.c, t1.b, t1.a))))
+        verdict = classify_pair(t1, t2)
+        assert (verdict.sim_sss, verdict.sim_aa, verdict.sim_sas_signed,
+                verdict.norm_congruent, verdict.da_congruent,
+                verdict.side_pairs, verdict.angle_pairs) \
+            == label_lookup_tiers(t1, t2)
 
     @given(small, small, small, st.fractions(min_value=F(1, 6), max_value=9,
                                              max_denominator=6))

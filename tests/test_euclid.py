@@ -4,8 +4,8 @@ import random
 import pytest
 
 from dageo.errors import GeneratorExhaustedError
-from dageo.euclid import (euclid_bisector_collinearity, random_triangle,
-                          run_euclid_campaign)
+from dageo.euclid import (RETRY_LIMIT, euclid_bisector_collinearity,
+                          random_triangle, run_euclid_campaign)
 
 TOL = 1e-9
 
@@ -65,7 +65,13 @@ class TestCampaign:
             assert all(math.isfinite(v) for p in (a, b, c) for v in p)
 
 
-def test_sampler_exhaustion_raises():
-    # No triangle in the [-10, 10]^2 sampling box has area 1000.
+def test_sampler_exhaustion_raises(monkeypatch):
+    draws = []
+
+    def refuse(*pts):
+        draws.append(pts)
+        return False
+    monkeypatch.setattr("dageo.euclid._well_conditioned", refuse)
     with pytest.raises(GeneratorExhaustedError):
-        random_triangle(random.Random(0), min_area=1e3)
+        random_triangle(random.Random(0))
+    assert len(draws) == RETRY_LIMIT

@@ -14,7 +14,8 @@ from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
                            generate_config, jsonable, run_campaign)
 from dageo.parabola import Parabola
 from dageo.scene import Scene, SceneError, apply_construction, run_scene
-from dageo.svg import EmptySceneError, _bounds, _parabola_arc, render_svg
+from dageo.svg import (EmptySceneError, _bounds, _float_curve, _parabola_arc,
+                       render_svg)
 
 
 def _raise(error):
@@ -151,6 +152,10 @@ class TestJsonable:
     def test_report_is_json(self):
         report = run_campaign(CampaignConfig("ceva", trials=3))
         json.loads(report.to_json())
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="float"):
+            jsonable({"x": [0.5]})
 
 
 INCENTER_SCENE = {
@@ -339,6 +344,32 @@ class TestSvg:
         assert err.startswith("error: parabola 'G' ")
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("scene, message", [
+        ({"points": {"P": ["1" + "0" * 400, "0"]}}, "point 'P'"),
+        ({"points": {"A": ["0", "0"], "B": ["1", "1"], "C": ["2", "4"]},
+          "triangles": {"T": ["A", "B", "C"]},
+          "construct": ["simson(T, 1" + "0" * 300 + ")"]}, "point 'K_A'"),
+        ({"points": {"P": ["-1" + "0" * 308, "0"],
+                     "Q": ["1" + "0" * 308, "0"]}}, "the frame"),
+        # 1e300 +- the 0.1 margin rounds to one float: a zero-width frame
+        ({"points": {"P": ["1" + "0" * 300, "0"]}}, "the frame"),
+        # a bisector too steep for its end points in the frame
+        ({"points": {"A": ["0", "1" + "0" * 100], "B": ["1" + "0" * 115, "0"],
+                     "C": ["1/1" + "0" * 100, "0"]},
+          "triangles": {"T": ["A", "B", "C"]}, "construct": ["dabct(T)"]},
+         "line 'bisector_A'"),
+    ], ids=["huge-point", "simson", "wide-frame", "zero-width-frame",
+            "steep-line"])
+    def test_undrawable_figure_exits_invalid(self, scene, message, tmp_path,
+                                             capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        svg_path = tmp_path / "figure.svg"
+        assert main(["plot", "--scene", str(scene_path),
+                     "--svg", str(svg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message} ")
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("kappa, beta, gamma, x_lo, x_hi", [
         (1, 0, 0, -2.0, 3.0),
         (-0.5, 2, 1, -7.25, 4.5),
@@ -354,7 +385,7 @@ class TestSvg:
             slope = 2 * kappa * x0 + beta
             return point[1] == pytest.approx(y(x0) + slope * (point[0] - x0))
 
-        p0, c1, c2, p3 = _parabola_arc(curve, x_lo, x_hi)
+        p0, c1, c2, p3 = _parabola_arc(_float_curve("G", curve), x_lo, x_hi)
         assert p0 == pytest.approx((x_lo, y(x_lo)))
         assert p3 == pytest.approx((x_hi, y(x_hi)))
         assert on_tangent(c1, x_lo) and on_tangent(c2, x_hi)
@@ -473,7 +504,8 @@ class TestCli:
         assert "PASS euclid_export" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["--trials=0", "--trials=-3",
-                                        "--tol=0", "--tol=-1e-9"])
+                                        "--tol=0", "--tol=-1e-9",
+                                        "--tol=inf"])
     def test_euclid_export_rejects_vacuous_options(self, option, capsys):
         assert main(["euclid-export", option]) == 2
         assert "PASS" not in capsys.readouterr().out

@@ -22,7 +22,7 @@ from .gauge import (Line, Point, angle_axiom_checks, difference_angle,
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
-from .scalar import collinear
+from .scalar import collinear, over_common_denominator
 from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        centers, circum_ortho_at_infinity, dabct,
                        midpoint_lemma_check, side_norm_equation, simson)
@@ -104,7 +104,7 @@ def _check_parabolic_power(cfg: dict) -> TrialResult:
     power = parabolic_power(curve, p)
     for x1 in cfg["secant_xs"]:
         c1 = curve.point_at(x1)
-        m = (c1.y - p.y) / (c1.x - p.x)
+        m = slope_between(p, c1)
         # Second curve intersection of the secant, via the root sum.
         x2 = (m - curve.beta) / curve.kappa - x1
         if (x1 - p.x) * (x2 - p.x) != power:
@@ -227,9 +227,10 @@ def _check_ptolemy_broken(cfg: dict) -> TrialResult:
     curve = cfg["curve"]
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     # Deliberate sign flip: a mutation control for the harness itself.
-    ab, cd = b.x - a.x, d.x - c.x
-    ad, bc = d.x - a.x, c.x - b.x
-    ac, bd = c.x - a.x, d.x - b.x
+    (xa, xb, xc, xd), _ = over_common_denominator((a.x, b.x, c.x, d.x))
+    ab, cd = xb - xa, xd - xc
+    ad, bc = xd - xa, xc - xb
+    ac, bd = xc - xa, xd - xb
     if ab * cd - ad * bc - ac * bd != 0:
         return TrialResult.fail("mutant residual nonzero (expected)")
     return TrialResult.ok()

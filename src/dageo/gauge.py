@@ -115,11 +115,20 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
     """
     if p == a or p == b:
         raise DegenerateConfigurationError("angle vertex coincides with an endpoint")
-    sa = slope_between(p, a)
-    sb = slope_between(p, b)
-    if sa is None or sb is None:
+    # Each ray's dx and dy cross-multiplied as in slope_between:
+    # slope(PA) = qp*qa*dya / (sp*sa*dxa), and likewise for PB.
+    qp, sp = p.x.denominator, p.y.denominator
+    pxn, pyn = p.x.numerator, p.y.numerator
+    qa, sa = a.x.denominator, a.y.denominator
+    qb, sb = b.x.denominator, b.y.denominator
+    dxa = a.x.numerator * qp - pxn * qa
+    dxb = b.x.numerator * qp - pxn * qb
+    if dxa == 0 or dxb == 0:
         return Fraction(0)
-    return sb - sa
+    dya = a.y.numerator * sp - pyn * sa
+    dyb = b.y.numerator * sp - pyn * sb
+    ua, ub = sa * dxa, sb * dxb
+    return Fraction(qp * (dyb * qb * ua - dya * qa * ub), sp * ua * ub)
 
 
 def da_norm(a: Point, b: Point) -> Fraction:
@@ -164,7 +173,9 @@ class Line:
                         md * xd * kd)
 
     def point_at(self, x: Fraction) -> Point:
-        return Point(Fraction(x), self.y_at(x))
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return Point(x, self.y_at(x))
 
     def contains(self, p: Point) -> bool:
         if self.m is None:

@@ -4,16 +4,20 @@ theorem lives in that theorem's generator in :mod:`dageo.campaigns`.
 Every generator is a pure function of (campaign seed, trial index, bound):
 the trial seed is derived with a splitmix-style mixer, so campaigns can be
 re-run, resumed or parallelized and still produce identical
-configurations.  Generators rejection-sample through
-:meth:`RandomRationals.retrying`, which alone decides that a draw is
-degenerate and counts the rejection; hitting the retry limit raises
-:class:`GeneratorExhaustedError` (a generator bug, never a theorem failure).
+configurations.  A rational draw is a reduced ``(numerator, denominator)``
+integer pair, compared, deduplicated and sorted as integers; its
+``Fraction`` is built once, when the draw is handed out.  Generators
+rejection-sample through :meth:`RandomRationals.retrying`, which alone
+decides that a draw is degenerate and counts the rejection; hitting the
+retry limit raises :class:`GeneratorExhaustedError` (a generator bug,
+never a theorem failure).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point
@@ -44,10 +48,16 @@ class RandomRationals:
 
     # -- scalars ------------------------------------------------------------
 
-    def rational(self) -> Fraction:
+    def _reduced_pair(self) -> tuple[int, int]:
+        """One draw of n/d, n in [-bound, bound] and d in [1, bound], as
+        its lowest-terms integer pair."""
         n = self.rng.randint(-self.bound, self.bound)
         d = self.rng.randint(1, self.bound)
-        return Fraction(n, d)
+        g = gcd(n, d)
+        return n // g, d // g
+
+    def rational(self) -> Fraction:
+        return Fraction(*self._reduced_pair())
 
     def nonzero_rational(self) -> Fraction:
         return self.retrying(self.rational, lambda v: v != 0)
@@ -59,7 +69,8 @@ class RandomRationals:
 
     def fraction_in_unit_interval(self) -> Fraction:
         """Strictly interior rational of (0, 1)."""
-        d = self.rng.randint(2, max(2, self.bound))
+        # At bound 2 the only draw would be 1/2; allow thirds there.
+        d = self.rng.randint(2, max(3, self.bound))
         n = self.rng.randint(1, d - 1)
         return Fraction(n, d)
 
@@ -67,10 +78,16 @@ class RandomRationals:
         return self.rng.randint(1, 9)
 
     def distinct_rationals(self, count: int) -> list[Fraction]:
-        seen: set[Fraction] = set()
+        """``count`` pairwise distinct draws in increasing order; a repeat
+        is a rejection."""
+        seen: set[tuple[int, int]] = set()
         for _ in range(count):
-            seen.add(self.retrying(self.rational, lambda v: v not in seen))
-        return sorted(seen)
+            seen.add(self.retrying(self._reduced_pair,
+                                   lambda nd: nd not in seen))
+        # n/d in increasing order is n*(L//d) in increasing order.
+        scale = lcm(*(d for _, d in seen))
+        return [Fraction(n, d) for n, d in
+                sorted(seen, key=lambda nd: nd[0] * (scale // nd[1]))]
 
     def retrying(self, make, ok=lambda value: True):
         """First draw of ``make()`` that is not ``None``, not a raised

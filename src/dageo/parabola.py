@@ -34,22 +34,27 @@ class Parabola:
         if self.kappa == 0:
             raise DegenerateConfigurationError("kappa must be nonzero")
 
-    def y_at(self, x: Fraction) -> Fraction:
-        # (kappa*x + beta)*x + gamma over kd*bd*gd*xd^2, built once.
+    def _lifted_y(self, x: Fraction) -> tuple[int, int]:
+        """(kappa*x + beta)*x + gamma as an integer numerator over the
+        positive scale kd*bd*gd*xd^2, not reduced."""
         kappa, beta, gamma = self.kappa, self.beta, self.gamma
         kd, bd, gd = kappa.denominator, beta.denominator, gamma.denominator
         xn, xd = x.numerator, x.denominator
         linear = kappa.numerator * bd * xn + beta.numerator * kd * xd
         scale = kd * bd * xd * xd
-        return Fraction(linear * xn * gd + gamma.numerator * scale,
-                        scale * gd)
+        return linear * xn * gd + gamma.numerator * scale, scale * gd
+
+    def y_at(self, x: Fraction) -> Fraction:
+        return Fraction(*self._lifted_y(x))
 
     def point_at(self, x: Fraction) -> Point:
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         return Point(x, self.y_at(x))
 
     def contains(self, p: Point) -> bool:
-        return p.y == self.y_at(p.x)
+        num, scale = self._lifted_y(p.x)
+        return p.y.numerator * scale == num * p.y.denominator
 
     def chord_slope(self, u: Fraction, v: Fraction) -> Fraction:
         """Slope of the chord joining the curve points at x=u and x=v.

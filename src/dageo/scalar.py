@@ -75,6 +75,14 @@ def _lift_row(row) -> tuple[int, int, int, int]:
             w.numerator * du * dv, du * dv * dw)
 
 
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator
+    ``L``, returned as ``([N_1, N_2, ...], L)``; entries may be ``int`` or
+    ``Fraction``."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def collinear(p, q, r) -> bool:
     """Whether three points (objects with .x/.y) lie on one line."""
     return det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1)) == 0

@@ -72,11 +72,21 @@ def _float_curve(name: str, curve: Parabola) -> _Curve:
     return fc
 
 
-def _bounds(draw: Drawables) -> tuple[float, float, float, float]:
-    xs, ys = [], []
+def _point_floats(draw: Drawables) -> dict[str, tuple[float, float]]:
+    """Each point's coordinates in binary64, in ``draw.points`` order."""
+    out = {}
     for name, p in draw.points.items():
-        xs.append(_finite(f"point {name!r}", p.x))
-        ys.append(_finite(f"point {name!r}", p.y))
+        what = f"point {name!r}"
+        out[name] = (_finite(what, p.x), _finite(what, p.y))
+    return out
+
+
+def _bounds(draw: Drawables, points: dict[str, tuple[float, float]]
+            ) -> tuple[float, float, float, float]:
+    """The framed extent of ``draw``, whose points come as
+    :func:`_point_floats` gives them."""
+    xs = [x for x, _ in points.values()]
+    ys = [y for _, y in points.values()]
     for name, line in draw.lines.items():
         if line.is_singular:
             xs.append(_finite(f"line {name!r}", line.x0))
@@ -125,7 +135,8 @@ def render_svg(draw: Drawables) -> str:
     """
     curves = {name: _float_curve(name, draw.parabolas[name])
               for name in sorted(draw.parabolas)}
-    x_lo, x_hi, y_lo, y_hi = _bounds(draw)
+    points = _point_floats(draw)
+    x_lo, x_hi, y_lo, y_hi = _bounds(draw, points)
 
     # Grow the vertical range so parabola arcs stay in frame.
     for name, curve in curves.items():
@@ -176,10 +187,9 @@ def render_svg(draw: Drawables) -> str:
             f'<title>{name}</title></line>')
 
     radius = max(_WIDTH, height) * 0.006
-    for name in sorted(draw.points):
-        p = draw.points[name]
-        what = f"point {name!r}"
-        cx, cy = sx(_finite(what, p.x)), sy(_finite(what, p.y))
+    for name in sorted(points):
+        x, y = points[name]
+        cx, cy = sx(x), sy(y)
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                      f'r="{_fmt(radius)}" {_POINT_STYLE}/>')
         parts.append(f'<text x="{_fmt(cx + 2 * radius)}" '

@@ -21,7 +21,7 @@ from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
 from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
-from .scalar import collinear
+from .scalar import collinear, over_common_denominator
 from .triangle import DATriangle, VERTICES
 
 
@@ -37,10 +37,12 @@ def ptolemy_residual(a: Point, b: Point, c: Point, d: Point,
     x-differences); identically zero for four points on one vertical-axis
     parabola."""
     _require_on(curve, a, b, c, d)
-    ab, cd = b.x - a.x, d.x - c.x
-    ad, bc = d.x - a.x, c.x - b.x
-    ac, bd = c.x - a.x, d.x - b.x
-    return ab * cd + ad * bc - ac * bd
+    # Abscissae as integers over one L; each product is then over L^2.
+    (xa, xb, xc, xd), scale = over_common_denominator((a.x, b.x, c.x, d.x))
+    ab, cd = xb - xa, xd - xc
+    ad, bc = xd - xa, xc - xb
+    ac, bd = xc - xa, xd - xb
+    return Fraction(ab * cd + ad * bc - ac * bd, scale * scale)
 
 
 def brahmagupta_check(curve: Parabola, e: Point, a: Point, b: Point,
@@ -332,10 +334,10 @@ def singular_projective_length(p: Fraction, x0: Fraction,
     """Height at which the chord from parameter p to parameter q of the
     standard parabola crosses the singular line x = x0:
     (p + q) x0 - p q, affine-linear in q."""
-    p, x0, q = Fraction(p), Fraction(x0), Fraction(q)
-    if p == q:
+    (pn, xn, qn), scale = over_common_denominator((p, x0, q))
+    if pn == qn:
         raise DegenerateConfigurationError("degenerate chord")
-    return (p + q) * x0 - p * q
+    return Fraction((pn + qn) * xn - pn * qn, scale * scale)
 
 
 def mn_division_check(a: Fraction, b: Fraction, p: Fraction, m: int,
@@ -348,7 +350,8 @@ def mn_division_check(a: Fraction, b: Fraction, p: Fraction, m: int,
     B B_C : B_C B_A = n : m (directed vertical measures).  Both residuals
     are exactly 0.
     """
-    a, b, p = Fraction(a), Fraction(b), Fraction(p)
+    a, b, p = (v if isinstance(v, Fraction) else Fraction(v)
+               for v in (a, b, p))
     if m <= 0 or n <= 0:
         raise DegenerateConfigurationError("division weights must be positive")
     if len({a, b, p}) != 3:

@@ -31,6 +31,15 @@ def fraction_chain_line(a, b):
     return Line(m, a.y - m * a.x)
 
 
+def fraction_chain_angle(a, p, b):
+    if p == a or p == b:
+        raise DegenerateConfigurationError(
+            "angle vertex coincides with an endpoint")
+    if p.x == a.x or p.x == b.x:
+        return F(0)
+    return fraction_chain_slope(p, b) - fraction_chain_slope(p, a)
+
+
 def fraction_chain_meet_point(l1, l2):
     x = (l2.k - l1.k) / (l1.m - l2.m)
     return Point(x, l1.m * x + l1.k)
@@ -125,6 +134,29 @@ class TestDifferenceAngle:
     def test_vertex_collision_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             difference_angle(pt(1, 1), pt(1, 1), pt(2, 2))
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded,
+           st.sampled_from(["free", "singular PA", "singular PB",
+                            "vertex at A", "vertex at B"]))
+    def test_matches_fraction_chain(self, ax, ay, px, py, bx, by, shape):
+        if shape == "singular PA":
+            ax = px
+        elif shape == "singular PB":
+            bx = px
+        elif shape == "vertex at A":
+            ax, ay = px, py
+        elif shape == "vertex at B":
+            bx, by = px, py
+        a, p, b = Point(ax, ay), Point(px, py), Point(bx, by)
+        if p in (a, b):
+            with pytest.raises(
+                    DegenerateConfigurationError,
+                    match="^angle vertex coincides with an endpoint$"):
+                difference_angle(a, p, b)
+            return
+        got = difference_angle(a, p, b)
+        assert type(got) is F
+        assert got == fraction_chain_angle(a, p, b)
 
     @given(small, small, small, small, small, small)
     def test_antisymmetry(self, ax, ay, px, py, bx, by):

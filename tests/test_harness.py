@@ -15,13 +15,29 @@ from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
 from dageo.parabola import Parabola
 from dageo.scene import Scene, SceneError, apply_construction, run_scene
 from dageo.svg import (EmptySceneError, _bounds, _float_curve, _parabola_arc,
-                       render_svg)
+                       _point_floats, render_svg)
 
 
 def _raise(error):
     def make():
         raise error("raised inside make")
     return make
+
+
+class _FractionDraws(RandomRationals):
+    """The draws as built before the integer lift: every draw a Fraction,
+    repeats found by Fraction hashing, the result sorted as Fractions."""
+
+    def rational(self):
+        n = self.rng.randint(-self.bound, self.bound)
+        d = self.rng.randint(1, self.bound)
+        return F(n, d)
+
+    def distinct_rationals(self, count):
+        seen = set()
+        for _ in range(count):
+            seen.add(self.retrying(self.rational, lambda v: v not in seen))
+        return sorted(seen)
 
 
 class TestSeeding:
@@ -75,6 +91,22 @@ class TestSeeding:
         rng.rejections = RETRY_LIMIT
         assert len(set(rng.distinct_rationals(7))) == 7
 
+    @pytest.mark.parametrize("bound", [2, 3, 50, 10**6])
+    def test_draw_stream_matches_fraction_draws(self, bound):
+        counts = [1, 2, 3, 4, 5, 7] if bound > 2 else [1, 2, 3, 4, 5]
+        for seed in range(12):
+            for trial in range(8):
+                lifted = RandomRationals(seed, trial, bound)
+                reference = _FractionDraws(seed, trial, bound)
+                for count in counts:
+                    got = [lifted.rational(), *lifted.distinct_rationals(count)]
+                    want = [reference.rational(),
+                            *reference.distinct_rationals(count)]
+                    assert got == want
+                    assert all(type(v) is F for v in got)
+                assert lifted.rejections == reference.rejections
+                assert lifted.rng.getstate() == reference.rng.getstate()
+
 
 class TestGenerateConfig:
     def test_deterministic_per_trial(self):
@@ -110,6 +142,14 @@ class TestGenerateConfig:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem id"):
             CampaignConfig("no_such_theorem", trials=1)
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_every_theorem_runs_at_the_smallest_bounds(self, bound):
+        for tid in REGISTRY:
+            report = run_campaign(CampaignConfig(tid, 30, 5, bound))
+            assert report.trials == 30
+            if tid != "ptolemy_broken":
+                assert report.failures == 0, tid
 
 
 class TestReports:
@@ -307,7 +347,7 @@ class TestSvg:
     ])
     def test_parabola_only_scene_is_framed(self, parabolas):
         _, draw = run_scene(Scene.from_dict({"parabolas": parabolas}))
-        x_lo, x_hi, y_lo, y_hi = _bounds(draw)
+        x_lo, x_hi, y_lo, y_hi = _bounds(draw, _point_floats(draw))
         for curve in draw.parabolas.values():
             vx = -curve.beta / (2 * curve.kappa)
             assert x_lo < vx - 1 and vx + 1 < x_hi
@@ -409,6 +449,12 @@ class TestCli:
     def test_verify_counterexample_exit(self, capsys):
         code = main(["verify", "--theorem", "ptolemy_broken", "--trials", "3"])
         assert code == 1
+
+    def test_verify_isogonal_at_bound_two(self, capsys):
+        code = main(["verify", "--theorem", "isogonal", "--trials", "20",
+                     "--bound", "2"])
+        assert code == 0
+        assert "PASS isogonal" in capsys.readouterr().out
 
     def test_verify_unknown_theorem(self, capsys):
         assert main(["verify", "--theorem", "nonsense", "--trials", "1"]) == 2

@@ -18,10 +18,12 @@ from pathlib import Path
 import pytest
 
 import dageo
-from dageo.gauge import Point, line_through
+from dageo.gauge import Point, difference_angle, line_through
+from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import circumparabola
 from dageo.scalar import det3
+from dageo.theorems import ptolemy_residual
 from dageo.triangle import DATriangle
 
 PACKAGE = Path(dageo.__file__).resolve().parent
@@ -115,21 +117,44 @@ def test_harness_holds_no_theorem_blocks():
     assert blocks == []
 
 
-# A fixed triangle with mixed denominators and negative entries.
+# A fixed triangle with mixed denominators and negative entries, its
+# circumparabola and a fourth point on that curve.
 _A, _B, _C = (Point(F(-7, 3), F(5, 2)), Point(F(4, 5), F(-1, 6)),
               Point(F(9, 2), F(11, 7)))
+_CURVE = circumparabola(_A, _B, _C)
+_D = _CURVE.point_at(F(13, 4))
+_X = F(-5, 6)
+
+
+def _four_distinct_draws():
+    # Seed 1, trial 0 draws its four values with no rejection.
+    rng = RandomRationals(1, 0)
+    rng.distinct_rationals(4)
+    return rng.rejections
+
 
 #: Most ``Fraction.__new__`` calls each exact primitive may make on the
 #: fixed inputs: one per result it returns.  ``DATriangle`` adds to its
 #: circumparabola (3) and angles (3) the certificates' own arithmetic:
 #: the angle sum (3), the side norms (3) and their equation (1).
+#: ``contains`` answers a bool, so it builds none.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 13),
     "line_through": (lambda: line_through(_A, _B), 2),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),
+    "Parabola.contains": (lambda: _CURVE.contains(_D), 0),
+    "Parabola.point_at": (lambda: _CURVE.point_at(_X), 1),
+    "difference_angle": (lambda: difference_angle(_A, _B, _C), 1),
+    "ptolemy_residual": (lambda: ptolemy_residual(_A, _B, _C, _D, _CURVE),
+                         1),
+    "distinct_rationals": (_four_distinct_draws, 4),
 }
+
+
+def test_budgeted_draws_have_no_rejection():
+    assert _four_distinct_draws() == 0
 
 
 def _fraction_constructions(call) -> int:

@@ -110,6 +110,22 @@ class TestMembershipAndPower:
         assert curve.contains(Point(x, y))
         assert not curve.contains(Point(x, y + 1))
 
+    @given(bounded, bounded, bounded, bounded, bounded)
+    def test_contains_matches_fraction_chain(self, kappa, beta, gamma, x, y):
+        assume(kappa != 0)
+        curve = Parabola(kappa, beta, gamma)
+        on_y = fraction_chain_y_at(curve, x)
+        assert curve.contains(Point(x, on_y))
+        assert not curve.contains(Point(x, on_y + F(1, 97)))
+        assert curve.contains(Point(x, y)) == (y == on_y)
+
+    def test_point_at_keeps_a_fraction_and_lifts_an_int(self):
+        x = F(-7, 3)
+        assert STD.point_at(x).x is x
+        p = STD.point_at(4)
+        assert p == Point(F(4), F(16))
+        assert (type(p.x), type(p.y)) == (F, F)
+
     def test_contains(self):
         assert STD.contains(pt(3, 9))
         assert not STD.contains(pt(3, 8))

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import bounded
+from dageo.campaigns import REGISTRY
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import Line, Point, line_through, meet
 from dageo.parabola import Parabola, circumparabola
@@ -48,6 +50,79 @@ class TestPtolemy:
         with pytest.raises(DegenerateConfigurationError):
             ptolemy_residual(pt(0, 1), STD.point_at(F(1)),
                              STD.point_at(F(2)), STD.point_at(F(3)), STD)
+
+
+# References: the Fraction chains that the integer-lift residuals replaced.
+
+def fraction_chain_ptolemy_terms(a, b, c, d):
+    ab, cd = F(b.x) - a.x, F(d.x) - c.x
+    ad, bc = F(d.x) - a.x, F(c.x) - b.x
+    ac, bd = F(c.x) - a.x, F(d.x) - b.x
+    return ab * cd, ad * bc, ac * bd
+
+
+def fraction_chain_projective_length(p, x0, q):
+    p, x0, q = F(p), F(x0), F(q)
+    if p == q:
+        raise DegenerateConfigurationError("degenerate chord")
+    return (p + q) * x0 - p * q
+
+
+def fraction_chain_mn_division(a, b, p, m, n):
+    a, b, p = F(a), F(b), F(p)
+    if m <= 0 or n <= 0:
+        raise DegenerateConfigurationError("division weights must be positive")
+    if len({a, b, p}) != 3:
+        raise DegenerateConfigurationError("parameters must be distinct")
+    c = (n * a + m * b) / (m + n)
+    if c == p:
+        raise DegenerateConfigurationError("chord PC is degenerate")
+    a_c = fraction_chain_projective_length(p, a, c)
+    a_b = fraction_chain_projective_length(p, a, b)
+    b_c = fraction_chain_projective_length(p, b, c)
+    b_a = fraction_chain_projective_length(p, b, a)
+    return (n * (a_c - a * a) - m * (a_b - a_c),
+            m * (b_c - b * b) - n * (b_a - b_c))
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives: its value, or the message of the
+    DegenerateConfigurationError it raises."""
+    try:
+        return call(*args)
+    except DegenerateConfigurationError as err:
+        return f"raised: {err}"
+
+
+class TestLiftedResiduals:
+    @given(bounded, bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_ptolemy_matches_fraction_chain(self, kappa, beta, gamma,
+                                            xa, xb, xc, xd):
+        assume(kappa != 0)
+        curve = Parabola(kappa, beta, gamma)
+        pts = [Point(x, curve.y_at(x)) for x in (xa, xb, xc, xd)]
+        p1, p2, p3 = fraction_chain_ptolemy_terms(*pts)
+        got = ptolemy_residual(*pts, curve)
+        assert type(got) is F
+        assert got == p1 + p2 - p3
+        # The sign-flipped mutant fails exactly when its chain is nonzero.
+        mutant = REGISTRY["ptolemy_broken"].check(
+            {"curve": curve, "xs": [xa, xb, xc, xd]})
+        assert mutant.status == ("fail" if p1 - p2 - p3 != 0 else "pass")
+
+    @given(bounded, bounded, bounded)
+    def test_projective_length_matches_fraction_chain(self, p, x0, q):
+        got = outcome(singular_projective_length, p, x0, q)
+        assert got == outcome(fraction_chain_projective_length, p, x0, q)
+        if p != q:
+            assert type(got) is F
+
+    @given(bounded, bounded, bounded, st.integers(0, 9), st.integers(1, 9))
+    def test_mn_division_matches_fraction_chain(self, a, b, p, m, n):
+        got = outcome(mn_division_check, a, b, p, m, n)
+        assert got == outcome(fraction_chain_mn_division, a, b, p, m, n)
+        if not isinstance(got, str):
+            assert [type(r) for r in got] == [F, F]
 
 
 coords = st.fractions(min_value=-15, max_value=15, max_denominator=6)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, line_through, meet
 from .parabola import Parabola, conparabolic
-from .scalar import det3
+from .scalar import det3, lift_triple
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
@@ -40,25 +40,39 @@ class EquivalenceVerdict:
 def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     """Evaluate every tier for a pair of triangles compared label to
     label, asserting the tier-chain invariants."""
-    sides = tuple(zip(t1.side_norms(), t2.side_norms()))  # AB, BC, CA
-    angles = tuple(zip(t1.interior_angles(), t2.interior_angles()))
+    norms1, norms2 = t1.side_norms(), t2.side_norms()  # AB, BC, CA
+    angles1, angles2 = t1.interior_angles(), t2.interior_angles()
+    # Each tuple as integers over its own common denominator: a ratio
+    # cross-product is then one of integers (the denominators cancel), and
+    # an equality takes the other tuple's denominator as a factor.
+    p, P = lift_triple(norms1)
+    q, Q = lift_triple(norms2)
+    u, U = lift_triple(angles1)
+    v, V = lift_triple(angles2)
+    same_angle = [u[k] * V == v[k] * U for k in range(3)]
 
-    sss = (sides[0][0] * sides[1][1] == sides[1][0] * sides[0][1]
-           and sides[1][0] * sides[2][1] == sides[2][0] * sides[1][1])
-    aa = sum(1 for x, y in angles if x == y) >= 2
+    sss = p[0] * q[1] == p[1] * q[0] and p[1] * q[2] == p[2] * q[1]
+    aa = sum(same_angle) >= 2
     sas = any(
-        sides[i][0] * sides[j][1] == sides[j][0] * sides[i][1]
-        and angles[k][0] == angles[k][1]
+        p[i] * q[j] == p[j] * q[i] and same_angle[k]
         # the angle at vertex k is included between the sides that meet there
         for k, (i, j) in ((0, (0, 2)), (1, (0, 1)), (2, (1, 2)))
     )
-    norm_cong = all(x == y for x, y in sides)
-    da_cong = norm_cong and all(x == y for x, y in angles)
+    norm_cong = all(p[i] * Q == q[i] * P for i in range(3))
+    da_cong = norm_cong and all(same_angle)
 
     verdict = EquivalenceVerdict(sss, aa, sas, norm_cong, da_cong,
-                                 sides, angles)
-    if verdict.da_congruent and not verdict.norm_congruent:
-        raise KernelInvariantError("full congruence without norm congruence")
+                                 tuple(zip(norms1, norms2)),
+                                 tuple(zip(angles1, angles2)))
+    # The coefficient bridge, independent of the tiers above: in a
+    # norm-congruent pair the longest side, hence the negative vertex, is
+    # the same label, and each angle is +-|kappa| times the opposite side
+    # norm, so the angles agree exactly when |kappa| does.
+    k1, k2 = t1.parabola.kappa, t2.parabola.kappa
+    kappas_match = (abs(k1.numerator) == abs(k2.numerator)
+                    and k1.denominator == k2.denominator)
+    if norm_cong and da_cong != kappas_match:
+        raise KernelInvariantError("congruence disagrees with |kappa| match")
     if verdict.sim_sas_signed != verdict.sim_aa:
         raise KernelInvariantError("signed-SAS and AA similarity disagree")
     if verdict.sim_aa and not verdict.sim_sss:
@@ -69,15 +83,11 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
 def coefficient_bridge(t1: DATriangle, t2: DATriangle) -> bool:
     """For a norm-congruent pair: full congruence holds iff the
     circumparabola quadratic coefficients agree in absolute value.
-    Verified in both directions on the instance; returns the shared truth
-    value."""
-    verdict = classify_pair(t1, t2)
-    if not verdict.norm_congruent:
+    ``classify_pair`` certifies both directions on the instance; returns
+    the shared truth value, read from the coefficients."""
+    if not classify_pair(t1, t2).norm_congruent:
         raise DegenerateConfigurationError("pair is not norm congruent")
-    kappas_match = abs(t1.parabola.kappa) == abs(t2.parabola.kappa)
-    if verdict.da_congruent != kappas_match:
-        raise KernelInvariantError("congruence disagrees with |kappa| match")
-    return kappas_match
+    return abs(t1.parabola.kappa) == abs(t2.parabola.kappa)
 
 
 def sss_not_aa_witness(a: Fraction, b: Fraction, c: Fraction,

@@ -37,6 +37,13 @@ def trial_seed(campaign_seed: int, trial: int) -> int:
     return z ^ (z >> 31)
 
 
+def _between(s: Fraction, t: Fraction, n: int, d: int) -> Fraction:
+    """``s + (n/d)(t - s)``, that is ``((d - n) s + n t) / d``, built once."""
+    sd, td = s.denominator, t.denominator
+    return Fraction((d - n) * s.numerator * td + n * t.numerator * sd,
+                    d * sd * td)
+
+
 class RandomRationals:
     """Seeded stream of small exact rationals and geometric primitives."""
 
@@ -129,9 +136,12 @@ class RandomRationals:
         return self.retrying(make)
 
     def point_on_side(self, u: Point, w: Point) -> Point:
-        """Strictly interior point of the segment UW (never an endpoint)."""
-        lam = self.fraction_in_unit_interval()
-        return Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
+        """Strictly interior point of the segment UW (never an endpoint):
+        U + (n/d)(W - U), with n/d drawn as ``fraction_in_unit_interval``
+        draws it but never built as a Fraction."""
+        d = self.rng.randint(2, max(3, self.bound))
+        n = self.rng.randint(1, d - 1)
+        return Point(_between(u.x, w.x, n, d), _between(u.y, w.y, n, d))
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
         """Independent feet strictly inside the three sides."""

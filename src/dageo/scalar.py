@@ -83,6 +83,18 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def lift_triple(values) -> tuple[tuple[int, int, int], int]:
+    """:func:`over_common_denominator` unrolled for exactly three values,
+    returned as ``((N_1, N_2, N_3), L)``.  The triangle layer lifts several
+    triples per triangle, and the generic version's generator and list
+    cost about twice as much as this arithmetic."""
+    x, y, z = values
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    scale = math.lcm(dx, dy, dz)
+    return (x.numerator * (scale // dx), y.numerator * (scale // dy),
+            z.numerator * (scale // dz)), scale
+
+
 def collinear(p, q, r) -> bool:
     """Whether three points (objects with .x/.y) lie on one line."""
     return det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1)) == 0

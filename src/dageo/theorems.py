@@ -162,28 +162,39 @@ def arc_symmetry_check(t: DATriangle, p_param: Fraction) -> bool:
 # Ceva / Menelaus.
 # ---------------------------------------------------------------------------
 
-def _directed_ratio(u: Point, x: Point, w: Point) -> Fraction:
-    """Directed ratio UX : XW in the segment norm (x-differences)."""
-    if x.x == w.x:
-        raise DegenerateConfigurationError("ratio denominator vanishes")
-    return (x.x - u.x) / (w.x - x.x)
+#: For D, E, F: the foot's index in (A, B, C, D, E, F), the indices of its
+#: side's ends U, W in ratio order (BC, CA, AB), and the opposite label.
+_FEET = ((3, 1, 2, "A"), (4, 2, 0, "B"), (5, 0, 1, "C"))
 
 
-def _require_feet(t: DATriangle, d: Point, e: Point, f: Point) -> None:
-    for foot, lbl in ((d, "A"), (e, "B"), (f, "C")):
-        u, w = t.others(lbl)
+def _require_feet(t: DATriangle, d: Point, e: Point,
+                  f: Point) -> list[tuple[int, int]]:
+    """Reject a foot off its side line or at a vertex; return each foot
+    X's directed ratio UX : XW in the segment norm (x-differences) as an
+    integer pair ``(num, den)``, for D on BC, E on CA and F on AB."""
+    pts = (t.a, t.b, t.c, d, e, f)
+    xs, _ = over_common_denominator([p.x for p in pts])
+    ys, _ = over_common_denominator([p.y for p in pts])
+    ratios = []
+    for x, u, w, lbl in _FEET:
         # foot on the side line UW, cross-multiplied (x_U != x_W)
-        if (foot.y - u.y) * (w.x - u.x) != (w.y - u.y) * (foot.x - u.x):
-            raise DegenerateConfigurationError(f"foot {foot} off side {lbl}")
-        if foot in (t.a, t.b, t.c):
+        if (ys[x] - ys[u]) * (xs[w] - xs[u]) \
+                != (ys[w] - ys[u]) * (xs[x] - xs[u]):
+            raise DegenerateConfigurationError(f"foot {pts[x]} off side {lbl}")
+        num, den = xs[x] - xs[u], xs[w] - xs[x]
+        # A point of the sloped line UW shares its abscissa only with U or
+        # W, so this is the vertex test, and it keeps den nonzero.
+        if num == 0 or den == 0:
             raise DegenerateConfigurationError("foot at a vertex")
+        ratios.append((num, den))
+    return ratios
 
 
 def _feet_triple_ratio(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
-    _require_feet(t, d, e, f)
-    return (_directed_ratio(t.b, d, t.c)
-            * _directed_ratio(t.c, e, t.a)
-            * _directed_ratio(t.a, f, t.b))
+    """(BD/DC)(CE/EA)(AF/FB), one Fraction over the product of the ratio
+    denominators."""
+    (n1, d1), (n2, d2), (n3, d3) = _require_feet(t, d, e, f)
+    return Fraction(n1 * n2 * n3, d1 * d2 * d3)
 
 
 def ceva_product(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:

@@ -6,26 +6,30 @@ theorem.
 A valid triangle here has three non-collinear vertices with pairwise
 distinct x-coordinates.  Internally the vertices are sorted by x (the
 proofs' convention); the public API keeps the user's labels "A", "B", "C"
-and maps every result back.  Three structural facts are certified on
-construction: the oriented interior angles sum to exactly 0, exactly one
-of them is negative (always the x-middle vertex), and the largest side
-norm equals the sum of the other two.
+and maps every result back.  The side norms are computed once, on
+construction, from the abscissae over their common denominator, and
+stored; ``side_norms()`` returns the stored values.  Three structural
+facts are certified on construction, on the stored values read as
+integers over a common denominator: the oriented interior angles sum to
+exactly 0, exactly one of them is negative (always the x-middle vertex),
+and the largest side norm equals the sum of the other two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
-                    midpoint, slope_between)
+                    midpoint)
 from .parabola import Parabola, circumparabola, second_intersection
-from .scalar import det3
+from .scalar import det3, lift_triple
 
 VERTICES = ("A", "B", "C")
+#: Indices into (a, b, c) of the two vertices other than each label.
+_OTHERS = {"A": (1, 2), "B": (0, 2), "C": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -38,15 +42,14 @@ class DATriangle:
                                                 repr=False)
     _angles: tuple[Fraction, Fraction, Fraction] = field(
         init=False, compare=False, repr=False)
+    _norms: tuple[Fraction, Fraction, Fraction] = field(
+        init=False, compare=False, repr=False)
     _middle: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
         # Abscissae as integers over a shared denominator D.
-        dens = (self.a.x.denominator, self.b.x.denominator,
-                self.c.x.denominator)
-        D = lcm(*dens)
-        xs = tuple(p.x.numerator * (D // d) for p, d in zip(pts, dens))
+        xs, D = lift_triple((self.a.x, self.b.x, self.c.x))
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
@@ -68,17 +71,25 @@ class DATriangle:
         angles[j] = Fraction(scale * (xs[i] - xs[k]), den)
         angles[k] = Fraction(scale * (xs[j] - xs[i]), den)
         angles = tuple(angles)
+        # |dx| of (AB, BC, CA), over D.
+        norms = (Fraction(abs(xs[1] - xs[0]), D),
+                 Fraction(abs(xs[2] - xs[1]), D),
+                 Fraction(abs(xs[0] - xs[2]), D))
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_middle", j)
         # Structural certificates; these are theorems, so a failure here
-        # means the kernel itself is broken.
-        if sum(angles) != 0:
+        # means the kernel itself is broken.  Each reads the stored values
+        # back as integers over their common denominator.
+        nums, _ = lift_triple(angles)
+        if sum(nums) != 0:
             raise KernelInvariantError("interior angles do not sum to 0")
-        if sum(1 for t in angles if t < 0) != 1:
+        if sum(1 for n in nums if n < 0) != 1:
             raise KernelInvariantError("negative interior angle count != 1")
-        norms = sorted(self.side_norms())
-        if norms[2] != norms[0] + norms[1]:
+        # The largest norm is the sum of the other two: twice the total.
+        nums, _ = lift_triple(self.side_norms())
+        if 2 * max(nums) != sum(nums):
             raise KernelInvariantError("side-norm equation violated")
 
     # -- vertex bookkeeping -------------------------------------------------
@@ -93,8 +104,12 @@ class DATriangle:
         raise ValueError(f"unknown vertex label {label!r}")
 
     def others(self, label: str) -> tuple[Point, Point]:
-        rest = [v for v in VERTICES if v != label]
-        return self.vertex(rest[0]), self.vertex(rest[1])
+        """The two vertices other than ``label``, in label order."""
+        if label not in _OTHERS:
+            raise ValueError(f"unknown vertex label {label!r}")
+        i, j = _OTHERS[label]
+        pts = (self.a, self.b, self.c)
+        return pts[i], pts[j]
 
     def sorted_vertices(self) -> tuple[Point, Point, Point]:
         """Vertices in increasing x-order; the middle one carries the
@@ -113,9 +128,8 @@ class DATriangle:
         return line_through(u, w)
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Norms of (AB, BC, CA)."""
-        return (da_norm(self.a, self.b), da_norm(self.b, self.c),
-                da_norm(self.c, self.a))
+        """Norms of (AB, BC, CA), stored on construction."""
+        return self._norms
 
     @property
     def is_isosceles(self) -> bool:
@@ -174,8 +188,16 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     if mode == "interior" and vertex == t.negative_vertex_label:
         return Line.singular(v.x)
     u, w = t.others(vertex)
-    m = (slope_between(v, u) + slope_between(v, w)) / 2
-    return Line(m, v.y - m * v.x)
+    # The side slopes are dy*X / (dx*Y) over the abscissae's common
+    # denominator X and the ordinates' Y; their mean m and the intercept
+    # y_V - m*x_V then share the denominator 2*Y*du*dw.
+    (xv, xu, xw), X = lift_triple((v.x, u.x, w.x))
+    (yv, yu, yw), Y = lift_triple((v.y, u.y, w.y))
+    du, dw = xu - xv, xw - xv
+    num = (yu - yv) * dw + (yw - yv) * du
+    den = 2 * Y * du * dw
+    return Line(Fraction(num * X, den), Fraction(2 * yv * du * dw - num * xv,
+                                                 den))
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -218,7 +240,9 @@ class CenterSet:
 
 
 def _centroid(p: Point, q: Point, r: Point) -> Point:
-    return Point((p.x + q.x + r.x) / 3, (p.y + q.y + r.y) / 3)
+    xs, X = lift_triple((p.x, q.x, r.x))
+    ys, Y = lift_triple((p.y, q.y, r.y))
+    return Point(Fraction(sum(xs), 3 * X), Fraction(sum(ys), 3 * Y))
 
 
 def centers(t: DATriangle) -> CenterSet:
@@ -252,16 +276,20 @@ def centers(t: DATriangle) -> CenterSet:
     ex_ideal = meet(Line.singular(lo.x), Line.singular(hi.x))
 
     par = t.parabola
+    kn, kd = par.kappa.numerator, par.kappa.denominator
+    bn, bd = par.beta.numerator, par.beta.denominator
+    gn, gd = par.gamma.numerator, par.gamma.denominator
+    xs, D = lift_triple((t.a.x, t.b.x, t.c.x))
     tangent_pts = {}
-    for label in VERTICES:
-        u, w = t.others(label)
-        xm = (u.x + w.x) / 2
-        other_tangents = [v.x for v in (u, w)]
-        # Tangent-triangle vertex opposite `label`: meet of the tangents at
-        # the other two vertices, at x = midpoint of their abscissae.
-        y = (par.kappa * other_tangents[0] * other_tangents[1]
-             + par.beta * xm + par.gamma)
-        tangent_pts[label] = Point(xm, y)
+    for label, (i, j) in _OTHERS.items():
+        # Tangent-triangle vertex opposite `label`: the meet of the tangents
+        # at the other two vertices, at abscissae u, w, is at their midpoint
+        # xm and height kappa*u*w + beta*xm + gamma, here over 2*D^2*kd*bd*gd.
+        u, w = xs[i], xs[j]
+        y = (2 * kn * u * w * bd * gd + bn * (u + w) * D * kd * gd
+             + 2 * gn * D * D * kd * bd)
+        tangent_pts[label] = Point(Fraction(u + w, 2 * D),
+                                   Fraction(y, 2 * D * D * kd * bd * gd))
     tangent_triangle = DATriangle(tangent_pts["A"], tangent_pts["B"],
                                   tangent_pts["C"])
 

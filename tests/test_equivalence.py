@@ -8,7 +8,7 @@ from dageo.equivalence import (classify_pair, coefficient_bridge,
                                diag_section_similarity, final_theorem_feet,
                                intro_observation_check, shift,
                                sss_not_aa_witness)
-from dageo.errors import DegenerateConfigurationError
+from dageo.errors import DegenerateConfigurationError, KernelInvariantError
 from dageo.gauge import Point, da_norm
 from dageo.parabola import Parabola
 from dageo.triangle import VERTICES, DATriangle
@@ -85,9 +85,12 @@ class TestClassifyPair:
     @given(st.data())
     def test_matches_label_lookup(self, data):
         t1 = data.draw(triangles)
+        scaled = small.filter(bool).map(lambda k: on_curve(
+            t1.parabola, *(k * v.x for v in (t1.a, t1.b, t1.c))))
         t2 = data.draw(st.one_of(
             triangles,
             small.filter(bool).map(lambda theta: shift(t1, theta)),
+            scaled,
             st.just(DATriangle(t1.c, t1.b, t1.a))))
         verdict = classify_pair(t1, t2)
         assert (verdict.sim_sss, verdict.sim_aa, verdict.sim_sas_signed,
@@ -105,6 +108,30 @@ class TestClassifyPair:
         t2 = on_std(*(k * x for x in xs))
         verdict = classify_pair(t1, t2)  # chain asserted internally
         assert verdict.sim_sss
+
+
+class TestBridgeCertificate:
+    """classify_pair certifies the coefficient bridge on every
+    norm-congruent pair, so angles that disagree with |kappa| raise."""
+
+    def test_equal_angles_at_different_kappa_raise(self, monkeypatch):
+        t1 = on_std(0, 1, 3)
+        t2 = on_curve(Parabola(F(2), F(0), F(0)), 0, 1, 3)
+        monkeypatch.setattr(DATriangle, "interior_angles",
+                            lambda self: (F(2), F(-3), F(1)))
+        with pytest.raises(KernelInvariantError, match="kappa"):
+            classify_pair(t1, t2)
+
+    def test_unequal_angles_at_equal_kappa_raise(self, monkeypatch):
+        t1 = on_std(0, 1, 3)
+        t2 = shift(t1, F(2))
+        stored = DATriangle.interior_angles
+        monkeypatch.setattr(
+            DATriangle, "interior_angles",
+            lambda self: tuple(2 * v for v in stored(self))
+            if self is t2 else stored(self))
+        with pytest.raises(KernelInvariantError, match="kappa"):
+            classify_pair(t1, t2)
 
 
 class TestCoefficientBridge:

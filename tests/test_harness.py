@@ -9,6 +9,7 @@ import pytest
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
+from dageo.gauge import Point
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, TheoremReport,
                            generate_config, jsonable, run_campaign)
@@ -38,6 +39,10 @@ class _FractionDraws(RandomRationals):
         for _ in range(count):
             seen.add(self.retrying(self.rational, lambda v: v not in seen))
         return sorted(seen)
+
+    def point_on_side(self, u, w):
+        lam = self.fraction_in_unit_interval()
+        return Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
 
 
 class TestSeeding:
@@ -105,6 +110,20 @@ class TestSeeding:
                     assert got == want
                     assert all(type(v) is F for v in got)
                 assert lifted.rejections == reference.rejections
+                assert lifted.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("bound", [2, 3, 50, 10**6])
+    def test_point_on_side_matches_fraction_chain(self, bound):
+        for seed in range(12):
+            for trial in range(8):
+                lifted = RandomRationals(seed, trial, bound)
+                reference = _FractionDraws(seed, trial, bound)
+                for _ in range(4):
+                    u, w = lifted.point(), lifted.point()
+                    assert (u, w) == (reference.point(), reference.point())
+                    got = lifted.point_on_side(u, w)
+                    assert got == reference.point_on_side(u, w)
+                    assert all(type(v) is F for v in got)
                 assert lifted.rng.getstate() == reference.rng.getstate()
 
 

@@ -18,13 +18,14 @@ from pathlib import Path
 import pytest
 
 import dageo
+from dageo.equivalence import classify_pair
 from dageo.gauge import Point, difference_angle, line_through
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import circumparabola
 from dageo.scalar import det3
-from dageo.theorems import ptolemy_residual
-from dageo.triangle import DATriangle
+from dageo.theorems import ceva_product, ptolemy_residual
+from dageo.triangle import DATriangle, bisector_at
 
 PACKAGE = Path(dageo.__file__).resolve().parent
 
@@ -124,6 +125,13 @@ _A, _B, _C = (Point(F(-7, 3), F(5, 2)), Point(F(4, 5), F(-1, 6)),
 _CURVE = circumparabola(_A, _B, _C)
 _D = _CURVE.point_at(F(13, 4))
 _X = F(-5, 6)
+# The triangle, its image with the labels reversed, and a foot inside
+# each side (BC, CA, AB).
+_T = DATriangle(_A, _B, _C)
+_T_REVERSED = DATriangle(_C, _B, _A)
+_FEET = tuple(Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
+              for u, w, lam in ((_B, _C, F(2, 7)), (_C, _A, F(3, 5)),
+                                (_A, _B, F(1, 4))))
 
 
 def _four_distinct_draws():
@@ -134,13 +142,20 @@ def _four_distinct_draws():
 
 
 #: Most ``Fraction.__new__`` calls each exact primitive may make on the
-#: fixed inputs: one per result it returns.  ``DATriangle`` adds to its
-#: circumparabola (3) and angles (3) the certificates' own arithmetic:
-#: the angle sum (3), the side norms (3) and their equation (1).
-#: ``contains`` answers a bool, so it builds none.
+#: fixed inputs: one per result it returns.  ``DATriangle`` stores its
+#: circumparabola (3), angles (3) and side norms (3); its certificates read
+#: those back as integers and build none.  ``contains`` and
+#: ``classify_pair`` answer bools (the verdict's pairs are the stored
+#: values), so they build none; ``bisector_at`` and ``point_on_side`` build
+#: the two coordinates of their result.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
-    "DATriangle": (lambda: DATriangle(_A, _B, _C), 13),
+    "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
+    "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
+    "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
+    "bisector_at": (lambda: bisector_at(_T, "A"), 2),
+    "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
+                      2),
     "line_through": (lambda: line_through(_A, _B), 2),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),

@@ -85,6 +85,26 @@ def fraction_chain_mn_division(a, b, p, m, n):
             m * (b_c - b * b) - n * (b_a - b_c))
 
 
+def fraction_chain_feet_ratio(t, d, e, f):
+    """The cevian ratio product as built before the integer lift: each foot
+    tested in Fraction arithmetic, then three directed ratios multiplied."""
+    for foot, lbl in ((d, "A"), (e, "B"), (f, "C")):
+        u, w = (t.vertex(v) for v in "ABC" if v != lbl)
+        if (F(foot.y) - u.y) * (F(w.x) - u.x) \
+                != (F(w.y) - u.y) * (F(foot.x) - u.x):
+            raise DegenerateConfigurationError(f"foot {foot} off side {lbl}")
+        if foot in (t.a, t.b, t.c):
+            raise DegenerateConfigurationError("foot at a vertex")
+
+    def directed_ratio(u, x, w):
+        if x.x == w.x:
+            raise DegenerateConfigurationError("ratio denominator vanishes")
+        return (F(x.x) - u.x) / (F(w.x) - x.x)
+
+    return (directed_ratio(t.b, d, t.c) * directed_ratio(t.c, e, t.a)
+            * directed_ratio(t.a, f, t.b))
+
+
 def outcome(call, *args):
     """What ``call(*args)`` gives: its value, or the message of the
     DegenerateConfigurationError it raises."""
@@ -109,6 +129,38 @@ class TestLiftedResiduals:
         mutant = REGISTRY["ptolemy_broken"].check(
             {"curve": curve, "xs": [xa, xb, xc, xd]})
         assert mutant.status == ("fail" if p1 - p2 - p3 != 0 else "pass")
+
+    @given(st.data(), st.sampled_from(
+        ("interior", "external", "far_end", "near_end", "off_side")))
+    def test_feet_ratio_matches_fraction_chain(self, data, kind):
+        coords = [data.draw(bounded) for _ in range(6)]
+        try:
+            t = DATriangle(*(Point(*coords[i:i + 2]) for i in (0, 2, 4)))
+        except DegenerateConfigurationError:
+            assume(False)
+        # lam places a foot on its side line at U + lam (W - U): inside
+        # the side for Ceva, outside it for Menelaus, at W (where the old
+        # ratio's denominator vanished) or at U; "off_side" lifts one foot
+        # off its line.
+        inside = st.fractions(min_value=0, max_value=1).filter(
+            lambda v: 0 < v < 1)
+        outside = bounded.filter(lambda v: not 0 <= v <= 1)
+        lams = [data.draw(outside if kind == "external" else inside)
+                for _ in range(3)]
+        odd = data.draw(st.integers(0, 2))
+        if kind in ("far_end", "near_end"):
+            lams[odd] = 1 if kind == "far_end" else 0
+        feet = []
+        for k, (u, w) in enumerate(((t.b, t.c), (t.c, t.a), (t.a, t.b))):
+            lift = data.draw(bounded.filter(bool)) \
+                if kind == "off_side" and k == odd else 0
+            feet.append(Point(u.x + lams[k] * (w.x - u.x),
+                              u.y + lams[k] * (w.y - u.y) + lift))
+        want = outcome(fraction_chain_feet_ratio, t, *feet)
+        assert outcome(ceva_product, t, *feet) == want
+        assert outcome(menelaus_product, t, *feet) == want
+        assert isinstance(want, str) == (kind not in ("interior",
+                                                      "external"))
 
     @given(bounded, bounded, bounded)
     def test_projective_length_matches_fraction_chain(self, p, x0, q):

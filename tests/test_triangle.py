@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dageo
 from conftest import bounded
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
-from dageo.gauge import Line, MeetResult, Point, slope_between
+from dageo.gauge import Line, MeetResult, Point, da_norm, slope_between
 from dageo.parabola import Parabola
 from dageo.scalar import det3
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
@@ -79,6 +79,25 @@ class TestConstruction:
             t.vertex("D")
         with pytest.raises(ValueError):
             t.angle_at("D")
+
+    def test_others_in_label_order(self):
+        t = on_std(0, 1, 3)
+        assert t.others("A") == (t.b, t.c)
+        assert t.others("B") == (t.a, t.c)
+        assert t.others("C") == (t.a, t.b)
+        with pytest.raises(ValueError, match="unknown vertex label 'D'"):
+            t.others("D")
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_side_norms_match_da_norm(self, x1, y1, x2, y2, x3, y3):
+        try:
+            t = DATriangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        except DegenerateConfigurationError:
+            return
+        norms = t.side_norms()
+        assert norms == (da_norm(t.a, t.b), da_norm(t.b, t.c),
+                         da_norm(t.c, t.a))
+        assert all(type(n) is F for n in norms)
 
     @given(small, small, small, small, small, small)
     def test_stored_values_match_recomputation(self, x1, y1, x2, y2, x3, y3):
@@ -203,6 +222,25 @@ class TestBisectors:
         assert bisector_at(on_std(0, 1, 2), "B", "positive") \
             == Line(F(2), F(-1))
 
+    @given(bounded, bounded, bounded, bounded, bounded, bounded,
+           st.sampled_from("ABC"), st.sampled_from(("interior", "positive")))
+    def test_matches_fraction_chain(self, x1, y1, x2, y2, x3, y3, lbl, mode):
+        try:
+            t = DATriangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
+        except DegenerateConfigurationError:
+            return
+        # Reference: the mean side slope in Fraction arithmetic.
+        v = t.vertex(lbl)
+        if mode == "interior" and lbl == t.negative_vertex_label:
+            want = Line.singular(v.x)
+        else:
+            u, w = (t.vertex(o) for o in "ABC" if o != lbl)
+            m = (slope_between(v, u) + slope_between(v, w)) / 2
+            want = Line(m, v.y - m * v.x)
+        got = bisector_at(t, lbl, mode)
+        assert got == want
+        assert type(got.k) is F and (got.m is None or type(got.m) is F)
+
     def test_ratio_identity_reference(self):
         t = on_std(0, 1, 2)
         for lbl in ("A", "B", "C"):
@@ -241,6 +279,23 @@ class TestCenters:
         tt = centers(t).tangent_triangle
         assert sorted(side_norm_equation(tt).norms) \
             == [n / 2 for n in sorted(side_norm_equation(t).norms)]
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_tangent_points_match_fraction_chain(self, x1, y1, x2, y2, x3,
+                                                 y3):
+        try:
+            t = DATriangle(Point(x1, y1), Point(x2, y2), Point(x3, y3))
+            tt = centers(t).tangent_triangle
+        except DegenerateConfigurationError:
+            return
+        # Reference: the meet of the tangents at U and W in Fraction
+        # arithmetic, at x = (u + w)/2 and y = kappa*u*w + beta*x + gamma.
+        par = t.parabola
+        for lbl, got in zip("ABC", (tt.a, tt.b, tt.c)):
+            u, w = (t.vertex(o).x for o in "ABC" if o != lbl)
+            xm = (F(u) + w) / 2
+            assert got == Point(xm, par.kappa * u * w + par.beta * xm
+                                + par.gamma)
 
     def test_midpoint_identity_general_curve(self):
         curve = Parabola(F(2), F(-1), F(3))

@@ -64,7 +64,8 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     verdict = EquivalenceVerdict(sss, aa, sas, norm_cong, da_cong,
                                  tuple(zip(norms1, norms2)),
                                  tuple(zip(angles1, angles2)))
-    # The coefficient bridge, independent of the tiers above: in a
+    # The coefficient bridge, independent of the tier formulas above (not
+    # of the angles' closed form, which is |kappa| times a norm): in a
     # norm-congruent pair the longest side, hence the negative vertex, is
     # the same label, and each angle is +-|kappa| times the opposite side
     # norm, so the angles agree exactly when |kappa| does.
@@ -84,10 +85,11 @@ def coefficient_bridge(t1: DATriangle, t2: DATriangle) -> bool:
     """For a norm-congruent pair: full congruence holds iff the
     circumparabola quadratic coefficients agree in absolute value.
     ``classify_pair`` certifies both directions on the instance; returns
-    the shared truth value, read from the coefficients."""
-    if not classify_pair(t1, t2).norm_congruent:
+    the shared truth value."""
+    verdict = classify_pair(t1, t2)
+    if not verdict.norm_congruent:
         raise DegenerateConfigurationError("pair is not norm congruent")
-    return abs(t1.parabola.kappa) == abs(t2.parabola.kappa)
+    return verdict.da_congruent
 
 
 def sss_not_aa_witness(a: Fraction, b: Fraction, c: Fraction,

@@ -137,10 +137,9 @@ class RandomRationals:
 
     def point_on_side(self, u: Point, w: Point) -> Point:
         """Strictly interior point of the segment UW (never an endpoint):
-        U + (n/d)(W - U), with n/d drawn as ``fraction_in_unit_interval``
-        draws it but never built as a Fraction."""
-        d = self.rng.randint(2, max(3, self.bound))
-        n = self.rng.randint(1, d - 1)
+        U + lam (W - U) with lam from ``fraction_in_unit_interval``."""
+        lam = self.fraction_in_unit_interval()
+        n, d = lam.numerator, lam.denominator
         return Point(_between(u.x, w.x, n, d), _between(u.y, w.y, n, d))
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:

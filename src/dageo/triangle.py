@@ -7,12 +7,12 @@ A valid triangle here has three non-collinear vertices with pairwise
 distinct x-coordinates.  Internally the vertices are sorted by x (the
 proofs' convention); the public API keeps the user's labels "A", "B", "C"
 and maps every result back.  The side norms are computed once, on
-construction, from the abscissae over their common denominator, and
-stored; ``side_norms()`` returns the stored values.  Three structural
-facts are certified on construction, on the stored values read as
-integers over a common denominator: the oriented interior angles sum to
-exactly 0, exactly one of them is negative (always the x-middle vertex),
-and the largest side norm equals the sum of the other two.
+construction, by ``da_norm``, and stored; ``side_norms()`` returns the
+stored values.  Three structural facts are certified on construction, on
+the stored values read as integers over a common denominator: the
+oriented interior angles sum to exactly 0, exactly one of them is
+negative (always the x-middle vertex), and the largest side norm equals
+the sum of the other two.
 """
 
 from __future__ import annotations
@@ -71,10 +71,8 @@ class DATriangle:
         angles[j] = Fraction(scale * (xs[i] - xs[k]), den)
         angles[k] = Fraction(scale * (xs[j] - xs[i]), den)
         angles = tuple(angles)
-        # |dx| of (AB, BC, CA), over D.
-        norms = (Fraction(abs(xs[1] - xs[0]), D),
-                 Fraction(abs(xs[2] - xs[1]), D),
-                 Fraction(abs(xs[0] - xs[2]), D))
+        norms = (da_norm(self.a, self.b), da_norm(self.b, self.c),
+                 da_norm(self.c, self.a))
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_norms", norms)

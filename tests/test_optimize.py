@@ -146,8 +146,9 @@ def _four_distinct_draws():
 #: circumparabola (3), angles (3) and side norms (3); its certificates read
 #: those back as integers and build none.  ``contains`` and
 #: ``classify_pair`` answer bools (the verdict's pairs are the stored
-#: values), so they build none; ``bisector_at`` and ``point_on_side`` build
-#: the two coordinates of their result.
+#: values), so they build none; ``bisector_at`` builds the two numbers of
+#: its line, and ``point_on_side`` the drawn ratio and the two coordinates
+#: of its point.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
@@ -155,7 +156,7 @@ FRACTION_BUDGET = {
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 2),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
-                      2),
+                      3),
     "line_through": (lambda: line_through(_A, _B), 2),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),

@@ -176,6 +176,14 @@ class TestCertificates:
         # Callers that catch AssertionError still see certificate failures.
         assert isinstance(info.value, AssertionError)
 
+    def test_broken_da_norm_raises(self, monkeypatch):
+        # The stored norms are da_norm's values, so the side-norm equation
+        # checks da_norm on every construction.
+        monkeypatch.setattr("dageo.triangle.da_norm",
+                            lambda p, q: da_norm(p, q) + 1)
+        with pytest.raises(KernelInvariantError, match="side-norm equation"):
+            on_std(0, 1, 3)
+
     def test_certificates_survive_optimize_flag(self):
         # Under -O every assert statement is stripped; the triangle
         # certificates must still raise.

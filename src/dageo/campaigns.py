@@ -25,7 +25,7 @@ from .parabola import (Parabola, circumparabola, inscribed_angle_check,
 from .scalar import collinear, over_common_denominator
 from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        centers, circum_ortho_at_infinity, dabct,
-                       midpoint_lemma_check, side_norm_equation, simson)
+                       midpoint_lemma_check, simson)
 
 
 @dataclass
@@ -160,10 +160,10 @@ def _check_triangle_invariants(cfg: dict) -> TrialResult:
             return TrialResult.fail("angle sum nonzero")
         if sum(1 for v in angles if v < 0) != 1:
             return TrialResult.fail("negative-angle count != 1")
-        eqn = side_norm_equation(t)
-        if eqn.residual != 0:
+        norms = t.side_norms()
+        if 2 * max(norms) != sum(norms):
             return TrialResult.fail("side-norm identity violated")
-        if len(set(eqn.norms)) == 1:
+        if len(set(norms)) == 1:
             return TrialResult.fail("equilateral triangle slipped through")
         circum, ortho = circum_ortho_at_infinity(t)
         if not (circum.is_ideal and ortho.is_ideal):
@@ -719,11 +719,8 @@ def _check_equivalence_chain(cfg: dict) -> TrialResult:
         return TrialResult.fail("scaled pair not SSS-without-AA")
     if case == 1 and not verdict.da_congruent:
         return TrialResult.fail("shifted pair not congruent")
-    if case == 2:
-        if not verdict.norm_congruent or verdict.da_congruent:
-            return TrialResult.fail("coefficient bridge case misclassified")
-        if eq.coefficient_bridge(cfg["T1"], cfg["T2"]):
-            return TrialResult.fail("bridge claims equal |kappa|")
+    if case == 2 and (not verdict.norm_congruent or verdict.da_congruent):
+        return TrialResult.fail("coefficient bridge case misclassified")
     return TrialResult.ok(f"case{case}")
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, line_through, meet
-from .parabola import Parabola, conparabolic
+from .parabola import conparabolic
 from .scalar import det3, lift_triple
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
@@ -79,36 +79,6 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     if verdict.sim_aa and not verdict.sim_sss:
         raise KernelInvariantError("AA similarity without SSS similarity")
     return verdict
-
-
-def coefficient_bridge(t1: DATriangle, t2: DATriangle) -> bool:
-    """For a norm-congruent pair: full congruence holds iff the
-    circumparabola quadratic coefficients agree in absolute value.
-    ``classify_pair`` certifies both directions on the instance; returns
-    the shared truth value."""
-    verdict = classify_pair(t1, t2)
-    if not verdict.norm_congruent:
-        raise DegenerateConfigurationError("pair is not norm congruent")
-    return verdict.da_congruent
-
-
-def sss_not_aa_witness(a: Fraction, b: Fraction, c: Fraction,
-                       k: Fraction) -> tuple[DATriangle, DATriangle,
-                                             EquivalenceVerdict]:
-    """Witness family separating the SSS and AA tiers: the triangles at
-    abscissae (a, b, c) and (ka, kb, kc) on the standard parabola are
-    SSS-similar with ratio k but their angles scale by k."""
-    a, b, c, k = Fraction(a), Fraction(b), Fraction(c), Fraction(k)
-    if not (a < b < c) or k <= 0 or k == 1:
-        raise DegenerateConfigurationError("need a < b < c and k > 0, k != 1")
-    std = Parabola(Fraction(1), Fraction(0), Fraction(0))
-    t1 = DATriangle(std.point_at(a), std.point_at(b), std.point_at(c))
-    t2 = DATriangle(std.point_at(k * a), std.point_at(k * b),
-                    std.point_at(k * c))
-    verdict = classify_pair(t1, t2)
-    if not (verdict.sim_sss and not verdict.sim_aa):
-        raise KernelInvariantError("witness pair does not separate SSS and AA")
-    return t1, t2, verdict
 
 
 def shift(t: DATriangle, theta: Fraction) -> DATriangle:

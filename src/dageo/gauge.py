@@ -80,12 +80,6 @@ class Gauge:
         return out
 
 
-def identity_gauge() -> Gauge:
-    zero = Fraction(0)
-    one = Fraction(1)
-    return Gauge(Point(zero, zero), (one, zero), (zero, one))
-
-
 def normalize_chart(g: Gauge, points: list[Point]) -> list[Point]:
     return g.normalize_chart(points)
 
@@ -151,7 +145,9 @@ class Line:
 
     @classmethod
     def singular(cls, x0: Fraction) -> "Line":
-        return cls(None, Fraction(x0))
+        if not isinstance(x0, Fraction):
+            x0 = Fraction(x0)
+        return cls(None, x0)
 
     @property
     def is_singular(self) -> bool:

@@ -105,10 +105,6 @@ class TheoremReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "TheoremReport":
-        return cls(**json.loads(text))
-
 
 def generate_config(theorem_id: str, seed: int, trial: int,
                     bound: int = 50) -> dict:

@@ -81,10 +81,10 @@ def _point_floats(draw: Drawables) -> dict[str, tuple[float, float]]:
     return out
 
 
-def _bounds(draw: Drawables, points: dict[str, tuple[float, float]]
-            ) -> tuple[float, float, float, float]:
-    """The framed extent of ``draw``, whose points come as
-    :func:`_point_floats` gives them."""
+def _bounds(draw: Drawables, points: dict[str, tuple[float, float]],
+            curves: dict[str, _Curve]) -> tuple[float, float, float, float]:
+    """The framed extent of ``draw``, whose points and parabolas come as
+    :func:`_point_floats` and :func:`_float_curve` give them."""
     xs = [x for x, _ in points.values()]
     ys = [y for _, y in points.values()]
     for name, line in draw.lines.items():
@@ -92,8 +92,7 @@ def _bounds(draw: Drawables, points: dict[str, tuple[float, float]]
             xs.append(_finite(f"line {name!r}", line.x0))
     if not xs:
         # Only curves: frame one unit either side of each vertex.
-        for name, curve in draw.parabolas.items():
-            fc = _float_curve(name, curve)
+        for fc in curves.values():
             vx = fc.vertex_x
             xs += [vx - 1, vx + 1]
             ys.append(fc.y(vx))
@@ -136,7 +135,7 @@ def render_svg(draw: Drawables) -> str:
     curves = {name: _float_curve(name, draw.parabolas[name])
               for name in sorted(draw.parabolas)}
     points = _point_floats(draw)
-    x_lo, x_hi, y_lo, y_hi = _bounds(draw, points)
+    x_lo, x_hi, y_lo, y_hi = _bounds(draw, points, curves)
 
     # Grow the vertical range so parabola arcs stay in frame.
     for name, curve in curves.items():

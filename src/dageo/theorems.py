@@ -190,17 +190,12 @@ def _require_feet(t: DATriangle, d: Point, e: Point,
     return ratios
 
 
-def _feet_triple_ratio(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
-    """(BD/DC)(CE/EA)(AF/FB), one Fraction over the product of the ratio
-    denominators."""
-    (n1, d1), (n2, d2), (n3, d3) = _require_feet(t, d, e, f)
-    return Fraction(n1 * n2 * n3, d1 * d2 * d3)
-
-
 def ceva_product(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
     """Signed cevian product (BD/DC)(CE/EA)(AF/FB) in directed segment
     norms; equals 1 exactly when AD, BE, CF are concurrent."""
-    return _feet_triple_ratio(t, d, e, f)
+    # One Fraction over the product of the ratio denominators.
+    (n1, d1), (n2, d2), (n3, d3) = _require_feet(t, d, e, f)
+    return Fraction(n1 * n2 * n3, d1 * d2 * d3)
 
 
 def cevians_concurrent(t: DATriangle, d: Point, e: Point, f: Point) -> bool:
@@ -212,7 +207,7 @@ def cevians_concurrent(t: DATriangle, d: Point, e: Point, f: Point) -> bool:
 def menelaus_product(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
     """Same signed product as Ceva over points of the side lines (external
     positions allowed); equals -1 exactly when D, E, F are collinear."""
-    return _feet_triple_ratio(t, d, e, f)
+    return ceva_product(t, d, e, f)
 
 
 # ---------------------------------------------------------------------------

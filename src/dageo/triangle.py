@@ -30,6 +30,8 @@ from .scalar import det3, lift_triple
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
 _OTHERS = {"A": (1, 2), "B": (0, 2), "C": (0, 1)}
+#: The two labels other than each label, in cyclic order.
+_CYCLIC_OTHERS = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
 
 
 @dataclass(frozen=True)
@@ -146,24 +148,8 @@ class DATriangle:
         """
         return self._angles
 
-    def angle_at(self, label: str) -> Fraction:
-        return self._angles[VERTICES.index(label)]
-
     def __str__(self) -> str:
         return f"Triangle[A={self.a}, B={self.b}, C={self.c}]"
-
-
-class SideNormEquation(NamedTuple):
-    norms: tuple[Fraction, Fraction, Fraction]  # (AB, BC, CA)
-    residual: Fraction  # max norm minus the sum of the other two
-
-
-def side_norm_equation(t: DATriangle) -> SideNormEquation:
-    """Side norms plus the certified identity: the largest norm equals the
-    sum of the other two (hence no triangle has three equal side norms)."""
-    norms = t.side_norms()
-    ordered = sorted(norms)
-    return SideNormEquation(norms, ordered[2] - ordered[0] - ordered[1])
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +413,8 @@ def midpoint_lemma_check(t: DATriangle) -> MidpointLemmaResult:
     """
     bis = {lbl: bisector_at(t, lbl, "positive") for lbl in VERTICES}
     feet = perpendicular_feet(t)
-    pair_for = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
     meets, residuals, skipped = {}, {}, []
-    for lbl, (u, w) in pair_for.items():
+    for lbl, (u, w) in _CYCLIC_OTHERS.items():
         hit = meet(bis[u], bis[w])
         if not hit.is_finite:
             skipped.append(lbl)
@@ -469,14 +454,13 @@ def dabct(t: DATriangle) -> DABCTResult:
     feet = perpendicular_feet(t)
     l_points = {}
     concurrency_ok = True
-    feet_chord_for = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
     for lbl in VERTICES:
         hit = meet(t.side(lbl), bis[lbl])
         if not hit.is_finite:
             raise KernelInvariantError(
                 "non-isosceles triangles have finite L points")
         l_points[lbl] = hit.point
-        u, w = feet_chord_for[lbl]
+        u, w = _CYCLIC_OTHERS[lbl]
         chord = line_through(feet[u], feet[w])
         if not chord.contains(hit.point):
             concurrency_ok = False

@@ -13,8 +13,7 @@ import pytest
 
 from conftest import reference_report
 from dageo.equivalence import (classify_pair, final_theorem_feet,
-                               intro_observation_check, shift,
-                               sss_not_aa_witness)
+                               intro_observation_check, shift)
 from dageo.euclid import run_euclid_campaign
 from dageo.gauge import Point
 from dageo.harness import (CampaignConfig, REGISTRY, generate_config,
@@ -165,7 +164,7 @@ def test_criterion_12_equivalence_hierarchy():
     rep_final = campaign("final_collinearity")
     rep_intro = campaign("intro_observation")
 
-    _, _, witness = sss_not_aa_witness(F(0), F(1), F(3), F(2))
+    witness = classify_pair(on_std(0, 1, 3), on_std(0, 2, 6))
     gamma, delta = STD, Parabola(F(1), F(-10), F(25))
     t1 = on_std(0, 1, 2)
     t2 = DATriangle(delta.point_at(F(7)), delta.point_at(F(6)),

@@ -1,8 +1,11 @@
 """The public surface of the package: refactors keep ``dageo.__all__``
 exactly as it is, and every name in it importable.  The benchmark's traced
 run also rebinds kernel functions by name, so those names must stay where
-it looks for them."""
+it looks for them.  A public module-level function or class that nothing
+in the package uses and ``__all__`` does not export is dead code unless
+it has a stated reason to stay."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,7 +14,17 @@ import dageo
 import dageo.scalar
 import dageo.triangle
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "dageo"
+
+#: Public module-level definitions that no other code in ``src/dageo`` uses
+#: and ``__all__`` does not export, each with the reason it stays.
+UNUSED_ALLOWED = {
+    "harness.generate_config":
+        "rebuilds one trial's config; the engine of the planned replay "
+        "command (ROADMAP item 4)",
+}
 
 PUBLIC_NAMES = [
     "CenterSet", "DATriangle", "DegenerateConfigurationError", "Gauge",
@@ -64,3 +77,34 @@ def test_triangle_module_holds_det3():
     # while dageo.triangle holds det3 by name, and perfbench's own tests
     # check that it is rebound there.
     assert dageo.triangle.det3 is dageo.scalar.det3
+
+
+def _top_level_statements():
+    """(module, statement, names it mentions) for every top-level
+    statement of every module in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            yield path.stem, stmt, names
+
+
+def test_every_public_definition_is_used_or_exported():
+    statements = list(_top_level_statements())
+    unused = set()
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = stmt.name
+        if name.startswith("_") or name in dageo.__all__:
+            continue
+        if not any(name in names for _, other, names in statements
+                   if other is not stmt):
+            unused.add(f"{module}.{name}")
+    assert sorted(unused) == sorted(UNUSED_ALLOWED)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dageo.equivalence import (classify_pair, coefficient_bridge,
-                               diag_section_similarity, final_theorem_feet,
-                               intro_observation_check, shift,
-                               sss_not_aa_witness)
+from dageo.equivalence import (classify_pair, diag_section_similarity,
+                               final_theorem_feet, intro_observation_check,
+                               shift)
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
 from dageo.gauge import Point, da_norm
 from dageo.parabola import Parabola
-from dageo.triangle import VERTICES, DATriangle
+from dageo.triangle import DATriangle
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -43,7 +42,7 @@ def label_lookup_tiers(t1, t2):
     sides = tuple((da_norm(t1.vertex(u), t1.vertex(w)),
                    da_norm(t2.vertex(u), t2.vertex(w)))
                   for u, w in (("A", "B"), ("B", "C"), ("C", "A")))
-    angles = tuple((t1.angle_at(lbl), t2.angle_at(lbl)) for lbl in VERTICES)
+    angles = tuple(zip(t1.interior_angles(), t2.interior_angles()))
     sss = (sides[0][0] * sides[1][1] == sides[1][0] * sides[0][1]
            and sides[1][0] * sides[2][1] == sides[2][0] * sides[1][1])
     aa = sum(1 for x, y in angles if x == y) >= 2
@@ -61,7 +60,7 @@ class TestClassifyPair:
         verdict = classify_pair(t1, t2)
         assert verdict.sim_sss and not verdict.sim_aa
         # the middle angles differ: -2 against -4
-        assert t1.angle_at("B") == -2 and t2.angle_at("B") == -4
+        assert t1.interior_angles()[1] == -2 and t2.interior_angles()[1] == -4
 
     def test_shifted_pair_congruent(self):
         t = on_std(0, 1, 3)
@@ -135,33 +134,46 @@ class TestBridgeCertificate:
 
 
 class TestCoefficientBridge:
+    """A norm-congruent pair is fully congruent exactly when the
+    circumparabola coefficients agree in absolute value."""
+
+    def verdict(self, t1, t2):
+        verdict = classify_pair(t1, t2)
+        assert verdict.norm_congruent
+        return verdict.da_congruent
+
     def test_opposite_openings_congruent(self):
         t1 = on_std(0, 1, 3)
         t2 = on_curve(Parabola(F(-1), F(0), F(0)), 0, 1, 3)
-        assert coefficient_bridge(t1, t2) is True
+        assert self.verdict(t1, t2) is True
 
     def test_different_magnitude_not_congruent(self):
         t1 = on_std(0, 1, 3)
         t2 = on_curve(Parabola(F(2), F(0), F(0)), 0, 1, 3)
-        assert coefficient_bridge(t1, t2) is False
+        assert self.verdict(t1, t2) is False
 
     def test_same_coefficient(self):
         t1 = on_std(0, 1, 3)
-        assert coefficient_bridge(t1, shift(t1, F(5))) is True
+        assert self.verdict(t1, shift(t1, F(5))) is True
 
     def test_requires_norm_congruence(self):
-        with pytest.raises(DegenerateConfigurationError):
-            coefficient_bridge(on_std(0, 1, 3), on_std(0, 1, 4))
+        verdict = classify_pair(on_std(0, 1, 3), on_std(0, 1, 4))
+        assert not verdict.norm_congruent and not verdict.da_congruent
 
 
 class TestWitnessFamily:
+    """An x-scaled copy on the standard parabola separates the SSS and AA
+    tiers: its side norms scale by k, and so do its angles, which AA
+    similarity needs equal."""
+
     def test_default_witness(self):
-        t1, t2, verdict = sss_not_aa_witness(F(0), F(1), F(3), F(2))
+        verdict = classify_pair(on_std(0, 1, 3), on_std(0, 2, 6))
         assert verdict.sim_sss and not verdict.sim_aa
 
     def test_rejects_trivial_scale(self):
-        with pytest.raises(DegenerateConfigurationError):
-            sss_not_aa_witness(F(0), F(1), F(3), F(1))
+        # k = 1 is no witness: the copy is the same triangle.
+        verdict = classify_pair(on_std(0, 1, 3), on_std(0, 1, 3))
+        assert verdict.sim_sss and verdict.sim_aa and verdict.da_congruent
 
 
 class TestShift:

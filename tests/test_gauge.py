@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from conftest import bounded
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Gauge, Line, MeetResult, Point, angle_axiom_checks,
-                         da_norm, difference_angle,
-                         identity_gauge, line_through, meet, normalize_chart,
-                         slope_between)
+                         da_norm, difference_angle, line_through, meet,
+                         normalize_chart, slope_between)
 from dageo.harness import CampaignConfig, run_campaign
 
 small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -47,7 +46,8 @@ def fraction_chain_meet_point(l1, l2):
 
 class TestNormalizeChart:
     def test_identity(self):
-        assert normalize_chart(identity_gauge(), [pt(3, 4)]) == [pt(3, 4)]
+        g = Gauge(pt(0, 0), (F(1), F(0)), (F(0), F(1)))
+        assert normalize_chart(g, [pt(3, 4)]) == [pt(3, 4)]
 
     def test_oblique_projective_direction(self):
         # (2,2) = 0*(1,0) + 2*(1,1)  =>  chart point (0,2)

@@ -19,7 +19,7 @@ import pytest
 
 import dageo
 from dageo.equivalence import classify_pair
-from dageo.gauge import Point, difference_angle, line_through
+from dageo.gauge import Line, Point, difference_angle, line_through
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import circumparabola
@@ -158,6 +158,7 @@ FRACTION_BUDGET = {
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       3),
     "line_through": (lambda: line_through(_A, _B), 2),
+    "Line.singular": (lambda: Line.singular(_X), 0),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),
     "Parabola.contains": (lambda: _CURVE.contains(_D), 0),

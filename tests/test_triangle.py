@@ -17,8 +17,7 @@ from dageo.scalar import det3
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
                             foot_of_perpendicular, midpoint_lemma_check,
-                            naive_simson, perpendicular_bisectors,
-                            side_norm_equation, simson)
+                            naive_simson, perpendicular_bisectors, simson)
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -77,8 +76,6 @@ class TestConstruction:
         t = on_std(0, 1, 2)
         with pytest.raises(ValueError, match="unknown vertex label 'D'"):
             t.vertex("D")
-        with pytest.raises(ValueError):
-            t.angle_at("D")
 
     def test_others_in_label_order(self):
         t = on_std(0, 1, 3)
@@ -115,7 +112,6 @@ class TestConstruction:
                 hi.x: scale * (mid.x - lo.x)}
         expected = tuple(by_x[p.x] for p in pts)
         assert t.interior_angles() == expected
-        assert tuple(t.angle_at(lbl) for lbl in "ABC") == expected
         assert t.negative_vertex_label == "ABC"[pts.index(mid)]
 
     @given(bounded, bounded, bounded, bounded, bounded, bounded)
@@ -153,17 +149,14 @@ class TestConstruction:
         assert angles[1] < 0  # still the middle vertex
 
     def test_side_norm_equation(self):
-        eqn = side_norm_equation(on_std(0, 1, 3))
-        assert eqn.norms == (1, 2, 3)
-        assert eqn.residual == 0
-        eqn2 = side_norm_equation(on_std(0, 1, 2))
-        assert eqn2.norms == (1, 1, 2)
-        assert eqn2.residual == 0
+        # the largest norm is the sum of the other two
+        assert on_std(0, 1, 3).side_norms() == (1, 2, 3)
+        assert on_std(0, 1, 2).side_norms() == (1, 1, 2)
 
     def test_no_equilateral(self):
         # forced by max = sum of others: three equal norms are impossible
         for t in (on_std(0, 1, 2), on_std(-4, 1, 2), on_std(0, F(1, 3), 5)):
-            assert len(set(side_norm_equation(t).norms)) > 1
+            assert len(set(t.side_norms())) > 1
 
 
 class TestCertificates:
@@ -285,8 +278,8 @@ class TestCenters:
         # tangent-triangle side norms are exactly half the original's
         t = on_std(-2, 1, 5)
         tt = centers(t).tangent_triangle
-        assert sorted(side_norm_equation(tt).norms) \
-            == [n / 2 for n in sorted(side_norm_equation(t).norms)]
+        assert sorted(tt.side_norms()) \
+            == [n / 2 for n in sorted(t.side_norms())]
 
     @given(bounded, bounded, bounded, bounded, bounded, bounded)
     def test_tangent_points_match_fraction_chain(self, x1, y1, x2, y2, x3,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import bounded
 from dageo.equivalence import (classify_pair, diag_section_similarity,
                                final_theorem_feet, intro_observation_check,
                                shift)
@@ -216,6 +217,18 @@ class TestDiagSection:
         pts = [STD.point_at(F(x)) for x in (0, 1, 3)]
         with pytest.raises(DegenerateConfigurationError):
             diag_section_similarity(*pts, Point(F(4), F(15)))
+
+    @given(st.lists(small, min_size=4, max_size=4, unique=True),
+           bounded.filter(bool), bounded, bounded)
+    def test_every_sorted_quadruple_is_admissible(self, xs, kappa, beta,
+                                                  gamma):
+        # The diag_section generator draws without probing the kernel:
+        # four sorted distinct abscissae on any parabola are never
+        # degenerate.
+        curve = Parabola(kappa, beta, gamma)
+        pts = [curve.point_at(x) for x in sorted(xs)]
+        verdict = diag_section_similarity(*pts)
+        assert verdict.xab_xcd and verdict.xbc_xad
 
 
 class TestFinalTheorem:

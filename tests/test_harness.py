@@ -170,6 +170,19 @@ class TestGenerateConfig:
             if tid != "ptolemy_broken":
                 assert report.failures == 0, tid
 
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_smallest_bounds_report_and_catch_the_mutant(self, bound):
+        # Generators that draw without probing the kernel must still give
+        # only admissible configurations at the smallest bounds, and the
+        # mutation control must still be caught there.
+        for tid in REGISTRY:
+            report = run_campaign(CampaignConfig(tid, 40, 7, bound))
+            assert report.trials == 40, tid
+            if tid == "ptolemy_broken":
+                assert report.failures > 0
+            else:
+                assert report.failures == 0, tid
+
 
 class TestReports:
     def test_round_trip(self):

@@ -8,6 +8,7 @@ from conftest import bounded
 from dageo.campaigns import REGISTRY
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import Line, Point, line_through, meet
+from dageo.generators import RandomRationals
 from dageo.parabola import Parabola, circumparabola
 from dageo.scalar import collinear
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, ceva_product,
@@ -288,6 +289,19 @@ class TestArcSymmetry:
         with pytest.raises(DegenerateConfigurationError):
             arc_symmetry_check(on_std(0, 1, 3), F(5))
 
+    @given(st.lists(bounded, min_size=3, max_size=3, unique=True),
+           bounded.filter(bool), bounded, bounded,
+           st.fractions(min_value=0, max_value=1, max_denominator=50)
+           .filter(lambda lam: 0 < lam < 1))
+    def test_every_arc_parameter_is_admissible(self, xs, kappa, beta, gamma,
+                                               lam):
+        # The arc_symmetry generator draws without probing the kernel:
+        # every parameter strictly inside the arc (mid, hi) is admissible.
+        curve = Parabola(kappa, beta, gamma)
+        t = DATriangle(*(curve.point_at(x) for x in xs))
+        _, mid, hi = t.sorted_vertices()
+        assert arc_symmetry_check(t, mid.x + lam * (hi.x - mid.x))
+
 
 class TestCevaMenelaus:
     def test_medians(self):
@@ -342,6 +356,20 @@ class TestCevaMenelaus:
         t = on_std(0, 1, 2)
         with pytest.raises(DegenerateConfigurationError):
             ceva_product(t, t.b, pt(1, 2), pt(F(2, 3), F(2, 3)))
+
+    @given(st.lists(bounded, min_size=6, max_size=6),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    def test_feet_inside_the_sides_are_admissible(self, coords, seed):
+        # The ceva and menelaus generators draw their free feet without
+        # probing the kernel: point_on_side feet are never rejected, and
+        # each directed ratio is positive.
+        try:
+            t = DATriangle(*(Point(x, y) for x, y in zip(coords[::2],
+                                                         coords[1::2])))
+        except DegenerateConfigurationError:
+            assume(False)
+        feet = RandomRationals(seed, 0).cevian_feet(t)
+        assert ceva_product(t, *feet) > 0
 
 
 class TestMiquelTriangle:

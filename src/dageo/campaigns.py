@@ -155,10 +155,23 @@ def _gen_triangle_invariants(rng: RandomRationals) -> dict:
 
 
 def _check_triangle_invariants(cfg: dict) -> TrialResult:
-    # Carried by certificates: DATriangle's (angle sum, one negative angle,
-    # side-norm equation) and circum_ortho_at_infinity's ideal-point meets.
+    # The stored angles, whose closed form sums to 0 with one negative
+    # angle, against the definition: the angle at a vertex is sign(kappa)
+    # times the difference angle from the next vertex in x-order to the
+    # previous one, cyclically.  Swapping next and previous negates a
+    # difference angle, so for kappa < 0 the x-order is walked backwards.
+    # Certificates carry the rest: DATriangle's side-norm equation and
+    # circum_ortho_at_infinity's ideal-point meets.
     for t in (cfg["T"], cfg["T_inscribed"]):
         circum_ortho_at_infinity(t)
+        order = t.sorted_vertices()
+        if t.parabola.kappa < 0:
+            order = order[::-1]
+        for v, angle in zip((t.a, t.b, t.c), t.interior_angles()):
+            k = order.index(v)
+            if difference_angle(order[(k + 1) % 3], v, order[k - 1]) != angle:
+                return TrialResult.fail(
+                    f"angle at x={v.x} differs from its definition")
     return TrialResult.ok()
 
 
@@ -265,13 +278,12 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
         slope_bc = curve.chord_slope(b, c)
         pa = curve.point_at(a)
         d_off = Point(pa.x + s, pa.y + s * slope_bc)
-        pts = (pa, curve.point_at(b), curve.point_at(c), d_off)
-        verdict = th.trapezoid_equivalence(*pts)
         if curve.contains(d_off):
             return None
-        if verdict.is_isosceles_trapezoid:
-            # legs happened to be equal; that would be the inscribed case
-            return None
+        # Rejects a singular side or diagonal; the verdict is the
+        # checker's to judge.
+        th.trapezoid_equivalence(pa, curve.point_at(b), curve.point_at(c),
+                                 d_off)
         return d_off
     d_off = rng.retrying(make_negative)
     return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}

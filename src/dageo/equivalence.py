@@ -33,22 +33,19 @@ class EquivalenceVerdict:
     sim_sas_signed: bool
     norm_congruent: bool
     da_congruent: bool
-    side_pairs: tuple[tuple[Fraction, Fraction], ...]
-    angle_pairs: tuple[tuple[Fraction, Fraction], ...]
 
 
 def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     """Evaluate every tier for a pair of triangles compared label to
     label, asserting the tier-chain invariants."""
-    norms1, norms2 = t1.side_norms(), t2.side_norms()  # AB, BC, CA
-    angles1, angles2 = t1.interior_angles(), t2.interior_angles()
-    # Each tuple as integers over its own common denominator: a ratio
-    # cross-product is then one of integers (the denominators cancel), and
-    # an equality takes the other tuple's denominator as a factor.
-    p, P = lift_triple(norms1)
-    q, Q = lift_triple(norms2)
-    u, U = lift_triple(angles1)
-    v, V = lift_triple(angles2)
+    # Norms of (AB, BC, CA) and the angles at (A, B, C), each tuple as
+    # integers over its own common denominator: a ratio cross-product is
+    # then one of integers (the denominators cancel), and an equality
+    # takes the other tuple's denominator as a factor.
+    p, P = lift_triple(t1.side_norms())
+    q, Q = lift_triple(t2.side_norms())
+    u, U = lift_triple(t1.interior_angles())
+    v, V = lift_triple(t2.interior_angles())
     same_angle = [u[k] * V == v[k] * U for k in range(3)]
 
     sss = p[0] * q[1] == p[1] * q[0] and p[1] * q[2] == p[2] * q[1]
@@ -61,9 +58,7 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     norm_cong = all(p[i] * Q == q[i] * P for i in range(3))
     da_cong = norm_cong and all(same_angle)
 
-    verdict = EquivalenceVerdict(sss, aa, sas, norm_cong, da_cong,
-                                 tuple(zip(norms1, norms2)),
-                                 tuple(zip(angles1, angles2)))
+    verdict = EquivalenceVerdict(sss, aa, sas, norm_cong, da_cong)
     # The coefficient bridge, independent of the tier formulas above (not
     # of the angles' closed form, which is |kappa| times a norm): in a
     # norm-congruent pair the longest side, hence the negative vertex, is

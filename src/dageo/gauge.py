@@ -315,9 +315,6 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
         # A2 additivity.
         if difference_angle(a, p, c) + difference_angle(c, p, b) != theta:
             return "A2 additivity"
-        # Subtractive additivity.
-        if difference_angle(a, p, c) != theta - difference_angle(c, p, b):
-            return "subtractive additivity"
 
     # A3 vanishing <=> collinear (no singular ray by construction).
     if collinear(a, p, b):
@@ -367,8 +364,8 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
     # x-order (the triangle inequality holding with equality).
     if da_norm(a, b) != da_norm(b, a) or da_norm(a, b) < 0:
         return "norm symmetry/nonnegativity"
-    xs = sorted((a.x, p.x, b.x))
-    if (xs[2] - xs[0]) != (xs[1] - xs[0]) + (xs[2] - xs[1]):
+    lo, mid, hi = sorted((a, p, b), key=lambda q: q.x)
+    if da_norm(lo, hi) != da_norm(lo, mid) + da_norm(mid, hi):
         return "norm triangle equality"
     if da_norm(p, Point(p.x, p.y + 5)) != 0:
         return "norm degeneracy on singular segment"

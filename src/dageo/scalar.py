@@ -115,12 +115,6 @@ class QuadraticPoly:
     def __call__(self, x: Fraction) -> Fraction:
         return (self.c2 * x + self.c1) * x + self.c0
 
-    @property
-    def degree(self) -> int:
-        if self.c2 != 0:
-            return 2
-        return 1 if self.c1 != 0 else 0
-
     def discriminant(self) -> Fraction:
         return self.c1 * self.c1 - 4 * self.c2 * self.c0
 

@@ -82,7 +82,7 @@ def trapezoid_equivalence(a: Point, b: Point, c: Point,
     sides = [(a, b), (b, c), (c, d), (d, a)]
     diagonals = [(a, c), (b, d)]
     for p, q in sides + diagonals:
-        if p == q or p.x == q.x:
+        if p.x == q.x:
             raise DegenerateConfigurationError("singular side or diagonal")
     ab_cd = slope_between(a, b) == slope_between(c, d)
     bc_da = slope_between(b, c) == slope_between(d, a)
@@ -120,8 +120,6 @@ def intersecting_parabolas_check(gamma: Parabola, delta: Parabola,
     s = second_intersection(delta, b, m_b)
     if a in (p, q) or b in (r, s):
         raise DegenerateConfigurationError("tangent chord at a common point")
-    if p == r or q == s:
-        raise DegenerateConfigurationError("degenerate chord (tangency)")
     if p.x == r.x or q.x == s.x:
         raise DegenerateConfigurationError("singular cross-chord")
     return slope_between(p, r) - slope_between(q, s)

@@ -8,11 +8,12 @@ distinct x-coordinates.  Internally the vertices are sorted by x (the
 proofs' convention); the public API keeps the user's labels "A", "B", "C"
 and maps every result back.  The side norms are computed once, on
 construction, by ``da_norm``, and stored; ``side_norms()`` returns the
-stored values.  Three structural facts are certified on construction, on
-the stored values read as integers over a common denominator: the
-oriented interior angles sum to exactly 0, exactly one of them is
-negative (always the x-middle vertex), and the largest side norm equals
-the sum of the other two.
+stored values.  The interior angles are stored in the closed form of
+``interior_angles``, which sums to 0 with only the x-middle angle negative
+for any three distinct abscissae; the ``triangle_invariants`` campaign
+checks them against the difference-angle definition.  Construction
+certifies the side-norm equation on the stored norms, read as integers
+over a common denominator: the largest equals the sum of the other two.
 """
 
 from __future__ import annotations
@@ -79,15 +80,9 @@ class DATriangle:
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_middle", j)
-        # Structural certificates; these are theorems, so a failure here
-        # means the kernel itself is broken.  Each reads the stored values
-        # back as integers over their common denominator.
-        nums, _ = lift_triple(angles)
-        if sum(nums) != 0:
-            raise KernelInvariantError("interior angles do not sum to 0")
-        if sum(1 for n in nums if n < 0) != 1:
-            raise KernelInvariantError("negative interior angle count != 1")
-        # The largest norm is the sum of the other two: twice the total.
+        # Structural certificate, a theorem, so a failure here means the
+        # kernel itself is broken: the largest stored norm is the sum of
+        # the other two, i.e. twice it is their total.
         nums, _ = lift_triple(self.side_norms())
         if 2 * max(nums) != sum(nums):
             raise KernelInvariantError("side-norm equation violated")
@@ -218,7 +213,6 @@ class CenterSet:
     excenter_ideal: MeetResult
     centroid: Point
     tangent_triangle: DATriangle
-    bisector_triangle: DATriangle
     tangent_centroid: Point
     bisector_centroid: Point
 
@@ -230,10 +224,10 @@ def _centroid(p: Point, q: Point, r: Point) -> Point:
 
 
 def centers(t: DATriangle) -> CenterSet:
-    """Incenter, excenters, centroid, tangent triangle and bisector
-    triangle, all exact.
+    """Incenter, excenters, centroid and tangent triangle, all exact.
 
-    The bisector-triangle centroid is certified to be the midpoint of the
+    The centroid of the incenter and the two finite excenters (the
+    bisector triangle's vertices) is certified to be the midpoint of the
     triangle centroid and the tangent-triangle centroid.
     """
     lo, mid, hi = t.sorted_vertices()
@@ -277,7 +271,6 @@ def centers(t: DATriangle) -> CenterSet:
     tangent_triangle = DATriangle(tangent_pts["A"], tangent_pts["B"],
                                   tangent_pts["C"])
 
-    bisector_triangle = DATriangle(incenter.point, ex_a.point, ex_c.point)
     g = _centroid(t.a, t.b, t.c)
     g_t = _centroid(*(tangent_pts[lbl] for lbl in VERTICES))
     g_i = _centroid(incenter.point, ex_a.point, ex_c.point)
@@ -285,7 +278,7 @@ def centers(t: DATriangle) -> CenterSet:
         raise KernelInvariantError("bisector centroid is not the midpoint")
 
     return CenterSet(incenter.point, ex_a.point, ex_c.point, ex_ideal,
-                     g, tangent_triangle, bisector_triangle, g_t, g_i)
+                     g, tangent_triangle, g_t, g_i)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +373,8 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     pts = list(feet.values())
     drops = [Line.singular(k.x) for k in ks.values()]
     drop_meet = meet(drops[0], drops[1])
-    if len({p.x for p in pts}) < 3:
-        raise DegenerateConfigurationError("coincident Simson feet")
+    # Each foot has its K point's abscissa (m - beta)/kappa - x_V, and the
+    # x_V are distinct, so the feet span a line.
     line = line_through(pts[0], pts[1])
     if not line.contains(pts[2]):
         raise KernelInvariantError("Simson feet not collinear")

@@ -262,3 +262,13 @@ class TestAxiomSuite:
         report = run_campaign(CampaignConfig("angle_axioms", 60, 7, 20))
         assert report.failures == 0
         assert report.first_counterexample is None
+
+    def test_squared_norm_fails_the_suite(self, monkeypatch):
+        # |dx|^2 is symmetric, nonnegative and 0 on singular segments; only
+        # the triangle equality along the x-order tells it from da_norm.
+        monkeypatch.setattr("dageo.gauge.da_norm",
+                            lambda a, b: (b.x - a.x) ** 2)
+        report = run_campaign(CampaignConfig("angle_axioms", 50, 42, 50))
+        assert report.failures > 0
+        assert report.first_counterexample["reason"] == \
+            "norm triangle equality"

@@ -25,7 +25,7 @@ from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import circumparabola
 from dageo.scalar import det3
 from dageo.theorems import ceva_product, ptolemy_residual
-from dageo.triangle import DATriangle, bisector_at
+from dageo.triangle import DATriangle, bisector_at, centers
 
 PACKAGE = Path(dageo.__file__).resolve().parent
 
@@ -143,18 +143,19 @@ def _four_distinct_draws():
 
 #: Most ``Fraction.__new__`` calls each exact primitive may make on the
 #: fixed inputs: one per result it returns.  ``DATriangle`` stores its
-#: circumparabola (3), angles (3) and side norms (3); its certificates read
-#: those back as integers and build none.  ``contains`` and
-#: ``classify_pair`` answer bools (the verdict's pairs are the stored
-#: values), so they build none; ``bisector_at`` builds the two numbers of
-#: its line, and ``point_on_side`` the drawn ratio and the two coordinates
-#: of its point.
+#: circumparabola (3), angles (3) and side norms (3); its certificate reads
+#: the norms back as integers and builds none.  ``contains`` and
+#: ``classify_pair`` answer bools, so they build none; ``bisector_at``
+#: builds the two numbers of its line, and ``point_on_side`` the drawn
+#: ratio and the two coordinates of its point.  ``centers`` builds its
+#: lines, meets and centroids and one triangle, the tangent triangle.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 2),
+    "centers": (lambda: centers(_T), 37),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       3),
     "line_through": (lambda: line_through(_A, _B), 2),

@@ -164,7 +164,3 @@ class TestQuadraticPoly:
 
     def test_rational_roots_complex(self):
         assert QuadraticPoly(F(1), F(0), F(1)).rational_roots() == []
-
-    def test_degree(self):
-        assert QuadraticPoly(F(0), F(1), F(0)).degree == 1
-        assert QuadraticPoly(F(0), F(0), F(5)).degree == 0

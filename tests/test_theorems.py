@@ -9,6 +9,7 @@ from dageo.campaigns import REGISTRY
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import Line, Point, line_through, meet
 from dageo.generators import RandomRationals
+from dageo.harness import CampaignConfig, run_campaign
 from dageo.parabola import Parabola, circumparabola
 from dageo.scalar import collinear
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, ceva_product,
@@ -244,6 +245,19 @@ class TestTrapezoid:
     def test_singular_side_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             trapezoid_equivalence(pt(0, 0), pt(0, 1), pt(2, 2), pt(3, 3))
+
+    def test_isosceles_verdict_off_curve_is_reported(self, monkeypatch):
+        # The off-curve control is the checker's to judge: a verdict that
+        # calls it isosceles must fail the campaign, not exhaust the
+        # generator.
+        real = trapezoid_equivalence
+        monkeypatch.setattr(
+            "dageo.theorems.trapezoid_equivalence",
+            lambda *pts: real(*pts)._replace(is_isosceles_trapezoid=True))
+        report = run_campaign(CampaignConfig("trapezoid", 50, 42, 50))
+        assert report.failures > 0
+        assert report.first_counterexample["reason"].startswith(
+            "off-curve trapezoid verdict")
 
 
 class TestIntersectingParabolas:

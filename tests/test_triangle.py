@@ -5,13 +5,14 @@ import textwrap
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dageo
 from conftest import bounded
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
 from dageo.gauge import Line, MeetResult, Point, da_norm, slope_between
+from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import Parabola
 from dageo.scalar import det3
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
@@ -204,6 +205,37 @@ class TestCertificates:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "side-norm equation violated"
+
+
+class TestAngleDefinition:
+    """``triangle_invariants`` compares the stored angles, whose closed
+    form sums to 0 with one negative angle for any abscissae, with the
+    difference-angle definition."""
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_checker_accepts_every_triangle(self, x1, y1, x2, y2, x3, y3):
+        try:
+            t = DATriangle(pt(x1, y1), pt(x2, y2), pt(x3, y3))
+        except DegenerateConfigurationError:
+            assume(False)
+        check = REGISTRY["triangle_invariants"].check
+        assert check({"T": t, "T_inscribed": t}).status == "pass"
+
+    def test_wrong_kappa_fails_the_campaign(self, monkeypatch):
+        # Twice kappa scales the stored angles but not the side slopes;
+        # the stored angles still sum to 0 with one negative.
+        circumparabola = dageo.triangle.circumparabola
+
+        def doubled(*pts):
+            par = circumparabola(*pts)
+            return Parabola(2 * par.kappa, par.beta, par.gamma)
+
+        monkeypatch.setattr("dageo.triangle.circumparabola", doubled)
+        report = run_campaign(CampaignConfig("triangle_invariants", 50, 42,
+                                             50))
+        assert report.failures > 0
+        assert "differs from its definition" in \
+            report.first_counterexample["reason"]
 
 
 class TestBisectors:
@@ -423,6 +455,19 @@ class TestTheoremProperties:
         cs = centers(t)
         assert cs.incenter.x == x0 + g1
         assert {cs.excenter_a.x, cs.excenter_c.x} == {x0, x0 + g1 + g2}
+
+    @given(bounded, bounded, bounded, bounded, bounded, bounded, bounded)
+    def test_simson_accepts_every_triangle_and_slope(self, x1, y1, x2, y2,
+                                                     x3, y3, m):
+        # The feet have the K points' abscissae (m - beta)/kappa - x_V,
+        # pairwise distinct, so no triangle and slope is degenerate.
+        try:
+            t = DATriangle(pt(x1, y1), pt(x2, y2), pt(x3, y3))
+        except DegenerateConfigurationError:
+            assume(False)
+        result = simson(t, m)
+        assert result.line.m == m
+        assert len({f.x for f in result.feet.values()}) == 3
 
 
 class TestDABCT:

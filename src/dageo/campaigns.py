@@ -31,7 +31,7 @@ from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
 
 @dataclass
 class TrialResult:
-    status: str            # "pass" | "fail" | "skip"
+    status: str            # "pass" | "fail"
     kind: str = ""         # optional sub-classification
     reason: str = ""
 
@@ -42,10 +42,6 @@ class TrialResult:
     @classmethod
     def fail(cls, reason: str, kind: str = "") -> "TrialResult":
         return cls("fail", kind, reason)
-
-    @classmethod
-    def skip(cls, reason: str) -> "TrialResult":
-        return cls("skip", "", reason)
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,9 @@ def _check_ptolemy(cfg: dict) -> TrialResult:
 
 
 register(Theorem("ptolemy",
-                 "oriented product identity for conparabolic quadruples",
+                 "oriented product identity for conparabolic quadruples "
+                 "(identically 0 for any four abscissae: Euler's "
+                 "four-point identity, which cannot fail)",
                  _gen_quadruple_on_parabola, _check_ptolemy))
 
 
@@ -546,8 +544,6 @@ register(Theorem("simson",
 
 def _check_midpoint_lemma(cfg: dict) -> TrialResult:
     result = midpoint_lemma_check(cfg["T"])
-    if result.skipped:
-        return TrialResult.skip("ideal bisector meet")
     zero = Point(Fraction(0), Fraction(0))
     if any(res != zero for res in result.residuals.values()):
         return TrialResult.fail("bisector meet is not the feet midpoint")
@@ -570,12 +566,11 @@ def _check_dabct(cfg: dict) -> TrialResult:
         return TrialResult.fail("side/bisector/feet-chord concurrency fails")
     if result.det_residual != 0:
         return TrialResult.fail("L points not collinear")
+    # No L point is a vertex: L_V = U would make the bisector at V, of the
+    # mean slope of VU and VW, the line VU, and the triangle collinear.
     feet = [result.l_points[k] for k in VERTICES]
-    try:
-        if th.menelaus_product(cfg["T"], *feet) != -1:
-            return TrialResult.fail("L points fail the Menelaus cross-check")
-    except DegenerateConfigurationError:
-        pass  # an L point over a vertex abscissa: ratio undefined, det covers it
+    if th.menelaus_product(cfg["T"], *feet) != -1:
+        return TrialResult.fail("L points fail the Menelaus cross-check")
     return TrialResult.ok()
 
 

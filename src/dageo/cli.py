@@ -51,8 +51,7 @@ def _cmd_verify(args) -> int:
             handle.write(text)
     status = "PASS" if report.failures == 0 else "FAIL"
     print(f"{status} {report.theorem}: trials={report.trials} "
-          f"failures={report.failures} skipped={report.skipped} "
-          f"seed={report.seed}")
+          f"failures={report.failures} seed={report.seed}")
     if report.failures and report.first_counterexample is not None:
         print(json.dumps(report.first_counterexample, sort_keys=True,
                          indent=2))

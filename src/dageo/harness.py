@@ -87,7 +87,7 @@ class TheoremReport:
     theorem: str
     trials: int
     failures: int
-    skipped: int
+    skipped: int           # always 0, kept so reports keep their shape
     seed: int
     bound: int
     rejections: int
@@ -114,7 +114,7 @@ def generate_config(theorem_id: str, seed: int, trial: int,
 
 def run_campaign(cfg: CampaignConfig) -> TheoremReport:
     theorem = REGISTRY[cfg.theorem]
-    failures = skipped = rejections = 0
+    failures = rejections = 0
     kinds: dict[str, int] = {}
     first = None
     for trial in range(cfg.trials):
@@ -129,9 +129,7 @@ def run_campaign(cfg: CampaignConfig) -> TheoremReport:
             if first is None:
                 first = {"trial": trial, "reason": result.reason,
                          "config": jsonable(config)}
-        elif result.status == "skip":
-            skipped += 1
-    return TheoremReport(cfg.theorem, cfg.trials, failures, skipped,
+    return TheoremReport(cfg.theorem, cfg.trials, failures, 0,
                          cfg.seed, cfg.bound, rejections,
                          dict(sorted(kinds.items())), first)
 

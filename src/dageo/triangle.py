@@ -26,7 +26,7 @@ from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
                     midpoint)
 from .parabola import Parabola, circumparabola, second_intersection
-from .scalar import det3, lift_triple
+from .scalar import collinear, det3, lift_triple
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -343,9 +343,12 @@ def naive_simson(t: DATriangle, p: Point) -> Line:
         raise DegenerateConfigurationError("point is not on the circumparabola")
     if p in (t.a, t.b, t.c):
         raise DegenerateConfigurationError("point coincides with a vertex")
-    feet = [foot_of_perpendicular(p, t.side(lbl)) for lbl in VERTICES]
-    if not all(f.x == p.x for f in feet):
+    feet = {lbl: foot_of_perpendicular(p, t.side(lbl)) for lbl in VERTICES}
+    if not all(f.x == p.x for f in feet.values()):
         raise KernelInvariantError("perpendicular foot off the point's axis")
+    # A second route: each foot lies on the line through its side's ends.
+    if not all(collinear(f, *t.others(lbl)) for lbl, f in feet.items()):
+        raise KernelInvariantError("perpendicular foot off its side")
     return Line.singular(p.x)
 
 
@@ -393,7 +396,6 @@ class MidpointLemmaResult(NamedTuple):
     meets: dict[str, Point]       # D (= l_B ^ l_C) keyed "A", etc.
     feet: dict[str, Point]        # perpendicular feet A', B', C'
     residuals: dict[str, Point]   # meets minus midpoints, componentwise
-    skipped: list[str]
 
 
 def midpoint_lemma_check(t: DATriangle) -> MidpointLemmaResult:
@@ -402,20 +404,21 @@ def midpoint_lemma_check(t: DATriangle) -> MidpointLemmaResult:
 
     With l_A, l_B, l_C the positive-mode bisectors, l_B ^ l_C is the
     midpoint of A and the foot of the perpendicular from A, and cyclically.
-    Ideal pairwise meets are reported as skipped rather than failed.
+    Every pair meets at a finite point: the positive bisector at V has
+    slope kappa*(x_V + (x_U + x_W)/2) + beta, so two of them differ in
+    slope by kappa*(x_V - x_U)/2, which is nonzero.
     """
     bis = {lbl: bisector_at(t, lbl, "positive") for lbl in VERTICES}
     feet = perpendicular_feet(t)
-    meets, residuals, skipped = {}, {}, []
+    meets, residuals = {}, {}
     for lbl, (u, w) in _CYCLIC_OTHERS.items():
         hit = meet(bis[u], bis[w])
         if not hit.is_finite:
-            skipped.append(lbl)
-            continue
+            raise KernelInvariantError("positive bisectors are parallel")
         meets[lbl] = hit.point
         mid = midpoint(t.vertex(lbl), feet[lbl])
         residuals[lbl] = Point(hit.point.x - mid.x, hit.point.y - mid.y)
-    return MidpointLemmaResult(meets, feet, residuals, skipped)
+    return MidpointLemmaResult(meets, feet, residuals)
 
 
 class DABCTResult(NamedTuple):

@@ -9,7 +9,8 @@ import pytest
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
-from dageo.gauge import Point
+from dageo.campaigns import TrialResult
+from dageo.gauge import Line, MeetResult, Point
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
                            jsonable, run_campaign)
@@ -228,6 +229,32 @@ class TestJsonable:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError, match="float"):
             jsonable({"x": [0.5]})
+
+    def test_lines_and_meets(self):
+        assert jsonable(Line.singular(F(2))) == {"x0": "2"}
+        assert jsonable(MeetResult.at(Point(F(1), F(-1, 2)))) == \
+            {"kind": "at", "point": ["1", "-1/2"]}
+        assert jsonable(MeetResult.ideal(F(3))) == \
+            {"kind": "ideal", "direction": "3"}
+        assert jsonable(MeetResult.ideal(None)) == {"kind": "ideal"}
+
+    @pytest.mark.parametrize("theorem", sorted(REGISTRY))
+    def test_every_config_is_json(self, theorem):
+        for trial in range(4):
+            json.dumps(jsonable(generate_config(theorem, 42, trial)))
+
+    @pytest.mark.parametrize("theorem", ["isogonal", "miquel_quadrilateral"])
+    def test_failing_config_round_trips(self, monkeypatch, theorem):
+        # Cevian specs and complete quadrilaterals only reach a report
+        # through a counterexample.
+        forced = dataclasses.replace(
+            REGISTRY[theorem], check=lambda cfg: TrialResult.fail("forced"))
+        monkeypatch.setitem(REGISTRY, theorem, forced)
+        report = run_campaign(CampaignConfig(theorem, trials=3, seed=42))
+        first = report.first_counterexample
+        assert report.failures == 3 and first["trial"] == 0
+        assert first["config"] == jsonable(generate_config(theorem, 42, 0))
+        assert json.loads(json.dumps(first)) == first
 
 
 INCENTER_SCENE = {

@@ -15,6 +15,7 @@ from dageo.gauge import Line, MeetResult, Point, da_norm, slope_between
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import Parabola
 from dageo.scalar import det3
+from dageo.theorems import menelaus_product
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
                             foot_of_perpendicular, midpoint_lemma_check,
@@ -363,6 +364,17 @@ class TestSimson:
         t = on_std(0, 1, 2)
         assert naive_simson(t, STD.point_at(F(5))) == Line.singular(F(5))
 
+    def test_naive_foot_off_its_side_raises(self, monkeypatch):
+        # The raised foot keeps the point's abscissa; only the check that
+        # each foot lies on its side catches it.
+        def raised_foot(p, l):
+            foot = foot_of_perpendicular(p, l)
+            return Point(foot.x, foot.y + 1)
+        monkeypatch.setattr("dageo.triangle.foot_of_perpendicular",
+                            raised_foot)
+        with pytest.raises(KernelInvariantError, match="off its side"):
+            naive_simson(on_std(0, 1, 2), STD.point_at(F(5)))
+
     def test_naive_feet_values(self):
         # feet follow the (a+b)p - ab pattern on the standard curve
         t = on_std(0, 1, 2)
@@ -397,7 +409,7 @@ class TestSimson:
 class TestMidpointLemma:
     def test_reference_instance(self):
         result = midpoint_lemma_check(on_std(0, 1, 3))
-        assert result.skipped == []
+        assert set(result.meets) == set("ABC")
         assert result.meets["A"] == pt(0, F(-3, 2))
         assert result.feet["A"] == pt(0, -3)
         assert all(r == pt(0, 0) for r in result.residuals.values())
@@ -416,6 +428,18 @@ class TestMidpointLemma:
         result = midpoint_lemma_check(t)
         assert all(r == pt(0, 0) for r in result.residuals.values())
 
+    def test_parallel_positive_bisectors_raise(self, monkeypatch):
+        # Distinct positive bisectors always differ in slope, so a kernel
+        # that makes them parallel is broken, not a degenerate draw.
+        def slope_seven(t, vertex, mode="interior"):
+            if mode == "positive":
+                v = t.vertex(vertex)
+                return Line(F(7), v.y - 7 * v.x)
+            return bisector_at(t, vertex, mode)
+        monkeypatch.setattr("dageo.triangle.bisector_at", slope_seven)
+        with pytest.raises(KernelInvariantError, match="parallel"):
+            run_campaign(CampaignConfig("midpoint_lemma", 50, 42, 50))
+
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 gaps = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5)
@@ -430,7 +454,7 @@ class TestTheoremProperties:
         t = DATriangle(*(curve.point_at(x)
                          for x in (x0, x0 + g1, x0 + g1 + g2)))
         result = midpoint_lemma_check(t)
-        assert not result.skipped
+        assert set(result.meets) == set("ABC")
         assert all(r == Point(F(0), F(0)) for r in result.residuals.values())
 
     @given(coords, gaps, gaps, coords)
@@ -444,6 +468,8 @@ class TestTheoremProperties:
                          for x in (x0, x0 + g1, x0 + g1 + g2)))
         result = dabct(t)
         assert result.det_residual == 0 and result.concurrency_ok
+        # No L point is a vertex, so the Menelaus product is defined.
+        assert menelaus_product(t, *(result.l_points[k] for k in "ABC")) == -1
 
     @given(coords, gaps, gaps, coords, coords)
     def test_incenter_axis_everywhere(self, x0, g1, g2, kappa, beta):
@@ -499,3 +525,5 @@ class TestDABCT:
         t = DATriangle(*(curve.point_at(F(x)) for x in (0, 1, 5)))
         result = dabct(t)
         assert result.det_residual == 0 and result.concurrency_ok
+        # No L point is a vertex, so the Menelaus product is defined.
+        assert menelaus_product(t, *(result.l_points[k] for k in "ABC")) == -1

@@ -6,23 +6,25 @@ Subcommands::
     dageo list-theorems
     dageo construct --scene scene.json --out result.json
     dageo plot --scene scene.json --svg out.svg
-    dageo euclid-export --trials N --tol 1e-9 [--seed S] [--json out]
+    dageo euclid-export --trials N [--seed S] [--json out]
+
+``verify`` and ``euclid-export`` print the same status line and write the
+same report shape (:class:`dageo.harness.TheoremReport`).
 
 Exit codes: 0 all pass, 1 counterexample found, 2 invalid input or scene
-(a figure that binary64 cannot draw and a non-finite --tol included), or a
-file could not be read or written, 3 generator exhaustion.
+(a figure that binary64 cannot draw included), or a file could not be
+read or written, 3 generator exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import GeneratorExhaustedError
 from .euclid import run_euclid_campaign
-from .harness import REGISTRY, CampaignConfig, run_campaign
+from .harness import REGISTRY, CampaignConfig, TheoremReport, run_campaign
 from .scene import Scene, run_scene
 from .svg import render_svg
 
@@ -37,18 +39,12 @@ def _load_scene(path: str) -> Scene:
         return Scene.from_dict(json.load(handle))
 
 
-def _cmd_verify(args) -> int:
-    try:
-        cfg = CampaignConfig(args.theorem, trials=args.trials, seed=args.seed,
-                             bound=args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    report = run_campaign(cfg)
-    text = report.to_json()
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(report: TheoremReport, json_path: str | None) -> int:
+    """Write the report JSON if asked, print its status line and return
+    the exit code."""
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json())
     status = "PASS" if report.failures == 0 else "FAIL"
     print(f"{status} {report.theorem}: trials={report.trials} "
           f"failures={report.failures} seed={report.seed}")
@@ -56,6 +52,16 @@ def _cmd_verify(args) -> int:
         print(json.dumps(report.first_counterexample, sort_keys=True,
                          indent=2))
     return EXIT_OK if report.failures == 0 else EXIT_COUNTEREXAMPLE
+
+
+def _cmd_verify(args) -> int:
+    try:
+        cfg = CampaignConfig(args.theorem, trials=args.trials, seed=args.seed,
+                             bound=args.bound)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return _emit(run_campaign(cfg), args.json)
 
 
 def _cmd_list(_args) -> int:
@@ -96,19 +102,10 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_euclid(args) -> int:
-    if args.trials < 1 or not 0 < args.tol < math.inf:
-        print("error: trials must be >= 1 and 0 < tol < inf", file=sys.stderr)
+    if args.trials < 1:
+        print("error: trials must be >= 1", file=sys.stderr)
         return EXIT_INVALID
-    report = run_euclid_campaign(args.trials, args.seed, args.tol)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    status = "PASS" if report["failures"] == 0 else "FAIL"
-    print(f"{status} euclid_export: trials={report['trials']} "
-          f"failures={report['failures']} "
-          f"max_residual={max(report['max_collinearity_residual'], report['max_concurrency_residual']):.3e}")
-    return EXIT_OK if report["failures"] == 0 else EXIT_COUNTEREXAMPLE
+    return _emit(run_euclid_campaign(args.trials, args.seed), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("euclid-export",
-                       help="float-tolerance Euclidean collinearity suite")
+                       help="exact Euclidean bisector-collinearity campaign")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", help="write the report JSON here")
     p.set_defaults(func=_cmd_euclid)

@@ -1,9 +1,4 @@
-"""Euclidean bisector-collinearity export.
-
-This is the single non-exact code path in the package: ordinary Euclidean
-bisectors need square roots, so the construction runs on binary64 floats
-with normalized residual tolerances instead of exact zeros.  Nothing here
-touches the rational kernel.
+"""Euclidean bisector-collinearity export, checked exactly.
 
 Construction, for a triangle ABC: take the internal bisectors at A and C
 and the external bisector at B.  Their pairwise meets are the incenter
@@ -12,156 +7,135 @@ the opposite sides at H_A, H_B, H_C, while the bisectors themselves cut
 the opposite sides at J_A, J_B, J_C.  Then each side, its bisector and the
 matching feet chord concur at the J point, and the three J points are
 collinear.
+
+Ordinary bisectors need unit side vectors, and so square roots.  The
+campaign draws only triangles whose side lengths are rational, where the
+square roots are exact: with half-angle tangents t_A = tan(A/2) and
+t_B = tan(B/2) positive rationals and t_A t_B < 1 (so that C > 0), the
+cosines and sines of A, B and C are rational, and by the law of sines the
+triangle with sides sin A, sin B, sin C has rational sides.  A rotation
+with rational half-angle tangent t_r and a rational shift keep every
+coordinate and every side length rational.  Each verdict is then the
+vanishing of a rational function of the drawn parameters; a nonzero one
+vanishes on only a thin set of draws (Schwartz, J. ACM 1980), so zero on
+every one of a campaign's random draws rules out a false statement far
+more strongly than a float tolerance would.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import GeneratorExhaustedError
+from .campaigns import Theorem, TrialResult
+from .errors import DegenerateConfigurationError
+from .gauge import Line, Point, line_through, meet
+from .generators import RandomRationals
+from .harness import TheoremReport, run_theorem
+from .scalar import collinear, rational_sqrt
 
-Vec = tuple[float, float]
-
-AREA_FLOOR = 1e-12          # triangles flatter than this are rejected outright
-CONDITION_FLOOR = 1e-3      # relative side-length gaps / sines kept above this
-MIN_AREA = 1e-6             # random_triangle keeps areas above this
-DEFAULT_TOLERANCE = 1e-9
-RETRY_LIMIT = 10_000        # draws random_triangle makes before giving up
-
-
-def _sub(p: Vec, q: Vec) -> Vec:
-    return (p[0] - q[0], p[1] - q[1])
+_REASONS = ("J points not collinear",
+           "side BC, bisector at A and chord H_B H_C not concurrent",
+           "side CA, bisector at B and chord H_C H_A not concurrent",
+           "side AB, bisector at C and chord H_A H_B not concurrent")
 
 
-def _norm(v: Vec) -> float:
-    return math.hypot(v[0], v[1])
+def _unit(v: Point, u: Point) -> tuple[Fraction, Fraction]:
+    """Exact unit vector from V towards U."""
+    dx, dy = u.x - v.x, u.y - v.y
+    length = rational_sqrt(dx * dx + dy * dy)
+    if length is None:
+        raise DegenerateConfigurationError("side of irrational length")
+    return dx / length, dy / length
 
 
-def _unit(v: Vec) -> Vec:
-    n = _norm(v)
-    return (v[0] / n, v[1] / n)
+def _bisector(v: Point, u: Point, w: Point, sign: int) -> Line:
+    """Bisector at V of the angle UVW: internal for sign 1, external for
+    sign -1."""
+    (ux, uy), (wx, wy) = _unit(v, u), _unit(v, w)
+    return line_through(v, Point(v.x + ux + sign * wx, v.y + uy + sign * wy))
 
 
-def _cross(u: Vec, v: Vec) -> float:
-    return u[0] * v[1] - u[1] * v[0]
+def _at(l1: Line, l2: Line) -> Point:
+    hit = meet(l1, l2)
+    if not hit.is_finite:
+        raise DegenerateConfigurationError("bisector construction meets "
+                                           "at infinity")
+    return hit.point
 
 
-def _line_meet(p: Vec, d: Vec, q: Vec, e: Vec) -> Vec:
-    """Intersection of p + t d and q + s e."""
-    denom = _cross(d, e)
-    t = _cross(_sub(q, p), e) / denom
-    return (p[0] + t * d[0], p[1] + t * d[1])
+def euclid_bisector_collinearity(a: Point, b: Point,
+                                 c: Point) -> tuple[bool, bool, bool, bool]:
+    """Four verdicts for triangle ABC: the J points are collinear, then
+    each side, its bisector and its feet chord concur at its J point.
+
+    Raises :class:`DegenerateConfigurationError` for collinear vertices, a
+    side of irrational length or a meet at infinity."""
+    if collinear(a, b, c):
+        raise DegenerateConfigurationError("collinear vertices")
+    int_a = _bisector(a, b, c, 1)
+    ext_b = _bisector(b, a, c, -1)
+    int_c = _bisector(c, a, b, 1)
+    bc, ca, ab = line_through(b, c), line_through(c, a), line_through(a, b)
+
+    d = _at(ext_b, int_c)   # excenter opposite C
+    e = _at(int_c, int_a)   # incenter
+    f = _at(int_a, ext_b)   # excenter opposite A
+
+    h_a = _at(line_through(a, d), bc)
+    h_b = _at(line_through(b, e), ca)
+    h_c = _at(line_through(c, f), ab)
+
+    j_a = _at(int_a, bc)
+    j_b = _at(ext_b, ca)
+    j_c = _at(int_c, ab)
+
+    return (collinear(j_a, j_b, j_c), collinear(h_b, h_c, j_a),
+            collinear(h_c, h_a, j_b), collinear(h_a, h_b, j_c))
 
 
-def _collinearity_residual(p: Vec, q: Vec, r: Vec) -> float:
-    """det3 of three points, normalized by the squared spread so the value
-    approximates sliver height over sliver length."""
-    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    spread = max(_norm(_sub(q, p)), _norm(_sub(r, p)), _norm(_sub(r, q)), 1.0)
-    return abs(det) / (spread * spread)
+def _cos_sin(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Cosine and sine of the angle whose half-angle tangent is ``t``."""
+    s = 1 + t * t
+    return (1 - t * t) / s, 2 * t / s
 
 
-@dataclass
-class EuclidReport:
-    collinearity_residual: float
-    concurrency_residuals: tuple[float, float, float]
+def _gen_rational_triangle(rng: RandomRationals) -> dict:
+    def make():
+        t_a, t_b = rng.positive_rational(), rng.positive_rational()
+        if t_a * t_b >= 1:
+            return None
+        cos_a, sin_a = _cos_sin(t_a)
+        cos_b, sin_b = _cos_sin(t_b)
+        sin_c = sin_a * cos_b + cos_a * sin_b
+        cos_r, sin_r = _cos_sin(rng.positive_rational())
+        shift = rng.point()
 
-    def within(self, tol: float) -> bool:
-        return (self.collinearity_residual < tol
-                and all(r < tol for r in self.concurrency_residuals))
-
-
-def euclid_bisector_collinearity(a: Vec, b: Vec, c: Vec) -> EuclidReport:
-    """Run the bisector-collinearity construction on one float triangle.
-
-    Raises ValueError for triangles below the degeneracy floor.
-    """
-    area2 = abs(_cross(_sub(b, a), _sub(c, a)))
-    if area2 / 2 < AREA_FLOOR:
-        raise ValueError("degenerate triangle")
-
-    ab, ac = _unit(_sub(b, a)), _unit(_sub(c, a))
-    ba, bc = _unit(_sub(a, b)), _unit(_sub(c, b))
-    ca, cb = _unit(_sub(a, c)), _unit(_sub(b, c))
-
-    int_a = (ab[0] + ac[0], ab[1] + ac[1])
-    ext_b = (ba[0] - bc[0], ba[1] - bc[1])
-    int_c = (ca[0] + cb[0], ca[1] + cb[1])
-
-    d = _line_meet(b, ext_b, c, int_c)   # excenter opposite C
-    e = _line_meet(c, int_c, a, int_a)   # incenter
-    f = _line_meet(a, int_a, b, ext_b)   # excenter opposite A
-
-    side_bc = (_sub(c, b))
-    side_ca = (_sub(a, c))
-    side_ab = (_sub(b, a))
-
-    h_a = _line_meet(a, _sub(d, a), b, side_bc)
-    h_b = _line_meet(b, _sub(e, b), c, side_ca)
-    h_c = _line_meet(c, _sub(f, c), a, side_ab)
-
-    j_a = _line_meet(a, int_a, b, side_bc)
-    j_b = _line_meet(b, ext_b, c, side_ca)
-    j_c = _line_meet(c, int_c, a, side_ab)
-
-    coll = _collinearity_residual(j_a, j_b, j_c)
-    conc = (
-        _collinearity_residual(h_b, h_c, j_a),
-        _collinearity_residual(h_c, h_a, j_b),
-        _collinearity_residual(h_a, h_b, j_c),
-    )
-    return EuclidReport(coll, conc)
+        def place(x: Fraction, y: Fraction) -> Point:
+            return Point(shift.x + cos_r * x - sin_r * y,
+                         shift.y + sin_r * x + cos_r * y)
+        a, b, c = (shift, place(sin_c, Fraction(0)),
+                   place(sin_b * cos_a, sin_b * sin_a))
+        euclid_bisector_collinearity(a, b, c)
+        return {"A": a, "B": b, "C": c}
+    return rng.retrying(make)
 
 
-def _well_conditioned(a: Vec, b: Vec, c: Vec) -> bool:
-    """Keep configurations where the float construction stays far from its
-    own singularities (tiny angles or the near-isosceles case AB ~ BC that
-    sends the external-bisector meets to infinity)."""
-    area2 = abs(_cross(_sub(b, a), _sub(c, a)))
-    if area2 / 2 <= MIN_AREA:
-        return False
-    sides = [_norm(_sub(b, a)), _norm(_sub(c, b)), _norm(_sub(a, c))]
-    longest = max(sides)
-    if min(sides) / longest < CONDITION_FLOOR:
-        return False
-    if area2 / (longest * longest) < CONDITION_FLOOR:
-        return False
-    if abs(sides[0] - sides[1]) / longest < CONDITION_FLOOR:
-        return False
-    return True
+def _check(cfg: dict) -> TrialResult:
+    verdicts = euclid_bisector_collinearity(cfg["A"], cfg["B"], cfg["C"])
+    for holds, reason in zip(verdicts, _REASONS):
+        if not holds:
+            return TrialResult.fail(reason)
+    return TrialResult.ok()
 
 
-def random_triangle(rng: random.Random) -> tuple[Vec, Vec, Vec]:
-    for _ in range(RETRY_LIMIT):
-        pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
-        if _well_conditioned(*pts):
-            return tuple(pts)
-    raise GeneratorExhaustedError(
-        f"no well-conditioned triangle in {RETRY_LIMIT} draws")
+# Not registered: the registry holds the pinned theorems of the
+# difference-angle geometry.
+EUCLID_EXPORT = Theorem(
+    "euclid_export",
+    "Euclidean bisectors (internal at A and C, external at B) cut the "
+    "sides in three collinear points, on rational-sided triangles",
+    _gen_rational_triangle, _check)
 
 
-def run_euclid_campaign(trials: int, seed: int,
-                        tol: float = DEFAULT_TOLERANCE) -> dict:
-    """Randomized float campaign; deterministic in the seed."""
-    rng = random.Random(seed)
-    worst_coll = 0.0
-    worst_conc = 0.0
-    failures = 0
-    for _ in range(trials):
-        a, b, c = random_triangle(rng)
-        report = euclid_bisector_collinearity(a, b, c)
-        worst_coll = max(worst_coll, report.collinearity_residual)
-        worst_conc = max(worst_conc, *report.concurrency_residuals)
-        if not report.within(tol):
-            failures += 1
-    return {
-        "theorem": "euclid_export",
-        "trials": trials,
-        "failures": failures,
-        "seed": seed,
-        "tolerance": tol,
-        "max_collinearity_residual": worst_coll,
-        "max_concurrency_residual": worst_conc,
-    }
+def run_euclid_campaign(trials: int, seed: int) -> TheoremReport:
+    return run_theorem(EUCLID_EXPORT, trials, seed, bound=50)

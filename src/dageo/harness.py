@@ -1,11 +1,13 @@
 """Campaign runner and JSON reports.
 
-A campaign runs one registered theorem (see :mod:`dageo.campaigns`) over
-seeded trials and summarizes them in a :class:`TheoremReport`.  It is
-deterministic in (seed, trial count, bound): the same inputs give
-byte-identical reports.  Exact suites fail on any nonzero residual; the
-single float suite (the Euclidean export) lives in :mod:`dageo.euclid`
-and uses its own tolerance.
+A campaign runs one :class:`~dageo.campaigns.Theorem` over seeded trials
+in :func:`run_theorem`, the package's one trial loop, and summarizes them
+in a :class:`TheoremReport`.  It is deterministic in (seed, trial count,
+bound): the same inputs give byte-identical reports.  Every checker is
+exact and fails on any nonzero residual.  The registered theorems run
+through :func:`run_campaign`; the unregistered Euclidean export
+(:mod:`dageo.euclid`) runs through :func:`run_theorem` directly and
+reports in the same shape.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import theorems as th
-from .campaigns import REGISTRY
+from .campaigns import REGISTRY, Theorem
 from .gauge import Line, MeetResult, Point
 from .generators import RandomRationals
 from .parabola import Parabola
@@ -112,13 +114,13 @@ def generate_config(theorem_id: str, seed: int, trial: int,
     return REGISTRY[theorem_id].generate(RandomRationals(seed, trial, bound))
 
 
-def run_campaign(cfg: CampaignConfig) -> TheoremReport:
-    theorem = REGISTRY[cfg.theorem]
+def run_theorem(theorem: Theorem, trials: int, seed: int,
+                bound: int) -> TheoremReport:
     failures = rejections = 0
     kinds: dict[str, int] = {}
     first = None
-    for trial in range(cfg.trials):
-        rng = RandomRationals(cfg.seed, trial, cfg.bound)
+    for trial in range(trials):
+        rng = RandomRationals(seed, trial, bound)
         config = theorem.generate(rng)
         rejections += rng.rejections
         result = theorem.check(config)
@@ -129,7 +131,9 @@ def run_campaign(cfg: CampaignConfig) -> TheoremReport:
             if first is None:
                 first = {"trial": trial, "reason": result.reason,
                          "config": jsonable(config)}
-    return TheoremReport(cfg.theorem, cfg.trials, failures, 0,
-                         cfg.seed, cfg.bound, rejections,
-                         dict(sorted(kinds.items())), first)
+    return TheoremReport(theorem.id, trials, failures, 0, seed, bound,
+                         rejections, dict(sorted(kinds.items())), first)
 
+
+def run_campaign(cfg: CampaignConfig) -> TheoremReport:
+    return run_theorem(REGISTRY[cfg.theorem], cfg.trials, cfg.seed, cfg.bound)

@@ -129,7 +129,7 @@ class QuadraticPoly:
         disc = self.discriminant()
         if disc < 0:
             return []
-        root = _rational_sqrt(disc)
+        root = rational_sqrt(disc)
         if root is None:
             return None
         lo = (-self.c1 - root) / (2 * self.c2)
@@ -137,7 +137,7 @@ class QuadraticPoly:
         return [lo] if lo == hi else sorted([lo, hi])
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
+def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if value < 0:
         raise ValueError("negative radicand")

@@ -108,3 +108,10 @@ def test_every_public_definition_is_used_or_exported():
                    if other is not stmt):
             unused.add(f"{module}.{name}")
     assert sorted(unused) == sorted(UNUSED_ALLOWED)
+
+
+def test_only_svg_mentions_float():
+    # Every reported statement is exact; binary64 is for drawing only.
+    offenders = sorted({module for module, _, names in _top_level_statements()
+                        if module != "svg" and "float" in names})
+    assert offenders == []

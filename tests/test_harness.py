@@ -606,13 +606,23 @@ class TestCli:
         assert main(["euclid-export", "--trials", "2"]) == 3
         assert "generator exhausted" in capsys.readouterr().err
 
-    def test_euclid_export(self, capsys):
-        assert main(["euclid-export", "--trials", "50", "--tol", "1e-9"]) == 0
+    def test_euclid_export(self, tmp_path, capsys):
+        out = tmp_path / "euclid.json"
+        assert main(["euclid-export", "--trials", "50",
+                     "--json", str(out)]) == 0
         assert "PASS euclid_export" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == sorted(
+            run_campaign(CampaignConfig("ptolemy", trials=2)).to_dict())
+        assert payload["failures"] == 0
 
-    @pytest.mark.parametrize("option", ["--trials=0", "--trials=-3",
-                                        "--tol=0", "--tol=-1e-9",
-                                        "--tol=inf"])
+    def test_euclid_export_has_no_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["euclid-export", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--trials=0", "--trials=-3"])
     def test_euclid_export_rejects_vacuous_options(self, option, capsys):
         assert main(["euclid-export", option]) == 2
         assert "PASS" not in capsys.readouterr().out

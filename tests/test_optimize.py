@@ -1,8 +1,8 @@
 """Certificates and reports under ``python -O``, which strips every
 ``assert`` statement: the package must hold no ``assert`` in its source,
-and every registered theorem must report byte for byte what it reports
-without the flag.  A source guard also keeps the generator layer's one
-rejection rule in one place, and a cost guard keeps the exact kernel's
+and every registered theorem and the Euclidean export must report byte
+for byte what they report without the flag.  A source guard also keeps
+the generator layer's one rejection rule in one place, and a cost guard keeps the exact kernel's
 ``Fraction`` constructions from creeping back."""
 
 import ast
@@ -19,6 +19,7 @@ import pytest
 
 import dageo
 from dageo.equivalence import classify_pair
+from dageo.euclid import run_euclid_campaign
 from dageo.gauge import Line, Point, difference_angle, line_through
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
@@ -67,11 +68,14 @@ def test_reports_identical_under_optimize_flag():
     script = textwrap.dedent("""
         import json
         import sys
+        from dageo.euclid import run_euclid_campaign
         from dageo.harness import REGISTRY, CampaignConfig, run_campaign
         if not sys.flags.optimize:
             sys.exit(3)
-        print(json.dumps({tid: run_campaign(
-            CampaignConfig(tid, 50, 42, 50)).to_json() for tid in REGISTRY}))
+        reports = {tid: run_campaign(CampaignConfig(tid, 50, 42, 50)).to_json()
+                   for tid in REGISTRY}
+        reports["euclid_export"] = run_euclid_campaign(50, 42).to_json()
+        print(json.dumps(reports))
     """)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -79,10 +83,11 @@ def test_reports_identical_under_optimize_flag():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     optimized = json.loads(proc.stdout)
-    assert sorted(optimized) == sorted(REGISTRY)
+    assert sorted(optimized) == sorted([*REGISTRY, "euclid_export"])
     for tid in REGISTRY:
         plain = run_campaign(CampaignConfig(tid, 50, 42, 50)).to_json()
         assert optimized[tid] == plain, tid
+    assert optimized["euclid_export"] == run_euclid_campaign(50, 42).to_json()
 
 
 def _imported_modules(tree) -> set[str]:

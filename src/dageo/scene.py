@@ -16,13 +16,15 @@ Scene JSON shape::
 Scalars are strings in the kernel text format (``"n"``, ``"p/q"`` or a
 finite decimal).  When a gauge is present, all points are normalized into
 its chart before any construction runs.  Names must be unique across all
-namespaces, and every referenced name must be defined.
+namespaces, and every referenced name must be defined.  Constructions
+draw into one figure in call order: a later construction's label replaces
+an earlier one's, and ideal points accumulate.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .gauge import Gauge, Line, Point, line_through
@@ -44,17 +46,16 @@ def _parse_pair(raw, what: str = "point") -> tuple[Fraction, Fraction]:
     return parse_scalar(raw[0]), parse_scalar(raw[1])
 
 
-def _parse_parabola(raw) -> Parabola:
+def _parse_parabola(name: str, raw) -> Parabola:
     try:
         return Parabola(parse_scalar(raw["kappa"]), parse_scalar(raw["beta"]),
                         parse_scalar(raw["gamma"]))
     except (KeyError, TypeError) as exc:
-        raise SceneError(f"parabola needs kappa/beta/gamma: {raw!r}") from exc
+        raise SceneError(f"parabola {name!r} needs kappa/beta/gamma") from exc
 
 
 @dataclass
 class Scene:
-    gauge: Gauge | None = None
     points: dict[str, Point] = field(default_factory=dict)
     parabolas: dict[str, Parabola] = field(default_factory=dict)
     triangles: dict[str, DATriangle] = field(default_factory=dict)
@@ -88,7 +89,7 @@ class Scene:
             chart = gauge.normalize_chart([points[n] for n in names])
             points = dict(zip(names, chart))
 
-        parabolas = {name: _parse_parabola(raw)
+        parabolas = {name: _parse_parabola(name, raw)
                      for name, raw in data.get("parabolas", {}).items()}
 
         triangles = {}
@@ -116,7 +117,7 @@ class Scene:
         if unknown:
             raise SceneError(f"unknown theorem ids in 'verify': {unknown}")
 
-        return cls(gauge, points, parabolas, triangles,
+        return cls(points, parabolas, triangles,
                    list(calls["construct"]), list(calls["verify"]))
 
 
@@ -126,7 +127,7 @@ class Scene:
 
 @dataclass
 class Drawables:
-    """Primitives a construction contributes to a figure."""
+    """The primitives of one scene's figure."""
     points: dict[str, Point] = field(default_factory=dict)
     lines: dict[str, Line] = field(default_factory=dict)
     parabolas: dict[str, Parabola] = field(default_factory=dict)
@@ -135,6 +136,7 @@ class Drawables:
 
 
 _CALL_RE = re.compile(r"^\s*(\w+)\s*\(\s*([^()]*)\s*\)\s*$")
+_KINDS = {"point": Point, "triangle": DATriangle, "scalar": Fraction}
 
 
 def _resolve(scene: Scene, token: str):
@@ -152,11 +154,11 @@ def _resolve(scene: Scene, token: str):
             from None
 
 
-def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
+def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
     """Evaluate one construction call against the scene's named objects.
 
-    Returns the JSON-able result payload and the drawable primitives for
-    figure rendering.
+    Adds the construction's primitives to ``draw``, replacing any earlier
+    primitive of the same label, and returns the JSON-able result payload.
     """
     match = _CALL_RE.match(call)
     if not match:
@@ -165,14 +167,14 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
     args = [_resolve(scene, tok) for tok in arg_text.split(",")] \
         if arg_text.strip() else []
 
-    draw = Drawables()
     if args and isinstance(args[0], DATriangle):
         draw.points.update(zip(VERTICES, (args[0].a, args[0].b, args[0].c)))
 
-    def expect(kinds):
+    def expect(*kinds):
         if len(args) != len(kinds) or \
-                not all(isinstance(a, k) for a, k in zip(args, kinds)):
-            raise SceneError(f"{name} expects {kinds}, got {call!r}")
+                not all(isinstance(a, _KINDS[k]) for a, k in zip(args, kinds)):
+            raise SceneError(f"{name} expects ({', '.join(kinds)}), "
+                             f"got {call!r}")
 
     def draw_miquel(res: MiquelResult) -> dict:
         draw.parabolas.update(res.curves)
@@ -184,7 +186,7 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
                 "memberships": res.memberships}
 
     if name == "centers":
-        expect([DATriangle])
+        expect("triangle")
         t: DATriangle = args[0]
         cs = centers(t)
         for lbl in VERTICES:
@@ -195,37 +197,28 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         draw.points["centroid"] = cs.centroid
         draw.ideal.append("excenter_ideal")
         draw.parabolas["circumparabola"] = t.parabola
-        result = {
-            "incenter": cs.incenter,
-            "excenter_a": cs.excenter_a,
-            "excenter_c": cs.excenter_c,
-            "excenter_ideal": cs.excenter_ideal,
-            "centroid": cs.centroid,
-            "tangent_centroid": cs.tangent_centroid,
-            "bisector_centroid": cs.bisector_centroid,
-            "tangent_triangle": cs.tangent_triangle,
-        }
+        result = {f.name: getattr(cs, f.name) for f in fields(cs)}
     elif name == "circumparabola":
-        expect([Point, Point, Point])
+        expect("point", "point", "point")
         curve = circumparabola(*args)
         draw.parabolas["circumparabola"] = curve
         for lbl, pt in zip(("P1", "P2", "P3"), args):
             draw.points[lbl] = pt
         result = {"parabola": curve}
     elif name == "iso_angle_locus":
-        expect([Point, Point, Fraction])
+        expect("point", "point", "scalar")
         curve = iso_angle_locus(*args)
         draw.parabolas["locus"] = curve
         result = {"parabola": curve}
     elif name == "interior_angles":
-        expect([DATriangle])
+        expect("triangle")
         t = args[0]
         angles = t.interior_angles()
         for lbl, theta in zip(VERTICES, angles):
             draw.angle_labels[lbl] = (t.vertex(lbl), theta)
         result = {"angles": dict(zip(VERTICES, angles))}
     elif name == "simson":
-        expect([DATriangle, Fraction])
+        expect("triangle", "scalar")
         t, m = args
         res = simson(t, m)
         for lbl in VERTICES:
@@ -236,7 +229,7 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         result = {"chord_points": res.chord_points, "feet": res.feet,
                   "line": res.line}
     elif name == "dabct":
-        expect([DATriangle])
+        expect("triangle")
         t = args[0]
         res = dabct(t)
         for lbl in VERTICES:
@@ -245,14 +238,14 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
         result = {"l_points": res.l_points, "feet": res.feet,
                   "det_residual": res.det_residual}
     elif name == "miquel_triangle":
-        expect([DATriangle, Point, Point, Point])
+        expect("triangle", "point", "point", "point")
         t, d, e, f = args
         res = miquel_triangle(t, d, e, f)
         for lbl, pt in zip(("D", "E", "F"), (d, e, f)):
             draw.points[lbl] = pt
         result = draw_miquel(res)
     elif name == "miquel_quadrilateral":
-        expect([Point, Point, Point, Point])
+        expect("point", "point", "point", "point")
         a, b, c, d = args
         quad = CompleteQuadrilateral(
             *(line_through(p, q)
@@ -262,31 +255,22 @@ def apply_construction(scene: Scene, call: str) -> tuple[dict, Drawables]:
     else:
         raise SceneError(f"unknown construction {name!r}")
 
-    return {"construction": call.strip(), "result": jsonable(result)}, draw
+    return {"construction": call.strip(), "result": jsonable(result)}
 
 
 def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
               verify: bool = True) -> tuple[dict, Drawables]:
     """Apply every construction and run every requested theorem campaign.
 
-    Returns the result document plus the merged drawables of all
-    constructions (scene-level points and parabolas included).
-    ``verify=False`` skips the campaigns (used when only a figure is
-    wanted).
+    Returns the result document plus the scene's one figure: the scene's
+    points and parabolas, then each construction's primitives drawn over
+    them in call order.  ``verify=False`` skips the campaigns (used when
+    only a figure is wanted).
     """
-    merged = Drawables()
-    merged.points.update(scene.points)
-    merged.parabolas.update(scene.parabolas)
-
-    constructions = []
-    for call in scene.construct:
-        payload, draw = apply_construction(scene, call)
-        constructions.append(payload)
-        merged.points.update(draw.points)
-        merged.lines.update(draw.lines)
-        merged.parabolas.update(draw.parabolas)
-        merged.ideal.extend(draw.ideal)
-        merged.angle_labels.update(draw.angle_labels)
+    draw = Drawables(points=dict(scene.points),
+                     parabolas=dict(scene.parabolas))
+    constructions = [apply_construction(scene, call, draw)
+                     for call in scene.construct]
 
     reports = []
     for theorem_id in scene.verify if verify else ():
@@ -298,4 +282,4 @@ def run_scene(scene: Scene, trials: int = 100, seed: int = 42,
         "constructions": constructions,
         "verified": reports,
     }
-    return document, merged
+    return document, draw

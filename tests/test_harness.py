@@ -15,9 +15,11 @@ from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
                            jsonable, run_campaign)
 from dageo.parabola import Parabola
-from dageo.scene import Scene, SceneError, apply_construction, run_scene
+from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
+                         run_scene)
 from dageo.svg import (EmptySceneError, _bounds, _float_curve, _parabola_arc,
                        _point_floats, render_svg)
+from dageo.triangle import bisector_at, centers
 
 
 def _raise(error):
@@ -267,10 +269,57 @@ INCENTER_SCENE = {
 class TestScene:
     def test_parse_and_construct(self):
         scene = Scene.from_dict(INCENTER_SCENE)
-        payload, draw = apply_construction(scene, "centers(T1)")
+        draw = Drawables()
+        payload = apply_construction(scene, "centers(T1)", draw)
         assert payload["result"]["incenter"] == ["1", "3/2"]
         assert "bisector_A" in draw.lines
         assert "incenter" in draw.points
+        assert draw.ideal == ["excenter_ideal"]
+
+    def test_later_label_replaces_earlier(self):
+        data = {"points": {"P0": ["0", "0"], "P1": ["1", "1"],
+                           "P2": ["2", "4"], "P3": ["4", "1"]},
+                "triangles": {"T1": ["P0", "P1", "P2"],
+                              "T2": ["P1", "P2", "P3"]},
+                "construct": ["centers(T1)", "dabct(T2)", "centers(T1)"]}
+        scene = Scene.from_dict(data)
+        t1, t2 = scene.triangles["T1"], scene.triangles["T2"]
+        draw = Drawables()
+        apply_construction(scene, "centers(T1)", draw)
+        apply_construction(scene, "dabct(T2)", draw)
+        # Both draw the vertices A-C and the bisectors: dabct's win.
+        assert [draw.points[v] for v in "ABC"] == [t2.a, t2.b, t2.c]
+        assert draw.lines["bisector_B"] == bisector_at(t2, "B", "positive")
+        # The other entries of centers stay.
+        cs = centers(t1)
+        assert draw.points["incenter"] == cs.incenter
+        assert draw.points["centroid"] == cs.centroid
+        assert draw.parabolas == {"circumparabola": t1.parabola}
+        assert draw.ideal == ["excenter_ideal"]
+        assert "L_A" in draw.points
+        # run_scene draws into one figure the same way; ideal accumulates.
+        _, figure = run_scene(scene, verify=False)
+        assert figure.points["A"] == t1.a
+        assert figure.ideal == ["excenter_ideal", "excenter_ideal"]
+
+    @pytest.mark.parametrize("feet", ["DEF", "PQR"])
+    def test_miquel_triangle_draws_its_feet(self, feet):
+        # The only construction of the scene, so no later one draws over
+        # its labels D, E, F and M.
+        d, e, f = feet
+        data = {"points": {"A": ["0", "0"], "B": ["4", "2"], "C": ["1", "5"],
+                           d: ["5/2", "7/2"], e: ["2/3", "10/3"],
+                           f: ["1", "1/2"]},
+                "triangles": {"T": ["A", "B", "C"]},
+                "construct": [f"miquel_triangle(T,{d},{e},{f})"]}
+        scene = Scene.from_dict(data)
+        document, draw = run_scene(scene, verify=False)
+        assert [draw.points[lbl] for lbl in "DEF"] == \
+            [scene.points[name] for name in feet]
+        miquel = document["constructions"][0]["result"]["miquel_point"]
+        assert miquel["kind"] == "at"
+        assert jsonable(draw.points["M"]) == miquel["point"]
+        assert draw.ideal == []
 
     def test_gauge_normalization(self):
         data = {
@@ -327,14 +376,14 @@ class TestScene:
     def test_unresolved_argument_message(self, token, message):
         scene = Scene.from_dict(INCENTER_SCENE)
         with pytest.raises(SceneError, match=message):
-            apply_construction(scene, f"simson(T1, {token})")
+            apply_construction(scene, f"simson(T1, {token})", Drawables())
 
     def test_malformed_construction(self):
         scene = Scene.from_dict(INCENTER_SCENE)
         with pytest.raises(SceneError):
-            apply_construction(scene, "centers[T1]")
+            apply_construction(scene, "centers[T1]", Drawables())
         with pytest.raises(SceneError):
-            apply_construction(scene, "frobnicate(T1)")
+            apply_construction(scene, "frobnicate(T1)", Drawables())
 
     def test_scene_verify_runs_campaign(self):
         data = dict(INCENTER_SCENE)
@@ -395,7 +444,6 @@ class TestSvg:
         assert render_svg(draw1) == render_svg(draw2)
 
     def test_empty_scene_rejected(self):
-        from dageo.scene import Drawables
         with pytest.raises(EmptySceneError):
             render_svg(Drawables())
 
@@ -538,6 +586,50 @@ class TestCli:
         assert main(["plot", "--scene", str(scene_path),
                      "--svg", str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<svg")
+
+    def test_construct_prints_what_out_writes(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(INCENTER_SCENE,
+                                              verify=["ptolemy"])))
+        out_path = tmp_path / "result.json"
+        assert main(["construct", "--scene", str(scene_path), "--trials", "3",
+                     "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["construct", "--scene", str(scene_path),
+                     "--trials", "3"]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
+
+    @pytest.mark.parametrize("scene, message", [
+        ([INCENTER_SCENE], "scene must be a JSON object"),
+        ("scene", "scene must be a JSON object"),
+        *[({"parabolas": {"G": {k: "1" for k in ("kappa", "beta", "gamma")
+                                if k != missing}}},
+           "parabola 'G' needs kappa/beta/gamma")
+          for missing in ("kappa", "beta", "gamma")],
+        *[({"gauge": {k: ["1", "0"] for k in ("origin", "reference_direction",
+                                               "projective_direction")
+                      if k != missing}}, "malformed gauge: ")
+          for missing in ("origin", "reference_direction",
+                          "projective_direction")],
+        (dict(INCENTER_SCENE, construct=["centers(G)"],
+              parabolas={"G": {"kappa": "1", "beta": "0", "gamma": "0"}}),
+         "centers expects (triangle), got 'centers(G)'"),
+        (dict(INCENTER_SCENE, construct=["simson(T1, P0)"]),
+         "simson expects (triangle, scalar), got 'simson(T1, P0)'"),
+        (dict(INCENTER_SCENE, construct=["circumparabola(P0, P1)"]),
+         "circumparabola expects (point, point, point), got "
+         "'circumparabola(P0, P1)'"),
+    ], ids=["list", "string", "no-kappa", "no-beta", "no-gamma", "no-origin",
+            "no-reference", "no-projective", "parabola-as-triangle",
+            "point-as-scalar", "missing-point"])
+    def test_construct_names_the_bad_entry(self, scene, message, tmp_path,
+                                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        assert main(["construct", "--scene", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
 
     def test_construct_zero_denominator(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

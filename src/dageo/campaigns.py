@@ -306,6 +306,26 @@ register(Theorem("trapezoid",
                  _gen_trapezoid, _check_trapezoid))
 
 
+def _cross_chords_degenerate(gamma: Parabola, delta: Parabola, xa, xb,
+                             m_a, m_b) -> bool:
+    """Whether ``th.intersecting_parabolas_check`` rejects two distinct
+    curves through the points over ``xa != xb``, with chord slopes
+    ``m_a``, ``m_b`` tangent to neither curve at those points.
+
+    The check rejects in three places.  (1) Fewer than two finite meets:
+    never, since ``delta - gamma`` is a nonzero polynomial of degree at
+    most 2 with the two roots ``xa`` and ``xb``, so its kappa is nonzero
+    and ``parabola_meet`` returns exactly those two points.  (2) A chord
+    collapsed to A or B: only at a tangent slope, which the caller
+    excluded.  (3) A singular cross-chord: by Vieta the second point of
+    a curve on the slope-m line through the point over x lies over
+    ``(m - beta)/kappa - x``, so P, R on gamma (and Q, S on delta) share
+    an abscissa iff ``m_a - m_b == kappa * (xa - xb)``.
+    """
+    dm, dx = m_a - m_b, xa - xb
+    return dm == gamma.kappa * dx or dm == delta.kappa * dx
+
+
 def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
     def make():
         gamma = rng.parabola()
@@ -322,7 +342,8 @@ def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
         m_b = rng.rational()
         if m_b in {2 * c.kappa * xb + c.beta for c in (gamma, delta)}:
             return None
-        th.intersecting_parabolas_check(gamma, delta, m_a, m_b)
+        if _cross_chords_degenerate(gamma, delta, xa, xb, m_a, m_b):
+            return None
         return {"gamma": gamma, "delta": delta, "m_a": m_a, "m_b": m_b}
     return rng.retrying(make)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import collinear
+from .scalar import collinear, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -96,7 +96,7 @@ def slope_between(a: Point, b: Point) -> Slope:
         if dyn == 0:
             raise DegenerateConfigurationError("slope of a degenerate segment")
         return None
-    return Fraction(dyn * q1 * q2, dxn * s1 * s2)
+    return ratio(dyn * q1 * q2, dxn * s1 * s2)
 
 
 def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
@@ -107,28 +107,29 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
     Collinear triples give 0 as well, since the two slopes coincide.
     The vertex must be distinct from both endpoints.
     """
-    if p == a or p == b:
-        raise DegenerateConfigurationError("angle vertex coincides with an endpoint")
     # Each ray's dx and dy cross-multiplied as in slope_between:
-    # slope(PA) = qp*qa*dya / (sp*sa*dxa), and likewise for PB.
+    # slope(PA) = qp*qa*dya / (sp*sa*dxa), and likewise for PB.  A ray
+    # with dx == dy == 0 has its end at the vertex.
     qp, sp = p.x.denominator, p.y.denominator
     pxn, pyn = p.x.numerator, p.y.numerator
     qa, sa = a.x.denominator, a.y.denominator
     qb, sb = b.x.denominator, b.y.denominator
     dxa = a.x.numerator * qp - pxn * qa
     dxb = b.x.numerator * qp - pxn * qb
-    if dxa == 0 or dxb == 0:
-        return Fraction(0)
     dya = a.y.numerator * sp - pyn * sa
     dyb = b.y.numerator * sp - pyn * sb
+    if not (dxa or dya) or not (dxb or dyb):
+        raise DegenerateConfigurationError("angle vertex coincides with an endpoint")
+    if dxa == 0 or dxb == 0:
+        return Fraction(0)
     ua, ub = sa * dxa, sb * dxb
-    return Fraction(qp * (dyb * qb * ua - dya * qa * ub), sp * ua * ub)
+    return ratio(qp * (dyb * qb * ua - dya * qa * ub), sp * ua * ub)
 
 
 def da_norm(a: Point, b: Point) -> Fraction:
     """Segment norm |x_B - x_A|; zero exactly on singular segments."""
     ad, bd = a.x.denominator, b.x.denominator
-    return Fraction(abs(b.x.numerator * ad - a.x.numerator * bd), ad * bd)
+    return ratio(abs(b.x.numerator * ad - a.x.numerator * bd), ad * bd)
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ class Line:
             raise ValueError("a singular line has no y(x)")
         # m*x + k over md*xd*kd, built once.
         md, kd, xd = m.denominator, k.denominator, x.denominator
-        return Fraction(m.numerator * x.numerator * kd + k.numerator * md * xd,
-                        md * xd * kd)
+        return ratio(m.numerator * x.numerator * kd + k.numerator * md * xd,
+                     md * xd * kd)
 
     def point_at(self, x: Fraction) -> Point:
         if not isinstance(x, Fraction):
@@ -196,8 +197,8 @@ def line_through(a: Point, b: Point) -> Line:
             raise DegenerateConfigurationError(
                 "two coincident points span no line")
         return Line.singular(a.x)
-    return Line(Fraction(dyn * q1 * q2, dxn * s1 * s2),
-                Fraction(r1 * s2 * dxn - dyn * q2 * p1, s1 * s2 * dxn))
+    return Line(ratio(dyn * q1 * q2, dxn * s1 * s2),
+                ratio(r1 * s2 * dxn - dyn * q2 * p1, s1 * s2 * dxn))
 
 
 class MeetResult(NamedTuple):
@@ -270,8 +271,8 @@ def meet(l1: Line, l2: Line) -> MeetResult:
     if dm == 0:
         return MeetResult.ideal(m1)
     dk = k2.numerator * k1.denominator - k1.numerator * k2.denominator
-    x = Fraction(dk * m1.denominator * m2.denominator,
-                 dm * k1.denominator * k2.denominator)
+    x = ratio(dk * m1.denominator * m2.denominator,
+              dm * k1.denominator * k2.denominator)
     return MeetResult.at(Point(x, l1.y_at(x)))
 
 

@@ -8,9 +8,19 @@ configurations.  A rational draw is a reduced ``(numerator, denominator)``
 integer pair, compared, deduplicated and sorted as integers; its
 ``Fraction`` is built once, when the draw is handed out.  Generators
 rejection-sample through :meth:`RandomRationals.retrying`, which alone
-decides that a draw is degenerate and counts the rejection; hitting the
-retry limit raises :class:`GeneratorExhaustedError` (a generator bug,
-never a theorem failure).
+decides that a configuration is degenerate and counts the rejection;
+``nonzero_rational`` and ``distinct_rationals`` run the same loop inline
+on integer pairs.  Hitting the retry limit raises
+:class:`GeneratorExhaustedError` (a generator bug, never a theorem
+failure).
+
+Draw rule: every integer comes from :meth:`RandomRationals._below`, which
+repeats CPython's ``Random._randbelow_with_getrandbits`` on the trial's
+``random.Random``, so ``a + _below(b - a + 1)`` returns what
+``randint(a, b)`` returns and leaves the generator in the same state
+(``tests/test_harness.py`` checks values, rejections and
+``rng.getstate()`` against ``randint``).  It skips ``randint``'s layers of
+argument checks, which cost several times the draw itself.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from math import gcd, lcm
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point
 from .parabola import Parabola
-from .scalar import collinear
+from .scalar import collinear, ratio
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -40,14 +50,17 @@ def trial_seed(campaign_seed: int, trial: int) -> int:
 def _between(s: Fraction, t: Fraction, n: int, d: int) -> Fraction:
     """``s + (n/d)(t - s)``, that is ``((d - n) s + n t) / d``, built once."""
     sd, td = s.denominator, t.denominator
-    return Fraction((d - n) * s.numerator * td + n * t.numerator * sd,
-                    d * sd * td)
+    return ratio((d - n) * s.numerator * td + n * t.numerator * sd,
+                 d * sd * td)
 
 
 class RandomRationals:
     """Seeded stream of small exact rationals and geometric primitives."""
 
     def __init__(self, campaign_seed: int, trial: int, bound: int = 50):
+        if bound < 1:
+            # randint refused an empty range; _below(0) would never return.
+            raise ValueError("bound must be >= 1")
         self.rng = random.Random(trial_seed(campaign_seed, trial))
         self.trial_index = trial
         self.bound = bound
@@ -55,46 +68,65 @@ class RandomRationals:
 
     # -- scalars ------------------------------------------------------------
 
-    def _reduced_pair(self) -> tuple[int, int]:
+    def _below(self, width: int) -> int:
+        """Uniform int in ``[0, width)``, ``width >= 1``: CPython's
+        ``_randbelow_with_getrandbits``, the draw behind ``randint``."""
+        getrandbits = self.rng.getrandbits
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return r
+
+    def _pair(self) -> tuple[int, int]:
         """One draw of n/d, n in [-bound, bound] and d in [1, bound], as
-        its lowest-terms integer pair."""
-        n = self.rng.randint(-self.bound, self.bound)
-        d = self.rng.randint(1, self.bound)
-        g = gcd(n, d)
-        return n // g, d // g
+        the integer pair ``(n, d)``, not reduced."""
+        bound = self.bound
+        return self._below(2 * bound + 1) - bound, self._below(bound) + 1
 
     def rational(self) -> Fraction:
-        return Fraction(*self._reduced_pair())
+        return ratio(*self._pair())
 
     def nonzero_rational(self) -> Fraction:
-        return self.retrying(self.rational, lambda v: v != 0)
+        for _ in range(RETRY_LIMIT):
+            n, d = self._pair()
+            if n:
+                return ratio(n, d)
+            self.rejections += 1
+        raise GeneratorExhaustedError("retry limit exceeded")
 
     def positive_rational(self) -> Fraction:
-        n = self.rng.randint(1, self.bound)
-        d = self.rng.randint(1, self.bound)
-        return Fraction(n, d)
+        n = self._below(self.bound) + 1
+        return ratio(n, self._below(self.bound) + 1)
 
     def fraction_in_unit_interval(self) -> Fraction:
         """Strictly interior rational of (0, 1)."""
         # At bound 2 the only draw would be 1/2; allow thirds there.
-        d = self.rng.randint(2, max(3, self.bound))
-        n = self.rng.randint(1, d - 1)
-        return Fraction(n, d)
+        d = self._below(max(3, self.bound) - 1) + 2
+        return ratio(self._below(d - 1) + 1, d)
 
     def small_positive_int(self) -> int:
-        return self.rng.randint(1, 9)
+        return self._below(9) + 1
 
     def distinct_rationals(self, count: int) -> list[Fraction]:
         """``count`` pairwise distinct draws in increasing order; a repeat
-        is a rejection."""
+        is a rejection, and each draw has its own retry limit."""
         seen: set[tuple[int, int]] = set()
         for _ in range(count):
-            seen.add(self.retrying(self._reduced_pair,
-                                   lambda nd: nd not in seen))
+            for _ in range(RETRY_LIMIT):
+                n, d = self._pair()
+                g = gcd(n, d)
+                nd = (n // g, d // g)
+                if nd not in seen:
+                    seen.add(nd)
+                    break
+                self.rejections += 1
+            else:
+                raise GeneratorExhaustedError("retry limit exceeded")
         # n/d in increasing order is n*(L//d) in increasing order.
         scale = lcm(*(d for _, d in seen))
-        return [Fraction(n, d) for n, d in
-                sorted(seen, key=lambda nd: nd[0] * (scale // nd[1]))]
+        return [ratio(n, d) for _, n, d in
+                sorted([(n * (scale // d), n, d) for n, d in seen])]
 
     def retrying(self, make, ok=lambda value: True):
         """First draw of ``make()`` that is not ``None``, not a raised

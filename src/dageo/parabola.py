@@ -15,7 +15,7 @@ from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import QuadraticPoly, other_root
+from .scalar import QuadraticPoly, lift_triple, other_root, ratio
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,18 @@ class Parabola:
     gamma: Fraction
 
     def __post_init__(self):
-        if self.kappa == 0:
+        # (K, B, G, S): the coefficients as integers over their lcm S,
+        # lifted once; y_at, contains, chord_slope and second_intersection
+        # read only this and their arguments' integers.
+        (K, B, G), S = lift_triple((self.kappa, self.beta, self.gamma))
+        if not K:
             raise DegenerateConfigurationError("kappa must be nonzero")
-
-    def _lifted_y(self, x: Fraction) -> tuple[int, int]:
-        """(kappa*x + beta)*x + gamma as an integer numerator over the
-        positive scale kd*bd*gd*xd^2, not reduced."""
-        kappa, beta, gamma = self.kappa, self.beta, self.gamma
-        kd, bd, gd = kappa.denominator, beta.denominator, gamma.denominator
-        xn, xd = x.numerator, x.denominator
-        linear = kappa.numerator * bd * xn + beta.numerator * kd * xd
-        scale = kd * bd * xd * xd
-        return linear * xn * gd + gamma.numerator * scale, scale * gd
+        object.__setattr__(self, "_lifted", (K, B, G, S))
 
     def y_at(self, x: Fraction) -> Fraction:
-        return Fraction(*self._lifted_y(x))
+        K, B, G, S = self._lifted
+        xn, xd = x.numerator, x.denominator
+        return ratio((K * xn + B * xd) * xn + G * xd * xd, S * xd * xd)
 
     def point_at(self, x: Fraction) -> Point:
         if not isinstance(x, Fraction):
@@ -53,13 +50,20 @@ class Parabola:
         return Point(x, self.y_at(x))
 
     def contains(self, p: Point) -> bool:
-        num, scale = self._lifted_y(p.x)
-        return p.y.numerator * scale == num * p.y.denominator
+        # y == (K x^2 + B x + G) / S, cross-multiplied over x's integers.
+        K, B, G, S = self._lifted
+        xn, xd = p.x.numerator, p.x.denominator
+        y = p.y
+        return (y.numerator * S * xd * xd
+                == ((K * xn + B * xd) * xn + G * xd * xd) * y.denominator)
 
     def chord_slope(self, u: Fraction, v: Fraction) -> Fraction:
         """Slope of the chord joining the curve points at x=u and x=v.
         For u == v this degenerates to the tangent slope."""
-        return self.kappa * (u + v) + self.beta
+        # (K (u + v) + B) / S over u's and v's integers.
+        K, B, _, S = self._lifted
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        return ratio(K * (un * vd + vn * ud) + B * ud * vd, S * ud * vd)
 
     def __str__(self) -> str:
         return f"y = {self.kappa}*x^2 + {self.beta}*x + {self.gamma}"
@@ -99,8 +103,7 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     # kappa = K*D^2/(E*V), beta = B*D/(E*V), gamma = G/(E*V) with
     # V = d21*d31*d32.
     EV = E * d21 * d31 * d32
-    return Parabola(Fraction(K * D * D, EV),
-                    Fraction(B * D, EV), Fraction(G, EV))
+    return Parabola(ratio(K * D * D, EV), ratio(B * D, EV), ratio(G, EV))
 
 
 def parabolic_power(p: Parabola, pt: Point) -> Fraction:
@@ -165,8 +168,13 @@ def second_intersection(p: Parabola, pt: Point, m: Fraction) -> Point:
     """
     if not p.contains(pt):
         raise DegenerateConfigurationError("point is not on the parabola")
-    x2 = (Fraction(m) - p.beta) / p.kappa - pt.x
-    return p.point_at(x2)
+    if not isinstance(m, Fraction):
+        m = Fraction(m)
+    # (m - beta)/kappa - x is (m S - B)/K - x over m's and x's integers.
+    K, B, _, S = p._lifted
+    mn, md = m.numerator, m.denominator
+    xn, xd = pt.x.numerator, pt.x.denominator
+    return p.point_at(ratio((mn * S - B * md) * xd - xn * K * md, K * md * xd))
 
 
 def eliminant(p1: Parabola, p2: Parabola) -> QuadraticPoly:

@@ -6,6 +6,21 @@ positive denominator, so equality is structural and every predicate in the
 kernel bottoms out in an exact sign test.  Scene files carry scalars as
 strings (``"3"``, ``"-7/4"``, ``"0.25"``); parsing is exact and never goes
 through binary floats.
+
+The kernel builds every ``Fraction`` of two ints through :func:`ratio`.
+``ratio(n, d)`` returns a value equal to ``Fraction(n, d)`` in type,
+numerator, denominator, hash and repr, and raises ``ZeroDivisionError``
+on ``d == 0`` as ``Fraction`` does.  It exists for speed: the exact
+kernel builds a ``Fraction`` for almost every result, and
+``Fraction.__new__`` spends most of its time dispatching on its argument
+types: about 0.8 us a call, against about 0.2 us for one ``gcd`` and two
+slot writes (CPython 3.11 on a 2-vCPU Xeon VM).  ``ratio`` reduces by one ``gcd``, makes
+the denominator positive and fills the instance's ``_numerator`` and
+``_denominator`` slots directly, as CPython 3.12's own
+``Fraction._from_coprime_ints`` does.  It relies on that slot layout,
+which CPython 3.10 to 3.13 share; ``Fraction`` instances have no
+``__dict__``, so a changed layout raises ``AttributeError`` rather than
+building a wrong value.  ``tests/test_scalar.py`` holds the contract.
 """
 
 from __future__ import annotations
@@ -27,6 +42,20 @@ _SCALAR_RE = re.compile(
 )
 
 
+def ratio(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ints, without ``Fraction.__new__``'s
+    type dispatch (see the module docstring)."""
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    value = object.__new__(Fraction)
+    value._numerator = num // g
+    value._denominator = den // g
+    return value
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"n"``, ``"p/q"`` or a finite decimal into an exact rational.
 
@@ -40,7 +69,7 @@ def parse_scalar(text: str) -> Fraction:
         num, den = body.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
+        return ratio(int(num), int(den))
     return Fraction(body)
 
 
@@ -62,8 +91,8 @@ def det3(r1, r2, r3) -> Fraction:
     a, b, c, s1 = _lift_row(r1)
     d, e, f, s2 = _lift_row(r2)
     g, h, i, s3 = _lift_row(r3)
-    return Fraction(a * (e * i - f * h) - b * (d * i - f * g)
-                    + c * (d * h - e * g), s1 * s2 * s3)
+    return ratio(a * (e * i - f * h) - b * (d * i - f * g)
+                 + c * (d * h - e * g), s1 * s2 * s3)
 
 
 def _lift_row(row) -> tuple[int, int, int, int]:
@@ -145,7 +174,7 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     den = math.isqrt(value.denominator)
     if num * num != value.numerator or den * den != value.denominator:
         return None
-    return Fraction(num, den)
+    return ratio(num, den)
 
 
 def other_root(q: QuadraticPoly, known: Fraction) -> Fraction:

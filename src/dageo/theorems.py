@@ -21,7 +21,7 @@ from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
 from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
-from .scalar import collinear, over_common_denominator
+from .scalar import collinear, over_common_denominator, ratio
 from .triangle import DATriangle, VERTICES
 
 
@@ -42,7 +42,7 @@ def ptolemy_residual(a: Point, b: Point, c: Point, d: Point,
     ab, cd = xb - xa, xd - xc
     ad, bc = xd - xa, xc - xb
     ac, bd = xc - xa, xd - xb
-    return Fraction(ab * cd + ad * bc - ac * bd, scale * scale)
+    return ratio(ab * cd + ad * bc - ac * bd, scale * scale)
 
 
 def brahmagupta_check(curve: Parabola, e: Point, a: Point, b: Point,
@@ -193,7 +193,7 @@ def ceva_product(t: DATriangle, d: Point, e: Point, f: Point) -> Fraction:
     norms; equals 1 exactly when AD, BE, CF are concurrent."""
     # One Fraction over the product of the ratio denominators.
     (n1, d1), (n2, d2), (n3, d3) = _require_feet(t, d, e, f)
-    return Fraction(n1 * n2 * n3, d1 * d2 * d3)
+    return ratio(n1 * n2 * n3, d1 * d2 * d3)
 
 
 def cevians_concurrent(t: DATriangle, d: Point, e: Point, f: Point) -> bool:
@@ -341,7 +341,7 @@ def singular_projective_length(p: Fraction, x0: Fraction,
     (pn, xn, qn), scale = over_common_denominator((p, x0, q))
     if pn == qn:
         raise DegenerateConfigurationError("degenerate chord")
-    return Fraction((pn + qn) * xn - pn * qn, scale * scale)
+    return ratio((pn + qn) * xn - pn * qn, scale * scale)
 
 
 def mn_division_check(a: Fraction, b: Fraction, p: Fraction, m: int,

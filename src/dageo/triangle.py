@@ -26,7 +26,7 @@ from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
                     midpoint)
 from .parabola import Parabola, circumparabola, second_intersection
-from .scalar import collinear, det3, lift_triple
+from .scalar import collinear, det3, lift_triple, ratio
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -70,9 +70,9 @@ class DATriangle:
         scale = abs(par.kappa.numerator)
         den = par.kappa.denominator * D
         angles = [None, None, None]
-        angles[i] = Fraction(scale * (xs[k] - xs[j]), den)
-        angles[j] = Fraction(scale * (xs[i] - xs[k]), den)
-        angles[k] = Fraction(scale * (xs[j] - xs[i]), den)
+        angles[i] = ratio(scale * (xs[k] - xs[j]), den)
+        angles[j] = ratio(scale * (xs[i] - xs[k]), den)
+        angles[k] = ratio(scale * (xs[j] - xs[i]), den)
         angles = tuple(angles)
         norms = (da_norm(self.a, self.b), da_norm(self.b, self.c),
                  da_norm(self.c, self.a))
@@ -175,8 +175,7 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     du, dw = xu - xv, xw - xv
     num = (yu - yv) * dw + (yw - yv) * du
     den = 2 * Y * du * dw
-    return Line(Fraction(num * X, den), Fraction(2 * yv * du * dw - num * xv,
-                                                 den))
+    return Line(ratio(num * X, den), ratio(2 * yv * du * dw - num * xv, den))
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -220,7 +219,7 @@ class CenterSet:
 def _centroid(p: Point, q: Point, r: Point) -> Point:
     xs, X = lift_triple((p.x, q.x, r.x))
     ys, Y = lift_triple((p.y, q.y, r.y))
-    return Point(Fraction(sum(xs), 3 * X), Fraction(sum(ys), 3 * Y))
+    return Point(ratio(sum(xs), 3 * X), ratio(sum(ys), 3 * Y))
 
 
 def centers(t: DATriangle) -> CenterSet:
@@ -266,8 +265,8 @@ def centers(t: DATriangle) -> CenterSet:
         u, w = xs[i], xs[j]
         y = (2 * kn * u * w * bd * gd + bn * (u + w) * D * kd * gd
              + 2 * gn * D * D * kd * bd)
-        tangent_pts[label] = Point(Fraction(u + w, 2 * D),
-                                   Fraction(y, 2 * D * D * kd * bd * gd))
+        tangent_pts[label] = Point(ratio(u + w, 2 * D),
+                                   ratio(y, 2 * D * D * kd * bd * gd))
     tangent_triangle = DATriangle(tangent_pts["A"], tangent_pts["B"],
                                   tangent_pts["C"])
 

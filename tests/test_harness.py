@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -29,13 +30,29 @@ def _raise(error):
 
 
 class _FractionDraws(RandomRationals):
-    """The draws as built before the integer lift: every draw a Fraction,
-    repeats found by Fraction hashing, the result sorted as Fractions."""
+    """The draws as built before the integer lift and the direct
+    ``getrandbits`` draw: every integer from ``random.Random.randint``,
+    every draw a Fraction, repeats found by Fraction hashing, the result
+    sorted as Fractions."""
 
     def rational(self):
         n = self.rng.randint(-self.bound, self.bound)
         d = self.rng.randint(1, self.bound)
         return F(n, d)
+
+    def nonzero_rational(self):
+        return self.retrying(self.rational, lambda v: v != 0)
+
+    def positive_rational(self):
+        return F(self.rng.randint(1, self.bound),
+                 self.rng.randint(1, self.bound))
+
+    def fraction_in_unit_interval(self):
+        d = self.rng.randint(2, max(3, self.bound))
+        return F(self.rng.randint(1, d - 1), d)
+
+    def small_positive_int(self):
+        return self.rng.randint(1, 9)
 
     def distinct_rationals(self, count):
         seen = set()
@@ -99,7 +116,7 @@ class TestSeeding:
         rng.rejections = RETRY_LIMIT
         assert len(set(rng.distinct_rationals(7))) == 7
 
-    @pytest.mark.parametrize("bound", [2, 3, 50, 10**6])
+    @pytest.mark.parametrize("bound", [2, 3, 9, 50, 10**6])
     def test_draw_stream_matches_fraction_draws(self, bound):
         counts = [1, 2, 3, 4, 5, 7] if bound > 2 else [1, 2, 3, 4, 5]
         for seed in range(12):
@@ -107,13 +124,30 @@ class TestSeeding:
                 lifted = RandomRationals(seed, trial, bound)
                 reference = _FractionDraws(seed, trial, bound)
                 for count in counts:
-                    got = [lifted.rational(), *lifted.distinct_rationals(count)]
-                    want = [reference.rational(),
-                            *reference.distinct_rationals(count)]
+                    got, want = ([rng.rational(), rng.nonzero_rational(),
+                                  rng.positive_rational(),
+                                  rng.fraction_in_unit_interval(),
+                                  *rng.distinct_rationals(count)]
+                                 for rng in (lifted, reference))
                     assert got == want
                     assert all(type(v) is F for v in got)
+                    assert (lifted.small_positive_int()
+                            == reference.small_positive_int())
                 assert lifted.rejections == reference.rejections
                 assert lifted.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 9, 17, 101, 10**6,
+                                       2**64 + 1])
+    def test_below_matches_randint(self, width):
+        rng = RandomRationals(7, 1)
+        reference = random.Random(trial_seed(7, 1))
+        got = [rng._below(width) for _ in range(5000)]
+        assert got == [reference.randint(0, width - 1) for _ in range(5000)]
+        assert rng.rng.getstate() == reference.getstate()
+
+    def test_nonpositive_bound_rejected(self):
+        with pytest.raises(ValueError):
+            RandomRationals(1, 0, bound=0)
 
     @pytest.mark.parametrize("bound", [2, 3, 50, 10**6])
     def test_point_on_side_matches_fraction_chain(self, bound):

@@ -23,8 +23,8 @@ from dageo.euclid import run_euclid_campaign
 from dageo.gauge import Line, Point, difference_angle, line_through
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
-from dageo.parabola import circumparabola
-from dageo.scalar import det3
+from dageo.parabola import Parabola, circumparabola, second_intersection
+from dageo.scalar import det3, ratio
 from dageo.theorems import ceva_product, ptolemy_residual
 from dageo.triangle import DATriangle, bisector_at, centers
 
@@ -146,14 +146,18 @@ def _four_distinct_draws():
     return rng.rejections
 
 
-#: Most ``Fraction.__new__`` calls each exact primitive may make on the
-#: fixed inputs: one per result it returns.  ``DATriangle`` stores its
+#: Most ``Fraction`` constructions (``Fraction.__new__`` or
+#: ``scalar.ratio``) each exact primitive may make on the fixed inputs:
+#: one per result it returns.  ``DATriangle`` stores its
 #: circumparabola (3), angles (3) and side norms (3); its certificate reads
 #: the norms back as integers and builds none.  ``contains`` and
 #: ``classify_pair`` answer bools, so they build none; ``bisector_at``
 #: builds the two numbers of its line, and ``point_on_side`` the drawn
 #: ratio and the two coordinates of its point.  ``centers`` builds its
 #: lines, meets and centroids and one triangle, the tangent triangle.
+#: ``Parabola`` lifts its coefficients to integers and builds none;
+#: ``second_intersection`` builds its point's two coordinates, and a
+#: drawn rational is one construction.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
@@ -167,12 +171,17 @@ FRACTION_BUDGET = {
     "Line.singular": (lambda: Line.singular(_X), 0),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),
+    "Parabola": (lambda: Parabola(_CURVE.kappa, _CURVE.beta, _CURVE.gamma),
+                 0),
     "Parabola.contains": (lambda: _CURVE.contains(_D), 0),
     "Parabola.point_at": (lambda: _CURVE.point_at(_X), 1),
+    "Parabola.chord_slope": (lambda: _CURVE.chord_slope(_X, _D.x), 1),
+    "second_intersection": (lambda: second_intersection(_CURVE, _D, _X), 2),
     "difference_angle": (lambda: difference_angle(_A, _B, _C), 1),
     "ptolemy_residual": (lambda: ptolemy_residual(_A, _B, _C, _D, _CURVE),
                          1),
     "distinct_rationals": (_four_distinct_draws, 4),
+    "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
 }
 
 
@@ -180,14 +189,27 @@ def test_budgeted_draws_have_no_rejection():
     assert _four_distinct_draws() == 0
 
 
+#: (code name, file name) of each way to build a ``Fraction``: its own
+#: constructor, and ``scalar.ratio``, which fills the slots directly.
+_FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py")}
+
+
 def _fraction_constructions(call) -> int:
-    """Calls of ``Fraction.__new__`` made by ``call()``: a cProfile count,
+    """``Fraction`` constructions made by ``call()``: a cProfile count,
     which unlike a timing does not drift between runs or hosts."""
     profiler = cProfile.Profile()
     profiler.runcall(call)
     return sum(e.callcount for e in profiler.getstats()
-               if not isinstance(e.code, str) and e.code.co_name == "__new__"
-               and e.code.co_filename.endswith("fractions.py"))
+               if not isinstance(e.code, str)
+               and (e.code.co_name, Path(e.code.co_filename).name)
+               in _FRACTION_BUILDERS)
+
+
+def test_constructions_count_both_builders():
+    # A budget that counted only one builder would pass at 0 for code
+    # moved to the other.
+    assert _fraction_constructions(lambda: F(3, 4)) == 1
+    assert _fraction_constructions(lambda: ratio(3, 4)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FRACTION_BUDGET))

@@ -119,6 +119,14 @@ class TestMembershipAndPower:
         assert not curve.contains(Point(x, on_y + F(1, 97)))
         assert curve.contains(Point(x, y)) == (y == on_y)
 
+    @given(bounded, bounded, bounded, bounded, bounded)
+    def test_chord_slope_matches_fraction_chain(self, kappa, beta, gamma, u,
+                                                v):
+        assume(kappa != 0)
+        got = Parabola(kappa, beta, gamma).chord_slope(u, v)
+        assert type(got) is F
+        assert got == F(kappa) * (u + v) + beta
+
     def test_point_at_keeps_a_fraction_and_lifts_an_int(self):
         x = F(-7, 3)
         assert STD.point_at(x).x is x
@@ -243,6 +251,15 @@ class TestSecondIntersection:
     def test_off_curve_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             second_intersection(STD, pt(0, 1), F(3))
+
+    @given(bounded, bounded, bounded, bounded, bounded)
+    def test_matches_fraction_chain(self, kappa, beta, gamma, x, m):
+        assume(kappa != 0)
+        curve = Parabola(kappa, beta, gamma)
+        got = second_intersection(curve, curve.point_at(x), m)
+        x2 = (F(m) - curve.beta) / curve.kappa - x
+        assert got == Point(x2, fraction_chain_y_at(curve, x2))
+        assert (type(got.x), type(got.y)) == (F, F)
 
     @given(small, small, small, small, small)
     def test_involution(self, kappa, beta, gamma, x, m):

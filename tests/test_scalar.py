@@ -2,12 +2,12 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import bounded
 from dageo.scalar import (QuadraticPoly, det3, format_scalar, other_root,
-                          parse_scalar)
+                          parse_scalar, ratio)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -36,6 +36,40 @@ def fraction_chain_det3(r1, r2, r3):
     d, e, f = (F(v) for v in r2)
     g, h, i = (F(v) for v in r3)
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+#: Small ints of both signs and zero, and ints far past 2**64.
+wide_ints = st.one_of(st.integers(min_value=-60, max_value=60),
+                      st.integers(min_value=-2**200, max_value=2**200))
+
+
+class TestRatioContract:
+    """``ratio`` fills ``Fraction``'s slots without its constructor, so it
+    relies on that layout: its value must be the one ``Fraction`` builds,
+    on every interpreter the package supports."""
+
+    @given(wide_ints, wide_ints.filter(bool))
+    @example(0, 7)
+    @example(0, -7)
+    @example(-6, 4)
+    @example(6, -4)
+    @example(-6, -4)
+    @example(2**64 + 2, -(2**65))
+    @example(-(3 * 2**70), 9 * 2**66)
+    def test_ratio_matches_fraction(self, n, d):
+        got, want = ratio(n, d), F(n, d)
+        assert type(got) is F
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert got == want and got + F(1, 3) == want + F(1, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, -7, 2**70])
+    def test_zero_denominator_raises(self, n):
+        with pytest.raises(ZeroDivisionError):
+            ratio(n, 0)
 
 
 class TestParseScalar:

@@ -5,6 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bounded
+from dageo import campaigns
 from dageo.campaigns import REGISTRY
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import Line, Point, line_through, meet
@@ -283,6 +284,35 @@ class TestIntersectingParabolas:
         delta = Parabola(F(2), F(-3), F(2))
         with pytest.raises(DegenerateConfigurationError):
             intersecting_parabolas_check(STD, delta, F(2), F(-1))  # tangent at A
+
+    def test_generator_rejects_exactly_what_the_check_rejects(self,
+                                                              monkeypatch):
+        # The generator rejects a candidate by a closed form instead of
+        # running the whole check on it; over the candidates it reaches,
+        # the two must agree.  Small bounds make singular cross-chords
+        # common.
+        closed_form = campaigns._cross_chords_degenerate
+        verdicts = []
+
+        def compare(gamma, delta, xa, xb, m_a, m_b):
+            rejected = closed_form(gamma, delta, xa, xb, m_a, m_b)
+            try:
+                intersecting_parabolas_check(gamma, delta, m_a, m_b)
+                raised = False
+            except DegenerateConfigurationError:
+                raised = True
+            verdicts.append((rejected, raised, gamma, delta, m_a, m_b))
+            return rejected
+
+        monkeypatch.setattr(campaigns, "_cross_chords_degenerate", compare)
+        for bound in (2, 3, 5, 50):
+            for seed in (11, 12, 13):
+                for trial in range(180):
+                    campaigns._gen_intersecting_parabolas(
+                        RandomRationals(seed, trial, bound))
+        assert len(verdicts) >= 2000
+        assert [v for v in verdicts if v[0] != v[1]] == []
+        assert sum(v[0] for v in verdicts) >= 50
 
 
 class TestArcSymmetry:

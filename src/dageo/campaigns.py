@@ -7,6 +7,10 @@ one theorem lives in its generator here.  A generator calls a kernel
 function only to reject a draw that can be degenerate.  "ptolemy_broken" is
 a mutation control: its checker is deliberately wrong, and a healthy
 harness must catch it within a few trials.
+
+A checker passes a trial by returning, optionally with a kind that the
+report counts, and fails it by raising :class:`Counterexample`.  Any other
+exception means the kernel is broken.
 """
 
 from __future__ import annotations
@@ -29,19 +33,9 @@ from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        midpoint_lemma_check, simson)
 
 
-@dataclass
-class TrialResult:
-    status: str            # "pass" | "fail"
-    kind: str = ""         # optional sub-classification
-    reason: str = ""
-
-    @classmethod
-    def ok(cls, kind: str = "") -> "TrialResult":
-        return cls("pass", kind)
-
-    @classmethod
-    def fail(cls, reason: str, kind: str = "") -> "TrialResult":
-        return cls("fail", kind, reason)
+class Counterexample(Exception):
+    """A trial's configuration violates the statement under test; the
+    message is the report's ``reason``."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class Theorem:
     id: str
     description: str
     generate: Callable[[RandomRationals], dict]
-    check: Callable[[dict], TrialResult]
+    check: Callable[[dict], str | None]
 
 
 REGISTRY: dict[str, Theorem] = {}
@@ -75,10 +69,11 @@ def _gen_angle_axioms(rng: RandomRationals) -> dict:
             "k_scale": rng.positive_rational()}
 
 
-def _check_angle_axioms(cfg: dict) -> TrialResult:
+def _check_angle_axioms(cfg: dict) -> None:
     verdict = angle_axiom_checks(cfg["A"], cfg["P"], cfg["B"],
                                  cfg["c_param"], cfg["k_scale"])
-    return TrialResult.ok() if verdict is None else TrialResult.fail(verdict)
+    if verdict is not None:
+        raise Counterexample(verdict)
 
 
 register(Theorem("angle_axioms",
@@ -96,7 +91,7 @@ def _gen_parabolic_power(rng: RandomRationals) -> dict:
     return {"curve": curve, "P": p, "secant_xs": secant_xs}
 
 
-def _check_parabolic_power(cfg: dict) -> TrialResult:
+def _check_parabolic_power(cfg: dict) -> None:
     curve, p = cfg["curve"], cfg["P"]
     power = parabolic_power(curve, p)
     for x1 in cfg["secant_xs"]:
@@ -105,8 +100,7 @@ def _check_parabolic_power(cfg: dict) -> TrialResult:
         # Second curve intersection of the secant, via the root sum.
         x2 = (m - curve.beta) / curve.kappa - x1
         if (x1 - p.x) * (x2 - p.x) != power:
-            return TrialResult.fail(f"secant through x={x1} disagrees")
-    return TrialResult.ok()
+            raise Counterexample(f"secant through x={x1} disagrees")
 
 
 register(Theorem("parabolic_power",
@@ -125,20 +119,19 @@ def _gen_iso_angle(rng: RandomRationals) -> dict:
             "offsets": offsets}
 
 
-def _check_iso_angle(cfg: dict) -> TrialResult:
+def _check_iso_angle(cfg: dict) -> None:
     a = Point(cfg["a"], Fraction(0))
     b = Point(cfg["b"], Fraction(0))
     locus = iso_angle_locus(a, b, cfg["theta"])
     if not (locus.contains(a) and locus.contains(b)):
-        return TrialResult.fail("endpoints escaped the locus")
+        raise Counterexample("endpoints escaped the locus")
     for x, off in zip(cfg["sample_xs"], cfg["offsets"]):
         on = locus.point_at(x)
         if difference_angle(a, on, b) != cfg["theta"]:
-            return TrialResult.fail(f"on-locus angle wrong at x={x}")
+            raise Counterexample(f"on-locus angle wrong at x={x}")
         near = Point(on.x, on.y + off)
         if difference_angle(a, near, b) == cfg["theta"]:
-            return TrialResult.fail(f"off-locus point matched at x={x}")
-    return TrialResult.ok()
+            raise Counterexample(f"off-locus point matched at x={x}")
 
 
 register(Theorem("iso_angle_locus",
@@ -150,7 +143,7 @@ def _gen_triangle_invariants(rng: RandomRationals) -> dict:
     return {"T": rng.free_triangle(), "T_inscribed": rng.triangle()}
 
 
-def _check_triangle_invariants(cfg: dict) -> TrialResult:
+def _check_triangle_invariants(cfg: dict) -> None:
     # The stored angles, whose closed form sums to 0 with one negative
     # angle, against the definition: the angle at a vertex is sign(kappa)
     # times the difference angle from the next vertex in x-order to the
@@ -166,9 +159,8 @@ def _check_triangle_invariants(cfg: dict) -> TrialResult:
         for v, angle in zip((t.a, t.b, t.c), t.interior_angles()):
             k = order.index(v)
             if difference_angle(order[(k + 1) % 3], v, order[k - 1]) != angle:
-                return TrialResult.fail(
+                raise Counterexample(
                     f"angle at x={v.x} differs from its definition")
-    return TrialResult.ok()
 
 
 register(Theorem("triangle_invariants",
@@ -180,23 +172,22 @@ def _gen_bisector_centers(rng: RandomRationals) -> dict:
     return {"T": rng.triangle()}
 
 
-def _check_bisector_centers(cfg: dict) -> TrialResult:
+def _check_bisector_centers(cfg: dict) -> None:
     t = cfg["T"]
     for lbl in VERTICES:
         if bisector_ratio_check(t, lbl) != 0:
-            return TrialResult.fail(f"bisector ratio fails at {lbl}")
+            raise Counterexample(f"bisector ratio fails at {lbl}")
     cs = centers(t)  # internal certificates cover excenters and G_I
     neg = t.negative_vertex_label
     if cs.incenter.x != t.vertex(neg).x:
-        return TrialResult.fail("incenter off the negative-vertex axis")
+        raise Counterexample("incenter off the negative-vertex axis")
     for lbl in VERTICES:
         line = bisector_at(t, lbl, "interior")
         if not line.contains(cs.incenter):
-            return TrialResult.fail(f"incenter misses bisector at {lbl}")
+            raise Counterexample(f"incenter misses bisector at {lbl}")
     verdict = eq.classify_pair(cs.tangent_triangle, t)
     if not verdict.sim_sss:
-        return TrialResult.fail("tangent triangle not SSS-similar")
-    return TrialResult.ok()
+        raise Counterexample("tangent triangle not SSS-similar")
 
 
 register(Theorem("bisector_centers",
@@ -210,12 +201,11 @@ def _gen_quadruple_on_parabola(rng: RandomRationals) -> dict:
     return {"curve": curve, "xs": xs}
 
 
-def _check_ptolemy(cfg: dict) -> TrialResult:
+def _check_ptolemy(cfg: dict) -> None:
     curve = cfg["curve"]
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     if th.ptolemy_residual(a, b, c, d, curve) != 0:
-        return TrialResult.fail("ptolemy residual nonzero")
-    return TrialResult.ok()
+        raise Counterexample("ptolemy residual nonzero")
 
 
 register(Theorem("ptolemy",
@@ -225,7 +215,7 @@ register(Theorem("ptolemy",
                  _gen_quadruple_on_parabola, _check_ptolemy))
 
 
-def _check_ptolemy_broken(cfg: dict) -> TrialResult:
+def _check_ptolemy_broken(cfg: dict) -> None:
     curve = cfg["curve"]
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     # Deliberate sign flip: a mutation control for the harness itself.
@@ -234,8 +224,7 @@ def _check_ptolemy_broken(cfg: dict) -> TrialResult:
     ad, bc = xd - xa, xc - xb
     ac, bd = xc - xa, xd - xb
     if ab * cd - ad * bc - ac * bd != 0:
-        return TrialResult.fail("mutant residual nonzero (expected)")
-    return TrialResult.ok()
+        raise Counterexample("mutant residual nonzero (expected)")
 
 
 register(Theorem("ptolemy_broken",
@@ -251,12 +240,11 @@ def _gen_brahmagupta(rng: RandomRationals) -> dict:
     return {"curve": curve, "xs": (e, a, b, d)}
 
 
-def _check_brahmagupta(cfg: dict) -> TrialResult:
+def _check_brahmagupta(cfg: dict) -> None:
     curve = cfg["curve"]
     e, a, b, d = (curve.point_at(x) for x in cfg["xs"])
     if th.brahmagupta_check(curve, e, a, b, d) != 0:
-        return TrialResult.fail("crossing is off the midpoint axis")
-    return TrialResult.ok()
+        raise Counterexample("crossing is off the midpoint axis")
 
 
 register(Theorem("brahmagupta",
@@ -287,18 +275,17 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
     return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}
 
 
-def _check_trapezoid(cfg: dict) -> TrialResult:
+def _check_trapezoid(cfg: dict) -> None:
     curve = cfg["curve"]
     a, b, c, d = cfg["xs"]
     pts = (curve.point_at(a), curve.point_at(b), curve.point_at(c),
            curve.point_at(d))
     verdict = th.trapezoid_equivalence(*pts)
     if verdict != (True, True):
-        return TrialResult.fail(f"inscribed trapezoid verdict {verdict}")
+        raise Counterexample(f"inscribed trapezoid verdict {verdict}")
     neg = th.trapezoid_equivalence(pts[0], pts[1], pts[2], cfg["D_off"])
     if neg.is_isosceles_trapezoid or neg.is_inscribed_with_parallel_pair:
-        return TrialResult.fail(f"off-curve trapezoid verdict {neg}")
-    return TrialResult.ok()
+        raise Counterexample(f"off-curve trapezoid verdict {neg}")
 
 
 register(Theorem("trapezoid",
@@ -348,12 +335,11 @@ def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
     return rng.retrying(make)
 
 
-def _check_intersecting_parabolas(cfg: dict) -> TrialResult:
+def _check_intersecting_parabolas(cfg: dict) -> None:
     residual = th.intersecting_parabolas_check(cfg["gamma"], cfg["delta"],
                                                cfg["m_a"], cfg["m_b"])
     if residual != 0:
-        return TrialResult.fail("cross-chords not parallel")
-    return TrialResult.ok()
+        raise Counterexample("cross-chords not parallel")
 
 
 register(Theorem("intersecting_parabolas",
@@ -361,14 +347,13 @@ register(Theorem("intersecting_parabolas",
                  _gen_intersecting_parabolas, _check_intersecting_parabolas))
 
 
-def _check_inscribed_angle(cfg: dict) -> TrialResult:
+def _check_inscribed_angle(cfg: dict) -> None:
     curve = cfg["curve"]
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     if inscribed_angle_check(curve, a, b, c, d) != 0:
-        return TrialResult.fail("inscribed angle differs between viewpoints")
+        raise Counterexample("inscribed angle differs between viewpoints")
     if curve.kappa * (b.x - a.x) != difference_angle(a, c, b):
-        return TrialResult.fail("inscribed angle value mismatch")
-    return TrialResult.ok()
+        raise Counterexample("inscribed angle value mismatch")
 
 
 register(Theorem("inscribed_angle",
@@ -384,10 +369,9 @@ def _gen_arc_symmetry(rng: RandomRationals) -> dict:
     return {"T": t, "p": mid.x + lam * (hi.x - mid.x)}
 
 
-def _check_arc_symmetry(cfg: dict) -> TrialResult:
+def _check_arc_symmetry(cfg: dict) -> None:
     if not th.arc_symmetry_check(cfg["T"], cfg["p"]):
-        return TrialResult.fail("reflected crossing left the parabola")
-    return TrialResult.ok()
+        raise Counterexample("reflected crossing left the parabola")
 
 
 register(Theorem("arc_symmetry",
@@ -410,15 +394,14 @@ def _gen_miquel_triangle(rng: RandomRationals) -> dict:
     return rng.retrying(make)
 
 
-def _miquel_verdict(result: th.MiquelResult) -> TrialResult:
-    if result.kind == "ideal":
-        return TrialResult.ok("ideal")
+def _miquel_verdict(result: th.MiquelResult) -> str:
+    # An ideal common point has no memberships to test.
     if any(r != 0 for r in result.memberships.values()):
-        return TrialResult.fail("membership residual nonzero", "finite")
-    return TrialResult.ok("finite")
+        raise Counterexample("membership residual nonzero")
+    return result.kind
 
 
-def _check_miquel_triangle(cfg: dict) -> TrialResult:
+def _check_miquel_triangle(cfg: dict) -> str:
     return _miquel_verdict(
         th.miquel_triangle(cfg["T"], cfg["D"], cfg["E"], cfg["F"]))
 
@@ -451,7 +434,7 @@ def _gen_miquel_quadrilateral(rng: RandomRationals) -> dict:
     return {"quad": rng.retrying(make)}
 
 
-def _check_miquel_quadrilateral(cfg: dict) -> TrialResult:
+def _check_miquel_quadrilateral(cfg: dict) -> str:
     return _miquel_verdict(th.miquel_quadrilateral(cfg["quad"]))
 
 
@@ -477,19 +460,18 @@ def _gen_ceva(rng: RandomRationals) -> dict:
     return {"T": t, "concurrent": concurrent_feet, "free": rng.cevian_feet(t)}
 
 
-def _check_ceva(cfg: dict) -> TrialResult:
+def _check_ceva(cfg: dict) -> None:
     t = cfg["T"]
     d, e, f = cfg["concurrent"]
     if th.ceva_product(t, d, e, f) != 1:
-        return TrialResult.fail("concurrent cevians with product != 1")
+        raise Counterexample("concurrent cevians with product != 1")
     if not th.cevians_concurrent(t, d, e, f):
-        return TrialResult.fail("meet oracle rejected concurrent cevians")
+        raise Counterexample("meet oracle rejected concurrent cevians")
     d, e, f = cfg["free"]
     product_one = th.ceva_product(t, d, e, f) == 1
     concur = th.cevians_concurrent(t, d, e, f)
     if product_one != concur:
-        return TrialResult.fail("ceva biconditional violated")
-    return TrialResult.ok()
+        raise Counterexample("ceva biconditional violated")
 
 
 register(Theorem("ceva",
@@ -516,19 +498,18 @@ def _gen_menelaus(rng: RandomRationals) -> dict:
     return {"T": t, "collinear": collinear_feet, "free": rng.cevian_feet(t)}
 
 
-def _check_menelaus(cfg: dict) -> TrialResult:
+def _check_menelaus(cfg: dict) -> None:
     t = cfg["T"]
     d, e, f = cfg["collinear"]
     if th.menelaus_product(t, d, e, f) != -1:
-        return TrialResult.fail("transversal feet with product != -1")
+        raise Counterexample("transversal feet with product != -1")
     if not collinear(d, e, f):
-        return TrialResult.fail("det oracle rejected transversal feet")
+        raise Counterexample("det oracle rejected transversal feet")
     d, e, f = cfg["free"]
     minus_one = th.menelaus_product(t, d, e, f) == -1
     collin = collinear(d, e, f)
     if minus_one != collin:
-        return TrialResult.fail("menelaus biconditional violated")
-    return TrialResult.ok()
+        raise Counterexample("menelaus biconditional violated")
 
 
 register(Theorem("menelaus",
@@ -545,16 +526,15 @@ def _gen_simson(rng: RandomRationals) -> dict:
             "m2": rng.rational()}
 
 
-def _check_simson(cfg: dict) -> TrialResult:
+def _check_simson(cfg: dict) -> None:
     t, m = cfg["T"], cfg["m"]
     a, b, c = (v.x for v in t.sorted_vertices())
     # simson() certifies both slopes; the checker adds the intercept.
     result = simson(t, m)
     intercept = m * (a + b + c) - m * m - (a * b + b * c + c * a)
     if result.line.k != intercept:
-        return TrialResult.fail("simson line formula mismatch")
+        raise Counterexample("simson line formula mismatch")
     simson(cfg["T_general"], cfg["m2"])
-    return TrialResult.ok()
 
 
 register(Theorem("simson",
@@ -563,12 +543,11 @@ register(Theorem("simson",
                  _gen_simson, _check_simson))
 
 
-def _check_midpoint_lemma(cfg: dict) -> TrialResult:
+def _check_midpoint_lemma(cfg: dict) -> None:
     result = midpoint_lemma_check(cfg["T"])
     zero = Point(Fraction(0), Fraction(0))
     if any(res != zero for res in result.residuals.values()):
-        return TrialResult.fail("bisector meet is not the feet midpoint")
-    return TrialResult.ok()
+        raise Counterexample("bisector meet is not the feet midpoint")
 
 
 register(Theorem("midpoint_lemma",
@@ -581,18 +560,17 @@ def _gen_dabct(rng: RandomRationals) -> dict:
     return {"T": rng.retrying(rng.triangle, lambda t: not t.is_isosceles)}
 
 
-def _check_dabct(cfg: dict) -> TrialResult:
+def _check_dabct(cfg: dict) -> None:
     result = dabct(cfg["T"])
     if not result.concurrency_ok:
-        return TrialResult.fail("side/bisector/feet-chord concurrency fails")
+        raise Counterexample("side/bisector/feet-chord concurrency fails")
     if result.det_residual != 0:
-        return TrialResult.fail("L points not collinear")
+        raise Counterexample("L points not collinear")
     # No L point is a vertex: L_V = U would make the bisector at V, of the
     # mean slope of VU and VW, the line VU, and the triangle collinear.
     feet = [result.l_points[k] for k in VERTICES]
     if th.menelaus_product(cfg["T"], *feet) != -1:
-        return TrialResult.fail("L points fail the Menelaus cross-check")
-    return TrialResult.ok()
+        raise Counterexample("L points fail the Menelaus cross-check")
 
 
 register(Theorem("dabct",
@@ -615,11 +593,11 @@ def _gen_mn_division(rng: RandomRationals) -> dict:
     return rng.retrying(make)
 
 
-def _check_mn_division(cfg: dict) -> TrialResult:
+def _check_mn_division(cfg: dict) -> None:
     res_a, res_b = th.mn_division_check(cfg["a"], cfg["b"], cfg["p"],
                                         cfg["m"], cfg["n"])
     if res_a != 0 or res_b != 0:
-        return TrialResult.fail("division residual nonzero")
+        raise Counterexample("division residual nonzero")
     # Affine linearity of the singular projective length.
     lam = Fraction(1, 3)
     q1, q2 = cfg["a"], cfg["b"]
@@ -628,8 +606,7 @@ def _check_mn_division(cfg: dict) -> TrialResult:
     split = (lam * th.singular_projective_length(cfg["p"], cfg["a"], q1)
              + (1 - lam) * th.singular_projective_length(cfg["p"], cfg["a"], q2))
     if mixed != split:
-        return TrialResult.fail("projective length is not affine")
-    return TrialResult.ok()
+        raise Counterexample("projective length is not affine")
 
 
 register(Theorem("mn_division",
@@ -685,13 +662,13 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
     return {"T": t, "specs": rng.retrying(make), "mixed": mixed}
 
 
-def _check_isogonal(cfg: dict) -> TrialResult:
+def _check_isogonal(cfg: dict) -> str:
     verdict = th.isogonal_concurrency_check(cfg["T"], cfg["specs"])
     if not verdict.original_concurrent:
-        return TrialResult.fail("generated cevians not concurrent")
+        raise Counterexample("generated cevians not concurrent")
     if not verdict.isogonal_concurrent:
-        return TrialResult.fail("isogonal cevians lost concurrency")
-    return TrialResult.ok("mixed" if cfg["mixed"] else "common-base")
+        raise Counterexample("isogonal cevians lost concurrency")
+    return "mixed" if cfg["mixed"] else "common-base"
 
 
 register(Theorem("isogonal",
@@ -718,16 +695,16 @@ def _gen_equivalence_chain(rng: RandomRationals) -> dict:
     return {"T1": t1, "T2": t2, "case": case}
 
 
-def _check_equivalence_chain(cfg: dict) -> TrialResult:
+def _check_equivalence_chain(cfg: dict) -> str:
     verdict = eq.classify_pair(cfg["T1"], cfg["T2"])  # chain asserted inside
     case = cfg["case"]
     if case == 0 and not (verdict.sim_sss and not verdict.sim_aa):
-        return TrialResult.fail("scaled pair not SSS-without-AA")
+        raise Counterexample("scaled pair not SSS-without-AA")
     if case == 1 and not verdict.da_congruent:
-        return TrialResult.fail("shifted pair not congruent")
+        raise Counterexample("shifted pair not congruent")
     if case == 2 and (not verdict.norm_congruent or verdict.da_congruent):
-        return TrialResult.fail("coefficient bridge case misclassified")
-    return TrialResult.ok(f"case{case}")
+        raise Counterexample("coefficient bridge case misclassified")
+    return f"case{case}"
 
 
 register(Theorem("equivalence_chain",
@@ -740,19 +717,18 @@ def _gen_shift_group(rng: RandomRationals) -> dict:
             "theta2": rng.rational()}
 
 
-def _check_shift_group(cfg: dict) -> TrialResult:
+def _check_shift_group(cfg: dict) -> None:
     t = cfg["T"]
     th1, th2 = cfg["theta1"], cfg["theta2"]
     moved = eq.shift(t, th1)
     if not eq.classify_pair(t, moved).da_congruent:
-        return TrialResult.fail("shift image not congruent")
+        raise Counterexample("shift image not congruent")
     if eq.shift(moved, th2) != eq.shift(t, th1 + th2):
-        return TrialResult.fail("shift composition law fails")
+        raise Counterexample("shift composition law fails")
     if eq.shift(t, Fraction(0)) != t:
-        return TrialResult.fail("zero shift is not the identity")
+        raise Counterexample("zero shift is not the identity")
     if eq.shift(moved, -th1) != t:
-        return TrialResult.fail("shift inverse fails")
-    return TrialResult.ok()
+        raise Counterexample("shift inverse fails")
 
 
 register(Theorem("shift_group",
@@ -775,13 +751,13 @@ def _gen_final_collinearity(rng: RandomRationals) -> dict:
     return {"T1": t1, "T2": t2, "sign": sign}
 
 
-def _check_final_collinearity(cfg: dict) -> TrialResult:
+def _check_final_collinearity(cfg: dict) -> str:
     result = eq.final_theorem_feet(cfg["T1"], cfg["T2"])
     if result.det_residual != 0:
-        return TrialResult.fail("feet not collinear")
+        raise Counterexample("feet not collinear")
     if result.menelaus_product is not None and result.menelaus_product != -1:
-        return TrialResult.fail("feet transversal fails Menelaus")
-    return TrialResult.ok("reversed" if cfg["sign"] < 0 else "same")
+        raise Counterexample("feet transversal fails Menelaus")
+    return "reversed" if cfg["sign"] < 0 else "same"
 
 
 register(Theorem("final_collinearity",
@@ -790,18 +766,19 @@ register(Theorem("final_collinearity",
                  _gen_final_collinearity, _check_final_collinearity))
 
 
-def _check_diag_section(cfg: dict) -> TrialResult:
+def _check_diag_section(cfg: dict) -> None:
     curve = cfg["curve"]
     pts = [curve.point_at(x) for x in cfg["xs"]]
     verdict = eq.diag_section_similarity(*pts)
     if not (verdict.xab_xcd and verdict.xbc_xad):
-        return TrialResult.fail("diagonal sections not angle-similar")
+        raise Counterexample("diagonal sections not angle-similar")
     bent = pts[:3] + [Point(pts[3].x, pts[3].y + 1)]
     try:
         eq.diag_section_similarity(*bent)
     except DegenerateConfigurationError:
-        return TrialResult.ok()
-    return TrialResult.fail("off-curve quadruple accepted")
+        pass
+    else:
+        raise Counterexample("off-curve quadruple accepted")
 
 
 # The diagonals of any such draw cross strictly between its middle two x.
@@ -823,11 +800,10 @@ def _gen_intro_observation(rng: RandomRationals) -> dict:
     return {"T1": t1, "T2": t2}
 
 
-def _check_intro_observation(cfg: dict) -> TrialResult:
+def _check_intro_observation(cfg: dict) -> None:
     result = eq.intro_observation_check(cfg["T1"], cfg["T2"])
     if result.det_residual != 0:
-        return TrialResult.fail("sampled side points not collinear")
-    return TrialResult.ok()
+        raise Counterexample("sampled side points not collinear")
 
 
 register(Theorem("intro_observation",

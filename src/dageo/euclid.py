@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .campaigns import Theorem, TrialResult
+from .campaigns import Counterexample, Theorem
 from .errors import DegenerateConfigurationError
 from .gauge import Line, Point, line_through, meet
 from .generators import RandomRationals
@@ -120,12 +120,11 @@ def _gen_rational_triangle(rng: RandomRationals) -> dict:
     return rng.retrying(make)
 
 
-def _check(cfg: dict) -> TrialResult:
+def _check(cfg: dict) -> None:
     verdicts = euclid_bisector_collinearity(cfg["A"], cfg["B"], cfg["C"])
     for holds, reason in zip(verdicts, _REASONS):
         if not holds:
-            return TrialResult.fail(reason)
-    return TrialResult.ok()
+            raise Counterexample(reason)
 
 
 # Not registered: the registry holds the pinned theorems of the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import theorems as th
-from .campaigns import REGISTRY, Theorem
+from .campaigns import REGISTRY, Counterexample, Theorem
 from .gauge import Line, MeetResult, Point
 from .generators import RandomRationals
 from .parabola import Parabola
@@ -123,14 +123,16 @@ def run_theorem(theorem: Theorem, trials: int, seed: int,
         rng = RandomRationals(seed, trial, bound)
         config = theorem.generate(rng)
         rejections += rng.rejections
-        result = theorem.check(config)
-        if result.kind:
-            kinds[result.kind] = kinds.get(result.kind, 0) + 1
-        if result.status == "fail":
+        try:
+            kind = theorem.check(config)
+        except Counterexample as exc:
             failures += 1
             if first is None:
-                first = {"trial": trial, "reason": result.reason,
+                first = {"trial": trial, "reason": str(exc),
                          "config": jsonable(config)}
+        else:
+            if kind:
+                kinds[kind] = kinds.get(kind, 0) + 1
     return TheoremReport(theorem.id, trials, failures, 0, seed, bound,
                          rejections, dict(sorted(kinds.items())), first)
 

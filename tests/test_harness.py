@@ -10,7 +10,7 @@ import pytest
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
-from dageo.campaigns import TrialResult
+from dageo.campaigns import Counterexample
 from dageo.gauge import Line, MeetResult, Point
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
@@ -27,6 +27,10 @@ def _raise(error):
     def make():
         raise error("raised inside make")
     return make
+
+
+def _forced_failure(config):
+    raise Counterexample("forced")
 
 
 class _FractionDraws(RandomRationals):
@@ -284,7 +288,7 @@ class TestJsonable:
         # Cevian specs and complete quadrilaterals only reach a report
         # through a counterexample.
         forced = dataclasses.replace(
-            REGISTRY[theorem], check=lambda cfg: TrialResult.fail("forced"))
+            REGISTRY[theorem], check=_forced_failure)
         monkeypatch.setitem(REGISTRY, theorem, forced)
         report = run_campaign(CampaignConfig(theorem, trials=3, seed=42))
         first = report.first_counterexample

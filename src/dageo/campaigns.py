@@ -8,9 +8,8 @@ function only to reject a draw that can be degenerate.  "ptolemy_broken" is
 a mutation control: its checker is deliberately wrong, and a healthy
 harness must catch it within a few trials.
 
-A checker passes a trial by returning, optionally with a kind that the
-report counts, and fails it by raising :class:`Counterexample`.  Any other
-exception means the kernel is broken.
+A checker returns (optionally a kind, which the report counts) or raises
+:class:`Counterexample`; any other exception is a kernel error.
 """
 
 from __future__ import annotations
@@ -395,7 +394,6 @@ def _gen_miquel_triangle(rng: RandomRationals) -> dict:
 
 
 def _miquel_verdict(result: th.MiquelResult) -> str:
-    # An ideal common point has no memberships to test.
     if any(r != 0 for r in result.memberships.values()):
         raise Counterexample("membership residual nonzero")
     return result.kind

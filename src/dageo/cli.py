@@ -13,7 +13,8 @@ same report shape (:class:`dageo.harness.TheoremReport`).
 
 Exit codes: 0 all pass, 1 counterexample found, 2 invalid input or scene
 (a figure that binary64 cannot draw included), or a file could not be
-read or written, 3 generator exhaustion.
+read or written, 3 generator exhaustion, 4 kernel error (outranks 1).
+``construct`` exits with the worst code of the campaigns it verifies.
 """
 
 from __future__ import annotations
@@ -32,11 +33,18 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
+EXIT_KERNEL_ERROR = 4
 
 
 def _load_scene(path: str) -> Scene:
     with open(path, encoding="utf-8") as handle:
         return Scene.from_dict(json.load(handle))
+
+
+def _exit_code(failures: int, errors: int) -> int:
+    if errors:
+        return EXIT_KERNEL_ERROR
+    return EXIT_COUNTEREXAMPLE if failures else EXIT_OK
 
 
 def _emit(report: TheoremReport, json_path: str | None) -> int:
@@ -45,13 +53,15 @@ def _emit(report: TheoremReport, json_path: str | None) -> int:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
-    status = "PASS" if report.failures == 0 else "FAIL"
+    code = _exit_code(report.failures, report.errors)
+    status = {EXIT_OK: "PASS", EXIT_COUNTEREXAMPLE: "FAIL"}.get(code, "ERROR")
+    errors = f" errors={report.errors}" if report.errors else ""
     print(f"{status} {report.theorem}: trials={report.trials} "
-          f"failures={report.failures} seed={report.seed}")
-    if report.failures and report.first_counterexample is not None:
-        print(json.dumps(report.first_counterexample, sort_keys=True,
-                         indent=2))
-    return EXIT_OK if report.failures == 0 else EXIT_COUNTEREXAMPLE
+          f"failures={report.failures} seed={report.seed}{errors}")
+    for first in (report.first_counterexample, report.first_error):
+        if first is not None:
+            print(json.dumps(first, sort_keys=True, indent=2))
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -83,8 +93,8 @@ def _cmd_construct(args) -> int:
             handle.write(text)
     else:
         print(text, end="")
-    failures = sum(r.get("failures", 0) for r in document["verified"])
-    return EXIT_OK if failures == 0 else EXIT_COUNTEREXAMPLE
+    return max((_exit_code(r["failures"], r.get("errors", 0))
+                for r in document["verified"]), default=EXIT_OK)
 
 
 def _cmd_plot(args) -> int:

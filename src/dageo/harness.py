@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import theorems as th
 from .campaigns import REGISTRY, Counterexample, Theorem
+from .errors import GeneratorExhaustedError
 from .gauge import Line, MeetResult, Point
 from .generators import RandomRationals
 from .parabola import Parabola
@@ -95,13 +96,15 @@ class TheoremReport:
     rejections: int
     kinds: dict = field(default_factory=dict)
     first_counterexample: dict | None = None
+    errors: int = 0
+    first_error: dict | None = None
 
     def to_dict(self) -> dict:
-        """The report's JSON payload; ``first_counterexample`` only when
-        there is one."""
+        """The report's JSON payload, without its empty optional fields."""
         payload = dict(vars(self))
-        if self.first_counterexample is None:
-            del payload["first_counterexample"]
+        for key in ("first_counterexample", "errors", "first_error"):
+            if not payload[key]:
+                del payload[key]
         return payload
 
     def to_json(self) -> str:
@@ -116,25 +119,36 @@ def generate_config(theorem_id: str, seed: int, trial: int,
 
 def run_theorem(theorem: Theorem, trials: int, seed: int,
                 bound: int) -> TheoremReport:
-    failures = rejections = 0
+    """Run seeded trials.  A trial passes (its kind counted), fails on a
+    ``Counterexample`` or errs on any other exception but exhaustion."""
+    failures = errors = rejections = 0
     kinds: dict[str, int] = {}
-    first = None
+    first = first_error = None
     for trial in range(trials):
         rng = RandomRationals(seed, trial, bound)
-        config = theorem.generate(rng)
-        rejections += rng.rejections
+        config = None
         try:
+            config = theorem.generate(rng)
             kind = theorem.check(config)
         except Counterexample as exc:
             failures += 1
             if first is None:
                 first = {"trial": trial, "reason": str(exc),
                          "config": jsonable(config)}
+        except GeneratorExhaustedError:
+            raise
+        except Exception as exc:
+            errors += 1
+            if first_error is None:
+                first_error = {"trial": trial, "type": type(exc).__name__,
+                               "message": str(exc), "config": jsonable(config)}
         else:
             if kind:
                 kinds[kind] = kinds.get(kind, 0) + 1
+        rejections += rng.rejections
     return TheoremReport(theorem.id, trials, failures, 0, seed, bound,
-                         rejections, dict(sorted(kinds.items())), first)
+                         rejections, dict(sorted(kinds.items())), first,
+                         errors, first_error)
 
 
 def run_campaign(cfg: CampaignConfig) -> TheoremReport:

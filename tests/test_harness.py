@@ -33,6 +33,16 @@ def _forced_failure(config):
     raise Counterexample("forced")
 
 
+def _kernel_bug(config):
+    if config["xs"][1] > 0:
+        raise ValueError("kernel bug")
+
+
+def _replace_theorem(monkeypatch, theorem, **fields):
+    monkeypatch.setitem(REGISTRY, theorem,
+                        dataclasses.replace(REGISTRY[theorem], **fields))
+
+
 class _FractionDraws(RandomRationals):
     """The draws as built before the integer lift and the direct
     ``getrandbits`` draw: every integer from ``random.Random.randint``,
@@ -254,6 +264,65 @@ class TestReports:
     def test_registry_has_descriptions(self):
         for theorem in REGISTRY.values():
             assert theorem.description
+
+
+class TestErrorVerdict:
+    """A trial that raises anything but a ``Counterexample`` is an error:
+    the campaign still reports, and records the first one."""
+
+    def test_raising_checker_yields_a_report(self, monkeypatch):
+        _replace_theorem(monkeypatch, "ptolemy", check=_kernel_bug)
+        report = run_campaign(CampaignConfig("ptolemy", trials=20, seed=42))
+        bad = [k for k in range(20)
+               if generate_config("ptolemy", 42, k)["xs"][1] > 0]
+        assert bad[0] > 0
+        assert (report.errors, report.failures) == (len(bad), 0)
+        assert report.first_error == {
+            "trial": bad[0], "type": "ValueError", "message": "kernel bug",
+            "config": jsonable(generate_config("ptolemy", 42, bad[0]))}
+        payload = json.loads(report.to_json())
+        assert payload["errors"] == len(bad)
+        assert payload["first_error"] == report.first_error
+
+    def test_kinds_count_passing_trials_only(self, monkeypatch):
+        check = REGISTRY["isogonal"].check
+
+        def mixed_raises(config):
+            kind = check(config)
+            if kind == "mixed":
+                raise KernelInvariantError("broken")
+            return kind
+        _replace_theorem(monkeypatch, "isogonal", check=mixed_raises)
+        report = run_campaign(CampaignConfig("isogonal", trials=20, seed=42))
+        assert report.kinds == {"common-base": 10}
+        assert report.errors == 10 and report.first_error["trial"] == 0
+
+    def test_generator_error_has_null_config(self, monkeypatch):
+        def generate(rng):
+            attempts = []
+
+            def make():
+                attempts.append(None)
+                if len(attempts) < 3:
+                    return None
+                raise ValueError("generator bug")
+            return rng.retrying(make)
+        _replace_theorem(monkeypatch, "ptolemy", generate=generate)
+        report = run_campaign(CampaignConfig("ptolemy", trials=4, seed=42))
+        assert report.errors == 4 and report.first_error["config"] is None
+        assert json.loads(report.to_json())["first_error"]["config"] is None
+        # The two rejections before each raise still count.
+        assert report.rejections == 8
+
+    def test_exhaustion_stays_fatal(self, monkeypatch):
+        _replace_theorem(monkeypatch, "ptolemy",
+                         generate=lambda rng: rng.retrying(lambda: None))
+        with pytest.raises(GeneratorExhaustedError):
+            run_campaign(CampaignConfig("ptolemy", trials=2))
+
+    def test_clean_report_has_no_error_keys(self):
+        payload = run_campaign(CampaignConfig("ptolemy", trials=5)).to_dict()
+        assert "errors" not in payload and "first_error" not in payload
 
 
 class TestJsonable:
@@ -721,13 +790,43 @@ class TestCli:
                      str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_checker_bug_is_not_invalid_input(self, monkeypatch):
+    def test_checker_bug_is_not_invalid_input(self, monkeypatch, capsys):
         def broken(config):
             return config["missing"]
-        monkeypatch.setitem(REGISTRY, "ptolemy", dataclasses.replace(
-            REGISTRY["ptolemy"], check=broken))
-        with pytest.raises(KeyError):
-            main(["verify", "--theorem", "ptolemy", "--trials", "1"])
+        _replace_theorem(monkeypatch, "ptolemy", check=broken)
+        assert main(["verify", "--theorem", "ptolemy", "--trials", "1"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "ERROR ptolemy: trials=1 failures=0 seed=42 errors=1\n")
+        assert '"type": "KeyError"' in out
+
+    def test_clean_status_line_has_no_error_count(self, capsys):
+        assert main(["verify", "--theorem", "ptolemy", "--trials", "2"]) == 0
+        assert capsys.readouterr().out == \
+            "PASS ptolemy: trials=2 failures=0 seed=42\n"
+
+    def test_errors_outrank_failures(self, monkeypatch, capsys):
+        check = REGISTRY["ptolemy_broken"].check
+
+        def sometimes_raises(config):
+            _kernel_bug(config)
+            check(config)
+        _replace_theorem(monkeypatch, "ptolemy_broken", check=sometimes_raises)
+        assert main(["verify", "--theorem", "ptolemy_broken",
+                     "--trials", "20"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR ptolemy_broken:")
+        assert '"reason"' in out and '"type": "ValueError"' in out
+
+    def test_construct_exits_with_the_worst_verdict(self, monkeypatch,
+                                                    tmp_path, capsys):
+        _replace_theorem(monkeypatch, "ptolemy", check=_kernel_bug)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(
+            dict(INCENTER_SCENE, verify=["ptolemy_broken", "ptolemy"])))
+        assert main(["construct", "--scene", str(scene_path)]) == 4
+        verified = json.loads(capsys.readouterr().out)["verified"]
+        assert verified[0]["failures"] > 0 and verified[1]["errors"] > 0
 
     def test_euclid_exhaustion_exit(self, monkeypatch, capsys):
         def exhausted(*args):

@@ -437,8 +437,10 @@ class TestMidpointLemma:
                 return Line(F(7), v.y - 7 * v.x)
             return bisector_at(t, vertex, mode)
         monkeypatch.setattr("dageo.triangle.bisector_at", slope_seven)
-        with pytest.raises(KernelInvariantError, match="parallel"):
-            run_campaign(CampaignConfig("midpoint_lemma", 50, 42, 50))
+        report = run_campaign(CampaignConfig("midpoint_lemma", 50, 42, 50))
+        assert report.errors == 50 and report.failures == 0
+        assert report.first_error["type"] == "KernelInvariantError"
+        assert "parallel" in report.first_error["message"]
 
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=5)

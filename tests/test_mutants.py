@@ -7,7 +7,7 @@ something."""
 import pytest
 
 from dageo import parabola
-from dageo.harness import CampaignConfig, run_campaign
+from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.scalar import lift_triple
 
 
@@ -34,3 +34,22 @@ def test_mutant_fails_its_campaign(monkeypatch, module, attribute,
     monkeypatch.setattr(module, attribute, replacement)
     report = run_campaign(CampaignConfig(theorem, 50, 42, 50))
     assert report.failures > 0
+
+
+#: Campaigns that the lift mutant must reach, by a counterexample or by a
+#: kernel error.  The other campaigns either never read a curve through
+#: its lift in their checker or read it consistently with their points.
+LIFT_CAUGHT_BY = {
+    "parabolic_power", "iso_angle_locus", "ptolemy_broken", "trapezoid",
+    "arc_symmetry", "miquel_quadrilateral",          # failures
+    "intersecting_parabolas", "miquel_triangle", "simson",
+    "equivalence_chain", "shift_group", "diag_section",  # errors
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(REGISTRY))
+def test_lift_mutant_leaves_every_campaign_a_report(monkeypatch, theorem):
+    monkeypatch.setattr(parabola, "lift_triple", _lift_with_beta_plus_one)
+    report = run_campaign(CampaignConfig(theorem, 50, 42, 50))
+    if theorem in LIFT_CAUGHT_BY:
+        assert report.failures + report.errors > 0

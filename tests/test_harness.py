@@ -299,11 +299,8 @@ class TestErrorVerdict:
 
     def test_generator_error_has_null_config(self, monkeypatch):
         def generate(rng):
-            attempts = []
-
             def make():
-                attempts.append(None)
-                if len(attempts) < 3:
+                if rng.rejections < 2:
                     return None
                 raise ValueError("generator bug")
             return rng.retrying(make)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import collinear, ratio
+from .scalar import collinear, over_common_denominator, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -53,12 +53,20 @@ class Gauge:
     projective_direction: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        rx, ry = self.reference_direction
-        px, py = self.projective_direction
-        if rx * py - ry * px == 0:
+        # The origin and both directions as integers over one lcm L, and
+        # the directions' determinant over L**2: (OX, OY, RX, RY, PX, PY,
+        # det, L), lifted once; normalize_chart reads only this and its
+        # points' integers.
+        (ox, oy), (rx, ry), (px, py) = (self.origin, self.reference_direction,
+                                        self.projective_direction)
+        (OX, OY, RX, RY, PX, PY), L = over_common_denominator(
+            (ox, oy, rx, ry, px, py))
+        det = RX * PY - RY * PX
+        if det == 0:
             raise DegenerateConfigurationError(
                 "reference and projective directions are dependent"
             )
+        object.__setattr__(self, "_lifted", (OX, OY, RX, RY, PX, PY, det, L))
 
     def normalize_chart(self, points: list[Point]) -> list[Point]:
         """Apply the unique affine map sending origin -> (0,0),
@@ -66,17 +74,19 @@ class Gauge:
 
         Every other operation in the kernel assumes this chart.
         """
-        rx, ry = self.reference_direction
-        px, py = self.projective_direction
-        det = rx * py - ry * px
+        OX, OY, RX, RY, PX, PY, det, L = self._lifted
         out = []
         for p in points:
-            dx = p.x - self.origin.x
-            dy = p.y - self.origin.y
-            # Solve dx*e1 + dy*e2 = u*ref + v*proj by Cramer's rule.
-            u = (dx * py - dy * px) / det
-            v = (rx * dy - ry * dx) / det
-            out.append(Point(u, v))
+            # Solve dx*e1 + dy*e2 = u*ref + v*proj by Cramer's rule, with
+            # dx = DX/(xd*yd*L), dy = DY/(xd*yd*L) and the directions and
+            # their determinant over L and L**2: the scales cancel.
+            xn, xd = p.x.numerator, p.x.denominator
+            yn, yd = p.y.numerator, p.y.denominator
+            DX = (xn * L - OX * xd) * yd
+            DY = (yn * L - OY * yd) * xd
+            den = det * xd * yd
+            out.append(Point(ratio(DX * PY - DY * PX, den),
+                             ratio(RX * DY - RY * DX, den)))
         return out
 
 

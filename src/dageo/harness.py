@@ -31,6 +31,18 @@ def jsonable(obj):
 
     A type with no JSON form raises ``TypeError`` rather than turning
     into its ``str``."""
+    # Exact-type fast paths for the common leaves and containers; a
+    # subclass (a NamedTuple such as MeetResult, a dict subclass) falls
+    # through to the isinstance chain below, as before.
+    cls = type(obj)
+    if cls is Fraction:
+        return format_scalar(obj)
+    if cls is Point:
+        return [format_scalar(obj.x), format_scalar(obj.y)]
+    if cls is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
     if isinstance(obj, Fraction):
         return format_scalar(obj)
     if isinstance(obj, Point):

@@ -15,7 +15,7 @@ from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import QuadraticPoly, lift_triple, other_root, ratio
+from .scalar import QuadraticPoly, lift_triple, ratio
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,22 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
     """
     if a.y != 0 or b.y != 0:
         raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
-    if a.x == b.x:
+    an, ad = a.x.numerator, a.x.denominator
+    bn, bd = b.x.numerator, b.x.denominator
+    span = bn * ad - an * bd  # (b - a) * ad * bd
+    if not span:
         raise DegenerateConfigurationError("coincident endpoints")
-    theta = Fraction(theta)
+    if not isinstance(theta, Fraction):
+        theta = Fraction(theta)
     if theta == 0:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
-    kappa = theta / (b.x - a.x)
-    return Parabola(kappa, -kappa * (a.x + b.x), kappa * a.x * b.x)
+    # kappa = theta/(b - a), beta = -kappa*(a + b) and gamma = kappa*a*b,
+    # each over td*span.
+    tn, td = theta.numerator, theta.denominator
+    den = td * span
+    return Parabola(ratio(tn * ad * bd, den),
+                    ratio(-tn * (an * bd + bn * ad), den),
+                    ratio(tn * an * bn, den))
 
 
 def tangent_at(p: Parabola, x0: Fraction) -> Line:
@@ -215,16 +224,26 @@ def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
     """Companion intersection of two parabolas through their shared point,
     by Vieta on the eliminant; ideal when the quadratic coefficients
     agree."""
-    if p1 == p2:
+    # The eliminant p1 - p2 times S1*S2, read from the two lifts.
+    K1, B1, G1, S1 = p1._lifted
+    K2, B2, G2, S2 = p2._lifted
+    c2, c1, c0 = K1 * S2 - K2 * S1, B1 * S2 - B2 * S1, G1 * S2 - G2 * S1
+    if not (c2 or c1 or c0):
         raise DegenerateConfigurationError("coincident circumparabolas")
-    q = eliminant(p1, p2)
-    if q.c2 == 0:
+    if not c2:
         return MeetResult.ideal(None)
-    x2 = other_root(q, shared.x)
-    if x2 == shared.x:
+    x = shared.x
+    xn, xd = x.numerator, x.denominator
+    residual = (c2 * xn + c1 * xd) * xn + c0 * xd * xd
+    if residual:
+        raise ValueError(f"{x} is not a root (residual "
+                         f"{ratio(residual, S1 * S2 * xd * xd)})")
+    # The roots sum to -c1/c2, so the companion is -(c1*xd + c2*xn)/(c2*xd).
+    n2 = -(c1 * xd + c2 * xn)
+    if n2 == c2 * xn:
         raise DegenerateConfigurationError(
             "circumparabolas tangent at the shared point")
-    return MeetResult.at(p1.point_at(x2))
+    return MeetResult.at(p1.point_at(ratio(n2, c2 * xd)))
 
 
 def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,

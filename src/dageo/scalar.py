@@ -5,9 +5,11 @@ A scalar is a :class:`fractions.Fraction`: always in lowest terms with a
 positive denominator, so equality is structural and every predicate in the
 kernel bottoms out in an exact sign test.  Scene files carry scalars as
 strings (``"3"``, ``"-7/4"``, ``"0.25"``); parsing is exact and never goes
-through binary floats.
+through binary floats.  Only ASCII digits are accepted: ``int`` would read
+other Unicode digits, which :func:`format_scalar` never writes.
 
-The kernel builds every ``Fraction`` of two ints through :func:`ratio`.
+The kernel builds every ``Fraction`` of two ints through :func:`ratio`,
+and so do scalar parsing and the chart normalization of scene files.
 ``ratio(n, d)`` returns a value equal to ``Fraction(n, d)`` in type,
 numerator, denominator, hash and repr, and raises ``ZeroDivisionError``
 on ``d == 0`` as ``Fraction`` does.  It exists for speed: the exact
@@ -38,7 +40,7 @@ _SCALAR_RE = re.compile(
       | [+-]?\d+\.\d+           # finite decimal
       | [+-]?\.\d+              # leading-dot decimal
     )\s*$""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -60,7 +62,7 @@ def parse_scalar(text: str) -> Fraction:
     """Parse ``"n"``, ``"p/q"`` or a finite decimal into an exact rational.
 
     Decimals expand exactly (``"0.25"`` -> 1/4); anything else, including a
-    zero denominator, is rejected.
+    zero denominator or a non-ASCII digit, is rejected.
     """
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
         raise ValueError(f"not a scalar literal: {text!r}")
@@ -70,7 +72,12 @@ def parse_scalar(text: str) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return ratio(int(num), int(den))
-    return Fraction(body)
+    # A decimal is its digits over 10**(digits after the point); the sign,
+    # and a whole part that may be empty ("+.5"), stay in front.
+    whole, point, frac = body.partition(".")
+    if point:
+        return ratio(int(whole + frac), 10 ** len(frac))
+    return ratio(int(body), 1)
 
 
 def format_scalar(value: Fraction) -> str:

@@ -37,7 +37,11 @@ def _finite(what: str, value) -> float:
     cannot hold raises ``ValueError`` naming ``what``.
     """
     try:
-        out = float(value)
+        # A float passes through; for a Fraction (or an int) this is
+        # numbers.Rational.__float__ without its two int() calls: the same
+        # binary64 value and the same OverflowError.
+        out = (value if type(value) is float
+               else value.numerator / value.denominator)
     except OverflowError:
         out = inf
     if not isfinite(out):

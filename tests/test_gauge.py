@@ -44,7 +44,62 @@ def fraction_chain_meet_point(l1, l2):
     return Point(x, l1.m * x + l1.k)
 
 
+def fraction_chain_chart(origin, ref, proj, points):
+    # Gauge's determinant check and normalize_chart's Cramer solve as
+    # Fraction chains.
+    rx, ry = ref
+    px, py = proj
+    det = F(rx * py - ry * px)
+    if det == 0:
+        raise DegenerateConfigurationError(
+            "reference and projective directions are dependent")
+    out = []
+    for p in points:
+        dx = p.x - origin.x
+        dy = p.y - origin.y
+        out.append(Point((dx * py - dy * px) / det, (rx * dy - ry * dx) / det))
+    return out
+
+
+def chart_outcome(call, *args):
+    """``call(*args)``'s chart, or the type and message it raises."""
+    try:
+        return call(*args)
+    except DegenerateConfigurationError as err:
+        return (type(err), str(err))
+
+
 class TestNormalizeChart:
+    @given(st.tuples(bounded, bounded), st.tuples(bounded, bounded),
+           st.tuples(bounded, bounded), st.lists(st.tuples(bounded, bounded),
+                                                 max_size=4),
+           st.booleans())
+    def test_matches_fraction_chain(self, origin, ref, proj, points,
+                                    reflect):
+        # ``reflect`` swaps the directions, so the determinant changes sign
+        # and both orientations are covered.
+        if reflect:
+            ref, proj = proj, ref
+        origin, points = Point(*origin), [Point(*p) for p in points]
+
+        def integer_lift():
+            return normalize_chart(Gauge(origin, ref, proj), points)
+
+        got = chart_outcome(integer_lift)
+        want = chart_outcome(fraction_chain_chart, origin, ref, proj, points)
+        assert got == want
+        if isinstance(got, list):
+            assert all(type(c) is F for p in got for c in p)
+
+    @given(st.tuples(small, small), st.tuples(small, small), bounded)
+    def test_dependent_directions_match_fraction_chain(self, origin, ref,
+                                                       scale):
+        proj = (ref[0] * scale, ref[1] * scale)
+        got = chart_outcome(Gauge, Point(*origin), ref, proj)
+        want = chart_outcome(fraction_chain_chart, Point(*origin), ref, proj,
+                             [])
+        assert isinstance(got, tuple) and got == want
+
     def test_identity(self):
         g = Gauge(pt(0, 0), (F(1), F(0)), (F(0), F(1)))
         assert normalize_chart(g, [pt(3, 4)]) == [pt(3, 4)]

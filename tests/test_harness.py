@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
@@ -18,8 +21,9 @@ from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
 from dageo.parabola import Parabola
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
-from dageo.svg import (EmptySceneError, _bounds, _float_curve, _parabola_arc,
-                       _point_floats, render_svg)
+from dageo.scalar import format_scalar
+from dageo.svg import (EmptySceneError, _bounds, _finite, _float_curve,
+                       _parabola_arc, _point_floats, render_svg)
 from dageo.triangle import bisector_at, centers
 
 
@@ -322,7 +326,75 @@ class TestErrorVerdict:
         assert "errors" not in payload and "first_error" not in payload
 
 
+def isinstance_chain_jsonable(obj):
+    # Reference: jsonable's isinstance chain, before its exact-type fast
+    # paths, for the types json_trees draws.
+    if isinstance(obj, F):
+        return format_scalar(obj)
+    if isinstance(obj, Point):
+        return [format_scalar(obj.x), format_scalar(obj.y)]
+    if isinstance(obj, MeetResult):
+        out = {"kind": obj.kind}
+        if obj.point is not None:
+            out["point"] = isinstance_chain_jsonable(obj.point)
+        if obj.direction is not None:
+            out["direction"] = format_scalar(obj.direction)
+        return out
+    if isinstance(obj, dict):
+        return {str(k): isinstance_chain_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_chain_jsonable(v) for v in obj]
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
+class _SubDict(dict):
+    pass
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+_points = st.builds(Point, _fractions, _fractions)
+#: Configuration-shaped values: the fast paths' exact types, and the
+#: subclasses that must miss them (a bool, the NamedTuple MeetResult, a
+#: dict subclass), with a float that has no JSON form.
+json_trees = st.recursive(
+    st.one_of(_fractions, _points, st.booleans(), st.integers(), st.none(),
+              st.text(max_size=3), st.builds(MeetResult.at, _points),
+              st.builds(MeetResult.ideal, st.none() | _fractions),
+              st.just(0.5)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=2) | st.integers(), children,
+                        max_size=3),
+        st.dictionaries(st.text(max_size=2), children,
+                        max_size=3).map(_SubDict)),
+    max_leaves=12)
+
+
+def _json_outcome(call, obj):
+    """``call(obj)``'s repr (which tells True from 1 and a list from a
+    tuple), or the type and message it raises."""
+    try:
+        return repr(call(obj))
+    except TypeError as err:
+        return type(err), str(err)
+
+
 class TestJsonable:
+    @given(json_trees)
+    @example(True)
+    @example([False, 1, None])
+    @example(MeetResult.at(Point(F(1), F(-1, 2))))
+    @example(_SubDict({2: F(3, 4), "p": MeetResult.ideal(None)}))
+    @example([[Point(F(1), F(2))],
+              [Point(F(-1, 3), F(0)), [Point(F(5), F(7, 2))]]])
+    @example({"x": [F(1), 0.5]})
+    def test_matches_isinstance_chain(self, obj):
+        assert _json_outcome(jsonable, obj) == _json_outcome(
+            isinstance_chain_jsonable, obj)
+
     def test_scalars_as_strings(self):
         from dageo.gauge import Point
         payload = jsonable({"x": F(1, 3), "p": Point(F(2), F(-5, 4))})
@@ -516,6 +588,58 @@ class TestScene:
         assert len(draw.parabolas) == 4
         result = document["constructions"][0]["result"]
         assert result["kind"] in ("finite", "ideal")
+
+
+def float_chain_finite(what, value):
+    # Reference: svg._finite through float(), which for a Fraction is
+    # numbers.Rational.__float__.
+    try:
+        out = float(value)
+    except OverflowError:
+        out = float("inf")
+    if not math.isfinite(out):
+        raise ValueError(f"{what} is out of the float range used for drawing")
+    return out
+
+
+def _float_outcome(value):
+    """``_finite``'s and the reference's result as exact float hex (which
+    tells -0.0 from 0.0), or the type and message each raises."""
+    outcomes = []
+    for call in (_finite, float_chain_finite):
+        try:
+            outcomes.append(call("point 'P'", value).hex())
+        except (ValueError, OverflowError) as err:
+            outcomes.append((type(err), str(err)))
+    return outcomes
+
+
+#: Integers from small to 400 digits, so that quotients span subnormals,
+#: every exponent, rounding ties and overflow.
+_wide = st.one_of(st.integers(-10**6, 10**6),
+                  st.integers(-10**400, 10**400),
+                  st.integers(0, 400).map(lambda e: 2**e - 1))
+
+
+class TestSvgFloats:
+    @given(_wide, _wide.filter(bool))
+    @example(10**399 + 7, 3)
+    @example(-(10**399), 1)
+    @example(1, 10**400)
+    @example(-1, 10**400)
+    @example(2**1024 - 2**970, 1)
+    @example(2**1024 - 2**971, 1)
+    @example(2**53 + 1, 2)
+    def test_fraction_matches_float(self, num, den):
+        got, want = _float_outcome(F(num, den))
+        assert got == want
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, float("inf"),
+                                       float("-inf"), float("nan"), 7, -3,
+                                       10**400])
+    def test_floats_and_ints_match_float(self, value):
+        got, want = _float_outcome(value)
+        assert got == want
 
 
 class TestSvg:
@@ -740,6 +864,19 @@ class TestCli:
         bad.write_text(json.dumps({"points": {"P": ["1/0", "0"]}}))
         assert main(["construct", "--scene", str(bad)]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    # Arabic-Indic and fullwidth digits, which int() reads but
+    # format_scalar never writes.
+    @pytest.mark.parametrize("scene", [
+        {"points": {"P": ["\u0661\u0662", "0"]}},
+        dict(INCENTER_SCENE, construct=["simson(T1, \uff11/\uff12)"]),
+    ])
+    def test_construct_rejects_non_ascii_digits(self, scene, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        assert main(["construct", "--scene", str(bad)]) == 2
+        assert "scalar" in capsys.readouterr().err
 
     def test_construct_invalid_scene(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

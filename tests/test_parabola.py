@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import bounded
@@ -9,11 +9,11 @@ from dageo.errors import (DegenerateConfigurationError,
                           IrrationalIntersectionError)
 from dageo.gauge import MeetResult, Point, difference_angle
 from dageo.parabola import (Parabola, circumparabola, conparabolic,
-                            inscribed_angle_check, iso_angle_locus,
+                            eliminant, inscribed_angle_check, iso_angle_locus,
                             opposite_angle_sum, parabola_meet,
                             parabolic_power, second_intersection, second_meet,
                             tangent_at, tangents_from)
-from dageo.scalar import det3
+from dageo.scalar import QuadraticPoly, det3, other_root
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -98,6 +98,14 @@ def fraction_chain_y_at(p, x):
     return (F(p.kappa) * x + p.beta) * x + p.gamma
 
 
+def outcome(call, *args):
+    """``call(*args)``'s value, or the type and message it raises."""
+    try:
+        return call(*args)
+    except (DegenerateConfigurationError, ValueError) as err:
+        return type(err), str(err)
+
+
 class TestMembershipAndPower:
     @given(bounded, bounded, bounded, bounded)
     def test_y_at_matches_fraction_chain(self, kappa, beta, gamma, x):
@@ -167,7 +175,32 @@ class TestMembershipAndPower:
             assert (x - p.x) * (x2 - p.x) == expected
 
 
+def fraction_chain_iso_angle_locus(a, b, theta):
+    # Reference: iso_angle_locus's coefficients as Fraction chains.
+    if a.y != 0 or b.y != 0:
+        raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
+    if a.x == b.x:
+        raise DegenerateConfigurationError("coincident endpoints")
+    theta = F(theta)
+    if theta == 0:
+        raise DegenerateConfigurationError("zero angle degenerates to a line")
+    kappa = theta / (F(b.x) - a.x)
+    return Parabola(kappa, -kappa * (a.x + b.x), kappa * a.x * b.x)
+
+
 class TestIsoAngleLocus:
+    @given(bounded, bounded, st.sampled_from([0, 0, 0, 1]), bounded)
+    @example(F(1, 3), F(1, 3), 0, F(2))
+    @example(0, 2, 1, F(2))
+    @example(-1, 3, 0, 0)
+    def test_matches_fraction_chain(self, ax, bx, ay, theta):
+        a, b = Point(ax, ay), Point(bx, 0)
+        got = outcome(iso_angle_locus, a, b, theta)
+        assert got == outcome(fraction_chain_iso_angle_locus, a, b,
+                                   theta)
+        if isinstance(got, Parabola):
+            assert all(type(c) is F for c in (got.kappa, got.beta, got.gamma))
+
     def test_reference_example(self):
         locus = iso_angle_locus(pt(0, 0), pt(2, 0), F(2))
         assert (locus.kappa, locus.beta, locus.gamma) == (1, -2, 0)
@@ -304,7 +337,53 @@ class TestParabolaMeet:
         assert STD.contains(hit.point) and other.contains(hit.point)
 
 
+def fraction_chain_second_meet(p1, p2, shared):
+    # Reference: second_meet as Vieta on the Fraction eliminant.
+    if p1 == p2:
+        raise DegenerateConfigurationError("coincident circumparabolas")
+    e = eliminant(p1, p2)
+    q = QuadraticPoly(F(e.c2), F(e.c1), F(e.c0))
+    if q.c2 == 0:
+        return MeetResult.ideal(None)
+    x2 = other_root(q, shared.x)
+    if x2 == shared.x:
+        raise DegenerateConfigurationError(
+            "circumparabolas tangent at the shared point")
+    return MeetResult.at(p1.point_at(x2))
+
+
 class TestSecondMeet:
+    @given(st.sampled_from(["finite", "ideal", "coincident", "tangent",
+                            "stray"]),
+           bounded, bounded, bounded, bounded, bounded, bounded, bounded)
+    @example("finite", 1, 0, 0, 1, 2, -3, 0)
+    @example("ideal", 1, 0, 0, 1, 5, 1, 0)
+    @example("coincident", F(3, 2), F(-1, 3), 7, F(2, 5), 1, 0, 0)
+    @example("tangent", 1, 0, 0, 1, 2, 0, 0)
+    @example("stray", 1, 0, 0, 3, 2, -3, 2)
+    def test_matches_fraction_chain(self, kind, k1, b1, g1, x, k2, b2, g2):
+        # p2 passes through p1's point over x (except "stray", whose p2 is
+        # drawn freely), with its own kappa ("finite"), p1's kappa
+        # ("ideal"), p1 itself ("coincident") or p1's tangent there
+        # ("tangent").
+        assume(k1 != 0 and k2 != 0)
+        p1 = Parabola(k1, b1, g1)
+        shared = p1.point_at(x)
+        if kind == "ideal":
+            k2 = k1
+        elif kind == "coincident":
+            k2, b2 = k1, b1
+        elif kind == "tangent":
+            assume(k2 != k1)
+            b2 = b1 + 2 * (k1 - k2) * x
+        if kind != "stray":
+            g2 = shared.y - (k2 * x + b2) * x
+        p2 = Parabola(k2, b2, g2)
+        got = outcome(second_meet, p1, p2, shared)
+        assert got == outcome(fraction_chain_second_meet, p1, p2, shared)
+        if isinstance(got, MeetResult) and got.is_finite:
+            assert (type(got.point.x), type(got.point.y)) == (F, F)
+
     def test_coincident_curves_rejected(self):
         with pytest.raises(DegenerateConfigurationError, match="coincident"):
             second_meet(STD, Parabola(F(1), F(0), F(0)), pt(1, 1))

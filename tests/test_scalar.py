@@ -72,7 +72,64 @@ class TestRatioContract:
             ratio(n, 0)
 
 
+def fraction_chain_parse(text):
+    # Reference: parse_scalar's conversion of an accepted literal before it
+    # parsed to ints, with Fraction's own string parser for n and decimals.
+    body = text.strip()
+    if "/" in body:
+        num, den = body.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return F(int(num), int(den))
+    return F(body)
+
+
+def _parsed(call, text):
+    """``call(text)`` with its type, or the type and message it raises."""
+    try:
+        value = call(text)
+    except ValueError as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=30)
+_sign = st.sampled_from(["", "+", "-"])
+_pad = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def scalar_literals(draw):
+    """Every form ``parse_scalar`` accepts: ``n``, ``p/q`` (zero ``q``
+    included), ``n.f`` and ``.f``, signed, zero-padded and space-padded."""
+    whole, frac, den = draw(_digits), draw(_digits), draw(_digits)
+    body = draw(st.sampled_from([whole, f"{whole}/{den}", f"{whole}.{frac}",
+                                 f".{frac}"]))
+    return draw(_pad) + draw(_sign) + body + draw(_pad)
+
+
 class TestParseScalar:
+    @given(scalar_literals())
+    @example("+.5")
+    @example("-.5")
+    @example("-0.0")
+    @example(" 007.50 ")
+    @example("-6/4")
+    @example("+0/7")
+    @example("3/000")
+    def test_matches_fraction_parser(self, text):
+        assert _parsed(parse_scalar, text) == _parsed(fraction_chain_parse,
+                                                      text)
+
+    # Non-ASCII digits (Arabic-Indic, fullwidth) and spaces; format_scalar
+    # never writes them, and int() would read the digits.
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "\uff11/\uff12",
+                                      "3/\u0664", "\u0663.\u0665",
+                                      "\u00a03"])
+    def test_rejects_non_ascii(self, text):
+        with pytest.raises(ValueError, match="not a scalar literal"):
+            parse_scalar(text)
+
     def test_fraction_canonicalizes(self):
         assert parse_scalar("3/6") == F(1, 2)
 

@@ -9,12 +9,13 @@ from conftest import bounded
 from dageo import campaigns
 from dageo.campaigns import REGISTRY, Counterexample
 from dageo.errors import DegenerateConfigurationError
-from dageo.gauge import Line, Point, line_through, meet
+from dageo.gauge import Line, MeetResult, Point, line_through, meet
 from dageo.generators import RandomRationals
 from dageo.harness import CampaignConfig, run_campaign
 from dageo.parabola import Parabola, circumparabola
 from dageo.scalar import collinear
-from dageo.theorems import (CevianSpec, CompleteQuadrilateral, ceva_product,
+from dageo.theorems import (CevianSpec, CompleteQuadrilateral, _miquel_result,
+                            ceva_product,
                             cevians_concurrent, brahmagupta_check,
                             intersecting_parabolas_check, isogonal_concurrency_check,
                             arc_symmetry_check, menelaus_product,
@@ -417,6 +418,26 @@ class TestCevaMenelaus:
             assume(False)
         feet = RandomRationals(seed, 0).cevian_feet(t)
         assert ceva_product(t, *feet) > 0
+
+
+class TestMiquelMemberships:
+    @given(st.lists(st.tuples(bounded, bounded, bounded), min_size=1,
+                    max_size=3),
+           bounded, bounded)
+    def test_match_fraction_chain(self, coefficients, x, y):
+        # The point is drawn freely, so most residuals are nonzero.
+        assume(all(k != 0 for k, _, _ in coefficients))
+        curves = {f"C{i}": Parabola(*c) for i, c in enumerate(coefficients)}
+        result = _miquel_result(MeetResult.at(Point(x, y)), curves)
+        want = {name: (F(c.kappa) * x + c.beta) * x + c.gamma - y
+                for name, c in curves.items()}
+        assert result.memberships == want
+        assert all(type(r) is F for r in result.memberships.values())
+        assert (result.kind, result.curves) == ("finite", curves)
+
+    def test_ideal_point_has_no_memberships(self):
+        result = _miquel_result(MeetResult.ideal(None), {"C": STD})
+        assert (result.memberships, result.kind) == ({}, "ideal")
 
 
 class TestMiquelTriangle:

@@ -40,7 +40,13 @@ class Point(NamedTuple):
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    return Point(_half_sum(p.x, q.x), _half_sum(p.y, q.y))
+
+
+def _half_sum(a: Fraction, b: Fraction) -> Fraction:
+    """(a + b)/2 as one ratio: (an*bd + bn*ad) / (2*ad*bd)."""
+    ad, bd = a.denominator, b.denominator
+    return ratio(a.numerator * bd + b.numerator * ad, 2 * ad * bd)
 
 
 @dataclass(frozen=True)

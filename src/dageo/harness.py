@@ -31,22 +31,17 @@ def jsonable(obj):
 
     A type with no JSON form raises ``TypeError`` rather than turning
     into its ``str``."""
-    # Exact-type fast paths for the common leaves and containers; a
-    # subclass (a NamedTuple such as MeetResult, a dict subclass) falls
-    # through to the isinstance chain below, as before.
-    cls = type(obj)
-    if cls is Fraction:
-        return format_scalar(obj)
-    if cls is Point:
-        return [format_scalar(obj.x), format_scalar(obj.y)]
-    if cls is dict:
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if cls is str or cls is int or cls is bool or obj is None:
-        return obj
+    # The common values first: scalars, points, dicts and primitives.  No
+    # class tested after them subclasses dict, str or int; list and tuple
+    # stay last because MeetResult is a tuple.
     if isinstance(obj, Fraction):
         return format_scalar(obj)
     if isinstance(obj, Point):
         return [format_scalar(obj.x), format_scalar(obj.y)]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
     if isinstance(obj, Parabola):
         return {"kappa": format_scalar(obj.kappa),
                 "beta": format_scalar(obj.beta),
@@ -72,12 +67,8 @@ def jsonable(obj):
             return {"singular": True}
         return {"m": format_scalar(obj.ratio[0]),
                 "n": format_scalar(obj.ratio[1]), "base": obj.base}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

@@ -44,6 +44,14 @@ class Parabola:
         xn, xd = x.numerator, x.denominator
         return ratio((K * xn + B * xd) * xn + G * xd * xd, S * xd * xd)
 
+    def residual(self, p: Point) -> Fraction:
+        """``y_at(p.x) - p.y``: zero iff the curve passes through ``p``."""
+        K, B, G, S = self._lifted
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        return ratio(((K * xn + B * xd) * xn + G * xd * xd) * yd
+                     - yn * S * xd * xd, S * xd * xd * yd)
+
     def point_at(self, x: Fraction) -> Point:
         if not isinstance(x, Fraction):
             x = Fraction(x)
@@ -127,22 +135,13 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
     """
     if a.y != 0 or b.y != 0:
         raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
-    an, ad = a.x.numerator, a.x.denominator
-    bn, bd = b.x.numerator, b.x.denominator
-    span = bn * ad - an * bd  # (b - a) * ad * bd
-    if not span:
+    if a.x == b.x:
         raise DegenerateConfigurationError("coincident endpoints")
-    if not isinstance(theta, Fraction):
-        theta = Fraction(theta)
+    theta = Fraction(theta)
     if theta == 0:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
-    # kappa = theta/(b - a), beta = -kappa*(a + b) and gamma = kappa*a*b,
-    # each over td*span.
-    tn, td = theta.numerator, theta.denominator
-    den = td * span
-    return Parabola(ratio(tn * ad * bd, den),
-                    ratio(-tn * (an * bd + bn * ad), den),
-                    ratio(tn * an * bn, den))
+    kappa = theta / (b.x - a.x)
+    return Parabola(kappa, -kappa * (a.x + b.x), kappa * a.x * b.x)
 
 
 def tangent_at(p: Parabola, x0: Fraction) -> Line:

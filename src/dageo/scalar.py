@@ -72,11 +72,16 @@ def parse_scalar(text: str) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return ratio(int(num), int(den))
-    # A decimal is its digits over 10**(digits after the point); the sign,
-    # and a whole part that may be empty ("+.5"), stay in front.
+    # A decimal is whole * 10**k + frac over 10**k, k the digits after the
+    # point; the whole part may be empty ("+.5").  Each part goes through
+    # int() on its own, as in Fraction's parser, so int()'s digit limit
+    # applies to each part and not to their sum.
     whole, point, frac = body.partition(".")
     if point:
-        return ratio(int(whole + frac), 10 ** len(frac))
+        digits = whole.lstrip("+-")
+        scale = 10 ** len(frac)
+        num = int(digits or "0") * scale + int(frac)
+        return ratio(-num if whole.startswith("-") else num, scale)
     return ratio(int(body), 1)
 
 

@@ -224,15 +224,8 @@ def _miquel_result(m: MeetResult,
     """Package a common point with each curve's membership residual."""
     if m.is_ideal:
         return MiquelResult(m, {}, "ideal", curves)
-    x, y = m.point
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    memberships = {}
-    for name, curve in curves.items():
-        # y_at(x) - y over the curve's lift (K, B, G, S).
-        K, B, G, S = curve._lifted
-        memberships[name] = ratio(
-            ((K * xn + B * xd) * xn + G * xd * xd) * yd - yn * S * xd * xd,
-            S * xd * xd * yd)
+    memberships = {name: curve.residual(m.point)
+                   for name, curve in curves.items()}
     return MiquelResult(m, memberships, "finite", curves)
 
 

@@ -222,17 +222,6 @@ def _centroid(p: Point, q: Point, r: Point) -> Point:
     return Point(ratio(sum(xs), 3 * X), ratio(sum(ys), 3 * Y))
 
 
-def _is_midpoint(m: Point, p: Point, q: Point) -> bool:
-    """Whether ``m == midpoint(p, q)``: 2*m == p + q in each coordinate,
-    cross-multiplied over the three denominators."""
-    for a, b, c in ((m.x, p.x, q.x), (m.y, p.y, q.y)):
-        ad, bd, cd = a.denominator, b.denominator, c.denominator
-        if 2 * a.numerator * bd * cd != (b.numerator * cd
-                                         + c.numerator * bd) * ad:
-            return False
-    return True
-
-
 def centers(t: DATriangle) -> CenterSet:
     """Incenter, excenters, centroid and tangent triangle, all exact.
 
@@ -284,7 +273,7 @@ def centers(t: DATriangle) -> CenterSet:
     g = _centroid(t.a, t.b, t.c)
     g_t = _centroid(*(tangent_pts[lbl] for lbl in VERTICES))
     g_i = _centroid(incenter.point, ex_a.point, ex_c.point)
-    if not _is_midpoint(g_i, g, g_t):
+    if g_i != midpoint(g, g_t):
         raise KernelInvariantError("bisector centroid is not the midpoint")
 
     return CenterSet(incenter.point, ex_a.point, ex_c.point, ex_ideal,

@@ -8,7 +8,7 @@ from conftest import bounded
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Gauge, Line, MeetResult, Point, angle_axiom_checks,
                          da_norm, difference_angle, line_through, meet,
-                         normalize_chart, slope_between)
+                         midpoint, normalize_chart, slope_between)
 from dageo.harness import CampaignConfig, run_campaign
 
 small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -128,6 +128,14 @@ class TestNormalizeChart:
             back = Point(g.origin.x + mapped.x * rx + mapped.y * px,
                          g.origin.y + mapped.x * ry + mapped.y * py)
             assert back == original
+
+
+class TestMidpoint:
+    @given(bounded, bounded, bounded, bounded)
+    def test_matches_fraction_chain(self, px, py, qx, qy):
+        got = midpoint(Point(px, py), Point(qx, qy))
+        assert got == Point((F(px) + qx) / 2, (F(py) + qy) / 2)
+        assert (type(got.x), type(got.y)) == (F, F)
 
 
 class TestSlopeAndNorm:

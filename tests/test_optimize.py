@@ -20,11 +20,12 @@ import pytest
 import dageo
 from dageo.equivalence import classify_pair
 from dageo.euclid import run_euclid_campaign
-from dageo.gauge import Gauge, Line, Point, difference_angle, line_through
+from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
+                         midpoint)
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
-from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
-                            second_intersection, second_meet)
+from dageo.parabola import (Parabola, circumparabola, second_intersection,
+                            second_meet)
 from dageo.scalar import det3, parse_scalar, ratio
 from dageo.theorems import ceva_product, ptolemy_residual
 from dageo.triangle import DATriangle, bisector_at, centers
@@ -140,12 +141,11 @@ _FEET = tuple(Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
                                 (_A, _B, F(1, 4))))
 
 
-# A second curve through _D with another kappa, a sheared, reflected chart
-# (its determinant is negative) and a locus's ends and angle.
+# A second curve through _D with another kappa and a sheared, reflected
+# chart (its determinant is negative).
 _OTHER_CURVE = Parabola(F(-2, 9), F(1, 4), _D.y + F(2, 9) * _D.x * _D.x
                         - F(1, 4) * _D.x)
 _GAUGE = Gauge(Point(F(3, 4), F(-2)), (F(-7, 6), F(1, 5)), (F(1, 3), F(5, 2)))
-_LOCUS_ARGS = (Point(_X, F(0)), Point(_D.x, F(0)), F(7, 3))
 
 
 def _four_distinct_draws():
@@ -163,21 +163,22 @@ def _four_distinct_draws():
 #: ``classify_pair`` answer bools, so they build none; ``bisector_at``
 #: builds the two numbers of its line, and ``point_on_side`` the drawn
 #: ratio and the two coordinates of its point.  ``centers`` builds its
-#: lines, meets and centroids and one triangle, the tangent triangle; its
-#: midpoint certificate compares integers and builds none.
+#: lines, meets, centroids and midpoint and one triangle, the tangent
+#: triangle; ``midpoint`` builds its two coordinates.
 #: ``Parabola`` lifts its coefficients to integers and builds none;
 #: ``second_intersection`` builds its point's two coordinates, and a
 #: drawn rational is one construction.  ``second_meet`` builds its
 #: companion point's two coordinates (the eliminant stays in integers),
-#: ``iso_angle_locus`` its three coefficients, ``normalize_chart`` the two
-#: coordinates of each point it maps and ``parse_scalar`` its one value.
+#: ``normalize_chart`` the two coordinates of each point it maps and
+#: ``parse_scalar`` its one value.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 2),
-    "centers": (lambda: centers(_T), 33),
+    "centers": (lambda: centers(_T), 35),
+    "midpoint": (lambda: midpoint(_A, _B), 2),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       3),
     "line_through": (lambda: line_through(_A, _B), 2),
@@ -196,7 +197,6 @@ FRACTION_BUDGET = {
     "distinct_rationals": (_four_distinct_draws, 4),
     "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 2),
-    "iso_angle_locus": (lambda: iso_angle_locus(*_LOCUS_ARGS), 3),
     "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 2),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
 }

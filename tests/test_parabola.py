@@ -175,32 +175,7 @@ class TestMembershipAndPower:
             assert (x - p.x) * (x2 - p.x) == expected
 
 
-def fraction_chain_iso_angle_locus(a, b, theta):
-    # Reference: iso_angle_locus's coefficients as Fraction chains.
-    if a.y != 0 or b.y != 0:
-        raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
-    if a.x == b.x:
-        raise DegenerateConfigurationError("coincident endpoints")
-    theta = F(theta)
-    if theta == 0:
-        raise DegenerateConfigurationError("zero angle degenerates to a line")
-    kappa = theta / (F(b.x) - a.x)
-    return Parabola(kappa, -kappa * (a.x + b.x), kappa * a.x * b.x)
-
-
 class TestIsoAngleLocus:
-    @given(bounded, bounded, st.sampled_from([0, 0, 0, 1]), bounded)
-    @example(F(1, 3), F(1, 3), 0, F(2))
-    @example(0, 2, 1, F(2))
-    @example(-1, 3, 0, 0)
-    def test_matches_fraction_chain(self, ax, bx, ay, theta):
-        a, b = Point(ax, ay), Point(bx, 0)
-        got = outcome(iso_angle_locus, a, b, theta)
-        assert got == outcome(fraction_chain_iso_angle_locus, a, b,
-                                   theta)
-        if isinstance(got, Parabola):
-            assert all(type(c) is F for c in (got.kappa, got.beta, got.gamma))
-
     def test_reference_example(self):
         locus = iso_angle_locus(pt(0, 0), pt(2, 0), F(2))
         assert (locus.kappa, locus.beta, locus.gamma) == (1, -2, 0)

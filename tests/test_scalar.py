@@ -117,6 +117,8 @@ class TestParseScalar:
     @example("-6/4")
     @example("+0/7")
     @example("3/000")
+    # Each part under int()'s 4300-digit limit, their sum over it.
+    @example("-" + "7" * 2200 + "." + "3" * 2200)
     def test_matches_fraction_parser(self, text):
         assert _parsed(parse_scalar, text) == _parsed(fraction_chain_parse,
                                                       text)

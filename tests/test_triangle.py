@@ -16,8 +16,7 @@ from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import Parabola
 from dageo.scalar import det3
 from dageo.theorems import menelaus_product
-from dageo.triangle import (DATriangle, _is_midpoint, bisector_at,
-                            bisector_ratio_check,
+from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
                             foot_of_perpendicular, midpoint_lemma_check,
                             naive_simson, perpendicular_bisectors, simson)
@@ -331,17 +330,6 @@ class TestCenters:
             xm = (F(u) + w) / 2
             assert got == Point(xm, par.kappa * u * w + par.beta * xm
                                 + par.gamma)
-
-    @given(bounded, bounded, bounded, bounded, bounded, bounded,
-           st.sampled_from(["", "x", "y", "xy"]))
-    def test_midpoint_certificate_matches_fraction_chain(self, mx, my, px,
-                                                         py, qx, qy, exact):
-        # The coordinates named in ``exact`` are the midpoint's, which
-        # random draws rarely hit.
-        p, q = Point(px, py), Point(qx, qy)
-        mid = Point((F(px) + qx) / 2, (F(py) + qy) / 2)
-        m = Point(mid.x if "x" in exact else mx, mid.y if "y" in exact else my)
-        assert _is_midpoint(m, p, q) == (m == mid)
 
     def test_midpoint_identity_general_curve(self):
         curve = Parabola(F(2), F(-1), F(3))

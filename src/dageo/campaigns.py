@@ -26,7 +26,8 @@ from .gauge import (Line, Point, angle_axiom_checks, difference_angle,
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
-from .scalar import collinear, over_common_denominator
+from .scalar import (add, between, collinear, lift_triple,
+                     over_common_denominator, ratio)
 from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        centers, circum_ortho_at_infinity, dabct,
                        midpoint_lemma_check, simson)
@@ -93,12 +94,24 @@ def _gen_parabolic_power(rng: RandomRationals) -> dict:
 def _check_parabolic_power(cfg: dict) -> None:
     curve, p = cfg["curve"], cfg["P"]
     power = parabolic_power(curve, p)
+    # The secant's points come from the curve's lift (point_at); its second
+    # abscissa and the power read the stored kappa and beta, so a wrong
+    # lift cannot agree with itself.
+    kn, kd = curve.kappa.numerator, curve.kappa.denominator
+    bn, bd = curve.beta.numerator, curve.beta.denominator
+    pn, pd = p.x.numerator, p.x.denominator
+    wn, wd = power.numerator, power.denominator
     for x1 in cfg["secant_xs"]:
-        c1 = curve.point_at(x1)
-        m = slope_between(p, c1)
-        # Second curve intersection of the secant, via the root sum.
-        x2 = (m - curve.beta) / curve.kappa - x1
-        if (x1 - p.x) * (x2 - p.x) != power:
+        m = slope_between(p, curve.point_at(x1))
+        # Second curve intersection of the secant, via the root sum:
+        # x2 = (m - beta)/kappa - x1 = x2n/x2d.
+        mn, md = m.numerator, m.denominator
+        un, ud = x1.numerator, x1.denominator
+        x2n = (mn * bd - bn * md) * kd * ud - un * md * bd * kn
+        x2d = md * bd * kn * ud
+        # (x1 - px)(x2 - px) == power, cross-multiplied.
+        if ((un * pd - pn * ud) * (x2n * pd - pn * x2d) * wd
+                != wn * ud * x2d * pd * pd):
             raise Counterexample(f"secant through x={x1} disagrees")
 
 
@@ -118,18 +131,22 @@ def _gen_iso_angle(rng: RandomRationals) -> dict:
             "offsets": offsets}
 
 
+_ZERO = Fraction(0)
+
+
 def _check_iso_angle(cfg: dict) -> None:
-    a = Point(cfg["a"], Fraction(0))
-    b = Point(cfg["b"], Fraction(0))
-    locus = iso_angle_locus(a, b, cfg["theta"])
+    a = Point(cfg["a"], _ZERO)
+    b = Point(cfg["b"], _ZERO)
+    theta = cfg["theta"]
+    locus = iso_angle_locus(a, b, theta)
     if not (locus.contains(a) and locus.contains(b)):
         raise Counterexample("endpoints escaped the locus")
     for x, off in zip(cfg["sample_xs"], cfg["offsets"]):
         on = locus.point_at(x)
-        if difference_angle(a, on, b) != cfg["theta"]:
+        if difference_angle(a, on, b) != theta:
             raise Counterexample(f"on-locus angle wrong at x={x}")
-        near = Point(on.x, on.y + off)
-        if difference_angle(a, near, b) == cfg["theta"]:
+        near = Point(x, add(on.y, off))
+        if difference_angle(a, near, b) == theta:
             raise Counterexample(f"off-locus point matched at x={x}")
 
 
@@ -235,8 +252,9 @@ register(Theorem("ptolemy_broken",
 def _gen_brahmagupta(rng: RandomRationals) -> dict:
     curve = rng.parabola()
     e, a, b = rng.distinct_rationals(3)
-    d = a + b - e  # exact parallelism constraint, and d > b automatically
-    return {"curve": curve, "xs": (e, a, b, d)}
+    # d = a + b - e: exact parallelism constraint, and d > b automatically.
+    (ne, na, nb), scale = lift_triple((e, a, b))
+    return {"curve": curve, "xs": (e, a, b, ratio(na + nb - ne, scale))}
 
 
 def _check_brahmagupta(cfg: dict) -> None:
@@ -254,7 +272,9 @@ register(Theorem("brahmagupta",
 def _gen_trapezoid(rng: RandomRationals) -> dict:
     curve = rng.parabola()
     a, b, c = rng.distinct_rationals(3)
-    d = b + c - a  # inscribed trapezoid: AD parallel to BC, equal legs
+    # d = b + c - a: inscribed trapezoid, AD parallel to BC, equal legs.
+    (na, nb, nc), scale = lift_triple((a, b, c))
+    d = ratio(nb + nc - na, scale)
 
     def make_negative():
         # A genuine one-parallel-pair quadrilateral that is NOT inscribed:
@@ -308,8 +328,15 @@ def _cross_chords_degenerate(gamma: Parabola, delta: Parabola, xa, xb,
     ``(m - beta)/kappa - x``, so P, R on gamma (and Q, S on delta) share
     an abscissa iff ``m_a - m_b == kappa * (xa - xb)``.
     """
-    dm, dx = m_a - m_b, xa - xb
-    return dm == gamma.kappa * dx or dm == delta.kappa * dx
+    # dm = m_a - m_b and dx = xa - xb over their integers; each test is
+    # dm == kappa dx cross-multiplied.
+    dm = m_a.numerator * m_b.denominator - m_b.numerator * m_a.denominator
+    dx = xa.numerator * xb.denominator - xb.numerator * xa.denominator
+    lhs = dm * xa.denominator * xb.denominator
+    rhs = dx * m_a.denominator * m_b.denominator
+    k1, k2 = gamma.kappa, delta.kappa
+    return (lhs * k1.denominator == k1.numerator * rhs
+            or lhs * k2.denominator == k2.numerator * rhs)
 
 
 def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
@@ -323,10 +350,10 @@ def _gen_intersecting_parabolas(rng: RandomRationals) -> dict:
         delta = circumparabola(a, b, x)
         # Neither chord slope may be tangent to either curve.
         m_a = rng.rational()
-        if m_a in {2 * c.kappa * xa + c.beta for c in (gamma, delta)}:
+        if m_a in (gamma.chord_slope(xa, xa), delta.chord_slope(xa, xa)):
             return None
         m_b = rng.rational()
-        if m_b in {2 * c.kappa * xb + c.beta for c in (gamma, delta)}:
+        if m_b in (gamma.chord_slope(xb, xb), delta.chord_slope(xb, xb)):
             return None
         if _cross_chords_degenerate(gamma, delta, xa, xb, m_a, m_b):
             return None
@@ -351,7 +378,12 @@ def _check_inscribed_angle(cfg: dict) -> None:
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     if inscribed_angle_check(curve, a, b, c, d) != 0:
         raise Counterexample("inscribed angle differs between viewpoints")
-    if curve.kappa * (b.x - a.x) != difference_angle(a, c, b):
+    # kappa (x_B - x_A) == angle(A, C, B), cross-multiplied.
+    kappa, angle = curve.kappa, difference_angle(a, c, b)
+    ad, bd = a.x.denominator, b.x.denominator
+    if (kappa.numerator * (b.x.numerator * ad - a.x.numerator * bd)
+            * angle.denominator
+            != angle.numerator * kappa.denominator * ad * bd):
         raise Counterexample("inscribed angle value mismatch")
 
 
@@ -365,7 +397,8 @@ def _gen_arc_symmetry(rng: RandomRationals) -> dict:
     t = rng.triangle()
     _, mid, hi = t.sorted_vertices()
     lam = rng.fraction_in_unit_interval()
-    return {"T": t, "p": mid.x + lam * (hi.x - mid.x)}
+    return {"T": t, "p": between(mid.x, hi.x, lam.numerator,
+                                 lam.denominator)}
 
 
 def _check_arc_symmetry(cfg: dict) -> None:
@@ -584,9 +617,12 @@ def _gen_mn_division(rng: RandomRationals) -> dict:
         m = rng.small_positive_int()
         n = rng.small_positive_int()
         a, b, p = vals
-        if (n * a + m * b) / (m + n) == p:
+        # (n a + m b)/(m + n) == p and the linearity check's probe
+        # (a + 2 b)/3 == p, cross-multiplied by m + n and 3.
+        (na, nb, np_), _ = lift_triple(vals)
+        if n * na + m * nb == (m + n) * np_:
             return None
-        if (a + 2 * b) / 3 == p:  # probe point of the linearity check
+        if na + 2 * nb == 3 * np_:
             return None
         return {"a": a, "b": b, "p": p, "m": m, "n": n}
     return rng.retrying(make)
@@ -597,14 +633,17 @@ def _check_mn_division(cfg: dict) -> None:
                                         cfg["m"], cfg["n"])
     if res_a != 0 or res_b != 0:
         raise Counterexample("division residual nonzero")
-    # Affine linearity of the singular projective length.
-    lam = Fraction(1, 3)
-    q1, q2 = cfg["a"], cfg["b"]
-    mixed = th.singular_projective_length(cfg["p"], cfg["a"],
-                                          lam * q1 + (1 - lam) * q2)
-    split = (lam * th.singular_projective_length(cfg["p"], cfg["a"], q1)
-             + (1 - lam) * th.singular_projective_length(cfg["p"], cfg["a"], q2))
-    if mixed != split:
+    # Affine linearity of the singular projective length in its chord end
+    # q: at q = (a + 2 b)/3 it is the mean of its values at a, b and b.
+    a, b, p = cfg["a"], cfg["b"], cfg["p"]
+    mixed = th.singular_projective_length(p, a, between(b, a, 1, 3))
+    at_a = th.singular_projective_length(p, a, a)
+    at_b = th.singular_projective_length(p, a, b)
+    # 3 mixed == at_a + 2 at_b, cross-multiplied.
+    ad, bd = at_a.denominator, at_b.denominator
+    if (3 * mixed.numerator * ad * bd
+            != (at_a.numerator * bd + 2 * at_b.numerator * ad)
+            * mixed.denominator):
         raise Counterexample("projective length is not affine")
 
 

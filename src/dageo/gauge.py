@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import collinear, over_common_denominator, ratio
+from .scalar import add, between, collinear, over_common_denominator, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -319,18 +319,23 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
     Returns None when every identity holds, otherwise a short description
     of the first failed assertion.
     """
+    # Every point below is built one ratio per coordinate, and every sum
+    # is compared cross-multiplied (_sums_to), not through Fraction's
+    # generic arithmetic.
     theta = difference_angle(a, p, b)
 
     # A1 antisymmetry (also the boundary-pairing sign flip: it must hold
     # whether or not the opening contains the singular direction).
-    if difference_angle(b, p, a) != -theta:
+    if not _sums_to(difference_angle(b, p, a), theta, 0):
         return "A1 antisymmetry"
 
     # C strictly between A and B on the segment.
-    c = Point(a.x + c_param * (b.x - a.x), a.y + c_param * (b.y - a.y))
+    n, d = c_param.numerator, c_param.denominator
+    c = Point(between(a.x, b.x, n, d), between(a.y, b.y, n, d))
     if c != p and c.x != p.x:
         # A2 additivity.
-        if difference_angle(a, p, c) + difference_angle(c, p, b) != theta:
+        if not _sums_to(difference_angle(a, p, c), difference_angle(c, p, b),
+                        theta):
             return "A2 additivity"
 
     # A3 vanishing <=> collinear (no singular ray by construction).
@@ -339,33 +344,35 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
             return "A3 vanishing on collinear triple"
     elif theta == 0:
         return "A3 converse (zero angle off a line)"
-    collinear_probe = Point(p.x + (b.x - p.x) * 2, p.y + (b.y - p.y) * 2)
+    # P + 2 (B - P), on the ray PB.
+    collinear_probe = Point(between(p.x, b.x, 2, 1), between(p.y, b.y, 2, 1))
     if difference_angle(collinear_probe, p, b) != 0:
         return "A3 vanishing on a shared ray"
 
     # A4 invariance under isotropic scaling about the origin.
-    scaled = [Point(k_scale * q.x, k_scale * q.y) for q in (a, p, b)]
+    kn, kd = k_scale.numerator, k_scale.denominator
+    scaled = [Point(ratio(kn * q.x.numerator, kd * q.x.denominator),
+                    ratio(kn * q.y.numerator, kd * q.y.denominator))
+              for q in (a, p, b)]
     if difference_angle(*scaled) != theta:
         return "A4 scaling invariance"
 
     # A5(i) bisection by the mean-slope ray.
-    sa = slope_between(p, a)
-    sb = slope_between(p, b)
-    t = (sa + sb) / 2
-    bis_pt = Point(p.x + 1, p.y + t)
+    t = _half_sum(slope_between(p, a), slope_between(p, b))
+    bis_pt = Point(add(p.x, 1), add(p.y, t))
     half1 = difference_angle(a, p, bis_pt)
     half2 = difference_angle(bis_pt, p, b)
-    if not (half1 == half2 == theta / 2):
+    if not (half1 == half2 and _sums_to(half1, half1, theta)):
         return "A5(i) bisection"
 
     # Vertical angles: with A2 = reflection of A through P and B2 of B,
     # the oriented pair (PA->PB) equals (PA2->PB2), and the appendix form
     # angle(A,P,B) == -angle(B2,P,A2) holds with it.
-    a2 = Point(2 * p.x - a.x, 2 * p.y - a.y)
-    b2 = Point(2 * p.x - b.x, 2 * p.y - b.y)
+    a2 = Point(between(a.x, p.x, 2, 1), between(a.y, p.y, 2, 1))
+    b2 = Point(between(b.x, p.x, 2, 1), between(b.y, p.y, 2, 1))
     if difference_angle(a2, p, b2) != theta:
         return "vertical angle equality"
-    if difference_angle(b2, p, a2) != -theta:
+    if not _sums_to(difference_angle(b2, p, a2), theta, 0):
         return "oriented vertical-angle law"
 
     # Straight angle absorbed to zero.
@@ -373,19 +380,25 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
         return "straight angle"
 
     # Singular-ray absorption: either ray singular forces angle 0.
-    above = Point(p.x, p.y + 1)
+    above = Point(p.x, add(p.y, 1))
     if difference_angle(above, p, b) != 0 or difference_angle(a, p, above) != 0:
         return "absorptive boundary rule"
 
     # Pseudo-metric triple: symmetry, nonnegativity, additivity along the
     # x-order (the triangle inequality holding with equality).
-    if da_norm(a, b) != da_norm(b, a) or da_norm(a, b) < 0:
+    norm_ab = da_norm(a, b)
+    if norm_ab != da_norm(b, a) or norm_ab < 0:
         return "norm symmetry/nonnegativity"
     lo, mid, hi = sorted((a, p, b), key=lambda q: q.x)
-    if da_norm(lo, hi) != da_norm(lo, mid) + da_norm(mid, hi):
+    if not _sums_to(da_norm(lo, mid), da_norm(mid, hi), da_norm(lo, hi)):
         return "norm triangle equality"
-    if da_norm(p, Point(p.x, p.y + 5)) != 0:
+    if da_norm(p, Point(p.x, add(p.y, 5))) != 0:
         return "norm degeneracy on singular segment"
 
     return None
 
+
+def _sums_to(u: Fraction, v: Fraction, w: Fraction) -> bool:
+    """Whether ``u + v == w``, cross-multiplied; ``w`` may be an ``int``."""
+    ud, vd, wd = u.denominator, v.denominator, w.denominator
+    return (u.numerator * vd + v.numerator * ud) * wd == w.numerator * ud * vd

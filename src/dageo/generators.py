@@ -32,7 +32,7 @@ from math import gcd, lcm
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point
 from .parabola import Parabola
-from .scalar import collinear, ratio
+from .scalar import between, collinear, ratio
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -45,13 +45,6 @@ def trial_seed(campaign_seed: int, trial: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-def _between(s: Fraction, t: Fraction, n: int, d: int) -> Fraction:
-    """``s + (n/d)(t - s)``, that is ``((d - n) s + n t) / d``, built once."""
-    sd, td = s.denominator, t.denominator
-    return ratio((d - n) * s.numerator * td + n * t.numerator * sd,
-                 d * sd * td)
 
 
 class RandomRationals:
@@ -172,7 +165,7 @@ class RandomRationals:
         U + lam (W - U) with lam from ``fraction_in_unit_interval``."""
         lam = self.fraction_in_unit_interval()
         n, d = lam.numerator, lam.denominator
-        return Point(_between(u.x, w.x, n, d), _between(u.y, w.y, n, d))
+        return Point(between(u.x, w.x, n, d), between(u.y, w.y, n, d))
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
         """Independent feet strictly inside the three sides."""

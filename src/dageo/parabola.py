@@ -15,7 +15,8 @@ from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import QuadraticPoly, lift_triple, ratio
+from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_triple,
+                     ratio)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,19 @@ def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     same product (alpha - x)(beta - x); it equals
     (kappa*x^2 + beta*x + gamma - y) / kappa and is 0 exactly on the curve.
     """
-    return (p.y_at(pt.x) - pt.y) / p.kappa
+    # Over the stored coefficients' own denominators, times xd**2 * yd,
+    # and not over the lift: the campaign compares this with secants
+    # through points that point_at builds from the lift.
+    kn, kd = p.kappa.numerator, p.kappa.denominator
+    bn, bd = p.beta.numerator, p.beta.denominator
+    gn, gd = p.gamma.numerator, p.gamma.denominator
+    xn, xd = pt.x.numerator, pt.x.denominator
+    yn, yd = pt.y.numerator, pt.y.denominator
+    sk = bd * gd  # kappa's numerator over kd*bd*gd is kn*sk
+    xd2 = xd * xd
+    value = (((kn * sk * xn + bn * kd * gd * xd) * xn + gn * kd * bd * xd2)
+             * yd - yn * kd * sk * xd2)
+    return ratio(value, kn * sk * xd2 * yd)
 
 
 def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
@@ -137,11 +150,17 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
         raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
     if a.x == b.x:
         raise DegenerateConfigurationError("coincident endpoints")
-    theta = Fraction(theta)
+    if not isinstance(theta, Fraction):
+        theta = Fraction(theta)
     if theta == 0:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
-    kappa = theta / (b.x - a.x)
-    return Parabola(kappa, -kappa * (a.x + b.x), kappa * a.x * b.x)
+    # With a = A/L and b = B/L: kappa = theta L/(B - A), beta = -kappa (a + b)
+    # and gamma = kappa a b, each one ratio.
+    ad, bd = a.x.denominator, b.x.denominator
+    A, B, L = a.x.numerator * bd, b.x.numerator * ad, ad * bd
+    tn, w = theta.numerator, theta.denominator * (B - A)
+    return Parabola(ratio(tn * L, w), ratio(-tn * (A + B), w),
+                    ratio(tn * A * B, w * L))
 
 
 def tangent_at(p: Parabola, x0: Fraction) -> Line:
@@ -185,12 +204,6 @@ def second_intersection(p: Parabola, pt: Point, m: Fraction) -> Point:
     return p.point_at(ratio((mn * S - B * md) * xd - xn * K * md, K * md * xd))
 
 
-def eliminant(p1: Parabola, p2: Parabola) -> QuadraticPoly:
-    """Difference polynomial whose roots are the common abscissae."""
-    return QuadraticPoly(p1.kappa - p2.kappa, p1.beta - p2.beta,
-                         p1.gamma - p2.gamma)
-
-
 def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
     """Intersection of two vertical-axis parabolas.
 
@@ -201,16 +214,16 @@ def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
     give at most one finite meet, and the second Miquel-style intersection
     is the ideal point of the common axis direction.
     """
-    if p1 == p2:
+    c2, c1, c0, _ = _eliminant_lift(p1, p2)
+    if not (c2 or c1 or c0):
         return [MeetResult.coincident()]
-    q = eliminant(p1, p2)
-    if q.c2 == 0:
+    if not c2:
         # Same kappa: translates of one another.
-        if q.c1 == 0:
+        if not c1:
             return [MeetResult.empty()]
-        x = -q.c0 / q.c1
-        return [MeetResult.at(p1.point_at(x)), MeetResult.ideal(None)]
-    roots = q.rational_roots()
+        return [MeetResult.at(p1.point_at(ratio(-c0, c1))),
+                MeetResult.ideal(None)]
+    roots = integer_quadratic_roots(c2, c1, c0)
     if roots is None:
         raise IrrationalIntersectionError(
             "parabolas meet at irrational abscissae")
@@ -219,14 +232,22 @@ def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
     return [MeetResult.at(p1.point_at(x)) for x in roots]
 
 
+def _eliminant_lift(p1: Parabola,
+                    p2: Parabola) -> tuple[int, int, int, int]:
+    """The eliminant ``p1 - p2`` times ``S = S1*S2``, read from the two
+    lifts: integer coefficients with the same roots, as
+    ``(c2, c1, c0, S)``."""
+    K1, B1, G1, S1 = p1._lifted
+    K2, B2, G2, S2 = p2._lifted
+    return (K1 * S2 - K2 * S1, B1 * S2 - B2 * S1, G1 * S2 - G2 * S1,
+            S1 * S2)
+
+
 def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
     """Companion intersection of two parabolas through their shared point,
     by Vieta on the eliminant; ideal when the quadratic coefficients
     agree."""
-    # The eliminant p1 - p2 times S1*S2, read from the two lifts.
-    K1, B1, G1, S1 = p1._lifted
-    K2, B2, G2, S2 = p2._lifted
-    c2, c1, c0 = K1 * S2 - K2 * S1, B1 * S2 - B2 * S1, G1 * S2 - G2 * S1
+    c2, c1, c0, scale = _eliminant_lift(p1, p2)
     if not (c2 or c1 or c0):
         raise DegenerateConfigurationError("coincident circumparabolas")
     if not c2:
@@ -236,7 +257,7 @@ def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
     residual = (c2 * xn + c1 * xd) * xn + c0 * xd * xd
     if residual:
         raise ValueError(f"{x} is not a root (residual "
-                         f"{ratio(residual, S1 * S2 * xd * xd)})")
+                         f"{ratio(residual, scale * xd * xd)})")
     # The roots sum to -c1/c2, so the companion is -(c1*xd + c2*xn)/(c2*xd).
     n2 = -(c1 * xd + c2 * xn)
     if n2 == c2 * xn:

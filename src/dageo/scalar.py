@@ -58,6 +58,20 @@ def ratio(num: int, den: int) -> Fraction:
     return value
 
 
+def add(u: Fraction, v: Fraction) -> Fraction:
+    """``u + v`` built once; either may be an ``int``."""
+    ud, vd = u.denominator, v.denominator
+    return ratio(u.numerator * vd + v.numerator * ud, ud * vd)
+
+
+def between(s: Fraction, t: Fraction, n: int, d: int) -> Fraction:
+    """``s + (n/d)(t - s)``, that is ``((d - n) s + n t) / d``, built once;
+    ``s`` and ``t`` may be ``int`` or ``Fraction``."""
+    sd, td = s.denominator, t.denominator
+    return ratio((d - n) * s.numerator * td + n * t.numerator * sd,
+                 d * sd * td)
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"n"``, ``"p/q"`` or a finite decimal into an exact rational.
 
@@ -167,15 +181,29 @@ class QuadraticPoly:
         """
         if self.c2 == 0:
             raise ValueError("rational_roots requires a genuine quadratic")
-        disc = self.discriminant()
-        if disc < 0:
-            return []
-        root = rational_sqrt(disc)
-        if root is None:
-            return None
-        lo = (-self.c1 - root) / (2 * self.c2)
-        hi = (-self.c1 + root) / (2 * self.c2)
-        return [lo] if lo == hi else sorted([lo, hi])
+        (c2, c1, c0), _ = lift_triple((self.c2, self.c1, self.c0))
+        return integer_quadratic_roots(c2, c1, c0)
+
+
+def integer_quadratic_roots(c2: int, c1: int, c0: int) -> list[Fraction] | None:
+    """:meth:`QuadraticPoly.rational_roots` of ``c2*x^2 + c1*x + c0`` with
+    integer coefficients, ``c2 != 0``.
+
+    The roots are rational iff the integer discriminant is a perfect
+    square: a rational whose square is an integer is an integer, so
+    dividing the coefficients by a common scale ``s`` (which divides the
+    discriminant by the square ``s**2``) keeps the answer.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return None
+    if not root:
+        return [ratio(-c1, 2 * c2)]
+    lo, hi = ratio(-c1 - root, 2 * c2), ratio(-c1 + root, 2 * c2)
+    return [lo, hi] if c2 > 0 else [hi, lo]
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -197,7 +225,12 @@ def other_root(q: QuadraticPoly, known: Fraction) -> Fraction:
     """
     if q.c2 == 0:
         raise ValueError("other_root requires a genuine quadratic")
-    residual = q(known)
-    if residual != 0:
-        raise ValueError(f"{known} is not a root (residual {residual})")
-    return -q.c1 / q.c2 - known
+    # q times its coefficients' scale s, at known = kn/kd, times kd**2.
+    (c2, c1, c0), scale = lift_triple((q.c2, q.c1, q.c0))
+    kn, kd = known.numerator, known.denominator
+    residual = (c2 * kn + c1 * kd) * kn + c0 * kd * kd
+    if residual:
+        raise ValueError(f"{known} is not a root "
+                         f"(residual {ratio(residual, scale * kd * kd)})")
+    # -c1/c2 - known over kd.
+    return ratio(-(c1 * kd + c2 * kn), c2 * kd)

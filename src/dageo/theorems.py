@@ -21,7 +21,7 @@ from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
 from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
-from .scalar import collinear, over_common_denominator, ratio
+from .scalar import lift_triple, over_common_denominator, ratio
 from .triangle import DATriangle, VERTICES
 
 
@@ -54,14 +54,18 @@ def brahmagupta_check(curve: Parabola, e: Point, a: Point, b: Point,
     Returns x(AD ^ EB) - (x_A + x_B)/2, exactly 0.
     """
     _require_on(curve, e, a, b, d)
-    if not (e.x < a.x < b.x < d.x):
+    (xe, xa, xb, xd), scale = over_common_denominator((e.x, a.x, b.x, d.x))
+    if not (xe < xa < xb < xd):
         raise DegenerateConfigurationError("need x-order e < a < b < d")
     if curve.chord_slope(d.x, e.x) != curve.chord_slope(a.x, b.x):
         raise DegenerateConfigurationError("DE is not parallel to AB")
     crossing = meet(line_through(a, d), line_through(e, b))
     if not crossing.is_finite:
         raise KernelInvariantError("diagonals AD and EB do not cross")
-    return crossing.point.x - (a.x + b.x) / 2
+    # x - (xa + xb)/(2 scale) over x's integers.
+    x = crossing.point.x
+    xn, xden = x.numerator, x.denominator
+    return ratio(2 * scale * xn - (xa + xb) * xden, 2 * scale * xden)
 
 
 class TrapezoidVerdict(NamedTuple):
@@ -267,8 +271,8 @@ class CompleteQuadrilateral:
     intersection points A, B, C, D (cyclic) and E = AB ^ CD, F = BC ^ AD.
 
     Construction enforces the nonsingularity assumptions: finite pairwise
-    meets, no three lines concurrent, and no circumscribing triple with a
-    shared abscissa or on a common line.
+    meets and no three lines concurrent, which keep every circumscribing
+    triple off a shared abscissa and off a common line.
     """
 
     l1: Line  # carries A, B
@@ -290,16 +294,16 @@ class CompleteQuadrilateral:
                     "parallel or coincident lines")
             pts[label] = hit.point
         object.__setattr__(self, "_points", pts)
-        if len(set(pts.values())) != 6:
+        # Compared as integer pairs over one scale per axis, so no Fraction
+        # is hashed (a modular inverse each).
+        xs, _ = over_common_denominator([p.x for p in pts.values()])
+        ys, _ = over_common_denominator([p.y for p in pts.values()])
+        if len(set(zip(xs, ys))) != 6:
             raise DegenerateConfigurationError("three lines concurrent")
-        for triple in self.defining_triples().values():
-            if len({p.x for p in triple}) != 3:
-                raise DegenerateConfigurationError(
-                    "shared abscissa in a defining triple; re-normalizing "
-                    "the gauge to another chart would restore generality")
-            if collinear(*triple):
-                raise DegenerateConfigurationError(
-                    "collinear defining triple")
+        # That is also the whole test for the defining triples: any two
+        # points of one triple lie on a common sloped line, so with six
+        # distinct points they have distinct abscissae, and a third point
+        # on that line would put three lines through one point.
 
     def points(self) -> dict[str, Point]:
         return dict(self._points)
@@ -333,43 +337,51 @@ def miquel_quadrilateral(q: CompleteQuadrilateral) -> MiquelResult:
 # Isogonal machinery.
 # ---------------------------------------------------------------------------
 
+def _chord_height(p: int, x0: int, q: int) -> int:
+    """(p + q) x0 - p q for integer parameters: the
+    :func:`singular_projective_length` of ``p/s``, ``x0/s`` and ``q/s``
+    times ``s**2``, for any common scale ``s``."""
+    return (p + q) * x0 - p * q
+
+
 def singular_projective_length(p: Fraction, x0: Fraction,
                                q: Fraction) -> Fraction:
     """Height at which the chord from parameter p to parameter q of the
     standard parabola crosses the singular line x = x0:
     (p + q) x0 - p q, affine-linear in q."""
-    (pn, xn, qn), scale = over_common_denominator((p, x0, q))
+    (pn, xn, qn), scale = lift_triple((p, x0, q))
     if pn == qn:
         raise DegenerateConfigurationError("degenerate chord")
-    return ratio((pn + qn) * xn - pn * qn, scale * scale)
+    return ratio(_chord_height(pn, xn, qn), scale * scale)
 
 
 def mn_division_check(a: Fraction, b: Fraction, p: Fraction, m: int,
                       n: int) -> tuple[Fraction, Fraction]:
     """Residual pair of the angle-division/segment-division correspondence
-    on the standard parabola.
+    on the standard parabola, for integer weights ``m`` and ``n``.
 
     With C at parameter (n a + m b)/(m + n), the chord P C cuts the
     singular lines at A and B so that A A_C : A_C A_B = m : n and
     B B_C : B_C B_A = n : m (directed vertical measures).  Both residuals
     are exactly 0.
     """
-    a, b, p = (v if isinstance(v, Fraction) else Fraction(v)
-               for v in (a, b, p))
     if m <= 0 or n <= 0:
         raise DegenerateConfigurationError("division weights must be positive")
-    if len({a, b, p}) != 3:
+    # a, b, p as integers over one scale s, then over w s with w = m + n,
+    # where c is n a + m b: every term below is over (w s)**2.
+    (A, B, P), s = lift_triple((a, b, p))
+    if A == B or A == P or B == P:
         raise DegenerateConfigurationError("parameters must be distinct")
-    c = (n * a + m * b) / (m + n)
-    if c == p:
+    w = m + n
+    C = n * A + m * B
+    A, B, P, ws = w * A, w * B, w * P, w * s
+    if C == P:
         raise DegenerateConfigurationError("chord PC is degenerate")
-    a_c = singular_projective_length(p, a, c)
-    a_b = singular_projective_length(p, a, b)
-    b_c = singular_projective_length(p, b, c)
-    b_a = singular_projective_length(p, b, a)
-    res_a = n * (a_c - a * a) - m * (a_b - a_c)
-    res_b = m * (b_c - b * b) - n * (b_a - b_c)
-    return res_a, res_b
+    a_c = _chord_height(P, A, C)
+    b_c = _chord_height(P, B, C)
+    res_a = n * (a_c - A * A) - m * (_chord_height(P, A, B) - a_c)
+    res_b = m * (b_c - B * B) - n * (_chord_height(P, B, A) - b_c)
+    return ratio(res_a, ws * ws), ratio(res_b, ws * ws)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Helpers shared by the test modules."""
 
 import functools
+from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
 from dageo.harness import CampaignConfig, TheoremReport, run_campaign
+from dageo.scalar import rational_sqrt
 
 
 @functools.cache
@@ -21,3 +23,29 @@ def reference_report(theorem: str) -> TheoremReport:
 bounded = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=50))
+
+
+# References: the Fraction chains that the integer-lift root finders
+# replaced.
+
+def fraction_chain_other_root(q, known):
+    if q.c2 == 0:
+        raise ValueError("other_root requires a genuine quadratic")
+    residual = (F(q.c2) * known + q.c1) * known + q.c0
+    if residual != 0:
+        raise ValueError(f"{known} is not a root (residual {residual})")
+    return -F(q.c1) / q.c2 - known
+
+
+def fraction_chain_rational_roots(q):
+    if q.c2 == 0:
+        raise ValueError("rational_roots requires a genuine quadratic")
+    disc = F(q.c1) * q.c1 - 4 * F(q.c2) * q.c0
+    if disc < 0:
+        return []
+    root = rational_sqrt(disc)
+    if root is None:
+        return None
+    lo = (-q.c1 - root) / (2 * F(q.c2))
+    hi = (-q.c1 + root) / (2 * F(q.c2))
+    return [lo] if lo == hi else sorted([lo, hi])

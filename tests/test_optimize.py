@@ -24,10 +24,11 @@ from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
                          midpoint)
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
-from dageo.parabola import (Parabola, circumparabola, second_intersection,
-                            second_meet)
+from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
+                            parabola_meet, parabolic_power,
+                            second_intersection, second_meet)
 from dageo.scalar import det3, parse_scalar, ratio
-from dageo.theorems import ceva_product, ptolemy_residual
+from dageo.theorems import ceva_product, mn_division_check, ptolemy_residual
 from dageo.triangle import DATriangle, bisector_at, centers
 
 PACKAGE = Path(dageo.__file__).resolve().parent
@@ -146,6 +147,10 @@ _FEET = tuple(Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
 _OTHER_CURVE = Parabola(F(-2, 9), F(1, 4), _D.y + F(2, 9) * _D.x * _D.x
                         - F(1, 4) * _D.x)
 _GAUGE = Gauge(Point(F(3, 4), F(-2)), (F(-7, 6), F(1, 5)), (F(1, 3), F(5, 2)))
+# A curve that meets _CURVE at _A and _B only, and two base points on the
+# reference line.
+_THROUGH_AB = circumparabola(_A, _B, Point(F(1), F(1)))
+_BASE = (Point(_A.x, F(0)), Point(_C.x, F(0)))
 
 
 def _four_distinct_draws():
@@ -170,7 +175,10 @@ def _four_distinct_draws():
 #: drawn rational is one construction.  ``second_meet`` builds its
 #: companion point's two coordinates (the eliminant stays in integers),
 #: ``normalize_chart`` the two coordinates of each point it maps and
-#: ``parse_scalar`` its one value.
+#: ``parse_scalar`` its one value.  ``parabolic_power`` builds its one
+#: value, ``mn_division_check`` its two residuals, ``iso_angle_locus`` its
+#: curve's three coefficients and ``parabola_meet`` the two coordinates of
+#: each meet point.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
@@ -199,7 +207,17 @@ FRACTION_BUDGET = {
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 2),
     "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 2),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
+    "parabolic_power": (lambda: parabolic_power(_OTHER_CURVE, _A), 1),
+    "mn_division_check": (lambda: mn_division_check(_A.x, _B.x, _C.x, 2, 3),
+                          2),
+    "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 3),
+    "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 4),
 }
+
+
+def test_budgeted_meet_has_two_finite_points():
+    hits = parabola_meet(_CURVE, _THROUGH_AB)
+    assert [h.point for h in hits] == [_A, _B]
 
 
 def test_budgeted_draws_have_no_rejection():

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import bounded
+from conftest import (bounded, fraction_chain_other_root,
+                      fraction_chain_rational_roots)
 from dageo.errors import (DegenerateConfigurationError,
                           IrrationalIntersectionError)
 from dageo.gauge import MeetResult, Point, difference_angle
 from dageo.parabola import (Parabola, circumparabola, conparabolic,
-                            eliminant, inscribed_angle_check, iso_angle_locus,
+                            inscribed_angle_check, iso_angle_locus,
                             opposite_angle_sum, parabola_meet,
                             parabolic_power, second_intersection, second_meet,
                             tangent_at, tangents_from)
-from dageo.scalar import QuadraticPoly, det3, other_root
+from dageo.scalar import QuadraticPoly, det3
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -102,7 +103,7 @@ def outcome(call, *args):
     """``call(*args)``'s value, or the type and message it raises."""
     try:
         return call(*args)
-    except (DegenerateConfigurationError, ValueError) as err:
+    except ValueError as err:  # the kernel's errors subclass ValueError
         return type(err), str(err)
 
 
@@ -157,6 +158,13 @@ class TestMembershipAndPower:
     def test_power_general_curve(self):
         assert parabolic_power(Parabola(F(2), F(-3), F(2)), pt(0, 0)) == 1
 
+    @given(bounded, bounded, bounded, bounded, bounded)
+    def test_power_matches_fraction_chain(self, kappa, beta, gamma, x, y):
+        assume(kappa != 0)
+        got = parabolic_power(Parabola(kappa, beta, gamma), Point(x, y))
+        assert type(got) is F
+        assert got == (F(kappa) * x * x + beta * x + gamma - y) / kappa
+
     @given(small, small, small, small, small, small)
     def test_power_invariant_over_secants(self, kappa, beta, gamma, px, py,
                                           x1):
@@ -175,7 +183,30 @@ class TestMembershipAndPower:
             assert (x - p.x) * (x2 - p.x) == expected
 
 
+def fraction_chain_iso_angle_locus(a, b, theta):
+    """The locus's coefficients as built before the integer lift."""
+    if a.y != 0 or b.y != 0:
+        raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
+    if a.x == b.x:
+        raise DegenerateConfigurationError("coincident endpoints")
+    theta = F(theta)
+    if theta == 0:
+        raise DegenerateConfigurationError("zero angle degenerates to a line")
+    kappa = theta / (F(b.x) - a.x)
+    return kappa, -kappa * (F(a.x) + b.x), kappa * a.x * b.x
+
+
 class TestIsoAngleLocus:
+    @given(bounded, bounded, bounded, st.sampled_from([0, 0, 0, 1]),
+           st.booleans())
+    def test_matches_fraction_chain(self, ax, bx, theta, ay, coincident):
+        a, b = Point(ax, ay), Point(ax if coincident else bx, 0)
+        got = outcome(iso_angle_locus, a, b, theta)
+        if isinstance(got, Parabola):
+            got = (got.kappa, got.beta, got.gamma)
+            assert [type(c) for c in got] == [F, F, F]
+        assert got == outcome(fraction_chain_iso_angle_locus, a, b, theta)
+
     def test_reference_example(self):
         locus = iso_angle_locus(pt(0, 0), pt(2, 0), F(2))
         assert (locus.kappa, locus.beta, locus.gamma) == (1, -2, 0)
@@ -305,6 +336,42 @@ class TestParabolaMeet:
         with pytest.raises(IrrationalIntersectionError):
             parabola_meet(STD, Parabola(F(2), F(0), F(-2)))
 
+    def test_int_coefficients_stay_exact(self):
+        # The equal-kappa branch used to divide plain ints into a float.
+        hits = parabola_meet(Parabola(1, 0, 0), Parabola(1, 3, -1))
+        assert hits == [MeetResult.at(pt(F(1, 3), F(1, 9))),
+                        MeetResult.ideal(None)]
+        assert (type(hits[0].point.x), type(hits[0].point.y)) == (F, F)
+
+    @given(st.sampled_from(["free", "two", "double", "translate",
+                            "coincident"]),
+           bounded, bounded, bounded, bounded, bounded, bounded)
+    @example("two", 1, 0, 0, 1, 2, 1)
+    @example("translate", 1, 0, 0, 3, -1, 0)
+    @example("free", 1, 0, 0, 0, 2, -2)
+    def test_matches_fraction_chain(self, kind, kappa, beta, gamma, u, v, c):
+        # p2 is p1 + c (x - u)(x - v) ("two"; "double" takes v = u), a
+        # translate of p1, p1 itself, or a free curve (kappa u + 1).
+        assume(kappa != 0)
+        p1 = Parabola(kappa, beta, gamma)
+        if kind in ("two", "double"):
+            v = u if kind == "double" else v
+            assume(c != 0 and kappa + c != 0)
+            p2 = Parabola(F(kappa) + c, F(beta) - c * (u + v),
+                          F(gamma) + c * u * v)
+        elif kind == "translate":
+            p2 = Parabola(kappa, F(beta) + u, F(gamma) + v)
+        elif kind == "coincident":
+            p2 = Parabola(F(kappa), F(beta), F(gamma))
+        else:
+            assume(u != 0)
+            p2 = Parabola(u, v, c)
+        got = outcome(parabola_meet, p1, p2)
+        assert got == outcome(fraction_chain_parabola_meet, p1, p2)
+        for hit in got if isinstance(got, list) else ():
+            if hit.is_finite:
+                assert (type(hit.point.x), type(hit.point.y)) == (F, F)
+
     def test_known_common_routes_vieta(self):
         other = Parabola(F(2), F(-3), F(2))
         hit = second_meet(STD, other, pt(1, 1))
@@ -312,15 +379,39 @@ class TestParabolaMeet:
         assert STD.contains(hit.point) and other.contains(hit.point)
 
 
+def fraction_chain_eliminant(p1, p2):
+    """The difference polynomial of two curves in Fraction arithmetic."""
+    return QuadraticPoly(F(p1.kappa) - p2.kappa, F(p1.beta) - p2.beta,
+                         F(p1.gamma) - p2.gamma)
+
+
+def fraction_chain_parabola_meet(p1, p2):
+    # Reference: parabola_meet on the Fraction eliminant.
+    if p1 == p2:
+        return [MeetResult.coincident()]
+    q = fraction_chain_eliminant(p1, p2)
+    if q.c2 == 0:
+        if q.c1 == 0:
+            return [MeetResult.empty()]
+        return [MeetResult.at(p1.point_at(-q.c0 / q.c1)),
+                MeetResult.ideal(None)]
+    roots = fraction_chain_rational_roots(q)
+    if roots is None:
+        raise IrrationalIntersectionError(
+            "parabolas meet at irrational abscissae")
+    if not roots:
+        return [MeetResult.empty()]
+    return [MeetResult.at(p1.point_at(x)) for x in roots]
+
+
 def fraction_chain_second_meet(p1, p2, shared):
     # Reference: second_meet as Vieta on the Fraction eliminant.
     if p1 == p2:
         raise DegenerateConfigurationError("coincident circumparabolas")
-    e = eliminant(p1, p2)
-    q = QuadraticPoly(F(e.c2), F(e.c1), F(e.c0))
+    q = fraction_chain_eliminant(p1, p2)
     if q.c2 == 0:
         return MeetResult.ideal(None)
-    x2 = other_root(q, shared.x)
+    x2 = fraction_chain_other_root(q, shared.x)
     if x2 == shared.x:
         raise DegenerateConfigurationError(
             "circumparabolas tangent at the shared point")

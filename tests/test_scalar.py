@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bounded
-from dageo.scalar import (QuadraticPoly, det3, format_scalar, other_root,
-                          parse_scalar, ratio)
+from conftest import (bounded, fraction_chain_other_root,
+                      fraction_chain_rational_roots)
+from dageo.scalar import (QuadraticPoly, between, det3, format_scalar,
+                          other_root, parse_scalar, ratio)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -241,6 +242,60 @@ class TestOtherRoot:
         companion = other_root(q, r1)
         assert companion == r2
         assert q(companion) == 0
+
+
+def outcome(call, *args):
+    """``call(*args)``'s value, or the type and message it raises."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+#: A quadratic with coefficients from ``bounded`` (plain ints among them):
+#: free, or with two chosen rational roots (equal for "double").
+quadratics = st.builds(
+    lambda kind, lead, u, v, c1, c0: (
+        QuadraticPoly(lead, c1, c0) if kind == "free" else
+        QuadraticPoly(lead, -lead * (u + (u if kind == "double" else v)),
+                      lead * u * (u if kind == "double" else v))),
+    st.sampled_from(["free", "roots", "double"]), bounded, bounded, bounded,
+    bounded, bounded)
+
+
+class TestLiftedRoots:
+    @given(quadratics)
+    def test_rational_roots_match_fraction_chain(self, q):
+        got = outcome(q.rational_roots)
+        assert got == outcome(fraction_chain_rational_roots, q)
+        if isinstance(got, list):
+            assert all(type(r) is F for r in got)
+
+    @given(quadratics, bounded, st.booleans())
+    @example(QuadraticPoly(3, -4, 1), 1, False)
+    def test_other_root_matches_fraction_chain(self, q, known, at_root):
+        # at_root: known is a rational root of q, when it has one.
+        if at_root and q.c2 != 0:
+            known = (fraction_chain_rational_roots(q) or [known])[0]
+        got = outcome(other_root, q, known)
+        assert got == outcome(fraction_chain_other_root, q, known)
+        if not isinstance(got, tuple):
+            assert type(got) is F
+
+    def test_int_coefficients_stay_exact(self):
+        # Plain-int coefficients used to give the float 0.33333333333333326.
+        got = other_root(QuadraticPoly(3, -4, 1), 1)
+        assert type(got) is F and got == F(1, 3)
+        roots = QuadraticPoly(3, -4, 1).rational_roots()
+        assert roots == [F(1, 3), F(1)] and all(type(r) is F for r in roots)
+
+
+class TestBetween:
+    @given(bounded, bounded, st.integers(-9, 9), st.integers(1, 9))
+    def test_matches_fraction_chain(self, s, t, n, d):
+        got = between(s, t, n, d)
+        assert type(got) is F
+        assert got == s + F(n, d) * (t - s)
 
 
 class TestQuadraticPoly:

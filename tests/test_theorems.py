@@ -9,10 +9,12 @@ from conftest import bounded
 from dageo import campaigns
 from dageo.campaigns import REGISTRY, Counterexample
 from dageo.errors import DegenerateConfigurationError
-from dageo.gauge import Line, MeetResult, Point, line_through, meet
+from dageo.gauge import (Line, MeetResult, Point, difference_angle,
+                         line_through, meet, slope_between)
 from dageo.generators import RandomRationals
 from dageo.harness import CampaignConfig, run_campaign
-from dageo.parabola import Parabola, circumparabola
+from dageo.parabola import (Parabola, circumparabola, inscribed_angle_check,
+                            iso_angle_locus)
 from dageo.scalar import collinear
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, _miquel_result,
                             ceva_product,
@@ -110,6 +112,43 @@ def fraction_chain_feet_ratio(t, d, e, f):
             * directed_ratio(t.a, f, t.b))
 
 
+def fraction_chain_brahmagupta(curve, e, a, b, d):
+    for q in (e, a, b, d):
+        if not curve.contains(q):
+            raise DegenerateConfigurationError(f"{q} is not on {curve}")
+    if not (e.x < a.x < b.x < d.x):
+        raise DegenerateConfigurationError("need x-order e < a < b < d")
+    if curve.chord_slope(d.x, e.x) != curve.chord_slope(a.x, b.x):
+        raise DegenerateConfigurationError("DE is not parallel to AB")
+    crossing = meet(line_through(a, d), line_through(e, b))
+    return crossing.point.x - (F(a.x) + b.x) / 2
+
+
+def fraction_chain_quadrilateral(lines):
+    """``CompleteQuadrilateral``'s checks as they were, with Fraction
+    sets: its six points, or the first check's message."""
+    if any(l.is_singular for l in lines):
+        raise DegenerateConfigurationError("singular line in quadrilateral")
+    pts = {}
+    for label, (i, j) in (("A", (3, 0)), ("B", (0, 1)), ("C", (1, 2)),
+                          ("D", (2, 3)), ("E", (0, 2)), ("F", (1, 3))):
+        hit = meet(lines[i], lines[j])
+        if not hit.is_finite:
+            raise DegenerateConfigurationError("parallel or coincident lines")
+        pts[label] = hit.point
+    if len(set(pts.values())) != 6:
+        raise DegenerateConfigurationError("three lines concurrent")
+    for labels in ("ABF", "BCE", "CDF", "DAE"):
+        triple = [pts[lbl] for lbl in labels]
+        if len({q.x for q in triple}) != 3:
+            raise DegenerateConfigurationError(
+                "shared abscissa in a defining triple; re-normalizing "
+                "the gauge to another chart would restore generality")
+        if collinear(*triple):
+            raise DegenerateConfigurationError("collinear defining triple")
+    return pts
+
+
 def outcome(call, *args):
     """What ``call(*args)`` gives: its value, or the message of the
     DegenerateConfigurationError it raises."""
@@ -182,6 +221,61 @@ class TestLiftedResiduals:
         assert got == outcome(fraction_chain_mn_division, a, b, p, m, n)
         if not isinstance(got, str):
             assert [type(r) for r in got] == [F, F]
+
+
+    @given(bounded, bounded, bounded, st.lists(bounded, min_size=4,
+                                               max_size=4),
+           st.booleans())
+    def test_brahmagupta_matches_fraction_chain(self, kappa, beta, gamma, xs,
+                                               parallel):
+        # parallel: d = a + b - e, so DE is parallel to AB; the x-order
+        # and the parallelism are the check's to judge.
+        assume(kappa != 0)
+        curve = Parabola(kappa, beta, gamma)
+        e, a, b, d = xs
+        if parallel:
+            d = F(a) + b - e
+        pts = [curve.point_at(x) for x in (e, a, b, d)]
+        got = outcome(brahmagupta_check, curve, *pts)
+        assert got == outcome(fraction_chain_brahmagupta, curve, *pts)
+        if not isinstance(got, str):
+            assert type(got) is F
+
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=4, max_size=4),
+           st.lists(st.tuples(bounded, bounded), min_size=4, max_size=4),
+           st.sampled_from(["small", "bounded", "concurrent", "shared_x"]))
+    def test_quadrilateral_matches_fraction_chain(self, small_mk, mk, kind):
+        # Small slopes and intercepts make parallel and concurrent lines
+        # common.  "concurrent" sends l3 through l1 ^ l2; "shared_x" sends
+        # l4 through a point over the abscissa of l1 ^ l2, so that A and B
+        # share it unless l4 passes through B itself.
+        lines = [Line(F(m), F(k)) for m, k in
+                 (small_mk if kind == "small" else mk)]
+        hit = meet(lines[0], lines[1])
+        if kind in ("concurrent", "shared_x") and hit.is_finite:
+            x, y = hit.point
+            y = y if kind == "concurrent" else y + mk[3][1]
+            idx = 2 if kind == "concurrent" else 3
+            lines[idx] = Line(lines[idx].m, y - lines[idx].m * x)
+        want = outcome(fraction_chain_quadrilateral, lines)
+        try:
+            got = CompleteQuadrilateral(*lines).points()
+        except DegenerateConfigurationError as err:
+            got = f"raised: {err}"
+        assert got == want
+
+    @given(st.lists(bounded, min_size=6, max_size=6))
+    def test_cross_chords_degenerate_matches_fraction_chain(self, values):
+        k1, k2, xa, xb, m_a, m_b = values
+        assume(k1 != 0 and k2 != 0)
+        for m_b in (m_b, m_a - F(k1) * (F(xa) - xb),
+                    m_a - F(k2) * (F(xa) - xb)):
+            gamma, delta = Parabola(k1, 0, 0), Parabola(k2, 1, 0)
+            dm, dx = F(m_a) - m_b, F(xa) - xb
+            want = dm == gamma.kappa * dx or dm == delta.kappa * dx
+            assert campaigns._cross_chords_degenerate(
+                gamma, delta, F(xa), F(xb), F(m_a), F(m_b)) == want
 
 
 coords = st.fractions(min_value=-15, max_value=15, max_denominator=6)
@@ -622,3 +716,96 @@ class TestIsogonal:
             specs[lbl] = CevianSpec((alpha, 1 - alpha), base=base_lbl)
         verdict = isogonal_concurrency_check(t, specs)
         assert verdict == (True, True)
+
+
+# References: the curve checkers' Fraction chains that the integer lift
+# replaced, run on drawn configurations.
+
+def fraction_chain_check_parabolic_power(cfg):
+    curve, p = cfg["curve"], cfg["P"]
+    power = (curve.y_at(p.x) - p.y) / curve.kappa
+    for x1 in cfg["secant_xs"]:
+        m = slope_between(p, curve.point_at(x1))
+        x2 = (m - curve.beta) / curve.kappa - x1
+        if (x1 - p.x) * (x2 - p.x) != power:
+            raise Counterexample(f"secant through x={x1} disagrees")
+
+
+def fraction_chain_check_iso_angle(cfg):
+    a, b = Point(cfg["a"], F(0)), Point(cfg["b"], F(0))
+    locus = iso_angle_locus(a, b, cfg["theta"])
+    if not (locus.contains(a) and locus.contains(b)):
+        raise Counterexample("endpoints escaped the locus")
+    for x, off in zip(cfg["sample_xs"], cfg["offsets"]):
+        on = locus.point_at(x)
+        if difference_angle(a, on, b) != cfg["theta"]:
+            raise Counterexample(f"on-locus angle wrong at x={x}")
+        if difference_angle(a, Point(on.x, on.y + off), b) == cfg["theta"]:
+            raise Counterexample(f"off-locus point matched at x={x}")
+
+
+def fraction_chain_check_inscribed_angle(cfg):
+    curve = cfg["curve"]
+    a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
+    if inscribed_angle_check(curve, a, b, c, d) != 0:
+        raise Counterexample("inscribed angle differs between viewpoints")
+    if curve.kappa * (b.x - a.x) != difference_angle(a, c, b):
+        raise Counterexample("inscribed angle value mismatch")
+
+
+def fraction_chain_check_mn_division(cfg):
+    res = fraction_chain_mn_division(cfg["a"], cfg["b"], cfg["p"], cfg["m"],
+                                     cfg["n"])
+    if res != (0, 0):
+        raise Counterexample("division residual nonzero")
+    lam, q1, q2 = F(1, 3), cfg["a"], cfg["b"]
+    mixed = fraction_chain_projective_length(cfg["p"], cfg["a"],
+                                             lam * q1 + (1 - lam) * q2)
+    split = (lam * fraction_chain_projective_length(cfg["p"], cfg["a"], q1)
+             + (1 - lam)
+             * fraction_chain_projective_length(cfg["p"], cfg["a"], q2))
+    if mixed != split:
+        raise Counterexample("projective length is not affine")
+
+
+LIFTED_CHECKERS = {
+    "parabolic_power": fraction_chain_check_parabolic_power,
+    "iso_angle_locus": fraction_chain_check_iso_angle,
+    "inscribed_angle": fraction_chain_check_inscribed_angle,
+    "mn_division": fraction_chain_check_mn_division,
+}
+
+
+def check_outcome(check, cfg):
+    """``check(cfg)``'s verdict, or the type and message it raises."""
+    try:
+        return check(cfg)
+    except (Counterexample, DegenerateConfigurationError) as err:
+        return type(err), str(err)
+
+
+class TestLiftedCheckers:
+    @given(st.sampled_from(sorted(LIFTED_CHECKERS)), st.integers(0, 2**32),
+           st.integers(0, 500), st.sampled_from([2, 3, 5, 50]), bounded,
+           st.integers(0, 4))
+    def test_match_fraction_chain(self, theorem, seed, trial, bound, value,
+                                  slot):
+        # value replaces one sample's offset (iso_angle_locus: a zero one
+        # puts the off-locus point on the locus) or the weight m
+        # (mn_division: 0 and below are rejected); the other checkers
+        # judge the drawn configuration.
+        cfg = REGISTRY[theorem].generate(RandomRationals(seed, trial, bound))
+        if theorem == "iso_angle_locus":
+            cfg["offsets"][slot] = F(value)
+        elif theorem == "mn_division" and value <= 0:
+            cfg["m"] = int(value)
+        got = check_outcome(REGISTRY[theorem].check, cfg)
+        assert got == check_outcome(LIFTED_CHECKERS[theorem], cfg)
+
+    def test_projective_length_probe_rejected(self):
+        # p on the linearity probe (a + 2b)/3: the generator never draws
+        # it, and both forms reject the degenerate chord.
+        cfg = {"a": F(0), "b": F(3), "p": F(2), "m": 1, "n": 1}
+        want = check_outcome(fraction_chain_check_mn_division, cfg)
+        assert check_outcome(REGISTRY["mn_division"].check, cfg) == want
+        assert want == (DegenerateConfigurationError, "degenerate chord")

@@ -15,8 +15,8 @@ from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, difference_angle, slope_between
-from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_triple,
-                     ratio)
+from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_row,
+                     lift_triple, ratio)
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,15 @@ def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     same product (alpha - x)(beta - x); it equals
     (kappa*x^2 + beta*x + gamma - y) / kappa and is 0 exactly on the curve.
     """
-    # Over the stored coefficients' own denominators, times xd**2 * yd,
-    # and not over the lift: the campaign compares this with secants
-    # through points that point_at builds from the lift.
-    kn, kd = p.kappa.numerator, p.kappa.denominator
-    bn, bd = p.beta.numerator, p.beta.denominator
-    gn, gd = p.gamma.numerator, p.gamma.denominator
+    # The stored coefficients (not the lift: the campaign compares this
+    # with secants through points that point_at builds from the lift) as
+    # K, B, G over one scale D, and the whole quotient times xd**2 * yd.
+    K, B, G, D = lift_row((p.kappa, p.beta, p.gamma))
     xn, xd = pt.x.numerator, pt.x.denominator
     yn, yd = pt.y.numerator, pt.y.denominator
-    sk = bd * gd  # kappa's numerator over kd*bd*gd is kn*sk
     xd2 = xd * xd
-    value = (((kn * sk * xn + bn * kd * gd * xd) * xn + gn * kd * bd * xd2)
-             * yd - yn * kd * sk * xd2)
-    return ratio(value, kn * sk * xd2 * yd)
+    return ratio(((K * xn + B * xd) * xn + G * xd2) * yd - D * yn * xd2,
+                 K * xd2 * yd)
 
 
 def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:

@@ -114,14 +114,14 @@ def det3(r1, r2, r3) -> Fraction:
     the product of its denominators, so the only ``Fraction`` built is the
     result: the integer determinant over the product of the row scales.
     """
-    a, b, c, s1 = _lift_row(r1)
-    d, e, f, s2 = _lift_row(r2)
-    g, h, i, s3 = _lift_row(r3)
+    a, b, c, s1 = lift_row(r1)
+    d, e, f, s2 = lift_row(r2)
+    g, h, i, s3 = lift_row(r3)
     return ratio(a * (e * i - f * h) - b * (d * i - f * g)
                  + c * (d * h - e * g), s1 * s2 * s3)
 
 
-def _lift_row(row) -> tuple[int, int, int, int]:
+def lift_row(row) -> tuple[int, int, int, int]:
     """``(u, v, w)`` as integers ``(U, V, W)`` over a common scale ``s``,
     returned as ``(U, V, W, s)``; entries may be ``int`` or ``Fraction``."""
     u, v, w = row

@@ -247,23 +247,29 @@ class TestLiftedResiduals:
            st.sampled_from(["small", "bounded", "concurrent", "shared_x"]))
     def test_quadrilateral_matches_fraction_chain(self, small_mk, mk, kind):
         # Small slopes and intercepts make parallel and concurrent lines
-        # common.  "concurrent" sends l3 through l1 ^ l2; "shared_x" sends
-        # l4 through a point over the abscissa of l1 ^ l2, so that A and B
-        # share it unless l4 passes through B itself.
+        # common.  "concurrent" sends l3 through B = l1 ^ l2; "shared_x"
+        # sends l3 through the point of l2 over A's abscissa, so that C
+        # shares it with A.  Two points of one defining triple lie on a
+        # common line, so they share an abscissa only by coinciding.
         lines = [Line(F(m), F(k)) for m, k in
                  (small_mk if kind == "small" else mk)]
-        hit = meet(lines[0], lines[1])
+        if kind == "concurrent":
+            hit = meet(lines[0], lines[1])
+        elif kind == "shared_x":
+            hit = meet(lines[3], lines[0])
+            if hit.is_finite:
+                hit = MeetResult.at(lines[1].point_at(hit.point.x))
         if kind in ("concurrent", "shared_x") and hit.is_finite:
             x, y = hit.point
-            y = y if kind == "concurrent" else y + mk[3][1]
-            idx = 2 if kind == "concurrent" else 3
-            lines[idx] = Line(lines[idx].m, y - lines[idx].m * x)
+            lines[2] = Line(lines[2].m, y - lines[2].m * x)
         want = outcome(fraction_chain_quadrilateral, lines)
         try:
             got = CompleteQuadrilateral(*lines).points()
         except DegenerateConfigurationError as err:
             got = f"raised: {err}"
         assert got == want
+        if kind == "shared_x" and not isinstance(got, str):
+            assert got["A"].x == got["C"].x
 
     @given(st.lists(bounded, min_size=6, max_size=6))
     def test_cross_chords_degenerate_matches_fraction_chain(self, values):

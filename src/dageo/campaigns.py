@@ -132,6 +132,7 @@ def _gen_iso_angle(rng: RandomRationals) -> dict:
 
 
 _ZERO = Fraction(0)
+_STANDARD_PARABOLA = Parabola(Fraction(1), _ZERO, _ZERO)
 
 
 def _check_iso_angle(cfg: dict) -> None:
@@ -170,10 +171,12 @@ def _check_triangle_invariants(cfg: dict) -> None:
     for t in (cfg["T"], cfg["T_inscribed"]):
         circum_ortho_at_infinity(t)
         order = t.sorted_vertices()
-        if t.parabola.kappa < 0:
+        backwards = t.parabola.kappa.numerator < 0
+        if backwards:
             order = order[::-1]
-        for v, angle in zip((t.a, t.b, t.c), t.interior_angles()):
-            k = order.index(v)
+        for lbl, angle in zip(VERTICES, t.interior_angles()):
+            k = 2 - t.x_rank(lbl) if backwards else t.x_rank(lbl)
+            v = order[k]
             if difference_angle(order[(k + 1) % 3], v, order[k - 1]) != angle:
                 raise Counterexample(
                     f"angle at x={v.x} differs from its definition")
@@ -282,7 +285,12 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
         s = rng.nonzero_rational()
         slope_bc = curve.chord_slope(b, c)
         pa = curve.point_at(a)
-        d_off = Point(pa.x + s, pa.y + s * slope_bc)
+        # (x_A + s, y_A + s*slope_bc), one ratio per coordinate.
+        sn, sd = s.numerator, s.denominator
+        mn, md = slope_bc.numerator, slope_bc.denominator
+        yn, yd = pa.y.numerator, pa.y.denominator
+        d_off = Point(add(pa.x, s),
+                      ratio(yn * sd * md + sn * mn * yd, yd * sd * md))
         if curve.contains(d_off):
             return None
         # Rejects a singular side or diagonal; the verdict is the
@@ -481,10 +489,14 @@ def _gen_ceva(rng: RandomRationals) -> dict:
     # Cevians through a point with positive barycentric weights: it lies
     # strictly inside the triangle, so each foot is finite and strictly
     # inside its side.
-    wts = [rng.positive_rational() for _ in range(3)]
-    s = sum(wts)
-    q = Point(sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
-              sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s)
+    # q = (w1 A + w2 B + w3 C)/(w1 + w2 + w3), the weights and each
+    # coordinate triple lifted to integers over their own scale.
+    (w1, w2, w3), _ = lift_triple([rng.positive_rational() for _ in range(3)])
+    (xa, xb, xc), X = lift_triple((t.a.x, t.b.x, t.c.x))
+    (ya, yb, yc), Y = lift_triple((t.a.y, t.b.y, t.c.y))
+    s = w1 + w2 + w3
+    q = Point(ratio(w1 * xa + w2 * xb + w3 * xc, s * X),
+              ratio(w1 * ya + w2 * yb + w3 * yc, s * Y))
     concurrent_feet = tuple(meet(line_through(t.vertex(lbl), q),
                                  t.side(lbl)).point for lbl in VERTICES)
 
@@ -550,7 +562,7 @@ register(Theorem("menelaus",
 
 
 def _gen_simson(rng: RandomRationals) -> dict:
-    std = Parabola(Fraction(1), Fraction(0), Fraction(0))
+    std = _STANDARD_PARABOLA
     xs = rng.distinct_rationals(3)
     t = DATriangle(*(std.point_at(x) for x in xs))
     general = rng.triangle()
@@ -560,11 +572,16 @@ def _gen_simson(rng: RandomRationals) -> dict:
 
 def _check_simson(cfg: dict) -> None:
     t, m = cfg["T"], cfg["m"]
-    a, b, c = (v.x for v in t.sorted_vertices())
-    # simson() certifies both slopes; the checker adds the intercept.
+    # simson() certifies both slopes; the checker adds the intercept
+    # m (a + b + c) - m**2 - (ab + bc + ca), here with a, b, c over one
+    # scale L and m = mn/md, all over (md L)**2, cross-multiplied.
     result = simson(t, m)
-    intercept = m * (a + b + c) - m * m - (a * b + b * c + c * a)
-    if result.line.k != intercept:
+    (a, b, c), scale = lift_triple((t.a.x, t.b.x, t.c.x))
+    mn, md = m.numerator, m.denominator
+    intercept = (mn * (a + b + c) * md * scale - mn * mn * scale * scale
+                 - (a * b + b * c + c * a) * md * md)
+    k = result.line.k
+    if k.numerator * md * md * scale * scale != intercept * k.denominator:
         raise Counterexample("simson line formula mismatch")
     simson(cfg["T_general"], cfg["m2"])
 
@@ -577,8 +594,7 @@ register(Theorem("simson",
 
 def _check_midpoint_lemma(cfg: dict) -> None:
     result = midpoint_lemma_check(cfg["T"])
-    zero = Point(Fraction(0), Fraction(0))
-    if any(res != zero for res in result.residuals.values()):
+    if any(res.x or res.y for res in result.residuals.values()):
         raise Counterexample("bisector meet is not the feet midpoint")
 
 
@@ -659,8 +675,8 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
         # Singular at the negative vertex, the same m:n at the two
         # positive vertices, bases toward the negative vertex.
         neg = t.negative_vertex_label
-        m = Fraction(rng.small_positive_int())
-        n = Fraction(rng.small_positive_int())
+        m = ratio(rng.small_positive_int(), 1)
+        n = ratio(rng.small_positive_int(), 1)
         specs = {lbl: th.CevianSpec(singular=True) if lbl == neg
                  else th.CevianSpec((m, n), base=neg) for lbl in VERTICES}
         return {"T": t, "specs": specs, "mixed": mixed}
@@ -673,8 +689,8 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
             bases[lbl] = u if rng.rng.random() < 0.5 else w
         alpha = rng.fraction_in_unit_interval()
         beta = rng.fraction_in_unit_interval()
-        sa = th.CevianSpec((alpha, 1 - alpha), base=bases["A"])
-        sb = th.CevianSpec((beta, 1 - beta), base=bases["B"])
+        sa = th.CevianSpec((alpha, _complement(alpha)), base=bases["A"])
+        sb = th.CevianSpec((beta, _complement(beta)), base=bases["B"])
         la = th.cevian_line(t, "A", sa)
         lb = th.cevian_line(t, "B", sb)
         hit = meet(la, lb)
@@ -682,22 +698,33 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
             return None
         q = hit.point
         cpt = t.vertex("C")
-        if q == cpt or q.x == cpt.x:
-            return None
-        slope_cq = (q.y - cpt.y) / (q.x - cpt.x)
         base_pt = t.vertex(bases["C"])
-        far_lbl = next(v for v in ("A", "B") if v != bases["C"])
-        # base/far slopes at C
-        s_base = slope_between(cpt, base_pt)
-        s_far = slope_between(cpt, t.vertex(far_lbl))
-        if s_base == s_far or slope_cq in (s_base, s_far):
+        far_pt = t.vertex("B" if bases["C"] == "A" else "A")
+        # gamma = (s_CQ - s_base)/(s_far - s_base) for the slopes at C,
+        # each dy*X/(dx*Y) over the lifted coordinates' scales, which
+        # cancel.  gamma is 0 or 1 exactly when CQ is the base or the far
+        # side, so those two tests cover the slope comparisons too.
+        (xc, xq, xb, xf), _ = over_common_denominator(
+            (cpt.x, q.x, base_pt.x, far_pt.x))
+        (yc, yq, yb, yf), _ = over_common_denominator(
+            (cpt.y, q.y, base_pt.y, far_pt.y))
+        dx_q, dx_b, dx_f = xq - xc, xb - xc, xf - xc
+        if dx_q == 0:
             return None
-        gamma = (slope_cq - s_base) / (s_far - s_base)
-        if gamma in (0, 1):
+        dy_q, dy_b, dy_f = yq - yc, yb - yc, yf - yc
+        num = (dy_q * dx_b - dy_b * dx_q) * dx_f
+        den = (dy_f * dx_b - dy_b * dx_f) * dx_q
+        if den == 0 or num == 0 or num == den:
             return None
-        sc = th.CevianSpec((gamma, 1 - gamma), base=bases["C"])
+        sc = th.CevianSpec((ratio(num, den), ratio(den - num, den)),
+                           base=bases["C"])
         return {"A": sa, "B": sb, "C": sc}
     return {"T": t, "specs": rng.retrying(make), "mixed": mixed}
+
+
+def _complement(lam: Fraction) -> Fraction:
+    """``1 - lam`` as one ratio."""
+    return ratio(lam.denominator - lam.numerator, lam.denominator)
 
 
 def _check_isogonal(cfg: dict) -> str:
@@ -715,13 +742,16 @@ register(Theorem("isogonal",
 
 
 def _gen_equivalence_chain(rng: RandomRationals) -> dict:
-    std = Parabola(Fraction(1), Fraction(0), Fraction(0))
+    std = _STANDARD_PARABOLA
     xs = rng.distinct_rationals(3)
     t1 = DATriangle(*(std.point_at(x) for x in xs))
     case = rng.trial_index % 4
     if case == 0:  # x-scaled copy: SSS without AA
         k = rng.retrying(rng.positive_rational, lambda v: v != 1)
-        t2 = DATriangle(*(std.point_at(k * x) for x in xs))
+        kn, kd = k.numerator, k.denominator
+        t2 = DATriangle(*(std.point_at(ratio(kn * x.numerator,
+                                             kd * x.denominator))
+                          for x in xs))
     elif case == 1:  # shifted copy: fully congruent
         t2 = eq.shift(t1, rng.rational())
     elif case == 2:  # same abscissae, different coefficient
@@ -761,11 +791,11 @@ def _check_shift_group(cfg: dict) -> None:
     moved = eq.shift(t, th1)
     if not eq.classify_pair(t, moved).da_congruent:
         raise Counterexample("shift image not congruent")
-    if eq.shift(moved, th2) != eq.shift(t, th1 + th2):
+    if eq.shift(moved, th2) != eq.shift(t, add(th1, th2)):
         raise Counterexample("shift composition law fails")
-    if eq.shift(t, Fraction(0)) != t:
+    if eq.shift(t, _ZERO) != t:
         raise Counterexample("zero shift is not the identity")
-    if eq.shift(moved, -th1) != t:
+    if eq.shift(moved, ratio(-th1.numerator, th1.denominator)) != t:
         raise Counterexample("shift inverse fails")
 
 
@@ -774,17 +804,28 @@ register(Theorem("shift_group",
                  _gen_shift_group, _check_shift_group))
 
 
+def _translated_gaps(t0: Fraction, xs) -> tuple[Fraction, Fraction]:
+    """``(t0 + (c - a), t0 + (c - b))`` for ``xs = (a, b, c)``, one ratio
+    each."""
+    (a, b, c), scale = lift_triple(xs)
+    tn, td = t0.numerator, t0.denominator
+    return (ratio(tn * scale + (c - a) * td, td * scale),
+            ratio(tn * scale + (c - b) * td, td * scale))
+
+
 def _gen_final_collinearity(rng: RandomRationals) -> dict:
     curve = rng.parabola()
     xs = rng.distinct_rationals(3)
     t1 = DATriangle(*(curve.point_at(x) for x in xs))
     sign = 1 if rng.trial_index % 2 == 0 else -1
-    delta = Parabola(sign * curve.kappa, rng.rational(), rng.rational())
+    kappa = curve.kappa
+    delta = Parabola(ratio(sign * kappa.numerator, kappa.denominator),
+                     rng.rational(), rng.rational())
     t0 = rng.rational()
-    a, b, c = xs
     # Mirror congruence: same-letter ranks reverse, so the gap sequence of
     # the primed abscissae, left to right, is (c-b, b-a).
-    primed = (t0 + (c - a), t0 + (c - b), t0)  # labels A', B', C'
+    from_a, from_b = _translated_gaps(t0, xs)
+    primed = (from_a, from_b, t0)  # labels A', B', C'
     t2 = DATriangle(*(delta.point_at(x) for x in primed))
     return {"T1": t1, "T2": t2, "sign": sign}
 
@@ -810,7 +851,7 @@ def _check_diag_section(cfg: dict) -> None:
     verdict = eq.diag_section_similarity(*pts)
     if not (verdict.xab_xcd and verdict.xbc_xad):
         raise Counterexample("diagonal sections not angle-similar")
-    bent = pts[:3] + [Point(pts[3].x, pts[3].y + 1)]
+    bent = pts[:3] + [Point(pts[3].x, add(pts[3].y, 1))]
     try:
         eq.diag_section_similarity(*bent)
     except DegenerateConfigurationError:
@@ -829,11 +870,11 @@ register(Theorem("diag_section",
 def _gen_intro_observation(rng: RandomRationals) -> dict:
     curve = rng.parabola()
     xs = rng.distinct_rationals(3)
-    a, b, c = xs
     t1 = DATriangle(*(curve.point_at(x) for x in xs))
     delta = Parabola(curve.kappa, rng.rational(), rng.rational())
     t0 = rng.rational()
-    primed = (t0, t0 + (c - b), t0 + (c - a))
+    from_a, from_b = _translated_gaps(t0, xs)
+    primed = (t0, from_b, from_a)
     t2 = DATriangle(*(delta.point_at(x) for x in primed))
     return {"T1": t1, "T2": t2}
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, line_through, meet
 from .parabola import conparabolic
-from .scalar import det3, lift_triple
+from .scalar import det3, lift_triple, over_common_denominator, ratio
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
@@ -86,9 +86,16 @@ def shift(t: DATriangle, theta: Fraction) -> DATriangle:
     image is congruent to the original.  The map is an additive group
     action in theta.
     """
+    if not isinstance(theta, Fraction):
+        theta = Fraction(theta)
     par = t.parabola
-    delta = Fraction(theta) / par.kappa
-    moved = [par.point_at(v.x + delta) for v in (t.a, t.b, t.c)]
+    # x + theta/kappa over xd*td*kn, one ratio per vertex.
+    tn, td = theta.numerator, theta.denominator
+    kn, kd = par.kappa.numerator, par.kappa.denominator
+    moved = [par.point_at(ratio(v.x.numerator * td * kn
+                                + tn * kd * v.x.denominator,
+                                v.x.denominator * td * kn))
+             for v in (t.a, t.b, t.c)]
     image = DATriangle(*moved)
     if image.parabola != par:
         raise KernelInvariantError("shift moved the triangle off its parabola")
@@ -148,17 +155,16 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     Same-gap translated copies (label-congruent without the orientation
     reversal) do not satisfy the theorem and are rejected.
     """
-    if abs(t.parabola.kappa) != abs(t2.parabola.kappa):
+    k1, k2 = t.parabola.kappa, t2.parabola.kappa
+    if (abs(k1.numerator) != abs(k2.numerator)
+            or k1.denominator != k2.denominator):
         raise DegenerateConfigurationError(
             "parabolas must share |kappa| for congruence")
     verdict = classify_pair(t, t2)
     if not verdict.da_congruent:
         raise DegenerateConfigurationError(
             "triangles are not congruent label-to-label")
-    rank1 = {v: i for i, v in enumerate(t.sorted_vertices())}
-    rank2 = {v: i for i, v in enumerate(t2.sorted_vertices())}
-    if not all(rank1[t.vertex(lbl)] + rank2[t2.vertex(lbl)] == 2
-               for lbl in VERTICES):
+    if not all(t.x_rank(lbl) + t2.x_rank(lbl) == 2 for lbl in VERTICES):
         raise DegenerateConfigurationError(
             "correspondence does not reverse the x-orientation")
     feet = []
@@ -188,7 +194,10 @@ def intro_observation_check(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
             "second parabola is not a translate (kappa differs)")
     a, b, c = t.sorted_vertices()
     cp, bp, ap = t2.sorted_vertices()
-    if not (b.x - a.x == ap.x - bp.x and c.x - b.x == bp.x - cp.x):
+    # b - a == a' - b' and c - b == b' - c', over one common denominator.
+    (xa, xb, xc, xap, xbp, xcp), _ = over_common_denominator(
+        (a.x, b.x, c.x, ap.x, bp.x, cp.x))
+    if not (xb - xa == xap - xbp and xc - xb == xbp - xcp):
         raise DegenerateConfigurationError("spacing hypothesis violated")
     h_a = line_through(b, c).point_at(ap.x)
     h_b = line_through(c, a).point_at(bp.x)

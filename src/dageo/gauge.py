@@ -115,6 +115,15 @@ def slope_between(a: Point, b: Point) -> Slope:
     return ratio(dyn * q1 * q2, dxn * s1 * s2)
 
 
+def _slope_terms(a: Point, b: Point) -> tuple[int, int]:
+    """Integers ``(n, d)`` with ``slope(AB) = n/d`` as in
+    :func:`slope_between`, for ``x_A != x_B``."""
+    q1, q2 = a.x.denominator, b.x.denominator
+    s1, s2 = a.y.denominator, b.y.denominator
+    return ((b.y.numerator * s1 - a.y.numerator * s2) * q1 * q2,
+            (b.x.numerator * q1 - a.x.numerator * q2) * s1 * s2)
+
+
 def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
     """Oriented difference angle at the vertex ``p``:
     ``slope(PB) - slope(PA)``.
@@ -191,9 +200,14 @@ class Line:
         return Point(x, self.y_at(x))
 
     def contains(self, p: Point) -> bool:
-        if self.m is None:
-            return p.x == self.k
-        return p.y == self.y_at(p.x)
+        m, k = self.m, self.k
+        if m is None:
+            return p.x == k
+        # p.y == m*x + k, cross-multiplied over md*xd*kd (see y_at).
+        md, kd, xd = m.denominator, k.denominator, p.x.denominator
+        return (p.y.numerator * md * xd * kd
+                == p.y.denominator * (m.numerator * p.x.numerator * kd
+                                      + k.numerator * md * xd))
 
     def __str__(self) -> str:
         if self.m is None:
@@ -273,20 +287,21 @@ def meet(l1: Line, l2: Line) -> MeetResult:
     Distinct parallels give the ideal point of their common direction; two
     distinct singular lines share the singular-direction ideal point.
     """
-    if l1 == l2:
-        return MeetResult.coincident()
-    if l1.is_singular and l2.is_singular:
-        return MeetResult.ideal(None)
-    if l1.is_singular:
-        return MeetResult.at(l2.point_at(l1.x0))
-    if l2.is_singular:
-        return MeetResult.at(l1.point_at(l2.x0))
-    # x = (k2 - k1) / (m1 - m2), cross-multiplied.
+    # Equal lines are coincident; they can only be two singular lines or
+    # two lines of one slope, so k is compared only there.
     m1, m2, k1, k2 = l1.m, l2.m, l1.k, l2.k
+    if m1 is None:
+        if m2 is None:
+            return (MeetResult.coincident() if k1 == k2
+                    else MeetResult.ideal(None))
+        return MeetResult.at(l2.point_at(k1))
+    if m2 is None:
+        return MeetResult.at(l1.point_at(k2))
+    # x = (k2 - k1) / (m1 - m2), cross-multiplied.
     dm = m1.numerator * m2.denominator - m2.numerator * m1.denominator
-    if dm == 0:
-        return MeetResult.ideal(m1)
     dk = k2.numerator * k1.denominator - k1.numerator * k2.denominator
+    if dm == 0:
+        return MeetResult.coincident() if dk == 0 else MeetResult.ideal(m1)
     x = ratio(dk * m1.denominator * m2.denominator,
               dm * k1.denominator * k2.denominator)
     return MeetResult.at(Point(x, l1.y_at(x)))

@@ -63,7 +63,17 @@ class RandomRationals:
 
     def _below(self, width: int) -> int:
         """Uniform int in ``[0, width)``, ``width >= 1``: CPython's
-        ``_randbelow_with_getrandbits``, the draw behind ``randint``."""
+        ``_randbelow_with_getrandbits``, the draw behind ``randint``.
+
+        A width below 1 would loop forever (no ``r >= 0`` is below it),
+        and there is no per-draw check: every call site passes at least 1
+        once ``__init__`` has required ``bound >= 1``.  The sites are
+        ``_pair``'s ``2 * bound + 1`` (at least 3) and ``bound``,
+        ``positive_rational``'s ``self.bound`` (twice),
+        ``fraction_in_unit_interval``'s ``max(3, self.bound) - 1`` (at
+        least 2) and ``d - 1``, where that first draw makes ``d`` at least
+        2, and ``small_positive_int``'s 9.  ``tests/test_harness.py`` pins
+        this list and the widths each draw passes."""
         getrandbits = self.rng.getrandbits
         k = width.bit_length()
         r = getrandbits(k)
@@ -153,7 +163,8 @@ class RandomRationals:
         """Triangle from free points (not forced onto a given parabola)."""
         def make():
             pts = [self.point() for _ in range(3)]
-            if len({p.x for p in pts}) != 3:
+            a, b, c = (p.x for p in pts)
+            if a == b or b == c or a == c:
                 return None
             if collinear(*pts):
                 return None

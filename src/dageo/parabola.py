@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
-from .gauge import Line, MeetResult, Point, difference_angle, slope_between
+from .gauge import Line, MeetResult, Point, _slope_terms, difference_angle
 from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_row,
-                     lift_triple, ratio)
+                     lift_triple, over_common_denominator, ratio)
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,9 @@ def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,
             raise DegenerateConfigurationError("point off the parabola")
     if c in (a, b) or d in (a, b):
         raise DegenerateConfigurationError("viewing point on the chord")
-    return difference_angle(a, c, b) - difference_angle(a, d, b)
+    u, v = difference_angle(a, c, b), difference_angle(a, d, b)
+    ud, vd = u.denominator, v.denominator
+    return ratio(u.numerator * vd - v.numerator * ud, ud * vd)
 
 
 def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
@@ -285,12 +287,17 @@ def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
     The sum vanishes iff the four points lie on one vertical-axis parabola;
     the equivalence is asserted for this vertex ordering only.
     """
-    if not (a.x < b.x < c.x < d.x):
+    (xa, xb, xc, xd), _ = over_common_denominator((a.x, b.x, c.x, d.x))
+    if not (xa < xb < xc < xd):
         raise DegenerateConfigurationError(
             "opposite_angle_sum requires strictly increasing x-order")
-    theta_b = slope_between(b, a) - slope_between(b, c)
-    theta_d = slope_between(d, c) - slope_between(d, a)
-    return theta_b + theta_d
+    # slope(BA) - slope(BC) + slope(DC) - slope(DA), built once.
+    n1, d1 = _slope_terms(b, a)
+    n2, d2 = _slope_terms(b, c)
+    n3, d3 = _slope_terms(d, c)
+    n4, d4 = _slope_terms(d, a)
+    return ratio(((n1 * d2 - n2 * d1) * d3 + n3 * d1 * d2) * d4
+                 - n4 * d1 * d2 * d3, d1 * d2 * d3 * d4)
 
 
 def conparabolic(a: Point, b: Point, c: Point, d: Point) -> bool:

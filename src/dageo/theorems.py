@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, concurrent, da_norm,
-                    line_through, meet, slope_between)
+from .gauge import (Line, MeetResult, Point, _slope_terms, concurrent,
+                    da_norm, line_through, meet, slope_between)
 from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
@@ -126,7 +126,11 @@ def intersecting_parabolas_check(gamma: Parabola, delta: Parabola,
         raise DegenerateConfigurationError("tangent chord at a common point")
     if p.x == r.x or q.x == s.x:
         raise DegenerateConfigurationError("singular cross-chord")
-    return slope_between(p, r) - slope_between(q, s)
+    # slope(PR) - slope(QS), each slope's dy and dx cross-multiplied as
+    # in slope_between, built once.
+    n1, d1 = _slope_terms(p, r)
+    n2, d2 = _slope_terms(q, s)
+    return ratio(n1 * d2 - n2 * d1, d1 * d2)
 
 
 def arc_symmetry_check(t: DATriangle, p_param: Fraction) -> bool:
@@ -139,23 +143,25 @@ def arc_symmetry_check(t: DATriangle, p_param: Fraction) -> bool:
     direct membership check).
     """
     lo, mid, hi = t.sorted_vertices()
-    p_param = Fraction(p_param)
-    if not (mid.x < p_param < hi.x):
+    if not isinstance(p_param, Fraction):
+        p_param = Fraction(p_param)
+    (xm, xp, xh), scale = lift_triple((mid.x, p_param, hi.x))
+    if not (xm < xp < xh):
         raise DegenerateConfigurationError("parameter must lie on the arc")
     par = t.parabola
     p = par.point_at(p_param)
-    p_refl = par.point_at(2 * hi.x - p_param)
+    p_refl = par.point_at(ratio(2 * xh - xp, scale))
     d_hit = meet(line_through(mid, hi), line_through(lo, p))
     d2_hit = meet(line_through(hi, lo), line_through(mid, p_refl))
     if not (d_hit.is_finite and d2_hit.is_finite):
         raise DegenerateConfigurationError("cevian parallel to a side")
     d, d2 = d_hit.point, d2_hit.point
     quad = [lo, mid, d, d2]
-    if len({q.x for q in quad}) < 4:
+    xs, _ = over_common_denominator([q.x for q in quad])
+    if len(set(xs)) < 4:
         raise DegenerateConfigurationError("coincident abscissae in quadruple")
     ok = conparabolic(*quad)
-    ordered = sorted(quad, key=lambda q: q.x)
-    if [q.x for q in quad] == [q.x for q in ordered]:
+    if xs == sorted(xs):
         ok = ok and opposite_angle_sum(*quad) == 0
     return ok
 
@@ -415,20 +421,27 @@ def cevian_line(t: DATriangle, vertex: str, spec: CevianSpec) -> Line:
     v = t.vertex(vertex)
     if spec.singular:
         return Line.singular(v.x)
-    u, w = t.others(vertex)
-    if spec.base not in (VERTICES[0], VERTICES[1], VERTICES[2]) or \
-            t.vertex(spec.base) not in (u, w):
+    # The vertices have distinct abscissae, so a label other than the
+    # vertex's names one of the two adjacent sides.
+    base = spec.base
+    if base not in VERTICES or base == vertex:
         raise DegenerateConfigurationError(
-            f"base {spec.base!r} is not adjacent to vertex {vertex}")
-    base_pt = t.vertex(spec.base)
-    far_pt = w if base_pt == u else u
+            f"base {base!r} is not adjacent to vertex {vertex}")
+    far = next(lbl for lbl in VERTICES if lbl not in (vertex, base))
+    b, f = t.vertex(base), t.vertex(far)
     m, n = spec.ratio
-    if m + n == 0:
+    mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
+    if mn * nd + nn * md == 0:
         raise DegenerateConfigurationError("degenerate division weights")
-    s_base = slope_between(v, base_pt)
-    s_far = slope_between(v, far_pt)
-    slope = (n * s_base + m * s_far) / (m + n)
-    return Line(slope, v.y - slope * v.x)
+    # The side slopes are dy*X / (dx*Y) over the abscissae's common
+    # denominator X and the ordinates' Y, so (n*s_base + m*s_far)/(m + n)
+    # is X*P / (Y*Q), and the intercept y_V - slope*x_V is over Y*Q too.
+    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
+    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
+    dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
+    p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
+    q = (mn * nd + nn * md) * dx_b * dx_f
+    return Line(ratio(X * p, Y * q), ratio(yv * q - p * xv, Y * q))
 
 
 class IsogonalVerdict(NamedTuple):

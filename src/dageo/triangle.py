@@ -14,6 +14,9 @@ for any three distinct abscissae; the ``triangle_invariants`` campaign
 checks them against the difference-angle definition.  Construction
 certifies the side-norm equation on the stored norms, read as integers
 over a common denominator: the largest equals the sum of the other two.
+A triangle builds each side line and each bisector once, on first use,
+and keeps it: ``side`` and ``bisector_at`` read that cache, so the
+constructions and checkers that share a triangle share its lines.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, da_norm, line_through, meet,
-                    midpoint)
+from .gauge import (Line, MeetResult, Point, _half_sum, da_norm, line_through,
+                    meet, midpoint)
 from .parabola import Parabola, circumparabola, second_intersection
-from .scalar import collinear, det3, lift_triple, ratio
+from .scalar import (collinear, det3, lift_triple, over_common_denominator,
+                     ratio)
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -48,6 +52,9 @@ class DATriangle:
     _norms: tuple[Fraction, Fraction, Fraction] = field(
         init=False, compare=False, repr=False)
     _middle: int = field(init=False, compare=False, repr=False)
+    #: Side lines keyed by the opposite label, bisectors by (label, mode).
+    _lines: dict = field(init=False, compare=False, repr=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
@@ -111,6 +118,12 @@ class DATriangle:
         negative interior angle."""
         return self._sorted
 
+    def x_rank(self, label: str) -> int:
+        """Position of a vertex in the x-order: 0, 1 or 2."""
+        v = self.vertex(label)
+        # _sorted holds the vertex objects themselves.
+        return next(i for i, q in enumerate(self._sorted) if q is v)
+
     @property
     def negative_vertex_label(self) -> str:
         return VERTICES[self._middle]
@@ -118,9 +131,12 @@ class DATriangle:
     # -- sides and side norms ----------------------------------------------
 
     def side(self, label: str) -> Line:
-        """Side line opposite the given vertex."""
-        u, w = self.others(label)
-        return line_through(u, w)
+        """Side line opposite the given vertex, built once."""
+        line = self._lines.get(label)
+        if line is None:
+            u, w = self.others(label)
+            line = self._lines[label] = line_through(u, w)
+        return line
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
         """Norms of (AB, BC, CA), stored on construction."""
@@ -128,8 +144,8 @@ class DATriangle:
 
     @property
     def is_isosceles(self) -> bool:
-        n = self.side_norms()
-        return len({n[0], n[1], n[2]}) < 3
+        (p, q, r), _ = lift_triple(self._norms)
+        return p == q or q == r or p == r
 
     # -- angles ---------------------------------------------------------------
 
@@ -159,13 +175,21 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     through the circumparabola point above the midpoint of the other two
     abscissae (the tangent when those coincide).  ``mode="interior"``
     returns the same line at the two positive vertices and the singular
-    line through the vertex where the interior angle is negative.
+    line through the vertex where the interior angle is negative.  Each
+    line is built once per triangle.
     """
     if mode not in ("interior", "positive"):
         raise ValueError(f"unknown bisector mode {mode!r}")
+    key = (vertex, mode)
+    line = t._lines.get(key)
+    if line is not None:
+        return line
     v = t.vertex(vertex)
-    if mode == "interior" and vertex == t.negative_vertex_label:
-        return Line.singular(v.x)
+    if mode == "interior":
+        line = (Line.singular(v.x) if vertex == t.negative_vertex_label
+                else bisector_at(t, vertex, "positive"))
+        t._lines[key] = line
+        return line
     u, w = t.others(vertex)
     # The side slopes are dy*X / (dx*Y) over the abscissae's common
     # denominator X and the ordinates' Y; their mean m and the intercept
@@ -175,7 +199,9 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     du, dw = xu - xv, xw - xv
     num = (yu - yv) * dw + (yw - yv) * du
     den = 2 * Y * du * dw
-    return Line(ratio(num * X, den), ratio(2 * yv * du * dw - num * xv, den))
+    line = t._lines[key] = Line(ratio(num * X, den),
+                                ratio(2 * yv * du * dw - num * xv, den))
+    return line
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -192,8 +218,12 @@ def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
     if not hit.is_finite:
         raise KernelInvariantError(
             "interior bisector cannot miss the opposite side")
-    d = hit.point
-    return da_norm(u, d) * da_norm(v, w) - da_norm(d, w) * da_norm(v, u)
+    # The four abscissae as integers over one L; each norm product is
+    # then over L**2.
+    (xu, xd, xv, xw), scale = over_common_denominator(
+        (u.x, hit.point.x, v.x, w.x))
+    return ratio(abs(xd - xu) * abs(xw - xv) - abs(xw - xd) * abs(xu - xv),
+                 scale * scale)
 
 
 @dataclass(frozen=True)
@@ -231,9 +261,8 @@ def centers(t: DATriangle) -> CenterSet:
     """
     lo, mid, hi = t.sorted_vertices()
     neg = t.negative_vertex_label
-    pos_labels = [lbl for lbl in VERTICES if lbl != neg]
-    lo_label = next(l for l in pos_labels if t.vertex(l) == lo)
-    hi_label = next(l for l in pos_labels if t.vertex(l) == hi)
+    lo_label = next(l for l in VERTICES if t.vertex(l) is lo)
+    hi_label = next(l for l in VERTICES if t.vertex(l) is hi)
 
     bis_lo = bisector_at(t, lo_label, "interior")
     bis_hi = bisector_at(t, hi_label, "interior")
@@ -309,7 +338,7 @@ def perpendicular_bisectors(t: DATriangle) -> dict[str, Line]:
     out = {}
     for lbl in VERTICES:
         u, w = t.others(lbl)
-        out[lbl] = Line.singular((u.x + w.x) / 2)
+        out[lbl] = Line.singular(_half_sum(u.x, w.x))
     return out
 
 
@@ -367,7 +396,8 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     parallel singular lines (one shared ideal point), and their feet are
     collinear on a line whose slope is exactly m.
     """
-    m = Fraction(m)
+    if not isinstance(m, Fraction):
+        m = Fraction(m)
     par = t.parabola
     ks = {lbl: second_intersection(par, t.vertex(lbl), m) for lbl in VERTICES}
     feet = {lbl: foot_of_perpendicular(ks[lbl], t.side(lbl))
@@ -414,10 +444,19 @@ def midpoint_lemma_check(t: DATriangle) -> MidpointLemmaResult:
         hit = meet(bis[u], bis[w])
         if not hit.is_finite:
             raise KernelInvariantError("positive bisectors are parallel")
-        meets[lbl] = hit.point
-        mid = midpoint(t.vertex(lbl), feet[lbl])
-        residuals[lbl] = Point(hit.point.x - mid.x, hit.point.y - mid.y)
+        p, v, f = hit.point, t.vertex(lbl), feet[lbl]
+        meets[lbl] = p
+        residuals[lbl] = Point(_minus_half_sum(p.x, v.x, f.x),
+                               _minus_half_sum(p.y, v.y, f.y))
     return MidpointLemmaResult(meets, feet, residuals)
+
+
+def _minus_half_sum(c: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """c - (a + b)/2 as one ratio, over 2*cd*ad*bd."""
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    return ratio(2 * c.numerator * ad * bd
+                 - (a.numerator * bd + b.numerator * ad) * cd,
+                 2 * ad * bd * cd)
 
 
 class DABCTResult(NamedTuple):

@@ -3,10 +3,14 @@
 import functools
 from fractions import Fraction as F
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from dageo.errors import DegenerateConfigurationError, KernelInvariantError
+from dageo.gauge import Point
 from dageo.harness import CampaignConfig, TheoremReport, run_campaign
 from dageo.scalar import rational_sqrt
+from dageo.triangle import DATriangle
 
 
 @functools.cache
@@ -23,6 +27,26 @@ def reference_report(theorem: str) -> TheoremReport:
 bounded = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=50))
+
+
+
+@st.composite
+def bounded_triangles(draw):
+    """Triangles with ``bounded`` coordinates."""
+    pts = [Point(draw(bounded), draw(bounded)) for _ in range(3)]
+    try:
+        return DATriangle(*pts)
+    except DegenerateConfigurationError:
+        assume(False)
+
+
+def kernel_outcome(call, *args):
+    """``call(*args)``'s value, or the type and message of the kernel
+    error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, KernelInvariantError) as err:
+        return type(err), str(err)
 
 
 # References: the Fraction chains that the integer-lift root finders

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bounded
+from conftest import bounded, kernel_outcome
 from dageo.equivalence import (classify_pair, diag_section_similarity,
                                final_theorem_feet, intro_observation_check,
                                shift)
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
-from dageo.gauge import Point, da_norm
+from dageo.gauge import Point, da_norm, line_through
 from dageo.parabola import Parabola
-from dageo.triangle import DATriangle
+from dageo.scalar import det3
+from dageo.theorems import menelaus_product
+from dageo.triangle import DATriangle, foot_of_perpendicular
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -332,3 +334,117 @@ class TestIntroObservation:
         # primed gaps reverse: (3, 1)
         t2 = on_curve(STD, 10, 13, 14)
         assert intro_observation_check(t1, t2).det_residual == 0
+
+
+# References: the Fraction chains that the integer lift of shift, the
+# intro observation's spacing test and the capstone's guards replaced.
+
+def fraction_chain_shift(t, theta):
+    par = t.parabola
+    delta = F(theta) / par.kappa
+    image = DATriangle(*(par.point_at(v.x + delta) for v in (t.a, t.b, t.c)))
+    if image.parabola != par:
+        raise KernelInvariantError("shift moved the triangle off its parabola")
+    return image
+
+
+def fraction_chain_intro_observation(t, t2):
+    if t.parabola.kappa != t2.parabola.kappa:
+        raise DegenerateConfigurationError(
+            "second parabola is not a translate (kappa differs)")
+    a, b, c = t.sorted_vertices()
+    cp, bp, ap = t2.sorted_vertices()
+    if not (b.x - a.x == ap.x - bp.x and c.x - b.x == bp.x - cp.x):
+        raise DegenerateConfigurationError("spacing hypothesis violated")
+    h_a = line_through(b, c).point_at(ap.x)
+    h_b = line_through(c, a).point_at(bp.x)
+    h_c = line_through(a, b).point_at(cp.x)
+    residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
+    return (h_a, h_b, h_c), residual, None
+
+
+def fraction_chain_final_theorem_feet(t, t2):
+    if abs(t.parabola.kappa) != abs(t2.parabola.kappa):
+        raise DegenerateConfigurationError(
+            "parabolas must share |kappa| for congruence")
+    if not classify_pair(t, t2).da_congruent:
+        raise DegenerateConfigurationError(
+            "triangles are not congruent label-to-label")
+    rank1 = {v: i for i, v in enumerate(t.sorted_vertices())}
+    rank2 = {v: i for i, v in enumerate(t2.sorted_vertices())}
+    if not all(rank1[t.vertex(lbl)] + rank2[t2.vertex(lbl)] == 2
+               for lbl in "ABC"):
+        raise DegenerateConfigurationError(
+            "correspondence does not reverse the x-orientation")
+    feet = tuple(foot_of_perpendicular(t.vertex(lbl), t2.side(lbl))
+                 for lbl in "ABC")
+    h_a, h_b, h_c = feet
+    residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
+    try:
+        menelaus = menelaus_product(t2, *feet)
+    except DegenerateConfigurationError:
+        menelaus = None
+    return feet, residual, menelaus
+
+
+def copy_pair(curve, xs, delta, primed):
+    return (DATriangle(*(curve.point_at(x) for x in xs)),
+            DATriangle(*(delta.point_at(x) for x in primed)))
+
+
+class TestLiftedAgainstFractionChains:
+    @given(triangles, st.one_of(bounded, st.integers(-3, 3)))
+    def test_shift_matches_fraction_chain(self, t, theta):
+        got = kernel_outcome(shift, t, theta)
+        assert got == kernel_outcome(fraction_chain_shift, t, theta)
+        assert all(type(c) is F for v in (got.a, got.b, got.c) for c in v)
+
+    def test_shift_keeps_fraction_coercion(self):
+        t = on_std(0, 1, 3)
+        assert shift(t, "1/2") == shift(t, F(1, 2))
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            shift(t, "half")
+
+    @given(small.filter(bool), small, small,
+           st.lists(small, min_size=3, max_size=3, unique=True),
+           small, small, small, st.sampled_from(
+               ["spaced", "reversed", "one gap off", "other kappa"]))
+    def test_intro_observation_matches_fraction_chain(
+            self, kappa, beta, gamma, xs, beta2, gamma2, t0, shape):
+        # "spaced" repeats the gaps right to left (the hypothesis),
+        # "reversed" left to right, "one gap off" moves one primed point.
+        a, b, c = sorted(xs)
+        primed = {"spaced": (t0, t0 + (c - b), t0 + (c - a)),
+                  "reversed": (t0, t0 + (b - a), t0 + (c - a)),
+                  "one gap off": (t0, t0 + (c - b) + 1, t0 + (c - a)),
+                  "other kappa": (t0, t0 + (c - b), t0 + (c - a))}[shape]
+        delta_kappa = kappa + 1 if shape == "other kappa" else kappa
+        assume(delta_kappa != 0 and len(set(primed)) == 3)
+        t1, t2 = copy_pair(Parabola(kappa, beta, gamma), xs,
+                           Parabola(delta_kappa, beta2, gamma2), primed)
+        got = kernel_outcome(intro_observation_check, t1, t2)
+        assert got == kernel_outcome(fraction_chain_intro_observation, t1, t2)
+        if shape == "spaced":
+            assert got.det_residual == 0
+
+    @given(small.filter(bool), small, small,
+           st.lists(small, min_size=3, max_size=3, unique=True),
+           small, small, small, st.sampled_from(
+               ["mirror", "mirror reversed", "translate", "stretched",
+                "other kappa"]))
+    def test_final_theorem_feet_matches_fraction_chain(
+            self, kappa, beta, gamma, xs, beta2, gamma2, t0, shape):
+        a, b, c = xs
+        primed = (t0 + (c - a), t0 + (c - b), t0)
+        delta_kappa = {"mirror reversed": -kappa,
+                       "other kappa": 2 * kappa}.get(shape, kappa)
+        if shape == "translate":
+            primed = (t0, t0 + (b - a), t0 + (c - a))
+        elif shape == "stretched":
+            primed = (t0 + 2 * (c - a), t0 + (c - b), t0)
+        t1, t2 = copy_pair(Parabola(kappa, beta, gamma), xs,
+                           Parabola(delta_kappa, beta2, gamma2), primed)
+        got = kernel_outcome(final_theorem_feet, t1, t2)
+        assert got == kernel_outcome(fraction_chain_final_theorem_feet, t1, t2)
+        if shape.startswith("mirror"):
+            assert got.det_residual == 0

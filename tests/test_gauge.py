@@ -45,6 +45,28 @@ def fraction_chain_meet_point(l1, l2):
     return Point(x, l1.m * x + l1.k)
 
 
+def fraction_chain_meet(l1, l2):
+    # meet as it was before it branched on singularity first: the
+    # dataclass comparison of the two lines up front.
+    if l1 == l2:
+        return MeetResult.coincident()
+    if l1.is_singular and l2.is_singular:
+        return MeetResult.ideal(None)
+    if l1.is_singular:
+        return MeetResult.at(l2.point_at(l1.x0))
+    if l2.is_singular:
+        return MeetResult.at(l1.point_at(l2.x0))
+    if l1.m == l2.m:
+        return MeetResult.ideal(l1.m)
+    return MeetResult.at(fraction_chain_meet_point(l1, l2))
+
+
+def fraction_chain_contains(line, p):
+    if line.m is None:
+        return p.x == line.k
+    return p.y == F(line.m) * p.x + line.k
+
+
 def fraction_chain_chart(origin, ref, proj, points):
     # Gauge's determinant check and normalize_chart's Cramer solve as
     # Fraction chains.
@@ -277,6 +299,36 @@ class TestLinesAndMeet:
         hit = meet(l1, l2)
         assert hit == MeetResult.at(fraction_chain_meet_point(l1, l2))
         assert (type(hit.point.x), type(hit.point.y)) == (F, F)
+
+    # Small slopes and intercepts make equal and parallel lines common.
+    tiny = st.integers(-2, 2)
+
+    @given(st.one_of(tiny, bounded), st.one_of(tiny, bounded),
+           st.one_of(tiny, bounded), st.one_of(tiny, bounded),
+           st.sampled_from(["sloped", "first singular", "second singular",
+                            "both singular"]))
+    def test_meet_every_branch_matches_fraction_chain(self, m1, k1, m2, k2,
+                                                      shape):
+        m1, k1, m2, k2 = F(m1), F(k1), F(m2), F(k2)
+        l1 = Line.singular(k1) if shape in ("first singular",
+                                            "both singular") else Line(m1, k1)
+        l2 = Line.singular(k2) if shape in ("second singular",
+                                            "both singular") else Line(m2, k2)
+        hit = meet(l1, l2)
+        assert hit == fraction_chain_meet(l1, l2)
+        if hit.is_finite:
+            assert (type(hit.point.x), type(hit.point.y)) == (F, F)
+
+    @given(st.one_of(tiny, bounded), st.one_of(tiny, bounded), bounded,
+           st.one_of(tiny, bounded), st.booleans(), st.booleans())
+    def test_line_contains_matches_fraction_chain(self, m, k, x, y, singular,
+                                                  on_line):
+        line = Line.singular(k) if singular else Line(m, k)
+        if on_line:
+            p = Point(k, y) if singular else Point(x, F(m) * x + k)
+        else:
+            p = Point(x, y)
+        assert line.contains(p) == fraction_chain_contains(line, p)
 
     def test_meet_bisector_foot(self):
         # the (0,1,2) interior-bisector foot: y = 3x/2 meets y = 3x - 2

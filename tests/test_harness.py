@@ -1,3 +1,5 @@
+import ast
+import cProfile
 import dataclasses
 import json
 import math
@@ -5,11 +7,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import dageo
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
@@ -18,10 +22,10 @@ from dageo.gauge import Line, MeetResult, Point
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
                            jsonable, run_campaign)
-from dageo.parabola import Parabola
+from dageo.parabola import Parabola, iso_angle_locus
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
-from dageo.scalar import format_scalar
+from dageo.scalar import format_scalar, parse_scalar
 from dageo.svg import (EmptySceneError, _bounds, _finite, _float_curve,
                        _parabola_arc, _point_floats, render_svg)
 from dageo.triangle import bisector_at, centers
@@ -166,6 +170,46 @@ class TestSeeding:
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
             RandomRationals(1, 0, bound=0)
+
+    #: Every ``_below`` width expression in the package, as ``_below``'s
+    #: docstring lists them; each is at least 1 for ``bound >= 1``.
+    BELOW_WIDTHS = {"2 * bound + 1", "bound", "self.bound",
+                    "max(3, self.bound) - 1", "d - 1", "9"}
+
+    def test_below_call_sites_are_the_documented_ones(self):
+        package = Path(dageo.__file__).resolve().parent
+        widths = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_below"):
+                    widths.add((path.name, ast.unparse(node.args[0])))
+        assert widths == {("generators.py", w) for w in self.BELOW_WIDTHS}
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 50])
+    def test_every_draw_passes_a_width_of_at_least_one(self, bound):
+        # _below(0) would never return; record the widths every draw
+        # helper passes at small bounds, where the minimum is reached.
+        widths = []
+
+        class Recording(RandomRationals):
+            def _below(self, width):
+                widths.append(width)
+                return super()._below(width)
+
+        for seed in range(5):
+            rng = Recording(seed, 0, bound)
+            for _ in range(20):
+                rng.rational(), rng.nonzero_rational()
+                rng.positive_rational(), rng.fraction_in_unit_interval()
+                rng.small_positive_int(), rng.point(), rng.parabola()
+                if bound >= 2:  # bound 1 has only 3 rationals
+                    rng.distinct_rationals(3)
+                    t = rng.triangle()
+                    rng.cevian_feet(t)
+        # 1 is reached: by d - 1 at d = 2, and at bound 1 by _pair.
+        assert min(widths) == 1
 
     @pytest.mark.parametrize("bound", [2, 3, 50, 10**6])
     def test_point_on_side_matches_fraction_chain(self, bound):
@@ -577,6 +621,60 @@ class TestScene:
         assert document["verified"] == expected
         assert "first_counterexample" in document["verified"][0]
         assert "first_counterexample" not in document["verified"][1]
+
+    def test_interior_angles_payload(self):
+        scene = Scene.from_dict(INCENTER_SCENE)
+        draw = Drawables()
+        payload = apply_construction(scene, "interior_angles(T1)", draw)
+        angles = [parse_scalar(a)
+                  for a in payload["result"]["angles"].values()]
+        assert list(payload["result"]["angles"]) == ["A", "B", "C"]
+        assert sum(angles) == 0
+        assert sum(1 for a in angles if a < 0) == 1
+        t = scene.triangles["T1"]
+        assert draw.angle_labels == {
+            lbl: (t.vertex(lbl), theta)
+            for lbl, theta in zip("ABC", t.interior_angles())}
+
+    def test_interior_angles_svg_text(self):
+        data = dict(INCENTER_SCENE, construct=["interior_angles(T1)"])
+        scene = Scene.from_dict(data)
+        _, draw = run_scene(scene, verify=False)
+        svg = render_svg(draw)
+        for lbl, theta in zip("ABC", scene.triangles["T1"].interior_angles()):
+            assert svg.count(f">angle({lbl}) = ") == 1
+            assert f">angle({lbl}) = {theta}</text>" in svg
+
+    def test_iso_angle_locus_construction(self):
+        data = {"points": {"U": ["-1", "0"], "V": ["5/2", "0"]},
+                "construct": ["iso_angle_locus(U, V, -3/4)"]}
+        scene = Scene.from_dict(data)
+        document, draw = run_scene(scene, verify=False)
+        want = iso_angle_locus(scene.points["U"], scene.points["V"],
+                               F(-3, 4))
+        assert draw.parabolas["locus"] == want
+        assert document["constructions"][0]["result"] == {
+            "parabola": jsonable(want)}
+
+    def test_centers_then_dabct_build_each_bisector_once(self):
+        # centers and its scene branch read the interior bisectors, dabct
+        # and its branch the positive ones: three sloped lines in all (the
+        # interior bisector at a positive vertex is the positive one), and
+        # each sloped build makes its two numbers with ``ratio``.
+        scene = Scene.from_dict(dict(INCENTER_SCENE, points={
+            "P0": ["0", "0"], "P1": ["1", "1"], "P2": ["3", "9"]}))
+        draw = Drawables()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        apply_construction(scene, "centers(T1)", draw)
+        apply_construction(scene, "dabct(T1)", draw)
+        profiler.disable()
+        ratios_in_bisector_at = sum(
+            sub.callcount for e in profiler.getstats()
+            if not isinstance(e.code, str) and e.code.co_name == "bisector_at"
+            for sub in (e.calls or ())
+            if not isinstance(sub.code, str) and sub.code.co_name == "ratio")
+        assert ratios_in_bisector_at == 2 * 3
 
     def test_miquel_quadrilateral_construction(self):
         data = {

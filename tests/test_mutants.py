@@ -4,9 +4,13 @@ failures at the reference seed.  A campaign that passes a broken kernel
 shows nothing, so each row is evidence that the campaign's pass means
 something."""
 
+import inspect
+import sys
+import textwrap
+
 import pytest
 
-from dageo import campaigns, gauge, parabola, theorems
+from dageo import campaigns, equivalence, gauge, parabola, theorems, triangle
 from dageo.gauge import MeetResult
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.scalar import lift_triple, ratio
@@ -43,6 +47,19 @@ def _meet_with_x_negated(l1, l2):
     return MeetResult.at(l1.point_at(-hit.point.x))
 
 
+def _source_mutant(function, old, new):
+    """``function`` recompiled in its own module's namespace with the one
+    source fragment ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} is not one fragment of "
+                         f"{function.__qualname__}")
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(compile(source.replace(old, new),
+                 f"<mutant of {function.__qualname__}>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
 #: (mutant id, module, attribute, replacement, theorem that must catch it).
 #: ``Parabola`` lifts its coefficients once and both ``y_at`` and
 #: ``contains`` read that lift, so a wrong lift agrees with itself;
@@ -51,7 +68,11 @@ def _meet_with_x_negated(l1, l2):
 #: reads, so that checker cannot have become a tautology: the chord height
 #: behind both m:n residuals, the mean-slope halving of the bisection
 #: axiom, the locus's orientation, the chords through the two common
-#: points, and the crossing of the diagonals.
+#: points, and the crossing of the diagonals.  The last three break one
+#: term of an integer-lifted triangle function in its own source: the far
+#: side's weighted slope in ``cevian_line``, the abscissa's denominator in
+#: ``shift``'s slide x + theta/kappa, and the pairing of the norms in
+#: ``bisector_ratio_check``.
 MUTANTS = [
     ("parabola_lift_beta_plus_one", parabola, "lift_triple",
      _lift_with_beta_plus_one, "parabolic_power"),
@@ -66,6 +87,17 @@ MUTANTS = [
      "intersecting_parabolas"),
     ("meet_with_x_negated", theorems, "meet", _meet_with_x_negated,
      "brahmagupta"),
+    ("cevian_line_far_term_subtracted", theorems, "cevian_line",
+     _source_mutant(theorems.cevian_line, "+ mn * nd * dy_f * dx_b",
+                    "- mn * nd * dy_f * dx_b"), "isogonal"),
+    ("shift_slide_without_abscissa_denominator", equivalence, "shift",
+     _source_mutant(equivalence.shift, "+ tn * kd * v.x.denominator,",
+                    "+ tn * kd,"), "shift_group"),
+    ("bisector_ratio_norms_mispaired", campaigns, "bisector_ratio_check",
+     _source_mutant(triangle.bisector_ratio_check,
+                    "abs(xw - xv) - abs(xw - xd) * abs(xu - xv)",
+                    "abs(xu - xv) - abs(xw - xd) * abs(xw - xv)"),
+     "bisector_centers"),
 ]
 
 

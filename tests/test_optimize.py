@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import dageo
-from dageo.equivalence import classify_pair
+from dageo.equivalence import classify_pair, shift
 from dageo.euclid import run_euclid_campaign
 from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
                          midpoint)
@@ -28,8 +28,11 @@ from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
 from dageo.scalar import det3, parse_scalar, ratio
-from dageo.theorems import ceva_product, mn_division_check, ptolemy_residual
-from dageo.triangle import DATriangle, bisector_at, centers
+from dageo.theorems import (CevianSpec, ceva_product, cevian_line,
+                            mn_division_check, ptolemy_residual)
+from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
+                            centers, midpoint_lemma_check,
+                            perpendicular_bisectors)
 
 PACKAGE = Path(dageo.__file__).resolve().parent
 
@@ -153,6 +156,20 @@ _THROUGH_AB = circumparabola(_A, _B, Point(F(1), F(1)))
 _BASE = (Point(_A.x, F(0)), Point(_C.x, F(0)))
 
 
+_SPEC = CevianSpec((F(2), F(3)), base="C")
+_THETA = F(5, 7)
+_LINE = Line(F(2, 3), F(-1, 5))
+
+
+def _cold(call):
+    """``call`` on ``_T`` with its line cache emptied first, so that the
+    count includes building the sides and bisectors it reads."""
+    def run():
+        _T._lines.clear()
+        return call()
+    return run
+
+
 def _four_distinct_draws():
     # Seed 1, trial 0 draws its four values with no rejection.
     rng = RandomRationals(1, 0)
@@ -178,7 +195,14 @@ def _four_distinct_draws():
 #: ``parse_scalar`` its one value.  ``parabolic_power`` builds its one
 #: value, ``mn_division_check`` its two residuals, ``iso_angle_locus`` its
 #: curve's three coefficients and ``parabola_meet`` the two coordinates of
-#: each meet point.
+#: each meet point.  ``cevian_line`` builds the two numbers of its line;
+#: ``shift`` the three moved abscissae, their ordinates and the image
+#: triangle (9); ``perpendicular_bisectors`` one abscissa per side;
+#: ``bisector_ratio_check`` at a positive vertex its bisector and side
+#: (2 each), their meet (2) and the residual; ``midpoint_lemma_check``
+#: three bisectors and three sides (2 each), the three feet (one ordinate
+#: each), three meets and three residual points (2 each).  ``Line.contains``
+#: answers a bool and builds none.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
@@ -212,7 +236,18 @@ FRACTION_BUDGET = {
                           2),
     "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 3),
     "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 4),
+    "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 2),
+    "shift": (lambda: shift(_T, _THETA), 15),
+    "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 3),
+    "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
+                             7),
+    "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 27),
+    "Line.contains": (lambda: _LINE.contains(_A), 0),
 }
+
+
+def test_budgeted_bisector_vertex_is_positive():
+    assert _T.negative_vertex_label != "A"
 
 
 def test_budgeted_meet_has_two_finite_points():

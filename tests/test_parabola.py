@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (bounded, fraction_chain_other_root,
                       fraction_chain_rational_roots)
+from dageo import parabola
 from dageo.errors import (DegenerateConfigurationError,
                           IrrationalIntersectionError)
 from dageo.gauge import MeetResult, Point, difference_angle
@@ -469,7 +471,42 @@ class TestSecondMeet:
             second_meet(STD, Parabola(F(2), F(-3), F(2)), pt(3, 9))
 
 
+def fraction_chain_inscribed_angle(p, a, b, c, d):
+    for pt_ in (a, b, c, d):
+        if not p.contains(pt_):
+            raise DegenerateConfigurationError("point off the parabola")
+    if c in (a, b) or d in (a, b):
+        raise DegenerateConfigurationError("viewing point on the chord")
+    return (parabola.difference_angle(a, c, b)
+            - parabola.difference_angle(a, d, b))
+
+
 class TestCyclicPredicates:
+    @given(bounded.filter(bool), bounded, bounded,
+           st.lists(bounded, min_size=4, max_size=4), bounded,
+           st.integers(0, 4), bounded)
+    def test_inscribed_angle_matches_fraction_chain(self, kappa, beta, gamma,
+                                                    xs, lift, slot, bump):
+        # slot < 4 lifts that point by ``lift``, off the curve unless 0;
+        # repeated abscissae put a viewing point on the chord.  On the
+        # curve both views agree, so the angle seen from D is bumped to
+        # make the residual nonzero.
+        curve = Parabola(kappa, beta, gamma)
+        pts = [curve.point_at(x) for x in xs]
+        if slot < 4:
+            pts[slot] = Point(pts[slot].x, pts[slot].y + lift)
+
+        def bumped(a, p, b):
+            angle = difference_angle(a, p, b)
+            return angle + bump if p is pts[3] else angle
+
+        with mock.patch.object(parabola, "difference_angle", bumped):
+            got = outcome(inscribed_angle_check, curve, *pts)
+            want = outcome(fraction_chain_inscribed_angle, curve, *pts)
+        assert got == want
+        if not isinstance(got, tuple):
+            assert type(got) is F
+
     def test_inscribed_angle_reference(self):
         a, b = STD.point_at(F(0)), STD.point_at(F(1))
         c, d = STD.point_at(F(2)), STD.point_at(F(3))

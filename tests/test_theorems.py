@@ -1,30 +1,35 @@
 from contextlib import nullcontext
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bounded
+from conftest import bounded, bounded_triangles, kernel_outcome
 from dageo import campaigns
 from dageo.campaigns import REGISTRY, Counterexample
+from dageo import equivalence as eq
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Line, MeetResult, Point, difference_angle,
                          line_through, meet, slope_between)
 from dageo.generators import RandomRationals
-from dageo.harness import CampaignConfig, run_campaign
-from dageo.parabola import (Parabola, circumparabola, inscribed_angle_check,
-                            iso_angle_locus)
+from dageo.harness import CampaignConfig, jsonable, run_campaign
+from dageo.parabola import (Parabola, circumparabola, conparabolic,
+                            inscribed_angle_check, iso_angle_locus,
+                            opposite_angle_sum, parabola_meet,
+                            second_intersection)
 from dageo.scalar import collinear
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, _miquel_result,
                             ceva_product,
                             cevians_concurrent, brahmagupta_check,
                             intersecting_parabolas_check, isogonal_concurrency_check,
-                            arc_symmetry_check, menelaus_product,
+                            arc_symmetry_check, cevian_line,
+                            menelaus_product,
                             miquel_quadrilateral, miquel_triangle,
                             mn_division_check, ptolemy_residual,
                             singular_projective_length, trapezoid_equivalence)
-from dageo.triangle import DATriangle
+from dageo.triangle import DATriangle, circum_ortho_at_infinity
 
 STD = Parabola(F(1), F(0), F(0))
 
@@ -815,3 +820,360 @@ class TestLiftedCheckers:
         want = check_outcome(fraction_chain_check_mn_division, cfg)
         assert check_outcome(REGISTRY["mn_division"].check, cfg) == want
         assert want == (DegenerateConfigurationError, "degenerate chord")
+
+
+# References: the Fraction chains that the triangle layer's integer lift
+# replaced in the kernel, the checkers and the generators.
+
+def fraction_chain_cevian_line(t, vertex, spec):
+    v = t.vertex(vertex)
+    if spec.singular:
+        return Line.singular(v.x)
+    u, w = t.others(vertex)
+    if spec.base not in ("A", "B", "C") or t.vertex(spec.base) not in (u, w):
+        raise DegenerateConfigurationError(
+            f"base {spec.base!r} is not adjacent to vertex {vertex}")
+    base_pt = t.vertex(spec.base)
+    far_pt = w if base_pt == u else u
+    m, n = spec.ratio
+    if m + n == 0:
+        raise DegenerateConfigurationError("degenerate division weights")
+    s_base = slope_between(v, base_pt)
+    s_far = slope_between(v, far_pt)
+    slope = (n * s_base + m * s_far) / (m + n)
+    return Line(slope, v.y - slope * v.x)
+
+
+def fraction_chain_intersecting_parabolas(gamma, delta, m_a, m_b):
+    finite = [h.point for h in parabola_meet(gamma, delta) if h.is_finite]
+    if len(finite) != 2:
+        raise DegenerateConfigurationError(
+            "parabolas must meet at two rational points")
+    a, b = sorted(finite, key=lambda p: p.x)
+    p = second_intersection(gamma, a, m_a)
+    q = second_intersection(delta, a, m_a)
+    r = second_intersection(gamma, b, m_b)
+    s = second_intersection(delta, b, m_b)
+    if a in (p, q) or b in (r, s):
+        raise DegenerateConfigurationError("tangent chord at a common point")
+    if p.x == r.x or q.x == s.x:
+        raise DegenerateConfigurationError("singular cross-chord")
+    return slope_between(p, r) - slope_between(q, s)
+
+
+def fraction_chain_opposite_angle_sum(a, b, c, d):
+    if not (a.x < b.x < c.x < d.x):
+        raise DegenerateConfigurationError(
+            "opposite_angle_sum requires strictly increasing x-order")
+    theta_b = slope_between(b, a) - slope_between(b, c)
+    theta_d = slope_between(d, c) - slope_between(d, a)
+    return theta_b + theta_d
+
+
+def fraction_chain_arc_symmetry(t, p_param):
+    lo, mid, hi = t.sorted_vertices()
+    p_param = F(p_param)
+    if not (mid.x < p_param < hi.x):
+        raise DegenerateConfigurationError("parameter must lie on the arc")
+    par = t.parabola
+    p = par.point_at(p_param)
+    p_refl = par.point_at(2 * hi.x - p_param)
+    d_hit = meet(line_through(mid, hi), line_through(lo, p))
+    d2_hit = meet(line_through(hi, lo), line_through(mid, p_refl))
+    if not (d_hit.is_finite and d2_hit.is_finite):
+        raise DegenerateConfigurationError("cevian parallel to a side")
+    d, d2 = d_hit.point, d2_hit.point
+    quad = [lo, mid, d, d2]
+    if len({q.x for q in quad}) < 4:
+        raise DegenerateConfigurationError("coincident abscissae in quadruple")
+    ok = conparabolic(*quad)
+    ordered = sorted(quad, key=lambda q: q.x)
+    if [q.x for q in quad] == [q.x for q in ordered]:
+        ok = ok and fraction_chain_opposite_angle_sum(*quad) == 0
+    return ok
+
+
+weights = st.one_of(bounded, st.integers(-3, 3))
+
+
+class TestLiftedTriangleKernel:
+    @given(bounded_triangles(), st.sampled_from("ABC"),
+           st.sampled_from(["A", "B", "C", "", "D"]), weights, weights,
+           st.booleans(), st.booleans())
+    def test_cevian_line_matches_fraction_chain(self, t, vertex, base, m, n,
+                                                opposite, singular):
+        # opposite: n = -m, the degenerate weights.
+        if opposite:
+            n = -m
+        spec = CevianSpec((m, n), base=base, singular=singular)
+        got = kernel_outcome(cevian_line, t, vertex, spec)
+        want = kernel_outcome(fraction_chain_cevian_line, t, vertex, spec)
+        assert got == want
+        if isinstance(got, Line):
+            assert type(got.k) is F and (got.m is None or type(got.m) is F)
+
+    @given(st.integers(0, 2**32), st.integers(0, 300), bounded, bounded,
+           st.booleans())
+    def test_intersecting_parabolas_matches_fraction_chain(
+            self, seed, trial, m_a, m_b, drawn):
+        # drawn: the generator's slopes, which always pass; otherwise free
+        # slopes, which also reach the tangent and singular rejections.
+        cfg = REGISTRY["intersecting_parabolas"].generate(
+            RandomRationals(seed, trial, 5))
+        if drawn:
+            m_a, m_b = cfg["m_a"], cfg["m_b"]
+        args = (cfg["gamma"], cfg["delta"], F(m_a), F(m_b))
+        got = kernel_outcome(intersecting_parabolas_check, *args)
+        assert got == kernel_outcome(fraction_chain_intersecting_parabolas,
+                                  *args)
+        if not isinstance(got, tuple):
+            assert type(got) is F
+
+    @given(st.lists(st.tuples(bounded, bounded), min_size=4, max_size=4))
+    def test_opposite_angle_sum_matches_fraction_chain(self, coords):
+        quad = [Point(x, y) for x, y in coords]
+        got = kernel_outcome(opposite_angle_sum, *quad)
+        assert got == kernel_outcome(fraction_chain_opposite_angle_sum, *quad)
+        if not isinstance(got, tuple):
+            assert type(got) is F
+
+    @given(bounded_triangles(), st.one_of(bounded, st.integers(-3, 3)))
+    def test_arc_symmetry_matches_fraction_chain(self, t, p_param):
+        got = kernel_outcome(arc_symmetry_check, t, p_param)
+        assert got == kernel_outcome(fraction_chain_arc_symmetry, t, p_param)
+
+
+def fraction_chain_check_simson(cfg):
+    t, m = cfg["T"], cfg["m"]
+    a, b, c = (v.x for v in t.sorted_vertices())
+    result = campaigns.simson(t, m)
+    intercept = m * (a + b + c) - m * m - (a * b + b * c + c * a)
+    if result.line.k != intercept:
+        raise Counterexample("simson line formula mismatch")
+    campaigns.simson(cfg["T_general"], cfg["m2"])
+
+
+def fraction_chain_check_triangle_invariants(cfg):
+    for t in (cfg["T"], cfg["T_inscribed"]):
+        circum_ortho_at_infinity(t)
+        order = t.sorted_vertices()
+        if t.parabola.kappa < 0:
+            order = order[::-1]
+        for v, angle in zip((t.a, t.b, t.c), t.interior_angles()):
+            k = order.index(v)
+            if difference_angle(order[(k + 1) % 3], v, order[k - 1]) != angle:
+                raise Counterexample(
+                    f"angle at x={v.x} differs from its definition")
+
+
+def fraction_chain_check_midpoint_lemma(cfg):
+    result = campaigns.midpoint_lemma_check(cfg["T"])
+    zero = Point(F(0), F(0))
+    if any(res != zero for res in result.residuals.values()):
+        raise Counterexample("bisector meet is not the feet midpoint")
+
+
+def _bumped_simson(value):
+    """``simson`` with ``value`` added to its line's intercept."""
+    real = campaigns.simson
+
+    def bumped(t, m):
+        result = real(t, m)
+        line = Line(result.line.m, result.line.k + value)
+        return result._replace(line=line)
+    return bumped
+
+
+def _bumped_residual(value, slot):
+    """``midpoint_lemma_check`` with ``value`` added to one residual."""
+    real = campaigns.midpoint_lemma_check
+
+    def bumped(t):
+        result = real(t)
+        lbl = "ABC"[slot % 3]
+        res = result.residuals[lbl]
+        moved = (Point(res.x + value, res.y) if slot < 3
+                 else Point(res.x, res.y + value))
+        return result._replace(residuals={**result.residuals, lbl: moved})
+    return bumped
+
+
+class TestLiftedTriangleCheckers:
+    @given(st.integers(0, 2**32), st.integers(0, 500),
+           st.sampled_from([2, 3, 50]), bounded)
+    def test_simson_intercept_matches_fraction_chain(self, seed, trial,
+                                                     bound, value):
+        cfg = REGISTRY["simson"].generate(RandomRationals(seed, trial, bound))
+        with mock.patch.object(campaigns, "simson", _bumped_simson(value)):
+            got = check_outcome(REGISTRY["simson"].check, cfg)
+            want = check_outcome(fraction_chain_check_simson, cfg)
+        assert got == want
+        assert (got is None) == (value == 0)
+
+    @given(st.integers(0, 2**32), st.integers(0, 500),
+           st.sampled_from([2, 3, 50]), bounded, st.integers(0, 5))
+    def test_triangle_invariants_matches_fraction_chain(self, seed, trial,
+                                                        bound, value, slot):
+        # value is added to one stored angle of one triangle.
+        cfg = REGISTRY["triangle_invariants"].generate(
+            RandomRationals(seed, trial, bound))
+        t = cfg["T" if slot < 3 else "T_inscribed"]
+        angles = list(t.interior_angles())
+        angles[slot % 3] += value
+        object.__setattr__(t, "_angles", tuple(angles))
+        got = check_outcome(REGISTRY["triangle_invariants"].check, cfg)
+        assert got == check_outcome(fraction_chain_check_triangle_invariants,
+                                    cfg)
+        assert (got is None) == (value == 0)
+
+    @given(st.integers(0, 2**32), st.integers(0, 500),
+           st.sampled_from([2, 3, 50]), bounded, st.integers(0, 5))
+    def test_midpoint_lemma_matches_fraction_chain(self, seed, trial, bound,
+                                                   value, slot):
+        cfg = REGISTRY["midpoint_lemma"].generate(
+            RandomRationals(seed, trial, bound))
+        with mock.patch.object(campaigns, "midpoint_lemma_check",
+                               _bumped_residual(value, slot)):
+            got = check_outcome(REGISTRY["midpoint_lemma"].check, cfg)
+            want = check_outcome(fraction_chain_check_midpoint_lemma, cfg)
+        assert got == want
+        assert (got is None) == (value == 0)
+
+
+def fraction_chain_gen_ceva(rng):
+    t = rng.free_triangle()
+    wts = [rng.positive_rational() for _ in range(3)]
+    s = sum(wts)
+    q = Point(sum(w * v.x for w, v in zip(wts, (t.a, t.b, t.c))) / s,
+              sum(w * v.y for w, v in zip(wts, (t.a, t.b, t.c))) / s)
+    concurrent_feet = tuple(meet(line_through(t.vertex(lbl), q),
+                                 t.side(lbl)).point for lbl in "ABC")
+    return {"T": t, "concurrent": concurrent_feet, "free": rng.cevian_feet(t)}
+
+
+def fraction_chain_gen_isogonal(rng):
+    t = rng.triangle()
+    mixed = rng.trial_index % 2 == 0
+    if mixed:
+        neg = t.negative_vertex_label
+        m = F(rng.small_positive_int())
+        n = F(rng.small_positive_int())
+        specs = {lbl: CevianSpec(singular=True) if lbl == neg
+                 else CevianSpec((m, n), base=neg) for lbl in "ABC"}
+        return {"T": t, "specs": specs, "mixed": mixed}
+
+    def make():
+        bases = {}
+        for lbl in "ABC":
+            u, w = [v for v in "ABC" if v != lbl]
+            bases[lbl] = u if rng.rng.random() < 0.5 else w
+        alpha = rng.fraction_in_unit_interval()
+        beta = rng.fraction_in_unit_interval()
+        sa = CevianSpec((alpha, 1 - alpha), base=bases["A"])
+        sb = CevianSpec((beta, 1 - beta), base=bases["B"])
+        hit = meet(cevian_line(t, "A", sa), cevian_line(t, "B", sb))
+        if not hit.is_finite:
+            return None
+        q = hit.point
+        cpt = t.vertex("C")
+        if q == cpt or q.x == cpt.x:
+            return None
+        slope_cq = (q.y - cpt.y) / (q.x - cpt.x)
+        base_pt = t.vertex(bases["C"])
+        far_lbl = next(v for v in ("A", "B") if v != bases["C"])
+        s_base = slope_between(cpt, base_pt)
+        s_far = slope_between(cpt, t.vertex(far_lbl))
+        if s_base == s_far or slope_cq in (s_base, s_far):
+            return None
+        gamma = (slope_cq - s_base) / (s_far - s_base)
+        if gamma in (0, 1):
+            return None
+        sc = CevianSpec((gamma, 1 - gamma), base=bases["C"])
+        return {"A": sa, "B": sb, "C": sc}
+    return {"T": t, "specs": rng.retrying(make), "mixed": mixed}
+
+
+def fraction_chain_gen_final_collinearity(rng):
+    curve = rng.parabola()
+    xs = rng.distinct_rationals(3)
+    t1 = DATriangle(*(curve.point_at(x) for x in xs))
+    sign = 1 if rng.trial_index % 2 == 0 else -1
+    delta = Parabola(sign * curve.kappa, rng.rational(), rng.rational())
+    t0 = rng.rational()
+    a, b, c = xs
+    primed = (t0 + (c - a), t0 + (c - b), t0)
+    t2 = DATriangle(*(delta.point_at(x) for x in primed))
+    return {"T1": t1, "T2": t2, "sign": sign}
+
+
+def fraction_chain_gen_intro_observation(rng):
+    curve = rng.parabola()
+    xs = rng.distinct_rationals(3)
+    a, b, c = xs
+    t1 = DATriangle(*(curve.point_at(x) for x in xs))
+    delta = Parabola(curve.kappa, rng.rational(), rng.rational())
+    t0 = rng.rational()
+    primed = (t0, t0 + (c - b), t0 + (c - a))
+    t2 = DATriangle(*(delta.point_at(x) for x in primed))
+    return {"T1": t1, "T2": t2}
+
+
+def fraction_chain_gen_trapezoid(rng):
+    curve = rng.parabola()
+    a, b, c = rng.distinct_rationals(3)
+    d = b + c - a
+
+    def make_negative():
+        s = rng.nonzero_rational()
+        slope_bc = curve.chord_slope(b, c)
+        pa = curve.point_at(a)
+        d_off = Point(pa.x + s, pa.y + s * slope_bc)
+        if curve.contains(d_off):
+            return None
+        trapezoid_equivalence(pa, curve.point_at(b), curve.point_at(c),
+                              d_off)
+        return d_off
+    d_off = rng.retrying(make_negative)
+    return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}
+
+
+def fraction_chain_gen_equivalence_chain(rng):
+    xs = rng.distinct_rationals(3)
+    t1 = DATriangle(*(STD.point_at(x) for x in xs))
+    case = rng.trial_index % 4
+    if case == 0:
+        k = rng.retrying(rng.positive_rational, lambda v: v != 1)
+        t2 = DATriangle(*(STD.point_at(k * x) for x in xs))
+    elif case == 1:
+        t2 = eq.shift(t1, rng.rational())
+    elif case == 2:
+        k2 = rng.retrying(rng.nonzero_rational, lambda v: abs(v) != 1)
+        curve = Parabola(k2, F(0), F(0))
+        t2 = DATriangle(*(curve.point_at(x) for x in xs))
+    else:
+        t2 = rng.free_triangle()
+    return {"T1": t1, "T2": t2, "case": case}
+
+
+LIFTED_GENERATORS = {
+    "ceva": fraction_chain_gen_ceva,
+    "isogonal": fraction_chain_gen_isogonal,
+    "final_collinearity": fraction_chain_gen_final_collinearity,
+    "intro_observation": fraction_chain_gen_intro_observation,
+    "trapezoid": fraction_chain_gen_trapezoid,
+    "equivalence_chain": fraction_chain_gen_equivalence_chain,
+}
+
+
+class TestLiftedGenerators:
+    @given(st.sampled_from(sorted(LIFTED_GENERATORS)), st.integers(0, 2**32),
+           st.integers(0, 2000), st.sampled_from([2, 3, 5, 50]))
+    def test_match_fraction_chain(self, theorem, seed, trial, bound):
+        # The same configuration, the same rejections and the same stream
+        # state afterwards: no draw moves, past the pinned first 50 too.
+        new, old = (RandomRationals(seed, trial, bound) for _ in range(2))
+        cfg = REGISTRY[theorem].generate(new)
+        want = LIFTED_GENERATORS[theorem](old)
+        assert jsonable(cfg) == jsonable(want)
+        assert new.rejections == old.rejections
+        assert new.rng.getstate() == old.rng.getstate()

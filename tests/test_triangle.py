@@ -3,15 +3,18 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dageo
-from conftest import bounded
+from conftest import bounded, bounded_triangles, kernel_outcome
+from dageo import triangle
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
-from dageo.gauge import Line, MeetResult, Point, da_norm, slope_between
+from dageo.gauge import (Line, MeetResult, Point, da_norm, meet, midpoint,
+                         slope_between)
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import Parabola
 from dageo.scalar import det3
@@ -19,7 +22,8 @@ from dageo.theorems import menelaus_product
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
                             centers, circum_ortho_at_infinity, dabct,
                             foot_of_perpendicular, midpoint_lemma_check,
-                            naive_simson, perpendicular_bisectors, simson)
+                            naive_simson, perpendicular_bisectors,
+                            perpendicular_feet, simson)
 
 STD = Parabola(F(1), F(0), F(0))
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -529,3 +533,138 @@ class TestDABCT:
         assert result.det_residual == 0 and result.concurrency_ok
         # No L point is a vertex, so the Menelaus product is defined.
         assert menelaus_product(t, *(result.l_points[k] for k in "ABC")) == -1
+
+
+# References: the Fraction chains that the triangle layer's integer lift
+# replaced.
+
+def fraction_chain_perpendicular_bisectors(t):
+    out = {}
+    for lbl in "ABC":
+        u, w = t.others(lbl)
+        out[lbl] = Line.singular((F(u.x) + w.x) / 2)
+    return out
+
+
+def fraction_chain_midpoint_lemma(t):
+    bis = {lbl: bisector_at(t, lbl, "positive") for lbl in "ABC"}
+    feet = perpendicular_feet(t)
+    meets, residuals = {}, {}
+    for lbl, (u, w) in (("A", "BC"), ("B", "CA"), ("C", "AB")):
+        hit = meet(bis[u], bis[w])
+        if not hit.is_finite:
+            raise KernelInvariantError("positive bisectors are parallel")
+        meets[lbl] = hit.point
+        mid = midpoint(t.vertex(lbl), feet[lbl])
+        residuals[lbl] = Point(hit.point.x - mid.x, hit.point.y - mid.y)
+    return meets, feet, residuals
+
+
+def fraction_chain_bisector_ratio(t, vertex):
+    v = t.vertex(vertex)
+    u, w = t.others(vertex)
+    hit = triangle.meet(bisector_at(t, vertex, "interior"), t.side(vertex))
+    if not hit.is_finite:
+        raise KernelInvariantError(
+            "interior bisector cannot miss the opposite side")
+    d = hit.point
+    return da_norm(u, d) * da_norm(v, w) - da_norm(d, w) * da_norm(v, u)
+
+
+class TestLiftedTriangleLayer:
+    @given(bounded_triangles())
+    def test_perpendicular_bisectors_match_fraction_chain(self, t):
+        got = perpendicular_bisectors(t)
+        assert got == fraction_chain_perpendicular_bisectors(t)
+        assert all(type(line.k) is F for line in got.values())
+
+    @given(bounded, bounded, bounded)
+    def test_minus_half_sum_matches_fraction_chain(self, c, a, b):
+        got = triangle._minus_half_sum(c, a, b)
+        assert type(got) is F
+        assert got == c - (F(a) + b) / 2
+
+    @given(bounded_triangles())
+    def test_midpoint_lemma_matches_fraction_chain(self, t):
+        got = kernel_outcome(midpoint_lemma_check, t)
+        assert got == kernel_outcome(fraction_chain_midpoint_lemma, t)
+        assert all(type(c) is F for r in got.residuals.values() for c in r)
+
+    @given(bounded_triangles(), st.sampled_from("ABC"), bounded, bounded)
+    def test_bisector_ratio_matches_fraction_chain(self, t, vertex, dx, dy):
+        # The foot moved by (dx, dy) off the bisector: the norm products
+        # then differ, and both forms must agree on the nonzero residual.
+        real_meet = triangle.meet
+
+        def moved_meet(l1, l2):
+            hit = real_meet(l1, l2)
+            if not hit.is_finite:
+                return hit
+            return MeetResult.at(Point(hit.point.x + dx, hit.point.y + dy))
+
+        with mock.patch.object(triangle, "meet", moved_meet):
+            got = kernel_outcome(bisector_ratio_check, t, vertex)
+            want = kernel_outcome(fraction_chain_bisector_ratio, t, vertex)
+        assert got == want
+        assert type(got) is F
+
+    @given(bounded_triangles(), bounded, bounded.filter(bool),
+           st.permutations(range(3)), st.booleans())
+    def test_is_isosceles_matches_norm_set(self, free, mid, gap, order,
+                                           symmetric):
+        # symmetric: abscissae mid - gap, mid, mid + gap in any label
+        # order, so every pair of sides takes its turn at being equal.
+        t = free
+        if symmetric:
+            xs = (F(mid) - gap, F(mid), F(mid) + gap)
+            pts = [Point(xs[i], v.y) for i, v in zip(order, (t.a, t.b, t.c))]
+            try:
+                t = DATriangle(*pts)
+            except DegenerateConfigurationError:
+                assume(False)
+        assert t.is_isosceles == (len(set(t.side_norms())) < 3)
+
+    @given(bounded_triangles(), st.sampled_from("ABC"))
+    def test_x_rank_is_the_sorted_index(self, t, lbl):
+        assert t.x_rank(lbl) == t.sorted_vertices().index(t.vertex(lbl))
+
+    def test_x_rank_rejects_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown vertex label 'D'"):
+            on_std(0, 1, 2).x_rank("D")
+
+
+class TestLineCache:
+    def test_each_line_built_once(self):
+        t = on_std(0, 1, 3)
+        assert t.side("A") is t.side("A")
+        for lbl in "ABC":
+            for mode in ("interior", "positive"):
+                assert bisector_at(t, lbl, mode) is bisector_at(t, lbl, mode)
+        # At a positive vertex the interior bisector is the positive one.
+        assert bisector_at(t, "A") is bisector_at(t, "A", "positive")
+
+    def test_cache_is_not_part_of_the_value(self):
+        t, fresh = on_std(0, 1, 3), on_std(0, 1, 3)
+        centers(t)
+        assert t == fresh and hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        assert "_lines" not in repr(t)
+
+    def test_cached_lines_equal_fresh_ones(self):
+        # Lines read from a warm cache equal those a fresh triangle builds.
+        t = on_std(-2, F(1, 2), 4)
+        dabct(t)
+        for lbl in "ABC":
+            fresh = on_std(-2, F(1, 2), 4)
+            assert t.side(lbl) == fresh.side(lbl)
+            assert bisector_at(t, lbl) == bisector_at(fresh, lbl)
+
+    def test_bad_label_or_mode_is_not_cached(self):
+        t = on_std(0, 1, 3)
+        with pytest.raises(ValueError, match="unknown vertex label"):
+            bisector_at(t, "D", "positive")
+        with pytest.raises(ValueError, match="unknown bisector mode"):
+            bisector_at(t, "A", "exterior")
+        with pytest.raises(ValueError, match="unknown vertex label"):
+            t.side("D")
+        assert t._lines == {}

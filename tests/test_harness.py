@@ -28,7 +28,7 @@ from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
 from dageo.scalar import format_scalar, parse_scalar
 from dageo.svg import (EmptySceneError, _bounds, _finite, _float_curve,
                        _parabola_arc, _point_floats, render_svg)
-from dageo.triangle import bisector_at, centers
+from dageo.triangle import DATriangle, bisector_at, centers
 
 
 def _raise(error):
@@ -85,6 +85,83 @@ class _FractionDraws(RandomRationals):
     def point_on_side(self, u, w):
         lam = self.fraction_in_unit_interval()
         return Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
+
+    # The compound helpers, written out so that the reference inherits no
+    # draw from the code under test.
+
+    def retrying(self, make, ok=lambda value: True):
+        for _ in range(RETRY_LIMIT):
+            try:
+                value = make()
+            except DegenerateConfigurationError:
+                value = None
+            if value is not None and ok(value):
+                return value
+            self.rejections += 1
+        raise GeneratorExhaustedError("retry limit exceeded")
+
+    def point(self):
+        return Point(self.rational(), self.rational())
+
+    def parabola(self):
+        return Parabola(self.nonzero_rational(), self.rational(),
+                        self.rational())
+
+    def triangle(self):
+        curve = self.parabola()
+        return DATriangle(*(curve.point_at(x)
+                            for x in self.distinct_rationals(3)))
+
+    def free_triangle(self):
+        def make():
+            a, b, c = pts = [self.point() for _ in range(3)]
+            if len({p.x for p in pts}) < 3:
+                return None
+            if ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) == 0:
+                return None
+            return DATriangle(*pts)
+        return self.retrying(make)
+
+    def cevian_feet(self, t):
+        return tuple(self.point_on_side(u, w)
+                     for u, w in ((t.b, t.c), (t.c, t.a), (t.a, t.b)))
+
+
+def _scalars(value):
+    """Every rational a drawn value carries, in a fixed order."""
+    if isinstance(value, (tuple, list)):
+        return [s for v in value for s in _scalars(v)]
+    if isinstance(value, Point):
+        return [value.x, value.y]
+    if isinstance(value, Parabola):
+        return [value.kappa, value.beta, value.gamma]
+    if isinstance(value, DATriangle):
+        return _scalars((value.a, value.b, value.c, value.parabola))
+    return [value]
+
+
+def _retried_draw(rng):
+    # All three kinds of rejection: a raised degeneracy, a None and a
+    # value that ok refuses.
+    def make():
+        v = rng.rational()
+        if v == 0:
+            raise DegenerateConfigurationError("zero")
+        return None if v < 0 else v
+    return rng.retrying(make, lambda v: v.denominator % 2 == 1)
+
+
+#: One call of each compound draw helper; the scalar helpers are covered
+#: by ``test_draw_stream_matches_fraction_draws``.
+HELPER_DRAWS = {
+    "point": lambda rng: rng.point(),
+    "parabola": lambda rng: rng.parabola(),
+    "triangle": lambda rng: rng.triangle(),
+    "free_triangle": lambda rng: rng.free_triangle(),
+    "point_on_side": lambda rng: rng.point_on_side(rng.point(), rng.point()),
+    "cevian_feet": lambda rng: rng.cevian_feet(rng.triangle()),
+    "retrying": _retried_draw,
+}
 
 
 class TestSeeding:
@@ -157,6 +234,23 @@ class TestSeeding:
                             == reference.small_positive_int())
                 assert lifted.rejections == reference.rejections
                 assert lifted.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 9, 50, 10**6])
+    @pytest.mark.parametrize("helper", sorted(HELPER_DRAWS))
+    def test_helper_stream_matches_fraction_draws(self, helper, bound):
+        draw = HELPER_DRAWS[helper]
+        for seed in range(12):
+            for trial in range(8):
+                lifted = RandomRationals(seed, trial, bound)
+                reference = _FractionDraws(seed, trial, bound)
+                for _ in range(3):
+                    got, want = draw(lifted), draw(reference)
+                    assert got == want
+                    got, want = _scalars(got), _scalars(want)
+                    assert got == want
+                    assert all(type(v) is F for v in got)
+                    assert lifted.rejections == reference.rejections
+                    assert lifted.rng.getstate() == reference.rng.getstate()
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 9, 17, 101, 10**6,
                                        2**64 + 1])

@@ -85,9 +85,11 @@ register(Theorem("angle_axioms",
 def _gen_parabolic_power(rng: RandomRationals) -> dict:
     curve = rng.parabola()
     p = rng.point()
+    # Reduced Fractions are equal iff their integer pairs are.
+    px = p.x.numerator, p.x.denominator
     secant_xs = rng.retrying(
         lambda: rng.distinct_rationals(3),
-        lambda xs: p.x not in xs)
+        lambda xs: all((x.numerator, x.denominator) != px for x in xs))
     return {"curve": curve, "P": p, "secant_xs": secant_xs}
 
 
@@ -123,9 +125,12 @@ register(Theorem("parabolic_power",
 def _gen_iso_angle(rng: RandomRationals) -> dict:
     a, b = rng.distinct_rationals(2)
     theta = rng.nonzero_rational()
+    # Reduced Fractions are equal iff their integer pairs are.
+    ends = (a.numerator, a.denominator), (b.numerator, b.denominator)
     xs = rng.retrying(
         lambda: rng.distinct_rationals(5),
-        lambda vals: all(v not in (a, b) for v in vals))
+        lambda vals: all((v.numerator, v.denominator) not in ends
+                         for v in vals))
     offsets = [rng.nonzero_rational() for _ in range(5)]
     return {"a": a, "b": b, "theta": theta, "sample_xs": xs,
             "offsets": offsets}
@@ -235,10 +240,9 @@ register(Theorem("ptolemy",
 
 
 def _check_ptolemy_broken(cfg: dict) -> None:
-    curve = cfg["curve"]
-    a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     # Deliberate sign flip: a mutation control for the harness itself.
-    (xa, xb, xc, xd), _ = over_common_denominator((a.x, b.x, c.x, d.x))
+    # It reads only the abscissae of the curve points.
+    (xa, xb, xc, xd), _ = over_common_denominator(cfg["xs"])
     ab, cd = xb - xa, xd - xc
     ad, bc = xd - xa, xc - xb
     ac, bd = xc - xa, xd - xb

@@ -14,13 +14,18 @@ on integer pairs.  Hitting the retry limit raises
 :class:`GeneratorExhaustedError` (a generator bug, never a theorem
 failure).
 
-Draw rule: every integer comes from :meth:`RandomRationals._below`, which
-repeats CPython's ``Random._randbelow_with_getrandbits`` on the trial's
+Draw rule: every integer comes from CPython's
+``Random._randbelow_with_getrandbits`` repeated on the trial's
 ``random.Random``, so ``a + _below(b - a + 1)`` returns what
 ``randint(a, b)`` returns and leaves the generator in the same state
 (``tests/test_harness.py`` checks values, rejections and
-``rng.getstate()`` against ``randint``).  It skips ``randint``'s layers of
-argument checks, which cost several times the draw itself.
+``rng.getstate()`` of every helper against ``randint``).  It skips
+``randint``'s layers of argument checks, which cost several times the
+draw itself.  :meth:`RandomRationals._below` runs it for one width;
+:meth:`RandomRationals._pair`, which most draws go through, runs it
+inline for its two widths, whose bit lengths are fixed for the trial and
+computed once in ``__init__``.  ``distinct_rationals`` hands out its
+reduced pairs through ``scalar.coprime_ratio``, which needs no ``gcd``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from math import gcd, lcm
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point
 from .parabola import Parabola
-from .scalar import between, collinear, ratio
+from .scalar import between, collinear, coprime_ratio, ratio
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -47,6 +52,12 @@ def trial_seed(campaign_seed: int, trial: int) -> int:
     return z ^ (z >> 31)
 
 
+def _width(width: int) -> tuple[int, int]:
+    """A draw width with its bit length, for a ``_below`` draw run
+    inline."""
+    return width, width.bit_length()
+
+
 class RandomRationals:
     """Seeded stream of small exact rationals and geometric primitives."""
 
@@ -55,6 +66,9 @@ class RandomRationals:
             # randint refused an empty range; _below(0) would never return.
             raise ValueError("bound must be >= 1")
         self.rng = random.Random(trial_seed(campaign_seed, trial))
+        self._getrandbits = self.rng.getrandbits
+        # _pair's numerator and denominator widths with their bit lengths.
+        self._pair_widths = _width(2 * bound + 1) + _width(bound)
         self.trial_index = trial
         self.bound = bound
         self.rejections = 0
@@ -68,13 +82,14 @@ class RandomRationals:
         A width below 1 would loop forever (no ``r >= 0`` is below it),
         and there is no per-draw check: every call site passes at least 1
         once ``__init__`` has required ``bound >= 1``.  The sites are
-        ``_pair``'s ``2 * bound + 1`` (at least 3) and ``bound``,
+        ``_pair``'s ``2 * bound + 1`` (at least 3) and ``bound``, which
+        ``__init__`` passes to ``_width`` for ``_pair``'s inline draws,
         ``positive_rational``'s ``self.bound`` (twice),
         ``fraction_in_unit_interval``'s ``max(3, self.bound) - 1`` (at
         least 2) and ``d - 1``, where that first draw makes ``d`` at least
         2, and ``small_positive_int``'s 9.  ``tests/test_harness.py`` pins
         this list and the widths each draw passes."""
-        getrandbits = self.rng.getrandbits
+        getrandbits = self._getrandbits
         k = width.bit_length()
         r = getrandbits(k)
         while r >= width:
@@ -83,9 +98,17 @@ class RandomRationals:
 
     def _pair(self) -> tuple[int, int]:
         """One draw of n/d, n in [-bound, bound] and d in [1, bound], as
-        the integer pair ``(n, d)``, not reduced."""
-        bound = self.bound
-        return self._below(2 * bound + 1) - bound, self._below(bound) + 1
+        the integer pair ``(n, d)``, not reduced: ``_below(2 * bound + 1)
+        - bound`` and ``_below(bound) + 1``, both loops run inline."""
+        getrandbits = self._getrandbits
+        n_width, n_bits, bound, d_bits = self._pair_widths
+        n = getrandbits(n_bits)
+        while n >= n_width:
+            n = getrandbits(n_bits)
+        d = getrandbits(d_bits)
+        while d >= bound:
+            d = getrandbits(d_bits)
+        return n - bound, d + 1
 
     def rational(self) -> Fraction:
         return ratio(*self._pair())
@@ -128,7 +151,7 @@ class RandomRationals:
                 raise GeneratorExhaustedError("retry limit exceeded")
         # n/d in increasing order is n*(L//d) in increasing order.
         scale = lcm(*(d for _, d in seen))
-        return [ratio(n, d) for _, n, d in
+        return [coprime_ratio(n, d) for _, n, d in
                 sorted([(n * (scale // d), n, d) for n, d in seen])]
 
     def retrying(self, make, ok=lambda value: True):

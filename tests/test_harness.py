@@ -266,20 +266,27 @@ class TestSeeding:
             RandomRationals(1, 0, bound=0)
 
     #: Every ``_below`` width expression in the package, as ``_below``'s
-    #: docstring lists them; each is at least 1 for ``bound >= 1``.
-    BELOW_WIDTHS = {"2 * bound + 1", "bound", "self.bound",
-                    "max(3, self.bound) - 1", "d - 1", "9"}
+    #: docstring lists them, with the call that takes it: ``_pair``'s two
+    #: widths go through ``_width`` for its inline draws.  Each is at
+    #: least 1 for ``bound >= 1``.
+    BELOW_WIDTHS = {("_width", "2 * bound + 1"), ("_width", "bound"),
+                    ("_below", "self.bound"),
+                    ("_below", "max(3, self.bound) - 1"), ("_below", "d - 1"),
+                    ("_below", "9")}
 
     def test_below_call_sites_are_the_documented_ones(self):
         package = Path(dageo.__file__).resolve().parent
         widths = set()
         for path in package.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "_below"):
-                    widths.add((path.name, ast.unparse(node.args[0])))
-        assert widths == {("generators.py", w) for w in self.BELOW_WIDTHS}
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name in ("_below", "_width"):
+                    widths.add((path.name, name, ast.unparse(node.args[0])))
+        assert widths == {("generators.py", *w) for w in self.BELOW_WIDTHS}
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 50])
     def test_every_draw_passes_a_width_of_at_least_one(self, bound):
@@ -291,6 +298,11 @@ class TestSeeding:
             def _below(self, width):
                 widths.append(width)
                 return super()._below(width)
+
+            def _pair(self):
+                # the numerator and denominator widths it draws inline
+                widths.extend(self._pair_widths[::2])
+                return super()._pair()
 
         for seed in range(5):
             rng = Recording(seed, 0, bound)

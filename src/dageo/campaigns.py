@@ -241,7 +241,7 @@ register(Theorem("ptolemy",
 
 def _check_ptolemy_broken(cfg: dict) -> None:
     # Deliberate sign flip: a mutation control for the harness itself.
-    # It reads only the abscissae of the curve points.
+    # It reads only the curve points' abscissae, the drawn xs.
     (xa, xb, xc, xd), _ = over_common_denominator(cfg["xs"])
     ab, cd = xb - xa, xd - xc
     ad, bc = xd - xa, xc - xb

@@ -16,16 +16,17 @@ failure).
 
 Draw rule: every integer comes from CPython's
 ``Random._randbelow_with_getrandbits`` repeated on the trial's
-``random.Random``, so ``a + _below(b - a + 1)`` returns what
-``randint(a, b)`` returns and leaves the generator in the same state
-(``tests/test_harness.py`` checks values, rejections and
-``rng.getstate()`` of every helper against ``randint``).  It skips
-``randint``'s layers of argument checks, which cost several times the
-draw itself.  :meth:`RandomRationals._below` runs it for one width;
-:meth:`RandomRationals._pair`, which most draws go through, runs it
-inline for its two widths, whose bit lengths are fixed for the trial and
-computed once in ``__init__``.  ``distinct_rationals`` hands out its
-reduced pairs through ``scalar.coprime_ratio``, which needs no ``gcd``.
+``random.Random``.  :meth:`RandomRationals._below` runs it for one width,
+and :meth:`RandomRationals._pair`, which draws every rational but the
+positive and unit-interval ones, runs it inline for its two widths, whose
+bit lengths ``__init__`` computes once per trial.  So
+``a + _below(b - a + 1)`` returns what ``randint(a, b)`` returns and
+leaves the generator in the same state (``tests/test_harness.py`` checks
+values, rejections and ``rng.getstate()`` of every helper against
+``randint``), without ``randint``'s layers of argument checks, which cost
+several times the draw itself.  ``distinct_rationals`` builds its
+already reduced pairs with ``scalar.coprime_ratio``, which needs no
+``gcd``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from dageo.theorems import (CevianSpec, CompleteQuadrilateral, _miquel_result,
                             miquel_quadrilateral, miquel_triangle,
                             mn_division_check, ptolemy_residual,
                             singular_projective_length, trapezoid_equivalence)
-from dageo.triangle import DATriangle, circum_ortho_at_infinity
+from dageo.triangle import (VERTICES, DATriangle, bisector_at,
+                            circum_ortho_at_infinity)
 
 STD = Parabola(F(1), F(0), F(0))
 
@@ -703,6 +704,19 @@ class TestIsogonal:
                  "C": CevianSpec((F(1), F(1)), base="B")}
         verdict = isogonal_concurrency_check(t, specs)
         assert verdict == (True, True)
+
+    @given(bounded_triangles(), st.sampled_from(VERTICES))
+    def test_bisectors_are_the_one_to_one_cevians(self, t, vertex):
+        # The positive bisector divides the angle 1:1 from either adjacent
+        # side, and the interior bisector at the negative vertex is the
+        # singular cevian.
+        for base in VERTICES:
+            if base != vertex:
+                assert bisector_at(t, vertex, "positive") == cevian_line(
+                    t, vertex, CevianSpec((F(1), F(1)), base=base))
+        neg = t.negative_vertex_label
+        assert bisector_at(t, neg, "interior") == cevian_line(
+            t, neg, CevianSpec(singular=True))
 
     def test_involution(self):
         spec = CevianSpec((F(2), F(5)), base="B")

@@ -442,6 +442,8 @@ class TestLiftedAgainstFractionChains:
             primed = (t0, t0 + (b - a), t0 + (c - a))
         elif shape == "stretched":
             primed = (t0 + 2 * (c - a), t0 + (c - b), t0)
+        # "stretched" repeats an abscissa when c = 2a - b.
+        assume(len(set(primed)) == 3)
         t1, t2 = copy_pair(Parabola(kappa, beta, gamma), xs,
                            Parabola(delta_kappa, beta2, gamma2), primed)
         got = kernel_outcome(final_theorem_feet, t1, t2)

@@ -40,13 +40,7 @@ class Point(NamedTuple):
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point(_half_sum(p.x, q.x), _half_sum(p.y, q.y))
-
-
-def _half_sum(a: Fraction, b: Fraction) -> Fraction:
-    """(a + b)/2 as one ratio: (an*bd + bn*ad) / (2*ad*bd)."""
-    ad, bd = a.denominator, b.denominator
-    return ratio(a.numerator * bd + b.numerator * ad, 2 * ad * bd)
+    return Point(between(p.x, q.x, 1, 2), between(p.y, q.y, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -102,22 +96,19 @@ def normalize_chart(g: Gauge, points: list[Point]) -> list[Point]:
 
 def slope_between(a: Point, b: Point) -> Slope:
     """Slope of the segment AB, or None when AB is singular (equal x)."""
-    # With a = (p1/q1, r1/s1) and b = (p2/q2, r2/s2), dx = dxn/(q1*q2)
-    # and dy = dyn/(s1*s2).
-    q1, q2 = a.x.denominator, b.x.denominator
-    s1, s2 = a.y.denominator, b.y.denominator
-    dxn = b.x.numerator * q1 - a.x.numerator * q2
-    dyn = b.y.numerator * s1 - a.y.numerator * s2
-    if dxn == 0:
-        if dyn == 0:
+    n, d = _slope_terms(a, b)
+    if d == 0:
+        if n == 0:
             raise DegenerateConfigurationError("slope of a degenerate segment")
         return None
-    return ratio(dyn * q1 * q2, dxn * s1 * s2)
+    return ratio(n, d)
 
 
 def _slope_terms(a: Point, b: Point) -> tuple[int, int]:
-    """Integers ``(n, d)`` with ``slope(AB) = n/d`` as in
-    :func:`slope_between`, for ``x_A != x_B``."""
+    """Integers ``(n, d)`` with ``slope(AB) = n/d``: ``d`` is zero exactly
+    when ``x_A == x_B``, and ``n`` exactly when ``y_A == y_B``."""
+    # With a = (p1/q1, r1/s1) and b = (p2/q2, r2/s2), dx = dxn/(q1*q2)
+    # and dy = dyn/(s1*s2).
     q1, q2 = a.x.denominator, b.x.denominator
     s1, s2 = a.y.denominator, b.y.denominator
     return ((b.y.numerator * s1 - a.y.numerator * s2) * q1 * q2,
@@ -373,7 +364,7 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
         return "A4 scaling invariance"
 
     # A5(i) bisection by the mean-slope ray.
-    t = _half_sum(slope_between(p, a), slope_between(p, b))
+    t = between(slope_between(p, a), slope_between(p, b), 1, 2)
     bis_pt = Point(add(p.x, 1), add(p.y, t))
     half1 = difference_angle(a, p, bis_pt)
     half2 = difference_angle(bis_pt, p, b)

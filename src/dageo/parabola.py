@@ -15,8 +15,8 @@ from math import lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, _slope_terms, difference_angle
-from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_row,
-                     lift_triple, over_common_denominator, ratio)
+from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_triple,
+                     over_common_denominator, ratio)
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     same product (alpha - x)(beta - x); it equals
     (kappa*x^2 + beta*x + gamma - y) / kappa and is 0 exactly on the curve.
     """
-    # The stored coefficients (not the lift: the campaign compares this
-    # with secants through points that point_at builds from the lift) as
-    # K, B, G over one scale D, and the whole quotient times xd**2 * yd.
-    K, B, G, D = lift_row((p.kappa, p.beta, p.gamma))
+    # The stored coefficients over their lcm D (not the lift_triple lift:
+    # the campaign compares this with secants through points that point_at
+    # builds from the lift), and the whole quotient times xd**2 * yd.
+    (K, B, G), D = over_common_denominator((p.kappa, p.beta, p.gamma))
     xn, xd = pt.x.numerator, pt.x.denominator
     yn, yd = pt.y.numerator, pt.y.denominator
     xd2 = xd * xd

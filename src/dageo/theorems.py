@@ -22,7 +22,7 @@ from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
 from .scalar import lift_triple, over_common_denominator, ratio
-from .triangle import DATriangle, VERTICES
+from .triangle import DATriangle, VERTICES, divider_line
 
 
 def _require_on(p: Parabola, *pts: Point) -> None:
@@ -428,20 +428,7 @@ def cevian_line(t: DATriangle, vertex: str, spec: CevianSpec) -> Line:
         raise DegenerateConfigurationError(
             f"base {base!r} is not adjacent to vertex {vertex}")
     far = next(lbl for lbl in VERTICES if lbl not in (vertex, base))
-    b, f = t.vertex(base), t.vertex(far)
-    m, n = spec.ratio
-    mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
-    if mn * nd + nn * md == 0:
-        raise DegenerateConfigurationError("degenerate division weights")
-    # The side slopes are dy*X / (dx*Y) over the abscissae's common
-    # denominator X and the ordinates' Y, so (n*s_base + m*s_far)/(m + n)
-    # is X*P / (Y*Q), and the intercept y_V - slope*x_V is over Y*Q too.
-    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
-    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
-    dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
-    p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
-    q = (mn * nd + nn * md) * dx_b * dx_f
-    return Line(ratio(X * p, Y * q), ratio(yv * q - p * xv, Y * q))
+    return divider_line(v, t.vertex(base), t.vertex(far), *spec.ratio)
 
 
 class IsogonalVerdict(NamedTuple):

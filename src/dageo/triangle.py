@@ -26,11 +26,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, _half_sum, da_norm, line_through,
-                    meet, midpoint)
+from .gauge import Line, MeetResult, Point, da_norm, line_through, meet, midpoint
 from .parabola import Parabola, circumparabola, second_intersection
-from .scalar import (collinear, det3, lift_triple, over_common_denominator,
-                     ratio)
+from .scalar import (between, collinear, det3, lift_triple,
+                     over_common_denominator, ratio)
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -171,12 +170,12 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     """Angle bisector at a vertex.
 
     ``mode="positive"`` always bisects the positive angle at the vertex:
-    the mean-slope ray of the two adjacent sides, equivalently the chord
-    through the circumparabola point above the midpoint of the other two
-    abscissae (the tangent when those coincide).  ``mode="interior"``
-    returns the same line at the two positive vertices and the singular
-    line through the vertex where the interior angle is negative.  Each
-    line is built once per triangle.
+    the mean-slope ray of the two adjacent sides (the 1:1 divider_line),
+    equivalently the chord through the circumparabola point above the
+    midpoint of the other two abscissae (the tangent when those coincide).
+    ``mode="interior"`` returns the same line at the two positive vertices
+    and the singular line through the vertex where the interior angle is
+    negative.  Each line is built once per triangle.
     """
     if mode not in ("interior", "positive"):
         raise ValueError(f"unknown bisector mode {mode!r}")
@@ -190,18 +189,27 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
                 else bisector_at(t, vertex, "positive"))
         t._lines[key] = line
         return line
-    u, w = t.others(vertex)
-    # The side slopes are dy*X / (dx*Y) over the abscissae's common
-    # denominator X and the ordinates' Y; their mean m and the intercept
-    # y_V - m*x_V then share the denominator 2*Y*du*dw.
-    (xv, xu, xw), X = lift_triple((v.x, u.x, w.x))
-    (yv, yu, yw), Y = lift_triple((v.y, u.y, w.y))
-    du, dw = xu - xv, xw - xv
-    num = (yu - yv) * dw + (yw - yv) * du
-    den = 2 * Y * du * dw
-    line = t._lines[key] = Line(ratio(num * X, den),
-                                ratio(2 * yv * du * dw - num * xv, den))
+    line = t._lines[key] = divider_line(v, *t.others(vertex), 1, 1)
     return line
+
+
+def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
+    """The line through ``v`` that divides the angle between the sides VB
+    and VF m:n from VB: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``.
+    The three abscissae must be distinct; the weights may be ``int`` or
+    ``Fraction``, and 1:1 gives the positive bisector."""
+    mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
+    if mn * nd + nn * md == 0:
+        raise DegenerateConfigurationError("degenerate division weights")
+    # The side slopes are dy*X / (dx*Y) over the abscissae's common
+    # denominator X and the ordinates' Y, so (n*s_base + m*s_far)/(m + n)
+    # is X*P / (Y*Q), and the intercept y_V - slope*x_V is over Y*Q too.
+    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
+    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
+    dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
+    p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
+    q = (mn * nd + nn * md) * dx_b * dx_f
+    return Line(ratio(X * p, Y * q), ratio(yv * q - p * xv, Y * q))
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -338,7 +346,7 @@ def perpendicular_bisectors(t: DATriangle) -> dict[str, Line]:
     out = {}
     for lbl in VERTICES:
         u, w = t.others(lbl)
-        out[lbl] = Line.singular(_half_sum(u.x, w.x))
+        out[lbl] = Line.singular(between(u.x, w.x, 1, 2))
     return out
 
 

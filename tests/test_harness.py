@@ -765,8 +765,8 @@ class TestScene:
     def test_centers_then_dabct_build_each_bisector_once(self):
         # centers and its scene branch read the interior bisectors, dabct
         # and its branch the positive ones: three sloped lines in all (the
-        # interior bisector at a positive vertex is the positive one), and
-        # each sloped build makes its two numbers with ``ratio``.
+        # interior bisector at a positive vertex is the positive one), each
+        # built by one ``divider_line`` call.
         scene = Scene.from_dict(dict(INCENTER_SCENE, points={
             "P0": ["0", "0"], "P1": ["1", "1"], "P2": ["3", "9"]}))
         draw = Drawables()
@@ -775,12 +775,13 @@ class TestScene:
         apply_construction(scene, "centers(T1)", draw)
         apply_construction(scene, "dabct(T1)", draw)
         profiler.disable()
-        ratios_in_bisector_at = sum(
+        builds_in_bisector_at = sum(
             sub.callcount for e in profiler.getstats()
             if not isinstance(e.code, str) and e.code.co_name == "bisector_at"
             for sub in (e.calls or ())
-            if not isinstance(sub.code, str) and sub.code.co_name == "ratio")
-        assert ratios_in_bisector_at == 2 * 3
+            if not isinstance(sub.code, str)
+            and sub.code.co_name == "divider_line")
+        assert builds_in_bisector_at == 3
 
     def test_miquel_quadrilateral_construction(self):
         data = {

@@ -13,7 +13,7 @@ import pytest
 from dageo import campaigns, equivalence, gauge, parabola, theorems, triangle
 from dageo.gauge import MeetResult
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
-from dageo.scalar import lift_triple, ratio
+from dageo.scalar import lift_triple
 
 
 def _lift_with_beta_plus_one(values):
@@ -23,11 +23,6 @@ def _lift_with_beta_plus_one(values):
 
 def _chord_height_sign_flipped(p, x0, q):
     return (p + q) * x0 + p * q
-
-
-def _half_sum_over_three(a, b):
-    ad, bd = a.denominator, b.denominator
-    return ratio(a.numerator * bd + b.numerator * ad, 3 * ad * bd)
 
 
 def _iso_angle_locus_endpoints_swapped(a, b, theta):
@@ -68,18 +63,23 @@ def _source_mutant(function, old, new):
 #: reads, so that checker cannot have become a tautology: the chord height
 #: behind both m:n residuals, the mean-slope halving of the bisection
 #: axiom, the locus's orientation, the chords through the two common
-#: points, and the crossing of the diagonals.  The last three break one
-#: term of an integer-lifted triangle function in its own source: the far
-#: side's weighted slope in ``cevian_line``, the abscissa's denominator in
-#: ``shift``'s slide x + theta/kappa, and the pairing of the norms in
-#: ``bisector_ratio_check``.
+#: points, and the crossing of the diagonals.  The bisection row sums the
+#: two slopes and takes a third, in ``angle_axiom_checks``' own source.
+#: The last three break one term of an integer-lifted triangle function in
+#: its own source: the far side's weighted slope in ``divider_line``, bound
+#: only where ``cevian_line`` reads it (the bisectors keep the right
+#: line), the abscissa's denominator in ``shift``'s slide x + theta/kappa,
+#: and the pairing of the norms in ``bisector_ratio_check``.
 MUTANTS = [
     ("parabola_lift_beta_plus_one", parabola, "lift_triple",
      _lift_with_beta_plus_one, "parabolic_power"),
     ("chord_height_sign_flipped", theorems, "_chord_height",
      _chord_height_sign_flipped, "mn_division"),
-    ("half_sum_over_three", gauge, "_half_sum", _half_sum_over_three,
-     "angle_axioms"),
+    ("half_sum_over_three", campaigns, "angle_axiom_checks",
+     _source_mutant(gauge.angle_axiom_checks,
+                    "between(slope_between(p, a), slope_between(p, b), 1, 2)",
+                    "between(0, add(slope_between(p, a), slope_between(p, b)),"
+                    " 1, 3)"), "angle_axioms"),
     ("iso_angle_locus_endpoints_swapped", campaigns, "iso_angle_locus",
      _iso_angle_locus_endpoints_swapped, "iso_angle_locus"),
     ("second_intersection_without_known_root", theorems,
@@ -87,8 +87,8 @@ MUTANTS = [
      "intersecting_parabolas"),
     ("meet_with_x_negated", theorems, "meet", _meet_with_x_negated,
      "brahmagupta"),
-    ("cevian_line_far_term_subtracted", theorems, "cevian_line",
-     _source_mutant(theorems.cevian_line, "+ mn * nd * dy_f * dx_b",
+    ("cevian_line_far_term_subtracted", theorems, "divider_line",
+     _source_mutant(triangle.divider_line, "+ mn * nd * dy_f * dx_b",
                     "- mn * nd * dy_f * dx_b"), "isogonal"),
     ("shift_slide_without_abscissa_denominator", equivalence, "shift",
      _source_mutant(equivalence.shift, "+ tn * kd * v.x.denominator,",

@@ -167,9 +167,6 @@ def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
     args = [_resolve(scene, tok) for tok in arg_text.split(",")] \
         if arg_text.strip() else []
 
-    if args and isinstance(args[0], DATriangle):
-        draw.points.update(zip(VERTICES, (args[0].a, args[0].b, args[0].c)))
-
     def expect(*kinds):
         if len(args) != len(kinds) or \
                 not all(isinstance(a, _KINDS[k]) for a, k in zip(args, kinds)):

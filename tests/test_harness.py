@@ -613,8 +613,7 @@ class TestScene:
         draw = Drawables()
         apply_construction(scene, "centers(T1)", draw)
         apply_construction(scene, "dabct(T2)", draw)
-        # Both draw the vertices A-C and the bisectors: dabct's win.
-        assert [draw.points[v] for v in "ABC"] == [t2.a, t2.b, t2.c]
+        # Both draw the bisectors: dabct's win.
         assert draw.lines["bisector_B"] == bisector_at(t2, "B", "positive")
         # The other entries of centers stay.
         cs = centers(t1)
@@ -623,10 +622,22 @@ class TestScene:
         assert draw.parabolas == {"circumparabola": t1.parabola}
         assert draw.ideal == ["excenter_ideal"]
         assert "L_A" in draw.points
-        # run_scene draws into one figure the same way; ideal accumulates.
+        # run_scene draws into one figure the same way, over the scene's
+        # points under their own names; ideal accumulates.
         _, figure = run_scene(scene, verify=False)
-        assert figure.points["A"] == t1.a
+        assert {n: figure.points[n] for n in scene.points} == scene.points
+        assert "A" not in figure.points
         assert figure.ideal == ["excenter_ideal", "excenter_ideal"]
+
+    def test_triangle_vertices_keep_their_scene_names(self):
+        # A triangle argument's vertices are not drawn again under the
+        # labels A, B, C, which would hide the scene's own point A.
+        data = dict(INCENTER_SCENE, points={
+            "A": ["5", "5"], "P0": ["0", "0"], "P1": ["1", "1"],
+            "P2": ["2", "4"]})
+        _, figure = run_scene(Scene.from_dict(data), verify=False)
+        assert figure.points["A"] == Point(F(5), F(5))
+        assert figure.points["P0"] == Point(F(0), F(0))
 
     @pytest.mark.parametrize("feet", ["DEF", "PQR"])
     def test_miquel_triangle_draws_its_feet(self, feet):

@@ -60,7 +60,7 @@ def _gen_angle_axioms(rng: RandomRationals) -> dict:
     def make():
         # P off the line AB, and both rays from P non-singular.
         a, p, b = (rng.point() for _ in range(3))
-        if p.x in (a.x, b.x) or a == b or collinear(a, p, b):
+        if p.x in (a.x, b.x) or collinear(a, p, b):
             return None
         return a, p, b
     a, p, b = rng.retrying(make)
@@ -295,12 +295,10 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
         yn, yd = pa.y.numerator, pa.y.denominator
         d_off = Point(add(pa.x, s),
                       ratio(yn * sd * md + sn * mn * yd, yd * sd * md))
-        if curve.contains(d_off):
+        # No singular side CD or diagonal BD (x_D != x_A as s != 0); the
+        # verdict is the checker's to judge.
+        if curve.contains(d_off) or d_off.x in (b, c):
             return None
-        # Rejects a singular side or diagonal; the verdict is the
-        # checker's to judge.
-        th.trapezoid_equivalence(pa, curve.point_at(b), curve.point_at(c),
-                                 d_off)
         return d_off
     d_off = rng.retrying(make_negative)
     return {"curve": curve, "xs": (a, b, c, d), "D_off": d_off}

@@ -583,6 +583,28 @@ class TestMiquelTriangle:
         assert result.curves == {name: circumparabola(*pts)
                                  for name, pts in triples.items()}
 
+    def test_tangent_at_f_iff_f_on_third_curve(self):
+        # On a curve the tangent slope at P is s(PQ) + s(PR) - s(QR) for
+        # any two other curve points Q, R (chord slopes kappa (u + v) +
+        # beta).  With A, F, B collinear, E on CA and D on BC, C_AEF and
+        # C_BFD are tangent at F iff s(FE) - s(FD) = s(CE) - s(CD), that
+        # is iff angle(D, F, E) = angle(D, C, E): iff F lies on C_CDE.
+        # Interior feet of distinct abscissae need nothing more; bounds 2
+        # and 3 draw tangent triples often enough to see both sides.
+        tangent = 0
+        for bound in (2, 3):
+            for trial in range(1500):
+                rng = RandomRationals(7, trial, bound)
+                t = rng.free_triangle()
+                d, e, f = rng.cevian_feet(t)
+                if d.x == e.x or e.x == f.x or f.x == d.x:
+                    continue
+                at_f = (circumparabola(t.a, e, f).chord_slope(f.x, f.x)
+                        == circumparabola(t.b, f, d).chord_slope(f.x, f.x))
+                assert at_f == circumparabola(t.c, d, e).contains(f)
+                tangent += at_f
+        assert tangent > 0
+
 
 class TestMiquelQuadrilateral:
     def make_quad(self):
@@ -649,6 +671,33 @@ class TestMiquelQuadrilateral:
         with pytest.raises(DegenerateConfigurationError):
             CompleteQuadrilateral(Line(F(1), F(0)), Line(F(1), F(3)),
                                   Line(F(-1), F(7)), Line(F(3), F(5)))
+
+    def test_tangent_at_b_iff_af_parallel_ec(self):
+        # The tangent slope at B is s(BA) + s(BF) - s(AF) on C_ABF and
+        # s(BC) + s(BE) - s(EC) on C_BCE (chord slopes kappa (u + v) +
+        # beta).  BA, BE lie on l1 and BF, BC on l2, so the two curves are
+        # tangent at B iff AF (l4) and EC (l3) are parallel, which
+        # CompleteQuadrilateral rejects.  The points are placed on l1 and
+        # l2 directly, so parallel pairs are drawn too.
+        tangent = 0
+        for bound in (2, 3):
+            for trial in range(1500):
+                rng = RandomRationals(7, trial, bound)
+                l1 = Line(rng.rational(), rng.rational())
+                l2 = Line(rng.rational(), rng.rational())
+                hit = meet(l1, l2)
+                xa, xe, xf, xc = (rng.rational() for _ in range(4))
+                if (not hit.is_finite or hit.point.x in (xa, xe, xf, xc)
+                        or xa == xf or xe == xc):
+                    continue
+                b = hit.point
+                a, e = l1.point_at(xa), l1.point_at(xe)
+                f, c = l2.point_at(xf), l2.point_at(xc)
+                at_b = (circumparabola(a, b, f).chord_slope(b.x, b.x)
+                        == circumparabola(b, c, e).chord_slope(b.x, b.x))
+                assert at_b == (slope_between(a, f) == slope_between(e, c))
+                tangent += at_b
+        assert tangent > 0
 
 
 class TestSingularProjectiveLength:

@@ -3,10 +3,11 @@
 Each :class:`Theorem` pairs a generator, which draws a trial's whole
 configuration from one :class:`RandomRationals` stream, with an exact
 checker.  Generic draws live in :mod:`dageo.generators`; a draw that serves
-one theorem lives in its generator here.  A generator calls a kernel
-function only to reject a draw that can be degenerate.  "ptolemy_broken" is
-a mutation control: its checker is deliberately wrong, and a healthy
-harness must catch it within a few trials.
+one theorem lives in its generator here.  A generator rejects only on a
+named non-degeneracy condition and never runs the function its checker
+tests, so a kernel fault there is an error, not a rejection.
+"ptolemy_broken" is a mutation control: its checker is deliberately
+wrong, and a healthy harness must catch it within a few trials.
 
 A checker returns (optionally a kind, which the report counts) or raises
 :class:`Counterexample`; any other exception is a kernel error.
@@ -429,9 +430,12 @@ def _gen_miquel_triangle(rng: RandomRationals) -> dict:
                 "F": midpoint(t.a, t.b)}
 
     def make():
+        # A foot shares no abscissa with the ends of its side, so the only
+        # side of a sub-triangle that can be singular joins two feet.
         t = rng.free_triangle()
         d, e, f = rng.cevian_feet(t)
-        th.miquel_triangle(t, d, e, f)
+        if d.x == e.x or e.x == f.x or f.x == d.x:
+            return None
         return {"T": t, "D": d, "E": e, "F": f}
     return rng.retrying(make)
 
@@ -468,12 +472,10 @@ def _gen_miquel_quadrilateral(rng: RandomRationals) -> dict:
         lines = [Line(m, k) for m, k in EQUAL_KAPPA_QUADRILATERAL]
         return {"quad": th.CompleteQuadrilateral(*lines)}
 
-    def make():
-        lines = [Line(rng.rational(), rng.rational()) for _ in range(4)]
-        quad = th.CompleteQuadrilateral(*lines)
-        th.miquel_quadrilateral(quad)  # rejects tangent degeneracies
-        return quad
-    return {"quad": rng.retrying(make)}
+    # CompleteQuadrilateral's own rejections are the whole ndg condition:
+    # C_ABF and C_BCE are tangent at B only when l3 is parallel to l4.
+    return {"quad": rng.retrying(lambda: th.CompleteQuadrilateral(
+        *(Line(rng.rational(), rng.rational()) for _ in range(4))))}
 
 
 def _check_miquel_quadrilateral(cfg: dict) -> str:
@@ -635,8 +637,9 @@ def _gen_mn_division(rng: RandomRationals) -> dict:
         m = rng.small_positive_int()
         n = rng.small_positive_int()
         a, b, p = vals
-        # (n a + m b)/(m + n) == p and the linearity check's probe
-        # (a + 2 b)/3 == p, cross-multiplied by m + n and 3.
+        # (n a + m b)/(m + n) == p, a degenerate chord PC, and (a + 2 b)/3
+        # == p, which no check needs (dropping it moves the small-bound
+        # pins); cross-multiplied by m + n and 3.
         (na, nb, np_), _ = lift_triple(vals)
         if n * na + m * nb == (m + n) * np_:
             return None
@@ -651,18 +654,13 @@ def _check_mn_division(cfg: dict) -> None:
                                         cfg["m"], cfg["n"])
     if res_a != 0 or res_b != 0:
         raise Counterexample("division residual nonzero")
-    # Affine linearity of the singular projective length in its chord end
-    # q: at q = (a + 2 b)/3 it is the mean of its values at a, b and b.
+    # The singular projective length against its definition: the height
+    # of the standard parabola's chord from p to b over x = a.
     a, b, p = cfg["a"], cfg["b"], cfg["p"]
-    mixed = th.singular_projective_length(p, a, between(b, a, 1, 3))
-    at_a = th.singular_projective_length(p, a, a)
-    at_b = th.singular_projective_length(p, a, b)
-    # 3 mixed == at_a + 2 at_b, cross-multiplied.
-    ad, bd = at_a.denominator, at_b.denominator
-    if (3 * mixed.numerator * ad * bd
-            != (at_a.numerator * bd + 2 * at_b.numerator * ad)
-            * mixed.denominator):
-        raise Counterexample("projective length is not affine")
+    std = _STANDARD_PARABOLA
+    chord = line_through(std.point_at(p), std.point_at(b))
+    if th.singular_projective_length(p, a, b) != chord.y_at(a):
+        raise Counterexample("projective length is not the chord's height")
 
 
 register(Theorem("mn_division",

@@ -113,9 +113,12 @@ def _gen_rational_triangle(rng: RandomRationals) -> dict:
         def place(x: Fraction, y: Fraction) -> Point:
             return Point(shift.x + cos_r * x - sin_r * y,
                          shift.y + sin_r * x + cos_r * y)
+        # An external bisector (ext_b, or a cevian through an excenter) is
+        # parallel to the opposite side iff the two sides at it are equal.
+        if sin_a == sin_b or sin_b == sin_c or sin_a == sin_c:
+            return None
         a, b, c = (shift, place(sin_c, Fraction(0)),
                    place(sin_b * cos_a, sin_b * sin_a))
-        euclid_bisector_collinearity(a, b, c)
         return {"A": a, "B": b, "C": c}
     return rng.retrying(make)
 

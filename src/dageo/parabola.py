@@ -242,7 +242,8 @@ def _eliminant_lift(p1: Parabola,
 def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
     """Companion intersection of two parabolas through their shared point,
     by Vieta on the eliminant; ideal when the quadratic coefficients
-    agree."""
+    agree, and the shared point itself when the curves are tangent there
+    (a double root is its own companion)."""
     c2, c1, c0, scale = _eliminant_lift(p1, p2)
     if not (c2 or c1 or c0):
         raise DegenerateConfigurationError("coincident circumparabolas")
@@ -255,11 +256,7 @@ def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
         raise ValueError(f"{x} is not a root (residual "
                          f"{ratio(residual, scale * xd * xd)})")
     # The roots sum to -c1/c2, so the companion is -(c1*xd + c2*xn)/(c2*xd).
-    n2 = -(c1 * xd + c2 * xn)
-    if n2 == c2 * xn:
-        raise DegenerateConfigurationError(
-            "circumparabolas tangent at the shared point")
-    return MeetResult.at(p1.point_at(ratio(n2, c2 * xd)))
+    return MeetResult.at(p1.point_at(ratio(-(c1 * xd + c2 * xn), c2 * xd)))
 
 
 def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,

@@ -246,8 +246,9 @@ def miquel_triangle(t: DATriangle, d: Point, e: Point,
     With D, E, F interior to sides BC, CA, AB, the parabolas through
     (A,E,F), (B,F,D), (C,D,E) concur.  The point is extracted from the
     pair through the shared foot F and certified exactly against the third
-    curve; equal quadratic coefficients put the common point at the axis
-    ideal point.  All three pairings are cross-checked for consistency.
+    curve; equal quadratic coefficients put it at the axis ideal point,
+    and C_AEF tangent to C_BFD at F puts it at F, which is then on C_CDE.
+    All three pairings are cross-checked for consistency.
     """
     _require_feet(t, d, e, f)
     curves = {"C_AEF": circumparabola(t.a, e, f),

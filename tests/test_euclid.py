@@ -62,15 +62,17 @@ class TestCampaign:
                 == run_euclid_campaign(100, seed=7).to_json())
 
     def test_generator_conditioning(self):
-        # t_A t_B < 1 and the probe leave proper triangles with rational
-        # sides.
-        for trial in range(100):
-            cfg = EUCLID_EXPORT.generate(RandomRationals(3, trial))
-            a, b, c = cfg["A"], cfg["B"], cfg["C"]
-            assert not collinear(a, b, c)
-            for p, q in ((a, b), (b, c), (c, a)):
-                assert rational_sqrt((q.x - p.x) ** 2
-                                     + (q.y - p.y) ** 2) is not None
+        # t_A t_B < 1 and the isosceles rejection leave proper triangles
+        # with rational sides and every bisector meet finite.
+        for bound in (2, 3, 50):
+            for trial in range(100):
+                cfg = EUCLID_EXPORT.generate(RandomRationals(3, trial, bound))
+                a, b, c = cfg["A"], cfg["B"], cfg["C"]
+                assert not collinear(a, b, c)
+                for p, q in ((a, b), (b, c), (c, a)):
+                    assert rational_sqrt((q.x - p.x) ** 2
+                                         + (q.y - p.y) ** 2) is not None
+                euclid_bisector_collinearity(a, b, c)
 
     def test_internal_bisector_at_b_is_caught(self, monkeypatch):
         # Mutation control: with the external bisector's sign flipped, B
@@ -86,15 +88,10 @@ class TestCampaign:
         assert json.loads(json.dumps(first["config"])) == first["config"]
 
 
-def test_sampler_exhaustion_raises(monkeypatch):
-    probes = []
-
-    def refuse(*pts):
-        probes.append(pts)
-        raise DegenerateConfigurationError("refused")
-    monkeypatch.setattr(euclid, "euclid_bisector_collinearity", refuse)
-    rng = RandomRationals(0, 0)
+def test_sampler_exhaustion_raises():
+    # At bound 1 both half-angle tangents are 1, so t_A t_B >= 1 rejects
+    # every draw.
+    rng = RandomRationals(0, 0, bound=1)
     with pytest.raises(GeneratorExhaustedError):
         EUCLID_EXPORT.generate(rng)
     assert rng.rejections == RETRY_LIMIT
-    assert 0 < len(probes) < RETRY_LIMIT

@@ -413,11 +413,7 @@ def fraction_chain_second_meet(p1, p2, shared):
     q = fraction_chain_eliminant(p1, p2)
     if q.c2 == 0:
         return MeetResult.ideal(None)
-    x2 = fraction_chain_other_root(q, shared.x)
-    if x2 == shared.x:
-        raise DegenerateConfigurationError(
-            "circumparabolas tangent at the shared point")
-    return MeetResult.at(p1.point_at(x2))
+    return MeetResult.at(p1.point_at(fraction_chain_other_root(q, shared.x)))
 
 
 class TestSecondMeet:
@@ -461,10 +457,11 @@ class TestSecondMeet:
         assert second_meet(STD, Parabola(F(1), F(1), F(-1)), pt(1, 1)) \
             == MeetResult.ideal(None)
 
-    def test_tangency_at_shared_point_rejected(self):
-        # y = 2x^2 - 2x + 1 touches y = x^2 at (1, 1): double root x = 1
-        with pytest.raises(DegenerateConfigurationError, match="tangent"):
-            second_meet(STD, Parabola(F(2), F(-2), F(1)), pt(1, 1))
+    def test_tangency_at_shared_point_gives_the_shared_point(self):
+        # y = 2x^2 - 2x + 1 touches y = x^2 at (1, 1): the double root
+        # x = 1 is its own companion
+        assert second_meet(STD, Parabola(F(2), F(-2), F(1)), pt(1, 1)) \
+            == MeetResult.at(pt(1, 1))
 
     def test_shared_point_must_be_common(self):
         with pytest.raises(ValueError, match="not a root"):

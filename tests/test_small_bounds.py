@@ -56,7 +56,7 @@ REPORT_DIGESTS = {
         "miquel_quadrilateral":
             "1b4aced829fb804fcaa9516b1090048f0c60bb32a3ed8b45bee97176e2484a27",
         "miquel_triangle":
-            "632cd29777c7dcfbb8c2a1a045218603370535c00ab47aee8d321d0c84e6c833",
+            "e43c8e1d6e4f46ce79a52e63ccc2c8fc7671b88fef3cfba490d07ea6f7301cf8",
         "mn_division":
             "3faf449272273aec7a60dcc720af7ad219114c73fe4a414787372c13da2d5dfe",
         "parabolic_power":
@@ -110,7 +110,7 @@ REPORT_DIGESTS = {
         "miquel_quadrilateral":
             "aeffb00de7c513c0ce97acc2cb3af26ac80b7a48a4fb12711737ebd16b6350cd",
         "miquel_triangle":
-            "8f5f0bf9d1ea646ce3b8be9c2e71135f4f4d77c10695935ee81c179f30b50ee1",
+            "ed1763d9a85d904c08f8e2dcfba366a238bfb2555b735e22cde136a63ac4eadf",
         "mn_division":
             "7c2bc30c8c6b1bc4cda54f19a173e6534502b1ded86980d36616fe5126da93b8",
         "parabolic_power":

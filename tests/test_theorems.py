@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bounded, bounded_triangles, kernel_outcome
-from dageo import campaigns
+from dageo import campaigns, euclid
 from dageo.campaigns import REGISTRY, Counterexample
 from dageo import equivalence as eq
 from dageo.errors import DegenerateConfigurationError
@@ -567,6 +567,15 @@ class TestMiquelTriangle:
         assert result.kind == "finite"
         assert all(r == 0 for r in result.memberships.values())
 
+    def test_tangent_pair_meets_at_the_foot(self):
+        # C_AEF and C_BFD are tangent at F, so F lies on C_CDE and is the
+        # common point of all three.
+        t = DATriangle(pt(1, 1), pt(-2, -1), pt(0, 1))
+        d, e, f = pt(F(-2, 3), F(1, 3)), pt(F(1, 3), 1), pt(-1, F(-1, 3))
+        result = miquel_triangle(t, d, e, f)
+        assert (result.kind, result.point) == ("finite", MeetResult.at(f))
+        assert all(r == 0 for r in result.memberships.values())
+
     def test_vertex_foot_rejected(self):
         t = on_std(0, 1, 2)
         with pytest.raises(DegenerateConfigurationError):
@@ -832,14 +841,10 @@ def fraction_chain_check_mn_division(cfg):
                                      cfg["n"])
     if res != (0, 0):
         raise Counterexample("division residual nonzero")
-    lam, q1, q2 = F(1, 3), cfg["a"], cfg["b"]
-    mixed = fraction_chain_projective_length(cfg["p"], cfg["a"],
-                                             lam * q1 + (1 - lam) * q2)
-    split = (lam * fraction_chain_projective_length(cfg["p"], cfg["a"], q1)
-             + (1 - lam)
-             * fraction_chain_projective_length(cfg["p"], cfg["a"], q2))
-    if mixed != split:
-        raise Counterexample("projective length is not affine")
+    # The chord from (p, p**2) to (b, b**2) has slope p + b.
+    a, b, p = cfg["a"], cfg["b"], cfg["p"]
+    if fraction_chain_projective_length(p, a, b) != p * p + (p + b) * (a - p):
+        raise Counterexample("projective length is not the chord's height")
 
 
 LIFTED_CHECKERS = {
@@ -876,13 +881,15 @@ class TestLiftedCheckers:
         got = check_outcome(REGISTRY[theorem].check, cfg)
         assert got == check_outcome(LIFTED_CHECKERS[theorem], cfg)
 
-    def test_projective_length_probe_rejected(self):
-        # p on the linearity probe (a + 2b)/3: the generator never draws
-        # it, and both forms reject the degenerate chord.
+    def test_projective_length_checked_against_chord(self, monkeypatch):
+        # (p + q) x0 + p q is affine in q like the true length, so only
+        # the chord's height at x0 tells the two apart.
         cfg = {"a": F(0), "b": F(3), "p": F(2), "m": 1, "n": 1}
-        want = check_outcome(fraction_chain_check_mn_division, cfg)
-        assert check_outcome(REGISTRY["mn_division"].check, cfg) == want
-        assert want == (DegenerateConfigurationError, "degenerate chord")
+        assert REGISTRY["mn_division"].check(cfg) is None
+        monkeypatch.setattr(campaigns.th, "singular_projective_length",
+                            lambda p, x0, q: (p + q) * x0 + p * q)
+        with pytest.raises(Counterexample, match="chord's height"):
+            REGISTRY["mn_division"].check(cfg)
 
 
 # References: the Fraction chains that the triangle layer's integer lift
@@ -1240,3 +1247,21 @@ class TestLiftedGenerators:
         assert jsonable(cfg) == jsonable(want)
         assert new.rejections == old.rejections
         assert new.rng.getstate() == old.rng.getstate()
+
+
+def test_no_generator_runs_its_theorem(monkeypatch):
+    # A generator that ran its theorem inside retrying would count a
+    # kernel fault there as a silent rejection: with the theorems raising,
+    # every draw must still come through.
+    def refuse(*args):
+        raise DegenerateConfigurationError("theorem run by its generator")
+    monkeypatch.setattr(campaigns.th, "miquel_triangle", refuse)
+    monkeypatch.setattr(campaigns.th, "miquel_quadrilateral", refuse)
+    monkeypatch.setattr(euclid, "euclid_bisector_collinearity", refuse)
+    generators = (REGISTRY["miquel_triangle"].generate,
+                  REGISTRY["miquel_quadrilateral"].generate,
+                  euclid.EUCLID_EXPORT.generate)
+    for bound in (2, 3, 50):
+        for trial in range(50):
+            for generate in generators:
+                generate(RandomRationals(42, trial, bound))

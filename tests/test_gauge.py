@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import bounded
 from dageo.errors import DegenerateConfigurationError
 from dageo.gauge import (Gauge, Line, MeetResult, Point, angle_axiom_checks,
-                         da_norm, difference_angle, line_through, meet,
-                         midpoint, normalize_chart, slope_between)
+                         concurrent, da_norm, difference_angle, line_through,
+                         meet, midpoint, normalize_chart, slope_between)
 from dageo.harness import CampaignConfig, run_campaign
 from dageo.scalar import collinear
 
@@ -354,6 +356,122 @@ class TestLinesAndMeet:
         assert Line(F(2), F(-1)).contains(pt(1, 1))
         assert not Line(F(2), F(-1)).contains(pt(1, 2))
         assert Line.singular(F(2)).contains(pt(2, 77))
+
+    @given(st.lists(st.tuples(st.one_of(tiny, bounded), st.one_of(tiny, bounded),
+                              st.booleans()), min_size=3, max_size=3),
+           st.booleans())
+    def test_concurrent_matches_fraction_chain(self, specs, through):
+        l1, l2, l3 = (Line.singular(k) if singular else Line(F(m), F(k))
+                      for m, k, singular in specs)
+        hit = fraction_chain_meet(l1, l2)
+        if through and hit.is_finite:
+            # Turn the third line about to pass through the first meet.
+            p = hit.point
+            l3 = (Line.singular(p.x) if l3.is_singular
+                  else Line(l3.m, p.y - l3.m * p.x))
+        # Two distinct parallels and the first of them again.
+        assume(not (hit.is_ideal and l3 == l1))
+        assert concurrent(l1, l2, l3) == fraction_chain_concurrent(l1, l2, l3)
+
+    def test_concurrent_branches(self):
+        through_origin = [Line(F(1), F(0)), Line(F(-2), F(0)),
+                          Line.singular(F(0))]
+        assert concurrent(*through_origin)
+        assert not concurrent(Line(F(1), F(0)), Line(F(-2), F(0)),
+                              Line.singular(F(1)))
+        parallels = [Line(F(3), F(k)) for k in range(3)]
+        assert concurrent(*parallels)
+        singulars = [Line.singular(F(k)) for k in range(3)]
+        assert concurrent(*singulars)
+        assert not concurrent(*singulars[:2], Line(F(3), F(0)))
+        assert not concurrent(*parallels[:2], Line.singular(F(0)))
+        assert concurrent(parallels[0], parallels[0], Line.singular(F(5)))
+
+
+def fraction_chain_concurrent(l1, l2, l3):
+    """Whether three lines share a point, finite or ideal, in Fraction
+    arithmetic: a coincident pair shares a point with any third line, and
+    two parallels share their ideal point with every line of their
+    direction."""
+    if l1 == l2:
+        return True
+    hit = fraction_chain_meet(l1, l2)
+    if hit.is_finite:
+        return fraction_chain_contains(l3, hit.point)
+    # The pair's ideal point: l3 has their direction.
+    return (None if l3.is_singular else l3.m) == hit.direction
+
+
+class TestLineContract:
+    """``Line`` against the ``(m, k)`` model, ``m is None`` for a singular
+    line ``x = k``: the public fields, equality, hash, repr and str, and
+    the copies that ``copy`` and ``pickle`` make."""
+
+    lines = [Line(F(3, 2), F(0)), Line(F(-7, 4), F(5, 6)), Line(F(0), F(-3)),
+             Line(F(3), F(9, 2)), Line.singular(F(4)),
+             Line.singular(F(-5, 3)), Line.singular(0)]
+
+    @given(st.one_of(st.integers(-2, 2), bounded),
+           st.one_of(st.integers(-2, 2), bounded), st.booleans())
+    def test_fields_match_the_model(self, m, k, singular):
+        line = Line.singular(k) if singular else Line(F(m), F(k))
+        model = (None, F(k)) if singular else (F(m), F(k))
+        assert (line.m, line.k) == model
+        assert type(line.k) is F
+        assert line.is_singular == singular
+        if singular:
+            assert line.x0 == k and type(line.x0) is F
+        else:
+            assert type(line.m) is F
+            with pytest.raises(ValueError):
+                line.x0
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(-2, 2), bounded),
+                              st.one_of(st.integers(-2, 2), bounded),
+                              st.booleans()), min_size=2, max_size=2))
+    def test_equality_and_hash_match_the_model(self, specs):
+        (m1, k1, s1), (m2, k2, s2) = specs
+        l1 = Line.singular(k1) if s1 else Line(F(m1), F(k1))
+        l2 = Line.singular(k2) if s2 else Line(F(m2), F(k2))
+        model1 = (None, F(k1)) if s1 else (F(m1), F(k1))
+        model2 = (None, F(k2)) if s2 else (F(m2), F(k2))
+        assert (l1 == l2) == (model1 == model2)
+        assert (l1 != l2) == (model1 != model2)
+        if l1 == l2:
+            assert hash(l1) == hash(l2)
+        assert len({l1, l2}) == len({model1, model2})
+
+    def test_repr_and_str(self):
+        assert repr(Line(F(3, 2), F(0))) \
+            == "Line(m=Fraction(3, 2), k=Fraction(0, 1))"
+        assert repr(Line.singular(F(-5, 3))) \
+            == "Line(m=None, k=Fraction(-5, 3))"
+        assert str(Line(F(-7, 4), F(5, 6))) == "y = -7/4*x + 5/6"
+        assert str(Line.singular(F(4))) == "x = 4"
+
+    def test_immutable(self):
+        line = Line(F(1), F(2))
+        with pytest.raises(AttributeError):
+            line.m = F(3)
+        assert line == Line(F(1), F(2))
+
+    def test_not_equal_to_other_types(self):
+        assert Line(F(1), F(2)) != (F(1), F(2))
+        assert Line.singular(F(1)) != MeetResult.ideal(None)
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "copy", "pickle"])
+    def test_copies_round_trip(self, copier):
+        for line in self.lines:
+            if copier == "pickle":
+                twin = pickle.loads(pickle.dumps(line))
+            else:
+                twin = getattr(copy, copier)(line)
+            assert twin == line and hash(twin) == hash(line)
+            assert repr(twin) == repr(line)
+            assert (twin.m, twin.k) == (line.m, line.k)
+            p = Point(F(7), twin.y_at(F(7))) if not twin.is_singular \
+                else Point(twin.x0, F(7))
+            assert line.contains(p) and twin.contains(p)
 
 
 def fraction_chain_angle_axiom_checks(a, p, b, c_param, k_scale):

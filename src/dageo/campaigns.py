@@ -632,21 +632,13 @@ register(Theorem("dabct",
 
 
 def _gen_mn_division(rng: RandomRationals) -> dict:
-    def make():
-        vals = rng.distinct_rationals(3)
-        m = rng.small_positive_int()
-        n = rng.small_positive_int()
-        a, b, p = vals
-        # (n a + m b)/(m + n) == p, a degenerate chord PC, and (a + 2 b)/3
-        # == p, which no check needs (dropping it moves the small-bound
-        # pins); cross-multiplied by m + n and 3.
-        (na, nb, np_), _ = lift_triple(vals)
-        if n * na + m * nb == (m + n) * np_:
-            return None
-        if na + 2 * nb == 3 * np_:
-            return None
-        return {"a": a, "b": b, "p": p, "m": m, "n": n}
-    return rng.retrying(make)
+    # distinct_rationals returns a < b < p, so the chord foot
+    # (n a + m b)/(m + n), a strict convex combination of a and b, is
+    # never p: no draw is degenerate.
+    a, b, p = rng.distinct_rationals(3)
+    m = rng.small_positive_int()
+    n = rng.small_positive_int()
+    return {"a": a, "b": b, "p": p, "m": m, "n": n}
 
 
 def _check_mn_division(cfg: dict) -> None:

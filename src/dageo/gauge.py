@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
@@ -148,78 +149,142 @@ def da_norm(a: Point, b: Point) -> Fraction:
     return ratio(abs(b.x.numerator * ad - a.x.numerator * bd), ad * bd)
 
 
-@dataclass(frozen=True)
 class Line:
-    """A line in the normalized chart.
+    """A line of the normalized chart, stored as the integer triple
+    ``(a, b, c)`` of ``a*x + b*y + c = 0``: coprime, with ``b < 0``, or
+    ``b == 0`` and ``a > 0`` for a singular line ``x = x0``.  Each line has
+    exactly one such triple, so equality and hash compare triples.
 
-    ``m is None`` marks a singular line ``x = k``; otherwise the line is
-    ``y = m*x + k``.  Sloped lines are never parallel to the projective
-    direction by construction.
+    ``Line(m, k)`` is ``y = m*x + k`` and ``Line.singular(x0)`` is
+    ``x = x0``; ``m`` (``None`` on a singular line) and ``k`` (``x0`` there)
+    are Fractions built on first read.  Sloped lines are never parallel to
+    the projective direction by construction.
     """
 
-    m: Slope
-    k: Fraction
+    __slots__ = ("triple", "_m", "_k")
+
+    def __init__(self, m: Slope, k: Fraction):
+        kn, kd = k.numerator, k.denominator
+        if m is None:
+            _set_triple(self, (kd, 0, -kn))
+            return
+        md = m.denominator
+        _set_triple(self, _reduced(m.numerator * kd, -md * kd, kn * md))
 
     @classmethod
     def singular(cls, x0: Fraction) -> "Line":
         if not isinstance(x0, Fraction):
             x0 = Fraction(x0)
-        return cls(None, x0)
+        line = _new(cls)
+        _set_triple(line, (x0.denominator, 0, -x0.numerator))
+        return line
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Line.{name}")
+
+    def __reduce__(self):
+        return _line, self.triple
+
+    def __eq__(self, other):
+        if isinstance(other, Line):
+            return self.triple == other.triple
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.triple)
 
     @property
     def is_singular(self) -> bool:
-        return self.m is None
+        return not self.triple[1]
+
+    @property
+    def m(self) -> Slope:
+        try:
+            return self._m
+        except AttributeError:
+            a, b, _ = self.triple
+            m = ratio(-a, b) if b else None
+            _set_m(self, m)
+            return m
+
+    @property
+    def k(self) -> Fraction:
+        try:
+            return self._k
+        except AttributeError:
+            a, b, c = self.triple
+            k = ratio(-c, b or a)
+            _set_k(self, k)
+            return k
 
     @property
     def x0(self) -> Fraction:
-        if self.m is not None:
+        if self.triple[1]:
             raise ValueError("x0 is defined only for singular lines")
         return self.k
 
     def y_at(self, x: Fraction) -> Fraction:
-        m, k = self.m, self.k
-        if m is None:
+        a, b, c = self.triple
+        if not b:
             raise ValueError("a singular line has no y(x)")
-        # m*x + k over md*xd*kd, built once.
-        md, kd, xd = m.denominator, k.denominator, x.denominator
-        return ratio(m.numerator * x.numerator * kd + k.numerator * md * xd,
-                     md * xd * kd)
+        xn, xd = x.numerator, x.denominator
+        return ratio(-(a * xn + c * xd), b * xd)
 
     def point_at(self, x: Fraction) -> Point:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
         return Point(x, self.y_at(x))
 
     def contains(self, p: Point) -> bool:
-        m, k = self.m, self.k
-        if m is None:
-            return p.x == k
-        # p.y == m*x + k, cross-multiplied over md*xd*kd (see y_at).
-        md, kd, xd = m.denominator, k.denominator, p.x.denominator
-        return (p.y.numerator * md * xd * kd
-                == p.y.denominator * (m.numerator * p.x.numerator * kd
-                                      + k.numerator * md * xd))
+        a, b, c = self.triple
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        return (a * xn + c * xd) * yd + b * yn * xd == 0
+
+    def __repr__(self) -> str:
+        return f"Line(m={self.m!r}, k={self.k!r})"
 
     def __str__(self) -> str:
-        if self.m is None:
+        if self.is_singular:
             return f"x = {self.k}"
         return f"y = {self.m}*x + {self.k}"
 
 
+_new = object.__new__
+_set_triple = Line.triple.__set__
+_set_m = Line._m.__set__
+_set_k = Line._k.__set__
+
+
+def _reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The canonical triple of the line ``a*x + b*y + c = 0``, ``(a, b)``
+    not both zero: divided by the gcd, with ``b < 0``, or ``b == 0`` and
+    ``a > 0``."""
+    g = gcd(a, b, c)
+    if b > 0 or (not b and a < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
+def _line(a: int, b: int, c: int) -> Line:
+    """The line ``a*x + b*y + c = 0`` from integers, ``(a, b)`` not both
+    zero."""
+    line = _new(Line)
+    _set_triple(line, _reduced(a, b, c))
+    return line
+
+
 def line_through(a: Point, b: Point) -> Line:
-    # Cross-multiplied as in slope_between; k = a.y - m*a.x.
+    # The cross product of the points' homogeneous integers, written over
+    # the coordinate differences dx = dxn/(q1*q2) and dy = dyn/(s1*s2):
+    # dy*(x - x1) - dx*(y - y1) = 0 times q1*q2*s1*s2.
     p1, q1 = a.x.numerator, a.x.denominator
     r1, s1 = a.y.numerator, a.y.denominator
     q2, s2 = b.x.denominator, b.y.denominator
     dxn = b.x.numerator * q1 - p1 * q2
     dyn = b.y.numerator * s1 - r1 * s2
-    if dxn == 0:
-        if dyn == 0:
-            raise DegenerateConfigurationError(
-                "two coincident points span no line")
-        return Line.singular(a.x)
-    return Line(ratio(dyn * q1 * q2, dxn * s1 * s2),
-                ratio(r1 * s2 * dxn - dyn * q2 * p1, s1 * s2 * dxn))
+    if not (dxn or dyn):
+        raise DegenerateConfigurationError(
+            "two coincident points span no line")
+    return _line(dyn * q1 * q2, -dxn * s1 * s2, dxn * s2 * r1 - dyn * q2 * p1)
 
 
 class MeetResult(NamedTuple):
@@ -272,43 +337,40 @@ class MeetResult(NamedTuple):
         return self.kind.capitalize()
 
 
+_new_tuple = tuple.__new__
+_COINCIDENT = MeetResult.coincident()
+
+
 def meet(l1: Line, l2: Line) -> MeetResult:
     """Exact intersection of two lines.
 
     Distinct parallels give the ideal point of their common direction; two
     distinct singular lines share the singular-direction ideal point.
     """
-    # Equal lines are coincident; they can only be two singular lines or
-    # two lines of one slope, so k is compared only there.
-    m1, m2, k1, k2 = l1.m, l2.m, l1.k, l2.k
-    if m1 is None:
-        if m2 is None:
-            return (MeetResult.coincident() if k1 == k2
-                    else MeetResult.ideal(None))
-        return MeetResult.at(l2.point_at(k1))
-    if m2 is None:
-        return MeetResult.at(l1.point_at(k2))
-    # x = (k2 - k1) / (m1 - m2), cross-multiplied.
-    dm = m1.numerator * m2.denominator - m2.numerator * m1.denominator
-    dk = k2.numerator * k1.denominator - k1.numerator * k2.denominator
-    if dm == 0:
-        return MeetResult.coincident() if dk == 0 else MeetResult.ideal(m1)
-    x = ratio(dk * m1.denominator * m2.denominator,
-              dm * k1.denominator * k2.denominator)
-    return MeetResult.at(Point(x, l1.y_at(x)))
+    # The cross product (X, Y, Z) of the two triples: the point (X/Z, Y/Z),
+    # or an ideal point when Z == 0, where equal triples are one line.
+    a1, b1, c1 = t1 = l1.triple
+    a2, b2, c2 = t2 = l2.triple
+    z = a1 * b2 - b1 * a2
+    if z:
+        return _new_tuple(MeetResult, (
+            MeetResult.AT,
+            Point(ratio(b1 * c2 - c1 * b2, z), ratio(c1 * a2 - a1 * c2, z)),
+            None))
+    if t1 == t2:
+        return _COINCIDENT
+    return _new_tuple(MeetResult, (MeetResult.IDEAL, None, l1.m))
 
 
 def concurrent(l1: Line, l2: Line, l3: Line) -> bool:
-    """Whether three pairwise-distinct lines pass through one point
-    (finite or ideal)."""
-    m12 = meet(l1, l2)
-    if m12.kind == MeetResult.AT:
-        return l3.contains(m12.point)
-    if m12.kind == MeetResult.IDEAL:
-        m13 = meet(l1, l3)
-        return m13 == m12
-    # l1 == l2: concurrency degenerates to incidence of l3 with the pencil.
-    return True
+    """Whether three lines pass through one point, finite or ideal: the
+    determinant of their triples vanishes.  A coincident pair counts as
+    concurrent with any third line."""
+    a1, b1, c1 = l1.triple
+    a2, b2, c2 = l2.triple
+    a3, b3, c3 = l3.triple
+    return (a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3)
+            + c1 * (a2 * b3 - b2 * a3)) == 0
 
 
 # ---------------------------------------------------------------------------

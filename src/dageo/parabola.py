@@ -91,19 +91,24 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     x1, x2, x3 = a.x, b.x, c.x
     q1, q2, q3 = x1.denominator, x2.denominator, x3.denominator
     D = lcm(q1, q2, q3)
-    X1 = x1.numerator * (D // q1)
-    X2 = x2.numerator * (D // q2)
-    X3 = x3.numerator * (D // q3)
-    d21, d31, d32 = X2 - X1, X3 - X1, X3 - X2
-    if not (d21 and d31 and d32):
-        raise DegenerateConfigurationError("shared x-coordinate: singular side")
     y1, y2, y3 = a.y, b.y, c.y
     s1, s2, s3 = y1.denominator, y2.denominator, y3.denominator
     E = lcm(s1, s2, s3)
+    return _parabola_through(
+        x1.numerator * (D // q1), x2.numerator * (D // q2),
+        x3.numerator * (D // q3), D, y1.numerator * (E // s1),
+        y2.numerator * (E // s2), y3.numerator * (E // s3), E)
+
+
+def _parabola_through(X1: int, X2: int, X3: int, D: int,
+                      Y1: int, Y2: int, Y3: int, E: int) -> Parabola:
+    """:func:`circumparabola` of the points ``(X_i/D, Y_i/E)``, from their
+    integers; ``DATriangle`` builds its curve here from its own lift."""
+    d21, d31, d32 = X2 - X1, X3 - X1, X3 - X2
+    if not (d21 and d31 and d32):
+        raise DegenerateConfigurationError("shared x-coordinate: singular side")
     # Y_i times the Vandermonde factor that its Lagrange basis term lacks.
-    t1 = y1.numerator * (E // s1) * d32
-    t2 = y2.numerator * (E // s2) * d31
-    t3 = y3.numerator * (E // s3) * d21
+    t1, t2, t3 = Y1 * d32, Y2 * d31, Y3 * d21
     K = t1 - t2 + t3
     if K == 0:
         raise DegenerateConfigurationError("collinear points: no circumparabola")

@@ -238,8 +238,6 @@ def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
         expect("triangle", "point", "point", "point")
         t, d, e, f = args
         res = miquel_triangle(t, d, e, f)
-        for lbl, pt in zip(("D", "E", "F"), (d, e, f)):
-            draw.points[lbl] = pt
         result = draw_miquel(res)
     elif name == "miquel_quadrilateral":
         expect("point", "point", "point", "point")

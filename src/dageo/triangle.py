@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import Line, MeetResult, Point, da_norm, line_through, meet, midpoint
-from .parabola import Parabola, circumparabola, second_intersection
+from .gauge import (Line, MeetResult, Point, _line, da_norm, line_through,
+                    meet, midpoint)
+from .parabola import Parabola, _parabola_through, second_intersection
 from .scalar import (between, collinear, det3, lift_triple,
                      over_common_denominator, ratio)
 
@@ -51,18 +52,23 @@ class DATriangle:
     _norms: tuple[Fraction, Fraction, Fraction] = field(
         init=False, compare=False, repr=False)
     _middle: int = field(init=False, compare=False, repr=False)
+    #: (X, D, Y, E): the vertices' abscissae X over D, ordinates Y over E.
+    _lift: tuple = field(init=False, compare=False, repr=False)
     #: Side lines keyed by the opposite label, bisectors by (label, mode).
     _lines: dict = field(init=False, compare=False, repr=False,
                          default_factory=dict)
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        # Abscissae as integers over a shared denominator D.
+        # The vertices lifted once: abscissae as integers over a shared D,
+        # ordinates over a shared E.  The curve, the angles and the side
+        # lines all read this lift.
         xs, D = lift_triple((self.a.x, self.b.x, self.c.x))
+        ys, E = lift_triple((self.a.y, self.b.y, self.c.y))
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
-            par = circumparabola(*pts)
+            par = _parabola_through(*xs, D, *ys, E)
         except DegenerateConfigurationError:
             # With distinct abscissae the only rejection left is kappa == 0,
             # and det3 of the rows (x, y, 1) is kappa times the Vandermonde
@@ -82,6 +88,7 @@ class DATriangle:
         angles = tuple(angles)
         norms = (da_norm(self.a, self.b), da_norm(self.b, self.c),
                  da_norm(self.c, self.a))
+        object.__setattr__(self, "_lift", (xs, D, ys, E))
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_norms", norms)
@@ -133,8 +140,14 @@ class DATriangle:
         """Side line opposite the given vertex, built once."""
         line = self._lines.get(label)
         if line is None:
-            u, w = self.others(label)
-            line = self._lines[label] = line_through(u, w)
+            if label not in _OTHERS:
+                raise ValueError(f"unknown vertex label {label!r}")
+            i, j = _OTHERS[label]
+            # The line through (X_i/D, Y_i/E) and (X_j/D, Y_j/E).
+            xs, D, ys, E = self._lift
+            line = self._lines[label] = _line(
+                (ys[i] - ys[j]) * D, (xs[j] - xs[i]) * E,
+                xs[i] * ys[j] - xs[j] * ys[i])
         return line
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -209,7 +222,10 @@ def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
     dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
     p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
     q = (mn * nd + nn * md) * dx_b * dx_f
-    return Line(ratio(X * p, Y * q), ratio(yv * q - p * xv, Y * q))
+    if not q:
+        raise DegenerateConfigurationError("shared abscissa: no side slope")
+    # y = (X*p*x + yv*q - p*xv) / (Y*q).
+    return _line(X * p, -Y * q, yv * q - p * xv)
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -293,7 +309,7 @@ def centers(t: DATriangle) -> CenterSet:
     kn, kd = par.kappa.numerator, par.kappa.denominator
     bn, bd = par.beta.numerator, par.beta.denominator
     gn, gd = par.gamma.numerator, par.gamma.denominator
-    xs, D = lift_triple((t.a.x, t.b.x, t.c.x))
+    xs, D, _, _ = t._lift
     tangent_pts = {}
     for label, (i, j) in _OTHERS.items():
         # Tangent-triangle vertex opposite `label`: the meet of the tangents

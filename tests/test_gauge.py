@@ -369,8 +369,6 @@ class TestLinesAndMeet:
             p = hit.point
             l3 = (Line.singular(p.x) if l3.is_singular
                   else Line(l3.m, p.y - l3.m * p.x))
-        # Two distinct parallels and the first of them again.
-        assume(not (hit.is_ideal and l3 == l1))
         assert concurrent(l1, l2, l3) == fraction_chain_concurrent(l1, l2, l3)
 
     def test_concurrent_branches(self):

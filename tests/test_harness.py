@@ -641,18 +641,22 @@ class TestScene:
 
     @pytest.mark.parametrize("feet", ["DEF", "PQR"])
     def test_miquel_triangle_draws_its_feet(self, feet):
-        # The only construction of the scene, so no later one draws over
-        # its labels D, E, F and M.
+        # The feet are scene points, drawn under their own names; the
+        # construction draws only M, so a scene point D that is not a foot
+        # keeps its place.  The only construction of the scene, so no
+        # later one draws over M.
         d, e, f = feet
-        data = {"points": {"A": ["0", "0"], "B": ["4", "2"], "C": ["1", "5"],
-                           d: ["5/2", "7/2"], e: ["2/3", "10/3"],
-                           f: ["1", "1/2"]},
+        points = {"A": ["0", "0"], "B": ["4", "2"], "C": ["1", "5"],
+                  d: ["5/2", "7/2"], e: ["2/3", "10/3"], f: ["1", "1/2"]}
+        points.setdefault("D", ["9", "9"])
+        data = {"points": points,
                 "triangles": {"T": ["A", "B", "C"]},
                 "construct": [f"miquel_triangle(T,{d},{e},{f})"]}
         scene = Scene.from_dict(data)
         document, draw = run_scene(scene, verify=False)
-        assert [draw.points[lbl] for lbl in "DEF"] == \
-            [scene.points[name] for name in feet]
+        assert {name: draw.points[name] for name in points} == scene.points
+        if feet != "DEF":
+            assert draw.points["D"] == Point(F(9), F(9))
         miquel = document["constructions"][0]["result"]["miquel_point"]
         assert miquel["kind"] == "at"
         assert jsonable(draw.points["M"]) == miquel["point"]

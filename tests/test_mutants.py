@@ -69,7 +69,13 @@ def _source_mutant(function, old, new):
 #: its own source: the far side's weighted slope in ``divider_line``, bound
 #: only where ``cevian_line`` reads it (the bisectors keep the right
 #: line), the abscissa's denominator in ``shift``'s slide x + theta/kappa,
-#: and the pairing of the norms in ``bisector_ratio_check``.
+#: and the pairing of the norms in ``bisector_ratio_check``.  The last two
+#: break the integer line layer: the ordinate of ``meet``'s cross product,
+#: bound where the triangle layer reads it (``midpoint_lemma`` reports
+#: "bisector meet is not the feet midpoint" from trial 0), and one
+#: cofactor of ``concurrent``'s determinant, bound where the cevian
+#: theorems read it (``ceva`` reports "meet oracle rejected concurrent
+#: cevians" from trial 0).
 MUTANTS = [
     ("parabola_lift_beta_plus_one", parabola, "lift_triple",
      _lift_with_beta_plus_one, "parabolic_power"),
@@ -98,6 +104,12 @@ MUTANTS = [
                     "abs(xw - xv) - abs(xw - xd) * abs(xu - xv)",
                     "abs(xu - xv) - abs(xw - xd) * abs(xw - xv)"),
      "bisector_centers"),
+    ("meet_ordinate_negated", triangle, "meet",
+     _source_mutant(gauge.meet, "ratio(c1 * a2 - a1 * c2, z)",
+                    "ratio(a1 * c2 - c1 * a2, z)"), "midpoint_lemma"),
+    ("concurrent_cofactor_negated", theorems, "concurrent",
+     _source_mutant(gauge.concurrent, "+ c1 * (a2 * b3 - b2 * a3)",
+                    "- c1 * (a2 * b3 - b2 * a3)"), "ceva"),
 ]
 
 

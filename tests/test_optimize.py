@@ -182,11 +182,12 @@ def _four_distinct_draws():
 #: one per result it returns.  ``DATriangle`` stores its
 #: circumparabola (3), angles (3) and side norms (3); its certificate reads
 #: the norms back as integers and builds none.  ``contains`` and
-#: ``classify_pair`` answer bools, so they build none; ``bisector_at``
-#: builds the two numbers of its line, and ``point_on_side`` the drawn
+#: ``classify_pair`` answer bools, so they build none; a ``Line`` is an
+#: integer triple, so ``line_through``, ``bisector_at`` and
+#: ``cevian_line`` build none, and ``point_on_side`` builds the drawn
 #: ratio and the two coordinates of its point.  ``centers`` builds its
-#: lines, meets, centroids and midpoint and one triangle, the tangent
-#: triangle; ``midpoint`` builds its two coordinates.
+#: meets, centroids and midpoint and one triangle, the tangent triangle;
+#: ``midpoint`` builds its two coordinates.
 #: ``Parabola`` lifts its coefficients to integers and builds none;
 #: ``second_intersection`` builds its point's two coordinates, and a
 #: drawn rational is one construction.  ``second_meet`` builds its
@@ -195,25 +196,24 @@ def _four_distinct_draws():
 #: ``parse_scalar`` its one value.  ``parabolic_power`` builds its one
 #: value, ``mn_division_check`` its two residuals, ``iso_angle_locus`` its
 #: curve's three coefficients and ``parabola_meet`` the two coordinates of
-#: each meet point.  ``cevian_line`` builds the two numbers of its line;
-#: ``shift`` the three moved abscissae, their ordinates and the image
-#: triangle (9); ``perpendicular_bisectors`` one abscissa per side;
-#: ``bisector_ratio_check`` at a positive vertex its bisector and side
-#: (2 each), their meet (2) and the residual; ``midpoint_lemma_check``
-#: three bisectors and three sides (2 each), the three feet (one ordinate
-#: each), three meets and three residual points (2 each).  ``Line.contains``
-#: answers a bool and builds none.
+#: each meet point.  ``shift`` builds the three moved abscissae, their
+#: ordinates and the image triangle (9); ``perpendicular_bisectors`` one
+#: abscissa per side; ``bisector_ratio_check`` at a positive vertex the
+#: meet of its bisector and side (2) and the residual;
+#: ``midpoint_lemma_check`` the three feet (one ordinate each), three
+#: meets and three residual points (2 each).  ``Line.contains`` answers a
+#: bool and builds none.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 3),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 9),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
-    "bisector_at": (lambda: bisector_at(_T, "A"), 2),
-    "centers": (lambda: centers(_T), 35),
+    "bisector_at": (lambda: bisector_at(_T, "A"), 0),
+    "centers": (lambda: centers(_T), 31),
     "midpoint": (lambda: midpoint(_A, _B), 2),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       3),
-    "line_through": (lambda: line_through(_A, _B), 2),
+    "line_through": (lambda: line_through(_A, _B), 0),
     "Line.singular": (lambda: Line.singular(_X), 0),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),
@@ -236,12 +236,12 @@ FRACTION_BUDGET = {
                           2),
     "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 3),
     "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 4),
-    "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 2),
+    "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 0),
     "shift": (lambda: shift(_T, _THETA), 15),
     "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 3),
     "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
-                             7),
-    "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 27),
+                             3),
+    "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 15),
     "Line.contains": (lambda: _LINE.contains(_A), 0),
 }
 

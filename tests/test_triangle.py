@@ -232,13 +232,15 @@ class TestAngleDefinition:
     def test_wrong_kappa_fails_the_campaign(self, monkeypatch):
         # Twice kappa scales the stored angles but not the side slopes;
         # the stored angles still sum to 0 with one negative.
-        circumparabola = dageo.triangle.circumparabola
+        # DATriangle builds its curve through the integer core that
+        # circumparabola shares.
+        core = dageo.triangle._parabola_through
 
-        def doubled(*pts):
-            par = circumparabola(*pts)
+        def doubled(*lift):
+            par = core(*lift)
             return Parabola(2 * par.kappa, par.beta, par.gamma)
 
-        monkeypatch.setattr("dageo.triangle.circumparabola", doubled)
+        monkeypatch.setattr("dageo.triangle._parabola_through", doubled)
         report = run_campaign(CampaignConfig("triangle_invariants", 50, 42,
                                              50))
         assert report.failures > 0

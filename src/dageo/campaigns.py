@@ -633,12 +633,10 @@ register(Theorem("dabct",
 
 def _gen_mn_division(rng: RandomRationals) -> dict:
     # distinct_rationals returns a < b < p, so the chord foot
-    # (n a + m b)/(m + n), a strict convex combination of a and b, is
-    # never p: no draw is degenerate.
+    # (n a + m b)/(m + n), strictly between a and b, is never p.
     a, b, p = rng.distinct_rationals(3)
-    m = rng.small_positive_int()
-    n = rng.small_positive_int()
-    return {"a": a, "b": b, "p": p, "m": m, "n": n}
+    return {"a": a, "b": b, "p": p, "m": rng.small_positive_int(),
+            "n": rng.small_positive_int()}
 
 
 def _check_mn_division(cfg: dict) -> None:

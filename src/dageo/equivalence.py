@@ -167,9 +167,8 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     if not all(t.x_rank(lbl) + t2.x_rank(lbl) == 2 for lbl in VERTICES):
         raise DegenerateConfigurationError(
             "correspondence does not reverse the x-orientation")
-    feet = []
-    for lbl in VERTICES:
-        feet.append(foot_of_perpendicular(t.vertex(lbl), t2.side(lbl)))
+    feet = [foot_of_perpendicular(t.vertex(lbl), t2.side(lbl))
+            for lbl in VERTICES]
     h_a, h_b, h_c = feet
     residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
 

@@ -17,6 +17,11 @@ slope arithmetic:
 
 Slopes are represented as ``Fraction | None`` with ``None`` standing for
 the singular slope (direction parallel to the projective direction).
+
+A :class:`Line` is the integer triple of ``a*X + b*Y + c*Z = 0`` in
+homogeneous coordinates, whose ideal points are ``Z = 0`` (Richter-Gebert,
+*Perspectives on Projective Geometry*, ch. 1-2): join and meet are cross
+products and concurrency a determinant, with no branch for ideal points.
 """
 
 from __future__ import annotations
@@ -150,34 +155,24 @@ def da_norm(a: Point, b: Point) -> Fraction:
 
 
 class Line:
-    """A line of the normalized chart, stored as the integer triple
-    ``(a, b, c)`` of ``a*x + b*y + c = 0``: coprime, with ``b < 0``, or
-    ``b == 0`` and ``a > 0`` for a singular line ``x = x0``.  Each line has
-    exactly one such triple, so equality and hash compare triples.
+    """The line ``y = m*x + k``, or ``x = x0`` when singular, stored as the
+    coprime integer triple of ``a*x + b*y + c = 0`` with ``b < 0``, or
+    ``b == 0 < a``: one triple per line, which equality and hash compare.
+    ``m`` (``None`` when singular) and ``k`` (then ``x0``) are built when
+    read."""
 
-    ``Line(m, k)`` is ``y = m*x + k`` and ``Line.singular(x0)`` is
-    ``x = x0``; ``m`` (``None`` on a singular line) and ``k`` (``x0`` there)
-    are Fractions built on first read.  Sloped lines are never parallel to
-    the projective direction by construction.
-    """
+    __slots__ = ("triple",)
 
-    __slots__ = ("triple", "_m", "_k")
-
-    def __init__(self, m: Slope, k: Fraction):
+    def __new__(cls, m: Slope, k: Fraction):
         kn, kd = k.numerator, k.denominator
         if m is None:
-            _set_triple(self, (kd, 0, -kn))
-            return
+            return _line(kd, 0, -kn)
         md = m.denominator
-        _set_triple(self, _reduced(m.numerator * kd, -md * kd, kn * md))
+        return _line(m.numerator * kd, -md * kd, kn * md)
 
     @classmethod
     def singular(cls, x0: Fraction) -> "Line":
-        if not isinstance(x0, Fraction):
-            x0 = Fraction(x0)
-        line = _new(cls)
-        _set_triple(line, (x0.denominator, 0, -x0.numerator))
-        return line
+        return cls(None, x0)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Line.{name}")
@@ -186,9 +181,9 @@ class Line:
         return _line, self.triple
 
     def __eq__(self, other):
-        if isinstance(other, Line):
-            return self.triple == other.triple
-        return NotImplemented
+        if not isinstance(other, Line):
+            return NotImplemented
+        return self.triple == other.triple
 
     def __hash__(self) -> int:
         return hash(self.triple)
@@ -199,23 +194,13 @@ class Line:
 
     @property
     def m(self) -> Slope:
-        try:
-            return self._m
-        except AttributeError:
-            a, b, _ = self.triple
-            m = ratio(-a, b) if b else None
-            _set_m(self, m)
-            return m
+        a, b, _ = self.triple
+        return ratio(-a, b) if b else None
 
     @property
     def k(self) -> Fraction:
-        try:
-            return self._k
-        except AttributeError:
-            a, b, c = self.triple
-            k = ratio(-c, b or a)
-            _set_k(self, k)
-            return k
+        a, b, c = self.triple
+        return ratio(-c, b or a)
 
     @property
     def x0(self) -> Fraction:
@@ -236,8 +221,7 @@ class Line:
     def contains(self, p: Point) -> bool:
         a, b, c = self.triple
         xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        return (a * xn + c * xd) * yd + b * yn * xd == 0
+        return (a * xn + c * xd) * p.y.denominator + b * p.y.numerator * xd == 0
 
     def __repr__(self) -> str:
         return f"Line(m={self.m!r}, k={self.k!r})"
@@ -248,34 +232,24 @@ class Line:
         return f"y = {self.m}*x + {self.k}"
 
 
-_new = object.__new__
+_new, _new_tuple = object.__new__, tuple.__new__
 _set_triple = Line.triple.__set__
-_set_m = Line._m.__set__
-_set_k = Line._k.__set__
-
-
-def _reduced(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The canonical triple of the line ``a*x + b*y + c = 0``, ``(a, b)``
-    not both zero: divided by the gcd, with ``b < 0``, or ``b == 0`` and
-    ``a > 0``."""
-    g = gcd(a, b, c)
-    if b > 0 or (not b and a < 0):
-        g = -g
-    return a // g, b // g, c // g
 
 
 def _line(a: int, b: int, c: int) -> Line:
-    """The line ``a*x + b*y + c = 0`` from integers, ``(a, b)`` not both
-    zero."""
+    """The line ``a*x + b*y + c = 0``, ``(a, b) != (0, 0)``, reduced by the
+    gcd and signed as :class:`Line` stores it."""
+    g = gcd(a, b, c)
+    if b > 0 or (not b and a < 0):
+        g = -g
     line = _new(Line)
-    _set_triple(line, _reduced(a, b, c))
+    _set_triple(line, (a // g, b // g, c // g))
     return line
 
 
 def line_through(a: Point, b: Point) -> Line:
-    # The cross product of the points' homogeneous integers, written over
-    # the coordinate differences dx = dxn/(q1*q2) and dy = dyn/(s1*s2):
-    # dy*(x - x1) - dx*(y - y1) = 0 times q1*q2*s1*s2.
+    # The cross product of the points' integers: dy*(x - x1) - dx*(y - y1)
+    # with dx = dxn/(q1*q2) and dy = dyn/(s1*s2), times q1*q2*s1*s2.
     p1, q1 = a.x.numerator, a.x.denominator
     r1, s1 = a.y.numerator, a.y.denominator
     q2, s2 = b.x.denominator, b.y.denominator
@@ -328,17 +302,6 @@ class MeetResult(NamedTuple):
     def is_ideal(self) -> bool:
         return self.kind == self.IDEAL
 
-    def __repr__(self) -> str:
-        if self.kind == self.AT:
-            return f"At{self.point}"
-        if self.kind == self.IDEAL:
-            d = "singular" if self.direction is None else str(self.direction)
-            return f"Ideal({d})"
-        return self.kind.capitalize()
-
-
-_new_tuple = tuple.__new__
-_COINCIDENT = MeetResult.coincident()
 
 
 def meet(l1: Line, l2: Line) -> MeetResult:
@@ -347,25 +310,22 @@ def meet(l1: Line, l2: Line) -> MeetResult:
     Distinct parallels give the ideal point of their common direction; two
     distinct singular lines share the singular-direction ideal point.
     """
-    # The cross product (X, Y, Z) of the two triples: the point (X/Z, Y/Z),
-    # or an ideal point when Z == 0, where equal triples are one line.
+    # The cross product (X, Y, Z) of the triples: the point (X/Z, Y/Z), or
+    # an ideal point when Z == 0, where equal triples are one line.
     a1, b1, c1 = t1 = l1.triple
     a2, b2, c2 = t2 = l2.triple
     z = a1 * b2 - b1 * a2
     if z:
-        return _new_tuple(MeetResult, (
-            MeetResult.AT,
-            Point(ratio(b1 * c2 - c1 * b2, z), ratio(c1 * a2 - a1 * c2, z)),
-            None))
+        p = Point(ratio(b1 * c2 - c1 * b2, z), ratio(c1 * a2 - a1 * c2, z))
+        return _new_tuple(MeetResult, (MeetResult.AT, p, None))
     if t1 == t2:
-        return _COINCIDENT
+        return MeetResult.coincident()
     return _new_tuple(MeetResult, (MeetResult.IDEAL, None, l1.m))
 
 
 def concurrent(l1: Line, l2: Line, l3: Line) -> bool:
-    """Whether three lines pass through one point, finite or ideal: the
-    determinant of their triples vanishes.  A coincident pair counts as
-    concurrent with any third line."""
+    """Whether three lines share a point, finite or ideal (a coincident
+    pair shares one with any line): their triples' determinant is 0."""
     a1, b1, c1 = l1.triple
     a2, b2, c2 = l2.triple
     a3, b3, c3 = l3.triple

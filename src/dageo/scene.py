@@ -188,10 +188,8 @@ def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
         cs = centers(t)
         for lbl in VERTICES:
             draw.lines[f"bisector_{lbl}"] = bisector_at(t, lbl, "interior")
-        draw.points["incenter"] = cs.incenter
-        draw.points["excenter_a"] = cs.excenter_a
-        draw.points["excenter_c"] = cs.excenter_c
-        draw.points["centroid"] = cs.centroid
+        draw.points.update(incenter=cs.incenter, excenter_a=cs.excenter_a,
+                           excenter_c=cs.excenter_c, centroid=cs.centroid)
         draw.ideal.append("excenter_ideal")
         draw.parabolas["circumparabola"] = t.parabola
         result = {f.name: getattr(cs, f.name) for f in fields(cs)}
@@ -236,9 +234,7 @@ def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
                   "det_residual": res.det_residual}
     elif name == "miquel_triangle":
         expect("triangle", "point", "point", "point")
-        t, d, e, f = args
-        res = miquel_triangle(t, d, e, f)
-        result = draw_miquel(res)
+        result = draw_miquel(miquel_triangle(*args))
     elif name == "miquel_quadrilateral":
         expect("point", "point", "point", "point")
         a, b, c, d = args

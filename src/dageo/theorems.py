@@ -90,14 +90,9 @@ def trapezoid_equivalence(a: Point, b: Point, c: Point,
             raise DegenerateConfigurationError("singular side or diagonal")
     ab_cd = slope_between(a, b) == slope_between(c, d)
     bc_da = slope_between(b, c) == slope_between(d, a)
-    if ab_cd != bc_da:
-        legs_equal = (da_norm(b, c) == da_norm(d, a) if ab_cd
-                      else da_norm(a, b) == da_norm(c, d))
-        is_iso = legs_equal
-        one_pair = True
-    else:
-        is_iso = False
-        one_pair = False
+    one_pair = ab_cd != bc_da
+    is_iso = one_pair and (da_norm(b, c) == da_norm(d, a) if ab_cd
+                           else da_norm(a, b) == da_norm(c, d))
     inscribed = conparabolic(a, b, c, d)
     return TrapezoidVerdict(is_iso, inscribed and one_pair)
 
@@ -182,12 +177,9 @@ def _require_feet(t: DATriangle, d: Point, e: Point,
     integer pair ``(num, den)``, for D on BC, E on CA and F on AB."""
     pts = (t.a, t.b, t.c, d, e, f)
     xs, _ = over_common_denominator([p.x for p in pts])
-    ys, _ = over_common_denominator([p.y for p in pts])
     ratios = []
     for x, u, w, lbl in _FEET:
-        # foot on the side line UW, cross-multiplied (x_U != x_W)
-        if (ys[x] - ys[u]) * (xs[w] - xs[u]) \
-                != (ys[w] - ys[u]) * (xs[x] - xs[u]):
+        if not t.side(lbl).contains(pts[x]):
             raise DegenerateConfigurationError(f"foot {pts[x]} off side {lbl}")
         num, den = xs[x] - xs[u], xs[w] - xs[x]
         # A point of the sloped line UW shares its abscissa only with U or
@@ -301,15 +293,11 @@ class CompleteQuadrilateral:
                     "parallel or coincident lines")
             pts[label] = hit.point
         object.__setattr__(self, "_points", pts)
-        # Compared as integer pairs over one scale per axis, so no Fraction
-        # is hashed (a modular inverse each).
-        xs, _ = over_common_denominator([p.x for p in pts.values()])
-        ys, _ = over_common_denominator([p.y for p in pts.values()])
-        if len(set(zip(xs, ys))) != 6:
+        if any(concurrent(*lines[:i], *lines[i + 1:]) for i in range(4)):
             raise DegenerateConfigurationError("three lines concurrent")
         # That is also the whole test for the defining triples: any two
-        # points of one triple lie on a common sloped line, so with six
-        # distinct points they have distinct abscissae, and a third point
+        # points of one triple lie on a common sloped line, so with the six
+        # points distinct they have distinct abscissae, and a third point
         # on that line would put three lines through one point.
 
     def points(self) -> dict[str, Point]:

@@ -14,8 +14,9 @@ for any three distinct abscissae; the ``triangle_invariants`` campaign
 checks them against the difference-angle definition.  Construction
 certifies the side-norm equation on the stored norms, read as integers
 over a common denominator: the largest equals the sum of the other two.
-A triangle builds each side line and each bisector once, on first use,
-and keeps it: ``side`` and ``bisector_at`` read that cache, so the
+The vertices are lifted to integers once; the curve, angles and sides
+are built from that lift, each side line and bisector once, on first use,
+and kept: ``side`` and ``bisector_at`` read that cache, so the
 constructions and checkers that share a triangle share its lines.
 """
 
@@ -29,8 +30,7 @@ from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, _line, da_norm, line_through,
                     meet, midpoint)
 from .parabola import Parabola, _parabola_through, second_intersection
-from .scalar import (between, collinear, det3, lift_triple,
-                     over_common_denominator, ratio)
+from .scalar import collinear, det3, lift_triple, over_common_denominator, ratio
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -60,9 +60,7 @@ class DATriangle:
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        # The vertices lifted once: abscissae as integers over a shared D,
-        # ordinates over a shared E.  The curve, the angles and the side
-        # lines all read this lift.
+        # Abscissae as integers over a shared D, ordinates over E.
         xs, D = lift_triple((self.a.x, self.b.x, self.c.x))
         ys, E = lift_triple((self.a.y, self.b.y, self.c.y))
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
@@ -143,7 +141,6 @@ class DATriangle:
             if label not in _OTHERS:
                 raise ValueError(f"unknown vertex label {label!r}")
             i, j = _OTHERS[label]
-            # The line through (X_i/D, Y_i/E) and (X_j/D, Y_j/E).
             xs, D, ys, E = self._lift
             line = self._lines[label] = _line(
                 (ys[i] - ys[j]) * D, (xs[j] - xs[i]) * E,
@@ -170,9 +167,6 @@ class DATriangle:
         angle the negative one whichever way the parabola opens.
         """
         return self._angles
-
-    def __str__(self) -> str:
-        return f"Triangle[A={self.a}, B={self.b}, C={self.c}]"
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +218,6 @@ def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
     q = (mn * nd + nn * md) * dx_b * dx_f
     if not q:
         raise DegenerateConfigurationError("shared abscissa: no side slope")
-    # y = (X*p*x + yv*q - p*xv) / (Y*q).
     return _line(X * p, -Y * q, yv * q - p * xv)
 
 
@@ -305,26 +298,21 @@ def centers(t: DATriangle) -> CenterSet:
         raise KernelInvariantError("excenter off the low vertex axis")
     ex_ideal = meet(Line.singular(lo.x), Line.singular(hi.x))
 
-    par = t.parabola
-    kn, kd = par.kappa.numerator, par.kappa.denominator
-    bn, bd = par.beta.numerator, par.beta.denominator
-    gn, gd = par.gamma.numerator, par.gamma.denominator
+    # The curve's coefficients as integers over S, the abscissae over D.
+    K, B, G, S = t.parabola._lifted
     xs, D, _, _ = t._lift
     tangent_pts = {}
     for label, (i, j) in _OTHERS.items():
         # Tangent-triangle vertex opposite `label`: the meet of the tangents
         # at the other two vertices, at abscissae u, w, is at their midpoint
-        # xm and height kappa*u*w + beta*xm + gamma, here over 2*D^2*kd*bd*gd.
+        # xm and height kappa*u*w + beta*xm + gamma, here over 2*D^2*S.
         u, w = xs[i], xs[j]
-        y = (2 * kn * u * w * bd * gd + bn * (u + w) * D * kd * gd
-             + 2 * gn * D * D * kd * bd)
-        tangent_pts[label] = Point(ratio(u + w, 2 * D),
-                                   ratio(y, 2 * D * D * kd * bd * gd))
-    tangent_triangle = DATriangle(tangent_pts["A"], tangent_pts["B"],
-                                  tangent_pts["C"])
+        y = 2 * K * u * w + B * (u + w) * D + 2 * G * D * D
+        tangent_pts[label] = Point(ratio(u + w, 2 * D), ratio(y, 2 * D * D * S))
+    tangent_triangle = DATriangle(*tangent_pts.values())
 
     g = _centroid(t.a, t.b, t.c)
-    g_t = _centroid(*(tangent_pts[lbl] for lbl in VERTICES))
+    g_t = _centroid(*tangent_pts.values())
     g_i = _centroid(incenter.point, ex_a.point, ex_c.point)
     if g_i != midpoint(g, g_t):
         raise KernelInvariantError("bisector centroid is not the midpoint")
@@ -359,11 +347,9 @@ def perpendicular_feet(t: DATriangle) -> dict[str, Point]:
 def perpendicular_bisectors(t: DATriangle) -> dict[str, Line]:
     """Perpendicular bisectors of the sides, keyed by the opposite vertex;
     each is the singular line through the side midpoint."""
-    out = {}
-    for lbl in VERTICES:
-        u, w = t.others(lbl)
-        out[lbl] = Line.singular(between(u.x, w.x, 1, 2))
-    return out
+    xs, D, _, _ = t._lift
+    return {lbl: _line(2 * D, 0, -xs[i] - xs[j])
+            for lbl, (i, j) in _OTHERS.items()}
 
 
 def altitudes(t: DATriangle) -> dict[str, Line]:

@@ -197,8 +197,8 @@ def _four_distinct_draws():
 #: value, ``mn_division_check`` its two residuals, ``iso_angle_locus`` its
 #: curve's three coefficients and ``parabola_meet`` the two coordinates of
 #: each meet point.  ``shift`` builds the three moved abscissae, their
-#: ordinates and the image triangle (9); ``perpendicular_bisectors`` one
-#: abscissa per side; ``bisector_ratio_check`` at a positive vertex the
+#: ordinates and the image triangle (9); ``perpendicular_bisectors``, three
+#: singular lines, none; ``bisector_ratio_check`` at a positive vertex the
 #: meet of its bisector and side (2) and the residual;
 #: ``midpoint_lemma_check`` the three feet (one ordinate each), three
 #: meets and three residual points (2 each).  ``Line.contains`` answers a
@@ -238,7 +238,7 @@ FRACTION_BUDGET = {
     "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 4),
     "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 0),
     "shift": (lambda: shift(_T, _THETA), 15),
-    "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 3),
+    "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 0),
     "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
                              3),
     "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 15),

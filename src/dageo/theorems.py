@@ -296,8 +296,8 @@ class CompleteQuadrilateral:
         if any(concurrent(*lines[:i], *lines[i + 1:]) for i in range(4)):
             raise DegenerateConfigurationError("three lines concurrent")
         # That is also the whole test for the defining triples: any two
-        # points of one triple lie on a common sloped line, so with the six
-        # points distinct they have distinct abscissae, and a third point
+        # points of one triple lie on a common sloped line, so with six
+        # distinct points they have distinct abscissae, and a third point
         # on that line would put three lines through one point.
 
     def points(self) -> dict[str, Point]:

@@ -21,6 +21,13 @@ Orientation conventions the reflection rows record:
   reverses when alpha < 0.
 * An ideal meet keeps its kind, and its direction maps as a slope; the
   singular direction (``None``) is fixed.
+* ``parabola_meet`` lists its finite meets in increasing x, so alpha < 0
+  reverses the list; the ideal meet of two translates stays last.
+* ``iso_angle_locus`` and ``shift`` take an oriented angle: theta maps to
+  gamma*theta/alpha, as ``difference_angle`` does.  The locus rows fix
+  the reference line, so their maps have delta = epsilon = 0.
+* ``parabolic_power`` scales by alpha**2 whatever the signs: a reflection
+  that turns the curve over keeps a point outside it outside.
 """
 
 from fractions import Fraction as F
@@ -28,10 +35,15 @@ from typing import NamedTuple
 
 import pytest
 
+from dageo.equivalence import shift
+from dageo.errors import (DegenerateConfigurationError,
+                          IrrationalIntersectionError)
 from dageo.gauge import (Line, MeetResult, Point, concurrent,
                          difference_angle, line_through, meet)
 from dageo.generators import RandomRationals
-from dageo.parabola import Parabola
+from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
+                            parabola_meet, parabolic_power,
+                            second_intersection, second_meet)
 from dageo.theorems import CevianSpec, cevian_line
 from dageo.triangle import (VERTICES, DATriangle, bisector_at,
                             divider_line)
@@ -216,3 +228,107 @@ def test_cevian_line(signs):
         singular = CevianSpec(singular=True)
         assert cevian_line(image, "B", singular) \
             == g.line(cevian_line(t, "B", singular)), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_circumparabola(signs):
+    for k, rng, g in trials(signs):
+        pts = [rng.point() for _ in range(3)]
+        try:
+            curve = circumparabola(*pts)
+        except DegenerateConfigurationError:
+            continue
+        assert circumparabola(*map(g.point, pts)) == g.parabola(curve), k
+
+
+def _curve_pair(rng: RandomRationals, shape: int):
+    """Two curves and a point they share: through two drawn common points,
+    translates (same kappa) through one, tangent at one, or two drawn
+    curves whose eliminant is usually irrational (no shared point)."""
+    p1 = rng.parabola()
+    u, v = rng.distinct_rationals(2)
+    shared = p1.point_at(u)
+    if shape == 0:
+        third = Point(rng.rational(), rng.rational())
+        try:
+            return p1, circumparabola(shared, p1.point_at(v), third), shared
+        except DegenerateConfigurationError:
+            return p1, rng.parabola(), None
+    if shape == 1:
+        beta = rng.rational()
+        gamma = shared.y - p1.kappa * u * u - beta * u
+        return p1, Parabola(p1.kappa, beta, gamma), shared
+    if shape == 2:
+        # Same tangent at u, another kappa.
+        kappa = p1.kappa + rng.nonzero_rational()
+        beta = p1.beta + 2 * (p1.kappa - kappa) * u
+        gamma = shared.y - kappa * u * u - beta * u
+        return p1, Parabola(kappa, beta, gamma), shared
+    return p1, rng.parabola(), None
+
+
+def _meets(p1: Parabola, p2: Parabola):
+    try:
+        return parabola_meet(p1, p2)
+    except IrrationalIntersectionError:
+        return IrrationalIntersectionError
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_parabola_meet_and_second_meet(signs):
+    for k, rng, g in trials(signs):
+        p1, p2, shared = _curve_pair(rng, k % 4)
+        hits = _meets(p1, p2)
+        image = _meets(g.parabola(p1), g.parabola(p2))
+        if hits is IrrationalIntersectionError:
+            assert image is hits, k
+        else:
+            finite = [g.meet(h) for h in hits if h.is_finite]
+            if g.alpha < 0:
+                finite.reverse()
+            assert image == finite + [h for h in hits if not h.is_finite], k
+        if shared is not None and p1 != p2:
+            assert second_meet(g.parabola(p1), g.parabola(p2),
+                               g.point(shared)) \
+                == g.meet(second_meet(p1, p2, shared)), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_second_intersection(signs):
+    for k, rng, g in trials(signs):
+        curve = rng.parabola()
+        pt = curve.point_at(rng.rational())
+        m = rng.rational()
+        assert second_intersection(g.parabola(curve), g.point(pt),
+                                   g.slope(m)) \
+            == g.point(second_intersection(curve, pt, m)), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_iso_angle_locus(signs):
+    for k, rng, g in trials(signs):
+        # Only maps that fix the reference line y = 0 keep the endpoints
+        # on it.
+        g = g._replace(delta=F(0), epsilon=F(0))
+        a, b = (Point(x, F(0)) for x in rng.distinct_rationals(2))
+        theta = rng.nonzero_rational()
+        image = iso_angle_locus(g.point(a), g.point(b),
+                                g.angle_scale * theta)
+        assert image == g.parabola(iso_angle_locus(a, b, theta)), k
+        assert g.point(a).y == g.point(b).y == 0, k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_parabolic_power(signs):
+    for k, rng, g in trials(signs):
+        curve, pt = rng.parabola(), rng.point()
+        assert parabolic_power(g.parabola(curve), g.point(pt)) \
+            == g.alpha * g.alpha * parabolic_power(curve, pt), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_shift(signs):
+    for k, rng, g, t in _triangles(signs):
+        theta = rng.nonzero_rational()
+        assert shift(g.triangle(t), g.angle_scale * theta) \
+            == g.triangle(shift(t, theta)), k

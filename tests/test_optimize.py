@@ -27,7 +27,7 @@ from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
-from dageo.scalar import det3, parse_scalar, ratio
+from dageo.scalar import coprime_ratio, det3, parse_scalar, ratio
 from dageo.theorems import (CevianSpec, ceva_product, cevian_line,
                             mn_division_check, ptolemy_residual)
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
@@ -260,8 +260,10 @@ def test_budgeted_draws_have_no_rejection():
 
 
 #: (code name, file name) of each way to build a ``Fraction``: its own
-#: constructor, and ``scalar.ratio``, which fills the slots directly.
-_FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py")}
+#: constructor, and ``scalar.ratio`` and ``scalar.coprime_ratio``, which
+#: fill the slots directly.
+_FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py"),
+                      ("coprime_ratio", "scalar.py")}
 
 
 def _fraction_constructions(call) -> int:
@@ -276,10 +278,11 @@ def _fraction_constructions(call) -> int:
 
 
 def test_constructions_count_both_builders():
-    # A budget that counted only one builder would pass at 0 for code
-    # moved to the other.
+    # A budget that missed one builder would pass at 0 for code moved to
+    # it.
     assert _fraction_constructions(lambda: F(3, 4)) == 1
     assert _fraction_constructions(lambda: ratio(3, 4)) == 1
+    assert _fraction_constructions(lambda: coprime_ratio(3, 4)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FRACTION_BUDGET))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from unittest import mock
 
@@ -558,3 +560,96 @@ class TestCyclicPredicates:
         with pytest.raises(DegenerateConfigurationError,
                            match="^shared x-coordinate: singular side$"):
             conparabolic(*quad)
+
+
+nonzero_bounded = bounded.filter(lambda v: v != 0)
+
+
+class TestParabolaContract:
+    """``Parabola`` against the ``(kappa, beta, gamma)`` model, with int
+    arguments among them: the public fields, equality, hash, repr and str,
+    immutability, and the copies that ``copy`` and ``pickle`` make."""
+
+    curves = [STD, Parabola(F(-3, 7), F(2), F(-5)), Parabola(2, 0, -1),
+              Parabola(F(5, 6), F(-1, 4), 3),
+              circumparabola(pt(-1, 2), pt(F(1, 3), 0), pt(4, F(7, 2)))]
+
+    @given(nonzero_bounded, bounded, bounded)
+    def test_fields_match_the_model(self, kappa, beta, gamma):
+        curve = Parabola(kappa, beta, gamma)
+        assert (curve.kappa, curve.beta, curve.gamma) == (kappa, beta, gamma)
+        assert [type(v) for v in (curve.kappa, curve.beta, curve.gamma)] \
+            == [type(v) for v in (kappa, beta, gamma)]
+        x = F(3, 7)
+        assert curve.y_at(x) == kappa * x * x + beta * x + gamma
+
+    @given(st.lists(st.tuples(nonzero_bounded, bounded, bounded),
+                    min_size=2, max_size=2))
+    def test_equality_and_hash_match_the_model(self, specs):
+        (k1, b1, g1), (k2, b2, g2) = specs
+        c1, c2 = Parabola(k1, b1, g1), Parabola(k2, b2, g2)
+        model1, model2 = (F(k1), F(b1), F(g1)), (F(k2), F(b2), F(g2))
+        assert (c1 == c2) == (model1 == model2)
+        assert (c1 != c2) == (model1 != model2)
+        if c1 == c2:
+            assert hash(c1) == hash(c2)
+        assert len({c1, c2}) == len({model1, model2})
+
+    def test_int_and_fraction_arguments_are_one_curve(self):
+        assert Parabola(2, 0, -1) == Parabola(F(2), F(0), F(-1))
+        assert hash(Parabola(2, 0, -1)) == hash(Parabola(F(2), F(0), F(-1)))
+
+    @given(small, small, small, small, small, small)
+    def test_circumparabola_equals_its_coefficients(self, x1, y1, x2, y2, x3,
+                                                    y3):
+        try:
+            curve = circumparabola(Point(x1, y1), Point(x2, y2),
+                                   Point(x3, y3))
+        except DegenerateConfigurationError:
+            assume(False)
+        coefficients = (curve.kappa, curve.beta, curve.gamma)
+        assert all(type(v) is F for v in coefficients)
+        twin = Parabola(*coefficients)
+        assert twin == curve and hash(twin) == hash(curve)
+        assert repr(twin) == repr(curve)
+
+    def test_zero_kappa_rejected(self):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^kappa must be nonzero$"):
+            Parabola(F(0), F(1), F(2))
+
+    def test_repr_and_str(self):
+        assert repr(Parabola(F(3, 2), F(0), F(-1, 3))) == (
+            "Parabola(kappa=Fraction(3, 2), beta=Fraction(0, 1), "
+            "gamma=Fraction(-1, 3))")
+        assert repr(Parabola(1, 0, 0)) == "Parabola(kappa=1, beta=0, gamma=0)"
+        assert repr(circumparabola(pt(0, 0), pt(1, 1), pt(2, 4))) == (
+            "Parabola(kappa=Fraction(1, 1), beta=Fraction(0, 1), "
+            "gamma=Fraction(0, 1))")
+        assert str(Parabola(F(3, 2), F(0), F(-1, 3))) \
+            == "y = 3/2*x^2 + 0*x + -1/3"
+        assert str(iso_angle_locus(pt(-1, 0), pt(2, 0), F(3))) \
+            == "y = 1*x^2 + -1*x + -2"
+
+    def test_immutable(self):
+        curve = Parabola(F(1), F(2), F(3))
+        for name in ("kappa", "beta", "gamma"):
+            with pytest.raises(AttributeError):
+                setattr(curve, name, F(5))
+        assert curve == Parabola(F(1), F(2), F(3))
+
+    def test_not_equal_to_other_types(self):
+        assert Parabola(F(1), F(2), F(3)) != (F(1), F(2), F(3))
+        assert STD != "y = 1*x^2 + 0*x + 0"
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "copy", "pickle"])
+    def test_copies_round_trip(self, copier):
+        for curve in self.curves:
+            if copier == "pickle":
+                twin = pickle.loads(pickle.dumps(curve))
+            else:
+                twin = getattr(copy, copier)(curve)
+            assert twin == curve and hash(twin) == hash(curve)
+            assert repr(twin) == repr(curve) and str(twin) == str(curve)
+            p = twin.point_at(F(7, 3))
+            assert curve.contains(p) and twin.contains(p)

@@ -177,7 +177,7 @@ def _check_triangle_invariants(cfg: dict) -> None:
     for t in (cfg["T"], cfg["T_inscribed"]):
         circum_ortho_at_infinity(t)
         order = t.sorted_vertices()
-        backwards = t.parabola.kappa.numerator < 0
+        backwards = t.parabola._lifted[0] < 0
         if backwards:
             order = order[::-1]
         for lbl, angle in zip(VERTICES, t.interior_angles()):

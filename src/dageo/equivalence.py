@@ -41,9 +41,10 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     # Norms of (AB, BC, CA) and the angles at (A, B, C), each tuple as
     # integers over its own common denominator: a ratio cross-product is
     # then one of integers (the denominators cancel), and an equality
-    # takes the other tuple's denominator as a factor.
-    p, P = lift_triple(t1.side_norms())
-    q, Q = lift_triple(t2.side_norms())
+    # takes the other tuple's denominator as a factor.  The norms' lift is
+    # the one each triangle's certificate stored.
+    p, P = t1._norm_lift
+    q, Q = t2._norm_lift
     u, U = lift_triple(t1.interior_angles())
     v, V = lift_triple(t2.interior_angles())
     same_angle = [u[k] * V == v[k] * U for k in range(3)]
@@ -64,16 +65,20 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     # norm-congruent pair the longest side, hence the negative vertex, is
     # the same label, and each angle is +-|kappa| times the opposite side
     # norm, so the angles agree exactly when |kappa| does.
-    k1, k2 = t1.parabola.kappa, t2.parabola.kappa
-    kappas_match = (abs(k1.numerator) == abs(k2.numerator)
-                    and k1.denominator == k2.denominator)
-    if norm_cong and da_cong != kappas_match:
+    if norm_cong and da_cong != _same_abs_kappa(t1, t2):
         raise KernelInvariantError("congruence disagrees with |kappa| match")
     if verdict.sim_sas_signed != verdict.sim_aa:
         raise KernelInvariantError("signed-SAS and AA similarity disagree")
     if verdict.sim_aa and not verdict.sim_sss:
         raise KernelInvariantError("AA similarity without SSS similarity")
     return verdict
+
+
+def _same_abs_kappa(t1: DATriangle, t2: DATriangle) -> bool:
+    """Whether |kappa| agrees: |K1|/S1 == |K2|/S2, cross-multiplied."""
+    K1, _, _, S1 = t1.parabola._lifted
+    K2, _, _, S2 = t2.parabola._lifted
+    return abs(K1) * S2 == abs(K2) * S1
 
 
 def shift(t: DATriangle, theta: Fraction) -> DATriangle:
@@ -89,12 +94,12 @@ def shift(t: DATriangle, theta: Fraction) -> DATriangle:
     if not isinstance(theta, Fraction):
         theta = Fraction(theta)
     par = t.parabola
-    # x + theta/kappa over xd*td*kn, one ratio per vertex.
+    # x + theta/kappa = x + theta*S/K over xd*td*K, one ratio per vertex.
     tn, td = theta.numerator, theta.denominator
-    kn, kd = par.kappa.numerator, par.kappa.denominator
-    moved = [par.point_at(ratio(v.x.numerator * td * kn
-                                + tn * kd * v.x.denominator,
-                                v.x.denominator * td * kn))
+    K, _, _, S = par._lifted
+    moved = [par.point_at(ratio(v.x.numerator * td * K
+                                + tn * S * v.x.denominator,
+                                v.x.denominator * td * K))
              for v in (t.a, t.b, t.c)]
     image = DATriangle(*moved)
     if image.parabola != par:
@@ -155,9 +160,7 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     Same-gap translated copies (label-congruent without the orientation
     reversal) do not satisfy the theorem and are rejected.
     """
-    k1, k2 = t.parabola.kappa, t2.parabola.kappa
-    if (abs(k1.numerator) != abs(k2.numerator)
-            or k1.denominator != k2.denominator):
+    if not _same_abs_kappa(t, t2):
         raise DegenerateConfigurationError(
             "parabolas must share |kappa| for congruence")
     verdict = classify_pair(t, t2)
@@ -188,7 +191,9 @@ def intro_observation_check(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     b - a = a' - b' and c - b = b' - c'.  The points of the sides BC, CA,
     AB over the abscissae a', b', c' are then exactly collinear.
     """
-    if t.parabola.kappa != t2.parabola.kappa:
+    K1, _, _, S1 = t.parabola._lifted
+    K2, _, _, S2 = t2.parabola._lifted
+    if K1 * S2 != K2 * S1:
         raise DegenerateConfigurationError(
             "second parabola is not a translate (kappa differs)")
     a, b, c = t.sorted_vertices()

@@ -5,13 +5,18 @@ Everything here works over exact rationals.  Pairs of parabolas are only
 intersected along rational routes: either the eliminant factors through a
 known shared point (Vieta), or its discriminant happens to be a perfect
 rational square.  Nothing is ever approximated.
+
+A :class:`Parabola` is the primitive integer quadruple ``(K, B, G, S)`` of
+S*y = K*x^2 + B*x + G, as a ``gauge.Line`` is an integer triple; the
+constructions that compute integers (``circumparabola`` and the triangle
+curve, ``iso_angle_locus``) store theirs through ``_parabola`` without
+building a Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import Line, MeetResult, Point, _slope_terms, difference_angle
@@ -19,26 +24,60 @@ from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_triple,
                      over_common_denominator, ratio)
 
 
-@dataclass(frozen=True)
 class Parabola:
     """The curve y = kappa*x^2 + beta*x + gamma with kappa != 0.
 
     Its axis is parallel to the projective direction by construction, so in
-    the normalized chart the axis is vertical.
+    the normalized chart the axis is vertical.  In homogeneous integers it
+    is Y*Z = kappa*X^2 + beta*X*Z + gamma*Z^2, stored as the primitive
+    quadruple ``_lifted = (K, B, G, S)``: kappa = K/S, beta = B/S and
+    gamma = G/S with S > 0 and gcd(K, B, G, S) = 1, one quadruple per
+    curve, which equality and hash compare.  It is the lift of the three
+    coefficients over their lcm S: that S is a common denominator, and if
+    a prime p divided K, B, G and S then S/p would be a smaller one.
+    ``y_at``, ``contains``, ``chord_slope`` and the meets read only the
+    quadruple.  ``kappa``, ``beta`` and ``gamma`` return the constructor's
+    arguments, ints included; a curve built from integers builds them as
+    Fractions on first read and keeps them.
     """
 
-    kappa: Fraction
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ("_lifted", "_kappa", "_beta", "_gamma")
 
-    def __post_init__(self):
-        # (K, B, G, S): the coefficients as integers over their lcm S,
-        # lifted once; y_at, contains, chord_slope and second_intersection
-        # read only this and their arguments' integers.
-        (K, B, G), S = lift_triple((self.kappa, self.beta, self.gamma))
-        if not K:
-            raise DegenerateConfigurationError("kappa must be nonzero")
-        object.__setattr__(self, "_lifted", (K, B, G, S))
+    def __new__(cls, kappa: Fraction, beta: Fraction, gamma: Fraction):
+        (K, B, G), S = lift_triple((kappa, beta, gamma))
+        return _parabola(K, B, G, S, kappa, beta, gamma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Parabola.{name}")
+
+    def __reduce__(self):
+        return Parabola, (self.kappa, self.beta, self.gamma)
+
+    def __eq__(self, other):
+        if not isinstance(other, Parabola):
+            return NotImplemented
+        return self._lifted == other._lifted
+
+    def __hash__(self) -> int:
+        return hash(self._lifted)
+
+    @property
+    def kappa(self) -> Fraction:
+        if self._kappa is None:
+            _set_kappa(self, ratio(self._lifted[0], self._lifted[3]))
+        return self._kappa
+
+    @property
+    def beta(self) -> Fraction:
+        if self._beta is None:
+            _set_beta(self, ratio(self._lifted[1], self._lifted[3]))
+        return self._beta
+
+    @property
+    def gamma(self) -> Fraction:
+        if self._gamma is None:
+            _set_gamma(self, ratio(self._lifted[2], self._lifted[3]))
+        return self._gamma
 
     def y_at(self, x: Fraction) -> Fraction:
         K, B, G, S = self._lifted
@@ -74,8 +113,36 @@ class Parabola:
         un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
         return ratio(K * (un * vd + vn * ud) + B * ud * vd, S * ud * vd)
 
+    def __repr__(self) -> str:
+        return (f"Parabola(kappa={self.kappa!r}, beta={self.beta!r}, "
+                f"gamma={self.gamma!r})")
+
     def __str__(self) -> str:
         return f"y = {self.kappa}*x^2 + {self.beta}*x + {self.gamma}"
+
+
+_set_lifted = Parabola._lifted.__set__
+_set_kappa = Parabola._kappa.__set__
+_set_beta = Parabola._beta.__set__
+_set_gamma = Parabola._gamma.__set__
+
+
+def _parabola(K: int, B: int, G: int, S: int, kappa=None, beta=None,
+              gamma=None) -> Parabola:
+    """The curve y = (K*x^2 + B*x + G)/S, ``S != 0``, reduced by the gcd
+    and signed as :class:`Parabola` stores it; ``kappa``, ``beta`` and
+    ``gamma``, when given, are the values the public constructor keeps."""
+    if not K:
+        raise DegenerateConfigurationError("kappa must be nonzero")
+    g = gcd(K, B, G, S)
+    if S < 0:
+        g = -g
+    curve = object.__new__(Parabola)
+    _set_lifted(curve, (K // g, B // g, G // g, S // g))
+    _set_kappa(curve, kappa)
+    _set_beta(curve, beta)
+    _set_gamma(curve, gamma)
+    return curve
 
 
 def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
@@ -116,8 +183,7 @@ def _parabola_through(X1: int, X2: int, X3: int, D: int,
     G = t1 * X2 * X3 - t2 * X1 * X3 + t3 * X1 * X2
     # kappa = K*D^2/(E*V), beta = B*D/(E*V), gamma = G/(E*V) with
     # V = d21*d31*d32.
-    EV = E * d21 * d31 * d32
-    return Parabola(ratio(K * D * D, EV), ratio(B * D, EV), ratio(G, EV))
+    return _parabola(K * D * D, B * D, G, E * d21 * d31 * d32)
 
 
 def parabolic_power(p: Parabola, pt: Point) -> Fraction:
@@ -127,10 +193,10 @@ def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     same product (alpha - x)(beta - x); it equals
     (kappa*x^2 + beta*x + gamma - y) / kappa and is 0 exactly on the curve.
     """
-    # The stored coefficients over their lcm D (not the lift_triple lift:
+    # The public coefficients over their lcm D (not the stored quadruple:
     # the campaign compares this with secants through points that point_at
-    # builds from the lift), and the whole quotient times xd**2 * yd.
-    (K, B, G), D = over_common_denominator((p.kappa, p.beta, p.gamma))
+    # builds from the quadruple), and the whole quotient times xd**2 * yd.
+    (K, B, G), D = lift_triple((p.kappa, p.beta, p.gamma))
     xn, xd = pt.x.numerator, pt.x.denominator
     yn, yd = pt.y.numerator, pt.y.denominator
     xd2 = xd * xd
@@ -156,12 +222,11 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
     if theta == 0:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
     # With a = A/L and b = B/L: kappa = theta L/(B - A), beta = -kappa (a + b)
-    # and gamma = kappa a b, each one ratio.
+    # and gamma = kappa a b, all over w L.
     ad, bd = a.x.denominator, b.x.denominator
     A, B, L = a.x.numerator * bd, b.x.numerator * ad, ad * bd
     tn, w = theta.numerator, theta.denominator * (B - A)
-    return Parabola(ratio(tn * L, w), ratio(-tn * (A + B), w),
-                    ratio(tn * A * B, w * L))
+    return _parabola(tn * L * L, -tn * (A + B) * L, tn * A * B, w * L)
 
 
 def tangent_at(p: Parabola, x0: Fraction) -> Line:

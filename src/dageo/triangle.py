@@ -14,10 +14,13 @@ for any three distinct abscissae; the ``triangle_invariants`` campaign
 checks them against the difference-angle definition.  Construction
 certifies the side-norm equation on the stored norms, read as integers
 over a common denominator: the largest equals the sum of the other two.
-The vertices are lifted to integers once; the curve, angles and sides
-are built from that lift, each side line and bisector once, on first use,
-and kept: ``side`` and ``bisector_at`` read that cache, so the
-constructions and checkers that share a triangle share its lines.
+The vertices are lifted to integers once; the curve (an integer
+quadruple), angles, sides and positive bisectors are built from that
+lift, each side line and bisector once, on first use, and kept: ``side``
+and ``bisector_at`` read that cache, so the constructions and checkers
+that share a triangle share its lines.  The angles read the curve's
+quadruple, and the certificate's integer lift of the side norms is kept
+for the equality tests of ``is_isosceles`` and ``classify_pair``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class DATriangle:
     _middle: int = field(init=False, compare=False, repr=False)
     #: (X, D, Y, E): the vertices' abscissae X over D, ordinates Y over E.
     _lift: tuple = field(init=False, compare=False, repr=False)
+    #: (N, L): the stored side norms as integers N over their lcm L.
+    _norm_lift: tuple = field(init=False, compare=False, repr=False)
     #: Side lines keyed by the opposite label, bisectors by (label, mode).
     _lines: dict = field(init=False, compare=False, repr=False,
                          default_factory=dict)
@@ -74,11 +79,12 @@ class DATriangle:
             raise DegenerateConfigurationError("collinear vertices") from None
         object.__setattr__(self, "parabola", par)
         # i, j, k index the vertices in increasing x; the angle formula is
-        # in the interior_angles docstring, here over kappa's denominator
-        # times D.
+        # in the interior_angles docstring, with kappa = K/S, here over
+        # S times D.
         i, j, k = sorted(range(3), key=xs.__getitem__)
-        scale = abs(par.kappa.numerator)
-        den = par.kappa.denominator * D
+        K, _, _, S = par._lifted
+        scale = abs(K)
+        den = S * D
         angles = [None, None, None]
         angles[i] = ratio(scale * (xs[k] - xs[j]), den)
         angles[j] = ratio(scale * (xs[i] - xs[k]), den)
@@ -93,8 +99,10 @@ class DATriangle:
         object.__setattr__(self, "_middle", j)
         # Structural certificate, a theorem, so a failure here means the
         # kernel itself is broken: the largest stored norm is the sum of
-        # the other two, i.e. twice it is their total.
-        nums, _ = lift_triple(self.side_norms())
+        # the other two, i.e. twice it is their total.  The lift is kept
+        # for the equality tests of is_isosceles and classify_pair.
+        nums, _ = norm_lift = lift_triple(self.side_norms())
+        object.__setattr__(self, "_norm_lift", norm_lift)
         if 2 * max(nums) != sum(nums):
             raise KernelInvariantError("side-norm equation violated")
 
@@ -153,7 +161,7 @@ class DATriangle:
 
     @property
     def is_isosceles(self) -> bool:
-        (p, q, r), _ = lift_triple(self._norms)
+        p, q, r = self._norm_lift[0]
         return p == q or q == r or p == r
 
     # -- angles ---------------------------------------------------------------
@@ -196,7 +204,12 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
                 else bisector_at(t, vertex, "positive"))
         t._lines[key] = line
         return line
-    line = t._lines[key] = divider_line(v, *t.others(vertex), 1, 1)
+    # The 1:1 divider from the triangle's own lift.
+    i = VERTICES.index(vertex)
+    j, k = _OTHERS[vertex]
+    xs, D, ys, E = t._lift
+    line = t._lines[key] = _divider_line(xs[i], xs[j], xs[k], D,
+                                         ys[i], ys[j], ys[k], E, 1, 1)
     return line
 
 
@@ -205,14 +218,20 @@ def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
     and VF m:n from VB: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``.
     The three abscissae must be distinct; the weights may be ``int`` or
     ``Fraction``, and 1:1 gives the positive bisector."""
+    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
+    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
+    return _divider_line(xv, xb, xf, X, yv, yb, yf, Y, m, n)
+
+
+def _divider_line(xv: int, xb: int, xf: int, X: int, yv: int, yb: int,
+                  yf: int, Y: int, m, n) -> Line:
+    """:func:`divider_line` of the points ``(x_i/X, y_i/Y)``, from their
+    integers; ``bisector_at`` calls it with the triangle's lift."""
     mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
     if mn * nd + nn * md == 0:
         raise DegenerateConfigurationError("degenerate division weights")
-    # The side slopes are dy*X / (dx*Y) over the abscissae's common
-    # denominator X and the ordinates' Y, so (n*s_base + m*s_far)/(m + n)
+    # The side slopes are dy*X / (dx*Y), so (n*s_base + m*s_far)/(m + n)
     # is X*P / (Y*Q), and the intercept y_V - slope*x_V is over Y*Q too.
-    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
-    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
     dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
     p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
     q = (mn * nd + nn * md) * dx_b * dx_f

@@ -408,17 +408,20 @@ class TestLiftedAgainstFractionChains:
     @given(small.filter(bool), small, small,
            st.lists(small, min_size=3, max_size=3, unique=True),
            small, small, small, st.sampled_from(
-               ["spaced", "reversed", "one gap off", "other kappa"]))
+               ["spaced", "reversed", "one gap off", "other kappa",
+                "mirrored kappa"]))
     def test_intro_observation_matches_fraction_chain(
             self, kappa, beta, gamma, xs, beta2, gamma2, t0, shape):
         # "spaced" repeats the gaps right to left (the hypothesis),
-        # "reversed" left to right, "one gap off" moves one primed point.
+        # "reversed" left to right, "one gap off" moves one primed point;
+        # a mirrored curve has the same |kappa| but is no translate.
         a, b, c = sorted(xs)
         primed = {"spaced": (t0, t0 + (c - b), t0 + (c - a)),
                   "reversed": (t0, t0 + (b - a), t0 + (c - a)),
-                  "one gap off": (t0, t0 + (c - b) + 1, t0 + (c - a)),
-                  "other kappa": (t0, t0 + (c - b), t0 + (c - a))}[shape]
-        delta_kappa = kappa + 1 if shape == "other kappa" else kappa
+                  "one gap off": (t0, t0 + (c - b) + 1, t0 + (c - a))
+                  }.get(shape, (t0, t0 + (c - b), t0 + (c - a)))
+        delta_kappa = {"other kappa": kappa + 1,
+                       "mirrored kappa": -kappa}.get(shape, kappa)
         assume(delta_kappa != 0 and len(set(primed)) == 3)
         t1, t2 = copy_pair(Parabola(kappa, beta, gamma), xs,
                            Parabola(delta_kappa, beta2, gamma2), primed)

@@ -7,18 +7,23 @@ something."""
 import inspect
 import sys
 import textwrap
+import types
 
 import pytest
 
 from dageo import campaigns, equivalence, gauge, parabola, theorems, triangle
 from dageo.gauge import MeetResult
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
-from dageo.scalar import lift_triple
+
+_parabola = parabola._parabola
 
 
-def _lift_with_beta_plus_one(values):
-    (kappa, beta, gamma), scale = lift_triple(values)
-    return (kappa, beta + 1, gamma), scale
+def _parabola_with_beta_plus_one(K, B, G, S, *coefficients):
+    # B + 1 on the stored quadruple, after its reduction, on both routes:
+    # the public constructor (which keeps its arguments as the public
+    # coefficients) and the integer one.
+    K, B, G, S = _parabola(K, B, G, S)._lifted
+    return _parabola(K, B + 1, G, S, *coefficients)
 
 
 def _chord_height_sign_flipped(p, x0, q):
@@ -55,10 +60,20 @@ def _source_mutant(function, old, new):
     return namespace[function.__name__]
 
 
+def _rebound(function, **names):
+    """``function`` with some of its module's global names bound to other
+    values, for it alone."""
+    namespace = {**vars(sys.modules[function.__module__]), **names}
+    return types.FunctionType(function.__code__, namespace,
+                              function.__name__, function.__defaults__)
+
+
 #: (mutant id, module, attribute, replacement, theorem that must catch it).
-#: ``Parabola`` lifts its coefficients once and both ``y_at`` and
-#: ``contains`` read that lift, so a wrong lift agrees with itself;
-#: ``parabolic_power`` also reads ``kappa`` and ``beta`` directly.  Each
+#: ``Parabola`` stores its integer quadruple in one place,
+#: ``parabola._parabola``, and both ``y_at`` and ``contains`` read it, so
+#: a wrong quadruple agrees with itself; ``parabolic_power`` reads the
+#: public ``kappa`` and ``beta``, which a curve built from Fractions keeps
+#: as given.  Each
 #: later row breaks a kernel function that an integer-lifted checker still
 #: reads, so that checker cannot have become a tautology: the chord height
 #: behind both m:n residuals, the mean-slope halving of the bisection
@@ -66,9 +81,10 @@ def _source_mutant(function, old, new):
 #: points, and the crossing of the diagonals.  The bisection row sums the
 #: two slopes and takes a third, in ``angle_axiom_checks``' own source.
 #: The last three break one term of an integer-lifted triangle function in
-#: its own source: the far side's weighted slope in ``divider_line``, bound
-#: only where ``cevian_line`` reads it (the bisectors keep the right
-#: line), the abscissa's denominator in ``shift``'s slide x + theta/kappa,
+#: its own source: the far side's weighted slope in ``divider_line``'s
+#: integer core, bound only where ``cevian_line`` reads it through
+#: ``divider_line`` (the bisectors keep the right line), the abscissa's
+#: denominator in ``shift``'s slide x + theta*S/K,
 #: and the pairing of the norms in ``bisector_ratio_check``.  The last two
 #: break the integer line layer: the ordinate of ``meet``'s cross product,
 #: bound where the triangle layer reads it (``midpoint_lemma`` reports
@@ -77,8 +93,8 @@ def _source_mutant(function, old, new):
 #: theorems read it (``ceva`` reports "meet oracle rejected concurrent
 #: cevians" from trial 0).
 MUTANTS = [
-    ("parabola_lift_beta_plus_one", parabola, "lift_triple",
-     _lift_with_beta_plus_one, "parabolic_power"),
+    ("parabola_lift_beta_plus_one", parabola, "_parabola",
+     _parabola_with_beta_plus_one, "parabolic_power"),
     ("chord_height_sign_flipped", theorems, "_chord_height",
      _chord_height_sign_flipped, "mn_division"),
     ("half_sum_over_three", campaigns, "angle_axiom_checks",
@@ -94,11 +110,12 @@ MUTANTS = [
     ("meet_with_x_negated", theorems, "meet", _meet_with_x_negated,
      "brahmagupta"),
     ("cevian_line_far_term_subtracted", theorems, "divider_line",
-     _source_mutant(triangle.divider_line, "+ mn * nd * dy_f * dx_b",
-                    "- mn * nd * dy_f * dx_b"), "isogonal"),
+     _rebound(triangle.divider_line, _divider_line=_source_mutant(
+         triangle._divider_line, "+ mn * nd * dy_f * dx_b",
+         "- mn * nd * dy_f * dx_b")), "isogonal"),
     ("shift_slide_without_abscissa_denominator", equivalence, "shift",
-     _source_mutant(equivalence.shift, "+ tn * kd * v.x.denominator,",
-                    "+ tn * kd,"), "shift_group"),
+     _source_mutant(equivalence.shift, "+ tn * S * v.x.denominator,",
+                    "+ tn * S,"), "shift_group"),
     ("bisector_ratio_norms_mispaired", campaigns, "bisector_ratio_check",
      _source_mutant(triangle.bisector_ratio_check,
                     "abs(xw - xv) - abs(xw - xd) * abs(xu - xv)",
@@ -128,15 +145,16 @@ def test_mutant_fails_its_campaign(monkeypatch, module, attribute,
 #: its lift in their checker or read it consistently with their points.
 LIFT_CAUGHT_BY = {
     "parabolic_power", "iso_angle_locus", "ptolemy_broken", "trapezoid",
-    "arc_symmetry", "miquel_quadrilateral",          # failures
+    "arc_symmetry",                                  # failures
     "intersecting_parabolas", "miquel_triangle", "simson",
-    "equivalence_chain", "shift_group", "diag_section",  # errors
+    "equivalence_chain", "shift_group", "diag_section",
+    "miquel_quadrilateral", "bisector_centers",      # errors
 }
 
 
 @pytest.mark.parametrize("theorem", sorted(REGISTRY))
 def test_lift_mutant_leaves_every_campaign_a_report(monkeypatch, theorem):
-    monkeypatch.setattr(parabola, "lift_triple", _lift_with_beta_plus_one)
+    monkeypatch.setattr(parabola, "_parabola", _parabola_with_beta_plus_one)
     report = run_campaign(CampaignConfig(theorem, 50, 42, 50))
     if theorem in LIFT_CAUGHT_BY:
         assert report.failures + report.errors > 0

@@ -73,25 +73,24 @@ def _rebound(function, **names):
 #: ``parabola._parabola``, and both ``y_at`` and ``contains`` read it, so
 #: a wrong quadruple agrees with itself; ``parabolic_power`` reads the
 #: public ``kappa`` and ``beta``, which a curve built from Fractions keeps
-#: as given.  Each
-#: later row breaks a kernel function that an integer-lifted checker still
-#: reads, so that checker cannot have become a tautology: the chord height
-#: behind both m:n residuals, the mean-slope halving of the bisection
-#: axiom, the locus's orientation, the chords through the two common
-#: points, and the crossing of the diagonals.  The bisection row sums the
-#: two slopes and takes a third, in ``angle_axiom_checks``' own source.
-#: The last three break one term of an integer-lifted triangle function in
-#: its own source: the far side's weighted slope in ``divider_line``'s
-#: integer core, bound only where ``cevian_line`` reads it through
-#: ``divider_line`` (the bisectors keep the right line), the abscissa's
-#: denominator in ``shift``'s slide x + theta*S/K,
-#: and the pairing of the norms in ``bisector_ratio_check``.  The last two
-#: break the integer line layer: the ordinate of ``meet``'s cross product,
-#: bound where the triangle layer reads it (``midpoint_lemma`` reports
-#: "bisector meet is not the feet midpoint" from trial 0), and one
-#: cofactor of ``concurrent``'s determinant, bound where the cevian
-#: theorems read it (``ceva`` reports "meet oracle rejected concurrent
-#: cevians" from trial 0).
+#: as given.  Each later row breaks a kernel function that an
+#: integer-lifted checker still reads, so that checker cannot have become
+#: a tautology: the chord height behind both m:n residuals, the mean-slope
+#: halving of the bisection axiom, the locus's orientation, the chords
+#: through the two common points, and the crossing of the diagonals.  The
+#: bisection row sums the two slopes and takes a third, in
+#: ``angle_axiom_checks``' own source.  The last three break one term of
+#: an integer-lifted triangle function in its own source: the far side's
+#: weighted slope in ``divider_line``'s integer core, bound only where
+#: ``cevian_line`` reads it through ``divider_line`` (the bisectors keep
+#: the right line), the abscissa's denominator in ``shift``'s slide
+#: x + theta*S/K, and the pairing of the norms in
+#: ``bisector_ratio_check``.  The last two break the integer line layer:
+#: the ordinate of ``meet``'s cross product, bound where the triangle
+#: layer reads it (``midpoint_lemma`` reports "bisector meet is not the
+#: feet midpoint" from trial 0), and one cofactor of ``concurrent``'s
+#: determinant, bound where the cevian theorems read it (``ceva`` reports
+#: "meet oracle rejected concurrent cevians" from trial 0).
 MUTANTS = [
     ("parabola_lift_beta_plus_one", parabola, "_parabola",
      _parabola_with_beta_plus_one, "parabolic_power"),

@@ -28,6 +28,16 @@ Orientation conventions the reflection rows record:
   the reference line, so their maps have delta = epsilon = 0.
 * ``parabolic_power`` scales by alpha**2 whatever the signs: a reflection
   that turns the curve over keeps a point outside it outside.
+* ``centers`` names its finite excenters by the x-order, ``excenter_a``
+  on the axis of the largest-x vertex and ``excenter_c`` on that of the
+  smallest, so alpha < 0 swaps them; every other center maps to itself.
+* Residuals are vectors, not points: a ``midpoint_lemma_check`` residual
+  maps by the linear part (x, y) -> (alpha*x, gamma*y + delta*x), a
+  Miquel membership residual (a height above a curve) scales by gamma,
+  and ``dabct``'s determinant by alpha*gamma.  On valid draws all of them
+  are 0 before and after.
+* ``simson``'s slope maps as a slope, and its drop lines stay singular,
+  so their common ideal point is fixed.
 """
 
 from fractions import Fraction as F
@@ -44,9 +54,11 @@ from dageo.generators import RandomRationals
 from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
-from dageo.theorems import CevianSpec, cevian_line
-from dageo.triangle import (VERTICES, DATriangle, bisector_at,
-                            divider_line)
+from dageo.theorems import (CevianSpec, CompleteQuadrilateral, cevian_line,
+                            miquel_quadrilateral, miquel_triangle)
+from dageo.triangle import (VERTICES, DATriangle, bisector_at, centers,
+                            dabct, divider_line, midpoint_lemma_check,
+                            perpendicular_feet, simson)
 
 SEED = 2027
 TRIALS = 100
@@ -94,6 +106,16 @@ class Affine(NamedTuple):
 
     def triangle(self, t: DATriangle) -> DATriangle:
         return DATriangle(self.point(t.a), self.point(t.b), self.point(t.c))
+
+    def vector(self, v: Point) -> Point:
+        """The linear part of the map, for a difference of points."""
+        return Point(self.alpha * v.x, self.gamma * v.y + self.delta * v.x)
+
+    def points(self, pts: dict) -> dict:
+        return {label: self.point(p) for label, p in pts.items()}
+
+    def parabolas(self, curves: dict) -> dict:
+        return {label: self.parabola(c) for label, c in curves.items()}
 
     @property
     def angle_scale(self) -> F:
@@ -332,3 +354,108 @@ def test_shift(signs):
         theta = rng.nonzero_rational()
         assert shift(g.triangle(t), g.angle_scale * theta) \
             == g.triangle(shift(t, theta)), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_centers(signs):
+    for k, rng, g, t in _triangles(signs):
+        cs, image = centers(t), centers(g.triangle(t))
+        ex_a, ex_c = g.point(cs.excenter_a), g.point(cs.excenter_c)
+        if g.alpha < 0:
+            ex_a, ex_c = ex_c, ex_a
+        assert (image.excenter_a, image.excenter_c) == (ex_a, ex_c), k
+        assert image.excenter_ideal == cs.excenter_ideal, k
+        for name in ("incenter", "centroid", "tangent_centroid",
+                     "bisector_centroid"):
+            assert getattr(image, name) == g.point(getattr(cs, name)), \
+                (k, name)
+        assert image.tangent_triangle == g.triangle(cs.tangent_triangle), k
+        assert image.tangent_triangle.parabola \
+            == g.parabola(cs.tangent_triangle.parabola), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_perpendicular_feet_and_midpoint_lemma(signs):
+    for k, rng, g, t in _triangles(signs):
+        image = g.triangle(t)
+        assert perpendicular_feet(image) == g.points(perpendicular_feet(t)), k
+        result, moved = midpoint_lemma_check(t), midpoint_lemma_check(image)
+        assert moved.meets == g.points(result.meets), k
+        assert moved.feet == g.points(result.feet), k
+        assert moved.residuals == {lbl: g.vector(r) for lbl, r
+                                   in result.residuals.items()}, k
+        assert all(r == Point(0, 0) for r in moved.residuals.values()), k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_simson(signs):
+    for k, rng, g, t in _triangles(signs):
+        m = rng.rational()
+        result, moved = simson(t, m), simson(g.triangle(t), g.slope(m))
+        assert moved.chord_points == g.points(result.chord_points), k
+        assert moved.feet == g.points(result.feet), k
+        assert moved.line == g.line(result.line), k
+        assert moved.drop_meet == result.drop_meet \
+            == MeetResult.ideal(None), k
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except DegenerateConfigurationError as err:
+        return DegenerateConfigurationError, str(err)
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_dabct(signs):
+    for k, rng, g, t in _triangles(signs):
+        # Isosceles draws raise on both sides: norms scale by |alpha|.
+        result, moved = _outcome(dabct, t), _outcome(dabct, g.triangle(t))
+        if result[0] is DegenerateConfigurationError:
+            assert moved == result, k
+            continue
+        assert moved.l_points == g.points(result.l_points), k
+        assert moved.feet == g.points(result.feet), k
+        assert moved.det_residual \
+            == g.alpha * g.gamma * result.det_residual == 0, k
+        assert moved.concurrency_ok == result.concurrency_ok, k
+
+
+def _assert_miquel_maps(g: Affine, result, moved, k):
+    assert moved.kind == result.kind, k
+    assert moved.point == g.meet(result.point), k
+    assert moved.curves == g.parabolas(result.curves), k
+    assert moved.memberships == {name: g.gamma * r for name, r
+                                 in result.memberships.items()}, k
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_miquel_triangle(signs):
+    for k, rng, g in trials(signs):
+        t = rng.free_triangle()
+        if k % 5 == 0:
+            # Midpoint feet: equal coefficients, the ideal common point.
+            feet = [Point((u.x + w.x) / 2, (u.y + w.y) / 2)
+                    for u, w in ((t.b, t.c), (t.c, t.a), (t.a, t.b))]
+        else:
+            feet = list(rng.cevian_feet(t))
+        result = _outcome(miquel_triangle, t, *feet)
+        moved = _outcome(miquel_triangle, g.triangle(t), *map(g.point, feet))
+        if result[0] is DegenerateConfigurationError:
+            assert moved == result, k
+            continue
+        _assert_miquel_maps(g, result, moved, k)
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+def test_miquel_quadrilateral(signs):
+    for k, rng, g in trials(signs):
+        lines = [draw_line(rng, False) for _ in range(4)]
+        try:
+            quad = CompleteQuadrilateral(*lines)
+        except DegenerateConfigurationError:
+            continue
+        image = CompleteQuadrilateral(*map(g.line, lines))
+        assert image.points() == g.points(quad.points()), k
+        _assert_miquel_maps(g, miquel_quadrilateral(quad),
+                            miquel_quadrilateral(image), k)

@@ -472,6 +472,93 @@ class TestLineContract:
             assert line.contains(p) and twin.contains(p)
 
 
+class TestPointContract:
+    """``Point`` against the ``(x, y)`` tuple model, ints among the
+    coordinates: the public fields, equality, hash, repr and str,
+    immutability, the copies that ``copy`` and ``pickle`` make, and the
+    one tuple behaviour that callers use, unpacking.  Points that the
+    kernel builds (``meet``, ``midpoint``, ``point_at``) are held to the
+    same model."""
+
+    points = [Point(F(1, 2), 3), Point(0, 0), Point(F(-7, 4), F(5, 6)),
+              Point(F(4), F(-9, 2)), midpoint(pt(0, 0), pt(1, 3)),
+              meet(Line(F(1), F(0)), Line(F(-1, 3), F(2))).point,
+              Line(F(2, 3), F(-1)).point_at(F(5, 7))]
+
+    @given(st.one_of(st.integers(-2, 2), bounded),
+           st.one_of(st.integers(-2, 2), bounded))
+    def test_fields_match_the_model(self, x, y):
+        p = Point(x, y)
+        assert (p.x, p.y) == (x, y)
+        assert (type(p.x), type(p.y)) == (type(x), type(y))
+
+    def test_kernel_points_have_fraction_fields(self):
+        for p in self.points[4:]:
+            assert (type(p.x), type(p.y)) == (F, F)
+        assert (self.points[4].x, self.points[4].y) == (F(1, 2), F(3, 2))
+        assert (self.points[5].x, self.points[5].y) == (F(3, 2), F(3, 2))
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(-2, 2), bounded),
+                              st.one_of(st.integers(-2, 2), bounded)),
+                    min_size=2, max_size=2))
+    def test_equality_and_hash_match_the_model(self, specs):
+        (x1, y1), (x2, y2) = specs
+        p1, p2 = Point(x1, y1), Point(x2, y2)
+        model1, model2 = (F(x1), F(y1)), (F(x2), F(y2))
+        assert (p1 == p2) == (model1 == model2)
+        assert (p1 != p2) == (model1 != model2)
+        assert hash(p1) == hash(model1) and hash(p2) == hash(model2)
+        assert len({p1, p2}) == len({model1, model2})
+
+    def test_kernel_points_equal_their_coordinates(self):
+        for p in self.points:
+            twin = Point(F(p.x), F(p.y))
+            assert p == twin and twin == p and not p != twin
+            assert hash(p) == hash(twin) == hash((p.x, p.y))
+        assert Point(1, 2) == Point(F(1), F(2))
+        assert midpoint(pt(0, 0), pt(1, 3)) != Point(F(1, 2), F(3, 2) + 1)
+
+    def test_repr_and_str(self):
+        assert repr(Point(F(1, 2), 3)) == "Point(x=Fraction(1, 2), y=3)"
+        assert repr(Point(0, 0)) == "Point(x=0, y=0)"
+        assert repr(midpoint(pt(0, 0), pt(1, 3))) \
+            == "Point(x=Fraction(1, 2), y=Fraction(3, 2))"
+        assert repr(self.points[5]) \
+            == "Point(x=Fraction(3, 2), y=Fraction(3, 2))"
+        assert repr(pt(4, 0)) == "Point(x=Fraction(4, 1), y=Fraction(0, 1))"
+        assert str(Point(F(-7, 4), F(5, 6))) == "(-7/4, 5/6)"
+        assert str(Point(F(1, 2), 3)) == "(1/2, 3)"
+        assert str(midpoint(pt(0, 0), pt(1, 4))) == "(1/2, 2)"
+
+    def test_immutable(self):
+        p = midpoint(pt(0, 0), pt(1, 3))
+        for name in ("x", "y", "z"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, F(5))
+        with pytest.raises(AttributeError):
+            Point(F(1), F(2)).x = F(3)
+        assert p == Point(F(1, 2), F(3, 2))
+
+    def test_unpacks_to_its_coordinates(self):
+        for p in self.points:
+            x, y = p
+            assert (x, y) == (p.x, p.y)
+            assert (type(x), type(y)) == (type(p.x), type(p.y))
+            assert Point(*p) == p
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "copy", "pickle"])
+    def test_copies_round_trip(self, copier):
+        for p in self.points:
+            if copier == "pickle":
+                twin = pickle.loads(pickle.dumps(p))
+            else:
+                twin = getattr(copy, copier)(p)
+            assert twin == p and hash(twin) == hash(p)
+            assert repr(twin) == repr(p) and str(twin) == str(p)
+            assert (twin.x, twin.y) == (p.x, p.y)
+            assert line_through(twin, pt(11, 13)) == line_through(p, pt(11, 13))
+
+
 def fraction_chain_angle_axiom_checks(a, p, b, c_param, k_scale):
     """``angle_axiom_checks`` as it was before its points and sums were
     built one ratio each: every point and sum in Fraction arithmetic."""

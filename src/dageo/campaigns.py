@@ -22,8 +22,9 @@ from typing import Callable
 from . import equivalence as eq
 from . import theorems as th
 from .errors import DegenerateConfigurationError
-from .gauge import (Line, Point, angle_axiom_checks, difference_angle,
-                    line_through, meet, midpoint, slope_between)
+from .gauge import (Line, Point, _angle_terms, _point, angle_axiom_checks,
+                    difference_angle, line_through, meet, midpoint,
+                    slope_between)
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
@@ -102,7 +103,9 @@ def _check_parabolic_power(cfg: dict) -> None:
     # lift cannot agree with itself.
     kn, kd = curve.kappa.numerator, curve.kappa.denominator
     bn, bd = curve.beta.numerator, curve.beta.denominator
-    pn, pd = p.x.numerator, p.x.denominator
+    # P's abscissa X/Z from its triple: the test below is homogeneous in
+    # (X, Z).
+    pn, _, pd = p.xyz
     wn, wd = power.numerator, power.denominator
     for x1 in cfg["secant_xs"]:
         m = slope_between(p, curve.point_at(x1))
@@ -148,12 +151,18 @@ def _check_iso_angle(cfg: dict) -> None:
     locus = iso_angle_locus(a, b, theta)
     if not (locus.contains(a) and locus.contains(b)):
         raise Counterexample("endpoints escaped the locus")
+    # Each angle n/d against theta, cross-multiplied.
+    tn, td = theta.numerator, theta.denominator
     for x, off in zip(cfg["sample_xs"], cfg["offsets"]):
         on = locus.point_at(x)
-        if difference_angle(a, on, b) != theta:
+        n, d = _angle_terms(a, on, b)
+        if n * td != tn * d:
             raise Counterexample(f"on-locus angle wrong at x={x}")
-        near = Point(x, add(on.y, off))
-        if difference_angle(a, near, b) == theta:
+        # (x, y + off) from the curve point's triple.
+        X, Y, Z = on.xyz
+        wn, wd = off.numerator, off.denominator
+        n, d = _angle_terms(a, _point(X * wd, Y * wd + wn * Z, Z * wd), b)
+        if n * td == tn * d:
             raise Counterexample(f"off-locus point matched at x={x}")
 
 
@@ -203,8 +212,9 @@ def _check_bisector_centers(cfg: dict) -> None:
         if bisector_ratio_check(t, lbl) != 0:
             raise Counterexample(f"bisector ratio fails at {lbl}")
     cs = centers(t)  # internal certificates cover excenters and G_I
-    neg = t.negative_vertex_label
-    if cs.incenter.x != t.vertex(neg).x:
+    X, _, Z = cs.incenter.xyz
+    Xv, _, Zv = t.vertex(t.negative_vertex_label).xyz
+    if X * Zv != Xv * Z:
         raise Counterexample("incenter off the negative-vertex axis")
     for lbl in VERTICES:
         line = bisector_at(t, lbl, "interior")
@@ -289,16 +299,17 @@ def _gen_trapezoid(rng: RandomRationals) -> dict:
         # slide D along the parallel through A, off the curve.
         s = rng.nonzero_rational()
         slope_bc = curve.chord_slope(b, c)
-        pa = curve.point_at(a)
-        # (x_A + s, y_A + s*slope_bc), one ratio per coordinate.
+        # (x_A + s, y_A + s*slope_bc) from A's triple.
+        X, Y, Z = curve.point_at(a).xyz
         sn, sd = s.numerator, s.denominator
         mn, md = slope_bc.numerator, slope_bc.denominator
-        yn, yd = pa.y.numerator, pa.y.denominator
-        d_off = Point(add(pa.x, s),
-                      ratio(yn * sd * md + sn * mn * yd, yd * sd * md))
+        d_off = _point((X * sd + sn * Z) * md, Y * sd * md + sn * mn * Z,
+                       Z * sd * md)
         # No singular side CD or diagonal BD (x_D != x_A as s != 0); the
         # verdict is the checker's to judge.
-        if curve.contains(d_off) or d_off.x in (b, c):
+        X, _, Z = d_off.xyz
+        if curve.contains(d_off) or any(X * v.denominator == v.numerator * Z
+                                        for v in (b, c)):
             return None
         return d_off
     d_off = rng.retrying(make_negative)
@@ -389,12 +400,13 @@ def _check_inscribed_angle(cfg: dict) -> None:
     a, b, c, d = (curve.point_at(x) for x in cfg["xs"])
     if inscribed_angle_check(curve, a, b, c, d) != 0:
         raise Counterexample("inscribed angle differs between viewpoints")
-    # kappa (x_B - x_A) == angle(A, C, B), cross-multiplied.
-    kappa, angle = curve.kappa, difference_angle(a, c, b)
-    ad, bd = a.x.denominator, b.x.denominator
-    if (kappa.numerator * (b.x.numerator * ad - a.x.numerator * bd)
-            * angle.denominator
-            != angle.numerator * kappa.denominator * ad * bd):
+    # kappa (x_B - x_A) == angle(A, C, B), cross-multiplied over the
+    # triples.
+    kappa = curve.kappa
+    n, d = _angle_terms(a, c, b)
+    (Xa, _, Za), (Xb, _, Zb) = a.xyz, b.xyz
+    if (kappa.numerator * (Xb * Za - Xa * Zb) * d
+            != n * kappa.denominator * Za * Zb):
         raise Counterexample("inscribed angle value mismatch")
 
 
@@ -434,7 +446,8 @@ def _gen_miquel_triangle(rng: RandomRationals) -> dict:
         # side of a sub-triangle that can be singular joins two feet.
         t = rng.free_triangle()
         d, e, f = rng.cevian_feet(t)
-        if d.x == e.x or e.x == f.x or f.x == d.x:
+        (Xd, _, Zd), (Xe, _, Ze), (Xf, _, Zf) = d.xyz, e.xyz, f.xyz
+        if Xd * Ze == Xe * Zd or Xe * Zf == Xf * Ze or Xf * Zd == Xd * Zf:
             return None
         return {"T": t, "D": d, "E": e, "F": f}
     return rng.retrying(make)
@@ -493,14 +506,12 @@ def _gen_ceva(rng: RandomRationals) -> dict:
     # Cevians through a point with positive barycentric weights: it lies
     # strictly inside the triangle, so each foot is finite and strictly
     # inside its side.
-    # q = (w1 A + w2 B + w3 C)/(w1 + w2 + w3), the weights and each
-    # coordinate triple lifted to integers over their own scale.
+    # q = (w1 A + w2 B + w3 C)/(w1 + w2 + w3), the weights lifted to
+    # integers over their own scale and the vertices over the triangle's.
     (w1, w2, w3), _ = lift_triple([rng.positive_rational() for _ in range(3)])
-    (xa, xb, xc), X = lift_triple((t.a.x, t.b.x, t.c.x))
-    (ya, yb, yc), Y = lift_triple((t.a.y, t.b.y, t.c.y))
-    s = w1 + w2 + w3
-    q = Point(ratio(w1 * xa + w2 * xb + w3 * xc, s * X),
-              ratio(w1 * ya + w2 * yb + w3 * yc, s * Y))
+    (xa, xb, xc), (ya, yb, yc), L = t._lift
+    q = _point(w1 * xa + w2 * xb + w3 * xc, w1 * ya + w2 * yb + w3 * yc,
+               (w1 + w2 + w3) * L)
     concurrent_feet = tuple(meet(line_through(t.vertex(lbl), q),
                                  t.side(lbl)).point for lbl in VERTICES)
 
@@ -580,7 +591,7 @@ def _check_simson(cfg: dict) -> None:
     # m (a + b + c) - m**2 - (ab + bc + ca), here with a, b, c over one
     # scale L and m = mn/md, all over (md L)**2, cross-multiplied.
     result = simson(t, m)
-    (a, b, c), scale = lift_triple((t.a.x, t.b.x, t.c.x))
+    (a, b, c), _, scale = t._lift
     mn, md = m.numerator, m.denominator
     intercept = (mn * (a + b + c) * md * scale - mn * mn * scale * scale
                  - (a * b + b * c + c * a) * md * md)
@@ -598,7 +609,7 @@ register(Theorem("simson",
 
 def _check_midpoint_lemma(cfg: dict) -> None:
     result = midpoint_lemma_check(cfg["T"])
-    if any(res.x or res.y for res in result.residuals.values()):
+    if any(res.xyz[:2] != (0, 0) for res in result.residuals.values()):
         raise Counterexample("bisector meet is not the feet midpoint")
 
 
@@ -787,6 +798,21 @@ def _check_shift_group(cfg: dict) -> None:
         raise Counterexample("zero shift is not the identity")
     if eq.shift(moved, ratio(-th1.numerator, th1.denominator)) != t:
         raise Counterexample("shift inverse fails")
+    # The rate, from the difference-angle definition: the arc from each
+    # vertex V to its image V' subtends theta1 at any other curve point.
+    # The viewing point lies one unit right of the rightmost of the six
+    # (X/L of each triangle's lift), so it is none of them and no ray to
+    # it is singular.
+    (xs, _, L), (xs2, _, L2) = t._lift, moved._lift
+    X, Z = max(xs), L
+    if max(xs2) * L > X * L2:
+        X, Z = max(xs2), L2
+    view = t.parabola._point_over(X + Z, Z)
+    tn, td = th1.numerator, th1.denominator
+    for v, image in zip((t.a, t.b, t.c), (moved.a, moved.b, moved.c)):
+        n, d = _angle_terms(v, view, image)
+        if n * td != tn * d:
+            raise Counterexample("shift slides at the wrong rate")
 
 
 register(Theorem("shift_group",
@@ -841,7 +867,8 @@ def _check_diag_section(cfg: dict) -> None:
     verdict = eq.diag_section_similarity(*pts)
     if not (verdict.xab_xcd and verdict.xbc_xad):
         raise Counterexample("diagonal sections not angle-similar")
-    bent = pts[:3] + [Point(pts[3].x, add(pts[3].y, 1))]
+    X, Y, Z = pts[3].xyz
+    bent = pts[:3] + [_point(X, Y + Z, Z)]
     try:
         eq.diag_section_similarity(*bent)
     except DegenerateConfigurationError:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import Point, line_through, meet
+from .gauge import Point, _abscissae, line_through, meet
 from .parabola import conparabolic
-from .scalar import det3, lift_triple, over_common_denominator, ratio
+from .scalar import det3, lift_triple
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
@@ -94,13 +94,12 @@ def shift(t: DATriangle, theta: Fraction) -> DATriangle:
     if not isinstance(theta, Fraction):
         theta = Fraction(theta)
     par = t.parabola
-    # x + theta/kappa = x + theta*S/K over xd*td*K, one ratio per vertex.
+    # x + theta/kappa = X/Z + theta*S/K over Z*td*K, each vertex's triple
+    # read directly.
     tn, td = theta.numerator, theta.denominator
     K, _, _, S = par._lifted
-    moved = [par.point_at(ratio(v.x.numerator * td * K
-                                + tn * S * v.x.denominator,
-                                v.x.denominator * td * K))
-             for v in (t.a, t.b, t.c)]
+    moved = [par._point_over(X * td * K + tn * S * Z, Z * td * K)
+             for X, _, Z in (t.a.xyz, t.b.xyz, t.c.xyz)]
     image = DATriangle(*moved)
     if image.parabola != par:
         raise KernelInvariantError("shift moved the triangle off its parabola")
@@ -138,7 +137,7 @@ def diag_section_similarity(a: Point, b: Point, c: Point,
 
 class FeetCollinearity(NamedTuple):
     feet: tuple[Point, Point, Point]
-    det_residual: Fraction
+    det_residual: Fraction   # det3 of the feet's triples: 0 iff collinear
     menelaus_product: Fraction | None
 
 
@@ -172,8 +171,7 @@ def final_theorem_feet(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
             "correspondence does not reverse the x-orientation")
     feet = [foot_of_perpendicular(t.vertex(lbl), t2.side(lbl))
             for lbl in VERTICES]
-    h_a, h_b, h_c = feet
-    residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
+    residual = det3(*(h.xyz for h in feet))
 
     try:
         menelaus = menelaus_product(t2, *feet)
@@ -199,12 +197,11 @@ def intro_observation_check(t: DATriangle, t2: DATriangle) -> FeetCollinearity:
     a, b, c = t.sorted_vertices()
     cp, bp, ap = t2.sorted_vertices()
     # b - a == a' - b' and c - b == b' - c', over one common denominator.
-    (xa, xb, xc, xap, xbp, xcp), _ = over_common_denominator(
-        (a.x, b.x, c.x, ap.x, bp.x, cp.x))
+    (xa, xb, xc, xap, xbp, xcp), _ = _abscissae((a, b, c, ap, bp, cp))
     if not (xb - xa == xap - xbp and xc - xb == xbp - xcp):
         raise DegenerateConfigurationError("spacing hypothesis violated")
     h_a = line_through(b, c).point_at(ap.x)
     h_b = line_through(c, a).point_at(bp.x)
     h_c = line_through(a, b).point_at(cp.x)
-    residual = det3((h_a.x, h_a.y, 1), (h_b.x, h_b.y, 1), (h_c.x, h_c.y, 1))
+    residual = det3(h_a.xyz, h_b.xyz, h_c.xyz)
     return FeetCollinearity((h_a, h_b, h_c), residual, None)

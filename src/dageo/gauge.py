@@ -18,35 +18,120 @@ slope arithmetic:
 Slopes are represented as ``Fraction | None`` with ``None`` standing for
 the singular slope (direction parallel to the projective direction).
 
-A :class:`Line` is the integer triple of ``a*X + b*Y + c*Z = 0`` in
-homogeneous coordinates, whose ideal points are ``Z = 0`` (Richter-Gebert,
-*Perspectives on Projective Geometry*, ch. 1-2): join and meet are cross
-products and concurrency a determinant, with no branch for ideal points.
+A :class:`Point` is the primitive integer triple ``(X, Y, Z)`` of the
+point ``(X/Z, Y/Z)`` and a :class:`Line` the integer triple of
+``a*X + b*Y + c*Z = 0`` in homogeneous coordinates, whose ideal points are
+``Z = 0`` (Richter-Gebert, *Perspectives on Projective Geometry*, ch.
+1-2): join and meet are cross products, incidence a dot product and
+concurrency a determinant, with no branch for ideal points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import add, between, collinear, over_common_denominator, ratio
+from .scalar import between, collinear, over_common_denominator, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
 
-class Point(NamedTuple):
-    x: Fraction
-    y: Fraction
+class Point:
+    """The point ``(x, y)``, stored as the primitive integer triple
+    ``xyz = (X, Y, Z)``: x = X/Z and y = Y/Z with Z > 0 and
+    gcd(X, Y, Z) = 1, one triple per point, which equality compares.  It
+    is the lift of the two coordinates over their lcm Z: that Z is a
+    common denominator, and if a prime p divided X, Y and Z then Z/p would
+    be a smaller one.  ``Point(x, y)`` keeps its arguments, ints included,
+    as ``.x`` and ``.y`` and builds the triple on first read;
+    ``_point(X, Y, Z)`` stores a triple, and ``.x`` and ``.y`` are then
+    built as Fractions on first read.  Either form is kept once built.
+    The hash is that of the tuple ``(x, y)``, and a point unpacks to its
+    two coordinates."""
+
+    __slots__ = ("_x", "_y", "_xyz")
+
+    def __new__(cls, x: Fraction, y: Fraction):
+        point = _new(Point)
+        _set_x(point, x)
+        _set_y(point, y)
+        _set_xyz(point, None)
+        return point
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Point.{name}")
+
+    def __reduce__(self):
+        return Point, (self.x, self.y)
+
+    def __eq__(self, other):
+        if not isinstance(other, Point):
+            return NotImplemented
+        return self.xyz == other.xyz
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __iter__(self):
+        return iter((self.x, self.y))
+
+    @property
+    def x(self) -> Fraction:
+        if self._x is None:
+            X, _, Z = self._xyz
+            _set_x(self, ratio(X, Z))
+        return self._x
+
+    @property
+    def y(self) -> Fraction:
+        if self._y is None:
+            _, Y, Z = self._xyz
+            _set_y(self, ratio(Y, Z))
+        return self._y
+
+    @property
+    def xyz(self) -> tuple[int, int, int]:
+        if self._xyz is None:
+            x, y = self._x, self._y
+            xd, yd = x.denominator, y.denominator
+            Z = lcm(xd, yd)
+            _set_xyz(self, (x.numerator * (Z // xd), y.numerator * (Z // yd),
+                            Z))
+        return self._xyz
+
+    def __repr__(self) -> str:
+        return f"Point(x={self.x!r}, y={self.y!r})"
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
 
+_new, _new_tuple = object.__new__, tuple.__new__
+_set_x, _set_y, _set_xyz = (Point._x.__set__, Point._y.__set__,
+                            Point._xyz.__set__)
+
+
+def _point(X: int, Y: int, Z: int, x: Fraction | None = None) -> Point:
+    """The point ``(X/Z, Y/Z)``, ``Z != 0``, reduced by the gcd and signed
+    as :class:`Point` stores it; ``x``, when given, is the abscissa X/Z
+    that the caller already holds, kept as ``.x``."""
+    g = gcd(X, Y, Z)
+    if Z < 0:
+        g = -g
+    point = _new(Point)
+    _set_x(point, x)
+    _set_y(point, None)
+    _set_xyz(point, (X // g, Y // g, Z // g))
+    return point
+
+
 def midpoint(p: Point, q: Point) -> Point:
-    return Point(between(p.x, q.x, 1, 2), between(p.y, q.y, 1, 2))
+    X1, Y1, Z1 = p.xyz
+    X2, Y2, Z2 = q.xyz
+    return _point(X1 * Z2 + X2 * Z1, Y1 * Z2 + Y2 * Z1, 2 * Z1 * Z2)
 
 
 @dataclass(frozen=True)
@@ -85,14 +170,16 @@ class Gauge:
         for p in points:
             # Solve dx*e1 + dy*e2 = u*ref + v*proj by Cramer's rule, with
             # dx = DX/(xd*yd*L), dy = DY/(xd*yd*L) and the directions and
-            # their determinant over L and L**2: the scales cancel.
-            xn, xd = p.x.numerator, p.x.denominator
-            yn, yd = p.y.numerator, p.y.denominator
+            # their determinant over L and L**2: the scales cancel.  A
+            # parsed point is read as given, and its image is stored as a
+            # triple, so neither builds its other form here.
+            x, y = p.x, p.y
+            xn, xd = x.numerator, x.denominator
+            yn, yd = y.numerator, y.denominator
             DX = (xn * L - OX * xd) * yd
             DY = (yn * L - OY * yd) * xd
-            den = det * xd * yd
-            out.append(Point(ratio(DX * PY - DY * PX, den),
-                             ratio(RX * DY - RY * DX, den)))
+            out.append(_point(DX * PY - DY * PX, RX * DY - RY * DX,
+                              det * xd * yd))
         return out
 
 
@@ -113,12 +200,36 @@ def slope_between(a: Point, b: Point) -> Slope:
 def _slope_terms(a: Point, b: Point) -> tuple[int, int]:
     """Integers ``(n, d)`` with ``slope(AB) = n/d``: ``d`` is zero exactly
     when ``x_A == x_B``, and ``n`` exactly when ``y_A == y_B``."""
-    # With a = (p1/q1, r1/s1) and b = (p2/q2, r2/s2), dx = dxn/(q1*q2)
-    # and dy = dyn/(s1*s2).
-    q1, q2 = a.x.denominator, b.x.denominator
-    s1, s2 = a.y.denominator, b.y.denominator
-    return ((b.y.numerator * s1 - a.y.numerator * s2) * q1 * q2,
-            (b.x.numerator * q1 - a.x.numerator * q2) * s1 * s2)
+    # dy/dx with dx = (X2 Z1 - X1 Z2)/(Z1 Z2), and dy likewise.
+    X1, Y1, Z1 = a.xyz
+    X2, Y2, Z2 = b.xyz
+    return Y2 * Z1 - Y1 * Z2, X2 * Z1 - X1 * Z2
+
+
+def _abscissae(points) -> tuple[list[int], int]:
+    """The points' abscissae as integers over the lcm ``L`` of their Z,
+    read from the triples: ``([X_1 * L/Z_1, ...], L)``."""
+    triples = [p.xyz for p in points]
+    L = lcm(*(Z for _, _, Z in triples))
+    return [X * (L // Z) for X, _, Z in triples], L
+
+
+def _angle_terms(a: Point, p: Point, b: Point) -> tuple[int, int]:
+    """Integers ``(n, d)``, ``d != 0``, with ``difference_angle(a, p, b)
+    = n/d``; a singular ray gives ``(0, 1)``."""
+    # Each ray's dx and dy over Z_P times its end's Z, as in _slope_terms:
+    # slope(PA) = dya/dxa.  A ray with dx == dy == 0 has its end at the
+    # vertex.
+    Xp, Yp, Zp = p.xyz
+    Xa, Ya, Za = a.xyz
+    Xb, Yb, Zb = b.xyz
+    dxa, dya = Xa * Zp - Xp * Za, Ya * Zp - Yp * Za
+    dxb, dyb = Xb * Zp - Xp * Zb, Yb * Zp - Yp * Zb
+    if not (dxa or dya) or not (dxb or dyb):
+        raise DegenerateConfigurationError("angle vertex coincides with an endpoint")
+    if dxa == 0 or dxb == 0:
+        return 0, 1
+    return dyb * dxa - dya * dxb, dxa * dxb
 
 
 def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
@@ -129,29 +240,15 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
     Collinear triples give 0 as well, since the two slopes coincide.
     The vertex must be distinct from both endpoints.
     """
-    # Each ray's dx and dy cross-multiplied as in slope_between:
-    # slope(PA) = qp*qa*dya / (sp*sa*dxa), and likewise for PB.  A ray
-    # with dx == dy == 0 has its end at the vertex.
-    qp, sp = p.x.denominator, p.y.denominator
-    pxn, pyn = p.x.numerator, p.y.numerator
-    qa, sa = a.x.denominator, a.y.denominator
-    qb, sb = b.x.denominator, b.y.denominator
-    dxa = a.x.numerator * qp - pxn * qa
-    dxb = b.x.numerator * qp - pxn * qb
-    dya = a.y.numerator * sp - pyn * sa
-    dyb = b.y.numerator * sp - pyn * sb
-    if not (dxa or dya) or not (dxb or dyb):
-        raise DegenerateConfigurationError("angle vertex coincides with an endpoint")
-    if dxa == 0 or dxb == 0:
-        return Fraction(0)
-    ua, ub = sa * dxa, sb * dxb
-    return ratio(qp * (dyb * qb * ua - dya * qa * ub), sp * ua * ub)
+    n, d = _angle_terms(a, p, b)
+    return ratio(n, d) if n else Fraction(0)
 
 
 def da_norm(a: Point, b: Point) -> Fraction:
     """Segment norm |x_B - x_A|; zero exactly on singular segments."""
-    ad, bd = a.x.denominator, b.x.denominator
-    return ratio(abs(b.x.numerator * ad - a.x.numerator * bd), ad * bd)
+    Xa, _, Za = a.xyz
+    Xb, _, Zb = b.xyz
+    return ratio(abs(Xb * Za - Xa * Zb), Za * Zb)
 
 
 class Line:
@@ -216,12 +313,16 @@ class Line:
         return ratio(-(a * xn + c * xd), b * xd)
 
     def point_at(self, x: Fraction) -> Point:
-        return Point(x, self.y_at(x))
+        a, b, c = self.triple
+        if not b:
+            raise ValueError("a singular line has no y(x)")
+        xn, xd = x.numerator, x.denominator
+        return _point(b * xn, -(a * xn + c * xd), b * xd, x)
 
     def contains(self, p: Point) -> bool:
         a, b, c = self.triple
-        xn, xd = p.x.numerator, p.x.denominator
-        return (a * xn + c * xd) * p.y.denominator + b * p.y.numerator * xd == 0
+        X, Y, Z = p.xyz
+        return a * X + b * Y + c * Z == 0
 
     def __repr__(self) -> str:
         return f"Line(m={self.m!r}, k={self.k!r})"
@@ -232,7 +333,6 @@ class Line:
         return f"y = {self.m}*x + {self.k}"
 
 
-_new, _new_tuple = object.__new__, tuple.__new__
 _set_triple = Line.triple.__set__
 
 
@@ -248,17 +348,15 @@ def _line(a: int, b: int, c: int) -> Line:
 
 
 def line_through(a: Point, b: Point) -> Line:
-    # The cross product of the points' integers: dy*(x - x1) - dx*(y - y1)
-    # with dx = dxn/(q1*q2) and dy = dyn/(s1*s2), times q1*q2*s1*s2.
-    p1, q1 = a.x.numerator, a.x.denominator
-    r1, s1 = a.y.numerator, a.y.denominator
-    q2, s2 = b.x.denominator, b.y.denominator
-    dxn = b.x.numerator * q1 - p1 * q2
-    dyn = b.y.numerator * s1 - r1 * s2
-    if not (dxn or dyn):
+    # The cross product of the points' triples, zero exactly when they
+    # are one point.
+    X1, Y1, Z1 = a.xyz
+    X2, Y2, Z2 = b.xyz
+    a_, b_, c_ = Y1 * Z2 - Z1 * Y2, Z1 * X2 - X1 * Z2, X1 * Y2 - Y1 * X2
+    if not (a_ or b_):
         raise DegenerateConfigurationError(
             "two coincident points span no line")
-    return _line(dyn * q1 * q2, -dxn * s1 * s2, dxn * s2 * r1 - dyn * q2 * p1)
+    return _line(a_, b_, c_)
 
 
 class MeetResult(NamedTuple):
@@ -316,7 +414,7 @@ def meet(l1: Line, l2: Line) -> MeetResult:
     a2, b2, c2 = t2 = l2.triple
     z = a1 * b2 - b1 * a2
     if z:
-        p = Point(ratio(b1 * c2 - c1 * b2, z), ratio(c1 * a2 - a1 * c2, z))
+        p = _point(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, z)
         return _new_tuple(MeetResult, (MeetResult.AT, p, None))
     if t1 == t2:
         return MeetResult.coincident()
@@ -347,86 +445,105 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
     Returns None when every identity holds, otherwise a short description
     of the first failed assertion.
     """
-    # Every point below is built one ratio per coordinate, and every sum
-    # is compared cross-multiplied (_sums_to), not through Fraction's
-    # generic arithmetic.
-    theta = difference_angle(a, p, b)
+    # Every point below is built from integer triples, and every angle is
+    # an integer pair (n, d) compared cross-multiplied (_sums_to), not a
+    # Fraction: only the singular rays and the norms go through the
+    # public functions.
+    theta = _angle_terms(a, p, b)
+    zero = (0, 1)
 
     # A1 antisymmetry (also the boundary-pairing sign flip: it must hold
     # whether or not the opening contains the singular direction).
-    if not _sums_to(difference_angle(b, p, a), theta, 0):
+    if not _sums_to(_angle_terms(b, p, a), theta, zero):
         return "A1 antisymmetry"
 
     # C strictly between A and B on the segment.
-    n, d = c_param.numerator, c_param.denominator
-    c = Point(between(a.x, b.x, n, d), between(a.y, b.y, n, d))
-    if c != p and c.x != p.x:
+    c = _point_between(a, b, c_param.numerator, c_param.denominator)
+    Xc, _, Zc = c.xyz
+    Xp, Yp, Zp = p.xyz
+    if Xc * Zp != Xp * Zc:
         # A2 additivity.
-        if not _sums_to(difference_angle(a, p, c), difference_angle(c, p, b),
-                        theta):
+        if not _sums_to(_angle_terms(a, p, c), _angle_terms(c, p, b), theta):
             return "A2 additivity"
 
     # A3 vanishing <=> collinear (no singular ray by construction).
     if collinear(a, p, b):
-        if theta != 0:
+        if theta[0]:
             return "A3 vanishing on collinear triple"
-    elif theta == 0:
+    elif not theta[0]:
         return "A3 converse (zero angle off a line)"
     # P + 2 (B - P), on the ray PB.
-    collinear_probe = Point(between(p.x, b.x, 2, 1), between(p.y, b.y, 2, 1))
-    if difference_angle(collinear_probe, p, b) != 0:
+    if _angle_terms(_point_between(p, b, 2, 1), p, b)[0]:
         return "A3 vanishing on a shared ray"
 
     # A4 invariance under isotropic scaling about the origin.
     kn, kd = k_scale.numerator, k_scale.denominator
-    scaled = [Point(ratio(kn * q.x.numerator, kd * q.x.denominator),
-                    ratio(kn * q.y.numerator, kd * q.y.denominator))
-              for q in (a, p, b)]
-    if difference_angle(*scaled) != theta:
+    scaled = [_point(kn * X, kn * Y, kd * Z)
+              for X, Y, Z in (a.xyz, p.xyz, b.xyz)]
+    if not _sums_to(_angle_terms(*scaled), zero, theta):
         return "A4 scaling invariance"
 
     # A5(i) bisection by the mean-slope ray.
     t = between(slope_between(p, a), slope_between(p, b), 1, 2)
-    bis_pt = Point(add(p.x, 1), add(p.y, t))
-    half1 = difference_angle(a, p, bis_pt)
-    half2 = difference_angle(bis_pt, p, b)
-    if not (half1 == half2 and _sums_to(half1, half1, theta)):
+    tn, td = t.numerator, t.denominator
+    bis_pt = _point((Xp + Zp) * td, Yp * td + tn * Zp, Zp * td)
+    half1 = _angle_terms(a, p, bis_pt)
+    half2 = _angle_terms(bis_pt, p, b)
+    if not (_sums_to(half1, zero, half2) and _sums_to(half1, half1, theta)):
         return "A5(i) bisection"
 
     # Vertical angles: with A2 = reflection of A through P and B2 of B,
     # the oriented pair (PA->PB) equals (PA2->PB2), and the appendix form
     # angle(A,P,B) == -angle(B2,P,A2) holds with it.
-    a2 = Point(between(a.x, p.x, 2, 1), between(a.y, p.y, 2, 1))
-    b2 = Point(between(b.x, p.x, 2, 1), between(b.y, p.y, 2, 1))
-    if difference_angle(a2, p, b2) != theta:
+    a2 = _point_between(a, p, 2, 1)
+    b2 = _point_between(b, p, 2, 1)
+    if not _sums_to(_angle_terms(a2, p, b2), zero, theta):
         return "vertical angle equality"
-    if not _sums_to(difference_angle(b2, p, a2), theta, 0):
+    if not _sums_to(_angle_terms(b2, p, a2), theta, zero):
         return "oriented vertical-angle law"
 
     # Straight angle absorbed to zero.
-    if difference_angle(a, p, a2) != 0:
+    if _angle_terms(a, p, a2)[0]:
         return "straight angle"
 
     # Singular-ray absorption: either ray singular forces angle 0.
-    above = Point(p.x, add(p.y, 1))
-    if difference_angle(above, p, b) != 0 or difference_angle(a, p, above) != 0:
+    above = _point(Xp, Yp + Zp, Zp)
+    if (difference_angle(above, p, b).numerator
+            or difference_angle(a, p, above).numerator):
         return "absorptive boundary rule"
 
     # Pseudo-metric triple: symmetry, nonnegativity, additivity along the
     # x-order (the triangle inequality holding with equality).
-    norm_ab = da_norm(a, b)
-    if norm_ab != da_norm(b, a) or norm_ab < 0:
+    norm_ab, norm_ba = _terms(da_norm(a, b)), _terms(da_norm(b, a))
+    if not _sums_to(norm_ab, zero, norm_ba) or norm_ab[0] < 0:
         return "norm symmetry/nonnegativity"
     lo, mid, hi = sorted((a, p, b), key=lambda q: q.x)
-    if not _sums_to(da_norm(lo, mid), da_norm(mid, hi), da_norm(lo, hi)):
+    if not _sums_to(_terms(da_norm(lo, mid)), _terms(da_norm(mid, hi)),
+                    _terms(da_norm(lo, hi))):
         return "norm triangle equality"
-    if da_norm(p, Point(p.x, add(p.y, 5))) != 0:
+    if da_norm(p, _point(Xp, Yp + 5 * Zp, Zp)).numerator:
         return "norm degeneracy on singular segment"
 
     return None
 
 
-def _sums_to(u: Fraction, v: Fraction, w: Fraction) -> bool:
-    """Whether ``u + v == w``, cross-multiplied; ``w`` may be an ``int``."""
-    ud, vd, wd = u.denominator, v.denominator, w.denominator
-    return (u.numerator * vd + v.numerator * ud) * wd == w.numerator * ud * vd
+def _point_between(u: Point, w: Point, n: int, d: int) -> Point:
+    """``u + (n/d)(w - u)``, that is ``((d - n) u + n w) / d``, from the
+    two triples."""
+    Xu, Yu, Zu = u.xyz
+    Xw, Yw, Zw = w.xyz
+    m = d - n
+    return _point(m * Xu * Zw + n * Xw * Zu, m * Yu * Zw + n * Yw * Zu,
+                  d * Zu * Zw)
+
+
+def _terms(value: Fraction) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
+def _sums_to(u: tuple[int, int], v: tuple[int, int],
+             w: tuple[int, int]) -> bool:
+    """Whether ``u + v == w`` for values given as integer pairs
+    ``(numerator, denominator)``, cross-multiplied."""
+    (un, ud), (vn, vd), (wn, wd) = u, v, w
+    return (un * vd + vn * ud) * wd == wn * ud * vd

@@ -36,9 +36,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
-from .gauge import Point
+from .gauge import Point, _point_between
 from .parabola import Parabola
-from .scalar import between, collinear, coprime_ratio, ratio
+from .scalar import collinear, coprime_ratio, ratio
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -199,8 +199,7 @@ class RandomRationals:
         """Strictly interior point of the segment UW (never an endpoint):
         U + lam (W - U) with lam from ``fraction_in_unit_interval``."""
         lam = self.fraction_in_unit_interval()
-        n, d = lam.numerator, lam.denominator
-        return Point(between(u.x, w.x, n, d), between(u.y, w.y, n, d))
+        return _point_between(u, w, lam.numerator, lam.denominator)
 
     def cevian_feet(self, t: DATriangle) -> tuple[Point, Point, Point]:
         """Independent feet strictly inside the three sides."""

@@ -22,7 +22,7 @@ from .errors import GeneratorExhaustedError
 from .gauge import Line, MeetResult, Point
 from .generators import RandomRationals
 from .parabola import Parabola
-from .scalar import format_scalar
+from .scalar import format_ratio, format_scalar
 from .triangle import DATriangle
 
 
@@ -37,7 +37,12 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return format_scalar(obj)
     if isinstance(obj, Point):
-        return [format_scalar(obj.x), format_scalar(obj.y)]
+        # Whichever form the point holds: its coordinates as given, or
+        # its triple, formatted without building the coordinates.
+        if obj._xyz is None:
+            return [format_scalar(obj.x), format_scalar(obj.y)]
+        X, Y, Z = obj.xyz
+        return [format_ratio(X, Z), format_ratio(Y, Z)]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (str, int, bool)) or obj is None:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
-from .gauge import Line, MeetResult, Point, _slope_terms, difference_angle
-from .scalar import (QuadraticPoly, integer_quadratic_roots, lift_triple,
-                     over_common_denominator, ratio)
+from .gauge import (Line, MeetResult, Point, _point, _slope_terms,
+                    difference_angle)
+from .scalar import QuadraticPoly, integer_quadratic_roots, lift_triple, ratio
 
 
 class Parabola:
@@ -36,9 +36,10 @@ class Parabola:
     coefficients over their lcm S: that S is a common denominator, and if
     a prime p divided K, B, G and S then S/p would be a smaller one.
     ``y_at``, ``contains``, ``chord_slope`` and the meets read only the
-    quadruple.  ``kappa``, ``beta`` and ``gamma`` return the constructor's
-    arguments, ints included; a curve built from integers builds them as
-    Fractions on first read and keeps them.
+    quadruple, and the points they read and build are ``Point`` triples.
+    ``kappa``, ``beta`` and ``gamma`` return the constructor's arguments,
+    ints included; a curve built from integers builds them as Fractions
+    on first read and keeps them.
     """
 
     __slots__ = ("_lifted", "_kappa", "_beta", "_gamma")
@@ -86,24 +87,30 @@ class Parabola:
 
     def residual(self, p: Point) -> Fraction:
         """``y_at(p.x) - p.y``: zero iff the curve passes through ``p``."""
+        # (K X^2 + B X Z + G Z^2 - S Y Z) / (S Z^2) over p's triple.
         K, B, G, S = self._lifted
-        xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        return ratio(((K * xn + B * xd) * xn + G * xd * xd) * yd
-                     - yn * S * xd * xd, S * xd * xd * yd)
+        X, Y, Z = p.xyz
+        return ratio((K * X + B * Z) * X + (G * Z - S * Y) * Z, S * Z * Z)
 
     def point_at(self, x: Fraction) -> Point:
         if not isinstance(x, Fraction):
             x = Fraction(x)
-        return Point(x, self.y_at(x))
+        return self._point_over(x.numerator, x.denominator, x)
+
+    def _point_over(self, xn: int, xd: int,
+                    x: Fraction | None = None) -> Point:
+        """The curve point over ``x = xn/xd``, ``xd != 0``, as the triple
+        ``(xn S xd, K xn^2 + B xn xd + G xd^2, S xd^2)``; ``x``, when
+        given, is that abscissa as a Fraction, kept as the point's ``.x``."""
+        K, B, G, S = self._lifted
+        return _point(xn * S * xd, (K * xn + B * xd) * xn + G * xd * xd,
+                      S * xd * xd, x)
 
     def contains(self, p: Point) -> bool:
-        # y == (K x^2 + B x + G) / S, cross-multiplied over x's integers.
+        # Y Z S == K X^2 + B X Z + G Z^2 over p's triple.
         K, B, G, S = self._lifted
-        xn, xd = p.x.numerator, p.x.denominator
-        y = p.y
-        return (y.numerator * S * xd * xd
-                == ((K * xn + B * xd) * xn + G * xd * xd) * y.denominator)
+        X, Y, Z = p.xyz
+        return Y * S * Z == (K * X + B * Z) * X + G * Z * Z
 
     def chord_slope(self, u: Fraction, v: Fraction) -> Fraction:
         """Slope of the chord joining the curve points at x=u and x=v.
@@ -152,19 +159,14 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     Collinear triples have a vanishing quadratic coefficient and are
     rejected, as are shared x-coordinates (a singular side).
     """
-    # Abscissae as integers X_i over a shared D, ordinates Y_i over E.
-    # Written out rather than through scalar.lift_triple: the curve
-    # campaigns run this often, and the two calls cost about 1 us of 5.
-    x1, x2, x3 = a.x, b.x, c.x
-    q1, q2, q3 = x1.denominator, x2.denominator, x3.denominator
-    D = lcm(q1, q2, q3)
-    y1, y2, y3 = a.y, b.y, c.y
-    s1, s2, s3 = y1.denominator, y2.denominator, y3.denominator
-    E = lcm(s1, s2, s3)
-    return _parabola_through(
-        x1.numerator * (D // q1), x2.numerator * (D // q2),
-        x3.numerator * (D // q3), D, y1.numerator * (E // s1),
-        y2.numerator * (E // s2), y3.numerator * (E // s3), E)
+    # The three triples over the lcm L of their Z.
+    X1, Y1, Z1 = a.xyz
+    X2, Y2, Z2 = b.xyz
+    X3, Y3, Z3 = c.xyz
+    L = lcm(Z1, Z2, Z3)
+    l1, l2, l3 = L // Z1, L // Z2, L // Z3
+    return _parabola_through(X1 * l1, X2 * l2, X3 * l3, L,
+                             Y1 * l1, Y2 * l2, Y3 * l3, L)
 
 
 def _parabola_through(X1: int, X2: int, X3: int, D: int,
@@ -195,13 +197,11 @@ def parabolic_power(p: Parabola, pt: Point) -> Fraction:
     """
     # The public coefficients over their lcm D (not the stored quadruple:
     # the campaign compares this with secants through points that point_at
-    # builds from the quadruple), and the whole quotient times xd**2 * yd.
+    # builds from the quadruple), and the whole quotient times Z**2 over
+    # pt's triple.
     (K, B, G), D = lift_triple((p.kappa, p.beta, p.gamma))
-    xn, xd = pt.x.numerator, pt.x.denominator
-    yn, yd = pt.y.numerator, pt.y.denominator
-    xd2 = xd * xd
-    return ratio(((K * xn + B * xd) * xn + G * xd2) * yd - D * yn * xd2,
-                 K * xd2 * yd)
+    X, Y, Z = pt.xyz
+    return ratio((K * X + B * Z) * X + (G * Z - D * Y) * Z, K * Z * Z)
 
 
 def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
@@ -213,9 +213,12 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
     The curve is kappa = theta/(b-a) times (x-a)(x-b); the endpoints
     themselves belong to the locus.
     """
-    if a.y != 0 or b.y != 0:
+    # On y = 0 a triple is (x's numerator, 0, x's denominator).
+    A, Ya, ad = a.xyz
+    B, Yb, bd = b.xyz
+    if Ya or Yb:
         raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
-    if a.x == b.x:
+    if A * bd == B * ad:
         raise DegenerateConfigurationError("coincident endpoints")
     if not isinstance(theta, Fraction):
         theta = Fraction(theta)
@@ -223,8 +226,7 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
     # With a = A/L and b = B/L: kappa = theta L/(B - A), beta = -kappa (a + b)
     # and gamma = kappa a b, all over w L.
-    ad, bd = a.x.denominator, b.x.denominator
-    A, B, L = a.x.numerator * bd, b.x.numerator * ad, ad * bd
+    A, B, L = A * bd, B * ad, ad * bd
     tn, w = theta.numerator, theta.denominator * (B - A)
     return _parabola(tn * L * L, -tn * (A + B) * L, tn * A * B, w * L)
 
@@ -263,11 +265,12 @@ def second_intersection(p: Parabola, pt: Point, m: Fraction) -> Point:
         raise DegenerateConfigurationError("point is not on the parabola")
     if not isinstance(m, Fraction):
         m = Fraction(m)
-    # (m - beta)/kappa - x is (m S - B)/K - x over m's and x's integers.
+    # (m - beta)/kappa - x is (m S - B)/K - X/Z over m's integers and
+    # pt's triple.
     K, B, _, S = p._lifted
     mn, md = m.numerator, m.denominator
-    xn, xd = pt.x.numerator, pt.x.denominator
-    return p.point_at(ratio((mn * S - B * md) * xd - xn * K * md, K * md * xd))
+    X, _, Z = pt.xyz
+    return p._point_over((mn * S - B * md) * Z - X * K * md, K * md * Z)
 
 
 def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
@@ -287,7 +290,7 @@ def parabola_meet(p1: Parabola, p2: Parabola) -> list[MeetResult]:
         # Same kappa: translates of one another.
         if not c1:
             return [MeetResult.empty()]
-        return [MeetResult.at(p1.point_at(ratio(-c0, c1))),
+        return [MeetResult.at(p1._point_over(-c0, c1)),
                 MeetResult.ideal(None)]
     roots = integer_quadratic_roots(c2, c1, c0)
     if roots is None:
@@ -319,14 +322,13 @@ def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
         raise DegenerateConfigurationError("coincident circumparabolas")
     if not c2:
         return MeetResult.ideal(None)
-    x = shared.x
-    xn, xd = x.numerator, x.denominator
-    residual = (c2 * xn + c1 * xd) * xn + c0 * xd * xd
+    X, _, Z = shared.xyz
+    residual = (c2 * X + c1 * Z) * X + c0 * Z * Z
     if residual:
-        raise ValueError(f"{x} is not a root (residual "
-                         f"{ratio(residual, scale * xd * xd)})")
-    # The roots sum to -c1/c2, so the companion is -(c1*xd + c2*xn)/(c2*xd).
-    return MeetResult.at(p1.point_at(ratio(-(c1 * xd + c2 * xn), c2 * xd)))
+        raise ValueError(f"{shared.x} is not a root (residual "
+                         f"{ratio(residual, scale * Z * Z)})")
+    # The roots sum to -c1/c2, so the companion is -(c1*Z + c2*X)/(c2*Z).
+    return MeetResult.at(p1._point_over(-(c1 * Z + c2 * X), c2 * Z))
 
 
 def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,
@@ -354,8 +356,10 @@ def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
     The sum vanishes iff the four points lie on one vertical-axis parabola;
     the equivalence is asserted for this vertex ordering only.
     """
-    (xa, xb, xc, xd), _ = over_common_denominator((a.x, b.x, c.x, d.x))
-    if not (xa < xb < xc < xd):
+    # x_P < x_Q is X_P Z_Q < X_Q Z_P, the Z being positive.
+    (Xa, _, Za), (Xb, _, Zb), (Xc, _, Zc), (Xd, _, Zd) = (
+        a.xyz, b.xyz, c.xyz, d.xyz)
+    if not (Xa * Zb < Xb * Za and Xb * Zc < Xc * Zb and Xc * Zd < Xd * Zc):
         raise DegenerateConfigurationError(
             "opposite_angle_sum requires strictly increasing x-order")
     # slope(BA) - slope(BC) + slope(DC) - slope(DA), built once.

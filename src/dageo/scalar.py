@@ -118,6 +118,15 @@ def format_scalar(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_ratio(num: int, den: int) -> str:
+    """``format_scalar(ratio(num, den))`` for ints with ``den > 0``,
+    reduced by one ``gcd`` without building the Fraction."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def det3(r1, r2, r3) -> Fraction:
     """Exact determinant of the 3x3 matrix with rows ``r1, r2, r3``.
 
@@ -154,8 +163,9 @@ def lift_triple(values) -> tuple[tuple[int, int, int], int]:
 
 
 def collinear(p, q, r) -> bool:
-    """Whether three points (objects with .x/.y) lie on one line."""
-    return det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1)) == 0
+    """Whether three points lie on one line: the determinant of their
+    homogeneous integer triples (``.xyz``) is 0."""
+    return det3(p.xyz, q.xyz, r.xyz) == 0
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,19 @@ def _finite(what: str, value) -> float:
     Every exact-to-float conversion goes through here; a value that floats
     cannot hold raises ``ValueError`` naming ``what``.
     """
+    # A float passes through; for a Fraction (or an int) this is
+    # numbers.Rational.__float__ without its two int() calls: the same
+    # binary64 value and the same OverflowError.
+    if type(value) is float:
+        return _quotient(what, value, 1)
+    return _quotient(what, value.numerator, value.denominator)
+
+
+def _quotient(what: str, num, den: int) -> float:
+    """:func:`_finite` of ``num / den``: int division is correctly
+    rounded, so any representation of one rational gives one value."""
     try:
-        # A float passes through; for a Fraction (or an int) this is
-        # numbers.Rational.__float__ without its two int() calls: the same
-        # binary64 value and the same OverflowError.
-        out = (value if type(value) is float
-               else value.numerator / value.denominator)
+        out = num / den
     except OverflowError:
         out = inf
     if not isfinite(out):
@@ -77,11 +84,13 @@ def _float_curve(name: str, curve: Parabola) -> _Curve:
 
 
 def _point_floats(draw: Drawables) -> dict[str, tuple[float, float]]:
-    """Each point's coordinates in binary64, in ``draw.points`` order."""
+    """Each point's coordinates in binary64, in ``draw.points`` order:
+    X / Z and Y / Z of its triple."""
     out = {}
     for name, p in draw.points.items():
         what = f"point {name!r}"
-        out[name] = (_finite(what, p.x), _finite(what, p.y))
+        X, Y, Z = p.xyz
+        out[name] = (_quotient(what, X, Z), _quotient(what, Y, Z))
     return out
 
 

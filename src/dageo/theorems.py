@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, _slope_terms, concurrent,
-                    da_norm, line_through, meet, slope_between)
+from .gauge import (Line, MeetResult, Point, _abscissae, _slope_terms,
+                    concurrent, line_through, meet)
 from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
-from .scalar import lift_triple, over_common_denominator, ratio
+from .scalar import lift_triple, ratio
 from .triangle import DATriangle, VERTICES, divider_line
 
 
@@ -38,7 +38,7 @@ def ptolemy_residual(a: Point, b: Point, c: Point, d: Point,
     parabola."""
     _require_on(curve, a, b, c, d)
     # Abscissae as integers over one L; each product is then over L^2.
-    (xa, xb, xc, xd), scale = over_common_denominator((a.x, b.x, c.x, d.x))
+    (xa, xb, xc, xd), scale = _abscissae((a, b, c, d))
     ab, cd = xb - xa, xd - xc
     ad, bc = xd - xa, xc - xb
     ac, bd = xc - xa, xd - xb
@@ -54,18 +54,21 @@ def brahmagupta_check(curve: Parabola, e: Point, a: Point, b: Point,
     Returns x(AD ^ EB) - (x_A + x_B)/2, exactly 0.
     """
     _require_on(curve, e, a, b, d)
-    (xe, xa, xb, xd), scale = over_common_denominator((e.x, a.x, b.x, d.x))
+    (xe, xa, xb, xd), scale = _abscissae((e, a, b, d))
     if not (xe < xa < xb < xd):
         raise DegenerateConfigurationError("need x-order e < a < b < d")
-    if curve.chord_slope(d.x, e.x) != curve.chord_slope(a.x, b.x):
+    # The chords' slopes, cross-multiplied; the x-order keeps both dx
+    # nonzero.
+    n1, d1 = _slope_terms(d, e)
+    n2, d2 = _slope_terms(a, b)
+    if n1 * d2 != n2 * d1:
         raise DegenerateConfigurationError("DE is not parallel to AB")
     crossing = meet(line_through(a, d), line_through(e, b))
     if not crossing.is_finite:
         raise KernelInvariantError("diagonals AD and EB do not cross")
-    # x - (xa + xb)/(2 scale) over x's integers.
-    x = crossing.point.x
-    xn, xden = x.numerator, x.denominator
-    return ratio(2 * scale * xn - (xa + xb) * xden, 2 * scale * xden)
+    # x - (xa + xb)/(2 scale) over the crossing's triple.
+    X, _, Z = crossing.point.xyz
+    return ratio(2 * scale * X - (xa + xb) * Z, 2 * scale * Z)
 
 
 class TrapezoidVerdict(NamedTuple):
@@ -83,16 +86,20 @@ def trapezoid_equivalence(a: Point, b: Point, c: Point,
     that equivalent to being inscribed in a vertical-axis parabola with a
     parallel pair of opposite sides.
     """
-    sides = [(a, b), (b, c), (c, d), (d, a)]
-    diagonals = [(a, c), (b, d)]
-    for p, q in sides + diagonals:
-        if p.x == q.x:
-            raise DegenerateConfigurationError("singular side or diagonal")
-    ab_cd = slope_between(a, b) == slope_between(c, d)
-    bc_da = slope_between(b, c) == slope_between(d, a)
+    # Each side's and diagonal's (dy, dx) as in slope_between, over the
+    # product of its ends' Z: slopes compare cross-multiplied, and the
+    # norm |x_Q - x_P| of PQ is |dx| / (Z_P Z_Q).
+    ab, bc, cd, da, ac, bd = (_slope_terms(p, q) for p, q in (
+        (a, b), (b, c), (c, d), (d, a), (a, c), (b, d)))
+    if not (ab[1] and bc[1] and cd[1] and da[1] and ac[1] and bd[1]):
+        raise DegenerateConfigurationError("singular side or diagonal")
+    ab_cd = ab[0] * cd[1] == cd[0] * ab[1]
+    bc_da = bc[0] * da[1] == da[0] * bc[1]
     one_pair = ab_cd != bc_da
-    is_iso = one_pair and (da_norm(b, c) == da_norm(d, a) if ab_cd
-                           else da_norm(a, b) == da_norm(c, d))
+    za, zb, zc, zd = a.xyz[2], b.xyz[2], c.xyz[2], d.xyz[2]
+    is_iso = one_pair and (abs(bc[1]) * zd * za == abs(da[1]) * zb * zc
+                           if ab_cd
+                           else abs(ab[1]) * zc * zd == abs(cd[1]) * za * zb)
     inscribed = conparabolic(a, b, c, d)
     return TrapezoidVerdict(is_iso, inscribed and one_pair)
 
@@ -112,19 +119,20 @@ def intersecting_parabolas_check(gamma: Parabola, delta: Parabola,
     if len(finite) != 2:
         raise DegenerateConfigurationError(
             "parabolas must meet at two rational points")
-    a, b = sorted(finite, key=lambda p: p.x)
+    # parabola_meet lists its finite meets in increasing x.
+    a, b = finite
     p = second_intersection(gamma, a, m_a)
     q = second_intersection(delta, a, m_a)
     r = second_intersection(gamma, b, m_b)
     s = second_intersection(delta, b, m_b)
     if a in (p, q) or b in (r, s):
         raise DegenerateConfigurationError("tangent chord at a common point")
-    if p.x == r.x or q.x == s.x:
-        raise DegenerateConfigurationError("singular cross-chord")
     # slope(PR) - slope(QS), each slope's dy and dx cross-multiplied as
-    # in slope_between, built once.
+    # in slope_between, built once; dx == 0 is a singular chord.
     n1, d1 = _slope_terms(p, r)
     n2, d2 = _slope_terms(q, s)
+    if not (d1 and d2):
+        raise DegenerateConfigurationError("singular cross-chord")
     return ratio(n1 * d2 - n2 * d1, d1 * d2)
 
 
@@ -152,7 +160,7 @@ def arc_symmetry_check(t: DATriangle, p_param: Fraction) -> bool:
         raise DegenerateConfigurationError("cevian parallel to a side")
     d, d2 = d_hit.point, d2_hit.point
     quad = [lo, mid, d, d2]
-    xs, _ = over_common_denominator([q.x for q in quad])
+    xs, _ = _abscissae(quad)
     if len(set(xs)) < 4:
         raise DegenerateConfigurationError("coincident abscissae in quadruple")
     ok = conparabolic(*quad)
@@ -176,7 +184,7 @@ def _require_feet(t: DATriangle, d: Point, e: Point,
     X's directed ratio UX : XW in the segment norm (x-differences) as an
     integer pair ``(num, den)``, for D on BC, E on CA and F on AB."""
     pts = (t.a, t.b, t.c, d, e, f)
-    xs, _ = over_common_denominator([p.x for p in pts])
+    xs, _ = _abscissae(pts)
     ratios = []
     for x, u, w, lbl in _FEET:
         if not t.side(lbl).contains(pts[x]):

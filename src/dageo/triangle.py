@@ -14,11 +14,11 @@ for any three distinct abscissae; the ``triangle_invariants`` campaign
 checks them against the difference-angle definition.  Construction
 certifies the side-norm equation on the stored norms, read as integers
 over a common denominator: the largest equals the sum of the other two.
-The vertices are lifted to integers once; the curve (an integer
-quadruple), angles, sides and positive bisectors are built from that
-lift, each side line and bisector once, on first use, and kept: ``side``
-and ``bisector_at`` read that cache, so the constructions and checkers
-that share a triangle share its lines.  The angles read the curve's
+The vertices' triples are brought over the lcm of their Z once; the
+curve (an integer quadruple), angles, sides and positive bisectors are
+built from that lift, each side line and bisector once, on first use,
+and kept: ``side`` and ``bisector_at`` read that cache, so the
+constructions and checkers that share a triangle share its lines.  The angles read the curve's
 quadruple, and the certificate's integer lift of the side norms is kept
 for the equality tests of ``is_isosceles`` and ``classify_pair``.
 """
@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, _line, da_norm, line_through,
-                    meet, midpoint)
+from .gauge import (Line, MeetResult, Point, _line, _point, da_norm,
+                    line_through, meet, midpoint)
 from .parabola import Parabola, _parabola_through, second_intersection
-from .scalar import collinear, det3, lift_triple, over_common_denominator, ratio
+from .scalar import collinear, det3, lift_triple, ratio
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -55,7 +56,7 @@ class DATriangle:
     _norms: tuple[Fraction, Fraction, Fraction] = field(
         init=False, compare=False, repr=False)
     _middle: int = field(init=False, compare=False, repr=False)
-    #: (X, D, Y, E): the vertices' abscissae X over D, ordinates Y over E.
+    #: (X, Y, L): the vertices' abscissae X and ordinates Y over one L.
     _lift: tuple = field(init=False, compare=False, repr=False)
     #: (N, L): the stored side norms as integers N over their lcm L.
     _norm_lift: tuple = field(init=False, compare=False, repr=False)
@@ -65,13 +66,16 @@ class DATriangle:
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        # Abscissae as integers over a shared D, ordinates over E.
-        xs, D = lift_triple((self.a.x, self.b.x, self.c.x))
-        ys, E = lift_triple((self.a.y, self.b.y, self.c.y))
+        # The three triples over the lcm L of their Z.
+        (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = (
+            self.a.xyz, self.b.xyz, self.c.xyz)
+        L = lcm(Z1, Z2, Z3)
+        l1, l2, l3 = L // Z1, L // Z2, L // Z3
+        xs, ys = (X1 * l1, X2 * l2, X3 * l3), (Y1 * l1, Y2 * l2, Y3 * l3)
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
-            par = _parabola_through(*xs, D, *ys, E)
+            par = _parabola_through(*xs, L, *ys, L)
         except DegenerateConfigurationError:
             # With distinct abscissae the only rejection left is kappa == 0,
             # and det3 of the rows (x, y, 1) is kappa times the Vandermonde
@@ -80,11 +84,11 @@ class DATriangle:
         object.__setattr__(self, "parabola", par)
         # i, j, k index the vertices in increasing x; the angle formula is
         # in the interior_angles docstring, with kappa = K/S, here over
-        # S times D.
+        # S times L.
         i, j, k = sorted(range(3), key=xs.__getitem__)
         K, _, _, S = par._lifted
         scale = abs(K)
-        den = S * D
+        den = S * L
         angles = [None, None, None]
         angles[i] = ratio(scale * (xs[k] - xs[j]), den)
         angles[j] = ratio(scale * (xs[i] - xs[k]), den)
@@ -92,7 +96,7 @@ class DATriangle:
         angles = tuple(angles)
         norms = (da_norm(self.a, self.b), da_norm(self.b, self.c),
                  da_norm(self.c, self.a))
-        object.__setattr__(self, "_lift", (xs, D, ys, E))
+        object.__setattr__(self, "_lift", (xs, ys, L))
         object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
         object.__setattr__(self, "_angles", angles)
         object.__setattr__(self, "_norms", norms)
@@ -149,9 +153,10 @@ class DATriangle:
             if label not in _OTHERS:
                 raise ValueError(f"unknown vertex label {label!r}")
             i, j = _OTHERS[label]
-            xs, D, ys, E = self._lift
+            xs, ys, L = self._lift
+            # The cross product of the lifted triples (x_i, y_i, L).
             line = self._lines[label] = _line(
-                (ys[i] - ys[j]) * D, (xs[j] - xs[i]) * E,
+                (ys[i] - ys[j]) * L, (xs[j] - xs[i]) * L,
                 xs[i] * ys[j] - xs[j] * ys[i])
         return line
 
@@ -207,9 +212,9 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     # The 1:1 divider from the triangle's own lift.
     i = VERTICES.index(vertex)
     j, k = _OTHERS[vertex]
-    xs, D, ys, E = t._lift
-    line = t._lines[key] = _divider_line(xs[i], xs[j], xs[k], D,
-                                         ys[i], ys[j], ys[k], E, 1, 1)
+    xs, ys, L = t._lift
+    line = t._lines[key] = _divider_line(xs[i], xs[j], xs[k], ys[i], ys[j],
+                                         ys[k], L, 1, 1)
     return line
 
 
@@ -218,26 +223,28 @@ def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
     and VF m:n from VB: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``.
     The three abscissae must be distinct; the weights may be ``int`` or
     ``Fraction``, and 1:1 gives the positive bisector."""
-    (xv, xb, xf), X = lift_triple((v.x, b.x, f.x))
-    (yv, yb, yf), Y = lift_triple((v.y, b.y, f.y))
-    return _divider_line(xv, xb, xf, X, yv, yb, yf, Y, m, n)
+    (Xv, Yv, Zv), (Xb, Yb, Zb), (Xf, Yf, Zf) = v.xyz, b.xyz, f.xyz
+    L = lcm(Zv, Zb, Zf)
+    lv, lb, lf = L // Zv, L // Zb, L // Zf
+    return _divider_line(Xv * lv, Xb * lb, Xf * lf, Yv * lv, Yb * lb,
+                         Yf * lf, L, m, n)
 
 
-def _divider_line(xv: int, xb: int, xf: int, X: int, yv: int, yb: int,
-                  yf: int, Y: int, m, n) -> Line:
-    """:func:`divider_line` of the points ``(x_i/X, y_i/Y)``, from their
+def _divider_line(xv: int, xb: int, xf: int, yv: int, yb: int, yf: int,
+                  L: int, m, n) -> Line:
+    """:func:`divider_line` of the points ``(x_i/L, y_i/L)``, from their
     integers; ``bisector_at`` calls it with the triangle's lift."""
     mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
     if mn * nd + nn * md == 0:
         raise DegenerateConfigurationError("degenerate division weights")
-    # The side slopes are dy*X / (dx*Y), so (n*s_base + m*s_far)/(m + n)
-    # is X*P / (Y*Q), and the intercept y_V - slope*x_V is over Y*Q too.
+    # The side slopes are dy/dx, so (n*s_base + m*s_far)/(m + n) is P/Q,
+    # and the intercept y_V - slope*x_V is over L*Q.
     dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
     p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
     q = (mn * nd + nn * md) * dx_b * dx_f
     if not q:
         raise DegenerateConfigurationError("shared abscissa: no side slope")
-    return _line(X * p, -Y * q, yv * q - p * xv)
+    return _line(L * p, -L * q, yv * q - p * xv)
 
 
 def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
@@ -248,16 +255,18 @@ def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
     At the negative vertex the interior bisector is singular and the foot
     simply splits the opposite side at x = x_V; the identity still holds.
     """
-    v = t.vertex(vertex)
-    u, w = t.others(vertex)
+    v = VERTICES.index(vertex)
+    u, w = _OTHERS[vertex]
     hit = meet(bisector_at(t, vertex, "interior"), t.side(vertex))
     if not hit.is_finite:
         raise KernelInvariantError(
             "interior bisector cannot miss the opposite side")
-    # The four abscissae as integers over one L; each norm product is
-    # then over L**2.
-    (xu, xd, xv, xw), scale = over_common_denominator(
-        (u.x, hit.point.x, v.x, w.x))
+    # The four abscissae as integers over one scale, the triangle's L
+    # times the foot's Z; each norm product is then over its square.
+    xs, _, L = t._lift
+    X, _, Z = hit.point.xyz
+    xu, xd, xv, xw = xs[u] * Z, X * L, xs[v] * Z, xs[w] * Z
+    scale = L * Z
     return ratio(abs(xd - xu) * abs(xw - xv) - abs(xw - xd) * abs(xu - xv),
                  scale * scale)
 
@@ -283,9 +292,9 @@ class CenterSet:
 
 
 def _centroid(p: Point, q: Point, r: Point) -> Point:
-    xs, X = lift_triple((p.x, q.x, r.x))
-    ys, Y = lift_triple((p.y, q.y, r.y))
-    return Point(ratio(sum(xs), 3 * X), ratio(sum(ys), 3 * Y))
+    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.xyz, q.xyz, r.xyz
+    return _point((X1 * Z2 + X2 * Z1) * Z3 + X3 * Z1 * Z2,
+                  (Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * Z1 * Z2, 3 * Z1 * Z2 * Z3)
 
 
 def centers(t: DATriangle) -> CenterSet:
@@ -319,7 +328,7 @@ def centers(t: DATriangle) -> CenterSet:
 
     # The curve's coefficients as integers over S, the abscissae over D.
     K, B, G, S = t.parabola._lifted
-    xs, D, _, _ = t._lift
+    xs, _, D = t._lift
     tangent_pts = {}
     for label, (i, j) in _OTHERS.items():
         # Tangent-triangle vertex opposite `label`: the meet of the tangents
@@ -327,7 +336,7 @@ def centers(t: DATriangle) -> CenterSet:
         # xm and height kappa*u*w + beta*xm + gamma, here over 2*D^2*S.
         u, w = xs[i], xs[j]
         y = 2 * K * u * w + B * (u + w) * D + 2 * G * D * D
-        tangent_pts[label] = Point(ratio(u + w, 2 * D), ratio(y, 2 * D * D * S))
+        tangent_pts[label] = _point((u + w) * D * S, y, 2 * D * D * S)
     tangent_triangle = DATriangle(*tangent_pts.values())
 
     g = _centroid(t.a, t.b, t.c)
@@ -366,7 +375,7 @@ def perpendicular_feet(t: DATriangle) -> dict[str, Point]:
 def perpendicular_bisectors(t: DATriangle) -> dict[str, Line]:
     """Perpendicular bisectors of the sides, keyed by the opposite vertex;
     each is the singular line through the side midpoint."""
-    xs, D, _, _ = t._lift
+    xs, _, D = t._lift
     return {lbl: _line(2 * D, 0, -xs[i] - xs[j])
             for lbl, (i, j) in _OTHERS.items()}
 
@@ -473,25 +482,20 @@ def midpoint_lemma_check(t: DATriangle) -> MidpointLemmaResult:
         hit = meet(bis[u], bis[w])
         if not hit.is_finite:
             raise KernelInvariantError("positive bisectors are parallel")
-        p, v, f = hit.point, t.vertex(lbl), feet[lbl]
-        meets[lbl] = p
-        residuals[lbl] = Point(_minus_half_sum(p.x, v.x, f.x),
-                               _minus_half_sum(p.y, v.y, f.y))
+        p = meets[lbl] = hit.point
+        # p - (v + f)/2 over 2 Zp Zv Zf, from the three triples.
+        (Xp, Yp, Zp), (Xv, Yv, Zv), (Xf, Yf, Zf) = (
+            p.xyz, t.vertex(lbl).xyz, feet[lbl].xyz)
+        residuals[lbl] = _point(2 * Xp * Zv * Zf - (Xv * Zf + Xf * Zv) * Zp,
+                                2 * Yp * Zv * Zf - (Yv * Zf + Yf * Zv) * Zp,
+                                2 * Zp * Zv * Zf)
     return MidpointLemmaResult(meets, feet, residuals)
-
-
-def _minus_half_sum(c: Fraction, a: Fraction, b: Fraction) -> Fraction:
-    """c - (a + b)/2 as one ratio, over 2*cd*ad*bd."""
-    ad, bd, cd = a.denominator, b.denominator, c.denominator
-    return ratio(2 * c.numerator * ad * bd
-                 - (a.numerator * bd + b.numerator * ad) * cd,
-                 2 * ad * bd * cd)
 
 
 class DABCTResult(NamedTuple):
     l_points: dict[str, Point]   # L_A, L_B, L_C
     feet: dict[str, Point]
-    det_residual: Fraction
+    det_residual: Fraction       # det3 of the L points' triples
     concurrency_ok: bool
 
 
@@ -527,6 +531,5 @@ def dabct(t: DATriangle) -> DABCTResult:
         chord = line_through(feet[u], feet[w])
         if not chord.contains(hit.point):
             concurrency_ok = False
-    la, lb, lc = l_points["A"], l_points["B"], l_points["C"]
-    residual = det3((la.x, la.y, 1), (lb.x, lb.y, 1), (lc.x, lc.y, 1))
+    residual = det3(*(l_points[lbl].xyz for lbl in VERTICES))
     return DABCTResult(l_points, feet, residual, concurrency_ok)

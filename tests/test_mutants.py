@@ -16,6 +16,7 @@ from dageo.gauge import MeetResult
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 
 _parabola = parabola._parabola
+_point = gauge._point
 
 
 def _parabola_with_beta_plus_one(K, B, G, S, *coefficients):
@@ -24,6 +25,14 @@ def _parabola_with_beta_plus_one(K, B, G, S, *coefficients):
     # coefficients) and the integer one.
     K, B, G, S = _parabola(K, B, G, S)._lifted
     return _parabola(K, B + 1, G, S, *coefficients)
+
+
+def _point_with_y_plus_one(X, Y, Z, *abscissa):
+    # Y + 1 on the stored triple, after its reduction: every point the
+    # kernel builds from integers (meets, midpoints, curve and line
+    # points) moves up by 1/Z.
+    X, Y, Z = _point(X, Y, Z).xyz
+    return _point(X, Y + 1, Z, *abscissa)
 
 
 def _chord_height_sign_flipped(p, x0, q):
@@ -90,7 +99,17 @@ def _rebound(function, **names):
 #: layer reads it (``midpoint_lemma`` reports "bisector meet is not the
 #: feet midpoint" from trial 0), and one cofactor of ``concurrent``'s
 #: determinant, bound where the cevian theorems read it (``ceva`` reports
-#: "meet oracle rejected concurrent cevians" from trial 0).
+#: "meet oracle rejected concurrent cevians" from trial 0).  Both now
+#: break the integer code that builds a ``Point`` triple, where the
+#: parent broke a ``ratio`` of each coordinate and the abscissa's
+#: denominator; the same campaigns catch them from the same trial.  The
+#: ``Point`` row adds 1 to Y where ``gauge._point`` stores the triple,
+#: bound in ``gauge`` (its meets, midpoints, line points and the axiom
+#: suite's points), and the θ·κ row slides x + theta*kappa in place of
+#: x + theta/kappa: congruence, the composition law, the zero shift and
+#: the inverse hold for any slide x + c*theta, so only the shift rate
+#: that ``shift_group`` reads from the difference-angle definition can
+#: tell it.
 MUTANTS = [
     ("parabola_lift_beta_plus_one", parabola, "_parabola",
      _parabola_with_beta_plus_one, "parabolic_power"),
@@ -99,7 +118,7 @@ MUTANTS = [
     ("half_sum_over_three", campaigns, "angle_axiom_checks",
      _source_mutant(gauge.angle_axiom_checks,
                     "between(slope_between(p, a), slope_between(p, b), 1, 2)",
-                    "between(0, add(slope_between(p, a), slope_between(p, b)),"
+                    "between(0, slope_between(p, a) + slope_between(p, b),"
                     " 1, 3)"), "angle_axioms"),
     ("iso_angle_locus_endpoints_swapped", campaigns, "iso_angle_locus",
      _iso_angle_locus_endpoints_swapped, "iso_angle_locus"),
@@ -113,19 +132,25 @@ MUTANTS = [
          triangle._divider_line, "+ mn * nd * dy_f * dx_b",
          "- mn * nd * dy_f * dx_b")), "isogonal"),
     ("shift_slide_without_abscissa_denominator", equivalence, "shift",
-     _source_mutant(equivalence.shift, "+ tn * S * v.x.denominator,",
-                    "+ tn * S,"), "shift_group"),
+     _source_mutant(equivalence.shift, "+ tn * S * Z,", "+ tn * S,"),
+     "shift_group"),
+    ("shift_slide_times_kappa", campaigns.eq, "shift",
+     _source_mutant(equivalence.shift,
+                    "(X * td * K + tn * S * Z, Z * td * K)",
+                    "(X * td * S + tn * K * Z, Z * td * S)"), "shift_group"),
     ("bisector_ratio_norms_mispaired", campaigns, "bisector_ratio_check",
      _source_mutant(triangle.bisector_ratio_check,
                     "abs(xw - xv) - abs(xw - xd) * abs(xu - xv)",
                     "abs(xu - xv) - abs(xw - xd) * abs(xw - xv)"),
      "bisector_centers"),
     ("meet_ordinate_negated", triangle, "meet",
-     _source_mutant(gauge.meet, "ratio(c1 * a2 - a1 * c2, z)",
-                    "ratio(a1 * c2 - c1 * a2, z)"), "midpoint_lemma"),
+     _source_mutant(gauge.meet, "c1 * a2 - a1 * c2, z)",
+                    "a1 * c2 - c1 * a2, z)"), "midpoint_lemma"),
     ("concurrent_cofactor_negated", theorems, "concurrent",
      _source_mutant(gauge.concurrent, "+ c1 * (a2 * b3 - b2 * a3)",
                     "- c1 * (a2 * b3 - b2 * a3)"), "ceva"),
+    ("point_lift_y_plus_one", gauge, "_point", _point_with_y_plus_one,
+     "angle_axioms"),
 ]
 
 
@@ -156,4 +181,21 @@ def test_lift_mutant_leaves_every_campaign_a_report(monkeypatch, theorem):
     monkeypatch.setattr(parabola, "_parabola", _parabola_with_beta_plus_one)
     report = run_campaign(CampaignConfig(theorem, 50, 42, 50))
     if theorem in LIFT_CAUGHT_BY:
+        assert report.failures + report.errors > 0
+
+
+#: Campaigns that the ``Point`` mutant, bound in every module that holds
+#: ``_point``, must reach by a counterexample or a kernel error.  Only
+#: ``triangle_invariants`` passes it: its curve triangles move to
+#: another curve through their moved vertices, with which their angles
+#: and the difference-angle definition agree.
+POINT_CAUGHT_BY = set(REGISTRY) - {"triangle_invariants"}
+
+
+@pytest.mark.parametrize("theorem", sorted(REGISTRY))
+def test_point_mutant_leaves_every_campaign_a_report(monkeypatch, theorem):
+    for module in (campaigns, gauge, parabola, triangle):
+        monkeypatch.setattr(module, "_point", _point_with_y_plus_one)
+    report = run_campaign(CampaignConfig(theorem, 50, 42, 50))
+    if theorem in POINT_CAUGHT_BY:
         assert report.failures + report.errors > 0

@@ -188,62 +188,61 @@ def _four_distinct_draws():
 #: and builds none.  ``contains`` and
 #: ``classify_pair`` answer bools, so they build none; a ``Line`` is an
 #: integer triple, so ``line_through``, ``bisector_at`` and
-#: ``cevian_line`` build none, and ``point_on_side`` builds the drawn
-#: ratio and the two coordinates of its point.  ``centers`` builds its
-#: meets, centroids and midpoint and one triangle, the tangent triangle;
-#: ``midpoint`` builds its two coordinates.
-#: ``Parabola`` lifts its coefficients to integers and builds none;
-#: ``second_intersection`` builds its point's two coordinates, and a
-#: drawn rational is one construction.  ``second_meet`` builds its
-#: companion point's two coordinates (the eliminant stays in integers),
-#: ``normalize_chart`` the two coordinates of each point it maps and
-#: ``parse_scalar`` its one value.  ``parabolic_power`` builds its one
-#: value, ``mn_division_check`` its two residuals and ``parabola_meet`` the
-#: two coordinates of each meet point.  ``shift`` builds the three moved
-#: abscissae, their ordinates and the image triangle (6); ``perpendicular_bisectors``, three
-#: singular lines, none; ``bisector_ratio_check`` at a positive vertex the
-#: meet of its bisector and side (2) and the residual;
-#: ``midpoint_lemma_check`` the three feet (one ordinate each), three
-#: meets and three residual points (2 each).  ``Line.contains`` answers a
-#: bool and builds none.
+#: ``cevian_line`` build none.  A ``Point`` that the kernel builds is an
+#: integer triple whose coordinates are built only when read, so
+#: ``midpoint``, ``normalize_chart``, ``Parabola.point_at``,
+#: ``second_intersection`` and ``second_meet`` build none, and
+#: ``point_on_side`` builds only the drawn ratio.  ``centers`` builds one
+#: triangle, the tangent triangle (6), and reads the abscissae of its two
+#: finite excenters (2).
+#: ``Parabola`` lifts its coefficients to integers and builds none, and a
+#: drawn rational is one construction.  ``parse_scalar`` builds its one
+#: value.  ``parabolic_power`` builds its one value,
+#: ``mn_division_check`` its two residuals and ``parabola_meet`` the
+#: abscissa of each meet point, its eliminant's roots.  ``shift`` builds
+#: the image triangle (6); ``perpendicular_bisectors``, three singular
+#: lines, none; ``bisector_ratio_check`` at a positive vertex the
+#: residual alone; ``midpoint_lemma_check`` none: its feet, meets and
+#: residuals are all triples.  ``Line.contains`` answers a bool and
+#: builds none.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 0),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 6),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 0),
-    "centers": (lambda: centers(_T), 28),
-    "midpoint": (lambda: midpoint(_A, _B), 2),
+    "centers": (lambda: centers(_T), 8),
+    "midpoint": (lambda: midpoint(_A, _B), 0),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
-                      3),
+                      1),
     "line_through": (lambda: line_through(_A, _B), 0),
     "Line.singular": (lambda: Line.singular(_X), 0),
     "det3": (lambda: det3((_A.x, _A.y, 1), (_B.x, _B.y, 1), (_C.x, 2, 1)),
              1),
     "Parabola": (lambda: Parabola(*_CURVE_COEFFICIENTS), 0),
     "Parabola.contains": (lambda: _CURVE.contains(_D), 0),
-    "Parabola.point_at": (lambda: _CURVE.point_at(_X), 1),
+    "Parabola.point_at": (lambda: _CURVE.point_at(_X), 0),
     "Parabola.chord_slope": (lambda: _CURVE.chord_slope(_X, _D.x), 1),
-    "second_intersection": (lambda: second_intersection(_CURVE, _D, _X), 2),
+    "second_intersection": (lambda: second_intersection(_CURVE, _D, _X), 0),
     "difference_angle": (lambda: difference_angle(_A, _B, _C), 1),
     "ptolemy_residual": (lambda: ptolemy_residual(_A, _B, _C, _D, _CURVE),
                          1),
     "distinct_rationals": (_four_distinct_draws, 4),
     "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
-    "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 2),
-    "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 2),
+    "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 0),
+    "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 0),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
     "parabolic_power": (lambda: parabolic_power(_OTHER_CURVE, _A), 1),
     "mn_division_check": (lambda: mn_division_check(_A.x, _B.x, _C.x, 2, 3),
                           2),
     "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 0),
-    "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 4),
+    "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 2),
     "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 0),
-    "shift": (lambda: shift(_T, _THETA), 12),
+    "shift": (lambda: shift(_T, _THETA), 6),
     "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 0),
     "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
-                             3),
-    "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 15),
+                             1),
+    "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 0),
     "Line.contains": (lambda: _LINE.contains(_A), 0),
 }
 

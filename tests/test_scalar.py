@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import (bounded, fraction_chain_other_root,
                       fraction_chain_rational_roots)
 from dageo.scalar import (QuadraticPoly, between, coprime_ratio, det3,
-                          format_scalar, other_root, parse_scalar, ratio)
+                          format_ratio, format_scalar, other_root,
+                          parse_scalar, ratio)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -180,6 +181,13 @@ class TestParseScalar:
     @given(rationals)
     def test_round_trip(self, value):
         assert parse_scalar(format_scalar(value)) == value
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6),
+           st.integers(1, 50))
+    def test_format_ratio_matches_format_scalar(self, num, den, scale):
+        # Any representation of one rational, reduced or not.
+        assert format_ratio(num * scale, den * scale) \
+            == format_scalar(F(num, den))
 
 
 class TestDet3:

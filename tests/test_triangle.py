@@ -583,12 +583,6 @@ class TestLiftedTriangleLayer:
         assert got == fraction_chain_perpendicular_bisectors(t)
         assert all(type(line.k) is F for line in got.values())
 
-    @given(bounded, bounded, bounded)
-    def test_minus_half_sum_matches_fraction_chain(self, c, a, b):
-        got = triangle._minus_half_sum(c, a, b)
-        assert type(got) is F
-        assert got == c - (F(a) + b) / 2
-
     @given(bounded_triangles())
     def test_midpoint_lemma_matches_fraction_chain(self, t):
         got = kernel_outcome(midpoint_lemma_check, t)

@@ -447,8 +447,8 @@ def angle_axiom_checks(a: Point, p: Point, b: Point, c_param: Fraction,
     """
     # Every point below is built from integer triples, and every angle is
     # an integer pair (n, d) compared cross-multiplied (_sums_to), not a
-    # Fraction: only the singular rays and the norms go through the
-    # public functions.
+    # Fraction.  The singular-ray rule and the norms are read through the
+    # public difference_angle and da_norm, whose own behaviour they are.
     theta = _angle_terms(a, p, b)
     zero = (0, 1)
 

@@ -99,11 +99,11 @@ def _rebound(function, **names):
 #: layer reads it (``midpoint_lemma`` reports "bisector meet is not the
 #: feet midpoint" from trial 0), and one cofactor of ``concurrent``'s
 #: determinant, bound where the cevian theorems read it (``ceva`` reports
-#: "meet oracle rejected concurrent cevians" from trial 0).  Both now
-#: break the integer code that builds a ``Point`` triple, where the
-#: parent broke a ``ratio`` of each coordinate and the abscissa's
-#: denominator; the same campaigns catch them from the same trial.  The
-#: ``Point`` row adds 1 to Y where ``gauge._point`` stores the triple,
+#: "meet oracle rejected concurrent cevians" from trial 0).  The ``meet``
+#: row and the first ``shift`` row break the integer code that builds a
+#: ``Point`` triple: the Y of ``meet``'s cross product, and the vertex's
+#: Z in the slide over its triple.  The ``Point`` row adds 1 to Y where
+#: ``gauge._point`` stores the triple,
 #: bound in ``gauge`` (its meets, midpoints, line points and the axiom
 #: suite's points), and the θ·κ row slides x + theta*kappa in place of
 #: x + theta/kappa: congruence, the composition law, the zero shift and
@@ -134,7 +134,7 @@ MUTANTS = [
     ("shift_slide_without_abscissa_denominator", equivalence, "shift",
      _source_mutant(equivalence.shift, "+ tn * S * Z,", "+ tn * S,"),
      "shift_group"),
-    ("shift_slide_times_kappa", campaigns.eq, "shift",
+    ("shift_slide_times_kappa", equivalence, "shift",
      _source_mutant(equivalence.shift,
                     "(X * td * K + tn * S * Z, Z * td * K)",
                     "(X * td * S + tn * K * Z, Z * td * S)"), "shift_group"),

@@ -241,6 +241,8 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
     The vertex must be distinct from both endpoints.
     """
     n, d = _angle_terms(a, p, b)
+    # A zero angle comes from Fraction itself: perfbench's traced count of
+    # Fraction.__new__ calls on the curve campaigns rests on it.
     return ratio(n, d) if n else Fraction(0)
 
 

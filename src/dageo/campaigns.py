@@ -697,22 +697,20 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
         hit = meet(la, lb)
         if not hit.is_finite:
             return None
-        q = hit.point
-        cpt = t.vertex("C")
-        base_pt = t.vertex(bases["C"])
-        far_pt = t.vertex("B" if bases["C"] == "A" else "A")
         # gamma = (s_CQ - s_base)/(s_far - s_base) for the slopes at C,
-        # each dy*X/(dx*Y) over the lifted coordinates' scales, which
-        # cancel.  gamma is 0 or 1 exactly when CQ is the base or the far
-        # side, so those two tests cover the slope comparisons too.
-        (xc, xq, xb, xf), _ = over_common_denominator(
-            (cpt.x, q.x, base_pt.x, far_pt.x))
-        (yc, yq, yb, yf), _ = over_common_denominator(
-            (cpt.y, q.y, base_pt.y, far_pt.y))
-        dx_q, dx_b, dx_f = xq - xc, xb - xc, xf - xc
+        # each dy/dx over one scale, which cancels: the triangle's lift
+        # over L times Q's Z, and Q's triple times L.  gamma is 0 or 1
+        # exactly when CQ is the base or the far side, so those two tests
+        # cover the slope comparisons too.
+        xs, ys, L = t._lift
+        X, Y, Z = hit.point.xyz
+        b = VERTICES.index(bases["C"])   # the far vertex is 1 - b
+        dx_q, dx_b, dx_f = (X * L - xs[2] * Z, (xs[b] - xs[2]) * Z,
+                            (xs[1 - b] - xs[2]) * Z)
         if dx_q == 0:
             return None
-        dy_q, dy_b, dy_f = yq - yc, yb - yc, yf - yc
+        dy_q, dy_b, dy_f = (Y * L - ys[2] * Z, (ys[b] - ys[2]) * Z,
+                            (ys[1 - b] - ys[2]) * Z)
         num = (dy_q * dx_b - dy_b * dx_q) * dx_f
         den = (dy_f * dx_b - dy_b * dx_f) * dx_q
         if den == 0 or num == 0 or num == den:

@@ -47,17 +47,20 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
+    # Curves and lines are formatted from their stored integers (S > 0,
+    # and -b > 0 or a > 0), without building their coefficients.
     if isinstance(obj, Parabola):
-        return {"kappa": format_scalar(obj.kappa),
-                "beta": format_scalar(obj.beta),
-                "gamma": format_scalar(obj.gamma)}
+        K, B, G, S = obj._lifted
+        return {"kappa": format_ratio(K, S), "beta": format_ratio(B, S),
+                "gamma": format_ratio(G, S)}
     if isinstance(obj, DATriangle):
         return {"A": jsonable(obj.a), "B": jsonable(obj.b),
                 "C": jsonable(obj.c)}
     if isinstance(obj, Line):
-        if obj.is_singular:
-            return {"x0": format_scalar(obj.x0)}
-        return {"m": format_scalar(obj.m), "k": format_scalar(obj.k)}
+        a, b, c = obj.triple
+        if not b:
+            return {"x0": format_ratio(-c, a)}
+        return {"m": format_ratio(a, -b), "k": format_ratio(c, -b)}
     if isinstance(obj, MeetResult):
         out = {"kind": obj.kind}
         if obj.point is not None:

@@ -5,6 +5,11 @@ segments (the exact quadratic Bezier of the arc, degree-elevated), points
 as labeled dots, lines clipped to the frame, and ideal points as labeled
 arrows on the frame edge.  The viewBox is computed from the finite content
 with a 10% margin; identical input always yields identical bytes.
+
+Every coordinate and coefficient is drawn as the binary64 quotient of the
+integers the kernel stores (a point's triple, a line's triple, a curve's
+quadruple): int true division is correctly rounded, so an unreduced pair
+gives the float of the reduced ``Fraction``, and no ``Fraction`` is built.
 """
 
 from __future__ import annotations
@@ -22,31 +27,21 @@ _TEXT_STYLE = 'font-family="monospace"'
 _WIDTH = 640  # pixels; the height follows the content's aspect ratio
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
-
-
 class EmptySceneError(ValueError):
     pass
 
 
-def _finite(what: str, value) -> float:
-    """``value`` as a finite binary64 number for drawing.
-
-    Every exact-to-float conversion goes through here; a value that floats
-    cannot hold raises ``ValueError`` naming ``what``.
-    """
-    # A float passes through; for a Fraction (or an int) this is
-    # numbers.Rational.__float__ without its two int() calls: the same
-    # binary64 value and the same OverflowError.
-    if type(value) is float:
-        return _quotient(what, value, 1)
-    return _quotient(what, value.numerator, value.denominator)
+def _finite(what: str, value: float) -> float:
+    """``value``, a float (or an int) computed for drawing, if binary64
+    holds it; otherwise ``ValueError`` naming ``what``."""
+    return _quotient(what, value, 1)
 
 
 def _quotient(what: str, num, den: int) -> float:
-    """:func:`_finite` of ``num / den``: int division is correctly
-    rounded, so any representation of one rational gives one value."""
+    """``num / den`` as a finite binary64 number: int division is
+    correctly rounded, so any integer pair of one rational gives one
+    value.  A quotient that floats cannot hold raises as :func:`_finite`
+    does."""
     try:
         out = num / den
     except OverflowError:
@@ -75,8 +70,9 @@ def _float_curve(name: str, curve: Parabola) -> _Curve:
     coefficient too large for a float, a kappa that rounds to 0, or a
     vertex out of range."""
     what = f"parabola {name!r}"
-    fc = _Curve(*(_finite(what, c)
-                  for c in (curve.kappa, curve.beta, curve.gamma)))
+    K, B, G, S = curve._lifted
+    fc = _Curve(_quotient(what, K, S), _quotient(what, B, S),
+                _quotient(what, G, S))
     # A kappa that rounds to 0 sends the vertex to infinity.
     vx = _finite(what, fc.vertex_x if fc.k else inf)
     _finite(what, fc.y(vx))
@@ -101,8 +97,9 @@ def _bounds(draw: Drawables, points: dict[str, tuple[float, float]],
     xs = [x for x, _ in points.values()]
     ys = [y for _, y in points.values()]
     for name, line in draw.lines.items():
-        if line.is_singular:
-            xs.append(_finite(f"line {name!r}", line.x0))
+        a, b, c = line.triple
+        if not b:
+            xs.append(_quotient(f"line {name!r}", -c, a))
     if not xs:
         # Only curves: frame one unit either side of each vertex.
         for fc in curves.values():
@@ -171,7 +168,7 @@ def render_svg(draw: Drawables) -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_WIDTH} {_fmt(height)}">'
+        f'height="{height:.6g}" viewBox="0 0 {_WIDTH} {height:.6g}">'
     ]
     parts.append('<rect width="100%" height="100%" fill="white"/>')
 
@@ -179,49 +176,50 @@ def render_svg(draw: Drawables) -> str:
         # Rounding to 6 digits in chart coordinates before the pixel map
         # is part of the figure's bytes; keep it.
         arc = _parabola_arc(curve, x_lo, x_hi)
-        p0, *rest = [f"{_fmt(sx(float(_fmt(x))))} {_fmt(sy(float(_fmt(y))))}"
-                     for x, y in arc]
+        p0, *rest = [f"{sx(float(f'{x:.6g}')):.6g} "
+                     f"{sy(float(f'{y:.6g}')):.6g}" for x, y in arc]
         parts.append(f'<path d="M {p0} C {" ".join(rest)}" {_CURVE_STYLE}>'
                      f'<title>{name}</title></path>')
 
     for name in sorted(draw.lines):
-        line, what = draw.lines[name], f"line {name!r}"
-        if line.is_singular:
-            x = _finite(what, line.x0)
+        (a, b, c), what = draw.lines[name].triple, f"line {name!r}"
+        if not b:
+            x = _quotient(what, -c, a)
             seg = (sx(x), sy(y_lo), sx(x), sy(y_hi))
         else:
-            m, k = _finite(what, line.m), _finite(what, line.k)
+            m, k = _quotient(what, a, -b), _quotient(what, c, -b)
             seg = (sx(x_lo), sy(m * x_lo + k), sx(x_hi), sy(m * x_hi + k))
         seg = [_finite(what, v) for v in seg]  # a steep line can overflow
         parts.append(
-            f'<line x1="{_fmt(seg[0])}" y1="{_fmt(seg[1])}" '
-            f'x2="{_fmt(seg[2])}" y2="{_fmt(seg[3])}" {_LINE_STYLE}>'
+            f'<line x1="{seg[0]:.6g}" y1="{seg[1]:.6g}" '
+            f'x2="{seg[2]:.6g}" y2="{seg[3]:.6g}" {_LINE_STYLE}>'
             f'<title>{name}</title></line>')
 
     radius = max(_WIDTH, height) * 0.006
+    r, font = f'r="{radius:.6g}"', f'font-size="{3 * radius:.6g}"'
     for name in sorted(points):
         x, y = points[name]
         cx, cy = sx(x), sy(y)
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                     f'r="{_fmt(radius)}" {_POINT_STYLE}/>')
-        parts.append(f'<text x="{_fmt(cx + 2 * radius)}" '
-                     f'y="{_fmt(cy - 2 * radius)}" font-size="{_fmt(3 * radius)}" '
+        parts.append(f'<circle cx="{cx:.6g}" cy="{cy:.6g}" {r} '
+                     f'{_POINT_STYLE}/>')
+        parts.append(f'<text x="{cx + 2 * radius:.6g}" '
+                     f'y="{cy - 2 * radius:.6g}" {font} '
                      f'{_TEXT_STYLE}>{name}</text>')
 
     for label, (anchor, theta) in sorted(draw.angle_labels.items()):
         what = f"angle label {label!r}"
-        cx, cy = sx(_finite(what, anchor.x)), sy(_finite(what, anchor.y))
-        parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy + 5 * radius)}" '
-                     f'font-size="{_fmt(3 * radius)}" {_TEXT_STYLE}>'
-                     f'angle({label}) = {theta}</text>')
+        X, Y, Z = anchor.xyz
+        cx, cy = sx(_quotient(what, X, Z)), sy(_quotient(what, Y, Z))
+        parts.append(f'<text x="{cx:.6g}" y="{cy + 5 * radius:.6g}" '
+                     f'{font} {_TEXT_STYLE}>angle({label}) = {theta}</text>')
 
     # Ideal points: labeled arrows pinned to the top frame edge.
     for idx, label in enumerate(sorted(set(draw.ideal))):
         x = _WIDTH * (0.15 + 0.2 * idx)
-        parts.append(f'<path d="M {_fmt(x)} 24 L {_fmt(x)} 6 '
-                     f'M {_fmt(x - 4)} 12 L {_fmt(x)} 6 L {_fmt(x + 4)} 12" '
+        parts.append(f'<path d="M {x:.6g} 24 L {x:.6g} 6 '
+                     f'M {x - 4:.6g} 12 L {x:.6g} 6 L {x + 4:.6g} 12" '
                      f'stroke="#555555" fill="none" stroke-width="1.5"/>')
-        parts.append(f'<text x="{_fmt(x + 6)}" y="18" font-size="12" '
+        parts.append(f'<text x="{x + 6:.6g}" y="18" font-size="12" '
                      f'{_TEXT_STYLE}>{label} (ideal)</text>')
 
     parts.append("</svg>")

@@ -22,7 +22,7 @@ from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
 from .scalar import lift_triple, ratio
-from .triangle import DATriangle, VERTICES, divider_line
+from .triangle import DATriangle, VERTICES, _singular_through, divider_line
 
 
 def _require_on(p: Parabola, *pts: Point) -> None:
@@ -417,7 +417,7 @@ def cevian_line(t: DATriangle, vertex: str, spec: CevianSpec) -> Line:
     side."""
     v = t.vertex(vertex)
     if spec.singular:
-        return Line.singular(v.x)
+        return _singular_through(v)
     # The vertices have distinct abscissae, so a label other than the
     # vertex's names one of the two adjacent sides.
     base = spec.base

@@ -186,6 +186,12 @@ class DATriangle:
 # Bisectors and centers.
 # ---------------------------------------------------------------------------
 
+def _singular_through(p: Point) -> Line:
+    """The singular line x = X/Z through ``p``, from its triple."""
+    X, _, Z = p.xyz
+    return _line(Z, 0, -X)
+
+
 def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     """Angle bisector at a vertex.
 
@@ -205,7 +211,7 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
         return line
     v = t.vertex(vertex)
     if mode == "interior":
-        line = (Line.singular(v.x) if vertex == t.negative_vertex_label
+        line = (_singular_through(v) if vertex == t.negative_vertex_label
                 else bisector_at(t, vertex, "positive"))
         t._lines[key] = line
         return line
@@ -313,18 +319,20 @@ def centers(t: DATriangle) -> CenterSet:
     bis_hi = bisector_at(t, hi_label, "interior")
     bis_neg = bisector_at(t, neg, "positive")
 
-    incenter = meet(bis_lo, Line.singular(mid.x))
-    if not (incenter.is_finite
-            and meet(bis_hi, Line.singular(mid.x)) == incenter):
+    axis_lo, axis_mid, axis_hi = (_singular_through(v) for v in (lo, mid, hi))
+    incenter = meet(bis_lo, axis_mid)
+    if not (incenter.is_finite and meet(bis_hi, axis_mid) == incenter):
         raise KernelInvariantError("interior bisectors miss a common incenter")
 
+    # Each finite excenter lies on a vertex axis: X1*Z2 == X2*Z1, the
+    # axis's dot product with its triple.
     ex_a = meet(bis_lo, bis_neg)   # lands on x = hi.x
     ex_c = meet(bis_hi, bis_neg)   # lands on x = lo.x
-    if not (ex_a.is_finite and ex_a.point.x == hi.x):
+    if not (ex_a.is_finite and axis_hi.contains(ex_a.point)):
         raise KernelInvariantError("excenter off the high vertex axis")
-    if not (ex_c.is_finite and ex_c.point.x == lo.x):
+    if not (ex_c.is_finite and axis_lo.contains(ex_c.point)):
         raise KernelInvariantError("excenter off the low vertex axis")
-    ex_ideal = meet(Line.singular(lo.x), Line.singular(hi.x))
+    ex_ideal = meet(axis_lo, axis_hi)
 
     # The curve's coefficients as integers over S, the abscissae over D.
     K, B, G, S = t.parabola._lifted
@@ -359,10 +367,13 @@ def foot_of_perpendicular(p: Point, l: Line) -> Point:
     Perpendiculars are singular lines, so the foot shares the abscissa of
     the point; a singular target line has no foot.
     """
-    if l.is_singular:
+    a, b, c = l.triple
+    if not b:
         raise DegenerateConfigurationError(
             "no perpendicular foot on a singular line")
-    return l.point_at(p.x)
+    # Line.point_at at x = X/Z, from the point's triple.
+    X, _, Z = p.xyz
+    return _point(b * X, -(a * X + c * Z), b * Z)
 
 
 def perpendicular_feet(t: DATriangle) -> dict[str, Point]:
@@ -381,7 +392,7 @@ def perpendicular_bisectors(t: DATriangle) -> dict[str, Line]:
 
 
 def altitudes(t: DATriangle) -> dict[str, Line]:
-    return {lbl: Line.singular(t.vertex(lbl).x) for lbl in VERTICES}
+    return {lbl: _singular_through(t.vertex(lbl)) for lbl in VERTICES}
 
 
 def circum_ortho_at_infinity(t: DATriangle) -> tuple[MeetResult, MeetResult]:
@@ -410,12 +421,13 @@ def naive_simson(t: DATriangle, p: Point) -> Line:
     if p in (t.a, t.b, t.c):
         raise DegenerateConfigurationError("point coincides with a vertex")
     feet = {lbl: foot_of_perpendicular(p, t.side(lbl)) for lbl in VERTICES}
-    if not all(f.x == p.x for f in feet.values()):
+    axis = _singular_through(p)
+    if not all(axis.contains(f) for f in feet.values()):
         raise KernelInvariantError("perpendicular foot off the point's axis")
     # A second route: each foot lies on the line through its side's ends.
     if not all(collinear(f, *t.others(lbl)) for lbl, f in feet.items()):
         raise KernelInvariantError("perpendicular foot off its side")
-    return Line.singular(p.x)
+    return axis
 
 
 class SimsonResult(NamedTuple):
@@ -441,14 +453,16 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     feet = {lbl: foot_of_perpendicular(ks[lbl], t.side(lbl))
             for lbl in VERTICES}
     pts = list(feet.values())
-    drops = [Line.singular(k.x) for k in ks.values()]
+    drops = [_singular_through(k) for k in ks.values()]
     drop_meet = meet(drops[0], drops[1])
     # Each foot has its K point's abscissa (m - beta)/kappa - x_V, and the
     # x_V are distinct, so the feet span a line.
     line = line_through(pts[0], pts[1])
     if not line.contains(pts[2]):
         raise KernelInvariantError("Simson feet not collinear")
-    if line.m != m:
+    # slope -a/b == m, cross-multiplied; a singular line (b == 0) fails.
+    a, b, _ = line.triple
+    if -a * m.denominator != m.numerator * b:
         raise KernelInvariantError("Simson line slope differs from m")
     if drop_meet != MeetResult.ideal(None):
         raise KernelInvariantError("drop lines not parallel singular lines")

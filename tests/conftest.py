@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
 import functools
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -10,7 +12,11 @@ from dageo.errors import DegenerateConfigurationError, KernelInvariantError
 from dageo.gauge import Point
 from dageo.harness import CampaignConfig, TheoremReport, run_campaign
 from dageo.scalar import rational_sqrt
+from dageo.scene import Drawables, Scene, run_scene
 from dageo.triangle import DATriangle
+
+WORKLOADS_PATH = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "workloads.py")
 
 
 @functools.cache
@@ -19,6 +25,26 @@ def reference_report(theorem: str) -> TheoremReport:
     bound 50), run once per session and shared by the golden and the
     acceptance tests.  Callers must not mutate it."""
     return run_campaign(CampaignConfig(theorem, 1000, 42, 50))
+
+
+@functools.cache
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def golden_scene_draws() -> list[Drawables]:
+    """Freshly built figures of the benchmark's golden scenes (its first
+    round of scene ops at the golden seed), whose digests
+    ``perfbench/pins.json`` pins: none of their lazily built forms has
+    been read yet."""
+    wl = _workloads()
+    return [run_scene(Scene.from_dict(wl.scene_dict(wl.GOLDEN_SEED, index)),
+                      verify=False)[1]
+            for index in range(wl.SceneWorkload.round_size)]
 
 
 #: Rationals of the generators' bound 50, zero, negatives and plain ints

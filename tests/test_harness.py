@@ -10,24 +10,25 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import dageo
+from conftest import bounded, golden_scene_draws
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
 from dageo.campaigns import Counterexample
-from dageo.gauge import Line, MeetResult, Point
+from dageo.gauge import Line, MeetResult, Point, line_through, meet
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
                            jsonable, run_campaign)
-from dageo.parabola import Parabola, iso_angle_locus
+from dageo.parabola import Parabola, circumparabola, iso_angle_locus
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
-from dageo.scalar import format_scalar, parse_scalar
+from dageo.scalar import collinear, format_scalar, parse_scalar
 from dageo.svg import (EmptySceneError, _bounds, _finite, _float_curve,
-                       _parabola_arc, _point_floats, render_svg)
+                       _parabola_arc, _point_floats, _quotient, render_svg)
 from dageo.triangle import DATriangle, bisector_at, centers
 
 
@@ -811,8 +812,8 @@ class TestScene:
 
 
 def float_chain_finite(what, value):
-    # Reference: svg._finite through float(), which for a Fraction is
-    # numbers.Rational.__float__.
+    # Reference: the float of a Fraction (numbers.Rational.__float__), or
+    # of a float or int, checked for drawing.
     try:
         out = float(value)
     except OverflowError:
@@ -822,16 +823,13 @@ def float_chain_finite(what, value):
     return out
 
 
-def _float_outcome(value):
-    """``_finite``'s and the reference's result as exact float hex (which
-    tells -0.0 from 0.0), or the type and message each raises."""
-    outcomes = []
-    for call in (_finite, float_chain_finite):
-        try:
-            outcomes.append(call("point 'P'", value).hex())
-        except (ValueError, OverflowError) as err:
-            outcomes.append((type(err), str(err)))
-    return outcomes
+def _float_outcome(call, *args):
+    """``call("point 'P'", *args)`` as exact float hex (which tells -0.0
+    from 0.0), or the type and message it raises."""
+    try:
+        return call("point 'P'", *args).hex()
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
 
 
 #: Integers from small to 400 digits, so that quotients span subnormals,
@@ -842,24 +840,108 @@ _wide = st.one_of(st.integers(-10**6, 10**6),
 
 
 class TestSvgFloats:
-    @given(_wide, _wide.filter(bool))
-    @example(10**399 + 7, 3)
-    @example(-(10**399), 1)
-    @example(1, 10**400)
-    @example(-1, 10**400)
-    @example(2**1024 - 2**970, 1)
-    @example(2**1024 - 2**971, 1)
-    @example(2**53 + 1, 2)
-    def test_fraction_matches_float(self, num, den):
-        got, want = _float_outcome(F(num, den))
-        assert got == want
+    # The SVG writer draws a stored integer pair as num / den, unreduced,
+    # with den > 0 as the kernel stores it (0 / -1 would give -0.0): int
+    # true division is correctly rounded, so every multiple of a pair
+    # gives the float of its reduced Fraction, or raises as it does.
+    @given(_wide, _wide.filter(bool),
+           st.one_of(st.just(1), st.integers(2, 10**40)))
+    @example(10**399 + 7, 3, 1)
+    @example(-(10**399), 1, 1)
+    @example(1, 10**400, 1)
+    @example(-1, 10**400, 1)
+    @example(-1, 10**400, 10**20)
+    @example(2**1024 - 2**970, 1, 1)
+    @example(2**1024 - 2**970, 1, 10**300)
+    @example(2**1024 - 2**971, 1, 1)
+    @example(2**1024 - 2**971, 1, 3**500)
+    @example(2**53 + 1, 2, 1)
+    @example(2**53 + 1, 2, 7**30)
+    @example(0, -5, 3)
+    def test_fraction_matches_float(self, num, den, k):
+        if den < 0:
+            num, den = -num, -den
+        got = _float_outcome(_quotient, k * num, k * den)
+        assert got == _float_outcome(float_chain_finite, F(num, den))
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, float("inf"),
                                        float("-inf"), float("nan"), 7, -3,
                                        10**400])
     def test_floats_and_ints_match_float(self, value):
-        got, want = _float_outcome(value)
-        assert got == want
+        got = _float_outcome(_finite, value)
+        assert got == _float_outcome(float_chain_finite, value)
+
+
+def _property_json(obj):
+    """The JSON form of a line or curve read through its public
+    ``Fraction`` properties, as the writer read it before it read the
+    stored integers."""
+    if isinstance(obj, Parabola):
+        return {"kappa": format_scalar(obj.kappa),
+                "beta": format_scalar(obj.beta),
+                "gamma": format_scalar(obj.gamma)}
+    if obj.is_singular:
+        return {"x0": format_scalar(obj.x0)}
+    return {"m": format_scalar(obj.m), "k": format_scalar(obj.k)}
+
+
+def _public_twin(draw: Drawables) -> Drawables:
+    """``draw`` with every point, line and curve rebuilt by its public
+    constructor from its public coordinates or coefficients."""
+    def point(p):
+        return Point(p.x, p.y)
+
+    def line(l):
+        return Line.singular(l.x0) if l.is_singular else Line(l.m, l.k)
+
+    return Drawables(
+        points={n: point(p) for n, p in draw.points.items()},
+        lines={n: line(l) for n, l in draw.lines.items()},
+        parabolas={n: Parabola(c.kappa, c.beta, c.gamma)
+                   for n, c in draw.parabolas.items()},
+        ideal=list(draw.ideal),
+        angle_labels={n: (point(p), theta)
+                      for n, (p, theta) in draw.angle_labels.items()})
+
+
+class TestIntegerReaders:
+    """``jsonable`` and ``render_svg`` read the integers that lines and
+    curves store; they must write what the public properties give."""
+
+    @given(bounded, bounded, bounded, bounded)
+    def test_lines_match_properties(self, m, k, x, y):
+        p, q = Point(m, k), Point(x, y)
+        lines = [Line(m, k), Line.singular(x), Line(y, m)]
+        if p != q:
+            lines.append(line_through(p, q))  # singular when m == x
+        hit = meet(lines[0], lines[2])
+        if hit.is_finite and hit.point != Point(x + 1, y):
+            lines.append(line_through(hit.point, Point(x + 1, y)))
+        for line in lines:
+            assert jsonable(line) == _property_json(line), line
+        if hit.is_ideal:
+            assert jsonable(hit) == {"kind": "ideal",
+                                     "direction": format_scalar(m)}
+
+    @given(bounded, bounded, bounded, st.integers(-9, 9), st.integers(-9, 9),
+           st.integers(-9, 9))
+    def test_curves_match_properties(self, a, b, c, ki, bi, gi):
+        assume(a != 0 and ki != 0 and b != c)
+        curves = [Parabola(a, b, c), Parabola(F(a), F(b), F(c)),
+                  Parabola(ki, bi, gi),
+                  iso_angle_locus(Point(b, 0), Point(c, 0), a)]
+        pts = [Point(b, a), Point(c, ki), Point(b + c + 1, bi)]
+        if len({p.x for p in pts}) == 3 and not collinear(*pts):
+            curves.append(circumparabola(*pts))
+        for curve in curves:
+            assert jsonable(curve) == _property_json(curve), curve
+
+    def test_golden_figures_match_public_twins(self):
+        for draw in golden_scene_draws():
+            for name, curve in draw.parabolas.items():
+                assert _float_curve(name, curve) == tuple(
+                    float(v) for v in (curve.kappa, curve.beta, curve.gamma))
+            assert render_svg(draw) == render_svg(_public_twin(draw))
 
 
 class TestSvg:
@@ -912,6 +994,18 @@ class TestSvg:
         svg = render_svg(draw)
         for name in parabolas:
             assert f"<title>{name}</title></path>" in svg
+
+    def test_singular_lines_are_framed(self):
+        # The frame spans the points and each singular line's abscissa,
+        # with a 10% margin.
+        draw = Drawables(points={"P": Point(1, 2)},
+                         lines={"l": Line.singular(F(7, 2)),
+                                "n": Line.singular(F(-5, 3)),
+                                "s": Line(F(1), F(0))})
+        x_lo, x_hi, _, _ = _bounds(draw, _point_floats(draw), {})
+        margin = 0.1 * (7 / 2 + 5 / 3)
+        assert (x_lo, x_hi) == pytest.approx((-5 / 3 - margin,
+                                              7 / 2 + margin))
 
     def test_parabola_only_scene_plots(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"

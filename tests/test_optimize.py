@@ -18,21 +18,24 @@ from pathlib import Path
 import pytest
 
 import dageo
+from conftest import golden_scene_draws
 from dageo.equivalence import classify_pair, shift
 from dageo.euclid import run_euclid_campaign
 from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
                          midpoint)
 from dageo.generators import RandomRationals
-from dageo.harness import REGISTRY, CampaignConfig, run_campaign
+from dageo.harness import REGISTRY, CampaignConfig, jsonable, run_campaign
 from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
 from dageo.scalar import coprime_ratio, det3, parse_scalar, ratio
+from dageo.svg import render_svg
 from dageo.theorems import (CevianSpec, ceva_product, cevian_line,
                             mn_division_check, ptolemy_residual)
 from dageo.triangle import (DATriangle, bisector_at, bisector_ratio_check,
-                            centers, midpoint_lemma_check,
-                            perpendicular_bisectors)
+                            centers, foot_of_perpendicular,
+                            midpoint_lemma_check, perpendicular_bisectors,
+                            simson)
 
 PACKAGE = Path(dageo.__file__).resolve().parent
 
@@ -172,6 +175,16 @@ def _cold(call):
     return run
 
 
+def _on_fresh(build, use):
+    """``use`` of a value that ``build`` makes just before the count, so
+    that the count is net of building it and finds none of the value's
+    lazily built forms already built."""
+    def call(value):
+        return use(value)
+    call.build = build
+    return call
+
+
 def _four_distinct_draws():
     # Seed 1, trial 0 draws its four values with no rejection.
     rng = RandomRationals(1, 0)
@@ -193,8 +206,8 @@ def _four_distinct_draws():
 #: ``midpoint``, ``normalize_chart``, ``Parabola.point_at``,
 #: ``second_intersection`` and ``second_meet`` build none, and
 #: ``point_on_side`` builds only the drawn ratio.  ``centers`` builds one
-#: triangle, the tangent triangle (6), and reads the abscissae of its two
-#: finite excenters (2).
+#: triangle, the tangent triangle (6), and tests its excenters against
+#: the vertex axes' triples.
 #: ``Parabola`` lifts its coefficients to integers and builds none, and a
 #: drawn rational is one construction.  ``parse_scalar`` builds its one
 #: value.  ``parabolic_power`` builds its one value,
@@ -204,14 +217,17 @@ def _four_distinct_draws():
 #: lines, none; ``bisector_ratio_check`` at a positive vertex the
 #: residual alone; ``midpoint_lemma_check`` none: its feet, meets and
 #: residuals are all triples.  ``Line.contains`` answers a bool and
-#: builds none.
+#: builds none.  The writers read the stored integers: ``render_svg`` of
+#: a golden scene's figure and ``jsonable`` of a kernel-built curve and
+#: two lines build none.  ``simson`` builds only its int slope as a
+#: Fraction, and ``foot_of_perpendicular`` reads the point's triple.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 0),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 6),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 0),
-    "centers": (lambda: centers(_T), 8),
+    "centers": (lambda: centers(_T), 6),
     "midpoint": (lambda: midpoint(_A, _B), 0),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       1),
@@ -244,6 +260,14 @@ FRACTION_BUDGET = {
                              1),
     "midpoint_lemma_check": (_cold(lambda: midpoint_lemma_check(_T)), 0),
     "Line.contains": (lambda: _LINE.contains(_A), 0),
+    "render_svg": (_on_fresh(lambda: golden_scene_draws()[0], render_svg), 0),
+    "jsonable": (_on_fresh(lambda: [circumparabola(_A, _B, _C),
+                                    line_through(_A, _B), Line.singular(_X)],
+                           jsonable), 0),
+    "simson": (lambda: simson(_T, 2), 1),
+    "foot_of_perpendicular": (_on_fresh(
+        lambda: midpoint(_A, _C),
+        lambda p: foot_of_perpendicular(p, _LINE)), 0),
 }
 
 
@@ -269,9 +293,11 @@ _FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py"),
 
 def _fraction_constructions(call) -> int:
     """``Fraction`` constructions made by ``call()``: a cProfile count,
-    which unlike a timing does not drift between runs or hosts."""
+    which unlike a timing does not drift between runs or hosts.  A call
+    from :func:`_on_fresh` gets its value built outside the count."""
+    args = (call.build(),) if hasattr(call, "build") else ()
     profiler = cProfile.Profile()
-    profiler.runcall(call)
+    profiler.runcall(call, *args)
     return sum(e.callcount for e in profiler.getstats()
                if not isinstance(e.code, str)
                and (e.code.co_name, Path(e.code.co_filename).name)

@@ -874,8 +874,8 @@ class TestSvgFloats:
 
 def _property_json(obj):
     """The JSON form of a line or curve read through its public
-    ``Fraction`` properties, as the writer read it before it read the
-    stored integers."""
+    ``Fraction`` properties: the reference for ``jsonable``, which reads
+    the stored integers."""
     if isinstance(obj, Parabola):
         return {"kappa": format_scalar(obj.kappa),
                 "beta": format_scalar(obj.beta),

@@ -4,40 +4,42 @@ theorem lives in that theorem's generator in :mod:`dageo.campaigns`.
 Every generator is a pure function of (campaign seed, trial index, bound):
 the trial seed is derived with a splitmix-style mixer, so campaigns can be
 re-run, resumed or parallelized and still produce identical
-configurations.  A rational draw is a reduced ``(numerator, denominator)``
-integer pair, compared, deduplicated and sorted as integers; its
-``Fraction`` is built once, when the draw is handed out.  Generators
-rejection-sample through :meth:`RandomRationals.retrying`, which alone
-decides that a configuration is degenerate and counts the rejection;
-``nonzero_rational`` and ``distinct_rationals`` run the same loop inline
-on integer pairs.  Hitting the retry limit raises
-:class:`GeneratorExhaustedError` (a generator bug, never a theorem
-failure).
+configurations; a campaign reseeds one stream per trial (``restart``),
+which then draws what a fresh one would.  A rational draw is a reduced
+``(numerator, denominator)`` integer pair, compared, deduplicated and
+sorted as integers; its ``Fraction`` is built once, when the draw is
+handed out.  Generators rejection-sample through ``retrying``, which
+alone decides that a configuration is degenerate and counts the
+rejection; ``_nonzero_pair`` and ``distinct_rationals`` run the same loop
+inline on integer pairs.  Hitting the retry limit raises
+:class:`GeneratorExhaustedError` (a generator bug, never a theorem failure).
 
 Draw rule: every integer comes from CPython's
 ``Random._randbelow_with_getrandbits`` repeated on the trial's
-``random.Random``.  :meth:`RandomRationals._below` runs it for one width,
-and :meth:`RandomRationals._pair`, which draws every rational but the
-positive and unit-interval ones, runs it inline for its two widths, whose
-bit lengths ``__init__`` computes once per trial.  So
-``a + _below(b - a + 1)`` returns what ``randint(a, b)`` returns and
-leaves the generator in the same state (``tests/test_harness.py`` checks
-values, rejections and ``rng.getstate()`` of every helper against
-``randint``), without ``randint``'s layers of argument checks, which cost
-several times the draw itself.  ``distinct_rationals`` builds its
-already reduced pairs with ``scalar.coprime_ratio``, which needs no
-``gcd``.
+``random.Random``.  :meth:`RandomRationals._below` runs it for one width;
+``_pair``, which draws every rational but the positive and unit-interval
+ones, and ``distinct_rationals`` run it inline for two widths whose bit
+lengths ``__init__`` computes.  So ``a + _below(b - a + 1)`` returns what
+``randint(a, b)`` returns and leaves the generator in the same state
+(``tests/test_harness.py`` checks values, rejections and ``rng.getstate()``
+of every helper against ``randint``), without ``randint``'s layers of
+argument checks, which cost several times the draw itself.
+``distinct_rationals`` orders its reduced pairs by cross-multiplication,
+exact at any bound, and builds them with ``scalar.coprime_ratio``, which
+needs no ``gcd``.  ``parabola`` keeps coefficients built from its drawn
+pairs, never read back from the stored quadruple, so a wrong quadruple
+(``tests/test_mutants.py``'s lift mutant) cannot agree with them.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point, _point_between
-from .parabola import Parabola
+from .parabola import Parabola, _parabola_over
 from .scalar import collinear, coprime_ratio, ratio
 from .triangle import DATriangle
 
@@ -66,12 +68,21 @@ class RandomRationals:
         if bound < 1:
             # randint refused an empty range; _below(0) would never return.
             raise ValueError("bound must be >= 1")
+        self.campaign_seed = campaign_seed
+        # Seeded here, not by restart(): Random() would seed from urandom.
         self.rng = random.Random(trial_seed(campaign_seed, trial))
         self._getrandbits = self.rng.getrandbits
         # _pair's numerator and denominator widths with their bit lengths.
         self._pair_widths = _width(2 * bound + 1) + _width(bound)
         self.trial_index = trial
         self.bound = bound
+        self.rejections = 0
+
+    def restart(self, trial: int) -> None:
+        """Reseed in place: by ``random.Random.seed``'s contract, the stream
+        of a fresh ``RandomRationals(campaign_seed, trial, bound)``."""
+        self.rng.seed(trial_seed(self.campaign_seed, trial))
+        self.trial_index = trial
         self.rejections = 0
 
     # -- scalars ------------------------------------------------------------
@@ -84,7 +95,8 @@ class RandomRationals:
         and there is no per-draw check: every call site passes at least 1
         once ``__init__`` has required ``bound >= 1``.  The sites are
         ``_pair``'s ``2 * bound + 1`` (at least 3) and ``bound``, which
-        ``__init__`` passes to ``_width`` for ``_pair``'s inline draws,
+        ``__init__`` passes to ``_width`` for the inline draws of ``_pair``
+        and ``distinct_rationals``,
         ``positive_rational``'s ``self.bound`` (twice),
         ``fraction_in_unit_interval``'s ``max(3, self.bound) - 1`` (at
         least 2) and ``d - 1``, where that first draw makes ``d`` at least
@@ -114,13 +126,16 @@ class RandomRationals:
     def rational(self) -> Fraction:
         return ratio(*self._pair())
 
-    def nonzero_rational(self) -> Fraction:
+    def _nonzero_pair(self) -> tuple[int, int]:
         for _ in range(RETRY_LIMIT):
             n, d = self._pair()
             if n:
-                return ratio(n, d)
+                return n, d
             self.rejections += 1
         raise GeneratorExhaustedError("retry limit exceeded")
+
+    def nonzero_rational(self) -> Fraction:
+        return ratio(*self._nonzero_pair())
 
     def positive_rational(self) -> Fraction:
         n = self._below(self.bound) + 1
@@ -138,22 +153,33 @@ class RandomRationals:
     def distinct_rationals(self, count: int) -> list[Fraction]:
         """``count`` pairwise distinct draws in increasing order; a repeat
         is a rejection, and each draw has its own retry limit."""
-        seen: set[tuple[int, int]] = set()
+        getrandbits = self._getrandbits
+        n_width, n_bits, bound, d_bits = self._pair_widths
+        drawn: list[tuple[int, int]] = []       # increasing in n/d
         for _ in range(count):
             for _ in range(RETRY_LIMIT):
-                n, d = self._pair()
-                g = gcd(n, d)
-                nd = (n // g, d // g)
-                if nd not in seen:
-                    seen.add(nd)
+                n = getrandbits(n_bits)
+                while n >= n_width:
+                    n = getrandbits(n_bits)
+                d = getrandbits(d_bits)
+                while d >= bound:
+                    d = getrandbits(d_bits)
+                g = gcd(n - bound, d + 1)
+                n, d = (n - bound) // g, (d + 1) // g
+                # The first kept m/e with n/d <= m/e; equal is a repeat.
+                i, c = 0, 1
+                for m, e in drawn:
+                    c = n * e - m * d
+                    if c <= 0:
+                        break
+                    i += 1
+                if c:
+                    drawn.insert(i, (n, d))
                     break
                 self.rejections += 1
             else:
                 raise GeneratorExhaustedError("retry limit exceeded")
-        # n/d in increasing order is n*(L//d) in increasing order.
-        scale = lcm(*(d for _, d in seen))
-        return [coprime_ratio(n, d) for _, n, d in
-                sorted([(n * (scale // d), n, d) for n, d in seen])]
+        return [coprime_ratio(n, d) for n, d in drawn]
 
     def retrying(self, make, ok=lambda value: True):
         """First draw of ``make()`` that is not ``None``, not a raised
@@ -174,8 +200,12 @@ class RandomRationals:
         return Point(self.rational(), self.rational())
 
     def parabola(self) -> Parabola:
-        return Parabola(self.nonzero_rational(), self.rational(),
-                        self.rational())
+        """The curve of ``nonzero_rational(), rational(), rational()``."""
+        kn, kd = self._nonzero_pair()
+        bn, bd = self._pair()
+        gn, gd = self._pair()
+        return _parabola_over(kn, kd, bn, bd, gn, gd, ratio(kn, kd),
+                              ratio(bn, bd), ratio(gn, gd))
 
     def triangle(self) -> DATriangle:
         """Triangle inscribed in a random parabola."""

@@ -131,12 +131,16 @@ def generate_config(theorem_id: str, seed: int, trial: int,
 def run_theorem(theorem: Theorem, trials: int, seed: int,
                 bound: int) -> TheoremReport:
     """Run seeded trials.  A trial passes (its kind counted), fails on a
-    ``Counterexample`` or errs on any other exception but exhaustion."""
+    ``Counterexample`` or errs on any other exception but exhaustion.
+    One stream, reseeded per trial, serves the campaign: trial k draws what
+    ``RandomRationals(seed, k, bound)`` draws, as ``generate_config`` does."""
     failures = errors = rejections = 0
     kinds: dict[str, int] = {}
     first = first_error = None
+    rng = RandomRationals(seed, 0, bound)
     for trial in range(trials):
-        rng = RandomRationals(seed, trial, bound)
+        if trial:
+            rng.restart(trial)
         config = None
         try:
             config = theorem.generate(rng)

@@ -45,8 +45,10 @@ class Parabola:
     __slots__ = ("_lifted", "_kappa", "_beta", "_gamma")
 
     def __new__(cls, kappa: Fraction, beta: Fraction, gamma: Fraction):
-        (K, B, G), S = lift_triple((kappa, beta, gamma))
-        return _parabola(K, B, G, S, kappa, beta, gamma)
+        return _parabola_over(kappa.numerator, kappa.denominator,
+                              beta.numerator, beta.denominator,
+                              gamma.numerator, gamma.denominator,
+                              kappa, beta, gamma)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Parabola.{name}")
@@ -150,6 +152,14 @@ def _parabola(K: int, B: int, G: int, S: int, kappa=None, beta=None,
     _set_beta(curve, beta)
     _set_gamma(curve, gamma)
     return curve
+
+
+def _parabola_over(kn: int, kd: int, bn: int, bd: int, gn: int, gd: int,
+                   kappa, beta, gamma) -> Parabola:
+    """The curve with coefficients kn/kd, bn/bd and gn/gd over the common
+    denominator kd*bd*gd != 0; it keeps ``kappa``, ``beta`` and ``gamma``."""
+    return _parabola(kn * bd * gd, bn * kd * gd, gn * kd * bd, kd * bd * gd,
+                     kappa, beta, gamma)
 
 
 def circumparabola(a: Point, b: Point, c: Point) -> Parabola:

@@ -21,8 +21,10 @@ from dageo.errors import (DegenerateConfigurationError,
 from dageo.campaigns import Counterexample
 from dageo.gauge import Line, MeetResult, Point, line_through, meet
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
+from dageo import harness
+from dageo.euclid import EUCLID_EXPORT
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
-                           jsonable, run_campaign)
+                           jsonable, run_campaign, run_theorem)
 from dageo.parabola import Parabola, circumparabola, iso_angle_locus
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
@@ -331,6 +333,153 @@ class TestSeeding:
                     assert got == reference.point_on_side(u, w)
                     assert all(type(v) is F for v in got)
                 assert lifted.rng.getstate() == reference.rng.getstate()
+
+
+class _FreshPerTrial:
+    """The stream as ``run_theorem`` drew it before ``restart``: a new
+    ``RandomRationals``, and with it a new ``random.Random``, for every
+    trial; every other attribute is read from the current one."""
+
+    def __init__(self, seed, trial, bound):
+        self.stream = RandomRationals(seed, trial, bound)
+
+    def restart(self, trial):
+        self.stream = RandomRationals(self.stream.campaign_seed, trial,
+                                      self.stream.bound)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+#: Every campaign ``run_theorem`` runs: the registry and the Euclidean
+#: export.
+CAMPAIGNS = [*(REGISTRY[tid] for tid in sorted(REGISTRY)), EUCLID_EXPORT]
+
+
+def _streams_in(value, seen=None):
+    """Every ``RandomRationals`` or ``random.Random`` reachable from
+    ``value`` through containers, attributes, slots and closures."""
+    seen = set() if seen is None else seen
+    if id(value) in seen or isinstance(value, (int, str, F)):
+        return []
+    seen.add(id(value))
+    if isinstance(value, (RandomRationals, random.Random)):
+        return [value]
+    if isinstance(value, dict):
+        parts = list(value.values())
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        parts = list(value)
+    else:
+        parts = list(getattr(value, "__dict__", {}).values())
+        parts += [getattr(value, slot, None) for cls in type(value).__mro__
+                  for slot in getattr(cls, "__slots__", ())]
+        parts += [cell.cell_contents
+                  for cell in getattr(value, "__closure__", None) or ()]
+        parts.append(getattr(value, "__self__", None))
+    return [s for part in parts for s in _streams_in(part, seen)]
+
+
+class TestStreamIdentity:
+    """One ``RandomRationals`` per campaign, reseeded per trial: trial k
+    draws what a fresh ``RandomRationals(seed, k, bound)`` draws."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 50])
+    def test_restart_matches_a_fresh_stream(self, bound):
+        for seed in range(6):
+            rng = RandomRationals(seed, 0, bound)
+            for k in (1, 0, 2, 7, 2**40):
+                # Use the stream: draws, rejections and Random's own
+                # cached gauss value, which seed() must reset too.
+                draws = iter([None, None, 1])
+                rng.retrying(lambda: next(draws))
+                rng.point(), rng.parabola(), rng.rng.gauss(0, 1)
+                if bound >= 2:
+                    rng.distinct_rationals(3)
+                assert rng.rejections >= 2
+                rng.restart(k)
+                fresh = RandomRationals(seed, k, bound)
+                assert rng.rng.getstate() == fresh.rng.getstate()
+                assert (rng.trial_index, rng.rejections) == (k, 0)
+                assert rng.point() == fresh.point()
+
+    @pytest.mark.parametrize("bound", [2, 3, 50])
+    def test_campaigns_match_a_fresh_stream_per_trial(self, monkeypatch,
+                                                      bound):
+        reused = [run_theorem(t, 20, 7, bound).to_json() for t in CAMPAIGNS]
+        monkeypatch.setattr(harness, "RandomRationals", _FreshPerTrial)
+        fresh = [run_theorem(t, 20, 7, bound).to_json() for t in CAMPAIGNS]
+        assert reused == fresh
+
+    def test_the_reference_reaches_run_theorem(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "RandomRationals",
+                            lambda *args: built.append(args)
+                            or _FreshPerTrial(*args))
+        run_theorem(REGISTRY["ptolemy"], 5, 7, 50)
+        assert built == [(7, 0, 50)]
+
+    def test_stream_finder_looks_inside_values_and_closures(self):
+        rng = RandomRationals(7, 0, 50)
+        holders = [{"x": [(rng,)]}, lambda: rng, rng.point, rng.rng,
+                   _FreshPerTrial(7, 0, 50)]
+        assert all(_streams_in(h) for h in holders)
+        assert _streams_in([rng.point(), rng.parabola(), rng.triangle()]) == []
+
+    @pytest.mark.parametrize("campaign", CAMPAIGNS, ids=lambda t: t.id)
+    def test_no_config_holds_a_stream(self, campaign):
+        rng = RandomRationals(7, 0, 50)
+        for trial in range(8):
+            rng.restart(trial)
+            assert _streams_in(campaign.generate(rng)) == []
+
+
+class TestIntegerDraws:
+    """``distinct_rationals`` and ``parabola`` draw integer pairs and
+    build the same values as the Fraction-built reference streams."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 50, 10**6, 2**40])
+    def test_distinct_rationals_matches_fraction_draws(self, bound):
+        counts = range(1, 4 if bound == 1 else 7)   # bound 1 has 3 values
+        for seed in range(12):
+            for trial in range(4):
+                lifted = RandomRationals(seed, trial, bound)
+                reference = _FractionDraws(seed, trial, bound)
+                for count in counts:
+                    got = lifted.distinct_rationals(count)
+                    assert got == reference.distinct_rationals(count)
+                    assert all(type(v) is F for v in got)
+                    assert lifted.rejections == reference.rejections
+                assert lifted.rng.getstate() == reference.rng.getstate()
+
+    def test_distinct_rationals_orders_values_a_float_cannot(self):
+        bound = 2**40
+        hi, lo = F(bound - 1, bound), F(bound - 2, bound - 1)
+        assert float(hi) == float(lo) and lo < hi
+        rng = RandomRationals(1, 0, bound)
+        # Raw draws: numerator n + bound, then denominator d - 1.
+        raw = iter([bound - 1 + bound, bound - 1, bound - 2 + bound,
+                    bound - 2])
+        rng._getrandbits = lambda bits: next(raw)
+        assert rng.distinct_rationals(2) == [lo, hi]
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 50, 10**6])
+    def test_parabola_matches_the_public_constructor(self, bound):
+        for seed in range(12):
+            for trial in range(8):
+                drawn = RandomRationals(seed, trial, bound)
+                twin = RandomRationals(seed, trial, bound)
+                for _ in range(3):
+                    got = drawn.parabola()
+                    want = Parabola(twin.nonzero_rational(), twin.rational(),
+                                    twin.rational())
+                    assert got._lifted == want._lifted
+                    for name in ("kappa", "beta", "gamma"):
+                        value = getattr(got, name)
+                        assert value == getattr(want, name)
+                        assert type(value) is F
+                    assert repr(got) == repr(want)
+                    assert drawn.rejections == twin.rejections
+                assert drawn.rng.getstate() == twin.rng.getstate()
 
 
 class TestGenerateConfig:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -209,7 +210,9 @@ def _four_distinct_draws():
 #: triangle, the tangent triangle (6), and tests its excenters against
 #: the vertex axes' triples.
 #: ``Parabola`` lifts its coefficients to integers and builds none, and a
-#: drawn rational is one construction.  ``parse_scalar`` builds its one
+#: drawn rational is one construction; ``RandomRationals.parabola``
+#: builds its three drawn coefficients, which the curve keeps, and no
+#: other.  ``parse_scalar`` builds its one
 #: value.  ``parabolic_power`` builds its one value,
 #: ``mn_division_check`` its two residuals and ``parabola_meet`` the
 #: abscissa of each meet point, its eliminant's roots.  ``shift`` builds
@@ -245,6 +248,7 @@ FRACTION_BUDGET = {
                          1),
     "distinct_rationals": (_four_distinct_draws, 4),
     "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
+    "RandomRationals.parabola": (lambda: RandomRationals(1, 0).parabola(), 3),
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 0),
     "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 0),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
@@ -316,3 +320,17 @@ def test_constructions_count_both_builders():
 def test_exact_primitives_build_few_fractions(name):
     call, budget = FRACTION_BUDGET[name]
     assert _fraction_constructions(call) <= budget
+
+
+@pytest.mark.parametrize("theorem", ["ptolemy", "simson"])
+def test_one_random_per_campaign(theorem):
+    # run_theorem reseeds one stream for each trial: one Random is built,
+    # and it is seeded once per trial (first by its own __init__).
+    profiler = cProfile.Profile()
+    profiler.runcall(run_campaign, CampaignConfig(theorem, 12, 42, 50))
+    calls = Counter()
+    for e in profiler.getstats():
+        if (not isinstance(e.code, str)
+                and Path(e.code.co_filename).name == "random.py"):
+            calls[e.code.co_name] += e.callcount
+    assert (calls["__init__"], calls["seed"]) == (1, 12)

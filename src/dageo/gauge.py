@@ -18,8 +18,8 @@ slope arithmetic:
 Slopes are represented as ``Fraction | None`` with ``None`` standing for
 the singular slope (direction parallel to the projective direction).
 
-A :class:`Point` is the primitive integer triple ``(X, Y, Z)`` of the
-point ``(X/Z, Y/Z)`` and a :class:`Line` the integer triple of
+A :class:`Point` stores, from construction, the primitive integer triple
+``(X, Y, Z)`` of ``(X/Z, Y/Z)`` and a :class:`Line` the integer triple of
 ``a*X + b*Y + c*Z = 0`` in homogeneous coordinates, whose ideal points are
 ``Z = 0`` (Richter-Gebert, *Perspectives on Projective Geometry*, ch.
 1-2): join and meet are cross products, incidence a dot product and
@@ -45,20 +45,21 @@ class Point:
     gcd(X, Y, Z) = 1, one triple per point, which equality compares.  It
     is the lift of the two coordinates over their lcm Z: that Z is a
     common denominator, and if a prime p divided X, Y and Z then Z/p would
-    be a smaller one.  ``Point(x, y)`` keeps its arguments, ints included,
-    as ``.x`` and ``.y`` and builds the triple on first read;
-    ``_point(X, Y, Z)`` stores a triple, and ``.x`` and ``.y`` are then
-    built as Fractions on first read.  Either form is kept once built.
-    The hash is that of the tuple ``(x, y)``, and a point unpacks to its
-    two coordinates."""
+    be a smaller one.  Every point holds its triple from construction.
+    ``Point(x, y)`` also keeps its arguments, ints included, as ``.x`` and
+    ``.y``; ``_point(X, Y, Z)`` builds them as Fractions on first read and
+    keeps them.  The hash is that of the tuple ``(x, y)``, and a point
+    unpacks to its two coordinates."""
 
-    __slots__ = ("_x", "_y", "_xyz")
+    __slots__ = ("_x", "_y", "xyz")
 
     def __new__(cls, x: Fraction, y: Fraction):
+        xd, yd = x.denominator, y.denominator
+        Z = lcm(xd, yd)
         point = _new(Point)
         _set_x(point, x)
         _set_y(point, y)
-        _set_xyz(point, None)
+        _set_xyz(point, (x.numerator * (Z // xd), y.numerator * (Z // yd), Z))
         return point
 
     def __setattr__(self, name, value):
@@ -81,26 +82,16 @@ class Point:
     @property
     def x(self) -> Fraction:
         if self._x is None:
-            X, _, Z = self._xyz
+            X, _, Z = self.xyz
             _set_x(self, ratio(X, Z))
         return self._x
 
     @property
     def y(self) -> Fraction:
         if self._y is None:
-            _, Y, Z = self._xyz
+            _, Y, Z = self.xyz
             _set_y(self, ratio(Y, Z))
         return self._y
-
-    @property
-    def xyz(self) -> tuple[int, int, int]:
-        if self._xyz is None:
-            x, y = self._x, self._y
-            xd, yd = x.denominator, y.denominator
-            Z = lcm(xd, yd)
-            _set_xyz(self, (x.numerator * (Z // xd), y.numerator * (Z // yd),
-                            Z))
-        return self._xyz
 
     def __repr__(self) -> str:
         return f"Point(x={self.x!r}, y={self.y!r})"
@@ -111,7 +102,7 @@ class Point:
 
 _new, _new_tuple = object.__new__, tuple.__new__
 _set_x, _set_y, _set_xyz = (Point._x.__set__, Point._y.__set__,
-                            Point._xyz.__set__)
+                            Point.xyz.__set__)
 
 
 def _point(X: int, Y: int, Z: int, x: Fraction | None = None) -> Point:
@@ -169,17 +160,12 @@ class Gauge:
         out = []
         for p in points:
             # Solve dx*e1 + dy*e2 = u*ref + v*proj by Cramer's rule, with
-            # dx = DX/(xd*yd*L), dy = DY/(xd*yd*L) and the directions and
-            # their determinant over L and L**2: the scales cancel.  A
-            # parsed point is read as given, and its image is stored as a
-            # triple, so neither builds its other form here.
-            x, y = p.x, p.y
-            xn, xd = x.numerator, x.denominator
-            yn, yd = y.numerator, y.denominator
-            DX = (xn * L - OX * xd) * yd
-            DY = (yn * L - OY * yd) * xd
-            out.append(_point(DX * PY - DY * PX, RX * DY - RY * DX,
-                              det * xd * yd))
+            # dx = DX/(Z*L), dy = DY/(Z*L) and the directions and their
+            # determinant over L and L**2: the scales cancel.
+            X, Y, Z = p.xyz
+            DX = X * L - OX * Z
+            DY = Y * L - OY * Z
+            out.append(_point(DX * PY - DY * PX, RX * DY - RY * DX, det * Z))
         return out
 
 
@@ -204,6 +190,15 @@ def _slope_terms(a: Point, b: Point) -> tuple[int, int]:
     X1, Y1, Z1 = a.xyz
     X2, Y2, Z2 = b.xyz
     return Y2 * Z1 - Y1 * Z2, X2 * Z1 - X1 * Z2
+
+
+def _over_common_z(a: Point, b: Point, c: Point):
+    """Three points' coordinates as integers over the lcm ``L`` of their
+    Z: ``((x_a, x_b, x_c), (y_a, y_b, y_c), L)``."""
+    (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = a.xyz, b.xyz, c.xyz
+    L = lcm(Z1, Z2, Z3)
+    l1, l2, l3 = L // Z1, L // Z2, L // Z3
+    return (X1 * l1, X2 * l2, X3 * l3), (Y1 * l1, Y2 * l2, Y3 * l3), L
 
 
 def _abscissae(points) -> tuple[list[int], int]:

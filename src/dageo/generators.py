@@ -217,9 +217,6 @@ class RandomRationals:
         """Triangle from free points (not forced onto a given parabola)."""
         def make():
             pts = [self.point() for _ in range(3)]
-            a, b, c = (p.x for p in pts)
-            if a == b or b == c or a == c:
-                return None
             if collinear(*pts):
                 return None
             return DATriangle(*pts)

@@ -37,10 +37,6 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return format_scalar(obj)
     if isinstance(obj, Point):
-        # Whichever form the point holds: its coordinates as given, or
-        # its triple, formatted without building the coordinates.
-        if obj._xyz is None:
-            return [format_scalar(obj.x), format_scalar(obj.y)]
         X, Y, Z = obj.xyz
         return [format_ratio(X, Z), format_ratio(Y, Z)]
     if isinstance(obj, dict):

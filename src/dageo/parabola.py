@@ -16,11 +16,11 @@ building a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
-from .gauge import (Line, MeetResult, Point, _point, _slope_terms,
-                    difference_angle)
+from .gauge import (Line, MeetResult, Point, _over_common_z, _point,
+                    _slope_terms, difference_angle)
 from .scalar import QuadraticPoly, integer_quadratic_roots, lift_triple, ratio
 
 
@@ -169,14 +169,8 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     Collinear triples have a vanishing quadratic coefficient and are
     rejected, as are shared x-coordinates (a singular side).
     """
-    # The three triples over the lcm L of their Z.
-    X1, Y1, Z1 = a.xyz
-    X2, Y2, Z2 = b.xyz
-    X3, Y3, Z3 = c.xyz
-    L = lcm(Z1, Z2, Z3)
-    l1, l2, l3 = L // Z1, L // Z2, L // Z3
-    return _parabola_through(X1 * l1, X2 * l2, X3 * l3, L,
-                             Y1 * l1, Y2 * l2, Y3 * l3, L)
+    (x1, x2, x3), (y1, y2, y3), L = _over_common_z(a, b, c)
+    return _parabola_through(x1, x2, x3, L, y1, y2, y3, L)
 
 
 def _parabola_through(X1: int, X2: int, X3: int, D: int,

@@ -14,25 +14,25 @@ for any three distinct abscissae; the ``triangle_invariants`` campaign
 checks them against the difference-angle definition.  Construction
 certifies the side-norm equation on the stored norms, read as integers
 over a common denominator: the largest equals the sum of the other two.
-The vertices' triples are brought over the lcm of their Z once; the
-curve (an integer quadruple), angles, sides and positive bisectors are
-built from that lift, each side line and bisector once, on first use,
-and kept: ``side`` and ``bisector_at`` read that cache, so the
-constructions and checkers that share a triangle share its lines.  The angles read the curve's
-quadruple, and the certificate's integer lift of the side norms is kept
-for the equality tests of ``is_isosceles`` and ``classify_pair``.
+The vertices' triples are brought over the lcm of their Z once, by the
+lift that ``circumparabola`` and ``divider_line`` share; the curve (an
+integer quadruple), angles, sides and positive bisectors are built from
+that lift, each side line and bisector once, on first use, and kept:
+``side`` and ``bisector_at`` read that cache, so the constructions and
+checkers that share a triangle share its lines.  The angles read the
+curve's quadruple, and the certificate's integer lift of the side norms
+is kept for the equality tests of ``is_isosceles`` and ``classify_pair``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, _line, _point, da_norm,
-                    line_through, meet, midpoint)
+from .gauge import (Line, MeetResult, Point, _line, _over_common_z, _point,
+                    da_norm, line_through, meet, midpoint)
 from .parabola import Parabola, _parabola_through, second_intersection
 from .scalar import collinear, det3, lift_triple, ratio
 
@@ -66,12 +66,7 @@ class DATriangle:
 
     def __post_init__(self):
         pts = (self.a, self.b, self.c)
-        # The three triples over the lcm L of their Z.
-        (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = (
-            self.a.xyz, self.b.xyz, self.c.xyz)
-        L = lcm(Z1, Z2, Z3)
-        l1, l2, l3 = L // Z1, L // Z2, L // Z3
-        xs, ys = (X1 * l1, X2 * l2, X3 * l3), (Y1 * l1, Y2 * l2, Y3 * l3)
+        xs, ys, L = _over_common_z(*pts)
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
@@ -229,11 +224,8 @@ def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
     and VF m:n from VB: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``.
     The three abscissae must be distinct; the weights may be ``int`` or
     ``Fraction``, and 1:1 gives the positive bisector."""
-    (Xv, Yv, Zv), (Xb, Yb, Zb), (Xf, Yf, Zf) = v.xyz, b.xyz, f.xyz
-    L = lcm(Zv, Zb, Zf)
-    lv, lb, lf = L // Zv, L // Zb, L // Zf
-    return _divider_line(Xv * lv, Xb * lb, Xf * lf, Yv * lv, Yb * lb,
-                         Yf * lf, L, m, n)
+    (xv, xb, xf), (yv, yb, yf), L = _over_common_z(v, b, f)
+    return _divider_line(xv, xb, xf, yv, yb, yf, L, m, n)
 
 
 def _divider_line(xv: int, xb: int, xf: int, yv: int, yb: int, yf: int,

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -491,6 +492,12 @@ class TestPointContract:
         p = Point(x, y)
         assert (p.x, p.y) == (x, y)
         assert (type(p.x), type(p.y)) == (type(x), type(y))
+        # The stored triple is the primitive one of (x, y), on every
+        # constructor path.
+        for q in (p, *self.points):
+            X, Y, Z = q.xyz
+            assert Z > 0 and math.gcd(X, Y, Z) == 1
+            assert (F(X, Z), F(Y, Z)) == (q.x, q.y)
 
     def test_kernel_points_have_fraction_fields(self):
         for p in self.points[4:]:
@@ -532,7 +539,7 @@ class TestPointContract:
 
     def test_immutable(self):
         p = midpoint(pt(0, 0), pt(1, 3))
-        for name in ("x", "y", "z"):
+        for name in ("x", "y", "z", "xyz"):
             with pytest.raises(AttributeError):
                 setattr(p, name, F(5))
         with pytest.raises(AttributeError):

@@ -19,7 +19,8 @@ from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
 from dageo.campaigns import Counterexample
-from dageo.gauge import Line, MeetResult, Point, line_through, meet
+from dageo.gauge import (Gauge, Line, MeetResult, Point, _point,
+                         line_through, meet, midpoint, normalize_chart)
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo import harness
 from dageo.euclid import EUCLID_EXPORT
@@ -1054,8 +1055,23 @@ def _public_twin(draw: Drawables) -> Drawables:
 
 
 class TestIntegerReaders:
-    """``jsonable`` and ``render_svg`` read the integers that lines and
-    curves store; they must write what the public properties give."""
+    """``jsonable`` and ``render_svg`` read the integers that points, lines
+    and curves store; they must write what the public properties give."""
+
+    @given(bounded, bounded, bounded, st.integers(-9, 9), st.integers(-9, 9),
+           st.integers(1, 9))
+    def test_points_match_properties(self, x, y, m, X, Y, z):
+        # Points given their coordinates, ints among them, and points the
+        # kernel builds from triples, unreduced and with Z < 0 among them.
+        pts = [Point(x, y), Point(F(x), F(y)), Point(X, Y),
+               _point(2 * X, 2 * Y, -2 * z), _point(X * z, Y * z, -z * z),
+               midpoint(Point(x, y), Point(m, X)),
+               meet(Line(m, y), Line(m + 1, x)).point,
+               Line(m, y).point_at(x), Parabola(z, m, y).point_at(x)]
+        gauge = Gauge(Point(m, X), (F(1), F(y)), (F(0), F(z)))
+        pts += normalize_chart(gauge, pts)
+        for p in pts:
+            assert jsonable(p) == [format_scalar(p.x), format_scalar(p.y)], p
 
     @given(bounded, bounded, bounded, bounded)
     def test_lines_match_properties(self, m, k, x, y):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -213,6 +215,92 @@ class TestCertificates:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "side-norm equation violated"
+
+
+class TestTriangleContract:
+    """``DATriangle`` against the ``(a, b, c)`` model: equality, hash and
+    repr, keyword construction, immutability, and the copies that
+    ``copy`` and ``pickle`` make.  The parabola, the x-order, the stored
+    angles and norms and the line cache are derived from the vertices,
+    so none of them is part of the value."""
+
+    triangles = [on_std(0, 1, 3),
+                 DATriangle(Point(0, 0), Point(F(1, 2), 3), Point(2, F(-1, 3))),
+                 DATriangle(pt(F(-7, 4), F(5, 6)), pt(4, F(-9, 2)),
+                            pt(F(1, 3), 0)),
+                 centers(on_std(-2, F(1, 2), 4)).tangent_triangle,
+                 RandomRationals(11, 3, 50).triangle()]
+
+    @given(bounded_triangles(), bounded_triangles())
+    def test_equality_and_hash_match_the_model(self, t1, t2):
+        model1, model2 = (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
+        assert (t1 == t2) == (model1 == model2)
+        assert (t1 != t2) == (model1 != model2)
+        assert hash(t1) == hash(model1) and hash(t2) == hash(model2)
+        assert len({t1, t2}) == len({model1, model2})
+        assert t1 != model1 and not t1 == model1
+
+    def test_relabelling_is_another_value(self):
+        t = on_std(0, 1, 3)
+        assert DATriangle(t.c, t.b, t.a) != t
+        assert DATriangle(t.a, t.b, t.c) == t
+
+    def test_repr(self):
+        assert repr(on_std(0, 1, 3)) == (
+            "DATriangle(a=Point(x=Fraction(0, 1), y=Fraction(0, 1)), "
+            "b=Point(x=Fraction(1, 1), y=Fraction(1, 1)), "
+            "c=Point(x=Fraction(3, 1), y=Fraction(9, 1)), "
+            "parabola=Parabola(kappa=Fraction(1, 1), beta=Fraction(0, 1), "
+            "gamma=Fraction(0, 1)))")
+        assert repr(self.triangles[1]) == (
+            "DATriangle(a=Point(x=0, y=0), b=Point(x=Fraction(1, 2), y=3), "
+            "c=Point(x=2, y=Fraction(-1, 3)), "
+            "parabola=Parabola(kappa=Fraction(-37, 9), "
+            "beta=Fraction(145, 18), gamma=Fraction(0, 1)))")
+        for t in self.triangles:
+            assert repr(t) == (f"DATriangle(a={t.a!r}, b={t.b!r}, "
+                               f"c={t.c!r}, parabola={t.parabola!r})")
+
+    def test_keyword_construction(self):
+        for t in self.triangles:
+            assert DATriangle(a=t.a, b=t.b, c=t.c) == t
+            assert DATriangle(t.a, c=t.c, b=t.b) == t
+
+    def test_immutable(self):
+        t = on_std(0, 1, 3)
+        for name in ("a", "b", "c", "parabola", "_sorted", "_middle",
+                     "_lift", "_angles", "_norms", "_lines", "z"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, pt(5, 5))
+        assert t == on_std(0, 1, 3)
+        assert t.side_norms() == (1, 2, 3)
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "copy", "pickle"])
+    def test_copies_round_trip(self, copier):
+        for t in self.triangles:
+            bisector_at(t, "B")
+            if copier == "pickle":
+                twin = pickle.loads(pickle.dumps(t))
+            else:
+                twin = getattr(copy, copier)(t)
+            assert twin == t and hash(twin) == hash(t)
+            assert repr(twin) == repr(t)
+            assert twin.parabola == t.parabola
+            assert twin.side_norms() == t.side_norms()
+            assert twin.interior_angles() == t.interior_angles()
+            assert twin.sorted_vertices() == t.sorted_vertices()
+            assert twin.negative_vertex_label == t.negative_vertex_label
+            for lbl in VERTICES:
+                assert twin.side(lbl) == t.side(lbl)
+                assert bisector_at(twin, lbl) == bisector_at(t, lbl)
+
+    def test_line_cache_is_not_part_of_the_value(self):
+        for t in self.triangles:
+            fresh = DATriangle(t.a, t.b, t.c)
+            centers(t)
+            assert t == fresh and fresh == t
+            assert hash(t) == hash(fresh) and repr(t) == repr(fresh)
+            assert {t, fresh} == {fresh}
 
 
 class TestAngleDefinition:

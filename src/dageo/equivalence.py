@@ -14,20 +14,18 @@ To pair the vertices differently, relabel a triangle, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import Point, _abscissae, line_through, meet
 from .parabola import conparabolic
-from .scalar import det3, lift_triple
+from .scalar import det3
 from .theorems import menelaus_product
 from .triangle import VERTICES, DATriangle, foot_of_perpendicular
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     sim_sss: bool
     sim_aa: bool
     sim_sas_signed: bool
@@ -39,14 +37,14 @@ def classify_pair(t1: DATriangle, t2: DATriangle) -> EquivalenceVerdict:
     """Evaluate every tier for a pair of triangles compared label to
     label, asserting the tier-chain invariants."""
     # Norms of (AB, BC, CA) and the angles at (A, B, C), each tuple as
-    # integers over its own common denominator: a ratio cross-product is
-    # then one of integers (the denominators cancel), and an equality
-    # takes the other tuple's denominator as a factor.  The norms' lift is
-    # the one each triangle's certificate stored.
+    # integers over its own common denominator, as each triangle stores
+    # them: a ratio cross-product is then one of integers (the
+    # denominators cancel), and an equality takes the other tuple's
+    # denominator as a factor.
     p, P = t1._norm_lift
     q, Q = t2._norm_lift
-    u, U = lift_triple(t1.interior_angles())
-    v, V = lift_triple(t2.interior_angles())
+    u, U = t1._angle_lift
+    v, V = t2._angle_lift
     same_angle = [u[k] * V == v[k] * U for k in range(3)]
 
     sss = p[0] * q[1] == p[1] * q[0] and p[1] * q[2] == p[2] * q[1]

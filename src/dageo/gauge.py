@@ -243,9 +243,14 @@ def difference_angle(a: Point, p: Point, b: Point) -> Fraction:
 
 def da_norm(a: Point, b: Point) -> Fraction:
     """Segment norm |x_B - x_A|; zero exactly on singular segments."""
+    return ratio(*_norm_terms(a, b))
+
+
+def _norm_terms(a: Point, b: Point) -> tuple[int, int]:
+    """Integers ``(n, d)``, ``d > 0``, with ``da_norm(a, b) = n/d``."""
     Xa, _, Za = a.xyz
     Xb, _, Zb = b.xyz
-    return ratio(abs(Xb * Za - Xa * Zb), Za * Zb)
+    return abs(Xb * Za - Xa * Zb), Za * Zb
 
 
 class Line:

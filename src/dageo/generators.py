@@ -208,10 +208,11 @@ class RandomRationals:
                               ratio(bn, bd), ratio(gn, gd))
 
     def triangle(self) -> DATriangle:
-        """Triangle inscribed in a random parabola."""
-        curve = self.parabola()
-        xs = self.distinct_rationals(3)
-        return DATriangle(*(curve.point_at(x) for x in xs))
+        """Triangle inscribed in a random parabola, drawn as integers."""
+        curve = _parabola_over(*self._nonzero_pair(), *self._pair(),
+                               *self._pair(), None, None, None)
+        return DATriangle(*(curve._point_over(x.numerator, x.denominator, x)
+                            for x in self.distinct_rationals(3)))
 
     def free_triangle(self) -> DATriangle:
         """Triangle from free points (not forced onto a given parabola)."""

@@ -24,7 +24,7 @@ an earlier one's, and ideal points accumulate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gauge import Gauge, Line, Point, line_through
@@ -192,7 +192,7 @@ def apply_construction(scene: Scene, call: str, draw: Drawables) -> dict:
                            excenter_c=cs.excenter_c, centroid=cs.centroid)
         draw.ideal.append("excenter_ideal")
         draw.parabolas["circumparabola"] = t.parabola
-        result = {f.name: getattr(cs, f.name) for f in fields(cs)}
+        result = cs._asdict()
     elif name == "circumparabola":
         expect("point", "point", "point")
         curve = circumparabola(*args)

@@ -6,35 +6,33 @@ theorem.
 A valid triangle here has three non-collinear vertices with pairwise
 distinct x-coordinates.  Internally the vertices are sorted by x (the
 proofs' convention); the public API keeps the user's labels "A", "B", "C"
-and maps every result back.  The side norms are computed once, on
-construction, by ``da_norm``, and stored; ``side_norms()`` returns the
-stored values.  The interior angles are stored in the closed form of
-``interior_angles``, which sums to 0 with only the x-middle angle negative
-for any three distinct abscissae; the ``triangle_invariants`` campaign
-checks them against the difference-angle definition.  Construction
-certifies the side-norm equation on the stored norms, read as integers
-over a common denominator: the largest equals the sum of the other two.
-The vertices' triples are brought over the lcm of their Z once, by the
+and maps every result back.  A triangle is built from integers alone.
+The vertices' triples are brought over the lcm L of their Z once, by the
 lift that ``circumparabola`` and ``divider_line`` share; the curve (an
-integer quadruple), angles, sides and positive bisectors are built from
-that lift, each side line and bisector once, on first use, and kept:
-``side`` and ``bisector_at`` read that cache, so the constructions and
-checkers that share a triangle share its lines.  The angles read the
-curve's quadruple, and the certificate's integer lift of the side norms
-is kept for the equality tests of ``is_isosceles`` and ``classify_pair``.
+integer quadruple over S), the x-order, the angles (a triple over S*L)
+and, on first use, each side line and bisector come from that lift.  The
+side norms are a triple over the lcm of ``da_norm``'s denominators, from
+its ``_norm_terms``; construction certifies the side-norm equation on it:
+the largest equals the sum of the other two.  ``is_isosceles`` and
+``classify_pair`` compare the triples; ``side_norms()`` and
+``interior_angles()`` build Fractions on first read and keep them.  The
+angles' closed form sums to 0 with only the x-middle angle negative; the
+``triangle_invariants`` campaign checks it against the difference-angle
+definition.  ``side`` and ``bisector_at`` read the line cache, so the
+constructions and checkers that share a triangle share its lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateConfigurationError, KernelInvariantError
-from .gauge import (Line, MeetResult, Point, _line, _over_common_z, _point,
-                    da_norm, line_through, meet, midpoint)
+from .gauge import (Line, MeetResult, Point, _line, _norm_terms,
+                    _over_common_z, _point, line_through, meet, midpoint)
 from .parabola import Parabola, _parabola_through, second_intersection
-from .scalar import collinear, det3, lift_triple, ratio
+from .scalar import collinear, det3, ratio
 
 VERTICES = ("A", "B", "C")
 #: Indices into (a, b, c) of the two vertices other than each label.
@@ -43,30 +41,17 @@ _OTHERS = {"A": (1, 2), "B": (0, 2), "C": (0, 1)}
 _CYCLIC_OTHERS = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
 
 
-@dataclass(frozen=True)
 class DATriangle:
-    a: Point
-    b: Point
-    c: Point
-    parabola: Parabola = field(init=False, compare=False)
-    _sorted: tuple[Point, Point, Point] = field(init=False, compare=False,
-                                                repr=False)
-    _angles: tuple[Fraction, Fraction, Fraction] = field(
-        init=False, compare=False, repr=False)
-    _norms: tuple[Fraction, Fraction, Fraction] = field(
-        init=False, compare=False, repr=False)
-    _middle: int = field(init=False, compare=False, repr=False)
-    #: (X, Y, L): the vertices' abscissae X and ordinates Y over one L.
-    _lift: tuple = field(init=False, compare=False, repr=False)
-    #: (N, L): the stored side norms as integers N over their lcm L.
-    _norm_lift: tuple = field(init=False, compare=False, repr=False)
-    #: Side lines keyed by the opposite label, bisectors by (label, mode).
-    _lines: dict = field(init=False, compare=False, repr=False,
-                         default_factory=dict)
+    """The triangle ``(a, b, c)``, which equality and hash compare; all
+    else it holds is derived from the vertices."""
 
-    def __post_init__(self):
-        pts = (self.a, self.b, self.c)
-        xs, ys, L = _over_common_z(*pts)
+    # _lift is (xs, ys, L), each *_lift a triple and its denominator; _lines
+    # keys the side lines by opposite label, the bisectors by (label, mode).
+    __slots__ = ("a", "b", "c", "parabola", "_sorted", "_middle", "_lift",
+                 "_angle_lift", "_angles", "_norm_lift", "_norms", "_lines")
+
+    def __init__(self, a: Point, b: Point, c: Point):
+        xs, ys, L = _over_common_z(a, b, c)
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
@@ -76,34 +61,56 @@ class DATriangle:
             # and det3 of the rows (x, y, 1) is kappa times the Vandermonde
             # determinant, so kappa == 0 is exactly collinearity.
             raise DegenerateConfigurationError("collinear vertices") from None
-        object.__setattr__(self, "parabola", par)
+        # Structural certificate, a theorem, so a failure here means the
+        # kernel itself is broken: the largest norm of (AB, BC, CA), over
+        # the lcm D of da_norm's denominators, is the sum of the others.
+        (n1, d1), (n2, d2), (n3, d3) = (_norm_terms(a, b), _norm_terms(b, c),
+                                        _norm_terms(c, a))
+        D = lcm(d1, d2, d3)
+        norms = (n1 * (D // d1), n2 * (D // d2), n3 * (D // d3))
+        if 2 * max(norms) != sum(norms):
+            raise KernelInvariantError("side-norm equation violated")
         # i, j, k index the vertices in increasing x; the angle formula is
         # in the interior_angles docstring, with kappa = K/S, here over
         # S times L.
         i, j, k = sorted(range(3), key=xs.__getitem__)
         K, _, _, S = par._lifted
         scale = abs(K)
-        den = S * L
         angles = [None, None, None]
-        angles[i] = ratio(scale * (xs[k] - xs[j]), den)
-        angles[j] = ratio(scale * (xs[i] - xs[k]), den)
-        angles[k] = ratio(scale * (xs[j] - xs[i]), den)
-        angles = tuple(angles)
-        norms = (da_norm(self.a, self.b), da_norm(self.b, self.c),
-                 da_norm(self.c, self.a))
-        object.__setattr__(self, "_lift", (xs, ys, L))
-        object.__setattr__(self, "_sorted", (pts[i], pts[j], pts[k]))
-        object.__setattr__(self, "_angles", angles)
-        object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_middle", j)
-        # Structural certificate, a theorem, so a failure here means the
-        # kernel itself is broken: the largest stored norm is the sum of
-        # the other two, i.e. twice it is their total.  The lift is kept
-        # for the equality tests of is_isosceles and classify_pair.
-        nums, _ = norm_lift = lift_triple(self.side_norms())
-        object.__setattr__(self, "_norm_lift", norm_lift)
-        if 2 * max(nums) != sum(nums):
-            raise KernelInvariantError("side-norm equation violated")
+        angles[i] = scale * (xs[k] - xs[j])
+        angles[j] = scale * (xs[i] - xs[k])
+        angles[k] = scale * (xs[j] - xs[i])
+        pts = (a, b, c)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_parabola(self, par)
+        _set_sorted(self, (pts[i], pts[j], pts[k]))
+        _set_middle(self, j)
+        _set_lift(self, (xs, ys, L))
+        _set_angle_lift(self, (tuple(angles), S * L))
+        _set_angles(self, None)
+        _set_norm_lift(self, (norms, D))
+        _set_norms(self, None)
+        _set_lines(self, {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to DATriangle.{name}")
+
+    def __reduce__(self):
+        return DATriangle, (self.a, self.b, self.c)
+
+    def __eq__(self, other):
+        if not isinstance(other, DATriangle):
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self) -> str:
+        return (f"DATriangle(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"parabola={self.parabola!r})")
 
     # -- vertex bookkeeping -------------------------------------------------
 
@@ -156,7 +163,11 @@ class DATriangle:
         return line
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Norms of (AB, BC, CA), stored on construction."""
+        """Norms of (AB, BC, CA).  The certificate reads them as the stored
+        integers over D; their Fractions are built on first read and kept."""
+        if self._norms is None:
+            (n1, n2, n3), D = self._norm_lift
+            _set_norms(self, (ratio(n1, D), ratio(n2, D), ratio(n3, D)))
         return self._norms
 
     @property
@@ -172,9 +183,19 @@ class DATriangle:
         In x-order (p < q < r) with circumparabola coefficient kappa the
         angles are |kappa| * (r-q, p-r, q-p): the interior opening at the
         middle vertex contains the singular direction, which makes that
-        angle the negative one whichever way the parabola opens.
+        angle the negative one whichever way the parabola opens.  They are
+        stored as integers over S*L; their Fractions are built on first
+        read and kept.
         """
+        if self._angles is None:
+            (u, v, w), den = self._angle_lift
+            _set_angles(self, (ratio(u, den), ratio(v, den), ratio(w, den)))
         return self._angles
+
+
+(_set_a, _set_b, _set_c, _set_parabola, _set_sorted, _set_middle, _set_lift,
+ _set_angle_lift, _set_angles, _set_norm_lift, _set_norms, _set_lines) = (
+    getattr(DATriangle, name).__set__ for name in DATriangle.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +290,7 @@ def bisector_ratio_check(t: DATriangle, vertex: str) -> Fraction:
                  scale * scale)
 
 
-@dataclass(frozen=True)
-class CenterSet:
+class CenterSet(NamedTuple):
     """The classical centers of a triangle in this geometry.
 
     The incenter is the common point of the three interior bisectors and

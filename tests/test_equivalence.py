@@ -115,22 +115,21 @@ class TestBridgeCertificate:
     """classify_pair certifies the coefficient bridge on every
     norm-congruent pair, so angles that disagree with |kappa| raise."""
 
-    def test_equal_angles_at_different_kappa_raise(self, monkeypatch):
+    def test_equal_angles_at_different_kappa_raise(self):
         t1 = on_std(0, 1, 3)
         t2 = on_curve(Parabola(F(2), F(0), F(0)), 0, 1, 3)
-        monkeypatch.setattr(DATriangle, "interior_angles",
-                            lambda self: (F(2), F(-3), F(1)))
+        # classify_pair reads the stored angle lifts: both (2, -3, 1).
+        for t in (t1, t2):
+            object.__setattr__(t, "_angle_lift", ((2, -3, 1), 1))
         with pytest.raises(KernelInvariantError, match="kappa"):
             classify_pair(t1, t2)
 
-    def test_unequal_angles_at_equal_kappa_raise(self, monkeypatch):
+    def test_unequal_angles_at_equal_kappa_raise(self):
         t1 = on_std(0, 1, 3)
         t2 = shift(t1, F(2))
-        stored = DATriangle.interior_angles
-        monkeypatch.setattr(
-            DATriangle, "interior_angles",
-            lambda self: tuple(2 * v for v in stored(self))
-            if self is t2 else stored(self))
+        angles, den = t2._angle_lift
+        object.__setattr__(t2, "_angle_lift",
+                           (tuple(2 * v for v in angles), den))
         with pytest.raises(KernelInvariantError, match="kappa"):
             classify_pair(t1, t2)
 

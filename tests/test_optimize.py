@@ -195,42 +195,43 @@ def _four_distinct_draws():
 
 #: Most ``Fraction`` constructions (``Fraction.__new__`` or
 #: ``scalar.ratio``) each exact primitive may make on the fixed inputs:
-#: one per result it returns.  A curve is an integer quadruple whose
-#: coefficients are built only when read, so ``circumparabola`` and
-#: ``iso_angle_locus`` build none.  ``DATriangle`` stores its angles (3)
-#: and side norms (3); its certificate reads the norms back as integers
-#: and builds none.  ``contains`` and
-#: ``classify_pair`` answer bools, so they build none; a ``Line`` is an
-#: integer triple, so ``line_through``, ``bisector_at`` and
-#: ``cevian_line`` build none.  A ``Point`` that the kernel builds is an
-#: integer triple whose coordinates are built only when read, so
-#: ``midpoint``, ``normalize_chart``, ``Parabola.point_at``,
-#: ``second_intersection`` and ``second_meet`` build none, and
-#: ``point_on_side`` builds only the drawn ratio.  ``centers`` builds one
-#: triangle, the tangent triangle (6), and tests its excenters against
-#: the vertex axes' triples.
-#: ``Parabola`` lifts its coefficients to integers and builds none, and a
-#: drawn rational is one construction; ``RandomRationals.parabola``
-#: builds its three drawn coefficients, which the curve keeps, and no
-#: other.  ``parse_scalar`` builds its one
-#: value.  ``parabolic_power`` builds its one value,
-#: ``mn_division_check`` its two residuals and ``parabola_meet`` the
-#: abscissa of each meet point, its eliminant's roots.  ``shift`` builds
-#: the image triangle (6); ``perpendicular_bisectors``, three singular
-#: lines, none; ``bisector_ratio_check`` at a positive vertex the
-#: residual alone; ``midpoint_lemma_check`` none: its feet, meets and
-#: residuals are all triples.  ``Line.contains`` answers a bool and
-#: builds none.  The writers read the stored integers: ``render_svg`` of
-#: a golden scene's figure and ``jsonable`` of a kernel-built curve and
-#: two lines build none.  ``simson`` builds only its int slope as a
-#: Fraction, and ``foot_of_perpendicular`` reads the point's triple.
+#: one per result it returns, and none for a value the kernel stores as
+#: integers and builds only when read.
+#:
+#: * Curves.  A curve is an integer quadruple, so ``Parabola``,
+#:   ``circumparabola`` and ``iso_angle_locus`` build none;
+#:   ``RandomRationals.parabola`` builds its three drawn coefficients,
+#:   which the curve keeps, and no other.
+#: * Points and lines.  A kernel-built ``Point`` is an integer triple and
+#:   a ``Line`` one too, so ``midpoint``, ``normalize_chart``,
+#:   ``Parabola.point_at``, ``second_intersection``, ``second_meet``,
+#:   ``line_through``, ``bisector_at``, ``cevian_line``,
+#:   ``perpendicular_bisectors`` and ``midpoint_lemma_check`` (feet,
+#:   meets and residuals) build none; ``contains``, ``Line.contains`` and
+#:   ``classify_pair`` answer bools and build none.
+#: * Triangles.  ``DATriangle`` stores its angles and side norms as
+#:   integer triples, which its certificate and ``classify_pair`` read,
+#:   so it builds none; so do ``centers``, whose one triangle is the
+#:   tangent triangle, and ``shift``, which builds the image triangle.
+#:   ``RandomRationals.triangle`` draws its curve as integers and builds
+#:   only its three abscissae, which its points keep.
+#: * Values.  A drawn rational is one construction, and
+#:   ``point_on_side`` builds only the drawn ratio.  ``parse_scalar``,
+#:   ``parabolic_power`` and ``bisector_ratio_check`` at a positive
+#:   vertex build their one value, ``mn_division_check`` its two
+#:   residuals, ``parabola_meet`` the abscissa of each meet point (its
+#:   eliminant's roots) and ``simson`` only its int slope;
+#:   ``foot_of_perpendicular`` reads the point's triple.
+#: * Writers.  ``render_svg`` of a golden scene's figure and ``jsonable``
+#:   of a kernel-built curve and two lines read the stored integers and
+#:   build none.
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 0),
-    "DATriangle": (lambda: DATriangle(_A, _B, _C), 6),
+    "DATriangle": (lambda: DATriangle(_A, _B, _C), 0),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 0),
-    "centers": (lambda: centers(_T), 6),
+    "centers": (lambda: centers(_T), 0),
     "midpoint": (lambda: midpoint(_A, _B), 0),
     "point_on_side": (lambda: RandomRationals(1, 0).point_on_side(_A, _B),
                       1),
@@ -249,6 +250,7 @@ FRACTION_BUDGET = {
     "distinct_rationals": (_four_distinct_draws, 4),
     "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
     "RandomRationals.parabola": (lambda: RandomRationals(1, 0).parabola(), 3),
+    "RandomRationals.triangle": (lambda: RandomRationals(1, 0).triangle(), 3),
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 0),
     "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 0),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
@@ -258,7 +260,7 @@ FRACTION_BUDGET = {
     "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 0),
     "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 2),
     "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 0),
-    "shift": (lambda: shift(_T, _THETA), 6),
+    "shift": (lambda: shift(_T, _THETA), 0),
     "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 0),
     "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
                              1),

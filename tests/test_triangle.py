@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 import dageo
 from conftest import bounded, bounded_triangles, kernel_outcome
 from dageo import triangle
+from dageo.equivalence import classify_pair
 from dageo.errors import DegenerateConfigurationError, KernelInvariantError
-from dageo.gauge import (Line, MeetResult, Point, da_norm, meet, midpoint,
-                         slope_between)
+from dageo.gauge import (Line, MeetResult, Point, _norm_terms, da_norm, meet,
+                         midpoint, slope_between)
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 from dageo.parabola import Parabola
-from dageo.scalar import det3
+from dageo.scalar import det3, lift_triple
 from dageo.theorems import menelaus_product
 from dageo.triangle import (VERTICES, DATriangle, bisector_at,
                             bisector_ratio_check, centers,
@@ -172,8 +173,9 @@ class TestConstruction:
 
 class TestCertificates:
     def test_broken_norm_equation_raises(self, monkeypatch):
-        monkeypatch.setattr(DATriangle, "side_norms",
-                            lambda self: (F(1), F(1), F(1)))
+        # Every norm 1: the largest is not the sum of the other two.
+        monkeypatch.setattr("dageo.triangle._norm_terms",
+                            lambda p, q: (1, 1))
         with pytest.raises(KernelInvariantError,
                            match="side-norm equation") as info:
             on_std(0, 1, 3)
@@ -181,10 +183,14 @@ class TestCertificates:
         assert isinstance(info.value, AssertionError)
 
     def test_broken_da_norm_raises(self, monkeypatch):
-        # The stored norms are da_norm's values, so the side-norm equation
-        # checks da_norm on every construction.
-        monkeypatch.setattr("dageo.triangle.da_norm",
-                            lambda p, q: da_norm(p, q) + 1)
+        # The stored norms are da_norm's own integers, so the side-norm
+        # equation checks da_norm's arithmetic on every construction: here
+        # |dx| + 1, over da_norm's denominator.
+        def plus_one(p, q):
+            n, d = _norm_terms(p, q)
+            return n + d, d
+
+        monkeypatch.setattr("dageo.triangle._norm_terms", plus_one)
         with pytest.raises(KernelInvariantError, match="side-norm equation"):
             on_std(0, 1, 3)
 
@@ -196,10 +202,11 @@ class TestCertificates:
             from fractions import Fraction as F
             from dageo.errors import KernelInvariantError
             from dageo.gauge import Point
+            from dageo import triangle
             from dageo.triangle import DATriangle
             if not sys.flags.optimize:
                 sys.exit(3)
-            DATriangle.side_norms = lambda self: (F(1), F(1), F(1))
+            triangle._norm_terms = lambda p, q: (1, 1)
             try:
                 DATriangle(Point(F(0), F(0)), Point(F(1), F(1)),
                            Point(F(3), F(9)))
@@ -301,6 +308,46 @@ class TestTriangleContract:
             assert t == fresh and fresh == t
             assert hash(t) == hash(fresh) and repr(t) == repr(fresh)
             assert {t, fresh} == {fresh}
+
+
+def fraction_lift_tiers(t1, t2):
+    """``classify_pair``'s tiers from ``lift_triple`` of each triangle's
+    side norms and angles as Fractions, as it computed them before the
+    triangle stored those lifts."""
+    p, P = lift_triple(t1.side_norms())
+    q, Q = lift_triple(t2.side_norms())
+    u, U = lift_triple(t1.interior_angles())
+    v, V = lift_triple(t2.interior_angles())
+    same_angle = [u[k] * V == v[k] * U for k in range(3)]
+    sss = p[0] * q[1] == p[1] * q[0] and p[1] * q[2] == p[2] * q[1]
+    aa = sum(same_angle) >= 2
+    sas = any(p[i] * q[j] == p[j] * q[i] and same_angle[k]
+              for k, (i, j) in ((0, (0, 2)), (1, (0, 1)), (2, (1, 2))))
+    norm_cong = all(p[i] * Q == q[i] * P for i in range(3))
+    return sss, aa, sas, norm_cong, norm_cong and all(same_angle)
+
+
+class TestStoredLifts:
+    """The triangle stores its side norms and angles as integer triples
+    and builds their Fractions when read; both forms must agree with
+    ``da_norm``, the Fraction chain of the angles, and the tiers that
+    ``lift_triple`` of the Fractions gives."""
+
+    @pytest.mark.parametrize("case", range(4))
+    @given(st.integers(0, 2**32), st.integers(0, 100),
+           st.sampled_from([2, 3, 50]))
+    def test_match_the_fraction_values(self, case, seed, n, bound):
+        # equivalence_chain draws case trial % 4 of its pairs.
+        cfg = REGISTRY["equivalence_chain"].generate(
+            RandomRationals(seed, 4 * n + case, bound))
+        t1, t2 = cfg["T1"], cfg["T2"]
+        for t in (t1, t2):
+            assert t.side_norms() == (da_norm(t.a, t.b), da_norm(t.b, t.c),
+                                      da_norm(t.c, t.a))
+            assert t.interior_angles() == fraction_chain_angles(
+                (t.a, t.b, t.c))
+        for u, w in ((t1, t2), (t2, t1), (t1, t1)):
+            assert tuple(classify_pair(u, w)) == fraction_lift_tiers(u, w)
 
 
 class TestAngleDefinition:

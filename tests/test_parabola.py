@@ -466,8 +466,15 @@ class TestSecondMeet:
             == MeetResult.at(pt(1, 1))
 
     def test_shared_point_must_be_common(self):
-        with pytest.raises(ValueError, match="not a root"):
+        # The abscissa, then the eliminant p1 - p2 at it, reduced.
+        with pytest.raises(ValueError) as err:
             second_meet(STD, Parabola(F(2), F(-3), F(2)), pt(3, 9))
+        assert str(err.value) == "3 is not a root (residual -2)"
+        p1 = Parabola(F(1, 2), F(1, 3), F(0))
+        with pytest.raises(ValueError) as err:
+            second_meet(p1, Parabola(F(-2, 5), F(1), F(1, 7)),
+                        p1.point_at(F(3, 4)))
+        assert str(err.value) == "3/4 is not a root (residual -153/1120)"
 
 
 def fraction_chain_inscribed_angle(p, a, b, c, d):

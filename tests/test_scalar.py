@@ -255,8 +255,13 @@ class TestOtherRoot:
         assert other_root(QuadraticPoly(F(2), F(-2), F(0)), F(0)) == 1
 
     def test_rejects_non_root(self):
-        with pytest.raises(ValueError):
+        # The rejected value, then q at it, reduced.
+        with pytest.raises(ValueError) as err:
             other_root(QuadraticPoly(F(1), F(-3), F(2)), F(5))
+        assert str(err.value) == "5 is not a root (residual 12)"
+        with pytest.raises(ValueError) as err:
+            other_root(QuadraticPoly(F(1, 2), F(1, 3), F(-1, 5)), F(-3, 4))
+        assert str(err.value) == "-3/4 is not a root (residual -27/160)"
 
     def test_rejects_linear(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown vertex label 'D'"):
             t.vertex("D")
 
+    @given(bounded_triangles())
+    def test_x_order_in_every_labelling(self, t):
+        # sorted_vertices, x_rank and negative_vertex_label against a sort
+        # by .x of the same vertex objects, under all six relabellings.
+        for perm in itertools.permutations((t.a, t.b, t.c)):
+            u = DATriangle(*perm)
+            order = sorted(perm, key=lambda p: p.x)
+            got = u.sorted_vertices()
+            assert len(got) == 3
+            assert all(g is p for g, p in zip(got, order))
+            for lbl in VERTICES:
+                v = u.vertex(lbl)
+                assert u.x_rank(lbl) == next(
+                    i for i, p in enumerate(order) if p is v)
+            assert u.vertex(u.negative_vertex_label) is order[1]
+            with pytest.raises(ValueError,
+                               match="^unknown vertex label 'D'$"):
+                u.x_rank("D")
+
     def test_others_in_label_order(self):
         t = on_std(0, 1, 3)
         assert t.others("A") == (t.b, t.c)

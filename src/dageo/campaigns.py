@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import equivalence as eq
@@ -28,8 +29,7 @@ from .gauge import (Line, Point, _angle_terms, _point, angle_axiom_checks,
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
-from .scalar import (add, between, collinear, lift_triple,
-                     over_common_denominator, ratio)
+from .scalar import between, collinear, lift_triple, ratio
 from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
                        centers, circum_ortho_at_infinity, dabct,
                        midpoint_lemma_check, simson)
@@ -252,8 +252,10 @@ register(Theorem("ptolemy",
 
 def _check_ptolemy_broken(cfg: dict) -> None:
     # Deliberate sign flip: a mutation control for the harness itself.
-    # It reads only the curve points' abscissae, the drawn xs.
-    (xa, xb, xc, xd), _ = over_common_denominator(cfg["xs"])
+    # It reads only the drawn xs, the curve points' abscissae, over one lcm.
+    xs = cfg["xs"]
+    scale = lcm(*(x.denominator for x in xs))
+    xa, xb, xc, xd = (x.numerator * (scale // x.denominator) for x in xs)
     ab, cd = xb - xa, xd - xc
     ad, bc = xd - xa, xc - xb
     ac, bd = xc - xa, xd - xb
@@ -790,7 +792,7 @@ def _check_shift_group(cfg: dict) -> None:
     moved = eq.shift(t, th1)
     if not eq.classify_pair(t, moved).da_congruent:
         raise Counterexample("shift image not congruent")
-    if eq.shift(moved, th2) != eq.shift(t, add(th1, th2)):
+    if eq.shift(moved, th2) != eq.shift(t, th1 + th2):
         raise Counterexample("shift composition law fails")
     if eq.shift(t, _ZERO) != t:
         raise Counterexample("zero shift is not the identity")
@@ -818,28 +820,27 @@ register(Theorem("shift_group",
                  _gen_shift_group, _check_shift_group))
 
 
-def _translated_gaps(t0: Fraction, xs) -> tuple[Fraction, Fraction]:
-    """``(t0 + (c - a), t0 + (c - b))`` for ``xs = (a, b, c)``, one ratio
-    each."""
-    (a, b, c), scale = lift_triple(xs)
-    tn, td = t0.numerator, t0.denominator
-    return (ratio(tn * scale + (c - a) * td, td * scale),
-            ratio(tn * scale + (c - b) * td, td * scale))
-
-
-def _gen_final_collinearity(rng: RandomRationals) -> dict:
+def _translated_pair(rng: RandomRationals, sign: int):
+    """A triangle on a drawn curve at drawn ``(a, b, c)``, a drawn curve
+    with ``sign`` times its kappa, and ``(t0 + (c - a), t0 + (c - b), t0)``
+    for a drawn ``t0``."""
     curve = rng.parabola()
     xs = rng.distinct_rationals(3)
     t1 = DATriangle(*(curve.point_at(x) for x in xs))
-    sign = 1 if rng.trial_index % 2 == 0 else -1
-    kappa = curve.kappa
-    delta = Parabola(ratio(sign * kappa.numerator, kappa.denominator),
+    delta = Parabola(curve.kappa if sign > 0 else -curve.kappa,
                      rng.rational(), rng.rational())
     t0 = rng.rational()
+    (a, b, c), scale = lift_triple(xs)
+    tn, td = t0.numerator, t0.denominator
+    return t1, delta, (ratio(tn * scale + (c - a) * td, td * scale),
+                       ratio(tn * scale + (c - b) * td, td * scale), t0)
+
+
+def _gen_final_collinearity(rng: RandomRationals) -> dict:
+    sign = 1 if rng.trial_index % 2 == 0 else -1
     # Mirror congruence: same-letter ranks reverse, so the gap sequence of
     # the primed abscissae, left to right, is (c-b, b-a).
-    from_a, from_b = _translated_gaps(t0, xs)
-    primed = (from_a, from_b, t0)  # labels A', B', C'
+    t1, delta, primed = _translated_pair(rng, sign)  # labels A', B', C'
     t2 = DATriangle(*(delta.point_at(x) for x in primed))
     return {"T1": t1, "T2": t2, "sign": sign}
 
@@ -883,14 +884,8 @@ register(Theorem("diag_section",
 
 
 def _gen_intro_observation(rng: RandomRationals) -> dict:
-    curve = rng.parabola()
-    xs = rng.distinct_rationals(3)
-    t1 = DATriangle(*(curve.point_at(x) for x in xs))
-    delta = Parabola(curve.kappa, rng.rational(), rng.rational())
-    t0 = rng.rational()
-    from_a, from_b = _translated_gaps(t0, xs)
-    primed = (t0, from_b, from_a)
-    t2 = DATriangle(*(delta.point_at(x) for x in primed))
+    t1, delta, primed = _translated_pair(rng, 1)
+    t2 = DATriangle(*(delta.point_at(x) for x in reversed(primed)))
     return {"T1": t1, "T2": t2}
 
 

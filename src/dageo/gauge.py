@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import between, collinear, over_common_denominator, ratio
+from .scalar import between, collinear, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -120,9 +120,7 @@ def _point(X: int, Y: int, Z: int, x: Fraction | None = None) -> Point:
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    X1, Y1, Z1 = p.xyz
-    X2, Y2, Z2 = q.xyz
-    return _point(X1 * Z2 + X2 * Z1, Y1 * Z2 + Y2 * Z1, 2 * Z1 * Z2)
+    return _point_between(p, q, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,9 @@ class Gauge:
         # the directions' determinant over L**2: (OX, OY, RX, RY, PX, PY,
         # det, L), lifted once; normalize_chart reads only this and its
         # points' integers.
-        (ox, oy), (rx, ry), (px, py) = (self.origin, self.reference_direction,
-                                        self.projective_direction)
-        (OX, OY, RX, RY, PX, PY), L = over_common_denominator(
-            (ox, oy, rx, ry, px, py))
+        (OX, RX, PX), (OY, RY, PY), L = _over_common_z(
+            self.origin, Point(*self.reference_direction),
+            Point(*self.projective_direction))
         det = RX * PY - RY * PX
         if det == 0:
             raise DegenerateConfigurationError(

@@ -21,7 +21,8 @@ from math import gcd
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
 from .gauge import (Line, MeetResult, Point, _over_common_z, _point,
                     _slope_terms, difference_angle)
-from .scalar import QuadraticPoly, integer_quadratic_roots, lift_triple, ratio
+from .scalar import (QuadraticPoly, _vieta_companion, integer_quadratic_roots,
+                     lift_triple, ratio)
 
 
 class Parabola:
@@ -327,12 +328,8 @@ def second_meet(p1: Parabola, p2: Parabola, shared: Point) -> MeetResult:
     if not c2:
         return MeetResult.ideal(None)
     X, _, Z = shared.xyz
-    residual = (c2 * X + c1 * Z) * X + c0 * Z * Z
-    if residual:
-        raise ValueError(f"{shared.x} is not a root (residual "
-                         f"{ratio(residual, scale * Z * Z)})")
-    # The roots sum to -c1/c2, so the companion is -(c1*Z + c2*X)/(c2*Z).
-    return MeetResult.at(p1._point_over(-(c1 * Z + c2 * X), c2 * Z))
+    return MeetResult.at(p1._point_over(*_vieta_companion(c2, c1, c0, scale,
+                                                          X, Z)))
 
 
 def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,

@@ -70,12 +70,6 @@ def coprime_ratio(num: int, den: int) -> Fraction:
     return value
 
 
-def add(u: Fraction, v: Fraction) -> Fraction:
-    """``u + v`` built once; either may be an ``int``."""
-    ud, vd = u.denominator, v.denominator
-    return ratio(u.numerator * vd + v.numerator * ud, ud * vd)
-
-
 def between(s: Fraction, t: Fraction, n: int, d: int) -> Fraction:
     """``s + (n/d)(t - s)``, that is ``((d - n) s + n t) / d``, built once;
     ``s`` and ``t`` may be ``int`` or ``Fraction``."""
@@ -113,9 +107,7 @@ def parse_scalar(text: str) -> Fraction:
 
 def format_scalar(value: Fraction) -> str:
     """Inverse of :func:`parse_scalar`, normalized to ``n`` or ``p/q``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -142,19 +134,10 @@ def det3(r1, r2, r3) -> Fraction:
                  + c * (d * h - e * g), s1 * s2 * s3)
 
 
-def over_common_denominator(values) -> tuple[list[int], int]:
-    """``values`` as integer numerators over their least common denominator
-    ``L``, returned as ``([N_1, N_2, ...], L)``; entries may be ``int`` or
-    ``Fraction``."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def lift_triple(values) -> tuple[tuple[int, int, int], int]:
-    """:func:`over_common_denominator` unrolled for exactly three values,
-    returned as ``((N_1, N_2, N_3), L)``.  The triangle layer lifts several
-    triples per triangle, and the generic version's generator and list
-    cost about twice as much as this arithmetic."""
+    """Three values, ``int`` or ``Fraction``, as integer numerators over
+    their least common denominator ``L``, returned as
+    ``((N_1, N_2, N_3), L)``."""
     x, y, z = values
     dx, dy, dz = x.denominator, y.denominator, z.denominator
     scale = math.lcm(dx, dy, dz)
@@ -238,12 +221,21 @@ def other_root(q: QuadraticPoly, known: Fraction) -> Fraction:
     """
     if q.c2 == 0:
         raise ValueError("other_root requires a genuine quadratic")
-    # q times its coefficients' scale s, at known = kn/kd, times kd**2.
+    # q times its coefficients' scale.
     (c2, c1, c0), scale = lift_triple((q.c2, q.c1, q.c0))
-    kn, kd = known.numerator, known.denominator
-    residual = (c2 * kn + c1 * kd) * kn + c0 * kd * kd
+    return ratio(*_vieta_companion(c2, c1, c0, scale, known.numerator,
+                                   known.denominator))
+
+
+def _vieta_companion(c2: int, c1: int, c0: int, scale: int, n: int,
+                     d: int) -> tuple[int, int]:
+    """Vieta companion ``(-(c1*d + c2*n), c2*d)`` of the root ``n/d`` of
+    ``c2*x^2 + c1*x + c0``, integers with ``c2, d != 0``: the roots sum to
+    -c1/c2.  A non-root raises ``ValueError`` with the residual over
+    ``scale``."""
+    # The quadratic at n/d, times d**2.
+    residual = (c2 * n + c1 * d) * n + c0 * d * d
     if residual:
-        raise ValueError(f"{known} is not a root "
-                         f"(residual {ratio(residual, scale * kd * kd)})")
-    # -c1/c2 - known over kd.
-    return ratio(-(c1 * kd + c2 * kn), c2 * kd)
+        raise ValueError(f"{ratio(n, d)} is not a root "
+                         f"(residual {ratio(residual, scale * d * d)})")
+    return -(c1 * d + c2 * n), c2 * d

@@ -4,22 +4,22 @@ configurations, the feet-midpoint lemma and the bisector collinearity
 theorem.
 
 A valid triangle here has three non-collinear vertices with pairwise
-distinct x-coordinates.  Internally the vertices are sorted by x (the
-proofs' convention); the public API keeps the user's labels "A", "B", "C"
-and maps every result back.  A triangle is built from integers alone.
-The vertices' triples are brought over the lcm L of their Z once, by the
-lift that ``circumparabola`` and ``divider_line`` share; the curve (an
-integer quadruple over S), the x-order, the angles (a triple over S*L)
-and, on first use, each side line and bisector come from that lift.  The
+distinct x-coordinates.  The proofs order the vertices by x; the public
+API keeps the user's labels "A", "B", "C" and maps every result back.  A
+triangle is built from integers alone.  The vertices' triples are
+brought over the lcm L of their Z once, by the lift that
+``circumparabola`` and ``divider_line`` share; the curve (an integer
+quadruple over S), the x-order (vertex indices), the angles (a triple
+over S*L) and, on first use, each bisector come from that lift.  The
 side norms are a triple over the lcm of ``da_norm``'s denominators, from
-its ``_norm_terms``; construction certifies the side-norm equation on it:
-the largest equals the sum of the other two.  ``is_isosceles`` and
-``classify_pair`` compare the triples; ``side_norms()`` and
-``interior_angles()`` build Fractions on first read and keep them.  The
-angles' closed form sums to 0 with only the x-middle angle negative; the
+its ``_norm_terms``; construction certifies on it that the largest
+equals the sum of the other two.  ``is_isosceles`` and ``classify_pair``
+compare the triples; each read of ``side_norms()`` or
+``interior_angles()`` builds three Fractions from them.  The angles'
+closed form sums to 0 with only the x-middle angle negative; the
 ``triangle_invariants`` campaign checks it against the difference-angle
-definition.  ``side`` and ``bisector_at`` read the line cache, so the
-constructions and checkers that share a triangle share its lines.
+definition.  ``side`` (``line_through`` of the other two vertices) and
+``bisector_at`` fill a line cache that a triangle's readers share.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ class DATriangle:
     """The triangle ``(a, b, c)``, which equality and hash compare; all
     else it holds is derived from the vertices."""
 
-    # _lift is (xs, ys, L), each *_lift a triple and its denominator; _lines
-    # keys the side lines by opposite label, the bisectors by (label, mode).
-    __slots__ = ("a", "b", "c", "parabola", "_sorted", "_middle", "_lift",
-                 "_angle_lift", "_angles", "_norm_lift", "_norms", "_lines")
+    # _order indexes (a, b, c) in increasing x; _lift is (xs, ys, L), each
+    # *_lift a triple and its denominator; _lines keys the side lines by
+    # opposite label, the bisectors by (label, mode).
+    __slots__ = ("a", "b", "c", "parabola", "_order", "_lift", "_angle_lift",
+                 "_norm_lift", "_lines")
 
     def __init__(self, a: Point, b: Point, c: Point):
         xs, ys, L = _over_common_z(a, b, c)
@@ -80,18 +81,14 @@ class DATriangle:
         angles[i] = scale * (xs[k] - xs[j])
         angles[j] = scale * (xs[i] - xs[k])
         angles[k] = scale * (xs[j] - xs[i])
-        pts = (a, b, c)
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
         _set_parabola(self, par)
-        _set_sorted(self, (pts[i], pts[j], pts[k]))
-        _set_middle(self, j)
+        _set_order(self, (i, j, k))
         _set_lift(self, (xs, ys, L))
         _set_angle_lift(self, (tuple(angles), S * L))
-        _set_angles(self, None)
         _set_norm_lift(self, (norms, D))
-        _set_norms(self, None)
         _set_lines(self, {})
 
     def __setattr__(self, name, value):
@@ -134,17 +131,19 @@ class DATriangle:
     def sorted_vertices(self) -> tuple[Point, Point, Point]:
         """Vertices in increasing x-order; the middle one carries the
         negative interior angle."""
-        return self._sorted
+        pts = (self.a, self.b, self.c)
+        i, j, k = self._order
+        return pts[i], pts[j], pts[k]
 
     def x_rank(self, label: str) -> int:
         """Position of a vertex in the x-order: 0, 1 or 2."""
-        v = self.vertex(label)
-        # _sorted holds the vertex objects themselves.
-        return next(i for i, q in enumerate(self._sorted) if q is v)
+        if label not in _OTHERS:
+            raise ValueError(f"unknown vertex label {label!r}")
+        return self._order.index(VERTICES.index(label))
 
     @property
     def negative_vertex_label(self) -> str:
-        return VERTICES[self._middle]
+        return VERTICES[self._order[1]]
 
     # -- sides and side norms ----------------------------------------------
 
@@ -152,23 +151,14 @@ class DATriangle:
         """Side line opposite the given vertex, built once."""
         line = self._lines.get(label)
         if line is None:
-            if label not in _OTHERS:
-                raise ValueError(f"unknown vertex label {label!r}")
-            i, j = _OTHERS[label]
-            xs, ys, L = self._lift
-            # The cross product of the lifted triples (x_i, y_i, L).
-            line = self._lines[label] = _line(
-                (ys[i] - ys[j]) * L, (xs[j] - xs[i]) * L,
-                xs[i] * ys[j] - xs[j] * ys[i])
+            line = self._lines[label] = line_through(*self.others(label))
         return line
 
     def side_norms(self) -> tuple[Fraction, Fraction, Fraction]:
         """Norms of (AB, BC, CA).  The certificate reads them as the stored
-        integers over D; their Fractions are built on first read and kept."""
-        if self._norms is None:
-            (n1, n2, n3), D = self._norm_lift
-            _set_norms(self, (ratio(n1, D), ratio(n2, D), ratio(n3, D)))
-        return self._norms
+        integers over D; each read builds their three Fractions."""
+        (n1, n2, n3), D = self._norm_lift
+        return ratio(n1, D), ratio(n2, D), ratio(n3, D)
 
     @property
     def is_isosceles(self) -> bool:
@@ -184,17 +174,15 @@ class DATriangle:
         angles are |kappa| * (r-q, p-r, q-p): the interior opening at the
         middle vertex contains the singular direction, which makes that
         angle the negative one whichever way the parabola opens.  They are
-        stored as integers over S*L; their Fractions are built on first
-        read and kept.
+        stored as integers over S*L; each read builds their three
+        Fractions.
         """
-        if self._angles is None:
-            (u, v, w), den = self._angle_lift
-            _set_angles(self, (ratio(u, den), ratio(v, den), ratio(w, den)))
-        return self._angles
+        (u, v, w), den = self._angle_lift
+        return ratio(u, den), ratio(v, den), ratio(w, den)
 
 
-(_set_a, _set_b, _set_c, _set_parabola, _set_sorted, _set_middle, _set_lift,
- _set_angle_lift, _set_angles, _set_norm_lift, _set_norms, _set_lines) = (
+(_set_a, _set_b, _set_c, _set_parabola, _set_order, _set_lift,
+ _set_angle_lift, _set_norm_lift, _set_lines) = (
     getattr(DATriangle, name).__set__ for name in DATriangle.__slots__)
 
 
@@ -323,9 +311,7 @@ def centers(t: DATriangle) -> CenterSet:
     triangle centroid and the tangent-triangle centroid.
     """
     lo, mid, hi = t.sorted_vertices()
-    neg = t.negative_vertex_label
-    lo_label = next(l for l in VERTICES if t.vertex(l) is lo)
-    hi_label = next(l for l in VERTICES if t.vertex(l) is hi)
+    lo_label, neg, hi_label = (VERTICES[i] for i in t._order)
 
     bis_lo = bisector_at(t, lo_label, "interior")
     bis_hi = bisector_at(t, hi_label, "interior")

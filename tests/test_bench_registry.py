@@ -12,10 +12,13 @@ SIDE_KEYS = {"wall_s", "generate_s", "check_s", "fractions", "calls", "pin"}
 
 def test_tree_against_itself(tmp_path):
     out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(REPO / "tools" / "bench_registry.py"),
-                    str(REPO), str(REPO), "--theorems", "ptolemy,simson",
-                    "--trials", "3", "--reps", "1", "--out", str(out)],
-                   check=True, capture_output=True)
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "bench_registry.py"), str(REPO),
+         str(REPO), "--theorems", "ptolemy,simson", "--trials", "3", "--reps",
+         "1", "--out", str(out)], check=True, capture_output=True, text=True)
+    # Equal counts on every theorem: the summary line and no other.
+    (summary,) = done.stdout.splitlines()
+    assert summary.startswith(f"{REPO.name} -> {REPO.name}: wall ")
     (entry,) = json.loads(out.read_text())["entries"]
     assert entry["point"] == {"seed": 42, "trials": 3, "bound": 50}
     assert entry["reps"] == 1

@@ -155,7 +155,8 @@ _FEET = tuple(Point(u.x + lam * (w.x - u.x), u.y + lam * (w.y - u.y))
 # chart (its determinant is negative).
 _OTHER_CURVE = Parabola(F(-2, 9), F(1, 4), _D.y + F(2, 9) * _D.x * _D.x
                         - F(1, 4) * _D.x)
-_GAUGE = Gauge(Point(F(3, 4), F(-2)), (F(-7, 6), F(1, 5)), (F(1, 3), F(5, 2)))
+_GAUGE_DIRECTIONS = ((F(-7, 6), F(1, 5)), (F(1, 3), F(5, 2)))
+_GAUGE = Gauge(Point(F(3, 4), F(-2)), *_GAUGE_DIRECTIONS)
 # A curve that meets _CURVE at _A and _B only, and two base points on the
 # reference line.
 _THROUGH_AB = circumparabola(_A, _B, Point(F(1), F(1)))
@@ -203,9 +204,10 @@ def _four_distinct_draws():
 #:   ``RandomRationals.parabola`` builds its three drawn coefficients,
 #:   which the curve keeps, and no other.
 #: * Points and lines.  A kernel-built ``Point`` is an integer triple and
-#:   a ``Line`` one too, so ``midpoint``, ``normalize_chart``,
-#:   ``Parabola.point_at``, ``second_intersection``, ``second_meet``,
-#:   ``line_through``, ``bisector_at``, ``cevian_line``,
+#:   a ``Line`` one too, so ``midpoint``, ``Gauge`` (of a kernel-built
+#:   origin), ``normalize_chart``, ``Parabola.point_at``,
+#:   ``second_intersection``, ``second_meet``, ``line_through``,
+#:   ``bisector_at``, ``cevian_line``,
 #:   ``perpendicular_bisectors`` and ``midpoint_lemma_check`` (feet,
 #:   meets and residuals) build none; ``contains``, ``Line.contains`` and
 #:   ``classify_pair`` answer bools and build none.
@@ -213,6 +215,8 @@ def _four_distinct_draws():
 #:   integer triples, which its certificate and ``classify_pair`` read,
 #:   so it builds none; so do ``centers``, whose one triangle is the
 #:   tangent triangle, and ``shift``, which builds the image triangle.
+#:   Each read of ``interior_angles`` or ``side_norms`` builds its three
+#:   values from the stored triple, with no chain and no cache.
 #:   ``RandomRationals.triangle`` draws its curve as integers and builds
 #:   only its three abscissae, which its points keep.
 #: * Values.  A drawn rational is one construction, and
@@ -228,6 +232,10 @@ def _four_distinct_draws():
 FRACTION_BUDGET = {
     "circumparabola": (lambda: circumparabola(_A, _B, _C), 0),
     "DATriangle": (lambda: DATriangle(_A, _B, _C), 0),
+    "DATriangle.interior_angles": (_on_fresh(
+        lambda: DATriangle(_A, _B, _C), DATriangle.interior_angles), 3),
+    "DATriangle.side_norms": (_on_fresh(
+        lambda: DATriangle(_A, _B, _C), DATriangle.side_norms), 3),
     "ceva_product": (lambda: ceva_product(_T, *_FEET), 1),
     "classify_pair": (lambda: classify_pair(_T, _T_REVERSED), 0),
     "bisector_at": (lambda: bisector_at(_T, "A"), 0),
@@ -252,6 +260,8 @@ FRACTION_BUDGET = {
     "RandomRationals.parabola": (lambda: RandomRationals(1, 0).parabola(), 3),
     "RandomRationals.triangle": (lambda: RandomRationals(1, 0).triangle(), 3),
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 0),
+    "Gauge": (_on_fresh(lambda: midpoint(_A, _C),
+                        lambda origin: Gauge(origin, *_GAUGE_DIRECTIONS)), 0),
     "Gauge.normalize_chart": (lambda: _GAUGE.normalize_chart([_D]), 0),
     "parse_scalar": (lambda: parse_scalar(" -007.250 "), 1),
     "parabolic_power": (lambda: parabolic_power(_OTHER_CURVE, _A), 1),

@@ -1088,9 +1088,12 @@ class TestLiftedTriangleCheckers:
         cfg = REGISTRY["triangle_invariants"].generate(
             RandomRationals(seed, trial, bound))
         t = cfg["T" if slot < 3 else "T_inscribed"]
-        angles = list(t.interior_angles())
-        angles[slot % 3] += value
-        object.__setattr__(t, "_angles", tuple(angles))
+        # The stored triple and value over den * value.denominator.
+        (u, v, w), den = t._angle_lift
+        vn, vd = value.numerator, value.denominator
+        angles = [u * vd, v * vd, w * vd]
+        angles[slot % 3] += vn * den
+        object.__setattr__(t, "_angle_lift", (tuple(angles), den * vd))
         got = check_outcome(REGISTRY["triangle_invariants"].check, cfg)
         assert got == check_outcome(fraction_chain_check_triangle_invariants,
                                     cfg)

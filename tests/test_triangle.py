@@ -294,8 +294,10 @@ class TestTriangleContract:
 
     def test_immutable(self):
         t = on_std(0, 1, 3)
-        for name in ("a", "b", "c", "parabola", "_sorted", "_middle",
-                     "_lift", "_angles", "_norms", "_lines", "z"):
+        slots = ("a", "b", "c", "parabola", "_order", "_lift", "_angle_lift",
+                 "_norm_lift", "_lines")
+        assert DATriangle.__slots__ == slots
+        for name in slots + ("z",):
             with pytest.raises(AttributeError):
                 setattr(t, name, pt(5, 5))
         assert t == on_std(0, 1, 3)

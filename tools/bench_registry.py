@@ -24,6 +24,11 @@ records, per side:
 and ``wall_ratio_per_pair``, head wall over base wall for each of the N
 pairs of runs.  A ratio per pair stays put while the host drifts, where a
 difference of two medians taken minutes apart does not.
+
+After its summary line the script prints one line for each theorem whose
+counts differ between the sides, ``tid: calls B -> H, fractions B -> H``:
+a single theorem's wall ratio is within the host's noise, and only its
+counts show what a change did to it.
 """
 
 from __future__ import annotations
@@ -240,6 +245,12 @@ def main(argv=None) -> int:
           f"{total['base']['wall_s']:.3f} -> {total['head']['wall_s']:.3f} s,"
           f" calls {total['base']['calls']} -> {total['head']['calls']},"
           f" median pair ratio {total['median_wall_ratio']:.3f}")
+    for tid, row in entry["theorems"].items():
+        base, head = row["base"], row["head"]
+        if (base["calls"], base["fractions"]) != (head["calls"],
+                                                  head["fractions"]):
+            print(f"{tid}: calls {base['calls']} -> {head['calls']}, "
+                  f"fractions {base['fractions']} -> {head['fractions']}")
     return 0
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import DegenerateConfigurationError, KernelInvariantError
 from .gauge import (Line, MeetResult, Point, _line, _norm_terms,
                     _over_common_z, _point, line_through, meet, midpoint)
-from .parabola import Parabola, _parabola_through, second_intersection
+from .parabola import _parabola_through, second_intersection
 from .scalar import collinear, det3, ratio
 
 VERTICES = ("A", "B", "C")

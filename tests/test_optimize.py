@@ -216,7 +216,7 @@ def _four_distinct_draws():
 #:   so it builds none; so do ``centers``, whose one triangle is the
 #:   tangent triangle, and ``shift``, which builds the image triangle.
 #:   Each read of ``interior_angles`` or ``side_norms`` builds its three
-#:   values from the stored triple, with no chain and no cache.
+#:   values from the stored triple and keeps none.
 #:   ``RandomRationals.triangle`` draws its curve as integers and builds
 #:   only its three abscissae, which its points keep.
 #: * Values.  A drawn rational is one construction, and

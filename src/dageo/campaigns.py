@@ -85,7 +85,10 @@ register(Theorem("angle_axioms",
 
 
 def _gen_parabolic_power(rng: RandomRationals) -> dict:
-    curve = rng.parabola()
+    # The draws of rng.parabola(), kept as the curve's coefficients: the
+    # checker reads them, never the stored quadruple, so a wrong quadruple
+    # (tests/test_mutants.py's lift mutant) cannot agree with them.
+    curve = Parabola(rng.nonzero_rational(), rng.rational(), rng.rational())
     p = rng.point()
     # Reduced Fractions are equal iff their integer pairs are.
     px = p.x.numerator, p.x.denominator
@@ -689,7 +692,7 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
         bases = {}
         for lbl in VERTICES:
             u, w = [v for v in VERTICES if v != lbl]
-            bases[lbl] = u if rng.rng.random() < 0.5 else w
+            bases[lbl] = u if rng.coin() else w
         alpha = rng.fraction_in_unit_interval()
         beta = rng.fraction_in_unit_interval()
         sa = th.CevianSpec((alpha, _complement(alpha)), base=bases["A"])

@@ -5,42 +5,41 @@ Every generator is a pure function of (campaign seed, trial index, bound):
 the trial seed is derived with a splitmix-style mixer, so campaigns can be
 re-run, resumed or parallelized and still produce identical
 configurations; a campaign reseeds one stream per trial (``restart``),
-which then draws what a fresh one would.  A rational draw is a reduced
+which then draws what a fresh one would.  A rational draw is a
 ``(numerator, denominator)`` integer pair, compared, deduplicated and
-sorted as integers; its ``Fraction`` is built once, when the draw is
-handed out.  Generators rejection-sample through ``retrying``, which
+sorted as integers; its reduced ``Fraction`` is built once, when the
+draw is handed out.  Generators rejection-sample through ``retrying``, which
 alone decides that a configuration is degenerate and counts the
 rejection; ``_nonzero_pair`` and ``distinct_rationals`` run the same loop
 inline on integer pairs.  Hitting the retry limit raises
 :class:`GeneratorExhaustedError` (a generator bug, never a theorem failure).
 
-Draw rule: every integer comes from CPython's
-``Random._randbelow_with_getrandbits`` repeated on the trial's
-``random.Random``.  :meth:`RandomRationals._below` runs it for one width;
-``_pair``, which draws every rational but the positive and unit-interval
-ones, and ``distinct_rationals`` run it inline for two widths whose bit
-lengths ``__init__`` computes.  So ``a + _below(b - a + 1)`` returns what
-``randint(a, b)`` returns and leaves the generator in the same state
-(``tests/test_harness.py`` checks values, rejections and ``rng.getstate()``
-of every helper against ``randint``), without ``randint``'s layers of
-argument checks, which cost several times the draw itself.
-``distinct_rationals`` orders its reduced pairs by cross-multiplication,
-exact at any bound, and builds them with ``scalar.coprime_ratio``, which
-needs no ``gcd``.  ``parabola`` keeps coefficients built from its drawn
-pairs, never read back from the stored quadruple, so a wrong quadruple
-(``tests/test_mutants.py``'s lift mutant) cannot agree with them.
+Draw rule: every random value comes from :meth:`RandomRationals._below`,
+``_pair`` or ``coin``, and a trial's configuration and rejections are a
+function of the sequence of values they return (``tests/test_draws.py``
+replays every generator from that sequence alone).  ``_below`` and
+``_pair`` repeat CPython's ``Random._randbelow_with_getrandbits`` on the
+trial's ``random.Random``: ``_below`` for one width, and ``_pair``, which
+draws every rational but the positive and unit-interval ones, inline for
+two widths whose bit lengths ``__init__`` computes.  So
+``a + _below(b - a + 1)`` returns what ``randint(a, b)`` returns and
+leaves the generator in the same state (``tests/test_harness.py`` checks
+values, rejections and ``rng.getstate()`` of every helper against
+``randint``), without ``randint``'s layers of argument checks, which cost
+several times the draw itself.  ``coin`` is ``random() < 0.5`` on the
+same generator.  ``distinct_rationals`` orders its pairs by
+cross-multiplication, exact at any bound.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateConfigurationError, GeneratorExhaustedError
 from .gauge import Point, _point_between
 from .parabola import Parabola, _parabola_over
-from .scalar import collinear, coprime_ratio, ratio
+from .scalar import collinear, ratio
 from .triangle import DATriangle
 
 MASK64 = (1 << 64) - 1
@@ -95,8 +94,7 @@ class RandomRationals:
         and there is no per-draw check: every call site passes at least 1
         once ``__init__`` has required ``bound >= 1``.  The sites are
         ``_pair``'s ``2 * bound + 1`` (at least 3) and ``bound``, which
-        ``__init__`` passes to ``_width`` for the inline draws of ``_pair``
-        and ``distinct_rationals``,
+        ``__init__`` passes to ``_width`` for ``_pair``'s inline draws,
         ``positive_rational``'s ``self.bound`` (twice),
         ``fraction_in_unit_interval``'s ``max(3, self.bound) - 1`` (at
         least 2) and ``d - 1``, where that first draw makes ``d`` at least
@@ -150,22 +148,17 @@ class RandomRationals:
     def small_positive_int(self) -> int:
         return self._below(9) + 1
 
+    def coin(self) -> bool:
+        """A fair coin flip: ``random() < 0.5`` on the trial's stream."""
+        return self.rng.random() < 0.5
+
     def distinct_rationals(self, count: int) -> list[Fraction]:
         """``count`` pairwise distinct draws in increasing order; a repeat
         is a rejection, and each draw has its own retry limit."""
-        getrandbits = self._getrandbits
-        n_width, n_bits, bound, d_bits = self._pair_widths
         drawn: list[tuple[int, int]] = []       # increasing in n/d
         for _ in range(count):
             for _ in range(RETRY_LIMIT):
-                n = getrandbits(n_bits)
-                while n >= n_width:
-                    n = getrandbits(n_bits)
-                d = getrandbits(d_bits)
-                while d >= bound:
-                    d = getrandbits(d_bits)
-                g = gcd(n - bound, d + 1)
-                n, d = (n - bound) // g, (d + 1) // g
+                n, d = self._pair()
                 # The first kept m/e with n/d <= m/e; equal is a repeat.
                 i, c = 0, 1
                 for m, e in drawn:
@@ -179,7 +172,7 @@ class RandomRationals:
                 self.rejections += 1
             else:
                 raise GeneratorExhaustedError("retry limit exceeded")
-        return [coprime_ratio(n, d) for n, d in drawn]
+        return [ratio(n, d) for n, d in drawn]
 
     def retrying(self, make, ok=lambda value: True):
         """First draw of ``make()`` that is not ``None``, not a raised
@@ -200,17 +193,14 @@ class RandomRationals:
         return Point(self.rational(), self.rational())
 
     def parabola(self) -> Parabola:
-        """The curve of ``nonzero_rational(), rational(), rational()``."""
-        kn, kd = self._nonzero_pair()
-        bn, bd = self._pair()
-        gn, gd = self._pair()
-        return _parabola_over(kn, kd, bn, bd, gn, gd, ratio(kn, kd),
-                              ratio(bn, bd), ratio(gn, gd))
+        """The curve of ``nonzero_rational(), rational(), rational()``,
+        drawn as integers: its coefficients are built when read."""
+        return _parabola_over(*self._nonzero_pair(), *self._pair(),
+                              *self._pair())
 
     def triangle(self) -> DATriangle:
-        """Triangle inscribed in a random parabola, drawn as integers."""
-        curve = _parabola_over(*self._nonzero_pair(), *self._pair(),
-                               *self._pair(), None, None, None)
+        """Triangle inscribed in a random parabola."""
+        curve = self.parabola()
         return DATriangle(*(curve._point_over(x.numerator, x.denominator, x)
                             for x in self.distinct_rationals(3)))
 

@@ -8,9 +8,9 @@ rational square.  Nothing is ever approximated.
 
 A :class:`Parabola` is the primitive integer quadruple ``(K, B, G, S)`` of
 S*y = K*x^2 + B*x + G, as a ``gauge.Line`` is an integer triple; the
-constructions that compute integers (``circumparabola`` and the triangle
-curve, ``iso_angle_locus``) store theirs through ``_parabola`` without
-building a Fraction.
+constructions that compute integers (``circumparabola``, the drawn
+curves of ``RandomRationals`` and ``iso_angle_locus``) store theirs
+through ``_parabola`` without building a Fraction.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ def _parabola(K: int, B: int, G: int, S: int, kappa=None, beta=None,
 
 
 def _parabola_over(kn: int, kd: int, bn: int, bd: int, gn: int, gd: int,
-                   kappa, beta, gamma) -> Parabola:
+                   kappa=None, beta=None, gamma=None) -> Parabola:
     """The curve with coefficients kn/kd, bn/bd and gn/gd over the common
-    denominator kd*bd*gd != 0; it keeps ``kappa``, ``beta`` and ``gamma``."""
+    denominator kd*bd*gd != 0; it keeps ``kappa``, ``beta`` and ``gamma``
+    when given."""
     return _parabola(kn * bd * gd, bn * kd * gd, gn * kd * bd, kd * bd * gd,
                      kappa, beta, gamma)
 

@@ -9,9 +9,10 @@ through binary floats.  Only ASCII digits are accepted: ``int`` would read
 other Unicode digits, which :func:`format_scalar` never writes.
 
 The kernel builds every ``Fraction`` of two ints through :func:`ratio`,
-and so do scalar parsing and the chart normalization of scene files; a
-pair already in lowest terms, with a positive denominator, goes through
-:func:`coprime_ratio`, which skips the ``gcd``.
+and so do scalar parsing, the chart normalization of scene files and the
+seeded draws of :mod:`dageo.generators`.  Every random value of a draw
+comes from ``RandomRationals._below``, ``_pair`` or ``coin``, and a
+trial's configuration and rejections are a function of that sequence.
 ``ratio(n, d)`` returns a value equal to ``Fraction(n, d)`` in type,
 numerator, denominator, hash and repr, and raises ``ZeroDivisionError``
 on ``d == 0`` as ``Fraction`` does.  It exists for speed: the exact
@@ -24,8 +25,7 @@ the denominator positive and fills the instance's ``_numerator`` and
 ``Fraction._from_coprime_ints`` does.  It relies on that slot layout,
 which CPython 3.10 to 3.13 share; ``Fraction`` instances have no
 ``__dict__``, so a changed layout raises ``AttributeError`` rather than
-building a wrong value.  ``tests/test_scalar.py`` holds the contract of
-both constructors.
+building a wrong value.  ``tests/test_scalar.py`` holds its contract.
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ def ratio(num: int, den: int) -> Fraction:
     value = object.__new__(Fraction)
     value._numerator = num // g
     value._denominator = den // g
-    return value
-
-
-def coprime_ratio(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for coprime ints with ``den > 0``, neither
-    of which it checks: CPython 3.12's ``Fraction._from_coprime_ints``."""
-    value = object.__new__(Fraction)
-    value._numerator = num
-    value._denominator = den
     return value
 
 

@@ -5,6 +5,10 @@ count would pass them.  Each digest is a sha256 over the JSON form of the
 first 50 configurations a theorem's generator draws at seed 42, bound 50.
 A change that moves a draw on purpose re-pins here and says so.
 
+Every random value comes from ``RandomRationals._below``, ``_pair`` or
+``coin``, so a trial replays from the values they returned, recorded as a
+tape, with the underlying ``random.Random`` out of reach.
+
 ``RandomRationals._below`` repeats a CPython internal, so this module also
 runs on every other supported interpreter."""
 
@@ -13,6 +17,8 @@ import json
 
 import pytest
 
+from dageo.euclid import EUCLID_EXPORT
+from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, generate_config, jsonable
 
 SEED, TRIALS, BOUND = 42, 50, 50
@@ -88,3 +94,75 @@ def test_every_theorem_is_pinned():
 @pytest.mark.parametrize("theorem_id", sorted(DRAW_DIGESTS))
 def test_draws_match_pin(theorem_id):
     assert draw_digest(theorem_id) == DRAW_DIGESTS[theorem_id]
+
+
+class _Recording(RandomRationals):
+    """A stream that logs each value its draw methods return, as
+    ``(method, width, value)``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tape = []
+
+    def _below(self, width):
+        value = super()._below(width)
+        self.tape.append(("_below", width, value))
+        return value
+
+    def _pair(self):
+        value = super()._pair()
+        self.tape.append(("_pair", None, value))
+        return value
+
+    def coin(self):
+        value = super().coin()
+        self.tape.append(("coin", None, value))
+        return value
+
+
+class _Unusable:
+    """Stands in for the ``random.Random`` and its ``getrandbits``."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"replay read rng.{name}")
+
+    def __call__(self, *args):
+        raise AssertionError("replay drew bits")
+
+
+class _Replaying(RandomRationals):
+    """A stream that returns a recorded tape and can draw nothing else."""
+
+    def __init__(self, seed, trial, bound, tape):
+        super().__init__(seed, trial, bound)
+        self.rng = self._getrandbits = _Unusable()
+        self.tape, self.read = tape, 0
+
+    def _next(self, method, width):
+        assert self.read < len(self.tape), f"tape ran out at {method}"
+        entry = self.tape[self.read]
+        assert entry[:2] == (method, width), f"{method} read {entry}"
+        self.read += 1
+        return entry[2]
+
+    def _below(self, width):
+        return self._next("_below", width)
+
+    def _pair(self):
+        return self._next("_pair", None)
+
+    def coin(self):
+        return self._next("coin", None)
+
+
+@pytest.mark.parametrize("campaign", [*(REGISTRY[t] for t in sorted(REGISTRY)),
+                                      EUCLID_EXPORT], ids=lambda t: t.id)
+def test_trials_replay_from_their_draws(campaign):
+    for bound in (2, 3, 50):
+        for trial in range(20):
+            recorded = _Recording(SEED, trial, bound)
+            want = jsonable(campaign.generate(recorded))
+            replayed = _Replaying(SEED, trial, bound, recorded.tape)
+            assert jsonable(campaign.generate(replayed)) == want
+            assert replayed.rejections == recorded.rejections
+            assert replayed.read == len(recorded.tape)

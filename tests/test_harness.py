@@ -265,6 +265,15 @@ class TestSeeding:
         assert got == [reference.randint(0, width - 1) for _ in range(5000)]
         assert rng.rng.getstate() == reference.getstate()
 
+    def test_coin_matches_random(self):
+        for seed in range(6):
+            for trial in range(4):
+                rng = RandomRationals(seed, trial)
+                reference = random.Random(trial_seed(seed, trial))
+                got = [rng.coin() for _ in range(200)]
+                assert got == [reference.random() < 0.5 for _ in range(200)]
+                assert rng.rng.getstate() == reference.getstate()
+
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
             RandomRationals(1, 0, bound=0)

@@ -29,7 +29,7 @@ from dageo.harness import REGISTRY, CampaignConfig, jsonable, run_campaign
 from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
-from dageo.scalar import coprime_ratio, det3, parse_scalar, ratio
+from dageo.scalar import det3, parse_scalar, ratio
 from dageo.svg import render_svg
 from dageo.theorems import (CevianSpec, ceva_product, cevian_line,
                             mn_division_check, ptolemy_residual)
@@ -200,9 +200,8 @@ def _four_distinct_draws():
 #: integers and builds only when read.
 #:
 #: * Curves.  A curve is an integer quadruple, so ``Parabola``,
-#:   ``circumparabola`` and ``iso_angle_locus`` build none;
-#:   ``RandomRationals.parabola`` builds its three drawn coefficients,
-#:   which the curve keeps, and no other.
+#:   ``circumparabola``, ``iso_angle_locus`` and
+#:   ``RandomRationals.parabola``, which draws integer pairs, build none.
 #: * Points and lines.  A kernel-built ``Point`` is an integer triple and
 #:   a ``Line`` one too, so ``midpoint``, ``Gauge`` (of a kernel-built
 #:   origin), ``normalize_chart``, ``Parabola.point_at``,
@@ -257,7 +256,7 @@ FRACTION_BUDGET = {
                          1),
     "distinct_rationals": (_four_distinct_draws, 4),
     "RandomRationals.rational": (lambda: RandomRationals(1, 0).rational(), 1),
-    "RandomRationals.parabola": (lambda: RandomRationals(1, 0).parabola(), 3),
+    "RandomRationals.parabola": (lambda: RandomRationals(1, 0).parabola(), 0),
     "RandomRationals.triangle": (lambda: RandomRationals(1, 0).triangle(), 3),
     "second_meet": (lambda: second_meet(_CURVE, _OTHER_CURVE, _D), 0),
     "Gauge": (_on_fresh(lambda: midpoint(_A, _C),
@@ -301,10 +300,8 @@ def test_budgeted_draws_have_no_rejection():
 
 
 #: (code name, file name) of each way to build a ``Fraction``: its own
-#: constructor, and ``scalar.ratio`` and ``scalar.coprime_ratio``, which
-#: fill the slots directly.
-_FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py"),
-                      ("coprime_ratio", "scalar.py")}
+#: constructor, and ``scalar.ratio``, which fills the slots directly.
+_FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py")}
 
 
 def _fraction_constructions(call) -> int:
@@ -325,7 +322,6 @@ def test_constructions_count_both_builders():
     # it.
     assert _fraction_constructions(lambda: F(3, 4)) == 1
     assert _fraction_constructions(lambda: ratio(3, 4)) == 1
-    assert _fraction_constructions(lambda: coprime_ratio(3, 4)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FRACTION_BUDGET))

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (bounded, fraction_chain_other_root,
                       fraction_chain_rational_roots)
-from dageo.scalar import (QuadraticPoly, between, coprime_ratio, det3,
-                          format_ratio, format_scalar, other_root,
-                          parse_scalar, ratio)
+from dageo.scalar import (QuadraticPoly, between, det3, format_ratio,
+                          format_scalar, other_root, parse_scalar, ratio)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -72,28 +71,6 @@ class TestRatioContract:
     def test_zero_denominator_raises(self, n):
         with pytest.raises(ZeroDivisionError):
             ratio(n, 0)
-
-
-class TestCoprimeRatioContract:
-    """``coprime_ratio`` fills the same slots without a ``gcd``, for a pair
-    already in lowest terms with a positive denominator."""
-
-    @given(wide_ints, wide_ints.filter(bool))
-    @example(0, 7)
-    @example(-6, 4)
-    @example(1, 1)
-    @example(2**64 + 1, 2**65)
-    def test_coprime_ratio_matches_fraction(self, n, d):
-        want = F(n, d)
-        got = coprime_ratio(want.numerator, want.denominator)
-        assert type(got) is F
-        assert type(got.numerator) is int and type(got.denominator) is int
-        assert (got.numerator, got.denominator) == (want.numerator,
-                                                    want.denominator)
-        assert hash(got) == hash(want)
-        assert repr(got) == repr(want)
-        assert got == want and got + F(1, 3) == want + F(1, 3)
-        assert got == ratio(n, d)
 
 
 def fraction_chain_parse(text):

@@ -15,9 +15,9 @@ records, per side:
   of the campaign's wall time and of the time spent in the theorem's
   ``generate`` and ``check``, timed by wrapping only those two callables;
 - ``fractions``: the ``Fraction`` constructions (``Fraction.__new__``,
-  ``scalar.ratio`` and ``scalar.coprime_ratio``) and ``calls``: the
-  cProfile total call count of one more, profiled run.  Both are counts,
-  which do not drift between runs or hosts;
+  ``scalar.ratio`` and, in older trees, ``scalar.coprime_ratio``) and
+  ``calls``: the cProfile total call count of one more, profiled run.
+  Both are counts, which do not drift between runs or hosts;
 - ``pin``: the report against the side's own ``perfbench/pins.json``:
   ``pinned``, ``differs from pin``, or null off the pinned point;
 
@@ -54,8 +54,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE = {"seed": 42, "trials": 1000, "bound": 50}
 PIN_KEY = "registry_seed42_trials1000_bound50"
-#: (code name, file name) of each way to build a Fraction, as
-#: ``tests/test_optimize.py`` counts them.
+#: (code name, file name) of each way to build a Fraction: the two that
+#: ``tests/test_optimize.py`` counts, and ``coprime_ratio``, which is gone
+#: from ``scalar.py`` but through which older bases build Fractions, so
+#: that entries against them still count every Fraction.
 FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py"),
                      ("coprime_ratio", "scalar.py")}
 TIMES = ("wall_s", "generate_s", "check_s")

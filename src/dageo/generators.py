@@ -8,8 +8,8 @@ configurations; a campaign reseeds one stream per trial (``restart``),
 which then draws what a fresh one would.  A rational draw is a
 ``(numerator, denominator)`` integer pair, compared, deduplicated and
 sorted as integers; its reduced ``Fraction`` is built once, when the
-draw is handed out.  Generators rejection-sample through ``retrying``, which
-alone decides that a configuration is degenerate and counts the
+draw is handed out.  Generators rejection-sample through ``retrying``,
+which alone decides that a configuration is degenerate and counts the
 rejection; ``_nonzero_pair`` and ``distinct_rationals`` run the same loop
 inline on integer pairs.  Hitting the retry limit raises
 :class:`GeneratorExhaustedError` (a generator bug, never a theorem failure).

@@ -23,16 +23,17 @@ from typing import Callable
 from . import equivalence as eq
 from . import theorems as th
 from .errors import DegenerateConfigurationError
-from .gauge import (Line, Point, _angle_terms, _point, angle_axiom_checks,
-                    difference_angle, line_through, meet, midpoint,
-                    slope_between)
+from .gauge import (Line, Point, _abscissae, _angle_terms, _point,
+                    _slope_terms, angle_axiom_checks, difference_angle,
+                    line_through, meet, midpoint, slope_between)
 from .generators import RandomRationals
 from .parabola import (Parabola, circumparabola, inscribed_angle_check,
                        iso_angle_locus, parabolic_power)
 from .scalar import between, collinear, lift_triple, ratio
-from .triangle import (DATriangle, VERTICES, bisector_at, bisector_ratio_check,
-                       centers, circum_ortho_at_infinity, dabct,
-                       midpoint_lemma_check, simson)
+from .triangle import (DATriangle, VERTICES, _weighted_mean, bisector_at,
+                       bisector_ratio_check, centers,
+                       circum_ortho_at_infinity, dabct, midpoint_lemma_check,
+                       simson)
 
 
 class Counterexample(Exception):
@@ -512,11 +513,9 @@ def _gen_ceva(rng: RandomRationals) -> dict:
     # strictly inside the triangle, so each foot is finite and strictly
     # inside its side.
     # q = (w1 A + w2 B + w3 C)/(w1 + w2 + w3), the weights lifted to
-    # integers over their own scale and the vertices over the triangle's.
-    (w1, w2, w3), _ = lift_triple([rng.positive_rational() for _ in range(3)])
-    (xa, xb, xc), (ya, yb, yc), L = t._lift
-    q = _point(w1 * xa + w2 * xb + w3 * xc, w1 * ya + w2 * yb + w3 * yc,
-               (w1 + w2 + w3) * L)
+    # integers over their own scale.
+    weights, _ = lift_triple([rng.positive_rational() for _ in range(3)])
+    q = _weighted_mean(t.a, t.b, t.c, *weights)
     concurrent_feet = tuple(meet(line_through(t.vertex(lbl), q),
                                  t.side(lbl)).point for lbl in VERTICES)
 
@@ -596,7 +595,7 @@ def _check_simson(cfg: dict) -> None:
     # m (a + b + c) - m**2 - (ab + bc + ca), here with a, b, c over one
     # scale L and m = mn/md, all over (md L)**2, cross-multiplied.
     result = simson(t, m)
-    (a, b, c), _, scale = t._lift
+    (a, b, c), scale = _abscissae((t.a, t.b, t.c))
     mn, md = m.numerator, m.denominator
     intercept = (mn * (a + b + c) * md * scale - mn * mn * scale * scale
                  - (a * b + b * c + c * a) * md * md)
@@ -702,24 +701,20 @@ def _gen_isogonal(rng: RandomRationals) -> dict:
         hit = meet(la, lb)
         if not hit.is_finite:
             return None
-        # gamma = (s_CQ - s_base)/(s_far - s_base) for the slopes at C,
-        # each dy/dx over one scale, which cancels: the triangle's lift
-        # over L times Q's Z, and Q's triple times L.  gamma is 0 or 1
-        # exactly when CQ is the base or the far side, so those two tests
-        # cover the slope comparisons too.
-        xs, ys, L = t._lift
-        X, Y, Z = hit.point.xyz
-        b = VERTICES.index(bases["C"])   # the far vertex is 1 - b
-        dx_q, dx_b, dx_f = (X * L - xs[2] * Z, (xs[b] - xs[2]) * Z,
-                            (xs[1 - b] - xs[2]) * Z)
+        # gamma = (s_CQ - s_base)/(s_far - s_base) for the slopes dy/dx
+        # at C, whose two sides never share a slope, so den != 0.  A
+        # divider whose ratio lies in (0, 1) is neither side at its
+        # vertex, so Q is neither A nor B, and CQ is neither side at C:
+        # gamma is neither 0 nor 1.
+        dy_q, dx_q = _slope_terms(t.c, hit.point)
         if dx_q == 0:
             return None
-        dy_q, dy_b, dy_f = (Y * L - ys[2] * Z, (ys[b] - ys[2]) * Z,
-                            (ys[1 - b] - ys[2]) * Z)
+        ab = (t.a, t.b)
+        b = VERTICES.index(bases["C"])   # the far vertex is 1 - b
+        dy_b, dx_b = _slope_terms(t.c, ab[b])
+        dy_f, dx_f = _slope_terms(t.c, ab[1 - b])
         num = (dy_q * dx_b - dy_b * dx_q) * dx_f
         den = (dy_f * dx_b - dy_b * dx_f) * dx_q
-        if den == 0 or num == 0 or num == den:
-            return None
         sc = th.CevianSpec((ratio(num, den), ratio(den - num, den)),
                            base=bases["C"])
         return {"A": sa, "B": sb, "C": sc}
@@ -803,14 +798,10 @@ def _check_shift_group(cfg: dict) -> None:
         raise Counterexample("shift inverse fails")
     # The rate, from the difference-angle definition: the arc from each
     # vertex V to its image V' subtends theta1 at any other curve point.
-    # The viewing point lies one unit right of the rightmost of the six
-    # (X/L of each triangle's lift), so it is none of them and no ray to
-    # it is singular.
-    (xs, _, L), (xs2, _, L2) = t._lift, moved._lift
-    X, Z = max(xs), L
-    if max(xs2) * L > X * L2:
-        X, Z = max(xs2), L2
-    view = t.parabola._point_over(X + Z, Z)
+    # The viewing point lies one unit right of the rightmost of the six,
+    # so it is none of them and no ray to it is singular.
+    xs, L = _abscissae((t.a, t.b, t.c, moved.a, moved.b, moved.c))
+    view = t.parabola._point_over(max(xs) + L, L)
     tn, td = th1.numerator, th1.denominator
     for v, image in zip((t.a, t.b, t.c), (moved.a, moved.b, moved.c)):
         n, d = _angle_terms(v, view, image)

@@ -15,6 +15,16 @@ slope arithmetic:
 * the norm of a segment is ``|dx|``: a pseudo-metric that vanishes on
   singular segments and satisfies the triangle inequality with equality.
 
+This is the isotropic (Galilean) plane of Yaglom, *A Simple
+Non-Euclidean Geometry and Its Physical Basis* (Springer 1979), and
+Sachs, *Ebene isotrope Geometrie* (Vieweg 1987): the norm is ``|dx|``,
+the angle is the difference of slopes, the singular (vertical) lines are
+its isotropic lines and the vertical-axis parabolas its circles.  The
+maps x -> x + b, y -> y + d*x + e keep every norm and angle and are its
+motions; the equivariance tests add the scalings x -> a*x, y -> c*y.
+Its polarity is taken in y = x**2/2: the point (a, b) and the line
+y = a*x - b are pole and polar.
+
 Slopes are represented as ``Fraction | None`` with ``None`` standing for
 the singular slope (direction parallel to the projective direction).
 
@@ -34,7 +44,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateConfigurationError
-from .scalar import between, collinear, ratio
+from .scalar import _det3, between, collinear, ratio
 
 Slope = Optional[Fraction]  # None == singular slope
 
@@ -423,11 +433,7 @@ def meet(l1: Line, l2: Line) -> MeetResult:
 def concurrent(l1: Line, l2: Line, l3: Line) -> bool:
     """Whether three lines share a point, finite or ideal (a coincident
     pair shares one with any line): their triples' determinant is 0."""
-    a1, b1, c1 = l1.triple
-    a2, b2, c2 = l2.triple
-    a3, b3, c3 = l3.triple
-    return (a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3)
-            + c1 * (a2 * b3 - b2 * a3)) == 0
+    return _det3(l1.triple, l2.triple, l3.triple) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ A :class:`Parabola` is the primitive integer quadruple ``(K, B, G, S)`` of
 S*y = K*x^2 + B*x + G, as a ``gauge.Line`` is an integer triple; the
 constructions that compute integers (``circumparabola``, the drawn
 curves of ``RandomRationals`` and ``iso_angle_locus``) store theirs
-through ``_parabola`` without building a Fraction.
+through ``_parabola`` without building a Fraction.  The parabolic-cyclic
+predicates ``inscribed_angle_check`` and ``opposite_angle_sum`` take each
+angle as the integer pair of ``gauge._angle_terms`` and build one
+Fraction, their result.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateConfigurationError, IrrationalIntersectionError
-from .gauge import (Line, MeetResult, Point, _over_common_z, _point,
-                    _slope_terms, difference_angle)
+from .gauge import (Line, MeetResult, Point, _abscissae, _angle_terms,
+                    _over_common_z, _point)
 from .scalar import (QuadraticPoly, _vieta_companion, integer_quadratic_roots,
                      lift_triple, ratio)
 
@@ -346,9 +349,8 @@ def inscribed_angle_check(p: Parabola, a: Point, b: Point, c: Point,
             raise DegenerateConfigurationError("point off the parabola")
     if c in (a, b) or d in (a, b):
         raise DegenerateConfigurationError("viewing point on the chord")
-    u, v = difference_angle(a, c, b), difference_angle(a, d, b)
-    ud, vd = u.denominator, v.denominator
-    return ratio(u.numerator * vd - v.numerator * ud, ud * vd)
+    (un, ud), (vn, vd) = _angle_terms(a, c, b), _angle_terms(a, d, b)
+    return ratio(un * vd - vn * ud, ud * vd)
 
 
 def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
@@ -358,19 +360,14 @@ def opposite_angle_sum(a: Point, b: Point, c: Point, d: Point) -> Fraction:
     The sum vanishes iff the four points lie on one vertical-axis parabola;
     the equivalence is asserted for this vertex ordering only.
     """
-    # x_P < x_Q is X_P Z_Q < X_Q Z_P, the Z being positive.
-    (Xa, _, Za), (Xb, _, Zb), (Xc, _, Zc), (Xd, _, Zd) = (
-        a.xyz, b.xyz, c.xyz, d.xyz)
-    if not (Xa * Zb < Xb * Za and Xb * Zc < Xc * Zb and Xc * Zd < Xd * Zc):
+    (xa, xb, xc, xd), _ = _abscissae((a, b, c, d))
+    if not xa < xb < xc < xd:
         raise DegenerateConfigurationError(
             "opposite_angle_sum requires strictly increasing x-order")
-    # slope(BA) - slope(BC) + slope(DC) - slope(DA), built once.
-    n1, d1 = _slope_terms(b, a)
-    n2, d2 = _slope_terms(b, c)
-    n3, d3 = _slope_terms(d, c)
-    n4, d4 = _slope_terms(d, a)
-    return ratio(((n1 * d2 - n2 * d1) * d3 + n3 * d1 * d2) * d4
-                 - n4 * d1 * d2 * d3, d1 * d2 * d3 * d4)
+    # slope(BA) - slope(BC) + slope(DC) - slope(DA): the angles CBA and
+    # ADC, built once.  The abscissae are distinct, so no ray is singular.
+    (un, ud), (vn, vd) = _angle_terms(c, b, a), _angle_terms(a, d, c)
+    return ratio(un * vd + vn * ud, ud * vd)
 
 
 def conparabolic(a: Point, b: Point, c: Point, d: Point) -> bool:

@@ -97,8 +97,9 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Inverse of :func:`parse_scalar`, normalized to ``n`` or ``p/q``."""
-    return format_ratio(value.numerator, value.denominator)
+    """Inverse of :func:`parse_scalar`, normalized to ``n`` or ``p/q``:
+    a ``Fraction`` is already reduced, and its ``str`` is that form."""
+    return str(value)
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -118,11 +119,17 @@ def det3(r1, r2, r3) -> Fraction:
     its lcm, so the only ``Fraction`` built is the result: the integer
     determinant over the product of the row scales.
     """
-    (a, b, c), s1 = lift_triple(r1)
-    (d, e, f), s2 = lift_triple(r2)
-    (g, h, i), s3 = lift_triple(r3)
-    return ratio(a * (e * i - f * h) - b * (d * i - f * g)
-                 + c * (d * h - e * g), s1 * s2 * s3)
+    r1, s1 = lift_triple(r1)
+    r2, s2 = lift_triple(r2)
+    r3, s3 = lift_triple(r3)
+    return ratio(_det3(r1, r2, r3), s1 * s2 * s3)
+
+
+def _det3(r1, r2, r3) -> int:
+    """The determinant of three integer rows, expanded along the first;
+    ``det3`` and ``gauge.concurrent`` call it."""
+    (a, b, c), (d, e, f), (g, h, i) = r1, r2, r3
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def lift_triple(values) -> tuple[tuple[int, int, int], int]:

@@ -22,7 +22,7 @@ from .parabola import (Parabola, circumparabola, conparabolic,
                        opposite_angle_sum, parabola_meet, second_intersection,
                        second_meet)
 from .scalar import lift_triple, ratio
-from .triangle import DATriangle, VERTICES, _singular_through, divider_line
+from .triangle import DATriangle, VERTICES, _divider, _singular_through
 
 
 def _require_on(p: Parabola, *pts: Point) -> None:
@@ -424,8 +424,7 @@ def cevian_line(t: DATriangle, vertex: str, spec: CevianSpec) -> Line:
     if base not in VERTICES or base == vertex:
         raise DegenerateConfigurationError(
             f"base {base!r} is not adjacent to vertex {vertex}")
-    far = next(lbl for lbl in VERTICES if lbl not in (vertex, base))
-    return divider_line(v, t.vertex(base), t.vertex(far), *spec.ratio)
+    return _divider(t, vertex, base, *spec.ratio)
 
 
 class IsogonalVerdict(NamedTuple):

@@ -8,18 +8,19 @@ distinct x-coordinates.  The proofs order the vertices by x; the public
 API keeps the user's labels "A", "B", "C" and maps every result back.  A
 triangle is built from integers alone.  The vertices' triples are
 brought over the lcm L of their Z once, by the lift that
-``circumparabola`` and ``divider_line`` share; the curve (an integer
-quadruple over S), the x-order (vertex indices), the angles (a triple
-over S*L) and, on first use, each bisector come from that lift.  The
-side norms are a triple over the lcm of ``da_norm``'s denominators, from
-its ``_norm_terms``; construction certifies on it that the largest
-equals the sum of the other two.  ``is_isosceles`` and ``classify_pair``
-compare the triples; each read of ``side_norms()`` or
-``interior_angles()`` builds three Fractions from them.  The angles'
-closed form sums to 0 with only the x-middle angle negative; the
-``triangle_invariants`` campaign checks it against the difference-angle
-definition.  ``side`` (``line_through`` of the other two vertices) and
-``bisector_at`` fill a line cache that a triangle's readers share.
+``circumparabola`` shares, and no other module reads that lift: the curve
+(an integer quadruple over S), the x-order (vertex indices), the angles
+(a triple over S*L) and each divider (``bisector_at``'s 1:1 line and
+``cevian_line``'s m:n line) come from it.  The side norms are a triple
+over the lcm of ``da_norm``'s denominators, from its ``_norm_terms``;
+construction certifies on it that the largest equals the sum of the
+other two.  ``is_isosceles`` and ``classify_pair`` compare the triples;
+each read of ``side_norms()`` or ``interior_angles()`` builds three
+Fractions from them.  The angles' closed form sums to 0 with only the
+x-middle angle negative; the ``triangle_invariants`` campaign checks it
+against the difference-angle definition.  ``side`` (``line_through`` of
+the other two vertices) and ``bisector_at`` fill a line cache that a
+triangle's readers share.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
     """Angle bisector at a vertex.
 
     ``mode="positive"`` always bisects the positive angle at the vertex:
-    the mean-slope ray of the two adjacent sides (the 1:1 divider_line),
+    the mean-slope ray of the two adjacent sides (the 1:1 divider),
     equivalently the chord through the circumparabola point above the
     midpoint of the other two abscissae (the tangent when those coincide).
     ``mode="interior"`` returns the same line at the two positive vertices
@@ -219,38 +220,30 @@ def bisector_at(t: DATriangle, vertex: str, mode: str = "interior") -> Line:
                 else bisector_at(t, vertex, "positive"))
         t._lines[key] = line
         return line
-    # The 1:1 divider from the triangle's own lift.
-    i = VERTICES.index(vertex)
-    j, k = _OTHERS[vertex]
-    xs, ys, L = t._lift
-    line = t._lines[key] = _divider_line(xs[i], xs[j], xs[k], ys[i], ys[j],
-                                         ys[k], L, 1, 1)
+    base = _CYCLIC_OTHERS[vertex][0]
+    line = t._lines[key] = _divider(t, vertex, base, 1, 1)
     return line
 
 
-def divider_line(v: Point, b: Point, f: Point, m, n) -> Line:
-    """The line through ``v`` that divides the angle between the sides VB
-    and VF m:n from VB: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``.
-    The three abscissae must be distinct; the weights may be ``int`` or
-    ``Fraction``, and 1:1 gives the positive bisector."""
-    (xv, xb, xf), (yv, yb, yf), L = _over_common_z(v, b, f)
-    return _divider_line(xv, xb, xf, yv, yb, yf, L, m, n)
-
-
-def _divider_line(xv: int, xb: int, xf: int, yv: int, yb: int, yf: int,
-                  L: int, m, n) -> Line:
-    """:func:`divider_line` of the points ``(x_i/L, y_i/L)``, from their
-    integers; ``bisector_at`` calls it with the triangle's lift."""
+def _divider(t: DATriangle, vertex: str, base: str, m, n) -> Line:
+    """The line through the vertex that divides the angle between its
+    sides toward ``base`` and toward the third vertex m:n from the base
+    side: its slope is ``(n*slope(VB) + m*slope(VF))/(m + n)``, from the
+    triangle's lift.  The weights may be ``int`` or ``Fraction``; 1:1
+    gives the positive bisector and m:n ``cevian_line``."""
     mn, md, nn, nd = m.numerator, m.denominator, n.numerator, n.denominator
     if mn * nd + nn * md == 0:
         raise DegenerateConfigurationError("degenerate division weights")
-    # The side slopes are dy/dx, so (n*s_base + m*s_far)/(m + n) is P/Q,
-    # and the intercept y_V - slope*x_V is over L*Q.
-    dx_b, dx_f, dy_b, dy_f = xb - xv, xf - xv, yb - yv, yf - yv
+    v, b = VERTICES.index(vertex), VERTICES.index(base)
+    xs, ys, L = t._lift
+    xv, yv = xs[v], ys[v]
+    # The side slopes are dy/dx, with dx != 0 as the abscissae are
+    # distinct, so (n*s_base + m*s_far)/(m + n) is P/Q, and the intercept
+    # y_V - slope*x_V is over L*Q.
+    dx_b, dy_b = xs[b] - xv, ys[b] - yv
+    dx_f, dy_f = xs[3 - v - b] - xv, ys[3 - v - b] - yv
     p = nn * md * dy_b * dx_f + mn * nd * dy_f * dx_b
     q = (mn * nd + nn * md) * dx_b * dx_f
-    if not q:
-        raise DegenerateConfigurationError("shared abscissa: no side slope")
     return _line(L * p, -L * q, yv * q - p * xv)
 
 
@@ -297,10 +290,15 @@ class CenterSet(NamedTuple):
     bisector_centroid: Point
 
 
-def _centroid(p: Point, q: Point, r: Point) -> Point:
+def _weighted_mean(p: Point, q: Point, r: Point, u: int = 1, v: int = 1,
+                   w: int = 1) -> Point:
+    """``(u*P + v*Q + w*R)/(u + v + w)`` for int weights with a nonzero
+    sum, from the three triples; the centroid by default."""
     (X1, Y1, Z1), (X2, Y2, Z2), (X3, Y3, Z3) = p.xyz, q.xyz, r.xyz
-    return _point((X1 * Z2 + X2 * Z1) * Z3 + X3 * Z1 * Z2,
-                  (Y1 * Z2 + Y2 * Z1) * Z3 + Y3 * Z1 * Z2, 3 * Z1 * Z2 * Z3)
+    # Each weight times the other two Z brings its point over Z1*Z2*Z3.
+    u, v, w = u * Z2 * Z3, v * Z1 * Z3, w * Z1 * Z2
+    return _point(u * X1 + v * X2 + w * X3, u * Y1 + v * Y2 + w * Y3,
+                  u * Z1 + v * Z2 + w * Z3)
 
 
 def centers(t: DATriangle) -> CenterSet:
@@ -345,9 +343,9 @@ def centers(t: DATriangle) -> CenterSet:
         tangent_pts[label] = _point((u + w) * D * S, y, 2 * D * D * S)
     tangent_triangle = DATriangle(*tangent_pts.values())
 
-    g = _centroid(t.a, t.b, t.c)
-    g_t = _centroid(*tangent_pts.values())
-    g_i = _centroid(incenter.point, ex_a.point, ex_c.point)
+    g = _weighted_mean(t.a, t.b, t.c)
+    g_t = _weighted_mean(*tangent_pts.values())
+    g_i = _weighted_mean(incenter.point, ex_a.point, ex_c.point)
     if g_i != midpoint(g, g_t):
         raise KernelInvariantError("bisector centroid is not the midpoint")
 

@@ -79,6 +79,16 @@ def test_triangle_module_holds_det3():
     assert dageo.triangle.det3 is dageo.scalar.det3
 
 
+def test_only_triangle_reads_the_triangle_lift():
+    # DATriangle._lift, its vertices over one lcm, is the triangle's
+    # storage format; other modules read the vertices' triples.
+    readers = sorted({path.stem for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "_lift"})
+    assert readers == ["triangle"]
+
+
 def _top_level_statements():
     """(module, statement, names it mentions) for every top-level
     statement of every module in the package."""

@@ -57,8 +57,8 @@ from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
 from dageo.theorems import (CevianSpec, CompleteQuadrilateral, cevian_line,
                             miquel_quadrilateral, miquel_triangle)
 from dageo.triangle import (VERTICES, DATriangle, bisector_at, centers,
-                            dabct, divider_line, midpoint_lemma_check,
-                            perpendicular_feet, simson)
+                            dabct, midpoint_lemma_check, perpendicular_feet,
+                            simson)
 
 SEED = 2027
 TRIALS = 100
@@ -233,9 +233,10 @@ def test_bisectors_and_dividers(signs):
             for mode in ("interior", "positive"):
                 assert bisector_at(image, label, mode) \
                     == g.line(bisector_at(t, label, mode)), (k, label, mode)
-        m, n = rng.small_positive_int(), rng.positive_rational()
-        assert divider_line(image.a, image.b, image.c, m, n) \
-            == g.line(divider_line(t.a, t.b, t.c, m, n)), k
+        spec = CevianSpec((rng.small_positive_int(), rng.positive_rational()),
+                          base="B")
+        assert cevian_line(image, "A", spec) \
+            == g.line(cevian_line(t, "A", spec)), k
 
 
 @pytest.mark.parametrize("signs", SIGNS)

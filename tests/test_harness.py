@@ -941,7 +941,7 @@ class TestScene:
         # centers and its scene branch read the interior bisectors, dabct
         # and its branch the positive ones: three sloped lines in all (the
         # interior bisector at a positive vertex is the positive one), each
-        # built by one call of ``divider_line``'s integer core.
+        # built by one call of the triangle's divider.
         scene = Scene.from_dict(dict(INCENTER_SCENE, points={
             "P0": ["0", "0"], "P1": ["1", "1"], "P2": ["3", "9"]}))
         draw = Drawables()
@@ -955,7 +955,7 @@ class TestScene:
             if not isinstance(e.code, str) and e.code.co_name == "bisector_at"
             for sub in (e.calls or ())
             if not isinstance(sub.code, str)
-            and sub.code.co_name == "_divider_line")
+            and sub.code.co_name == "_divider")
         assert builds_in_bisector_at == 3
 
     def test_miquel_quadrilateral_construction(self):

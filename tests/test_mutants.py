@@ -11,7 +11,8 @@ import types
 
 import pytest
 
-from dageo import campaigns, equivalence, gauge, parabola, theorems, triangle
+from dageo import (campaigns, equivalence, gauge, parabola, scalar, theorems,
+                   triangle)
 from dageo.gauge import MeetResult
 from dageo.harness import REGISTRY, CampaignConfig, run_campaign
 
@@ -90,15 +91,16 @@ def _rebound(function, **names):
 #: bisection row sums the two slopes and takes a third, in
 #: ``angle_axiom_checks``' own source.  The last three break one term of
 #: an integer-lifted triangle function in its own source: the far side's
-#: weighted slope in ``divider_line``'s integer core, bound only where
-#: ``cevian_line`` reads it through ``divider_line`` (the bisectors keep
-#: the right line), the abscissa's denominator in ``shift``'s slide
+#: weighted slope in the triangle's divider, bound only where
+#: ``cevian_line`` reads it (the bisectors keep the right line), the
+#: abscissa's denominator in ``shift``'s slide
 #: x + theta*S/K, and the pairing of the norms in
 #: ``bisector_ratio_check``.  The last two break the integer line layer:
 #: the ordinate of ``meet``'s cross product, bound where the triangle
 #: layer reads it (``midpoint_lemma`` reports "bisector meet is not the
-#: feet midpoint" from trial 0), and one cofactor of ``concurrent``'s
-#: determinant, bound where the cevian theorems read it (``ceva`` reports
+#: feet midpoint" from trial 0), and one cofactor of the integer
+#: determinant that ``concurrent`` shares with ``det3``, bound in
+#: ``concurrent`` where the cevian theorems read it (``ceva`` reports
 #: "meet oracle rejected concurrent cevians" from trial 0).  The ``meet``
 #: row and the first ``shift`` row break the integer code that builds a
 #: ``Point`` triple: the Y of ``meet``'s cross product, and the vertex's
@@ -127,10 +129,9 @@ MUTANTS = [
      "intersecting_parabolas"),
     ("meet_with_x_negated", theorems, "meet", _meet_with_x_negated,
      "brahmagupta"),
-    ("cevian_line_far_term_subtracted", theorems, "divider_line",
-     _rebound(triangle.divider_line, _divider_line=_source_mutant(
-         triangle._divider_line, "+ mn * nd * dy_f * dx_b",
-         "- mn * nd * dy_f * dx_b")), "isogonal"),
+    ("cevian_line_far_term_subtracted", theorems, "_divider",
+     _source_mutant(triangle._divider, "+ mn * nd * dy_f * dx_b",
+                    "- mn * nd * dy_f * dx_b"), "isogonal"),
     ("shift_slide_without_abscissa_denominator", equivalence, "shift",
      _source_mutant(equivalence.shift, "+ tn * S * Z,", "+ tn * S,"),
      "shift_group"),
@@ -147,8 +148,9 @@ MUTANTS = [
      _source_mutant(gauge.meet, "c1 * a2 - a1 * c2, z)",
                     "a1 * c2 - c1 * a2, z)"), "midpoint_lemma"),
     ("concurrent_cofactor_negated", theorems, "concurrent",
-     _source_mutant(gauge.concurrent, "+ c1 * (a2 * b3 - b2 * a3)",
-                    "- c1 * (a2 * b3 - b2 * a3)"), "ceva"),
+     _rebound(gauge.concurrent, _det3=_source_mutant(
+         scalar._det3, "+ c * (d * h - e * g)", "- c * (d * h - e * g)")),
+     "ceva"),
     ("point_lift_y_plus_one", gauge, "_point", _point_with_y_plus_one,
      "angle_axioms"),
 ]

@@ -26,7 +26,8 @@ from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
                          midpoint)
 from dageo.generators import RandomRationals
 from dageo.harness import REGISTRY, CampaignConfig, jsonable, run_campaign
-from dageo.parabola import (Parabola, circumparabola, iso_angle_locus,
+from dageo.parabola import (Parabola, circumparabola, inscribed_angle_check,
+                            iso_angle_locus, opposite_angle_sum,
                             parabola_meet, parabolic_power,
                             second_intersection, second_meet)
 from dageo.scalar import det3, parse_scalar, ratio
@@ -221,7 +222,9 @@ def _four_distinct_draws():
 #: * Values.  A drawn rational is one construction, and
 #:   ``point_on_side`` builds only the drawn ratio.  ``parse_scalar``,
 #:   ``parabolic_power`` and ``bisector_ratio_check`` at a positive
-#:   vertex build their one value, ``mn_division_check`` its two
+#:   vertex build their one value, and so do ``inscribed_angle_check``
+#:   and ``opposite_angle_sum``, which read their angles as integer
+#:   pairs; ``mn_division_check`` builds its two
 #:   residuals, ``parabola_meet`` the abscissa of each meet point (its
 #:   eliminant's roots) and ``simson`` only its int slope;
 #:   ``foot_of_perpendicular`` reads the point's triple.
@@ -269,6 +272,10 @@ FRACTION_BUDGET = {
     "iso_angle_locus": (lambda: iso_angle_locus(*_BASE, _X), 0),
     "parabola_meet": (lambda: parabola_meet(_CURVE, _THROUGH_AB), 2),
     "cevian_line": (lambda: cevian_line(_T, "A", _SPEC), 0),
+    "inscribed_angle_check": (
+        lambda: inscribed_angle_check(_CURVE, _A, _B, _C, _D), 1),
+    # x_A < x_B < x_D < x_C.
+    "opposite_angle_sum": (lambda: opposite_angle_sum(_A, _B, _D, _C), 1),
     "shift": (lambda: shift(_T, _THETA), 0),
     "perpendicular_bisectors": (lambda: perpendicular_bisectors(_T), 0),
     "bisector_ratio_check": (_cold(lambda: bisector_ratio_check(_T, "A")),
@@ -328,6 +335,17 @@ def test_constructions_count_both_builders():
 def test_exact_primitives_build_few_fractions(name):
     call, budget = FRACTION_BUDGET[name]
     assert _fraction_constructions(call) <= budget
+
+
+def test_cevian_line_lifts_no_vertices():
+    # A cevian reads the triangle's lift of its vertices and lifts none
+    # of them again.
+    profiler = cProfile.Profile()
+    profiler.runcall(cevian_line, _T, "A", _SPEC)
+    lifts = sum(e.callcount for e in profiler.getstats()
+                if not isinstance(e.code, str)
+                and e.code.co_name == "_over_common_z")
+    assert lifts == 0
 
 
 @pytest.mark.parametrize("theorem", ["ptolemy", "simson"])

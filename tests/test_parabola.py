@@ -477,14 +477,13 @@ class TestSecondMeet:
         assert str(err.value) == "3/4 is not a root (residual -153/1120)"
 
 
-def fraction_chain_inscribed_angle(p, a, b, c, d):
+def fraction_chain_inscribed_angle(p, a, b, c, d, angle=difference_angle):
     for pt_ in (a, b, c, d):
         if not p.contains(pt_):
             raise DegenerateConfigurationError("point off the parabola")
     if c in (a, b) or d in (a, b):
         raise DegenerateConfigurationError("viewing point on the chord")
-    return (parabola.difference_angle(a, c, b)
-            - parabola.difference_angle(a, d, b))
+    return angle(a, c, b) - angle(a, d, b)
 
 
 class TestCyclicPredicates:
@@ -506,9 +505,13 @@ class TestCyclicPredicates:
             angle = difference_angle(a, p, b)
             return angle + bump if p is pts[3] else angle
 
-        with mock.patch.object(parabola, "difference_angle", bumped):
+        def bumped_terms(a, p, b):
+            angle = bumped(a, p, b)
+            return angle.numerator, angle.denominator
+
+        with mock.patch.object(parabola, "_angle_terms", bumped_terms):
             got = outcome(inscribed_angle_check, curve, *pts)
-            want = outcome(fraction_chain_inscribed_angle, curve, *pts)
+        want = outcome(fraction_chain_inscribed_angle, curve, *pts, bumped)
         assert got == want
         if not isinstance(got, tuple):
             assert type(got) is F

@@ -166,6 +166,13 @@ class TestParseScalar:
         assert format_ratio(num * scale, den * scale) \
             == format_scalar(F(num, den))
 
+    @given(bounded)
+    def test_format_scalar_is_the_reduced_ratio(self, value):
+        # format_scalar writes str(value); an int or a reduced Fraction
+        # reads as its reduced n or n/d on every supported interpreter.
+        assert format_scalar(value) \
+            == format_ratio(value.numerator, value.denominator)
+
 
 class TestDet3:
     def test_final_collinearity_feet(self):

@@ -36,15 +36,27 @@ def _workloads():
     return module
 
 
-def golden_scene_draws() -> list[Drawables]:
-    """Freshly built figures of the benchmark's golden scenes (its first
-    round of scene ops at the golden seed), whose digests
-    ``perfbench/pins.json`` pins: none of their lazily built forms has
-    been read yet."""
+def scene_draws(seed: int, count: int) -> list[Drawables]:
+    """Freshly built figures of the benchmark's first ``count`` scenes at
+    ``seed``, less those it drops as degenerate: none of their lazily
+    built forms has been read yet."""
     wl = _workloads()
-    return [run_scene(Scene.from_dict(wl.scene_dict(wl.GOLDEN_SEED, index)),
-                      verify=False)[1]
-            for index in range(wl.SceneWorkload.round_size)]
+    draws = []
+    for index in range(count):
+        try:
+            draws.append(run_scene(Scene.from_dict(wl.scene_dict(seed, index)),
+                                   verify=False)[1])
+        except DegenerateConfigurationError:
+            pass
+    return draws
+
+
+def golden_scene_draws() -> list[Drawables]:
+    """The figures of the benchmark's golden scenes (its first round of
+    scene ops at the golden seed), whose digests ``perfbench/pins.json``
+    pins, freshly built."""
+    wl = _workloads()
+    return scene_draws(wl.GOLDEN_SEED, wl.SceneWorkload.round_size)
 
 
 #: Rationals of the generators' bound 50, zero, negatives and plain ints

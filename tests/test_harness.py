@@ -14,19 +14,21 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import dageo
-from conftest import bounded, golden_scene_draws
+import svg_reference
+from conftest import bounded, golden_scene_draws, kernel_outcome, scene_draws
 from dageo.cli import main
 from dageo.errors import (DegenerateConfigurationError,
                           GeneratorExhaustedError, KernelInvariantError)
 from dageo.campaigns import Counterexample
-from dageo.gauge import (Gauge, Line, MeetResult, Point, _point,
+from dageo.gauge import (Gauge, Line, MeetResult, Point, _line, _point,
                          line_through, meet, midpoint, normalize_chart)
 from dageo.generators import RETRY_LIMIT, RandomRationals, trial_seed
 from dageo import harness
 from dageo.euclid import EUCLID_EXPORT
 from dageo.harness import (REGISTRY, CampaignConfig, generate_config,
                            jsonable, run_campaign, run_theorem)
-from dageo.parabola import Parabola, circumparabola, iso_angle_locus
+from dageo.parabola import (Parabola, _parabola, circumparabola,
+                            iso_angle_locus)
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
 from dageo.scalar import collinear, format_scalar, parse_scalar
@@ -1118,6 +1120,46 @@ class TestIntegerReaders:
             assert render_svg(draw) == render_svg(_public_twin(draw))
 
 
+def _curve_scene(kappa, far_x):
+    """Points at 0 and ``far_x`` on the x-axis, and the curve kappa*x^2."""
+    return {"points": {"P": ["0", "0"], "Q": [far_x, "0"]},
+            "parabolas": {"G": {"kappa": kappa, "beta": "0", "gamma": "0"}}}
+
+
+#: Curves that binary64 cannot draw, as (kappa, far_x) of ``_curve_scene``.
+UNDRAWABLE_CURVES = [
+    # rounds to 0.0: the vertex divides by 0
+    pytest.param("1/1" + "0" * 400, "1", id="underflow"),
+    pytest.param("1" + "0" * 400, "1", id="overflow"),  # too large for a float
+    # y at the frame edge overflows
+    pytest.param("1" + "0" * 200, "1" + "0" * 200, id="frame"),
+]
+
+#: Figures that binary64 cannot draw, with the object the error names.
+UNDRAWABLE_FIGURES = [
+    pytest.param({"points": {"P": ["1" + "0" * 400, "0"]}}, "point 'P'",
+                 id="huge-point"),
+    pytest.param({"points": {"A": ["0", "0"], "B": ["1", "1"],
+                             "C": ["2", "4"]},
+                  "triangles": {"T": ["A", "B", "C"]},
+                  "construct": ["simson(T, 1" + "0" * 300 + ")"]},
+                 "point 'K_A'", id="simson"),
+    pytest.param({"points": {"P": ["-1" + "0" * 308, "0"],
+                             "Q": ["1" + "0" * 308, "0"]}}, "the frame",
+                 id="wide-frame"),
+    # 1e300 +- the 0.1 margin rounds to one float: a zero-width frame
+    pytest.param({"points": {"P": ["1" + "0" * 300, "0"]}}, "the frame",
+                 id="zero-width-frame"),
+    # a bisector too steep for its end points in the frame
+    pytest.param({"points": {"A": ["0", "1" + "0" * 100],
+                             "B": ["1" + "0" * 115, "0"],
+                             "C": ["1/1" + "0" * 100, "0"]},
+                  "triangles": {"T": ["A", "B", "C"]},
+                  "construct": ["dabct(T)"]},
+                 "line 'bisector_A'", id="steep-line"),
+]
+
+
 class TestSvg:
     def test_incenter_figure(self):
         scene = Scene.from_dict(INCENTER_SCENE)
@@ -1190,18 +1232,11 @@ class TestSvg:
                      "--svg", str(svg_path)]) == 0
         assert "<title>G</title>" in svg_path.read_text()
 
-    @pytest.mark.parametrize("kappa, far_x", [
-        ("1/1" + "0" * 400, "1"),  # rounds to 0.0: the vertex divides by 0
-        ("1" + "0" * 400, "1"),    # too large for a float
-        ("1" + "0" * 200, "1" + "0" * 200),  # y at the frame edge overflows
-    ], ids=["underflow", "overflow", "frame"])
+    @pytest.mark.parametrize("kappa, far_x", UNDRAWABLE_CURVES)
     def test_undrawable_curve_exits_invalid(self, kappa, far_x, tmp_path,
                                             capsys):
         scene_path = tmp_path / "scene.json"
-        scene_path.write_text(json.dumps(
-            {"points": {"P": ["0", "0"], "Q": [far_x, "0"]},
-             "parabolas": {"G": {"kappa": kappa, "beta": "0",
-                                 "gamma": "0"}}}))
+        scene_path.write_text(json.dumps(_curve_scene(kappa, far_x)))
         svg_path = tmp_path / "figure.svg"
         assert main(["plot", "--scene", str(scene_path),
                      "--svg", str(svg_path)]) == 2
@@ -1209,22 +1244,7 @@ class TestSvg:
         assert err.startswith("error: parabola 'G' ")
         assert not svg_path.exists()
 
-    @pytest.mark.parametrize("scene, message", [
-        ({"points": {"P": ["1" + "0" * 400, "0"]}}, "point 'P'"),
-        ({"points": {"A": ["0", "0"], "B": ["1", "1"], "C": ["2", "4"]},
-          "triangles": {"T": ["A", "B", "C"]},
-          "construct": ["simson(T, 1" + "0" * 300 + ")"]}, "point 'K_A'"),
-        ({"points": {"P": ["-1" + "0" * 308, "0"],
-                     "Q": ["1" + "0" * 308, "0"]}}, "the frame"),
-        # 1e300 +- the 0.1 margin rounds to one float: a zero-width frame
-        ({"points": {"P": ["1" + "0" * 300, "0"]}}, "the frame"),
-        # a bisector too steep for its end points in the frame
-        ({"points": {"A": ["0", "1" + "0" * 100], "B": ["1" + "0" * 115, "0"],
-                     "C": ["1/1" + "0" * 100, "0"]},
-          "triangles": {"T": ["A", "B", "C"]}, "construct": ["dabct(T)"]},
-         "line 'bisector_A'"),
-    ], ids=["huge-point", "simson", "wide-frame", "zero-width-frame",
-            "steep-line"])
+    @pytest.mark.parametrize("scene, message", UNDRAWABLE_FIGURES)
     def test_undrawable_figure_exits_invalid(self, scene, message, tmp_path,
                                              capsys):
         scene_path = tmp_path / "scene.json"
@@ -1260,6 +1280,79 @@ class TestSvg:
                 "construct": ["circumparabola(A,B,C)"]}
         _, draw = run_scene(Scene.from_dict(data))
         assert "<path" in render_svg(draw)
+
+
+_names = st.sampled_from(["A", "B", "P", "Q2", "m"])
+_wide_points = st.builds(_point, _wide, _wide, _wide.filter(bool))
+
+
+@st.composite
+def wide_drawables(draw):
+    """Figures whose points, sloped and singular lines, curves and
+    angle-label anchors are ``_wide`` integer triples and quadruples, so
+    that every range check of the renderer fires on some of them."""
+    sloped = st.builds(_line, _wide, _wide.filter(bool), _wide)
+    singular = st.builds(_line, _wide.filter(bool), st.just(0), _wide)
+    curves = st.builds(_parabola, _wide.filter(bool), _wide, _wide,
+                       _wide.filter(bool))
+    return Drawables(
+        points=draw(st.dictionaries(_names, _wide_points, max_size=3)),
+        lines=draw(st.dictionaries(_names, sloped | singular, max_size=3)),
+        parabolas=draw(st.dictionaries(_names, curves, max_size=2)),
+        ideal=draw(st.lists(_names, max_size=2)),
+        angle_labels=draw(st.dictionaries(
+            _names, st.tuples(_wide_points, _fractions), max_size=2)))
+
+
+class TestSvgReference:
+    """``render_svg`` writes the bytes of the reference renderer in
+    ``tests/svg_reference.py``, or raises the same error naming the same
+    object, on the benchmark's scenes off the golden seed, on every
+    undrawable figure of ``TestSvg`` and on figures drawn from integers
+    of every size (``_wide``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_scenes(self, seed):
+        draws = scene_draws(seed, 100)
+        assert len(draws) > 90  # the few degenerate scenes are dropped
+        for draw in draws:
+            svg = render_svg(draw)
+            assert svg == svg_reference.render_svg(draw)
+
+    @pytest.mark.parametrize("scene, message", [
+        *UNDRAWABLE_FIGURES,
+        *[pytest.param(_curve_scene(*p.values), "parabola 'G'", id=p.id)
+          for p in UNDRAWABLE_CURVES]])
+    def test_undrawable_figures(self, scene, message):
+        _, draw = run_scene(Scene.from_dict(scene))
+        got = kernel_outcome(render_svg, draw)
+        assert got == kernel_outcome(svg_reference.render_svg, draw)
+        assert got[0] is ValueError and got[1].startswith(f"{message} ")
+
+    def test_empty_figure(self):
+        with pytest.raises(EmptySceneError) as err:
+            render_svg(Drawables())
+        assert kernel_outcome(svg_reference.render_svg, Drawables()) == (
+            EmptySceneError, str(err.value))
+
+    @given(wide_drawables())
+    # The range checks that random figures seldom reach: a vertex whose
+    # height overflows, a singular line off the float range, a curve off
+    # the frame's edge, a frame too wide or too tall, a line too steep.
+    @example(Drawables(parabolas={"G": _parabola(1, 10**200, 0, 1)}))
+    @example(Drawables(points={"P": Point(0, 0)},
+                       lines={"l": _line(1, 0, -10**400)}))
+    @example(Drawables(points={"P": Point(0, 0), "Q": Point(10**200, 0)},
+                       parabolas={"G": _parabola(10**200, 0, 0, 1)}))
+    @example(Drawables(points={"P": Point(-10**308, 0),
+                               "Q": Point(10**308, 0)}))
+    @example(Drawables(points={"P": Point(0, -10**308),
+                               "Q": Point(0, 10**308)}))
+    @example(Drawables(points={"P": Point(0, 0)},
+                       lines={"l": _line(10**307, -1, 0)}))
+    def test_wide_figures(self, draw):
+        assert kernel_outcome(render_svg, draw) == kernel_outcome(
+            svg_reference.render_svg, draw)
 
 
 class TestCli:

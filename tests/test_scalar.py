@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -73,9 +74,23 @@ class TestRatioContract:
             ratio(n, 0)
 
 
+#: parse_scalar's grammar before it read a literal's parts from the groups
+#: of one match.
+_LITERAL = re.compile(
+    r"""^\s*(
+        [+-]?\d+ (?:/\d+)?      # integer or p/q
+      | [+-]?\d+\.\d+           # finite decimal
+      | [+-]?\.\d+              # leading-dot decimal
+    )\s*$""",
+    re.VERBOSE | re.ASCII,
+)
+
+
 def fraction_chain_parse(text):
-    # Reference: parse_scalar's conversion of an accepted literal before it
-    # parsed to ints, with Fraction's own string parser for n and decimals.
+    # Reference: parse_scalar before it parsed to ints: its grammar, then
+    # Fraction's own string parser for n and decimals.
+    if not _LITERAL.match(text):
+        raise ValueError(f"not a scalar literal: {text!r}")
     body = text.strip()
     if "/" in body:
         num, den = body.split("/")
@@ -118,6 +133,12 @@ class TestParseScalar:
     @example("-6/4")
     @example("+0/7")
     @example("3/000")
+    # Shapes outside the grammar that int() or Fraction would read.
+    @example("5.")
+    @example("+")
+    @example("1/-2")
+    @example("\uff17")
+    @example(" 3 \n")
     # Each part under int()'s 4300-digit limit, their sum over it.
     @example("-" + "7" * 2200 + "." + "3" * 2200)
     def test_matches_fraction_parser(self, text):

@@ -38,11 +38,10 @@ from fractions import Fraction
 Scalar = Fraction
 
 _SCALAR_RE = re.compile(
-    r"""^\s*(
-        [+-]?\d+ (?:/\d+)?      # integer or p/q
-      | [+-]?\d+\.\d+           # finite decimal
-      | [+-]?\.\d+              # leading-dot decimal
-    )\s*$""",
+    r"""\s*(?:
+        ([+-]?\d+) (?:/(\d+))?     # integer or p/q
+      | ([+-]?)(\d*)\.(\d+)        # decimal; the whole part may be empty
+    )\s*""",
     re.VERBOSE | re.ASCII,
 )
 
@@ -75,25 +74,24 @@ def parse_scalar(text: str) -> Fraction:
     Decimals expand exactly (``"0.25"`` -> 1/4); anything else, including a
     zero denominator or a non-ASCII digit, is rejected.
     """
-    if not isinstance(text, str) or not _SCALAR_RE.match(text):
+    match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a scalar literal: {text!r}")
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
+    num, den, sign, whole, frac = match.groups()
+    if frac is None:
+        if den is None:
+            return ratio(int(num), 1)
+        den = int(den)
+        if not den:
             raise ValueError(f"zero denominator in {text!r}")
-        return ratio(int(num), int(den))
+        return ratio(int(num), den)
     # A decimal is whole * 10**k + frac over 10**k, k the digits after the
-    # point; the whole part may be empty ("+.5").  Each part goes through
-    # int() on its own, as in Fraction's parser, so int()'s digit limit
-    # applies to each part and not to their sum.
-    whole, point, frac = body.partition(".")
-    if point:
-        digits = whole.lstrip("+-")
-        scale = 10 ** len(frac)
-        num = int(digits or "0") * scale + int(frac)
-        return ratio(-num if whole.startswith("-") else num, scale)
-    return ratio(int(body), 1)
+    # point.  Each part goes through int() on its own, as in Fraction's
+    # parser, so int()'s digit limit applies to each part and not to their
+    # sum.
+    scale = 10 ** len(frac)
+    num = int(whole or "0") * scale + int(frac)
+    return ratio(-num if sign == "-" else num, scale)
 
 
 def format_scalar(value: Fraction) -> str:

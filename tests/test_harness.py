@@ -32,8 +32,7 @@ from dageo.parabola import (Parabola, _parabola, circumparabola,
 from dageo.scene import (Drawables, Scene, SceneError, apply_construction,
                          run_scene)
 from dageo.scalar import collinear, format_scalar, parse_scalar
-from dageo.svg import (EmptySceneError, _bounds, _finite, _float_curve,
-                       _parabola_arc, _point_floats, _quotient, render_svg)
+from dageo.svg import EmptySceneError, render_svg
 from dageo.triangle import DATriangle, bisector_at, centers
 
 
@@ -1000,11 +999,31 @@ _wide = st.one_of(st.integers(-10**6, 10**6),
                   st.integers(0, 400).map(lambda e: 2**e - 1))
 
 
+def _pair_guard(what, num, den):
+    # render_svg's guard on a stored integer pair, which it applies inline:
+    # int true division, whose only failure is OverflowError.
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError(
+            f"{what} is out of the float range used for drawing") from None
+
+
+def _float_guard(what, value):
+    # render_svg's guard on a value computed in floats, applied inline.
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is out of the float range used for drawing")
+    return value
+
+
 class TestSvgFloats:
     # The SVG writer draws a stored integer pair as num / den, unreduced,
     # with den > 0 as the kernel stores it (0 / -1 would give -0.0): int
     # true division is correctly rounded, so every multiple of a pair
-    # gives the float of its reduced Fraction, or raises as it does.
+    # gives the float of its reduced Fraction, or raises as it does; it
+    # never returns inf or nan, so the pair needs no isfinite test.  The
+    # renderer applies its two guards inline; TestSvgReference holds the
+    # renderer itself to its reference copy.
     @given(_wide, _wide.filter(bool),
            st.one_of(st.just(1), st.integers(2, 10**40)))
     @example(10**399 + 7, 3, 1)
@@ -1022,14 +1041,26 @@ class TestSvgFloats:
     def test_fraction_matches_float(self, num, den, k):
         if den < 0:
             num, den = -num, -den
-        got = _float_outcome(_quotient, k * num, k * den)
+        got = _float_outcome(_pair_guard, k * num, k * den)
         assert got == _float_outcome(float_chain_finite, F(num, den))
+        # A point whose triple holds that pair (Y = 1 keeps it unreduced)
+        # is undrawable exactly when the quotient overflows.
+        figure = Drawables(points={"P": _point(k * num, 1, k * den)})
+        drawn = kernel_outcome(render_svg, figure)
+        if isinstance(got, tuple):
+            assert drawn == got
+        else:
+            assert isinstance(drawn, str) or drawn[1].startswith("the frame ")
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, float("inf"),
                                        float("-inf"), float("nan"), 7, -3,
                                        10**400])
     def test_floats_and_ints_match_float(self, value):
-        got = _float_outcome(_finite, value)
+        # An int reaches the renderer only as a stored pair's numerator, a
+        # float only as a value computed in floats.
+        guard = ((lambda what, v: _pair_guard(what, v, 1))
+                 if isinstance(value, int) else _float_guard)
+        got = _float_outcome(guard, value)
         assert got == _float_outcome(float_chain_finite, value)
 
 
@@ -1115,7 +1146,9 @@ class TestIntegerReaders:
     def test_golden_figures_match_public_twins(self):
         for draw in golden_scene_draws():
             for name, curve in draw.parabolas.items():
-                assert _float_curve(name, curve) == tuple(
+                # The coefficients as render_svg divides them.
+                K, B, G, S = curve._lifted
+                assert (K / S, B / S, G / S) == tuple(
                     float(v) for v in (curve.kappa, curve.beta, curve.gamma))
             assert render_svg(draw) == render_svg(_public_twin(draw))
 
@@ -1200,9 +1233,12 @@ class TestSvg:
     ])
     def test_parabola_only_scene_is_framed(self, parabolas):
         _, draw = run_scene(Scene.from_dict({"parabolas": parabolas}))
-        curves = {name: _float_curve(name, curve)
+        # The frame as the reference renderer computes it, whose bytes
+        # render_svg writes (TestSvgReference).
+        curves = {name: svg_reference._float_curve(name, curve)
                   for name, curve in draw.parabolas.items()}
-        x_lo, x_hi, y_lo, y_hi = _bounds(draw, _point_floats(draw), curves)
+        x_lo, x_hi, y_lo, y_hi = svg_reference._bounds(
+            draw, svg_reference._point_floats(draw), curves)
         for curve in draw.parabolas.values():
             vx = -curve.beta / (2 * curve.kappa)
             assert x_lo < vx - 1 and vx + 1 < x_hi
@@ -1218,7 +1254,8 @@ class TestSvg:
                          lines={"l": Line.singular(F(7, 2)),
                                 "n": Line.singular(F(-5, 3)),
                                 "s": Line(F(1), F(0))})
-        x_lo, x_hi, _, _ = _bounds(draw, _point_floats(draw), {})
+        x_lo, x_hi, _, _ = svg_reference._bounds(
+            draw, svg_reference._point_floats(draw), {})
         margin = 0.1 * (7 / 2 + 5 / 3)
         assert (x_lo, x_hi) == pytest.approx((-5 / 3 - margin,
                                               7 / 2 + margin))
@@ -1270,7 +1307,9 @@ class TestSvg:
             slope = 2 * kappa * x0 + beta
             return point[1] == pytest.approx(y(x0) + slope * (point[0] - x0))
 
-        p0, c1, c2, p3 = _parabola_arc(_float_curve("G", curve), x_lo, x_hi)
+        # The reference renderer's arc, whose bytes render_svg writes.
+        p0, c1, c2, p3 = svg_reference._parabola_arc(
+            svg_reference._float_curve("G", curve), x_lo, x_hi)
         assert p0 == pytest.approx((x_lo, y(x_lo)))
         assert p3 == pytest.approx((x_hi, y(x_hi)))
         assert on_tangent(c1, x_lo) and on_tangent(c2, x_hi)

@@ -1,11 +1,16 @@
-"""The registry's performance trajectory: one entry per step between two
-source trees, appended to ``BENCH_registry.json``.
+"""The registry's and the scene path's performance trajectory: one entry
+per step between two source trees, appended to ``BENCH_registry.json``.
 
     python3 tools/bench_registry.py BASE HEAD [--reps N]
 
 BASE and HEAD are each a git revision, which the script exports with
-``git archive`` into a temporary directory, or a directory that holds
-``src/dageo`` (a checkout, a ``git worktree`` or an exported tree).
+``git archive`` into a temporary directory and labels with its short
+hash, or a directory that holds ``src/dageo``.  A directory at the top of
+a git work tree is labelled with its short ``HEAD``, plus ``+dirty`` when
+``git status`` lists a change under its ``src``; any other directory (an
+exported tree) keeps its name.  ``src_sha256`` records, per side, the
+sha256 over the names and bytes of ``src/dageo/*.py`` in name order, so
+that every entry names the code it measured.
 Each side runs the whole registry at (seed 42, 1000 trials, bound 50) in
 its own Python process, N times, alternating which side goes first, so
 that a drifting host moves both sides alike.  For every theorem the entry
@@ -25,10 +30,20 @@ and ``wall_ratio_per_pair``, head wall over base wall for each of the N
 pairs of runs.  A ratio per pair stays put while the host drifts, where a
 difference of two medians taken minutes apart does not.
 
-After its summary line the script prints one line for each theorem whose
-counts differ between the sides, ``tid: calls B -> H, fractions B -> H``:
-a single theorem's wall ratio is within the host's noise, and only its
-counts show what a change did to it.
+The ``scenes`` row times, in the same processes, the benchmark's 8 golden
+scene ops (``perfbench/workloads.py``'s ``scene_documents`` op, taken from
+this script's own tree, so both sides run the same inputs): each op parses
+the scene text and runs ``Scene.from_dict``, ``run_scene`` and
+``render_svg``.  Per side it records ``wall_s`` and one ``*_s`` per phase,
+each the minimum over the N runs of the minimum over ``SCENE_ROUNDS``
+rounds of the 8 ops; ``calls``, the cProfile total call count of one
+round; and ``pin``, the round's op digests against the side's own pins.
+It has its own ``wall_ratio_per_pair`` and ``median_wall_ratio``.
+
+After its summary line and the scenes line the script prints one line
+for each theorem whose counts differ between the sides, ``tid: calls B ->
+H, fractions B -> H``: a single theorem's wall ratio is within the host's
+noise, and only its counts show what a change did to it.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ import argparse
 import cProfile
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -48,7 +64,7 @@ import tarfile
 import tempfile
 import time
 from collections import defaultdict
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,6 +77,13 @@ PIN_KEY = "registry_seed42_trials1000_bound50"
 FRACTION_BUILDERS = {("__new__", "fractions.py"), ("ratio", "scalar.py"),
                      ("coprime_ratio", "scalar.py")}
 TIMES = ("wall_s", "generate_s", "check_s")
+#: The scene ops' spans, as ``perfbench/workloads.py`` names them, and the
+#: key of each phase's time in the ``scenes`` row.
+SCENE_PHASES = {"scene.from_dict": "from_dict_s",
+                "scene.run_scene": "run_scene_s",
+                "svg.render_svg": "render_svg_s"}
+SCENE_TIMES = ("wall_s", *SCENE_PHASES.values())
+SCENE_ROUNDS = 20
 
 
 # -- worker: one side, one process ------------------------------------------
@@ -77,15 +100,16 @@ def _timed(function, totals, key):
 
 def run_side(tree: Path, theorems: list[str], point: dict,
              count: bool) -> dict:
-    """Times (and with ``count`` the counts) of each theorem in the source
-    tree ``tree``, run in this process."""
+    """Times (and with ``count`` the counts) of each theorem and of the
+    golden scenes in the source tree ``tree``, run in this process."""
     sys.path.insert(0, str(tree / "src"))
     from dageo.campaigns import REGISTRY
     from dageo.harness import CampaignConfig, run_campaign
 
     pins_path = tree / "perfbench" / "pins.json"
-    pins = (json.loads(pins_path.read_text()).get(PIN_KEY, {})
-            if point == REFERENCE and pins_path.exists() else None)
+    all_pins = (json.loads(pins_path.read_text()) if pins_path.exists()
+                else {})
+    pins = all_pins.get(PIN_KEY, {}) if point == REFERENCE else None
     originals = {tid: REGISTRY[tid] for tid in theorems}
     rows = {}
     for tid in theorems:
@@ -115,24 +139,93 @@ def run_side(tree: Path, theorems: list[str], point: dict,
                 in FRACTION_BUILDERS)
             row["calls"] = sum(e.callcount for e in profiler.getstats())
         rows[tid] = row
-    return rows
+    return {"theorems": rows,
+            "scenes": run_scenes(all_pins.get("scene_documents"), count)}
+
+
+def run_scenes(pins: list[str] | None, count: bool) -> dict:
+    """The ``scenes`` row of one side: the golden scene ops' phase times
+    (with ``count`` their call count), run in this process."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.SceneWorkload()
+    inputs = [workload.op_input(workloads.GOLDEN_SEED, index)
+              for index in range(workload.round_size)]
+    totals = defaultdict(float)
+
+    @contextmanager
+    def span(name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            totals[SCENE_PHASES[name]] += time.perf_counter() - start
+
+    def one_round():
+        start = time.perf_counter()
+        texts = [workload.run_op(text, span) for text in inputs]
+        totals["wall_s"] += time.perf_counter() - start
+        return texts
+
+    best = {}
+    for _ in range(SCENE_ROUNDS):
+        totals.clear()
+        texts = one_round()
+        best = {key: min(best.get(key, totals[key]), totals[key])
+                for key in SCENE_TIMES}
+    digests = [workloads.sha256(text) for text in texts]
+    best["pin"] = (None if pins is None else
+                   "pinned" if digests == pins else "differs from pin")
+    if count:
+        profiler = cProfile.Profile()
+        profiler.runcall(one_round)
+        best["calls"] = sum(e.callcount for e in profiler.getstats())
+    return best
 
 
 # -- driver ------------------------------------------------------------------
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", "-C", str(REPO), *args], check=True,
-                          capture_output=True).stdout
+def _git(*args: str, where: Path = REPO) -> str:
+    return subprocess.run(["git", "-C", str(where), *args], check=True,
+                          capture_output=True).stdout.decode().strip()
+
+
+def _directory_label(tree: Path) -> str:
+    """The short ``HEAD`` of the git work tree whose top is ``tree``, plus
+    ``+dirty`` when its ``src`` has changes; else ``tree``'s name."""
+    try:
+        top = _git("rev-parse", "--show-toplevel", where=tree)
+        if Path(top).resolve() != tree:
+            return tree.name
+        head = _git("rev-parse", "--short", "HEAD", where=tree)
+        dirty = _git("status", "--porcelain", "--", "src", where=tree)
+    except (OSError, subprocess.CalledProcessError):
+        return tree.name
+    return head + ("+dirty" if dirty else "")
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 over the names and bytes of ``src/dageo/*.py``, in name
+    order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "dageo").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def materialize(spec: str, stack: ExitStack) -> tuple[Path, str]:
     """``(source tree, label)`` of a directory or a git revision."""
     if Path(spec).is_dir():
-        return Path(spec).resolve(), Path(spec).resolve().name
-    rev = _git("rev-parse", "--short", f"{spec}^{{commit}}").decode().strip()
+        tree = Path(spec).resolve()
+        return tree, _directory_label(tree)
+    rev = _git("rev-parse", "--short", f"{spec}^{{commit}}")
     tree = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-    with tarfile.open(fileobj=io.BytesIO(
-            _git("archive", rev, "src", "perfbench/pins.json"))) as archive:
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src",
+                              "perfbench/pins.json"], check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as archive:
         if hasattr(tarfile, "data_filter"):
             archive.extractall(tree, filter="data")
         else:
@@ -155,13 +248,16 @@ def spawn(tree: Path, theorems: list[str], point: dict,
 
 def measure(base: Path, head: Path, theorems: list[str], point: dict,
             reps: int) -> dict:
-    """One trajectory entry's per-theorem rows and totals."""
+    """One trajectory entry's per-theorem rows, totals and scenes row."""
     runs = {"base": [], "head": []}
+    scene_runs = {"base": [], "head": []}
     for rep in range(reps):
         order = ("base", "head") if rep % 2 == 0 else ("head", "base")
         for side in order:
             tree = base if side == "base" else head
-            runs[side].append(spawn(tree, theorems, point, count=rep == 0))
+            out = spawn(tree, theorems, point, count=rep == 0)
+            runs[side].append(out["theorems"])
+            scene_runs[side].append(out["scenes"])
     rows = {}
     for tid in theorems:
         row = {}
@@ -187,7 +283,18 @@ def measure(base: Path, head: Path, theorems: list[str], point: dict,
         for b, h in zip(runs["base"], runs["head"])]
     total["median_wall_ratio"] = statistics.median(
         total["wall_ratio_per_pair"])
-    return _rounded({"theorems": rows, "total": total})
+    scenes = {}
+    for side, side_runs in scene_runs.items():
+        scenes[side] = {key: min(r[key] for r in side_runs)
+                        for key in SCENE_TIMES}
+        scenes[side].update(calls=side_runs[0]["calls"],
+                            pin=side_runs[0]["pin"])
+    scenes["wall_ratio_per_pair"] = [
+        h["wall_s"] / b["wall_s"]
+        for b, h in zip(scene_runs["base"], scene_runs["head"])]
+    scenes["median_wall_ratio"] = statistics.median(
+        scenes["wall_ratio_per_pair"])
+    return _rounded({"theorems": rows, "total": total, "scenes": scenes})
 
 
 def _rounded(value):
@@ -230,6 +337,8 @@ def main(argv=None) -> int:
                     else _registry_ids(base))
         entry = {"base": base_label, "head": head_label, "point": point,
                  "reps": args.reps,
+                 "src_sha256": {"base": src_sha256(base),
+                                "head": src_sha256(head)},
                  "host": {"python": platform.python_version(),
                           "machine": platform.machine(),
                           "cpus": os.cpu_count()},
@@ -247,6 +356,13 @@ def main(argv=None) -> int:
           f"{total['base']['wall_s']:.3f} -> {total['head']['wall_s']:.3f} s,"
           f" calls {total['base']['calls']} -> {total['head']['calls']},"
           f" median pair ratio {total['median_wall_ratio']:.3f}")
+    scenes = entry["scenes"]
+    print(f"scenes: wall {scenes['base']['wall_s'] * 1e3:.2f} -> "
+          f"{scenes['head']['wall_s'] * 1e3:.2f} ms, render_svg "
+          f"{scenes['base']['render_svg_s'] * 1e3:.2f} -> "
+          f"{scenes['head']['render_svg_s'] * 1e3:.2f} ms, calls "
+          f"{scenes['base']['calls']} -> {scenes['head']['calls']},"
+          f" median pair ratio {scenes['median_wall_ratio']:.3f}")
     for tid, row in entry["theorems"].items():
         base, head = row["base"], row["head"]
         if (base["calls"], base["fractions"]) != (head["calls"],

@@ -89,8 +89,6 @@ def shift(t: DATriangle, theta: Fraction) -> DATriangle:
     image is congruent to the original.  The map is an additive group
     action in theta.
     """
-    if not isinstance(theta, Fraction):
-        theta = Fraction(theta)
     par = t.parabola
     # x + theta/kappa = X/Z + theta*S/K over Z*td*K, each vertex's triple
     # read directly.

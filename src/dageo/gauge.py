@@ -57,7 +57,7 @@ class Point:
     common denominator, and if a prime p divided X, Y and Z then Z/p would
     be a smaller one.  Every point holds its triple from construction.
     ``Point(x, y)`` also keeps its arguments, ints included, as ``.x`` and
-    ``.y``; ``_point(X, Y, Z)`` builds them as Fractions on first read and
+    ``.y``; every other point builds them as Fractions on first read and
     keeps them.  The hash is that of the tuple ``(x, y)``, and a point
     unpacks to its two coordinates."""
 
@@ -115,15 +115,14 @@ _set_x, _set_y, _set_xyz = (Point._x.__set__, Point._y.__set__,
                             Point.xyz.__set__)
 
 
-def _point(X: int, Y: int, Z: int, x: Fraction | None = None) -> Point:
+def _point(X: int, Y: int, Z: int) -> Point:
     """The point ``(X/Z, Y/Z)``, ``Z != 0``, reduced by the gcd and signed
-    as :class:`Point` stores it; ``x``, when given, is the abscissa X/Z
-    that the caller already holds, kept as ``.x``."""
+    as :class:`Point` stores it."""
     g = gcd(X, Y, Z)
     if Z < 0:
         g = -g
     point = _new(Point)
-    _set_x(point, x)
+    _set_x(point, None)
     _set_y(point, None)
     _set_xyz(point, (X // g, Y // g, Z // g))
     return point
@@ -326,7 +325,7 @@ class Line:
         if not b:
             raise ValueError("a singular line has no y(x)")
         xn, xd = x.numerator, x.denominator
-        return _point(b * xn, -(a * xn + c * xd), b * xd, x)
+        return _point(b * xn, -(a * xn + c * xd), b * xd)
 
     def contains(self, p: Point) -> bool:
         a, b, c = self.triple

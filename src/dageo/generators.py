@@ -201,7 +201,7 @@ class RandomRationals:
     def triangle(self) -> DATriangle:
         """Triangle inscribed in a random parabola."""
         curve = self.parabola()
-        return DATriangle(*(curve._point_over(x.numerator, x.denominator, x)
+        return DATriangle(*(curve._point_over(x.numerator, x.denominator)
                             for x in self.distinct_rationals(3)))
 
     def free_triangle(self) -> DATriangle:

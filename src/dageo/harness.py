@@ -31,11 +31,10 @@ def jsonable(obj):
 
     A type with no JSON form raises ``TypeError`` rather than turning
     into its ``str``."""
-    # The common values first: scalars, points, dicts and primitives.  No
-    # class tested after them subclasses dict, str or int; list and tuple
-    # stay last because MeetResult is a tuple.
-    if isinstance(obj, Fraction):
-        return format_scalar(obj)
+    # Points, dicts and primitives first.  No class tested after them
+    # subclasses dict, str or int; list and tuple come after MeetResult, a
+    # tuple.  Fraction, an ABC, comes last: isinstance against it runs
+    # ABCMeta.__instancecheck__ on any value that is not a Fraction.
     if isinstance(obj, Point):
         X, Y, Z = obj.xyz
         return [format_ratio(X, Z), format_ratio(Y, Z)]
@@ -73,6 +72,8 @@ def jsonable(obj):
                 "n": format_scalar(obj.ratio[1]), "base": obj.base}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return format_scalar(obj)
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

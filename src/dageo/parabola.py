@@ -41,18 +41,21 @@ class Parabola:
     a prime p divided K, B, G and S then S/p would be a smaller one.
     ``y_at``, ``contains``, ``chord_slope`` and the meets read only the
     quadruple, and the points they read and build are ``Point`` triples.
-    ``kappa``, ``beta`` and ``gamma`` return the constructor's arguments,
-    ints included; a curve built from integers builds them as Fractions
-    on first read and keeps them.
+    ``Parabola(kappa, beta, gamma)`` keeps its arguments, ints included,
+    as ``kappa``, ``beta`` and ``gamma``; every other curve builds them as
+    Fractions on first read and keeps them.
     """
 
     __slots__ = ("_lifted", "_kappa", "_beta", "_gamma")
 
     def __new__(cls, kappa: Fraction, beta: Fraction, gamma: Fraction):
-        return _parabola_over(kappa.numerator, kappa.denominator,
-                              beta.numerator, beta.denominator,
-                              gamma.numerator, gamma.denominator,
-                              kappa, beta, gamma)
+        curve = _parabola_over(kappa.numerator, kappa.denominator,
+                               beta.numerator, beta.denominator,
+                               gamma.numerator, gamma.denominator)
+        _set_kappa(curve, kappa)
+        _set_beta(curve, beta)
+        _set_gamma(curve, gamma)
+        return curve
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Parabola.{name}")
@@ -99,18 +102,14 @@ class Parabola:
         return ratio((K * X + B * Z) * X + (G * Z - S * Y) * Z, S * Z * Z)
 
     def point_at(self, x: Fraction) -> Point:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        return self._point_over(x.numerator, x.denominator, x)
+        return self._point_over(x.numerator, x.denominator)
 
-    def _point_over(self, xn: int, xd: int,
-                    x: Fraction | None = None) -> Point:
+    def _point_over(self, xn: int, xd: int) -> Point:
         """The curve point over ``x = xn/xd``, ``xd != 0``, as the triple
-        ``(xn S xd, K xn^2 + B xn xd + G xd^2, S xd^2)``; ``x``, when
-        given, is that abscissa as a Fraction, kept as the point's ``.x``."""
+        ``(xn S xd, K xn^2 + B xn xd + G xd^2, S xd^2)``."""
         K, B, G, S = self._lifted
         return _point(xn * S * xd, (K * xn + B * xd) * xn + G * xd * xd,
-                      S * xd * xd, x)
+                      S * xd * xd)
 
     def contains(self, p: Point) -> bool:
         # Y Z S == K X^2 + B X Z + G Z^2 over p's triple.
@@ -140,11 +139,9 @@ _set_beta = Parabola._beta.__set__
 _set_gamma = Parabola._gamma.__set__
 
 
-def _parabola(K: int, B: int, G: int, S: int, kappa=None, beta=None,
-              gamma=None) -> Parabola:
+def _parabola(K: int, B: int, G: int, S: int) -> Parabola:
     """The curve y = (K*x^2 + B*x + G)/S, ``S != 0``, reduced by the gcd
-    and signed as :class:`Parabola` stores it; ``kappa``, ``beta`` and
-    ``gamma``, when given, are the values the public constructor keeps."""
+    and signed as :class:`Parabola` stores it."""
     if not K:
         raise DegenerateConfigurationError("kappa must be nonzero")
     g = gcd(K, B, G, S)
@@ -152,19 +149,17 @@ def _parabola(K: int, B: int, G: int, S: int, kappa=None, beta=None,
         g = -g
     curve = object.__new__(Parabola)
     _set_lifted(curve, (K // g, B // g, G // g, S // g))
-    _set_kappa(curve, kappa)
-    _set_beta(curve, beta)
-    _set_gamma(curve, gamma)
+    _set_kappa(curve, None)
+    _set_beta(curve, None)
+    _set_gamma(curve, None)
     return curve
 
 
-def _parabola_over(kn: int, kd: int, bn: int, bd: int, gn: int, gd: int,
-                   kappa=None, beta=None, gamma=None) -> Parabola:
+def _parabola_over(kn: int, kd: int, bn: int, bd: int, gn: int,
+                   gd: int) -> Parabola:
     """The curve with coefficients kn/kd, bn/bd and gn/gd over the common
-    denominator kd*bd*gd != 0; it keeps ``kappa``, ``beta`` and ``gamma``
-    when given."""
-    return _parabola(kn * bd * gd, bn * kd * gd, gn * kd * bd, kd * bd * gd,
-                     kappa, beta, gamma)
+    denominator kd*bd*gd != 0."""
+    return _parabola(kn * bd * gd, bn * kd * gd, gn * kd * bd, kd * bd * gd)
 
 
 def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
@@ -175,12 +170,12 @@ def circumparabola(a: Point, b: Point, c: Point) -> Parabola:
     rejected, as are shared x-coordinates (a singular side).
     """
     (x1, x2, x3), (y1, y2, y3), L = _over_common_z(a, b, c)
-    return _parabola_through(x1, x2, x3, L, y1, y2, y3, L)
+    return _parabola_through(x1, x2, x3, y1, y2, y3, L)
 
 
-def _parabola_through(X1: int, X2: int, X3: int, D: int,
-                      Y1: int, Y2: int, Y3: int, E: int) -> Parabola:
-    """:func:`circumparabola` of the points ``(X_i/D, Y_i/E)``, from their
+def _parabola_through(X1: int, X2: int, X3: int, Y1: int, Y2: int, Y3: int,
+                      D: int) -> Parabola:
+    """:func:`circumparabola` of the points ``(X_i/D, Y_i/D)``, from their
     integers; ``DATriangle`` builds its curve here from its own lift."""
     d21, d31, d32 = X2 - X1, X3 - X1, X3 - X2
     if not (d21 and d31 and d32):
@@ -192,9 +187,8 @@ def _parabola_through(X1: int, X2: int, X3: int, D: int,
         raise DegenerateConfigurationError("collinear points: no circumparabola")
     B = t2 * (X3 + X1) - t1 * (X3 + X2) - t3 * (X2 + X1)
     G = t1 * X2 * X3 - t2 * X1 * X3 + t3 * X1 * X2
-    # kappa = K*D^2/(E*V), beta = B*D/(E*V), gamma = G/(E*V) with
-    # V = d21*d31*d32.
-    return _parabola(K * D * D, B * D, G, E * d21 * d31 * d32)
+    # kappa = K*D/V, beta = B/V, gamma = G/(D*V) with V = d21*d31*d32.
+    return _parabola(K * D * D, B * D, G, D * d21 * d31 * d32)
 
 
 def parabolic_power(p: Parabola, pt: Point) -> Fraction:
@@ -229,8 +223,6 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
         raise DegenerateConfigurationError("locus endpoints must lie on y = 0")
     if A * bd == B * ad:
         raise DegenerateConfigurationError("coincident endpoints")
-    if not isinstance(theta, Fraction):
-        theta = Fraction(theta)
     if theta == 0:
         raise DegenerateConfigurationError("zero angle degenerates to a line")
     # With a = A/L and b = B/L: kappa = theta L/(B - A), beta = -kappa (a + b)
@@ -243,7 +235,6 @@ def iso_angle_locus(a: Point, b: Point, theta: Fraction) -> Parabola:
 def tangent_at(p: Parabola, x0: Fraction) -> Line:
     """Tangent line at the curve point over ``x0``; touches with a double
     root there."""
-    x0 = Fraction(x0)
     return Line(2 * p.kappa * x0 + p.beta, p.gamma - p.kappa * x0 * x0)
 
 
@@ -272,8 +263,6 @@ def second_intersection(p: Parabola, pt: Point, m: Fraction) -> Point:
     """
     if not p.contains(pt):
         raise DegenerateConfigurationError("point is not on the parabola")
-    if not isinstance(m, Fraction):
-        m = Fraction(m)
     # (m - beta)/kappa - x is (m S - B)/K - X/Z over m's integers and
     # pt's triple.
     K, B, _, S = p._lifted

@@ -1,12 +1,15 @@
 """Exact rational scalars and the small algebraic primitives everything
 else reduces to.
 
-A scalar is a :class:`fractions.Fraction`: always in lowest terms with a
-positive denominator, so equality is structural and every predicate in the
-kernel bottoms out in an exact sign test.  Scene files carry scalars as
-strings (``"3"``, ``"-7/4"``, ``"0.25"``); parsing is exact and never goes
-through binary floats.  Only ASCII digits are accepted: ``int`` would read
-other Unicode digits, which :func:`format_scalar` never writes.
+A kernel scalar is an ``int`` or a :class:`fractions.Fraction`, always in
+lowest terms with a positive denominator, so equality is structural and
+every predicate in the kernel bottoms out in an exact sign test.  Every
+kernel function takes a scalar as it is: a float or a string fails where
+the kernel reads it, as in ``Point(0.5, 1)``.  Text becomes a scalar
+only through :func:`parse_scalar`: scene files carry scalars as strings
+(``"3"``, ``"-7/4"``, ``"0.25"``); parsing is exact and never goes
+through binary floats.  Only ASCII digits are accepted: ``int`` would
+read other Unicode digits, which :func:`format_scalar` never writes.
 
 The kernel builds every ``Fraction`` of two ints through :func:`ratio`,
 and so do scalar parsing, the chart normalization of scene files and the

@@ -146,8 +146,6 @@ def arc_symmetry_check(t: DATriangle, p_param: Fraction) -> bool:
     direct membership check).
     """
     lo, mid, hi = t.sorted_vertices()
-    if not isinstance(p_param, Fraction):
-        p_param = Fraction(p_param)
     (xm, xp, xh), scale = lift_triple((mid.x, p_param, hi.x))
     if not (xm < xp < xh):
         raise DegenerateConfigurationError("parameter must lie on the arc")

@@ -57,7 +57,7 @@ class DATriangle:
         if xs[0] == xs[1] or xs[1] == xs[2] or xs[0] == xs[2]:
             raise DegenerateConfigurationError("singular side (shared x)")
         try:
-            par = _parabola_through(*xs, L, *ys, L)
+            par = _parabola_through(*xs, *ys, L)
         except DegenerateConfigurationError:
             # With distinct abscissae the only rejection left is kappa == 0,
             # and det3 of the rows (x, y, 1) is kappa times the Vandermonde
@@ -442,8 +442,6 @@ def simson(t: DATriangle, m: Fraction) -> SimsonResult:
     parallel singular lines (one shared ideal point), and their feet are
     collinear on a line whose slope is exactly m.
     """
-    if not isinstance(m, Fraction):
-        m = Fraction(m)
     par = t.parabola
     ks = {lbl: second_intersection(par, t.vertex(lbl), m) for lbl in VERTICES}
     feet = {lbl: foot_of_perpendicular(ks[lbl], t.side(lbl))

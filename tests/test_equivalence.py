@@ -398,12 +398,6 @@ class TestLiftedAgainstFractionChains:
         assert got == kernel_outcome(fraction_chain_shift, t, theta)
         assert all(type(c) is F for v in (got.a, got.b, got.c) for c in v)
 
-    def test_shift_keeps_fraction_coercion(self):
-        t = on_std(0, 1, 3)
-        assert shift(t, "1/2") == shift(t, F(1, 2))
-        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
-            shift(t, "half")
-
     @given(small.filter(bool), small, small,
            st.lists(small, min_size=3, max_size=3, unique=True),
            small, small, small, st.sampled_from(

@@ -20,20 +20,19 @@ _parabola = parabola._parabola
 _point = gauge._point
 
 
-def _parabola_with_beta_plus_one(K, B, G, S, *coefficients):
+def _parabola_with_beta_plus_one(K, B, G, S):
     # B + 1 on the stored quadruple, after its reduction, on both routes:
-    # the public constructor (which keeps its arguments as the public
-    # coefficients) and the integer one.
+    # the public constructor and the integer one.
     K, B, G, S = _parabola(K, B, G, S)._lifted
-    return _parabola(K, B + 1, G, S, *coefficients)
+    return _parabola(K, B + 1, G, S)
 
 
-def _point_with_y_plus_one(X, Y, Z, *abscissa):
+def _point_with_y_plus_one(X, Y, Z):
     # Y + 1 on the stored triple, after its reduction: every point the
     # kernel builds from integers (meets, midpoints, curve and line
     # points) moves up by 1/Z.
     X, Y, Z = _point(X, Y, Z).xyz
-    return _point(X, Y + 1, Z, *abscissa)
+    return _point(X, Y + 1, Z)
 
 
 def _chord_height_sign_flipped(p, x0, q):

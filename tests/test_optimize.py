@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import dageo
-from conftest import golden_scene_draws
+from conftest import _workloads, golden_scene_draws
 from dageo.equivalence import classify_pair, shift
 from dageo.euclid import run_euclid_campaign
 from dageo.gauge import (Gauge, Line, Point, difference_angle, line_through,
@@ -335,6 +335,23 @@ def test_constructions_count_both_builders():
 def test_exact_primitives_build_few_fractions(name):
     call, budget = FRACTION_BUDGET[name]
     assert _fraction_constructions(call) <= budget
+
+
+def test_golden_scene_ops_make_no_abc_instance_checks():
+    # Fraction is an ABC (numbers.Rational): isinstance(obj, Fraction) on
+    # any value not of exactly that type runs ABCMeta.__instancecheck__.
+    # jsonable tests it last, where only scalars reach.
+    wl = _workloads()
+    workload = wl.WORKLOADS["scene_documents"]
+    texts = [workload.op_input(wl.GOLDEN_SEED, index)
+             for index in range(workload.round_size)]
+    profiler = cProfile.Profile()
+    for text in texts:
+        profiler.runcall(workload.run_op, text)
+    checks = sum(e.callcount for e in profiler.getstats()
+                 if not isinstance(e.code, str)
+                 and e.code.co_name == "__instancecheck__")
+    assert checks == 0
 
 
 def test_cevian_line_lifts_no_vertices():

@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (bounded, fraction_chain_other_root,
                       fraction_chain_rational_roots)
+from dageo.equivalence import shift
+from dageo.gauge import Point
+from dageo.parabola import (Parabola, iso_angle_locus, second_intersection,
+                            tangent_at)
 from dageo.scalar import (QuadraticPoly, between, det3, format_ratio,
                           format_scalar, other_root, parse_scalar, ratio)
+from dageo.theorems import arc_symmetry_check
+from dageo.triangle import DATriangle, simson
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -352,3 +358,36 @@ class TestQuadraticPoly:
 
     def test_rational_roots_complex(self):
         assert QuadraticPoly(F(1), F(0), F(1)).rational_roots() == []
+
+
+_STD = Parabola(1, 0, 0)
+_ON_STD = DATriangle(Point(0, 0), Point(1, 1), Point(4, 16))
+#: The kernel functions that took any value ``Fraction()`` reads, each
+#: applied to the scalar 2 (or to 5/2) where that value is valid.
+SCALAR_ENTRY_POINTS = {
+    "Parabola.point_at": _STD.point_at,
+    "iso_angle_locus": lambda s: iso_angle_locus(Point(0, 0), Point(3, 0), s),
+    "tangent_at": lambda s: tangent_at(_STD, s),
+    "second_intersection": lambda s: second_intersection(_STD, Point(1, 1), s),
+    "simson": lambda s: simson(_ON_STD, s),
+    "shift": lambda s: shift(_ON_STD, s),
+    "arc_symmetry_check": lambda s: arc_symmetry_check(_ON_STD, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+class TestKernelScalars:
+    """A kernel scalar is an int or a Fraction: text becomes one only
+    through ``parse_scalar``, and a float or a string fails as it does in
+    ``Point(0.5, 1)``, rather than being coerced."""
+
+    def test_int_matches_fraction(self, name):
+        call = SCALAR_ENTRY_POINTS[name]
+        assert call(2) == call(F(2))
+
+    @pytest.mark.parametrize("value", [2.5, "5/2"])
+    def test_float_or_text_raises(self, name, value):
+        with pytest.raises(AttributeError):
+            Point(value, 1)
+        with pytest.raises((AttributeError, TypeError)):
+            SCALAR_ENTRY_POINTS[name](value)

@@ -13,8 +13,6 @@ from the kernel's lift helpers, so it shares no route with ``da_norm``."""
 
 import functools
 
-import pytest
-
 from dageo import gauge
 from dageo.gauge import (Line, MeetResult, Point, da_norm, difference_angle,
                          line_through, meet)

@@ -362,8 +362,8 @@ class TestQuadraticPoly:
 
 _STD = Parabola(1, 0, 0)
 _ON_STD = DATriangle(Point(0, 0), Point(1, 1), Point(4, 16))
-#: The kernel functions that took any value ``Fraction()`` reads, each
-#: applied to the scalar 2 (or to 5/2) where that value is valid.
+#: Kernel functions of one scalar argument, each placed where the
+#: scalars 2 and 5/2 are valid arguments.
 SCALAR_ENTRY_POINTS = {
     "Parabola.point_at": _STD.point_at,
     "iso_angle_locus": lambda s: iso_angle_locus(Point(0, 0), Point(3, 0), s),
